@@ -1,57 +1,33 @@
-"""Hot-loop kernels with a compiled core and a pure-Python fallback.
+"""Hot-loop kernels on Python's big-int bitsets.
 
 The heavy operations are sweeps over every total assignment of a small
 coordinate box: building the member table of a name, checking XOR-flip
 invariance, projecting satisfying assignments, and batch triangular
-solving.  A Cython extension provides the fast path; a pure backend built
-on Python's big-int bitsets is selected when the extension is missing or
-when ``CASCADEKIT_PURE`` is set in the environment.
-
-Tables returned by ``build_table`` are backend-specific handles; build and
-consume them through this module within one backend selection.
+solving.  A member's table column is one integer with bit ``g`` set when
+assignment ``g`` carries the member.  Subcube indicators are built by width
+doubling, XOR-permutation by half-block swaps and projection by an OR-fold
+over the dropped coordinates, so the per-assignment work runs inside
+CPython's big-int arithmetic instead of a Python-level loop.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 from ..errors import DomainError
-from . import pure as _pure
 
 MAX_TABLE_COORDS = 22
-
-_BACKENDS = {"python": _pure}
-try:  # pragma: no cover - presence depends on the build environment
-    from . import _fastcore as _fast
-
-    _BACKENDS["compiled"] = _fast
-except ImportError:  # pragma: no cover
-    _fast = None
-
-if os.environ.get("CASCADEKIT_PURE"):
-    BACKEND = "python"
-else:
-    BACKEND = "compiled" if "compiled" in _BACKENDS else "python"
-_impl = _BACKENDS[BACKEND]
+BACKEND = "python"
 
 
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+class Table:
+    """Member table: one column bitset per member bit that occurs."""
 
+    __slots__ = ("n_coords", "cols")
 
-def use_backend(name: str) -> None:
-    """Switch the active backend; intended for tests and benchmarks."""
-    global _impl, BACKEND
-    if name not in _BACKENDS:
-        raise DomainError(f"unknown kernel backend {name!r}; have {available_backends()}")
-    _impl = _BACKENDS[name]
-    BACKEND = name
-
-
-def backend_module(name: str):
-    if name not in _BACKENDS:
-        raise DomainError(f"unknown kernel backend {name!r}; have {available_backends()}")
-    return _BACKENDS[name]
+    def __init__(self, n_coords: int, cols: dict[int, int]):
+        self.n_coords = n_coords
+        self.cols = cols
 
 
 def _check_dims(n_coords: int) -> None:
@@ -63,7 +39,42 @@ def _check_dims(n_coords: int) -> None:
         )
 
 
-def build_table(n_coords: int, entries) -> object:
+@lru_cache(maxsize=None)
+def _subcube_indicator(n_coords: int, dmask: int, vmask: int) -> int:
+    """Bitset over all assignments of ``{g : g & dmask == vmask}``."""
+    ind = 1
+    for j in range(n_coords):
+        width = 1 << j
+        if not (dmask >> j) & 1:
+            ind |= ind << width
+        elif (vmask >> j) & 1:
+            ind <<= width
+    return ind
+
+
+@lru_cache(maxsize=None)
+def _low_half_mask(n_coords: int, b: int) -> int:
+    """Bitset of assignments with coordinate ``b`` equal to 0."""
+    block = 1 << b
+    mask = (1 << block) - 1
+    width = 2 * block
+    total = 1 << n_coords
+    while width < total:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
+def _member_column(table: Table, member_bit: int) -> int:
+    """Bitset of the assignments carrying any member in ``member_bit``."""
+    col = 0
+    for m, c in table.cols.items():
+        if m & member_bit:
+            col |= c
+    return col
+
+
+def build_table(n_coords: int, entries) -> Table:
     """Member table of a name over a box.
 
     ``entries`` is an iterable of ``(dmask, vmask, member_bit)`` triples: a
@@ -74,7 +85,7 @@ def build_table(n_coords: int, entries) -> object:
     """
     _check_dims(n_coords)
     full = (1 << n_coords) - 1
-    checked = []
+    cols: dict[int, int] = {}
     for dmask, vmask, member_bit in entries:
         if dmask & ~full:
             raise DomainError("condition mentions coordinates outside the box")
@@ -82,40 +93,82 @@ def build_table(n_coords: int, entries) -> object:
             raise DomainError("value bits outside the condition domain")
         if member_bit <= 0 or member_bit & (member_bit - 1) or member_bit >> 64:
             raise DomainError("member_bit must be a single bit below 2**64")
-        checked.append((dmask, vmask, member_bit))
-    return _impl.build_table(n_coords, checked)
+        cols[member_bit] = cols.get(member_bit, 0) | _subcube_indicator(n_coords, dmask, vmask)
+    return Table(n_coords, {m: c for m, c in cols.items() if c})
 
 
-def eval_at(table, g: int) -> int:
+def eval_at(table: Table, g: int) -> int:
     """Member bits at one assignment."""
-    return _impl.eval_at(table, g)
+    if g < 0 or g >> table.n_coords:
+        raise IndexError("assignment outside the table")
+    out = 0
+    for member_bit, col in table.cols.items():
+        if (col >> g) & 1:
+            out |= member_bit
+    return out
 
 
-def tables_equal(t1, t2) -> bool:
-    return _impl.tables_equal(t1, t2)
+def tables_equal(t1: Table, t2: Table) -> bool:
+    return t1.n_coords == t2.n_coords and t1.cols == t2.cols
 
 
-def flip_violation(table, flip_mask: int) -> int:
+def flip_violation(table: Table, flip_mask: int) -> int:
     """Least assignment whose members change under XOR with ``flip_mask``; -1 if none."""
-    return _impl.flip_violation(table, flip_mask)
+    n = table.n_coords
+    if flip_mask < 0 or flip_mask >> n:
+        raise IndexError("flip mask outside the table")
+    best = -1
+    for col in table.cols.values():
+        permuted = col
+        for b in range(n):
+            if (flip_mask >> b) & 1:
+                block = 1 << b
+                low = _low_half_mask(n, b)
+                permuted = ((permuted & low) << block) | ((permuted >> block) & low)
+        diff = col ^ permuted
+        if diff:
+            g = (diff & -diff).bit_length() - 1
+            if best < 0 or g < best:
+                best = g
+    return best
 
 
-def project_member(table, member_bit: int, proj_mask: int) -> tuple[int, ...]:
+def project_member(table: Table, member_bit: int, proj_mask: int) -> tuple[int, ...]:
     """Sorted distinct ``g & proj_mask`` over assignments carrying the member."""
-    return _impl.project_member(table, member_bit, proj_mask)
+    n = table.n_coords
+    col = _member_column(table, member_bit)
+    # OR each dropped coordinate's high half onto its low half (a zeta transform):
+    # bit g survives exactly when some carrying assignment projects to g
+    for b in range(n):
+        if not (proj_mask >> b) & 1:
+            col = (col | (col >> (1 << b))) & _low_half_mask(n, b)
+    out = []
+    while col:
+        low = col & -col
+        out.append(low.bit_length() - 1)
+        col ^= low
+    return tuple(out)
 
 
-def subcube_member_summary(table, member_bit: int, dmask: int, vmask: int) -> int:
+def subcube_member_summary(table: Table, member_bit: int, dmask: int, vmask: int) -> int:
     """Membership across the subcube ``{g : g & dmask == vmask}``.
 
     Returns 0 when no assignment of the subcube carries the member, 1 when
     all do, 2 when mixed.
     """
-    return _impl.subcube_member_summary(table, member_bit, dmask, vmask)
+    if dmask < 0 or dmask >> table.n_coords or vmask & ~dmask:
+        raise IndexError("subcube masks outside the table")
+    ind = _subcube_indicator(table.n_coords, dmask, vmask)
+    hit = _member_column(table, member_bit) & ind
+    if hit == 0:
+        return 0
+    if hit == ind:
+        return 1
+    return 2
 
 
 def solve_unit_triangular_all(cols, n: int) -> list[int]:
-    """Back-substitute every target of F2^n through a unit upper triangular matrix.
+    """Solve every target of F2^n through a unit upper triangular matrix.
 
     ``cols[j]`` is the j-th column as a row-position bitmask with bit ``j``
     set and no bits above it.  Returns the coefficient mask per target.
@@ -127,4 +180,16 @@ def solve_unit_triangular_all(cols, n: int) -> list[int]:
     for j, col in enumerate(cols):
         if not (col >> j) & 1 or col >> (j + 1):
             raise DomainError("columns must be unit upper triangular")
-    return _impl.solve_unit_triangular_all(cols, n)
+    # solve the unit vectors, then extend by linearity: out[t | 2**i] = out[t] ^ inv[i]
+    out = [0]
+    for i in range(n):
+        residual = 1 << i
+        coeffs = 0
+        for j in range(i, -1, -1):
+            if (residual >> j) & 1:
+                coeffs |= 1 << j
+                residual ^= cols[j]
+        if residual:
+            raise AssertionError("triangular solve left a residual")
+        out += [c ^ coeffs for c in out]
+    return out

@@ -214,22 +214,21 @@ def solve_all_targets(K: Window) -> list[frozenset]:
     """Coefficient sets for every target over the window, solved in one batch.
 
     Index ``t`` holds the solution for ``F2Vector(K, t)``.  Runs the
-    back-substitution through the kernel backend; agreement with the
+    back-substitution through the batch kernel; agreement with the
     per-target :func:`solve_star_span` is part of the verification suite.
     """
     from . import _kernels as kernels
 
-    matrix = star_matrix(K)
-    order = matrix.row_order
-    n = len(order)
-    window_pos = {xi: j for j, xi in enumerate(K.ordered)}
-    batch = kernels.solve_unit_triangular_all(matrix.cols, n)
-    out = []
-    for t_window in range(1 << n):
-        t_matrix = 0
-        for j, xi in enumerate(order):
-            if (t_window >> window_pos[xi]) & 1:
-                t_matrix |= 1 << j
-        coeffs = batch[t_matrix]
-        out.append(frozenset(order[j] for j in range(n) if (coeffs >> j) & 1))
-    return out
+    cols, order, window_to_matrix = _solve_data(K)
+    batch = kernels.solve_unit_triangular_all(cols, len(order))
+    # window-order target -> matrix-order target, and coefficient mask -> node set,
+    # both filled by doubling: entry t | 2**j is entry t plus unit j
+    t_matrix = [0]
+    for pos in window_to_matrix:
+        unit = 1 << pos
+        t_matrix += [t | unit for t in t_matrix]
+    node_sets = [frozenset()]
+    for xi in order:
+        unit = frozenset((xi,))
+        node_sets += [s | unit for s in node_sets]
+    return [node_sets[batch[t]] for t in t_matrix]

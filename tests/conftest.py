@@ -1,7 +1,5 @@
 import itertools
 
-import pytest
-
 from cascadekit.forest import PredecessorForest
 
 
@@ -27,12 +25,3 @@ def all_closed_subsets(forest: PredecessorForest):
             if all(xi == 0 or forest.parents[xi] in chosen for xi in chosen):
                 yield frozenset(chosen)
 
-
-@pytest.fixture
-def kernel_backend_guard():
-    """Restore the kernel backend after a test switches it."""
-    from cascadekit import _kernels
-
-    before = _kernels.BACKEND
-    yield
-    _kernels.use_backend(before)

@@ -1,6 +1,7 @@
 """Star vectors, the triangular star matrix, and span solving."""
 
 import itertools
+import random
 
 import pytest
 
@@ -201,10 +202,19 @@ class TestSolve:
                 assert combine_stars(K, solve_star_span(K, target)) == target
 
     def test_batch_solver_matches_per_target(self):
+        rng = random.Random(8)
+        windows = []
         for seed in range(6):
             f = random_forest(7, seed)
-            K = rho_closure(f, set(range(f.size)))
+            windows.append(rho_closure(f, set(range(f.size))))
+            # proper sub-windows: positions differ from node ids and from matrix order
+            windows.append(rho_closure(f, set(rng.sample(range(1, 7), 2))))
+        for seed in range(3):
+            f = random_forest(14, seed)
+            windows.append(rho_closure(f, set(rng.sample(range(1, 14), 4))))
+        for K in windows:
             batch = solve_all_targets(K)
+            assert len(batch) == 1 << len(K)
             for bits in range(1 << len(K)):
                 assert batch[bits] == solve_star_span(K, F2Vector(K, bits))
 
