@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import DomainError, ParseError, PreconditionError
+from .errors import CertificateError, DomainError, ParseError, PreconditionError
 from .f2linalg import F2Vector, solve_star_span
 from .forest import NodeId, PredecessorForest, Window, rho_closure
 
@@ -51,7 +51,7 @@ class ToggleSet:
 
     @classmethod
     def empty(cls) -> "ToggleSet":
-        return cls(False, frozenset())
+        return _EMPTY_TOGGLE
 
     def __contains__(self, n: int) -> bool:
         return self.cofinite != (n in self.exceptions)
@@ -80,6 +80,9 @@ class ToggleSet:
         return ("cofin{%s}" if self.cofinite else "fin{%s}") % inner
 
 
+_EMPTY_TOGGLE = ToggleSet(False, frozenset())
+
+
 def parse_toggle_set(text: str) -> ToggleSet:
     """Parse the textual form ``fin{1,2}`` / ``cofin{0}``."""
     text = text.strip()
@@ -87,10 +90,9 @@ def parse_toggle_set(text: str) -> ToggleSet:
         if text.startswith(prefix + "{") and text.endswith("}"):
             body = text[len(prefix) + 1 : -1].strip()
             try:
-                bits = frozenset(int(b) for b in body.split(",") if b.strip())
-            except ValueError:
+                return ToggleSet(cofinite, frozenset(int(b) for b in body.split(",") if b.strip()))
+            except ValueError:  # DomainError included: negative bit index
                 raise ParseError(f"bad toggle set {text!r}") from None
-            return ToggleSet(cofinite, bits)
     raise ParseError(f"bad toggle set {text!r}")
 
 
@@ -200,22 +202,30 @@ class CascadeAutomorphism:
     _lookup: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        keys = [k for k, _ in self.row_toggles]
-        if len(set(keys)) != len(keys):
+        entries = self.row_toggles
+        lookup = dict(entries)
+        if len(lookup) != len(entries):
             raise DomainError("duplicate row in toggle map")
-        for (node, row), ts in self.row_toggles:
-            self.forest.check_node(node)
+        size = self.forest.size
+        ordered = True
+        prev = None
+        for key, ts in entries:
+            node, row = key
+            if not 0 <= node < size:
+                self.forest.check_node(node)
             if row < 0:
                 raise DomainError("negative row index")
             if ts.is_empty():
                 raise DomainError("empty toggle entries must be omitted")
-        canonical = tuple(sorted(self.row_toggles, key=lambda kv: kv[0]))
-        if canonical != self.row_toggles:
-            object.__setattr__(self, "row_toggles", canonical)
-        object.__setattr__(self, "_lookup", dict(self.row_toggles))
+            if prev is not None and key < prev:
+                ordered = False
+            prev = key
+        if not ordered:
+            object.__setattr__(self, "row_toggles", tuple(sorted(entries, key=lambda kv: kv[0])))
+        object.__setattr__(self, "_lookup", lookup)
 
     def toggle_at(self, node: int, row: int) -> ToggleSet:
-        return self._lookup.get((node, row), ToggleSet.empty())
+        return self._lookup.get((node, row), _EMPTY_TOGGLE)
 
     def is_identity(self) -> bool:
         return not self.row_toggles
@@ -237,9 +247,9 @@ def generator(
         raise DomainError("negative row index")
     if s.is_empty():
         raise DomainError("a generator needs a nonempty toggle set")
+    # children are larger than xi and listed ascending, so the keys arrive sorted
     toggles = [((xi, row), s)]
-    for eta in sorted(forest._children[xi]):
-        toggles.append(((eta, row), s))
+    toggles.extend(((eta, row), s) for eta in forest._children[xi])
     return CascadeAutomorphism(forest, tuple(toggles))
 
 
@@ -251,7 +261,7 @@ def compose(
         raise DomainError("automorphisms act on different forests")
     merged: dict[tuple[int, int], ToggleSet] = dict(tau1.row_toggles)
     for key, ts in tau2.row_toggles:
-        combined = merged.get(key, ToggleSet.empty()) ^ ts
+        combined = merged.get(key, _EMPTY_TOGGLE) ^ ts
         if combined.is_empty():
             merged.pop(key, None)
         else:
@@ -269,13 +279,20 @@ def compose_all(
 
 
 def apply(tau: CascadeAutomorphism, q: Condition) -> Condition:
-    """Act on a condition: flip each entry whose bit lies in its row's toggle set."""
+    """Act on a condition: flip each entry whose bit lies in its row's toggle set.
+
+    Returns ``q`` itself when no entry flips.
+    """
+    lookup = tau._lookup
     out = []
+    moved = False
     for coord, value in q.entries:
-        if coord.bit in tau.toggle_at(coord.node, coord.row):
+        ts = lookup.get((coord.node, coord.row))
+        if ts is not None and coord.bit in ts:
             value ^= 1
+            moved = True
         out.append((coord, value))
-    return Condition(tuple(out))
+    return Condition(tuple(out)) if moved else q
 
 
 def shield_set(
@@ -316,8 +333,8 @@ def transport(p: Condition, q: Condition, A: Window) -> CascadeAutomorphism:
     The difference pattern is solved slice by slice (one row-bit pair at a
     time) inside the closure of the non-A mentioned nodes; the closure may
     reach into ``A``, but the solved coefficients over ``A`` provably vanish
-    because the difference does, and the result is asserted rather than
-    assumed.
+    because the difference does.  That vanishing, the fixed rows and the
+    result are all checked; a failed check raises :class:`CertificateError`.
     """
     forest = A.forest
     p_pad, q_pad = pad_common_domain(p, q)
@@ -338,11 +355,14 @@ def transport(p: Condition, q: Condition, A: Window) -> CascadeAutomorphism:
     for (row, bit), nodes in sorted(slices.items()):
         target = F2Vector.from_nodes(K, nodes)
         coeffs = solve_star_span(K, target)
-        assert not coeffs & A.nodes, "solved coefficients reached the fixed window"
+        if coeffs & A.nodes:
+            raise CertificateError("solved coefficients reached the fixed window")
         for xi in sorted(coeffs):
             pi = compose(pi, generator(forest, xi, row, ToggleSet.finite({bit})))
-    assert fixes_rows_over(pi, A)
-    assert apply(pi, p_pad) == q_pad
+    if not fixes_rows_over(pi, A):
+        raise CertificateError("transport toggles a row over the fixed window")
+    if apply(pi, p_pad) != q_pad:
+        raise CertificateError("transport does not carry p to q")
     return pi
 
 

@@ -88,7 +88,8 @@ def cmd_starspan(args) -> int:
     target = F2Vector(K, bits)
     coeffs = solve_star_span(K, target)
     reconstruction = combine_stars(K, coeffs)
-    assert reconstruction == target
+    if reconstruction != target:
+        raise CertificateError("star coefficients do not reconstruct the target")
     coeff_text = " ".join(str(x) for x in sorted(coeffs))
     lines = [
         "window: " + K.serialize(),
@@ -110,6 +111,8 @@ def _print_report(report, description: str) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.trials is not None and args.trials <= 0:
+        raise ParseError(f"--trials must be positive, got {args.trials}")
     kwargs = {
         "seed": args.seed,
         "trials": args.trials,
@@ -164,7 +167,7 @@ def cmd_demo(args) -> int:
         forest = PredecessorForest.from_pred(size, {x: 0 for x in range(1, size)})
     box = CoordinateBox(Window.whole(forest), rows, bits)
     support = rho_closure(forest, parse_node_set(args.support))
-    witness = swap_witness(condition, support, args.row, box, seed=args.seed)
+    witness = swap_witness(condition, support, args.row, box)
     text = format_witness(witness)
     _write_out(text, args.out)
     if args.out:
@@ -219,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_nosel.add_argument("--support", default="")
     p_nosel.add_argument("--row", type=int, default=0)
     p_nosel.add_argument("--box", default=None, help="N,R,B when no condition file is given")
-    p_nosel.add_argument("--seed", type=int, default=0)
     p_nosel.add_argument("--out", default=None)
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import CertificateError, DomainError
 from .forest import NodeId, Window, is_rho_closed
 
 
@@ -198,16 +198,36 @@ def solve_star_span(K: Window, target: F2Vector) -> set[NodeId]:
         if (residual >> j) & 1:
             chosen.add(order[j])
             residual ^= cols[j]
-    assert residual == 0, "triangular solve left a residual; matrix not invertible"
+    if residual:
+        raise CertificateError("triangular solve left a residual; matrix not invertible")
     return chosen
+
+
+@lru_cache(maxsize=256)
+def _star_masks(K: Window) -> dict[int, int]:
+    """Star vector bits per window node, cached: callers combine many node sets per window."""
+    pos = {xi: j for j, xi in enumerate(K.ordered)}
+    children = K.forest._children
+    masks = {}
+    for xi, j in pos.items():
+        mask = 1 << j
+        for eta in children[xi]:
+            if eta in pos:
+                mask |= 1 << pos[eta]
+        masks[xi] = mask
+    return masks
 
 
 def combine_stars(K: Window, nodes) -> F2Vector:
     """XOR of the star vectors of ``nodes``; inverse direction of the solver."""
-    acc = F2Vector.zero(K)
+    masks = _star_masks(K)
+    bits = 0
     for xi in nodes:
-        acc = acc ^ star_vector(K, xi)
-    return acc
+        try:
+            bits ^= masks[xi]
+        except KeyError:
+            raise DomainError(f"node {xi} not in window") from None
+    return F2Vector(K, bits)
 
 
 def solve_all_targets(K: Window) -> list[frozenset]:

@@ -212,6 +212,8 @@ def parse_forest(text: str) -> PredecessorForest:
         if xi in pred:
             raise ParseError(f"duplicate entry for node {xi}", lineno + 1)
         pred[xi] = p
+    if size > len(pred) + 1:  # checked before from_pred allocates `size` entries
+        raise ParseError(f"universe of size {size} needs {size - 1} 'node pred' lines")
     try:
         return PredecessorForest.from_pred(size, pred)
     except DomainError as exc:

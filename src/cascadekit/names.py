@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 from . import _kernels as kernels
 from .cascade import CascadeAutomorphism, Condition, Coordinate, Packet
 from .errors import DomainError, ParseError, PreconditionError
-from .forest import PredecessorForest, Window
+from .forest import PredecessorForest, Window, parse_node_set
 
 DEFAULT_M_RANGE = 8
 ENUMERATION_VERSION = "lex-v1"
@@ -403,14 +403,13 @@ class TwoLayerCode:
 
     def __post_init__(self):
         size, rows, bits = self.box_dims
-        total = 3 ** (size * rows * bits)
-        canonical = []
-        for m, ks in sorted(self.packet_indices):
+        n = size * rows * bits
+        canonical = tuple(sorted((m, tuple(sorted(ks))) for m, ks in self.packet_indices))
+        for _, ks in canonical:
             for k in ks:
-                if not 0 <= k < total:
+                # k < 2**n <= 3**n needs no power, which is huge for a large box
+                if k < 0 or (k.bit_length() > n and k >= 3**n):
                     raise DomainError(f"packet index {k} outside the enumeration")
-            canonical.append((m, tuple(sorted(ks))))
-        canonical = tuple(canonical)
         if canonical != self.packet_indices:
             object.__setattr__(self, "packet_indices", canonical)
 
@@ -496,13 +495,11 @@ def format_scheme(scheme: PacketScheme) -> str:
 
 
 def parse_scheme(text: str, forest: PredecessorForest) -> PacketScheme:
+    """Inverse of :func:`format_scheme`; raises only :class:`ParseError` on bad input."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("support:"):
         raise ParseError("scheme file must start with a support line", 1)
-    from .forest import parse_node_set
-
-    support_nodes = parse_node_set(lines[0][len("support:"):].replace(" ", ","))
-    support = Window(forest, frozenset(support_nodes))
+    support = _parse_support(lines[0], forest, 1)
     families: dict[int, set[Packet]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.startswith("m "):
@@ -527,12 +524,29 @@ def parse_scheme(text: str, forest: PredecessorForest) -> PacketScheme:
                     parts = cell.split()
                     if len(parts) != 4:
                         raise ParseError(f"bad packet cell {cell!r}", lineno)
-                    node, row, bit, value = (int(x) for x in parts)
+                    try:
+                        node, row, bit, value = (int(x) for x in parts)
+                    except ValueError:
+                        raise ParseError(f"non-integer packet cell {cell!r}", lineno) from None
                     entries.append((Coordinate(node, row, bit), value))
-            packets.add(Packet.of(Condition(tuple(entries)), forest))
+            try:
+                packets.add(Packet.of(Condition(tuple(entries)), forest))
+            except DomainError as exc:
+                raise ParseError(str(exc), lineno) from exc
             rest = rest[end + 1 :].strip()
         families[m] = packets
-    return PacketScheme.of(support, families)
+    try:
+        return PacketScheme.of(support, families)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _parse_support(line: str, forest: PredecessorForest, lineno: int) -> Window:
+    nodes = parse_node_set(line[len("support:"):].replace(" ", ","))
+    try:
+        return Window(forest, frozenset(nodes))
+    except DomainError as exc:
+        raise ParseError(str(exc), lineno) from exc
 
 
 def format_code(code: TwoLayerCode) -> str:
@@ -548,22 +562,26 @@ def format_code(code: TwoLayerCode) -> str:
 
 
 def parse_code(text: str, forest: PredecessorForest) -> TwoLayerCode:
+    """Inverse of :func:`format_code`; raises only :class:`ParseError` on bad input."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 3:
         raise ParseError("code file needs box, enumeration, and support lines", 1)
     head = lines[0].split()
     if len(head) != 4 or head[0] != "box":
         raise ParseError(f"expected 'box N R B', got {lines[0]!r}", 1)
-    dims = (int(head[1]), int(head[2]), int(head[3]))
-    if not lines[1].startswith("enumeration "):
+    try:
+        dims = (int(head[1]), int(head[2]), int(head[3]))
+    except ValueError:
+        raise ParseError(f"non-integer box dimensions in {lines[0]!r}", 1) from None
+    if min(dims) < 1:
+        raise ParseError(f"box dimensions must be positive, got {lines[0]!r}", 1)
+    enum_line = lines[1].split(None, 1)
+    if len(enum_line) != 2 or enum_line[0] != "enumeration":
         raise ParseError(f"expected enumeration line, got {lines[1]!r}", 2)
-    version = lines[1].split(None, 1)[1]
+    version = enum_line[1]
     if not lines[2].startswith("support:"):
         raise ParseError(f"expected support line, got {lines[2]!r}", 3)
-    from .forest import parse_node_set
-
-    support_nodes = parse_node_set(lines[2][len("support:"):].replace(" ", ","))
-    support = Window(forest, frozenset(support_nodes))
+    support = _parse_support(lines[2], forest, 3)
     indices = []
     for lineno, line in enumerate(lines[3:], start=4):
         if not line.startswith("m "):
@@ -575,4 +593,7 @@ def parse_code(text: str, forest: PredecessorForest) -> TwoLayerCode:
         except ValueError:
             raise ParseError(f"bad index list in {line!r}", lineno) from None
         indices.append((m, ks))
-    return TwoLayerCode(support, dims, tuple(indices), version)
+    try:
+        return TwoLayerCode(support, dims, tuple(indices), version)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc

@@ -7,11 +7,12 @@ from dataclasses import dataclass
 from .errors import CertificateError, DomainError, ParseError, PreconditionError
 
 Permutation = tuple[int, ...]
+MAX_DIMENSION = 20
 
 
 def _compose(p: Permutation, q: Permutation) -> Permutation:
     # apply q first, then p
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def _perm_order(p: Permutation) -> int:
@@ -139,8 +140,8 @@ class TranslationPartition:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dimension < 0 or self.dimension > 20:
-            raise DomainError("dimension must lie in 0..20")
+        if not 0 <= self.dimension <= MAX_DIMENSION:
+            raise DomainError(f"dimension must lie in 0..{MAX_DIMENSION}")
         if len(self.labels) != 1 << self.dimension:
             raise DomainError("labelling must cover every vector exactly once")
 
@@ -240,9 +241,13 @@ def parse_partition(text: str) -> TranslationPartition:
         d = int(lines[0].strip())
     except ValueError:
         raise ParseError(f"expected dimension, got {lines[0]!r}", 1) from None
+    if not 0 <= d <= MAX_DIMENSION:
+        raise ParseError(f"dimension {d} outside 0..{MAX_DIMENSION}", 1)
     labels: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
+        if d == 0 and len(parts) == 1:
+            parts = ["", parts[0]]  # the one vector of F2^0 is written as an empty string
         if len(parts) != 2:
             raise ParseError(f"expected 'bits label', got {line!r}", lineno)
         bits, label_text = parts

@@ -28,7 +28,7 @@ from .cascade import (
     shield_set,
     transport,
 )
-from .errors import CapacityError, CertificateError, DomainError
+from .errors import CapacityError, CertificateError, DomainError, PreconditionError
 from .f2linalg import F2Vector, combine_stars, solve_all_targets, solve_star_span, star_matrix
 from .forest import PredecessorForest, Window, fresh_separation, random_forest, rho_closure
 from .names import (
@@ -44,6 +44,7 @@ from .names import (
 from .orbits import TranslationPartition, close_group, odd_fixed_point, orbit_partition, quotient_analysis
 from .selectors import (
     IndexedFamily,
+    SwapWitness,
     TraceProfile,
     both_rows_toggled_invariance,
     canonical_selector,
@@ -617,7 +618,7 @@ def verify_selector(trials: int = 200, seed: int = 0) -> VerificationReport:
         try:
             canonical_selector(dup)
             report.record("duplicate profiles were not rejected")
-        except Exception:
+        except PreconditionError:
             pass
     for _ in range(trials):
         f = random_forest(rng.randint(2, 9), rng.getrandbits(32))
@@ -659,8 +660,39 @@ def verify_lift(max_indices: int = 4, max_set: int = 3, max_k: int = 3, seed: in
     return _finish(report, started)
 
 
+def _pattern_flip_sweep(w: SwapWitness, box: CoordinateBox) -> bool:
+    """Replay the pattern-flip certificate on every assignment of the box.
+
+    The flip mask is rebuilt pointwise from the generator's toggle sets with
+    this function's own coordinate packing (node-major, then row, then bit),
+    and assignments are plain ints, so no library mask, index or pattern
+    code is trusted.
+    """
+    rows, bits = box.rows, box.bits
+    tau = generator(box.forest, w.beta, w.row, w.toggle)
+    pos = {xi: k for k, xi in enumerate(box.window.ordered)}
+    flip = 0
+    for xi, k in pos.items():
+        for row in range(rows):
+            ts = tau.toggle_at(xi, row)
+            for bit in range(bits):
+                if bit in ts:
+                    flip |= 1 << ((k * rows + row) * bits + bit)
+    row_mask = (1 << bits) - 1
+    at_beta = (pos[w.beta] * rows + w.row) * bits
+    at_gamma = (pos[w.gamma] * rows + w.row) * bits
+    expected = sum(1 << bit for bit in range(bits) if bit in w.toggle)
+    for g in range(1 << box.n_coords):
+        before = ~((g >> at_beta) ^ (g >> at_gamma)) & row_mask
+        h = g ^ flip
+        after = ~((h >> at_beta) ^ (h >> at_gamma)) & row_mask
+        if before ^ after != expected:
+            return False
+    return True
+
+
 def verify_swap(trials: int = 60, seed: int = 0, max_box_coords: int = 12) -> VerificationReport:
-    """Swap witnesses certify on exhaustive assignment sweeps; both-toggled stays fixed."""
+    """Swap witnesses certify, and an independent sweep of every assignment agrees."""
     started = time.perf_counter()
     report = VerificationReport("swap", 0, True, [], seed)
     rng = random.Random(seed)
@@ -676,6 +708,8 @@ def verify_swap(trials: int = 60, seed: int = 0, max_box_coords: int = 12) -> Ve
         w = swap_witness(q, A, 0, box)
         if not (w.certificate.all_pass() and w.certificate.exhaustive):
             report.record(f"certificate failed for exhaustive condition {q.entries}")
+        if not _pattern_flip_sweep(w, box):
+            report.record(f"assignment sweep refutes the pattern flip for {q.entries}")
     # sampled conditions on boxes up to the coordinate bound, sweeps stay exhaustive
     for trial in range(trials):
         shapes = [s for s in ((3, 2, 2), (4, 1, 3), (3, 1, 4)) if s[0] * s[1] * s[2] <= max_box_coords]
@@ -688,12 +722,16 @@ def verify_swap(trials: int = 60, seed: int = 0, max_box_coords: int = 12) -> Ve
             entries[(rng.randrange(f.size), rng.randrange(rows), rng.randrange(bits))] = rng.randrange(2)
         q = Condition.from_map(entries)
         count += 1
+        row = rng.randrange(rows)
+        rng.getrandbits(16)  # unused draw; keeps each seed's trial sequence stable
         try:
-            w = swap_witness(q, A_r, rng.randrange(rows), b, seed=rng.getrandbits(16))
+            w = swap_witness(q, A_r, row, b)
         except CapacityError:
             continue
         if not (w.certificate.all_pass() and w.certificate.exhaustive):
             report.record(f"certificate failed on sampled condition trial {trial}")
+        if not _pattern_flip_sweep(w, b):
+            report.record(f"assignment sweep refutes the pattern flip on trial {trial}")
     # both-toggled case: a generator at the shared predecessor fixes the pattern
     fork = PredecessorForest.from_pred(3, {1: 0, 2: 0})
     for bits_count in (2, 3):
@@ -704,6 +742,7 @@ def verify_swap(trials: int = 60, seed: int = 0, max_box_coords: int = 12) -> Ve
             if not both_rows_toggled_invariance(tau, 1, 2, 0, b):
                 report.record(f"both-toggled generator moved the pattern (B={bits_count})")
     report.trials = count
+    report.notes = "pattern flip re-swept on every assignment of each witness's box"
     return _finish(report, started)
 
 

@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import all_closed_subsets, forest_of
+from cascadekit import cascade
 from cascadekit.cascade import (
+    CascadeAutomorphism,
     Condition,
     Coordinate,
     Packet,
@@ -26,7 +28,7 @@ from cascadekit.cascade import (
     shield_set,
     transport,
 )
-from cascadekit.errors import DomainError, ParseError, PreconditionError
+from cascadekit.errors import CertificateError, DomainError, ParseError, PreconditionError
 from cascadekit.forest import Window, random_forest, rho_closure
 
 toggle_sets = st.builds(
@@ -131,6 +133,33 @@ class TestGenerator:
             generator(f, 0, 0, ToggleSet.empty())
 
 
+class TestAutomorphismValidation:
+    def test_keys_sorted_whatever_the_input_order(self):
+        f = forest_of(3, {1: 0, 2: 0})
+        s = ToggleSet.finite({1})
+        entries = (((2, 0), s), ((0, 1), s), ((1, 0), s))
+        tau = CascadeAutomorphism(f, entries)
+        assert [k for k, _ in tau.row_toggles] == [(0, 1), (1, 0), (2, 0)]
+        assert tau == CascadeAutomorphism(f, tuple(sorted(entries, key=lambda kv: kv[0])))
+        assert tau.toggle_at(2, 0) == s and tau.toggle_at(2, 1).is_empty()
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (((1, 0), ToggleSet.finite({1})), ((1, 0), ToggleSet.finite({2}))),  # duplicate row
+            (((3, 0), ToggleSet.finite({1})),),  # node outside the universe
+            (((-1, 0), ToggleSet.finite({1})),),  # negative node
+            (((1, -1), ToggleSet.finite({1})),),  # negative row
+            (((1, 0), ToggleSet.finite(())),),  # empty toggle
+            (((2, 0), ToggleSet.finite({1})), ((0, 0), ToggleSet.empty())),  # empty, unsorted
+        ],
+    )
+    def test_rejections(self, entries):
+        f = forest_of(3, {1: 0, 2: 0})
+        with pytest.raises(DomainError):
+            CascadeAutomorphism(f, entries)
+
+
 def random_generator(forest, rng, rows=3, bits=4):
     xi = rng.randrange(forest.size)
     row = rng.randrange(rows)
@@ -205,6 +234,28 @@ class TestApply:
         q = Condition.from_map({(0, 2, 3): 1, (1, 2, 0): 0})
         tau = generator(f, 0, 1, ToggleSet.cofinite_excluding(set()))
         assert apply(tau, q) == q
+
+    def test_unmoved_condition_is_returned_itself(self):
+        f = forest_of(3, {1: 0, 2: 0})
+        q = Condition.from_map({(0, 0, 1): 1, (1, 0, 2): 0, (2, 1, 0): 1})
+        assert apply(identity(f), q) is q
+        assert apply(generator(f, 0, 0, ToggleSet.cofinite_excluding({1, 2})), q) is q
+        assert apply(generator(f, 1, 1, ToggleSet.finite({0})), q) is q
+
+    def test_pointwise_replay(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            f = random_forest(rng.randint(1, 6), rng.getrandbits(32))
+            tau = compose_all(f, [random_generator(f, rng) for _ in range(rng.randrange(4))])
+            q = random_condition(f, rng)
+            toggles = dict(tau.row_toggles)
+            expected = {}
+            for c, v in q.entries:
+                ts = toggles.get((c.node, c.row))
+                expected[tuple(c)] = v ^ (ts is not None and c.bit in ts)
+            moved = apply(tau, q)
+            assert moved == Condition.from_map(expected)
+            assert (moved is q) == (moved == q)
 
     def test_action_is_involutive(self):
         f = random_forest(5, 3)
@@ -409,6 +460,33 @@ class TestTransport:
             p2, q2 = pad_common_domain(p, q)
             assert apply(pi, p2) == q2
             assert fixes_rows_over(pi, A)
+
+
+class TestTransportGuards:
+    """Each internal check raises CertificateError, so it survives ``python -O``."""
+
+    @staticmethod
+    def instance():
+        f = forest_of(3, {1: 0, 2: 0})
+        A = rho_closure(f, {0})
+        p = Condition.from_map({(0, 0, 0): 1, (1, 0, 2): 0})
+        q = Condition.from_map({(0, 0, 0): 1, (1, 0, 2): 1})
+        return p, q, A
+
+    def test_coefficients_inside_the_window(self, monkeypatch):
+        monkeypatch.setattr(cascade, "solve_star_span", lambda K, target: {0})
+        with pytest.raises(CertificateError, match="fixed window"):
+            transport(*self.instance())
+
+    def test_rows_over_the_window_toggled(self, monkeypatch):
+        monkeypatch.setattr(cascade, "fixes_rows_over", lambda tau, A: False)
+        with pytest.raises(CertificateError, match="toggles a row"):
+            transport(*self.instance())
+
+    def test_result_misses_the_target(self, monkeypatch):
+        monkeypatch.setattr(cascade, "apply", lambda tau, q: q)
+        with pytest.raises(CertificateError, match="carry p to q"):
+            transport(*self.instance())
 
 
 class TestConditionText:

@@ -117,6 +117,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("starspan", "--trials", "0"), ("--all", "--trials", "-3")])
+    def test_nonpositive_trials_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert "--trials must be positive" in err
+        assert "lemma=" not in out
+
     def test_verify_deterministic_given_seed(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "transport", "--trials", "30", "--seed", "5")
         _, out2, _ = run_cli(capsys, "verify", "transport", "--trials", "30", "--seed", "5")
@@ -149,6 +156,13 @@ class TestDemoNoSelector:
         assert code == 0
         assert "shield: {2}" in out
         assert out.count("PASS") == 3
+
+    def test_certificate_exact_above_sixteen_coordinates(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "demo", "no-selector", "--box", "9,1,2", "--support", "0"
+        )
+        assert code == 0
+        assert "pattern-flip: PASS (exhaustive, 262144 assignments)" in out
 
     def test_saturated_support_capacity_error(self, capsys):
         code, _, err = run_cli(

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from conftest import all_closed_subsets, all_forests, forest_of
-from cascadekit.errors import DomainError
+from cascadekit import f2linalg
+from cascadekit.errors import CertificateError, DomainError
 from cascadekit.f2linalg import (
     F2Vector,
     combine_stars,
@@ -217,6 +218,34 @@ class TestSolve:
             assert len(batch) == 1 << len(K)
             for bits in range(1 << len(K)):
                 assert batch[bits] == solve_star_span(K, F2Vector(K, bits))
+
+    def test_combine_stars_matches_star_vectors(self):
+        rng = random.Random(4)
+        for seed in range(20):
+            f = random_forest(rng.randint(1, 12), seed)
+            K = rho_closure(f, set(rng.sample(range(f.size), rng.randint(1, f.size))))
+            for _ in range(10):
+                nodes = rng.sample(K.ordered, rng.randrange(len(K) + 1))
+                expected = F2Vector.zero(K)
+                for xi in nodes:
+                    expected = expected ^ star_vector(K, xi)
+                assert combine_stars(K, nodes) == expected
+
+    def test_combine_stars_rejects_off_window_node(self):
+        f = forest_of(4, {1: 0, 2: 0, 3: 1})
+        K = Window(f, frozenset({0, 1}))
+        assert combine_stars(K, []) == F2Vector.zero(K)
+        for outside in (2, 3, 7, -1):
+            with pytest.raises(DomainError):
+                combine_stars(K, [0, outside])
+
+    def test_residual_raises_under_any_optimisation_level(self, monkeypatch):
+        # a zero column leaves the residual uncleared; the check is not an assert
+        f = forest_of(2, {1: 0})
+        K = Window(f, frozenset({0, 1}))
+        monkeypatch.setattr(f2linalg, "_solve_data", lambda K: ((0, 0), (1, 0), (1, 0)))
+        with pytest.raises(CertificateError):
+            solve_star_span(K, F2Vector.from_nodes(K, {0}))
 
     def test_unique_solution_small_windows(self):
         for f in all_forests(5):

@@ -1,14 +1,16 @@
 """Equality patterns, swap witnesses, canonical selectors, choice lifting."""
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
 from conftest import forest_of
-from cascadekit.cascade import Condition, ToggleSet, generator
+from cascadekit.cascade import Condition, ToggleSet, compose, compose_all, generator
 from cascadekit.errors import CapacityError, DomainError, PreconditionError
-from cascadekit.forest import Window, rho_closure
-from cascadekit.names import Assignment, CoordinateBox, all_assignments
+from cascadekit.forest import Window, random_forest, rho_closure
+from cascadekit.names import Assignment, CoordinateBox, all_assignments, automorphism_flip_mask
 from cascadekit.selectors import (
     IndexedFamily,
     TraceProfile,
@@ -17,8 +19,10 @@ from cascadekit.selectors import (
     equality_pattern,
     format_witness,
     lift_choice,
+    pattern_shift,
     swap_witness,
 )
+from cascadekit.verify import _pattern_flip_sweep
 
 
 def box_on(size, rows, bits, pred=None):
@@ -144,6 +148,87 @@ class TestSwapWitness:
         assert "shield: {2}" in text
         assert "toggle: cofin{2}" in text
         assert text.count("PASS") == 3
+
+
+def swept_shifts(tau, beta, gamma, row, box):
+    """Brute force: the pattern shift ``pattern(g ^ f) ^ pattern(g)`` of every assignment."""
+    flip = automorphism_flip_mask(tau, box)
+    return {
+        equality_pattern(g.flip(flip), beta, gamma, row).bits
+        ^ equality_pattern(g, beta, gamma, row).bits
+        for g in all_assignments(box)
+    }
+
+
+class TestClosedFormCertificate:
+    SHAPES = ((3, 1, 2), (2, 2, 2), (4, 1, 2), (3, 1, 3), (4, 2, 1), (2, 1, 4))
+
+    def random_instance(self, rng):
+        n_nodes, rows, bits = rng.choice(self.SHAPES)
+        box = CoordinateBox(Window.whole(random_forest(n_nodes, rng.getrandbits(32))), rows, bits)
+        f = box.forest
+        A = rho_closure(f, set(rng.sample(range(n_nodes), rng.randrange(n_nodes))))
+        entries = {}
+        for _ in range(rng.randrange(6)):
+            entries[(rng.randrange(n_nodes), rng.randrange(rows), rng.randrange(bits))] = rng.randrange(2)
+        return Condition.from_map(entries), A, rng.randrange(rows), box
+
+    def test_agrees_with_brute_force_sweep(self):
+        rng = random.Random(2024)
+        witnesses = 0
+        while witnesses < 200:
+            q, A, row, box = self.random_instance(rng)
+            try:
+                w = swap_witness(q, A, row, box)
+            except CapacityError:
+                continue
+            witnesses += 1
+            tau = generator(box.forest, w.beta, w.row, w.toggle)
+            swept = swept_shifts(tau, w.beta, w.gamma, w.row, box)
+            assert swept == {pattern_shift(tau, w.beta, w.gamma, w.row, box)}
+            assert w.certificate.pattern_flip == (swept == {w.toggle.mask_below(box.bits)})
+            assert w.certificate.all_pass() and w.certificate.exhaustive
+            assert w.certificate.assignments_checked == 1 << box.n_coords
+            assert _pattern_flip_sweep(w, box)
+
+    def test_shift_of_any_automorphism_is_constant(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            _, _, row, box = self.random_instance(rng)
+            f = box.forest
+            gens = []
+            for _ in range(rng.randrange(4)):
+                s = ToggleSet(rng.random() < 0.5, frozenset(rng.sample(range(4), rng.randint(1, 3))))
+                gens.append(generator(f, rng.randrange(f.size), rng.randrange(box.rows), s))
+            tau = compose_all(f, gens)
+            beta, gamma = rng.sample(range(f.size), 2)
+            assert swept_shifts(tau, beta, gamma, row, box) == {pattern_shift(tau, beta, gamma, row, box)}
+
+    def test_tampered_witness_hitting_gamma_fails(self):
+        # gamma is replaced by a successor of beta, so beta's generator toggles it too
+        box = box_on(4, 1, 3, pred={1: 0, 2: 0, 3: 2})
+        A = rho_closure(box.forest, {0})
+        w = swap_witness(Condition.empty(), A, 0, box)
+        assert (w.beta, w.gamma) == (2, 1) and w.certificate.all_pass()
+        tampered = dataclasses.replace(w, gamma=3)
+        tau = generator(box.forest, w.beta, w.row, w.toggle)
+        expected = w.toggle.mask_below(box.bits)
+        assert pattern_shift(tau, tampered.beta, tampered.gamma, 0, box) != expected
+        assert swept_shifts(tau, tampered.beta, tampered.gamma, 0, box) != {expected}
+        assert not _pattern_flip_sweep(tampered, box)
+        # the same rows with gamma's row toggled alike by a second generator
+        both = compose(tau, generator(box.forest, w.gamma, 0, w.toggle))
+        assert pattern_shift(both, w.beta, w.gamma, 0, box) == 0 != expected
+
+    def test_both_rows_toggled_matches_sweep(self):
+        for bits in (1, 2, 3):
+            box = box_on(4, 1, bits, pred={1: 0, 2: 0, 3: 1})
+            for exceptions in (set(), {0}, {1, 2}):
+                tau = generator(box.forest, 0, 0, ToggleSet.cofinite_excluding(exceptions))
+                assert both_rows_toggled_invariance(tau, 1, 2, 0, box)
+                assert swept_shifts(tau, 1, 2, 0, box) == {0}
+        with pytest.raises(PreconditionError):
+            both_rows_toggled_invariance(tau, 1, 3, 0, box)
 
 
 class TestCanonicalSelector:
