@@ -30,7 +30,7 @@ from .forest import (
 )
 from .names import CoordinateBox
 from .selectors import format_witness, swap_witness
-from .verify import REGISTRY, run, run_all
+from .verify import REGISTRY, lemma_parameters, run, run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -110,6 +110,16 @@ def _print_report(report, description: str) -> None:
     print(report.summary_line())
 
 
+# verify flags that tune a lemma, by the keyword they pass to it
+_VERIFY_FLAGS = {
+    "trials": "--trials",
+    "max_window": "--max-window",
+    "dim": "--dim",
+    "exhaustive": "--exhaustive",
+    "box_dims": "--box",
+}
+
+
 def cmd_verify(args) -> int:
     if args.trials is not None and args.trials <= 0:
         raise ParseError(f"--trials must be positive, got {args.trials}")
@@ -132,6 +142,13 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
+        accepted = lemma_parameters(args.lemma)
+        ignored = [
+            flag for key, flag in _VERIFY_FLAGS.items()
+            if kwargs[key] is not None and key not in accepted
+        ]
+        if ignored:
+            raise ParseError(f"verify {args.lemma} does not accept {', '.join(ignored)}")
         reports = [run(args.lemma, **kwargs)]
     failures = 0
     out_lines = []

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from . import _kernels as kernels
 from .cascade import CascadeAutomorphism, Condition, Coordinate, Packet
-from .errors import DomainError, ParseError, PreconditionError
+from .errors import CertificateError, DomainError, ParseError, PreconditionError
 from .forest import PredecessorForest, Window, parse_node_set
 
 DEFAULT_M_RANGE = 8
@@ -42,6 +42,8 @@ class CoordinateBox:
     rows: int
     bits: int
     _node_pos: dict = field(init=False, repr=False, compare=False, default=None)
+    _coords: tuple = field(init=False, repr=False, compare=False, default=None)
+    _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.window.nodes or self.rows < 1 or self.bits < 1:
@@ -49,6 +51,14 @@ class CoordinateBox:
         object.__setattr__(
             self, "_node_pos", {xi: k for k, xi in enumerate(self.window.ordered)}
         )
+        coords = tuple(
+            Coordinate(xi, row, bit)
+            for xi in self.window.ordered
+            for row in range(self.rows)
+            for bit in range(self.bits)
+        )
+        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_index", {c: i for i, c in enumerate(coords)})
 
     @property
     def forest(self) -> PredecessorForest:
@@ -56,30 +66,24 @@ class CoordinateBox:
 
     @property
     def n_coords(self) -> int:
-        return len(self.window) * self.rows * self.bits
+        return len(self._coords)
 
     def contains(self, coord: Coordinate) -> bool:
-        return (
-            coord.node in self.window.nodes
-            and 0 <= coord.row < self.rows
-            and 0 <= coord.bit < self.bits
-        )
+        return coord in self._index
 
     def index(self, coord: Coordinate) -> int:
-        if not self.contains(coord):
-            raise DomainError(f"coordinate {coord} outside the box")
-        return (self._node_pos[coord.node] * self.rows + coord.row) * self.bits + coord.bit
+        try:
+            return self._index[coord]
+        except KeyError:
+            raise DomainError(f"coordinate {coord} outside the box") from None
 
     def coord_at(self, idx: int) -> Coordinate:
-        if not 0 <= idx < self.n_coords:
+        if not 0 <= idx < len(self._coords):
             raise DomainError(f"coordinate index {idx} outside the box")
-        idx, bit = divmod(idx, self.bits)
-        node_pos, row = divmod(idx, self.rows)
-        return Coordinate(self.window.ordered[node_pos], row, bit)
+        return self._coords[idx]
 
     def coords(self) -> Iterable[Coordinate]:
-        for idx in range(self.n_coords):
-            yield self.coord_at(idx)
+        return self._coords
 
     def condition_masks(self, cond: Condition) -> tuple[int, int]:
         """Domain and value bitmasks of a condition inside this box."""
@@ -455,7 +459,8 @@ def packet_unrank(k: int, box: CoordinateBox) -> Condition:
                 k -= block
             if placed:
                 break
-        assert placed, "rank arithmetic exhausted the coordinate space"
+        if not placed:
+            raise CertificateError("rank arithmetic exhausted the coordinate space")
     return Condition(tuple(entries))
 
 

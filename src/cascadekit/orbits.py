@@ -30,6 +30,30 @@ def _is_power_of_two(k: int) -> bool:
     return k >= 1 and k & (k - 1) == 0
 
 
+def _generate(
+    generators: list[Permutation], ident: Permutation, inside: set[Permutation] | None = None
+) -> set[Permutation] | None:
+    """Closure of the generators under composition, by breadth-first search.
+
+    Returns ``None`` as soon as the closure reaches an element outside
+    ``inside`` (when given).
+    """
+    elements = {ident}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for g in generators:
+            for p in frontier:
+                composed = _compose(g, p)
+                if composed not in elements:
+                    if inside is not None and composed not in inside:
+                        return None
+                    elements.add(composed)
+                    fresh.append(composed)
+        frontier = fresh
+    return elements
+
+
 @dataclass(frozen=True)
 class FiniteAction:
     """A finite 2-group given by its full element list acting on 0..set_size-1."""
@@ -46,10 +70,17 @@ class FiniteAction:
         for p in self.elements:
             if len(p) != self.set_size or sorted(p) != list(ident):
                 raise DomainError(f"not a permutation of the set: {p}")
+        # A set holding the identity is a group exactly when it is the closure
+        # of some subset of itself: grow a generating set greedily and require
+        # every closure to stay inside the set.
         elems = set(self.elements)
-        for p in self.elements:
-            for q in self.elements:
-                if _compose(p, q) not in elems:
+        gens: list[Permutation] = []
+        reached = {ident}
+        for p in sorted(elems):
+            if p not in reached:
+                gens.append(p)
+                reached = _generate(gens, ident, elems)
+                if reached is None:
                     raise DomainError("element list is not closed under composition")
         if not _is_power_of_two(len(elems)):
             raise CertificateError(f"group order {len(elems)} is not a power of 2")
@@ -74,18 +105,7 @@ def close_group(generators: list[Permutation], set_size: int | None = None) -> F
             raise DomainError("generators permute sets of different sizes")
         if sorted(g) != list(range(set_size)):
             raise DomainError(f"not a permutation: {g}")
-    ident = tuple(range(set_size))
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for g in generators:
-            for p in frontier:
-                composed = _compose(g, p)
-                if composed not in elements:
-                    elements.add(composed)
-                    fresh.append(composed)
-        frontier = fresh
+    elements = _generate(generators, tuple(range(set_size)))
     if not _is_power_of_two(len(elements)):
         for p in sorted(elements):
             order = _perm_order(p)
@@ -102,23 +122,14 @@ def close_group(generators: list[Permutation], set_size: int | None = None) -> F
 
 def orbit_partition(action: FiniteAction) -> list[tuple[int, ...]]:
     """Orbits of the action, each sorted, listed by least element."""
-    remaining = set(range(action.set_size))
+    # the element list is the whole group, so one pass over it finds each orbit
+    seen: set[int] = set()
     orbits = []
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for p in action.elements:
-                    y = p[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        fresh.append(y)
-            frontier = fresh
-        orbits.append(tuple(sorted(orbit)))
-        remaining -= orbit
+    for x in range(action.set_size):
+        if x not in seen:
+            orbit = {p[x] for p in action.elements}
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
     return orbits
 
 
@@ -219,7 +230,11 @@ def quotient_analysis(partition: TranslationPartition) -> QuotientAnalysis:
             raise AssertionError("two cosets share a label yet no translate splits them")
         by_label[label] = rep
     class_count = len(reps)
-    assert class_count == 1 << (d - len(basis))
+    if class_count != 1 << (d - len(basis)):
+        raise CertificateError(
+            f"{class_count} cosets found, but a {len(basis)}-dimensional subspace of F2^{d} has "
+            f"{1 << (d - len(basis))}"
+        )
     return QuotientAnalysis(True, tuple(sorted(basis)), class_count, None)
 
 

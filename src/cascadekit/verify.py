@@ -9,6 +9,7 @@ certificates are recomputed from scratch.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import time
@@ -167,6 +168,22 @@ def verify_starspan(
     return _finish(report, started)
 
 
+def _legal_toggles(forest: PredecessorForest, beta: int, row: int, shield: frozenset[int]) -> list:
+    """Every nonempty toggle set on bits 0..2 that avoids the shield, with its generator."""
+    free = [n for n in range(3) if n not in shield]
+    out = []
+    for r in range(len(free) + 1):
+        for combo in itertools.combinations(free, r):
+            for cofinite in (False, True):
+                if cofinite:
+                    s = ToggleSet.cofinite_excluding(shield | (frozenset(free) - frozenset(combo)))
+                else:
+                    s = ToggleSet.finite(combo)
+                if not s.is_empty():
+                    out.append((s, generator(forest, beta, row, s)))
+    return out
+
+
 def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
     """Toggles avoiding the shield fix the condition; random plus a full tiny sweep."""
     started = time.perf_counter()
@@ -194,29 +211,22 @@ def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
     # exhaustive sweep: every condition on a 2x2x2 box, every row pair, every legal toggle
     forest = PredecessorForest.from_pred(2, {1: 0})
     coords = [Coordinate(n, r, b) for n in range(2) for r in range(2) for b in range(2)]
+    legal: dict[tuple[int, int, frozenset[int]], list] = {}
     swept = 0
     for values in itertools.product((None, 0, 1), repeat=len(coords)):
         q = Condition(tuple((c, v) for c, v in zip(coords, values) if v is not None))
         for beta in range(2):
             for row in range(2):
-                shield = shield_set(q, beta, row, forest)
-                free = [n for n in range(3) if n not in shield]
-                for r in range(len(free) + 1):
-                    for combo in itertools.combinations(free, r):
-                        for cofinite in (False, True):
-                            if cofinite:
-                                s = ToggleSet.cofinite_excluding(
-                                    frozenset(shield) | (frozenset(free) - frozenset(combo))
-                                )
-                            else:
-                                s = ToggleSet.finite(combo)
-                            if s.is_empty():
-                                continue
-                            swept += 1
-                            if apply(generator(forest, beta, row, s), q) != q:
-                                report.record(
-                                    f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
-                                )
+                key = (beta, row, shield_set(q, beta, row, forest))
+                toggles = legal.get(key)
+                if toggles is None:
+                    toggles = legal[key] = _legal_toggles(forest, *key)
+                swept += len(toggles)
+                for s, tau in toggles:
+                    if apply(tau, q) != q:
+                        report.record(
+                            f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
+                        )
     report.trials = trials + swept
     report.notes = f"{swept} exhaustive instances on the 8-coordinate box"
     return _finish(report, started)
@@ -645,6 +655,7 @@ def verify_lift(max_indices: int = 4, max_set: int = 3, max_k: int = 3, seed: in
     for t_count in range(1, max_indices + 1):
         for sizes in itertools.product(range(1, max_set + 1), repeat=t_count):
             family = IndexedFamily.of({t: frozenset(range(s)) for t, s in enumerate(sizes)})
+            allowed = [range(s) for s in sizes]
             for k in range(1, max_k + 1):
                 option_lists = [
                     [(a, j) for a in range(sizes[t]) for j in range(k)]
@@ -653,8 +664,8 @@ def verify_lift(max_indices: int = 4, max_set: int = 3, max_k: int = 3, seed: in
                 for combo in itertools.product(*option_lists):
                     count += 1
                     chosen = lift_choice(family, k, dict(enumerate(combo)))
-                    for t in range(t_count):
-                        if chosen[t] not in family.set_at(t):
+                    for t, ids in enumerate(allowed):
+                        if chosen[t] not in ids:
                             report.record(f"projection left the set at {t} for sizes {sizes}")
     report.trials = count
     return _finish(report, started)
@@ -763,13 +774,17 @@ REGISTRY = {
 }
 
 
-def run(lemma: str, **kwargs) -> VerificationReport:
+def lemma_parameters(lemma: str) -> set[str]:
+    """Keyword parameters the lemma's verification routine accepts."""
     if lemma not in REGISTRY:
         raise DomainError(f"unknown lemma id {lemma!r}; valid ids: {', '.join(REGISTRY)}")
-    fn, _ = REGISTRY[lemma]
-    import inspect
+    return set(inspect.signature(REGISTRY[lemma][0]).parameters)
 
-    accepted = set(inspect.signature(fn).parameters)
+
+def run(lemma: str, **kwargs) -> VerificationReport:
+    """Run one lemma, passing only the non-``None`` keywords it accepts."""
+    accepted = lemma_parameters(lemma)
+    fn, _ = REGISTRY[lemma]
     return fn(**{k: v for k, v in kwargs.items() if k in accepted and v is not None})
 
 

@@ -124,6 +124,16 @@ class TestVerify:
         assert "--trials must be positive" in err
         assert "lemma=" not in out
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(("fresh", "--trials", "5"), "--trials"), (("dyadic", "--box", "2,2,2"), "--box")],
+    )
+    def test_inapplicable_flag_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert f"verify {argv[0]} does not accept {flag}" in err
+        assert "lemma=" not in out
+
     def test_verify_deterministic_given_seed(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "transport", "--trials", "30", "--seed", "5")
         _, out2, _ = run_cli(capsys, "verify", "transport", "--trials", "30", "--seed", "5")

@@ -30,6 +30,7 @@ from cascadekit.names import (
     support_report,
     two_layer_code,
 )
+from cascadekit.verify import _BOX_SHAPES
 
 
 def small_box(rows=1, bits=2, size=3, pred=None):
@@ -62,6 +63,42 @@ class TestBoxAndAssignment:
         box = small_box()
         with pytest.raises(DomainError):
             box.index(Coordinate(9, 0, 0))
+
+    @pytest.mark.parametrize("shape", _BOX_SHAPES)
+    def test_index_table_matches_packing(self, shape):
+        n_nodes, rows, bits = shape
+        box = small_box(rows=rows, bits=bits, size=n_nodes)
+        assert box.n_coords == n_nodes * rows * bits
+        # oracle: node-major, then row, then bit, over the ascending window order
+        packed = [
+            Coordinate(xi, row, bit)
+            for xi in sorted(box.window.nodes)
+            for row in range(rows)
+            for bit in range(bits)
+        ]
+        assert list(box.coords()) == packed
+        for idx, coord in enumerate(packed):
+            assert box.coord_at(idx) == coord
+            assert box.index(coord) == idx
+            assert box.contains(coord)
+
+    @pytest.mark.parametrize("shape", _BOX_SHAPES)
+    def test_off_table_lookups_rejected(self, shape):
+        n_nodes, rows, bits = shape
+        f = forest_of(n_nodes + 1, {i: 0 for i in range(1, n_nodes + 1)})
+        box = CoordinateBox(rho_closure(f, set(range(n_nodes))), rows, bits)
+        outside = [
+            Coordinate(n_nodes, 0, 0),  # a node of the forest outside the window
+            Coordinate(0, rows, 0),
+            Coordinate(0, 0, bits),
+        ]
+        for coord in outside:
+            assert not box.contains(coord)
+            with pytest.raises(DomainError):
+                box.index(coord)
+        for idx in (-1, box.n_coords):
+            with pytest.raises(DomainError):
+                box.coord_at(idx)
 
     def test_assignment_extends(self):
         box = small_box()

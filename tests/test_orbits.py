@@ -130,6 +130,89 @@ class TestFiniteActionValidation:
             FiniteAction(3, elements)
 
 
+def compose(p, q):
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def closed_pairwise(elements):
+    """Oracle: every product of two members is a member."""
+    members = set(elements)
+    return all(compose(p, q) in members for p in members for q in members)
+
+
+def subgroup_check_matches_pairwise(group, n):
+    """FiniteAction on every identity-holding subset agrees with the pairwise check."""
+    ident = tuple(range(n))
+    others = sorted(p for p in group if p != ident)
+    accepted = 0
+    for k in range(len(others) + 1):
+        for subset in itertools.combinations(others, k):
+            elements = (ident,) + subset
+            order = len(elements)
+            if not closed_pairwise(elements):
+                with pytest.raises(DomainError):
+                    FiniteAction(n, elements)
+            elif order & (order - 1):
+                with pytest.raises(CertificateError):
+                    FiniteAction(n, elements)
+            else:
+                assert FiniteAction(n, elements).elements == tuple(sorted(elements))
+                accepted += 1
+    return accepted
+
+
+class TestGeneratingSetClosure:
+    def test_every_subset_of_the_dihedral_group_of_order_8(self):
+        rotation, reflection = (1, 2, 3, 0), (0, 3, 2, 1)
+        d4 = close_group([rotation, reflection]).elements
+        assert len(d4) == 8
+        # D4 has ten subgroups, all of 2-power order
+        assert subgroup_check_matches_pairwise(d4, 4) == 10
+
+    def test_every_subset_of_the_symmetric_group_on_3_points(self):
+        s3 = tuple(itertools.permutations(range(3)))
+        # the trivial group and the three transpositions pass; A3 and S3 are not 2-groups
+        assert subgroup_check_matches_pairwise(s3, 3) == 4
+
+    def test_unsorted_duplicate_listing_is_canonicalised(self):
+        action = FiniteAction(4, ((1, 0, 2, 3), (0, 1, 2, 3), (1, 0, 2, 3)))
+        assert action.elements == ((0, 1, 2, 3), (1, 0, 2, 3))
+
+
+def involutions(n):
+    return [p for p in itertools.permutations(range(n)) if compose(p, p) == tuple(range(n))]
+
+
+def bfs_orbits(generators, n):
+    """Oracle: orbits by breadth-first search over the generators alone."""
+    orbits, seen = [], set()
+    for start in range(n):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            frontier = [g[x] for x in frontier for g in generators if g[x] not in orbit]
+            orbit.update(frontier)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+class TestSinglePassOrbits:
+    def test_matches_bfs_on_every_pair_of_involutions(self):
+        checked = 0
+        for n in range(1, 6):
+            invs = involutions(n)
+            for sigma, mu in itertools.product(invs, repeat=2):
+                try:
+                    action = close_group([sigma, mu])
+                except CertificateError:
+                    continue
+                checked += 1
+                assert orbit_partition(action) == bfs_orbits([sigma, mu], n)
+        assert checked == 407  # the pairs whose product has 2-power order
+
+
 def coset_labels(d, basis):
     """Label each vector of F2^d by its coset of the span of the basis."""
     span = subspace_span(basis)
