@@ -123,6 +123,10 @@ _VERIFY_FLAGS = {
 def cmd_verify(args) -> int:
     if args.trials is not None and args.trials <= 0:
         raise ParseError(f"--trials must be positive, got {args.trials}")
+    if args.max_window is not None and args.max_window < 1:
+        raise ParseError(f"--max-window must be positive, got {args.max_window}")
+    if args.dim is not None and args.dim < 0:
+        raise ParseError(f"--dim must not be negative, got {args.dim}")
     kwargs = {
         "seed": args.seed,
         "trials": args.trials,

@@ -15,7 +15,6 @@ box.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -26,8 +25,6 @@ from .forest import PredecessorForest, Window, parse_node_set
 
 DEFAULT_M_RANGE = 8
 ENUMERATION_VERSION = "lex-v1"
-EXHAUSTIVE_COORD_LIMIT = 16
-SAMPLE_COUNT = 4096
 
 
 @dataclass(frozen=True)
@@ -255,28 +252,14 @@ def _build_table(pairs, box: CoordinateBox):
     return kernels.build_table(box.n_coords, entries), bits
 
 
-def _off_support_generators(A: Window, box: CoordinateBox):
-    """Flip masks of every single-bit generator at a node off the support.
-
-    Yields ``(xi, row, bit, mask)``; the mask covers the generator's own
-    coordinate and the matching coordinate of each successor in the box.
-    """
-    forest = box.forest
-    for xi in box.window.ordered:
-        if xi in A.nodes:
-            continue
-        in_box_children = [eta for eta in forest._children[xi] if eta in box.window.nodes]
-        for row in range(box.rows):
-            for bit in range(box.bits):
-                mask = 1 << box.index(Coordinate(xi, row, bit))
-                for eta in in_box_children:
-                    mask |= 1 << box.index(Coordinate(eta, row, bit))
-                yield xi, row, bit, mask
-
-
 @dataclass(frozen=True)
 class SupportReport:
-    """Outcome of a support sweep, with the scale that backs the verdict."""
+    """Outcome of a support sweep, with the scale that backs the verdict.
+
+    The sweep runs over the whole member table, so it covers all
+    ``assignments_checked = 2**n_coords`` assignments of the box and
+    ``exhaustive`` is always true.
+    """
 
     supported: bool
     exhaustive: bool
@@ -289,46 +272,48 @@ def _check_box_window(A: Window, box: CoordinateBox) -> None:
         raise DomainError("support window and box use different forests")
 
 
-def support_report(name, A: Window, box: CoordinateBox, seed: int = 0) -> SupportReport:
+def _sweep_support(table, A: Window, box: CoordinateBox) -> SupportReport:
+    """Flip every single-bit generator at a node off the support over the whole table.
+
+    A generator's flip mask covers its own coordinate and the matching
+    coordinate of each successor in the box.  The witness is the first
+    generator, in box order, that changes some evaluation, with the least
+    assignment it changes.
+    """
+    checked = 1 << box.n_coords
+    forest = box.forest
+    for xi in box.window.ordered:
+        if xi in A.nodes:
+            continue
+        in_box_children = [eta for eta in forest._children[xi] if eta in box.window.nodes]
+        for row in range(box.rows):
+            for bit in range(box.bits):
+                mask = 1 << box.index(Coordinate(xi, row, bit))
+                for eta in in_box_children:
+                    mask |= 1 << box.index(Coordinate(eta, row, bit))
+                g = kernels.flip_violation(table, mask)
+                if g >= 0:
+                    return SupportReport(False, True, checked, (xi, row, bit, g))
+    return SupportReport(True, True, checked, None)
+
+
+def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
     """Sweep single-bit generators off the support for evaluation invariance.
 
-    Exhaustive over all assignments up to ``EXHAUSTIVE_COORD_LIMIT``
-    coordinates, seeded sampling of ``SAMPLE_COUNT`` assignments above.
-    Generators off the support suffice: the group is abelian and every
-    element fixing the support factors into them inside the box.
+    Exhaustive over all ``2**n_coords`` assignments of the box; a box over
+    more than ``kernels.MAX_TABLE_COORDS`` coordinates raises
+    :class:`DomainError`.  Generators off the support suffice: the group is
+    abelian and every element fixing the support factors into them inside
+    the box.
     """
     _check_box_window(A, box)
-    pairs = _name_pairs(name)
-    for _, cond in pairs:
-        dm, vm = box.condition_masks(cond)  # raises DomainError outside the box
-        del dm, vm
-    if box.n_coords <= EXHAUSTIVE_COORD_LIMIT:
-        table, _ = _build_table(pairs, box)
-        checked = 1 << box.n_coords
-        for xi, row, bit, mask in _off_support_generators(A, box):
-            g = kernels.flip_violation(table, mask)
-            if g >= 0:
-                return SupportReport(False, True, checked, (xi, row, bit, g))
-        return SupportReport(True, True, checked, None)
-    rng = random.Random(seed)
-    masks = list(_off_support_generators(A, box))
-    cond_masks = [
-        (box.condition_masks(c), m) for m, c in pairs
-    ]
-    samples = [rng.getrandbits(box.n_coords) for _ in range(SAMPLE_COUNT)]
-    for g_bits in samples:
-        base = {m for (dm, vm), m in cond_masks if g_bits & dm == vm}
-        for xi, row, bit, mask in masks:
-            flipped_bits = g_bits ^ mask
-            flipped = {m for (dm, vm), m in cond_masks if flipped_bits & dm == vm}
-            if flipped != base:
-                return SupportReport(False, False, len(samples), (xi, row, bit, g_bits))
-    return SupportReport(True, False, len(samples), None)
+    table, _ = _build_table(_name_pairs(name), box)
+    return _sweep_support(table, A, box)
 
 
-def check_support(name, A: Window, box: CoordinateBox, seed: int = 0) -> bool:
+def check_support(name, A: Window, box: CoordinateBox) -> bool:
     """True when no off-support single-bit generator changes any evaluation."""
-    return support_report(name, A, box, seed=seed).supported
+    return support_report(name, A, box).supported
 
 
 def decision_invariant(
@@ -356,30 +341,31 @@ def decision_invariant(
     return r_verdict == verdict
 
 
-def normalize(
-    name, A: Window, box: CoordinateBox, m_range: int | None = None, seed: int = 0
-) -> PacketScheme:
+def normalize(name, A: Window, box: CoordinateBox, m_range: int | None = None) -> PacketScheme:
     """Rewrite a supported name as a packet scheme over its support window.
 
     Per member m the family collects, over all assignments carrying m, the
     restriction to the support rows trimmed to the coordinates the name
     mentions there.  Evaluation then inspects only mentioned coordinates,
     and support erases off-window differences, so the scheme evaluates
-    exactly like the name on every assignment.
+    exactly like the name on every assignment.  Support is checked by the
+    same exhaustive sweep as :func:`support_report`, on the one member
+    table both steps share; a box over more than
+    ``kernels.MAX_TABLE_COORDS`` coordinates raises :class:`DomainError`.
     """
     _check_box_window(A, box)
-    report = support_report(name, A, box, seed=seed)
+    pairs = _name_pairs(name)
+    table, bits = _build_table(pairs, box)
+    report = _sweep_support(table, A, box)
     if not report.supported:
         raise PreconditionError(
             f"name is not supported by the window; witness generator+assignment {report.witness}"
         )
-    pairs = _name_pairs(name)
     members = sorted({m for m, _ in pairs})
     if m_range is None:
         m_range = max(DEFAULT_M_RANGE, max(members) + 1 if members else 0)
     elif members and members[-1] >= m_range:
         raise DomainError("name mentions members beyond the requested range")
-    table, bits = _build_table(pairs, box)
     support_mask = box.node_coord_mask(A.nodes)
     mentioned = 0
     for _, cond in pairs:

@@ -161,7 +161,8 @@ def format_witness(w: SwapWitness) -> str:
         f"  certificate condition-fixed: {mark(cert.condition_fixed)}",
         f"  certificate support-fixed: {mark(cert.support_fixed)}",
         f"  certificate pattern-flip: {mark(cert.pattern_flip)}"
-        f" (exhaustive, {cert.assignments_checked} assignments)",
+        # 2**n_coords in decimal can pass the int-to-str digit limit on a large box
+        f" (exhaustive, 2^{cert.assignments_checked.bit_length() - 1} assignments)",
     ]
     return "\n".join(lines) + "\n"
 

@@ -125,6 +125,22 @@ class TestVerify:
         assert "lemma=" not in out
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("starspan", "--max-window", "0"), "--max-window must be positive"),
+            (("starspan", "--max-window", "-2"), "--max-window must be positive"),
+            (("--all", "--max-window", "0"), "--max-window must be positive"),
+            (("dyadic", "--dim", "-1"), "--dim must not be negative"),
+            (("--all", "--dim", "-1"), "--dim must not be negative"),
+        ],
+    )
+    def test_out_of_range_sizes_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert message in err
+        assert "lemma=" not in out
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [(("fresh", "--trials", "5"), "--trials"), (("dyadic", "--box", "2,2,2"), "--box")],
     )
@@ -172,7 +188,15 @@ class TestDemoNoSelector:
             capsys, "demo", "no-selector", "--box", "9,1,2", "--support", "0"
         )
         assert code == 0
-        assert "pattern-flip: PASS (exhaustive, 262144 assignments)" in out
+        assert "pattern-flip: PASS (exhaustive, 2^18 assignments)" in out
+
+    def test_certificate_count_on_a_huge_box(self, capsys):
+        # 15,000 coordinates: 2**15000 has more decimal digits than str(int) allows
+        code, out, _ = run_cli(
+            capsys, "demo", "no-selector", "--box", "3,1,5000", "--support", "0"
+        )
+        assert code == 0
+        assert "pattern-flip: PASS (exhaustive, 2^15000 assignments)" in out
 
     def test_saturated_support_capacity_error(self, capsys):
         code, _, err = run_cli(

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import forest_of
+from cascadekit import _kernels as kernels
 from cascadekit.cascade import Condition, Coordinate, Packet, ToggleSet, generator
 from cascadekit.errors import DomainError, PreconditionError
 from cascadekit.forest import Window, random_forest, rho_closure
@@ -189,17 +190,44 @@ class TestCheckSupport:
             A = rho_closure(f, set(rng.sample(range(f.size), rng.randrange(f.size + 1))))
             assert check_support(name, A, box) == naive_supported(name, A, box)
 
-    def test_sampled_path_above_exhaustive_limit(self):
+    @pytest.mark.parametrize("shape", [(17, 1, 1), (3, 3, 2), (11, 1, 2)])
+    def test_exhaustive_above_sixteen_coordinates(self, shape):
+        size, rows, bits = shape
+        f = random_forest(size, 1)
+        box = CoordinateBox(Window.whole(f), rows, bits)  # 17, 18 and 22 coordinates
+        A = rho_closure(f, {0})
+        pkt = Packet.of(Condition.from_map({(0, rows - 1, bits - 1): 1}), f)
+        name = PacketScheme.of(A, {0: {pkt}}).to_raw_name()
+        report = support_report(name, A, box)
+        assert report.supported and report.exhaustive
+        assert report.assignments_checked == 2**box.n_coords
+
+    def test_unsupported_witness_at_eighteen_coordinates(self):
         f = random_forest(3, 1)
         box = CoordinateBox(Window.whole(f), 3, 2)  # 18 coordinates
         A = rho_closure(f, {0})
-        pkt = Packet.of(Condition.from_map({(0, 1, 1): 1}), f)
-        name = PacketScheme.of(A, {0: {pkt}}).to_raw_name()
-        report = support_report(name, A, box, seed=5)
-        assert report.supported and not report.exhaustive
-        assert report.assignments_checked == 4096
-        bad = RawName.of([(0, Condition.from_map({(2, 0, 0): 1}))])
-        assert not check_support(bad, A, box, seed=5)
+        name = RawName.of([(0, Condition.from_map({(2, 1, 1): 1, (0, 0, 0): 0}))])
+        report = support_report(name, A, box)
+        assert not report.supported and report.exhaustive
+        assert report.assignments_checked == 2**18
+        assert not check_support(name, A, box)
+        xi, row, bit, g_bits = report.witness
+        assert xi not in A.nodes
+        tau = generator(f, xi, row, ToggleSet.finite({bit}))
+        g = Assignment(box, g_bits)
+        assert evaluate(name, apply_to_assignment(tau, g)) != evaluate(name, g)
+
+    def test_box_above_table_bound_rejected(self):
+        f = random_forest(23, 2)
+        box = CoordinateBox(Window.whole(f), 1, 1)  # 23 coordinates
+        A = rho_closure(f, {0})
+        name = RawName.of([(0, Condition.from_map({(0, 0, 0): 1}))])
+        with pytest.raises(DomainError):
+            support_report(name, A, box)
+        with pytest.raises(DomainError):
+            check_support(name, A, box)
+        with pytest.raises(DomainError):
+            normalize(name, A, box)
 
 
 class TestDecisionInvariant:
@@ -262,6 +290,23 @@ class TestNormalize:
         p = Condition.from_map({(1, 0, 0): 1, (0, 0, 1): 0})
         scheme = normalize(RawName.of([(0, p)]), A, box)
         assert scheme.family(0) == {Packet.of(p, f)}
+
+    def test_member_table_built_once(self, monkeypatch):
+        built = []
+        real = kernels.build_table
+
+        def counting(n_coords, entries):
+            built.append(n_coords)
+            return real(n_coords, entries)
+
+        monkeypatch.setattr(kernels, "build_table", counting)
+        box = small_box()
+        A = rho_closure(box.forest, {0, 1})
+        name = RawName.of(
+            [(0, Condition.from_map({(1, 0, 0): 1})), (3, Condition.from_map({(0, 0, 1): 0}))]
+        )
+        normalize(name, A, box)
+        assert built == [box.n_coords]
 
     def test_scheme_normalizes_to_equal_semantics(self):
         box = small_box()
