@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..errors import DomainError
+from ..errors import CertificateError, DomainError
 
 MAX_TABLE_COORDS = 22
 BACKEND = "python"
@@ -190,6 +190,6 @@ def solve_unit_triangular_all(cols, n: int) -> list[int]:
                 coeffs |= 1 << j
                 residual ^= cols[j]
         if residual:
-            raise AssertionError("triangular solve left a residual")
+            raise CertificateError("triangular solve left a residual")
         out += [c ^ coeffs for c in out]
     return out

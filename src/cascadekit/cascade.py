@@ -136,9 +136,6 @@ class Condition:
                 return v
         raise DomainError(f"condition undefined at {coord}")
 
-    def defined_at(self, coord: Coordinate) -> bool:
-        return any(c == coord for c, _ in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -148,10 +145,6 @@ class Condition:
     def restrict_to_nodes(self, nodes) -> "Condition":
         node_set = set(nodes)
         return Condition(tuple((c, v) for c, v in self.entries if c.node in node_set))
-
-    def restrict_to_coords(self, coords) -> "Condition":
-        coord_set = set(coords)
-        return Condition(tuple((c, v) for c, v in self.entries if c in coord_set))
 
     def extends(self, other: "Condition") -> bool:
         """True when this condition is defined and equal wherever ``other`` is."""
@@ -230,9 +223,6 @@ class CascadeAutomorphism:
     def is_identity(self) -> bool:
         return not self.row_toggles
 
-    def touched_nodes(self) -> frozenset[int]:
-        return frozenset(node for (node, _), _ in self.row_toggles)
-
 
 def identity(forest: PredecessorForest) -> CascadeAutomorphism:
     return CascadeAutomorphism(forest, ())
@@ -284,15 +274,20 @@ def apply(tau: CascadeAutomorphism, q: Condition) -> Condition:
     Returns ``q`` itself when no entry flips.
     """
     lookup = tau._lookup
-    out = []
-    moved = False
-    for coord, value in q.entries:
+    entries = q.entries
+    for first, (coord, _) in enumerate(entries):
+        ts = lookup.get((coord.node, coord.row))
+        if ts is not None and coord.bit in ts:
+            break
+    else:
+        return q
+    out = list(entries[:first])
+    for coord, value in entries[first:]:
         ts = lookup.get((coord.node, coord.row))
         if ts is not None and coord.bit in ts:
             value ^= 1
-            moved = True
         out.append((coord, value))
-    return Condition(tuple(out)) if moved else q
+    return Condition(tuple(out))
 
 
 def shield_set(

@@ -190,14 +190,22 @@ def solve_star_span(K: Window, target: F2Vector) -> set[NodeId]:
         raise DomainError("target indexed by a different window")
     cols, order, window_to_matrix = _solve_data(K)
     residual = 0
-    for j, pos in enumerate(window_to_matrix):
-        if (target.bits >> j) & 1:
-            residual |= 1 << pos
+    bits = target.bits
+    while bits:
+        low = bits & -bits
+        residual |= 1 << window_to_matrix[low.bit_length() - 1]
+        bits ^= low
     chosen: set[int] = set()
-    for j in range(len(order) - 1, -1, -1):
-        if (residual >> j) & 1:
-            chosen.add(order[j])
-            residual ^= cols[j]
+    # visit only the residual's set bits, top down; a column that fails to
+    # clear its own pivot leaves the top bit in place and ends the loop
+    bound = residual.bit_length()
+    while residual:
+        j = residual.bit_length() - 1
+        if j >= bound:
+            break
+        chosen.add(order[j])
+        residual ^= cols[j]
+        bound = j
     if residual:
         raise CertificateError("triangular solve left a residual; matrix not invertible")
     return chosen

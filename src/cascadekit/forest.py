@@ -118,10 +118,6 @@ class Window:
         object.__setattr__(self, "ordered", tuple(sorted(self.nodes)))
 
     @classmethod
-    def closure_of(cls, forest: PredecessorForest, nodes) -> "Window":
-        return rho_closure(forest, nodes)
-
-    @classmethod
     def whole(cls, forest: PredecessorForest) -> "Window":
         """The full universe as a window; initial segments are always closed."""
         return cls(forest, frozenset(range(forest.size)))

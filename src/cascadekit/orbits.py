@@ -100,6 +100,8 @@ def close_group(generators: list[Permutation], set_size: int | None = None) -> F
         if not generators:
             raise DomainError("need a set size when no generators are given")
         set_size = len(generators[0])
+    if set_size < 1:
+        raise DomainError("the acted-on set must be nonempty")
     for g in generators:
         if len(g) != set_size:
             raise DomainError("generators permute sets of different sizes")
@@ -117,7 +119,12 @@ def close_group(generators: list[Permutation], set_size: int | None = None) -> F
         raise CertificateError(
             f"group of order {len(elements)} is not a 2-group"
         )  # pragma: no cover - Cauchy guarantees an odd-order witness
-    return FiniteAction(set_size, tuple(sorted(elements)))
+    # The BFS closure is closed, holds the identity and is made of checked
+    # permutations, so skip the constructor's closure re-check.
+    action = object.__new__(FiniteAction)
+    object.__setattr__(action, "set_size", set_size)
+    object.__setattr__(action, "elements", tuple(sorted(elements)))
+    return action
 
 
 def orbit_partition(action: FiniteAction) -> list[tuple[int, ...]]:
@@ -137,10 +144,13 @@ def odd_fixed_point(action: FiniteAction) -> int:
     """The least point fixed by the whole group; exists whenever |S| is odd."""
     if action.set_size % 2 == 0:
         raise PreconditionError("fixed points are only promised for odd set sizes")
-    for orbit in orbit_partition(action):
-        if len(orbit) == 1:
-            return orbit[0]
-    raise AssertionError("odd set size admits no singleton orbit; 2-group invariant broken")
+    for x in range(action.set_size):
+        for p in action.elements:
+            if p[x] != x:
+                break
+        else:
+            return x
+    raise CertificateError("odd set size admits no singleton orbit; 2-group invariant broken")
 
 
 @dataclass(frozen=True)
@@ -205,7 +215,7 @@ def quotient_analysis(partition: TranslationPartition) -> QuotientAnalysis:
             for w in W:
                 if v ^ w not in w_set:
                     return QuotientAnalysis(False, None, None, (0, v, w))
-        raise AssertionError("span size mismatch without an addition witness")
+        raise CertificateError("span size mismatch without an addition witness")
     reps: dict[int, int] = {}
     for q in range(size):
         rep = _reduce(q, basis)
@@ -219,7 +229,7 @@ def quotient_analysis(partition: TranslationPartition) -> QuotientAnalysis:
                 if step != walk and labels[step] != labels[walk]:
                     return QuotientAnalysis(False, None, None, (0, walk ^ step, walk))
                 walk = step
-            raise AssertionError("label changed along the coset without a step witness")
+            raise CertificateError("label changed along the coset without a step witness")
     by_label: dict[int, int] = {}
     for rep, label in reps.items():
         if label in by_label:
@@ -227,7 +237,7 @@ def quotient_analysis(partition: TranslationPartition) -> QuotientAnalysis:
             for u in range(size):
                 if labels[other ^ u] != labels[rep ^ u]:
                     return QuotientAnalysis(False, None, None, (other, rep, u))
-            raise AssertionError("two cosets share a label yet no translate splits them")
+            raise CertificateError("two cosets share a label yet no translate splits them")
         by_label[label] = rep
     class_count = len(reps)
     if class_count != 1 << (d - len(basis)):

@@ -550,6 +550,10 @@ def verify_odd_fixed(max_points: int = 7, seed: int = 0) -> VerificationReport:
                 fixed = odd_fixed_point(action)
                 if any(p[fixed] != fixed for p in action.elements):
                     report.record(f"reported fixed point {fixed} moves under {sigma},{mu}")
+                # orbits are listed by least element, so the first singleton is the least fixed point
+                least = next((orbit[0] for orbit in orbits if len(orbit) == 1), None)
+                if fixed != least:
+                    report.record(f"fixed point {fixed} is not the least singleton orbit {least}")
     report.trials = count
     return _finish(report, started)
 

@@ -56,6 +56,12 @@ class TestCloseGroup:
         with pytest.raises(DomainError):
             close_group([(0, 0, 1)])
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(DomainError):
+            close_group([], set_size=0)
+        with pytest.raises(DomainError):
+            close_group([()])
+
 
 class TestOrbitPartition:
     def test_identity_group_gives_singletons(self):
@@ -209,7 +215,13 @@ class TestSinglePassOrbits:
                 except CertificateError:
                     continue
                 checked += 1
-                assert orbit_partition(action) == bfs_orbits([sigma, mu], n)
+                orbits = bfs_orbits([sigma, mu], n)
+                assert orbit_partition(action) == orbits
+                # the checked constructor accepts what close_group built without it
+                assert FiniteAction(n, action.elements) == action
+                if n % 2:
+                    singletons = [orbit[0] for orbit in orbits if len(orbit) == 1]
+                    assert odd_fixed_point(action) == singletons[0]
         assert checked == 407  # the pairs whose product has 2-power order
 
 
