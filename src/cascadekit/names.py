@@ -341,7 +341,7 @@ def decision_invariant(
     return r_verdict == verdict
 
 
-def normalize(name, A: Window, box: CoordinateBox, m_range: int | None = None) -> PacketScheme:
+def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     """Rewrite a supported name as a packet scheme over its support window.
 
     Per member m the family collects, over all assignments carrying m, the
@@ -352,6 +352,7 @@ def normalize(name, A: Window, box: CoordinateBox, m_range: int | None = None) -
     same exhaustive sweep as :func:`support_report`, on the one member
     table both steps share; a box over more than
     ``kernels.MAX_TABLE_COORDS`` coordinates raises :class:`DomainError`.
+    Families run over members below ``max(DEFAULT_M_RANGE, largest member + 1)``.
     """
     _check_box_window(A, box)
     pairs = _name_pairs(name)
@@ -362,10 +363,7 @@ def normalize(name, A: Window, box: CoordinateBox, m_range: int | None = None) -
             f"name is not supported by the window; witness generator+assignment {report.witness}"
         )
     members = sorted({m for m, _ in pairs})
-    if m_range is None:
-        m_range = max(DEFAULT_M_RANGE, max(members) + 1 if members else 0)
-    elif members and members[-1] >= m_range:
-        raise DomainError("name mentions members beyond the requested range")
+    m_range = max(DEFAULT_M_RANGE, members[-1] + 1 if members else 0)
     support_mask = box.node_coord_mask(A.nodes)
     mentioned = 0
     for _, cond in pairs:

@@ -30,14 +30,8 @@ def _is_power_of_two(k: int) -> bool:
     return k >= 1 and k & (k - 1) == 0
 
 
-def _generate(
-    generators: list[Permutation], ident: Permutation, inside: set[Permutation] | None = None
-) -> set[Permutation] | None:
-    """Closure of the generators under composition, by breadth-first search.
-
-    Returns ``None`` as soon as the closure reaches an element outside
-    ``inside`` (when given).
-    """
+def _generate(generators: list[Permutation], ident: Permutation) -> set[Permutation]:
+    """Closure of the generators under composition, by breadth-first search."""
     elements = {ident}
     frontier = [ident]
     while frontier:
@@ -46,8 +40,6 @@ def _generate(
             for p in frontier:
                 composed = _compose(g, p)
                 if composed not in elements:
-                    if inside is not None and composed not in inside:
-                        return None
                     elements.add(composed)
                     fresh.append(composed)
         frontier = fresh
@@ -70,18 +62,10 @@ class FiniteAction:
         for p in self.elements:
             if len(p) != self.set_size or sorted(p) != list(ident):
                 raise DomainError(f"not a permutation of the set: {p}")
-        # A set holding the identity is a group exactly when it is the closure
-        # of some subset of itself: grow a generating set greedily and require
-        # every closure to stay inside the set.
+        # a finite set of permutations closed under composition is a group
         elems = set(self.elements)
-        gens: list[Permutation] = []
-        reached = {ident}
-        for p in sorted(elems):
-            if p not in reached:
-                gens.append(p)
-                reached = _generate(gens, ident, elems)
-                if reached is None:
-                    raise DomainError("element list is not closed under composition")
+        if any(_compose(p, q) not in elems for p in elems for q in elems):
+            raise DomainError("element list is not closed under composition")
         if not _is_power_of_two(len(elems)):
             raise CertificateError(f"group order {len(elems)} is not a power of 2")
         canonical = tuple(sorted(elems))

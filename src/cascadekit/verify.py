@@ -1,7 +1,8 @@
 """Seeded verification routines, one per implemented statement.
 
-Each routine replays an invariant suite at a configurable scale and
-returns a report; the CLI maps lemma ids onto these.  Oracles here are
+Each routine replays an invariant suite and returns a report; the CLI maps
+lemma ids onto these.  A routine's keywords are ``seed`` plus the ones the
+CLI's verify flags set; every other scale is fixed here.  Oracles here are
 deliberately independent of the code paths they check: invertibility is
 recomputed by Gaussian elimination, actions are replayed pointwise, and
 certificates are recomputed from scratch.
@@ -41,6 +42,7 @@ from .names import (
     decode_two_layer,
     normalize,
     two_layer_code,
+    _name_pairs,
 )
 from .orbits import TranslationPartition, close_group, odd_fixed_point, orbit_partition, quotient_analysis
 from .selectors import (
@@ -134,13 +136,11 @@ def verify_starspan(
     trials: int = 200,
     seed: int = 0,
     max_window: int = 12,
-    exhaustive_target_window: int = 10,
     exhaustive: bool = False,
 ) -> VerificationReport:
     """Star matrices are unit triangular and invertible; the solver hits every target."""
     started = time.perf_counter()
-    if exhaustive:
-        exhaustive_target_window = max_window
+    sweep_window = max_window if exhaustive else 10
     report = VerificationReport("starspan", trials, False, [], seed)
     rng = random.Random(seed)
     for trial in range(trials):
@@ -153,7 +153,7 @@ def verify_starspan(
         if not _gf2_invertible(matrix):
             report.record(f"trial {trial}: star matrix singular on {K.serialize()}")
             continue
-        if len(K) <= exhaustive_target_window:
+        if len(K) <= sweep_window:
             batch = solve_all_targets(K)
             for bits in range(1 << len(K)):
                 target = F2Vector(K, bits)
@@ -164,7 +164,7 @@ def verify_starspan(
                 if batch[bits] != solved:
                     report.record(f"trial {trial}: batch and per-target solutions differ")
                     break
-    report.notes = f"all targets swept on windows up to {exhaustive_target_window} nodes"
+    report.notes = f"all targets swept on windows up to {sweep_window} nodes"
     return _finish(report, started)
 
 
@@ -248,12 +248,12 @@ def _all_closed_subsets(forest: PredecessorForest):
                 yield frozenset(chosen)
 
 
-def verify_fresh(max_universe: int = 6, seed: int = 0) -> VerificationReport:
-    """Exhaustive four-clause check of fresh separation on small universes."""
+def verify_fresh(seed: int = 0) -> VerificationReport:
+    """Exhaustive four-clause check of fresh separation on universes up to 6 nodes."""
     started = time.perf_counter()
     report = VerificationReport("fresh", 0, True, [], seed)
     count = 0
-    for size in range(1, max_universe + 1):
+    for size in range(1, 7):
         for forest in _all_forests(size):
             for closed in _all_closed_subsets(forest):
                 count += 1
@@ -285,15 +285,15 @@ def verify_fresh(max_universe: int = 6, seed: int = 0) -> VerificationReport:
     return _finish(report, started)
 
 
-def _random_toggle(rng: random.Random, bits: int = 5) -> ToggleSet:
-    exceptions = frozenset(rng.sample(range(bits), rng.randrange(1, bits)))
+def _random_toggle(rng: random.Random) -> ToggleSet:
+    exceptions = frozenset(rng.sample(range(5), rng.randrange(1, 5)))
     return ToggleSet(rng.random() < 0.4, exceptions)
 
 
-def _random_condition(forest, rng, rows=3, bits=5, max_len=6) -> Condition:
+def _random_condition(forest, rng, max_len=6) -> Condition:
     entries = {}
     for _ in range(rng.randrange(max_len + 1)):
-        entries[(rng.randrange(forest.size), rng.randrange(rows), rng.randrange(bits))] = rng.randrange(2)
+        entries[(rng.randrange(forest.size), rng.randrange(3), rng.randrange(5))] = rng.randrange(2)
     return Condition.from_map(entries)
 
 
@@ -326,7 +326,7 @@ def verify_abelian(trials: int = 300, seed: int = 0) -> VerificationReport:
     return _finish(report, started)
 
 
-def verify_transport(trials: int = 500, seed: int = 0, max_domain: int = 8) -> VerificationReport:
+def verify_transport(trials: int = 500, seed: int = 0) -> VerificationReport:
     """Transport maps padded p to padded q and fixes all rows over the window."""
     started = time.perf_counter()
     report = VerificationReport("transport", trials, False, [], seed)
@@ -335,9 +335,9 @@ def verify_transport(trials: int = 500, seed: int = 0, max_domain: int = 8) -> V
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
         A = _random_closed_subset(forest, rng)
         off = set(range(forest.size)) - A.nodes
-        shared = _random_condition(forest, rng, max_len=max_domain // 2).restrict_to_nodes(A.nodes)
-        p = shared.merge(_random_condition(forest, rng, max_len=max_domain // 2).restrict_to_nodes(off))
-        q = shared.merge(_random_condition(forest, rng, max_len=max_domain // 2).restrict_to_nodes(off))
+        shared = _random_condition(forest, rng, max_len=4).restrict_to_nodes(A.nodes)
+        p = shared.merge(_random_condition(forest, rng, max_len=4).restrict_to_nodes(off))
+        q = shared.merge(_random_condition(forest, rng, max_len=4).restrict_to_nodes(off))
         pi = transport(p, q, A)
         p_pad, q_pad = pad_common_domain(p, q)
         if apply(pi, p_pad) != q_pad:
@@ -350,19 +350,13 @@ def verify_transport(trials: int = 500, seed: int = 0, max_domain: int = 8) -> V
 _BOX_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 1, 4), (2, 1, 7), (4, 1, 3), (2, 3, 2))
 
 
-def _random_box(
-    rng: random.Random, max_coords: int = 14, box_dims: tuple[int, int, int] | None = None
-) -> CoordinateBox:
-    if box_dims is not None:
-        n_nodes, rows, bits = box_dims
-    else:
-        shapes = [s for s in _BOX_SHAPES if s[0] * s[1] * s[2] <= max_coords]
-        n_nodes, rows, bits = rng.choice(shapes)
+def _random_box(rng: random.Random, box_dims: tuple[int, int, int] | None) -> CoordinateBox:
+    n_nodes, rows, bits = box_dims if box_dims is not None else rng.choice(_BOX_SHAPES)
     forest = random_forest(n_nodes, rng.getrandbits(32))
     return CoordinateBox(Window.whole(forest), rows, bits)
 
 
-def _random_supported_name(rng: random.Random, box: CoordinateBox, m_values: int = 4):
+def _random_supported_name(rng: random.Random, box: CoordinateBox):
     """A name supported by a random closed window, not always in packet shape.
 
     Besides plain conditions over the window, it mixes in complementary
@@ -379,7 +373,7 @@ def _random_supported_name(rng: random.Random, box: CoordinateBox, m_values: int
         if coords_over_A:
             k = rng.randint(1, min(4, len(coords_over_A)))
             base = tuple((c, rng.randrange(2)) for c in rng.sample(coords_over_A, k))
-        m = rng.randrange(m_values)
+        m = rng.randrange(4)
         if coords_off_A and rng.random() < 0.4:
             free = rng.choice(coords_off_A)
             pairs.append((m, Condition(base + ((free, 0),))))
@@ -389,28 +383,27 @@ def _random_supported_name(rng: random.Random, box: CoordinateBox, m_values: int
     return RawName.of(pairs), A
 
 
-def _eval_tables_equal(name_a, name_b, box: CoordinateBox) -> bool:
-    """Compare evaluation maps over every assignment via one shared member coding."""
-    from .names import _name_pairs
-
-    pairs_a, pairs_b = _name_pairs(name_a), _name_pairs(name_b)
-    members = sorted({m for m, _ in pairs_a} | {m for m, _ in pairs_b})
+def _member_tables(box: CoordinateBox, *names):
+    """Member tables of the names over every assignment, and their shared coding ``{m: bit}``."""
+    all_pairs = [_name_pairs(name) for name in names]
+    members = sorted({m for pairs in all_pairs for m, _ in pairs})
     bits = {m: 1 << i for i, m in enumerate(members)}
-    def table(pairs):
-        entries = []
-        for m, cond in pairs:
-            dmask, vmask = box.condition_masks(cond)
-            entries.append((dmask, vmask, bits[m]))
-        return kernels.build_table(box.n_coords, entries)
-    return kernels.tables_equal(table(pairs_a), table(pairs_b))
+    tables = []
+    for pairs in all_pairs:
+        entries = [(*box.condition_masks(cond), bits[m]) for m, cond in pairs]
+        tables.append(kernels.build_table(box.n_coords, entries))
+    return tables, bits
+
+
+def _eval_tables_equal(name_a, name_b, box: CoordinateBox) -> bool:
+    """Compare evaluation maps over every assignment."""
+    (table_a, table_b), _ = _member_tables(box, name_a, name_b)
+    return kernels.tables_equal(table_a, table_b)
 
 
 def _decides(name, p: Condition, m: int, box: CoordinateBox) -> bool:
     """Whether every total extension of p agrees on membership of m."""
-    from .names import _build_table, _name_pairs
-
-    pairs = _name_pairs(name)
-    table, bits = _build_table(pairs, box)
+    (table,), bits = _member_tables(box, name)
     member_bit = bits.get(m, 0)
     if member_bit == 0:
         return True
@@ -421,7 +414,6 @@ def _decides(name, p: Condition, m: int, box: CoordinateBox) -> bool:
 def verify_decision(
     trials: int = 100,
     seed: int = 0,
-    max_box_coords: int = 14,
     box_dims: tuple[int, int, int] | None = None,
 ) -> VerificationReport:
     """Deciding conditions restricted to the support keep deciding the same way."""
@@ -429,7 +421,7 @@ def verify_decision(
     report = VerificationReport("decision", trials, False, [], seed)
     rng = random.Random(seed)
     for trial in range(trials):
-        box = _random_box(rng, max_box_coords, box_dims)
+        box = _random_box(rng, box_dims)
         name, A = _random_supported_name(rng, box)
         if not check_support(name, A, box):
             report.record(f"trial {trial}: scheme-built name failed its own support check")
@@ -457,7 +449,6 @@ def verify_decision(
 def verify_normalize(
     trials: int = 100,
     seed: int = 0,
-    max_box_coords: int = 14,
     box_dims: tuple[int, int, int] | None = None,
 ) -> VerificationReport:
     """Normalized schemes evaluate exactly like the original name everywhere."""
@@ -465,7 +456,7 @@ def verify_normalize(
     report = VerificationReport("normalize", trials, False, [], seed)
     rng = random.Random(seed)
     for trial in range(trials):
-        box = _random_box(rng, max_box_coords, box_dims)
+        box = _random_box(rng, box_dims)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
         if not _eval_tables_equal(name, scheme, box):
@@ -479,7 +470,6 @@ def verify_normalize(
 def verify_code(
     trials: int = 100,
     seed: int = 0,
-    max_box_coords: int = 14,
     box_dims: tuple[int, int, int] | None = None,
 ) -> VerificationReport:
     """Two-layer encode/decode preserves evaluation on every assignment."""
@@ -487,7 +477,7 @@ def verify_code(
     report = VerificationReport("code", trials, False, [], seed)
     rng = random.Random(seed)
     for trial in range(trials):
-        box = _random_box(rng, max_box_coords, box_dims)
+        box = _random_box(rng, box_dims)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
         decoded = decode_two_layer(two_layer_code(scheme, box), box)
@@ -524,12 +514,12 @@ def _compose_perm(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def verify_odd_fixed(max_points: int = 7, seed: int = 0) -> VerificationReport:
-    """Every 2-group from at most two involutions fixes a point of any odd set."""
+def verify_odd_fixed(seed: int = 0) -> VerificationReport:
+    """Every 2-group from at most two involutions fixes a point of any odd set up to 7 points."""
     started = time.perf_counter()
     report = VerificationReport("odd-fixed", 0, True, [], seed)
     count = 0
-    for n in range(1, max_points + 1, 2):
+    for n in range(1, 8, 2):
         invs = list(_involutions(n))
         for a_idx in range(len(invs)):
             for b_idx in range(a_idx, len(invs)):
@@ -651,16 +641,16 @@ def verify_selector(trials: int = 200, seed: int = 0) -> VerificationReport:
     return _finish(report, started)
 
 
-def verify_lift(max_indices: int = 4, max_set: int = 3, max_k: int = 3, seed: int = 0) -> VerificationReport:
+def verify_lift(seed: int = 0) -> VerificationReport:
     """Every product choice map projects to a valid choice map; fully enumerated."""
     started = time.perf_counter()
     report = VerificationReport("lift", 0, True, [], seed)
     count = 0
-    for t_count in range(1, max_indices + 1):
-        for sizes in itertools.product(range(1, max_set + 1), repeat=t_count):
+    for t_count in range(1, 5):
+        for sizes in itertools.product(range(1, 4), repeat=t_count):
             family = IndexedFamily.of({t: frozenset(range(s)) for t, s in enumerate(sizes)})
             allowed = [range(s) for s in sizes]
-            for k in range(1, max_k + 1):
+            for k in range(1, 4):
                 option_lists = [
                     [(a, j) for a in range(sizes[t]) for j in range(k)]
                     for t in range(t_count)
@@ -706,7 +696,7 @@ def _pattern_flip_sweep(w: SwapWitness, box: CoordinateBox) -> bool:
     return True
 
 
-def verify_swap(trials: int = 60, seed: int = 0, max_box_coords: int = 12) -> VerificationReport:
+def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
     """Swap witnesses certify, and an independent sweep of every assignment agrees."""
     started = time.perf_counter()
     report = VerificationReport("swap", 0, True, [], seed)
@@ -725,10 +715,9 @@ def verify_swap(trials: int = 60, seed: int = 0, max_box_coords: int = 12) -> Ve
             report.record(f"certificate failed for exhaustive condition {q.entries}")
         if not _pattern_flip_sweep(w, box):
             report.record(f"assignment sweep refutes the pattern flip for {q.entries}")
-    # sampled conditions on boxes up to the coordinate bound, sweeps stay exhaustive
+    # sampled conditions on 12-coordinate boxes, sweeps stay exhaustive
     for trial in range(trials):
-        shapes = [s for s in ((3, 2, 2), (4, 1, 3), (3, 1, 4)) if s[0] * s[1] * s[2] <= max_box_coords]
-        n_nodes, rows, bits = rng.choice(shapes)
+        n_nodes, rows, bits = rng.choice(((3, 2, 2), (4, 1, 3), (3, 1, 4)))
         f = random_forest(n_nodes, rng.getrandbits(32))
         b = CoordinateBox(Window.whole(f), rows, bits)
         A_r = rho_closure(f, {0})

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines.
 """
 
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from conftest import all_closed_subsets, all_forests
 from cascadekit.f2linalg import star_matrix
 from cascadekit.forest import Window
 from cascadekit.verify import (
+    REGISTRY,
     verify_code,
     verify_decision,
     verify_dyadic,
@@ -35,12 +37,14 @@ def _criterion(number, label, passed, detail=""):
 
 
 def test_criterion_1_star_span_solver():
-    report = verify_starspan(trials=200, seed=11, max_window=12, exhaustive_target_window=10)
+    report = verify_starspan(trials=200, seed=11, max_window=12)
     _criterion(
         1,
         "star-span basis and solver",
-        report.failure_count() == 0 and report.elapsed < 10.0,
-        f"failures={report.failure_count()} elapsed={report.elapsed:.2f}s (budget 10s)",
+        report.failure_count() == 0
+        and report.notes.endswith("up to 10 nodes")
+        and report.elapsed < 10.0,
+        f"failures={report.failure_count()} elapsed={report.elapsed:.2f}s (budget 10s); {report.notes}",
     )
 
 
@@ -68,25 +72,25 @@ def test_criterion_3_shielding():
     _criterion(
         3,
         "shielded toggles fix conditions",
-        report.failure_count() == 0,
+        report.failure_count() == 0 and report.trials == 132_868,
         f"trials={report.trials} (includes the exhaustive 8-coordinate sweep)",
     )
 
 
 def test_criterion_4_fresh_separation():
-    report = verify_fresh(max_universe=6)
+    report = verify_fresh()
     _criterion(
         4,
         "fresh separation clauses",
-        report.failure_count() == 0 and report.exhaustive,
+        report.failure_count() == 0 and report.exhaustive and report.trials == 2_261,
         f"instances={report.trials}",
     )
 
 
 def test_criterion_5_transport_and_decision():
     started = time.perf_counter()
-    transport_report = verify_transport(trials=500, seed=13, max_domain=8)
-    decision_report = verify_decision(trials=100, seed=13, max_box_coords=14)
+    transport_report = verify_transport(trials=500, seed=13)
+    decision_report = verify_decision(trials=100, seed=13)
     elapsed = time.perf_counter() - started
     _criterion(
         5,
@@ -100,7 +104,7 @@ def test_criterion_5_transport_and_decision():
 
 
 def test_criterion_6_normalization():
-    report = verify_normalize(trials=100, seed=14, max_box_coords=14)
+    report = verify_normalize(trials=100, seed=14)
     _criterion(
         6,
         "packet normalization preserves evaluation",
@@ -111,7 +115,7 @@ def test_criterion_6_normalization():
 
 def test_criterion_7_two_layer_coding():
     # seed 14 replays the same generation stream as criterion 6: same schemes
-    report = verify_code(trials=100, seed=14, max_box_coords=14)
+    report = verify_code(trials=100, seed=14)
     _criterion(
         7,
         "two-layer coding round trip",
@@ -121,11 +125,11 @@ def test_criterion_7_two_layer_coding():
 
 
 def test_criterion_8_odd_fixed_points():
-    report = verify_odd_fixed(max_points=7)
+    report = verify_odd_fixed()
     _criterion(
         8,
         "odd fixed points and dyadic orbits",
-        report.failure_count() == 0 and report.exhaustive,
+        report.failure_count() == 0 and report.exhaustive and report.trials == 7_467,
         f"group instances={report.trials}",
     )
 
@@ -135,27 +139,27 @@ def test_criterion_9_dyadic_quotients():
     _criterion(
         9,
         "dyadic quotients and 3-class rejection",
-        report.failure_count() == 0 and report.exhaustive,
+        report.failure_count() == 0 and report.exhaustive and report.trials == 60,
         report.notes,
     )
 
 
 def test_criterion_10_swap_mechanism():
-    report = verify_swap(trials=60, seed=15, max_box_coords=12)
+    report = verify_swap(trials=60, seed=15)
     _criterion(
         10,
         "swap witness certificates",
-        report.failure_count() == 0,
+        report.failure_count() == 0 and report.trials == 795,
         f"witnesses={report.trials}, assignment sweeps exhaustive",
     )
 
 
 def test_criterion_11_divisibility_lift():
-    report = verify_lift(max_indices=4, max_set=3, max_k=3)
+    report = verify_lift()
     _criterion(
         11,
         "product choice projection",
-        report.failure_count() == 0 and report.exhaustive,
+        report.failure_count() == 0 and report.exhaustive and report.trials == 135_324,
         f"choice maps={report.trials}",
     )
 
@@ -166,7 +170,7 @@ def test_criterion_selector_mechanics():
     _criterion(
         "+",
         "canonical selector invariance (supplementary)",
-        report.failure_count() == 0,
+        report.failure_count() == 0 and report.trials == 156,
         f"triples={report.trials}",
     )
 
@@ -179,10 +183,12 @@ def test_criterion_12_verify_all_end_to_end():
         text=True,
     )
     elapsed = time.perf_counter() - started
+    failures = dict(re.findall(r"^lemma=(\S+) .* failures=(\d+) ", proc.stdout, re.M))
+    passed = [lemma for lemma in REGISTRY if failures.get(lemma) == "0"]
     _criterion(
         12,
         "verify --all end to end",
-        proc.returncode == 0 and elapsed < 60.0,
-        f"exit={proc.returncode} elapsed={elapsed:.2f}s (budget 60s)",
+        proc.returncode == 0 and len(REGISTRY) == 13 and len(passed) == 13 and elapsed < 60.0,
+        f"exit={proc.returncode} lemmas with failures=0: {len(passed)}/13 "
+        f"elapsed={elapsed:.2f}s (budget 60s)",
     )
-    assert "failures=0" in proc.stdout

@@ -1,0 +1,33 @@
+"""The docs and the CI workflow stay in step."""
+
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_cli_block() -> list[str]:
+    """The commands of README's CLI block, one per line."""
+    text = (ROOT / "README.md").read_text()
+    after_heading = text.split("\n## CLI\n", 1)[1]
+    block = after_heading.split("```\n", 2)[1]
+    return [line.strip() for line in block.splitlines() if line.strip()]
+
+
+def ci_readme_step() -> list[str]:
+    """The ``cascadekit`` commands the "README CLI examples" CI step runs."""
+    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines()
+    start = lines.index("      - name: README CLI examples")
+    commands = []
+    for line in lines[start + 1:]:
+        if line.startswith("      - "):
+            break
+        stripped = line.strip()
+        if stripped.startswith("cascadekit "):
+            commands.append(stripped)
+    return commands
+
+
+def test_ci_runs_exactly_the_readme_cli_block():
+    block = readme_cli_block()
+    assert block and all(line.startswith("cascadekit ") for line in block)
+    assert ci_readme_step() == block

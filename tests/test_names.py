@@ -335,22 +335,16 @@ class TestNormalize:
         with pytest.raises(PreconditionError):
             normalize(name, A, box)
 
-    def test_m_range_too_small_rejected(self):
-        box = small_box()
-        f = box.forest
-        A = rho_closure(f, {0})
-        name = RawName.of([(5, Condition.from_map({(0, 0, 0): 1}))])
-        with pytest.raises(DomainError):
-            normalize(name, A, box, m_range=3)
-
     def test_m_range_padding(self):
         box = small_box()
-        f = box.forest
-        A = rho_closure(f, {0})
-        name = RawName.of([(0, Condition.from_map({(0, 0, 0): 1}))])
-        scheme = normalize(name, A, box, m_range=12)
-        assert len(scheme.families) == 12
-        assert scheme.family(11) == frozenset()
+        A = rho_closure(box.forest, {0})
+        cond = Condition.from_map({(0, 0, 0): 1})
+        scheme = normalize(RawName.of([(0, cond)]), A, box)
+        assert len(scheme.families) == 8
+        wide = normalize(RawName.of([(11, cond)]), A, box)
+        assert len(wide.families) == 12
+        assert wide.family(10) == frozenset()
+        assert wide.family(11) != frozenset()
 
     def test_random_supported_names_normalize_soundly(self):
         rng = random.Random(17)
