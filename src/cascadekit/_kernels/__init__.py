@@ -3,11 +3,12 @@
 The heavy operations are sweeps over every total assignment of a small
 coordinate box: building the member table of a name, checking XOR-flip
 invariance, projecting satisfying assignments, and batch triangular
-solving.  A member's table column is one integer with bit ``g`` set when
-assignment ``g`` carries the member.  Subcube indicators are built by width
-doubling, XOR-permutation by half-block swaps and projection by an OR-fold
-over the dropped coordinates, so the per-assignment work runs inside
-CPython's big-int arithmetic instead of a Python-level loop.
+solving.  A table keys its columns by member index ``m``, any natural
+number; a column is one integer with bit ``g`` set when assignment ``g``
+carries ``m``.  Subcube indicators are built by width doubling,
+XOR-permutation by half-block swaps and projection by an OR-fold over the
+dropped coordinates, so the per-assignment work runs inside CPython's
+big-int arithmetic instead of a Python-level loop.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ BACKEND = "python"
 
 
 class Table:
-    """Member table: one column bitset per member bit that occurs."""
+    """Member table: one column bitset per member index that occurs."""
 
     __slots__ = ("n_coords", "cols")
 
@@ -65,47 +66,26 @@ def _low_half_mask(n_coords: int, b: int) -> int:
     return mask
 
 
-def _member_column(table: Table, member_bit: int) -> int:
-    """Bitset of the assignments carrying any member in ``member_bit``."""
-    col = 0
-    for m, c in table.cols.items():
-        if m & member_bit:
-            col |= c
-    return col
-
-
 def build_table(n_coords: int, entries) -> Table:
     """Member table of a name over a box.
 
-    ``entries`` is an iterable of ``(dmask, vmask, member_bit)`` triples: a
-    condition with domain ``dmask`` and values ``vmask`` contributing the
-    member flagged by ``member_bit``.  The table assigns to each of the
-    ``2**n_coords`` assignments the OR of member bits of its extended
-    conditions.
+    ``entries`` is an iterable of ``(dmask, vmask, m)`` triples: a condition
+    with domain ``dmask`` and values ``vmask`` contributing member ``m``.
+    Column ``m`` holds the assignments, among all ``2**n_coords``, that
+    extend some condition of ``m``.
     """
     _check_dims(n_coords)
     full = (1 << n_coords) - 1
     cols: dict[int, int] = {}
-    for dmask, vmask, member_bit in entries:
+    for dmask, vmask, m in entries:
         if dmask & ~full:
             raise DomainError("condition mentions coordinates outside the box")
         if vmask & ~dmask:
             raise DomainError("value bits outside the condition domain")
-        if member_bit <= 0 or member_bit & (member_bit - 1) or member_bit >> 64:
-            raise DomainError("member_bit must be a single bit below 2**64")
-        cols[member_bit] = cols.get(member_bit, 0) | _subcube_indicator(n_coords, dmask, vmask)
+        if m < 0:
+            raise DomainError("member index must be a natural number")
+        cols[m] = cols.get(m, 0) | _subcube_indicator(n_coords, dmask, vmask)
     return Table(n_coords, {m: c for m, c in cols.items() if c})
-
-
-def eval_at(table: Table, g: int) -> int:
-    """Member bits at one assignment."""
-    if g < 0 or g >> table.n_coords:
-        raise IndexError("assignment outside the table")
-    out = 0
-    for member_bit, col in table.cols.items():
-        if (col >> g) & 1:
-            out |= member_bit
-    return out
 
 
 def tables_equal(t1: Table, t2: Table) -> bool:
@@ -133,10 +113,10 @@ def flip_violation(table: Table, flip_mask: int) -> int:
     return best
 
 
-def project_member(table: Table, member_bit: int, proj_mask: int) -> tuple[int, ...]:
-    """Sorted distinct ``g & proj_mask`` over assignments carrying the member."""
+def project_member(table: Table, m: int, proj_mask: int) -> tuple[int, ...]:
+    """Sorted distinct ``g & proj_mask`` over assignments carrying member ``m``."""
     n = table.n_coords
-    col = _member_column(table, member_bit)
+    col = table.cols.get(m, 0)
     # OR each dropped coordinate's high half onto its low half (a zeta transform):
     # bit g survives exactly when some carrying assignment projects to g
     for b in range(n):
@@ -150,16 +130,16 @@ def project_member(table: Table, member_bit: int, proj_mask: int) -> tuple[int, 
     return tuple(out)
 
 
-def subcube_member_summary(table: Table, member_bit: int, dmask: int, vmask: int) -> int:
-    """Membership across the subcube ``{g : g & dmask == vmask}``.
+def subcube_member_summary(table: Table, m: int, dmask: int, vmask: int) -> int:
+    """Membership of ``m`` across the subcube ``{g : g & dmask == vmask}``.
 
-    Returns 0 when no assignment of the subcube carries the member, 1 when
+    Returns 0 when no assignment of the subcube carries ``m``, 1 when
     all do, 2 when mixed.
     """
     if dmask < 0 or dmask >> table.n_coords or vmask & ~dmask:
         raise IndexError("subcube masks outside the table")
     ind = _subcube_indicator(table.n_coords, dmask, vmask)
-    hit = _member_column(table, member_bit) & ind
+    hit = table.cols.get(m, 0) & ind
     if hit == 0:
         return 0
     if hit == ind:

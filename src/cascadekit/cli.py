@@ -30,7 +30,7 @@ from .forest import (
 )
 from .names import CoordinateBox
 from .selectors import format_witness, swap_witness
-from .verify import REGISTRY, lemma_parameters, run, run_all
+from .verify import MAX_DYADIC_DIM, REGISTRY, lemma_parameters, run, run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -127,6 +127,8 @@ def cmd_verify(args) -> int:
         raise ParseError(f"--max-window must be positive, got {args.max_window}")
     if args.dim is not None and args.dim < 0:
         raise ParseError(f"--dim must not be negative, got {args.dim}")
+    if args.dim is not None and args.dim > MAX_DYADIC_DIM:
+        raise ParseError(f"--dim must be at most {MAX_DYADIC_DIM}, got {args.dim}")
     kwargs = {
         "seed": args.seed,
         "trials": args.trials,

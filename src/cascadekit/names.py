@@ -236,20 +236,9 @@ def evaluate(name, g: Assignment) -> set[int]:
     return out
 
 
-def _member_bits(pairs) -> dict[int, int]:
-    members = sorted({m for m, _ in pairs})
-    if len(members) > 64:
-        raise DomainError("more than 64 distinct member indices in one name")
-    return {m: 1 << k for k, m in enumerate(members)}
-
-
 def _build_table(pairs, box: CoordinateBox):
-    bits = _member_bits(pairs)
-    entries = []
-    for m, cond in pairs:
-        dmask, vmask = box.condition_masks(cond)
-        entries.append((dmask, vmask, bits[m]))
-    return kernels.build_table(box.n_coords, entries), bits
+    entries = [(*box.condition_masks(cond), m) for m, cond in pairs]
+    return kernels.build_table(box.n_coords, entries)
 
 
 @dataclass(frozen=True)
@@ -307,7 +296,7 @@ def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
     the box.
     """
     _check_box_window(A, box)
-    table, _ = _build_table(_name_pairs(name), box)
+    table = _build_table(_name_pairs(name), box)
     return _sweep_support(table, A, box)
 
 
@@ -326,18 +315,14 @@ def decision_invariant(
     m with the same truth value, sweeping all of its total extensions.
     """
     _check_box_window(A, box)
-    pairs = _name_pairs(name)
-    table, bits = _build_table(pairs, box)
-    member_bit = bits.get(m, 0)
+    table = _build_table(_name_pairs(name), box)
     dmask, vmask = box.condition_masks(p)
-    if member_bit == 0:
-        return True  # the name never contains m, so every restriction decides it false
-    verdict = kernels.subcube_member_summary(table, member_bit, dmask, vmask)
+    verdict = kernels.subcube_member_summary(table, m, dmask, vmask)
     if verdict == 2:
         raise PreconditionError(f"condition does not decide membership of {m}")
     restriction = p.restrict_to_nodes(A.nodes)
     r_dmask, r_vmask = box.condition_masks(restriction)
-    r_verdict = kernels.subcube_member_summary(table, member_bit, r_dmask, r_vmask)
+    r_verdict = kernels.subcube_member_summary(table, m, r_dmask, r_vmask)
     return r_verdict == verdict
 
 
@@ -356,7 +341,7 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     """
     _check_box_window(A, box)
     pairs = _name_pairs(name)
-    table, bits = _build_table(pairs, box)
+    table = _build_table(pairs, box)
     report = _sweep_support(table, A, box)
     if not report.supported:
         raise PreconditionError(
@@ -373,7 +358,7 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     forest = box.forest
     families: dict[int, set[Packet]] = {m: set() for m in range(m_range)}
     for m in members:
-        for proj in kernels.project_member(table, bits[m], trim_mask):
+        for proj in kernels.project_member(table, m, trim_mask):
             probe = Assignment(box, proj)
             cond = probe.restrict_to_coord_mask(trim_mask)
             families[m].add(Packet.of(cond, forest))

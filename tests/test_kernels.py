@@ -14,17 +14,13 @@ def random_entries(rng, n_coords, n_pairs, n_members=3):
     for _ in range(n_pairs):
         dmask = rng.getrandbits(n_coords) & full
         vmask = rng.getrandbits(n_coords) & dmask
-        member = 1 << rng.randrange(n_members)
-        entries.append((dmask, vmask, member))
+        entries.append((dmask, vmask, rng.randrange(n_members)))
     return entries
 
 
 def naive_eval(entries, g):
-    out = 0
-    for dmask, vmask, member in entries:
-        if g & dmask == vmask:
-            out |= member
-    return out
+    """Set of members whose conditions assignment ``g`` extends."""
+    return {m for dmask, vmask, m in entries if g & dmask == vmask}
 
 
 class TestAgainstNaive:
@@ -33,8 +29,22 @@ class TestAgainstNaive:
         for n in (0, 1, 4, 7):
             entries = random_entries(rng, n, 5)
             table = _kernels.build_table(n, entries)
-            for g in range(1 << n):
-                assert _kernels.eval_at(table, g) == naive_eval(entries, g)
+            evals = [naive_eval(entries, g) for g in range(1 << n)]
+            assert set(table.cols) == set().union(*evals)
+            for m, col in table.cols.items():
+                assert col == sum(1 << g for g, members in enumerate(evals) if m in members)
+
+    def test_large_member_index(self):
+        entries = [(0b011, 0b001, 1000), (0b100, 0b100, 1000), (0b001, 0, 2)]
+        table = _kernels.build_table(3, entries)
+        assert sorted(table.cols) == [2, 1000]
+        col = sum(1 << g for g in range(8) if 1000 in naive_eval(entries, g))
+        assert table.cols[1000] == col
+        assert _kernels.project_member(table, 1000, 0b100) == (0b000, 0b100)
+        assert _kernels.subcube_member_summary(table, 1000, 0b100, 0b100) == 1
+        assert _kernels.subcube_member_summary(table, 1000, 0b111, 0b010) == 0
+        assert _kernels.subcube_member_summary(table, 1000, 0b011, 0b000) == 2
+        assert _kernels.flip_violation(table, 0b010) == 1
 
     def test_flip_violation(self):
         rng = random.Random(2)
@@ -56,12 +66,14 @@ class TestAgainstNaive:
             table = _kernels.build_table(n, entries)
             # the last two masks carry bits at or above n_coords
             projs = (0, 0b101010, (1 << n) - 1, (1 << n) | 0b1001, rng.getrandbits(n + 4))
-            for member in (1, 2, 3, 4):
+            # member 3 never occurs, so it projects to ()
+            for member in (0, 1, 2, 3):
                 for proj in projs:
                     naive = sorted(
-                        {g & proj for g in range(1 << n) if naive_eval(entries, g) & member}
+                        {g & proj for g in range(1 << n) if member in naive_eval(entries, g)}
                     )
                     assert list(_kernels.project_member(table, member, proj)) == naive
+            assert _kernels.project_member(table, 3, projs[2]) == ()
 
     def test_subcube_summary(self):
         rng = random.Random(4)
@@ -71,13 +83,14 @@ class TestAgainstNaive:
         for _ in range(50):
             dmask = rng.getrandbits(n)
             vmask = rng.getrandbits(n) & dmask
-            hits = [
-                bool(naive_eval(entries, g) & 1)
-                for g in range(1 << n)
-                if g & dmask == vmask
-            ]
-            expected = 2 if any(hits) and not all(hits) else (1 if all(hits) else 0)
-            assert _kernels.subcube_member_summary(table, 1, dmask, vmask) == expected
+            for member in (0, 1, 2, 3):
+                hits = [
+                    member in naive_eval(entries, g)
+                    for g in range(1 << n)
+                    if g & dmask == vmask
+                ]
+                expected = 2 if any(hits) and not all(hits) else (1 if all(hits) else 0)
+                assert _kernels.subcube_member_summary(table, member, dmask, vmask) == expected
 
     def test_solve_unit_triangular(self):
         rng = random.Random(5)
@@ -107,7 +120,7 @@ class TestDispatchValidation:
         with pytest.raises(DomainError):
             _kernels.build_table(2, [(0b01, 0b10, 1)])
         with pytest.raises(DomainError):
-            _kernels.build_table(2, [(0b01, 0b01, 3)])
+            _kernels.build_table(2, [(0b01, 0b01, -1)])
 
     def test_solver_shape_validation(self):
         with pytest.raises(DomainError):
@@ -117,10 +130,6 @@ class TestDispatchValidation:
 
     def test_out_of_table_masks_rejected(self):
         table = _kernels.build_table(3, [(0b011, 0b001, 1)])
-        with pytest.raises(IndexError):
-            _kernels.eval_at(table, 1 << 3)
-        with pytest.raises(IndexError):
-            _kernels.eval_at(table, -1)
         with pytest.raises(IndexError):
             _kernels.flip_violation(table, 1 << 3)
         with pytest.raises(IndexError):

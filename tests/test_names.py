@@ -31,7 +31,7 @@ from cascadekit.names import (
     support_report,
     two_layer_code,
 )
-from cascadekit.verify import _BOX_SHAPES
+from cascadekit.verify import _BOX_SHAPES, _eval_tables_equal
 
 
 def small_box(rows=1, bits=2, size=3, pred=None):
@@ -406,6 +406,38 @@ class TestNormalize:
         tau = generator(f, 2, 0, ToggleSet.finite({0, 1}))
         for g in all_assignments(box):
             assert evaluate(name, apply_to_assignment(tau, g)) == evaluate(name, g)
+
+
+class TestManyMembers:
+    def test_seventy_member_name(self):
+        # member indices are any naturals: no cap on how many one name holds
+        rng = random.Random(70)
+        box = small_box()
+        f = box.forest
+        A = rho_closure(f, {0, 1})
+        coords_over_A = [c for c in box.coords() if c.node in A.nodes]
+        off_A = [c for c in box.coords() if c.node not in A.nodes]
+        pairs = []
+        for m in range(70):
+            picked = rng.sample(coords_over_A, rng.randrange(1, len(coords_over_A) + 1))
+            base = tuple((c, rng.randrange(2)) for c in picked)
+            if m % 3 == 0:
+                # a complementary pair across an off-support coordinate stays supported
+                free = rng.choice(off_A)
+                pairs += [(m, Condition(base + ((free, 0),))), (m, Condition(base + ((free, 1),)))]
+            else:
+                pairs.append((m, Condition(base)))
+        name = RawName.of(pairs)
+        report = support_report(name, A, box)
+        assert report.supported and report.assignments_checked == 1 << box.n_coords
+        scheme = normalize(name, A, box)
+        decoded = decode_two_layer(two_layer_code(scheme, box), box)
+        for g in all_assignments(box):
+            assert evaluate(scheme, g) == evaluate(decoded, g) == evaluate(name, g)
+        assert len(set().union(*(evaluate(name, g) for g in all_assignments(box)))) > 64
+        assert _eval_tables_equal(name, scheme, box)
+        assert _eval_tables_equal(scheme, decoded, box)
+        assert not _eval_tables_equal(name, RawName.of(pairs[1:]), box)
 
 
 def tiny_enumeration_box():
