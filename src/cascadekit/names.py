@@ -4,7 +4,10 @@ A raw name is a finite set of (m, condition) pairs; an assignment g of the
 whole box evaluates it to {m : some paired condition sits inside g}.  The
 finite semantics replaces forcing machinery wholesale: total assignments
 play the role of a maximal antichain of atoms, so "decides" and "supported
-by" become finite sweeps.
+by" become finite sweeps.  Evaluation reads only the coordinates a name
+mentions, so each sweep runs over a member table of those coordinates and
+still covers every assignment of the box: the box may have any size, and
+``kernels.MAX_TABLE_COORDS`` bounds what one name mentions.
 
 A name supported by a closed window A normalizes to a packet scheme: per
 member m, the family of restrictions-to-A of the assignments carrying m,
@@ -15,13 +18,15 @@ box.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from . import _kernels as kernels
 from .cascade import CascadeAutomorphism, Condition, Coordinate, Packet
-from .errors import CertificateError, DomainError, ParseError, PreconditionError
-from .forest import PredecessorForest, Window, parse_node_set
+from .errors import DomainError, ParseError, PreconditionError
+from .forest import PredecessorForest, Window, parse_node_set, rho_closure
 
 DEFAULT_M_RANGE = 8
 ENUMERATION_VERSION = "lex-v1"
@@ -236,16 +241,51 @@ def evaluate(name, g: Assignment) -> set[int]:
     return out
 
 
-def _build_table(pairs, box: CoordinateBox):
-    entries = [(*box.condition_masks(cond), m) for m, cond in pairs]
-    return kernels.build_table(box.n_coords, entries)
+def _mentioned_table(pairs, box: CoordinateBox):
+    """Member table of a name over only the coordinates its conditions mention.
+
+    Returns ``(table, positions, slot)``: the table, the ascending box
+    positions of the mentioned coordinates, and each mentioned coordinate's
+    bit in the table.  Evaluation reads no other coordinate, so a verdict
+    over the table holds for all ``2**n_coords`` assignments of the box.  A
+    coordinate outside the box, or more than ``kernels.MAX_TABLE_COORDS``
+    mentioned coordinates, raises :class:`DomainError`.
+    """
+    positions = sorted({box.index(c) for _, cond in pairs for c, _ in cond.entries})
+    slot = {box.coord_at(pos): j for j, pos in enumerate(positions)}
+    entries = [(*_slot_masks(cond, slot), m) for m, cond in pairs]
+    return kernels.build_table(len(positions), entries), positions, slot
+
+
+def _slot_masks(cond: Condition, slot) -> tuple[int, int]:
+    """Domain and value masks of a condition over the table bits ``slot`` assigns.
+
+    A coordinate without a slot drops out: the name never reads it.
+    """
+    dmask = vmask = 0
+    for coord, value in cond.entries:
+        j = slot.get(coord)
+        if j is not None:
+            dmask |= 1 << j
+            vmask |= value << j
+    return dmask, vmask
+
+
+def _expand(bits: int, positions) -> int:
+    """Table bits moved back to their box positions."""
+    out = 0
+    for j, pos in enumerate(positions):
+        if (bits >> j) & 1:
+            out |= 1 << pos
+    return out
 
 
 @dataclass(frozen=True)
 class SupportReport:
     """Outcome of a support sweep, with the scale that backs the verdict.
 
-    The sweep runs over the whole member table, so it covers all
+    The sweep runs over the whole member table of the coordinates the name
+    mentions, and evaluation reads no others, so it covers all
     ``assignments_checked = 2**n_coords`` assignments of the box and
     ``exhaustive`` is always true.
     """
@@ -261,43 +301,53 @@ def _check_box_window(A: Window, box: CoordinateBox) -> None:
         raise DomainError("support window and box use different forests")
 
 
-def _sweep_support(table, A: Window, box: CoordinateBox) -> SupportReport:
+def _sweep_support(table, positions, slot, A: Window, box: CoordinateBox) -> SupportReport:
     """Flip every single-bit generator at a node off the support over the whole table.
 
     A generator's flip mask covers its own coordinate and the matching
-    coordinate of each successor in the box.  The witness is the first
+    coordinate of each successor in the box; only its mentioned coordinates
+    can change an evaluation, so a generator that mentions none is skipped
+    and each distinct table mask is swept once.  The witness is the first
     generator, in box order, that changes some evaluation, with the least
-    assignment it changes.
+    assignment it changes (unmentioned coordinates 0).
     """
     checked = 1 << box.n_coords
-    forest = box.forest
+    children = box.forest._children
+    touched = {c.node for c in slot}
+    swept = set()
     for xi in box.window.ordered:
         if xi in A.nodes:
             continue
-        in_box_children = [eta for eta in forest._children[xi] if eta in box.window.nodes]
+        nodes = [eta for eta in (xi, *children[xi]) if eta in touched]
+        if not nodes:
+            continue
         for row in range(box.rows):
             for bit in range(box.bits):
-                mask = 1 << box.index(Coordinate(xi, row, bit))
-                for eta in in_box_children:
-                    mask |= 1 << box.index(Coordinate(eta, row, bit))
+                mask = 0
+                for eta in nodes:
+                    j = slot.get(Coordinate(eta, row, bit))
+                    if j is not None:
+                        mask |= 1 << j
+                if not mask or mask in swept:
+                    continue
+                swept.add(mask)
                 g = kernels.flip_violation(table, mask)
                 if g >= 0:
-                    return SupportReport(False, True, checked, (xi, row, bit, g))
+                    return SupportReport(False, True, checked, (xi, row, bit, _expand(g, positions)))
     return SupportReport(True, True, checked, None)
 
 
 def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
     """Sweep single-bit generators off the support for evaluation invariance.
 
-    Exhaustive over all ``2**n_coords`` assignments of the box; a box over
-    more than ``kernels.MAX_TABLE_COORDS`` coordinates raises
-    :class:`DomainError`.  Generators off the support suffice: the group is
-    abelian and every element fixing the support factors into them inside
-    the box.
+    Exhaustive over all ``2**n_coords`` assignments of a box of any size;
+    a name that mentions more than ``kernels.MAX_TABLE_COORDS`` coordinates
+    raises :class:`DomainError`.  Generators off the support suffice: the
+    group is abelian and every element fixing the support factors into them
+    inside the box.
     """
     _check_box_window(A, box)
-    table = _build_table(_name_pairs(name), box)
-    return _sweep_support(table, A, box)
+    return _sweep_support(*_mentioned_table(_name_pairs(name), box), A, box)
 
 
 def check_support(name, A: Window, box: CoordinateBox) -> bool:
@@ -312,18 +362,19 @@ def decision_invariant(
 
     ``p`` must decide m: every total extension of p agrees on membership.
     Returns True when the restriction of p to rows over ``A`` still decides
-    m with the same truth value, sweeping all of its total extensions.
+    m with the same truth value, sweeping all of its total extensions.  The
+    coordinates of ``p`` that the name does not mention cannot change
+    membership, so they drop out of the sweep; they must still lie in the box.
     """
     _check_box_window(A, box)
-    table = _build_table(_name_pairs(name), box)
-    dmask, vmask = box.condition_masks(p)
-    verdict = kernels.subcube_member_summary(table, m, dmask, vmask)
+    for coord, _ in p.entries:
+        box.index(coord)
+    table, _, slot = _mentioned_table(_name_pairs(name), box)
+    verdict = kernels.subcube_member_summary(table, m, *_slot_masks(p, slot))
     if verdict == 2:
         raise PreconditionError(f"condition does not decide membership of {m}")
     restriction = p.restrict_to_nodes(A.nodes)
-    r_dmask, r_vmask = box.condition_masks(restriction)
-    r_verdict = kernels.subcube_member_summary(table, m, r_dmask, r_vmask)
-    return r_verdict == verdict
+    return kernels.subcube_member_summary(table, m, *_slot_masks(restriction, slot)) == verdict
 
 
 def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
@@ -335,33 +386,30 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     and support erases off-window differences, so the scheme evaluates
     exactly like the name on every assignment.  Support is checked by the
     same exhaustive sweep as :func:`support_report`, on the one member
-    table both steps share; a box over more than
+    table of the mentioned coordinates both steps share; the box may have
+    any size, and a name that mentions more than
     ``kernels.MAX_TABLE_COORDS`` coordinates raises :class:`DomainError`.
-    Families run over members below ``max(DEFAULT_M_RANGE, largest member + 1)``.
+    Families run over the members below ``DEFAULT_M_RANGE`` and every
+    member that occurs.
     """
     _check_box_window(A, box)
     pairs = _name_pairs(name)
-    table = _build_table(pairs, box)
-    report = _sweep_support(table, A, box)
+    table, positions, slot = _mentioned_table(pairs, box)
+    report = _sweep_support(table, positions, slot, A, box)
     if not report.supported:
         raise PreconditionError(
             f"name is not supported by the window; witness generator+assignment {report.witness}"
         )
-    members = sorted({m for m, _ in pairs})
-    m_range = max(DEFAULT_M_RANGE, members[-1] + 1 if members else 0)
-    support_mask = box.node_coord_mask(A.nodes)
-    mentioned = 0
-    for _, cond in pairs:
-        dmask, _ = box.condition_masks(cond)
-        mentioned |= dmask
-    trim_mask = mentioned & support_mask
-    forest = box.forest
-    families: dict[int, set[Packet]] = {m: set() for m in range(m_range)}
-    for m in members:
-        for proj in kernels.project_member(table, m, trim_mask):
-            probe = Assignment(box, proj)
-            cond = probe.restrict_to_coord_mask(trim_mask)
-            families[m].add(Packet.of(cond, forest))
+    trimmed = [(j, coord) for coord, j in slot.items() if coord.node in A.nodes]
+    trim_mask = sum(1 << j for j, _ in trimmed)
+    # every packet mentions all trimmed coordinates, so one closure certifies them all
+    closed = rho_closure(box.forest, {coord.node for _, coord in trimmed}).nodes
+    families: dict[int, set[Packet]] = {m: set() for m in range(DEFAULT_M_RANGE)}
+    for m in sorted({m for m, _ in pairs}):
+        families[m] = {
+            Packet(Condition(tuple((coord, (proj >> j) & 1) for j, coord in trimmed)), closed)
+            for proj in kernels.project_member(table, m, trim_mask)
+        }
     return PacketScheme.of(A, families)
 
 
@@ -387,22 +435,31 @@ class TwoLayerCode:
             object.__setattr__(self, "packet_indices", canonical)
 
 
+@lru_cache(maxsize=16)
+def _powers_of_3(n: int) -> tuple[int, ...]:
+    """``(3**0, 3**1, ..., 3**n)``."""
+    powers = [1]
+    for _ in range(n):
+        powers.append(3 * powers[-1])
+    return tuple(powers)
+
+
 def packet_rank(cond: Condition, box: CoordinateBox) -> int:
     """Position of a condition in the canonical packet enumeration of the box.
 
     Packets are ordered lexicographically by their serialized list of
     (coordinate index, value) pairs; a proper prefix precedes its
-    extensions.
+    extensions.  Over coordinates ``base..n-1`` there are ``3**(n - base)``
+    packets, so the packets skipped on the way to coordinate ``i`` number
+    ``3**(n - base) - 3**(n - i)``: one closed form per entry.
     """
     n = box.n_coords
-    seq = sorted((box.index(c), v) for c, v in cond.entries)
+    powers = _powers_of_3(n)
     rank = 0
     base = 0
-    for i, v in seq:
-        rank += 1  # the prefix itself precedes everything that extends it
-        for j in range(base, i):
-            rank += 2 * 3 ** (n - 1 - j)
-        rank += v * 3 ** (n - 1 - i)
+    for i, v in sorted((box.index(c), v) for c, v in cond.entries):
+        # the prefix itself, both values of each skipped coordinate, then v at i
+        rank += 1 + powers[n - base] - powers[n - i] + v * powers[n - 1 - i]
         base = i + 1
     return rank
 
@@ -410,26 +467,20 @@ def packet_rank(cond: Condition, box: CoordinateBox) -> int:
 def packet_unrank(k: int, box: CoordinateBox) -> Condition:
     """Inverse of :func:`packet_rank`."""
     n = box.n_coords
-    if not 0 <= k < 3**n:
-        raise DomainError(f"packet index {k} outside the enumeration of size {3 ** n}")
+    powers = _powers_of_3(n)
+    if not 0 <= k < powers[n]:
+        raise DomainError(f"packet index {k} outside the enumeration of 3**{n} packets")
     entries = []
     base = 0
     while k > 0:
-        k -= 1
-        placed = False
-        for i in range(base, n):
-            block = 3 ** (n - 1 - i)
-            for v in (0, 1):
-                if k < block:
-                    entries.append((box.coord_at(i), v))
-                    base = i + 1
-                    placed = True
-                    break
-                k -= block
-            if placed:
-                break
-        if not placed:
-            raise CertificateError("rank arithmetic exhausted the coordinate space")
+        k -= 1  # past the prefix itself
+        # the next coordinate i is the one whose skip count 3**(n-base) - 3**(n-i)
+        # is the largest not above k, i.e. powers[t-1] < 3**(n-base) - k <= powers[t], t = n - i
+        r = powers[n - base] - k
+        t = bisect_left(powers, r)
+        v, k = divmod(powers[t] - r, powers[t - 1])
+        entries.append((box.coord_at(n - t), v))
+        base = n - t + 1
     return Condition(tuple(entries))
 
 
@@ -447,10 +498,16 @@ def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
     if code.box_dims != box.dims():
         raise DomainError("code was built over a box of different dimensions")
     forest = box.forest
-    families = {
-        m: {Packet.of(packet_unrank(k, box), forest) for k in ks}
-        for m, ks in code.packet_indices
-    }
+    closures: dict[frozenset[int], frozenset[int]] = {}  # one rho_closure per node support
+    families: dict[int, set[Packet]] = {}
+    for m, ks in code.packet_indices:
+        packets = families[m] = set()
+        for k in ks:
+            cond = packet_unrank(k, box)
+            support = cond.node_support()
+            if support not in closures:
+                closures[support] = rho_closure(forest, support).nodes
+            packets.add(Packet(cond, closures[support]))
     return PacketScheme.of(code.support, families)
 
 

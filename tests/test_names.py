@@ -11,6 +11,7 @@ from cascadekit.cascade import Condition, Coordinate, Packet, ToggleSet, generat
 from cascadekit.errors import DomainError, PreconditionError
 from cascadekit.forest import Window, random_forest, rho_closure
 from cascadekit.names import (
+    DEFAULT_M_RANGE,
     Assignment,
     CoordinateBox,
     PacketScheme,
@@ -31,7 +32,13 @@ from cascadekit.names import (
     support_report,
     two_layer_code,
 )
-from cascadekit.verify import _BOX_SHAPES, _eval_tables_equal
+from cascadekit.verify import (
+    _BOX_SHAPES,
+    _eval_tables_equal,
+    _member_table,
+    _random_box,
+    _random_supported_name,
+)
 
 
 def small_box(rows=1, bits=2, size=3, pred=None):
@@ -218,16 +225,46 @@ class TestCheckSupport:
         assert evaluate(name, apply_to_assignment(tau, g)) != evaluate(name, g)
 
     def test_box_above_table_bound_rejected(self):
+        # the table bound caps the coordinates a name mentions, not the box
         f = random_forest(23, 2)
         box = CoordinateBox(Window.whole(f), 1, 1)  # 23 coordinates
         A = rho_closure(f, {0})
-        name = RawName.of([(0, Condition.from_map({(0, 0, 0): 1}))])
+        small = RawName.of([(0, Condition.from_map({(0, 0, 0): 1}))])
+        report = support_report(small, A, box)
+        assert report.supported and report.assignments_checked == 2**23
+        assert normalize(small, A, box).family(0)
+        coords = list(box.coords())
+        low = Condition(tuple((c, 0) for c in coords[:12]))
+        every = RawName.of([(0, low), (1, Condition(tuple((c, 1) for c in coords[12:])))])
         with pytest.raises(DomainError):
-            support_report(name, A, box)
+            support_report(every, A, box)
         with pytest.raises(DomainError):
-            check_support(name, A, box)
+            check_support(every, A, box)
         with pytest.raises(DomainError):
-            normalize(name, A, box)
+            normalize(every, A, box)
+        with pytest.raises(DomainError):
+            decision_invariant(every, A, low, 0, box)
+
+    def test_22_coordinate_box_sweeps_mentioned_coordinates(self, monkeypatch):
+        built = []
+        real = kernels.build_table
+
+        def counting(n_coords, entries):
+            built.append(n_coords)
+            return real(n_coords, entries)
+
+        monkeypatch.setattr(kernels, "build_table", counting)
+        f = random_forest(11, 1)
+        box = CoordinateBox(Window.whole(f), 1, 2)  # 22 coordinates
+        A = rho_closure(f, {0})
+        name = RawName.of([(m, Condition(((box.coord_at(2 * m + 1), 1),))) for m in range(4)])
+        report = support_report(name, A, box)
+        assert built == [4]
+        assert not report.supported and report.assignments_checked == 2**22
+        xi, row, bit, g_bits = report.witness
+        tau = generator(f, xi, row, ToggleSet.finite({bit}))
+        g = Assignment(box, g_bits)
+        assert evaluate(name, apply_to_assignment(tau, g)) != evaluate(name, g)
 
 
 class TestDecisionInvariant:
@@ -281,6 +318,16 @@ class TestDecisionInvariant:
         name = RawName.of([])
         assert decision_invariant(name, A, Condition.empty(), 5, box)
 
+    def test_condition_outside_box_rejected(self):
+        # the name never mentions these coordinates, yet they must lie in the box
+        box = small_box()
+        A = rho_closure(box.forest, {0})
+        name = RawName.of([(0, Condition.from_map({(0, 0, 0): 1}))])
+        for outside in ((9, 0, 0), (1, 1, 0), (1, 0, 2)):
+            p = Condition.from_map({(0, 0, 0): 1, outside: 0})
+            with pytest.raises(DomainError):
+                decision_invariant(name, A, p, 0, box)
+
 
 class TestNormalize:
     def test_name_over_support_trims_to_itself(self):
@@ -306,7 +353,7 @@ class TestNormalize:
             [(0, Condition.from_map({(1, 0, 0): 1})), (3, Condition.from_map({(0, 0, 1): 0}))]
         )
         normalize(name, A, box)
-        assert built == [box.n_coords]
+        assert built == [2]  # the two coordinates the name mentions, not the box's 6
 
     def test_scheme_normalizes_to_equal_semantics(self):
         box = small_box()
@@ -342,9 +389,19 @@ class TestNormalize:
         scheme = normalize(RawName.of([(0, cond)]), A, box)
         assert len(scheme.families) == 8
         wide = normalize(RawName.of([(11, cond)]), A, box)
-        assert len(wide.families) == 12
+        assert len(wide.families) == 9
         assert wide.family(10) == frozenset()
         assert wide.family(11) != frozenset()
+
+    def test_large_member_pads_no_gap(self):
+        box = small_box()
+        A = rho_closure(box.forest, {0})
+        cond = Condition.from_map({(0, 0, 0): 1})
+        scheme = normalize(RawName.of([(10**6, cond)]), A, box)
+        assert [m for m, _ in scheme.families] == [*range(DEFAULT_M_RANGE), 10**6]
+        code = two_layer_code(scheme, box)
+        assert len(code.packet_indices) == 9
+        assert decode_two_layer(code, box) == scheme
 
     def test_random_supported_names_normalize_soundly(self):
         rng = random.Random(17)
@@ -440,6 +497,44 @@ class TestManyMembers:
         assert not _eval_tables_equal(name, RawName.of(pairs[1:]), box)
 
 
+def digit_walk_rank(cond, box):
+    """Rank oracle: add every skipped coordinate's two blocks one power at a time."""
+    n = box.n_coords
+    rank = 0
+    base = 0
+    for i, v in sorted((box.index(c), v) for c, v in cond.entries):
+        rank += 1
+        for j in range(base, i):
+            rank += 2 * 3 ** (n - 1 - j)
+        rank += v * 3 ** (n - 1 - i)
+        base = i + 1
+    return rank
+
+
+def digit_walk_unrank(k, box):
+    """Unrank oracle: walk the coordinates and both values block by block."""
+    n = box.n_coords
+    entries = []
+    base = 0
+    while k > 0:
+        k -= 1
+        placed = False
+        for i in range(base, n):
+            block = 3 ** (n - 1 - i)
+            for v in (0, 1):
+                if k < block:
+                    entries.append((box.coord_at(i), v))
+                    base = i + 1
+                    placed = True
+                    break
+                k -= block
+            if placed:
+                break
+        if not placed:
+            raise AssertionError("index outside the enumeration")
+    return Condition(tuple(entries))
+
+
 def tiny_enumeration_box():
     f = forest_of(1, {})
     return CoordinateBox(Window.whole(f), 1, 3)  # 3 coordinates, 27 packets
@@ -483,6 +578,28 @@ class TestPacketEnumeration:
         for _ in range(100):
             i, j = sorted(rng.sample(range(len(previous)), 2))
             assert serialized(previous[i]) < serialized(previous[j])
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2)])
+    def test_closed_form_matches_digit_walk_everywhere(self, shape):
+        box = small_box(rows=shape[1], bits=shape[2], size=shape[0])
+        for k in range(3**box.n_coords):
+            cond = digit_walk_unrank(k, box)
+            assert packet_unrank(k, box) == cond
+            assert packet_rank(cond, box) == digit_walk_rank(cond, box) == k
+
+    @pytest.mark.parametrize("shape", [(4, 1, 4), (5, 2, 2), (7, 1, 3)])
+    def test_closed_form_matches_digit_walk_on_random_packets(self, shape):
+        box = small_box(rows=shape[1], bits=shape[2], size=shape[0])
+        coords = list(box.coords())
+        rng = random.Random(box.n_coords)
+        for _ in range(300):
+            picked = rng.sample(coords, rng.randrange(len(coords) + 1))
+            cond = Condition(tuple((c, rng.randrange(2)) for c in picked))
+            k = packet_rank(cond, box)
+            assert k == digit_walk_rank(cond, box)
+            assert packet_unrank(k, box) == cond
+            j = rng.randrange(3**box.n_coords)
+            assert packet_unrank(j, box) == digit_walk_unrank(j, box)
 
     def test_single_packet_code_indices(self):
         box = small_box()
@@ -589,3 +706,131 @@ class TestSchemeText:
             parse_scheme("m 0:\n", f)
         with pytest.raises(ParseError):
             parse_scheme("support: 0\nm 0: {0 0 0 1\n", f)
+
+
+def full_box_support(name, A, box):
+    """The support sweep over the member table of the whole box: (supported, witness)."""
+    table = _member_table(box, name)
+    for xi in box.window.ordered:
+        if xi in A.nodes:
+            continue
+        kids = [eta for eta in box.forest._children[xi] if eta in box.window.nodes]
+        for row in range(box.rows):
+            for bit in range(box.bits):
+                mask = 0
+                for eta in (xi, *kids):
+                    mask |= 1 << box.index(Coordinate(eta, row, bit))
+                g = kernels.flip_violation(table, mask)
+                if g >= 0:
+                    return False, (xi, row, bit, g)
+    return True, None
+
+
+def full_box_families(name, A, box):
+    """Normalized families projected from the member table of the whole box."""
+    table = _member_table(box, name)
+    pairs = sorted(name.pairs, key=lambda p: (p[0], p[1].entries))
+    mentioned = 0
+    for _, cond in pairs:
+        mentioned |= box.condition_masks(cond)[0]
+    trim_mask = mentioned & box.node_coord_mask(A.nodes)
+    families = {m: set() for m in range(DEFAULT_M_RANGE)}
+    for m in {m for m, _ in pairs}:
+        families[m] = {
+            Packet.of(Assignment(box, proj).restrict_to_coord_mask(trim_mask), box.forest)
+            for proj in kernels.project_member(table, m, trim_mask)
+        }
+    return PacketScheme.of(A, families)
+
+
+def full_box_decision(name, A, p, m, box):
+    """decision_invariant over the member table of the whole box; None when p does not decide."""
+    table = _member_table(box, name)
+    verdict = kernels.subcube_member_summary(table, m, *box.condition_masks(p))
+    if verdict == 2:
+        return None
+    restriction = p.restrict_to_nodes(A.nodes)
+    return kernels.subcube_member_summary(table, m, *box.condition_masks(restriction)) == verdict
+
+
+def random_raw_name(rng, box):
+    coords = list(box.coords())
+    pairs = []
+    for _ in range(rng.randrange(1, 5)):
+        picked = rng.sample(coords, rng.randint(1, min(4, len(coords))))
+        pairs.append((rng.randrange(4), Condition(tuple((c, rng.randrange(2)) for c in picked))))
+    return RawName.of(pairs)
+
+
+class TestMentionedCoordinates:
+    """Tables over the mentioned coordinates give the whole-box verdicts."""
+
+    @pytest.mark.parametrize("shape", _BOX_SHAPES)
+    def test_verdicts_match_whole_box_tables(self, shape):
+        rng = random.Random(sum(shape) * 101 + shape[0])
+        unsupported = 0
+        for _ in range(30):
+            box = _random_box(rng, shape)
+            name, A = _random_supported_name(rng, box)
+            if rng.random() < 0.5:
+                name = random_raw_name(rng, box)
+            report = support_report(name, A, box)
+            supported, witness = full_box_support(name, A, box)
+            assert (report.supported, report.witness) == (supported, witness)
+            assert report.assignments_checked == 2**box.n_coords
+            if not supported:
+                unsupported += 1
+                with pytest.raises(PreconditionError):
+                    normalize(name, A, box)
+                continue
+            assert normalize(name, A, box) == full_box_families(name, A, box)
+            coords = list(box.coords())
+            probes = [(cond, m) for m, cond in name.pairs]
+            for _ in range(8):
+                picked = rng.sample(coords, rng.randint(1, len(coords)))
+                probes.append((Condition(tuple((c, rng.randrange(2)) for c in picked)), rng.randrange(4)))
+            for p, m in probes:
+                expected = full_box_decision(name, A, p, m, box)
+                if expected is None:
+                    with pytest.raises(PreconditionError):
+                        decision_invariant(name, A, p, m, box)
+                else:
+                    assert decision_invariant(name, A, p, m, box) == expected
+        assert unsupported  # the witness comparison ran
+
+    def test_box_of_600_coordinates(self):
+        rng = random.Random(600)
+        f = random_forest(150, 600)
+        box = CoordinateBox(Window.whole(f), 2, 2)  # 600 coordinates
+        A = rho_closure(f, set(rng.sample(range(150), 6)))
+        # a family holds a packet per assignment of the mentioned coordinates over A
+        # a member leaves free, so draw them from a small pool to keep families small
+        over_A = rng.sample([c for c in box.coords() if c.node in A.nodes], 6)
+        off_A = [c for c in box.coords() if c.node not in A.nodes]
+        pairs = []
+        for m in range(5):
+            base = tuple((c, rng.randrange(2)) for c in rng.sample(over_A, 3))
+            free = rng.choice(off_A)
+            pairs += [(m, Condition(base + ((free, 0),))), (m, Condition(base + ((free, 1),)))]
+        name = RawName.of(pairs)
+        report = support_report(name, A, box)
+        assert report.supported and report.assignments_checked == 2**600
+        scheme = normalize(name, A, box)
+        code = two_layer_code(scheme, box)
+        decoded = decode_two_layer(code, box)
+        assert decoded == scheme
+        assert parse_code(format_code(code), f) == code
+        for _ in range(200):
+            g = Assignment(box, rng.getrandbits(600))
+            assert evaluate(name, g) == evaluate(scheme, g) == evaluate(decoded, g)
+        for m, cond in name.pairs:
+            assert decision_invariant(name, A, cond, m, box)
+        # one pair on an off-support leaf breaks support; the witness really changes evaluation
+        leaf = next(c for c in off_A if not f._children[c.node])
+        broken = RawName.of(pairs + [(0, Condition(((leaf, 1),)))])
+        report = support_report(broken, A, box)
+        assert not report.supported
+        xi, row, bit, g_bits = report.witness
+        tau = generator(f, xi, row, ToggleSet.finite({bit}))
+        g = Assignment(box, g_bits)
+        assert evaluate(broken, apply_to_assignment(tau, g)) != evaluate(broken, g)
