@@ -8,6 +8,7 @@ form a basis and every target pattern is solvable by back-substitution.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -238,25 +239,49 @@ def combine_stars(K: Window, nodes) -> F2Vector:
     return F2Vector(K, bits)
 
 
-def solve_all_targets(K: Window) -> list[frozenset]:
+@dataclass(frozen=True)
+class TargetSolutions(Sequence):
+    """Coefficient sets for every target over a window, each boxed when read.
+
+    ``coeffs[t]`` is the solution for ``F2Vector(K, t)`` as a mask over
+    matrix positions, and ``order`` names the node at each position.
+    An integer index returns a ``frozenset`` of nodes; negative indices and
+    ``IndexError`` work as on a list.
+    """
+
+    coeffs: tuple[int, ...]
+    order: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __getitem__(self, t: int) -> frozenset:
+        mask = self.coeffs[t]
+        order = self.order
+        nodes = []
+        while mask:
+            low = mask & -mask
+            nodes.append(order[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(nodes)
+
+
+def solve_all_targets(K: Window) -> TargetSolutions:
     """Coefficient sets for every target over the window, solved in one batch.
 
     Index ``t`` holds the solution for ``F2Vector(K, t)``.  Runs the
     back-substitution through the batch kernel; agreement with the
     per-target :func:`solve_star_span` is part of the verification suite.
+    Node sets are built only for the entries read.
     """
     from . import _kernels as kernels
 
     cols, order, window_to_matrix = _solve_data(K)
     batch = kernels.solve_unit_triangular_all(cols, len(order))
-    # window-order target -> matrix-order target, and coefficient mask -> node set,
-    # both filled by doubling: entry t | 2**j is entry t plus unit j
-    t_matrix = [0]
+    # reindex to window-order targets by doubling: entry t | 2**j is entry t
+    # XOR the solution of window unit j, which sits at matrix target 2**pos
+    coeffs = [0]
     for pos in window_to_matrix:
-        unit = 1 << pos
-        t_matrix += [t | unit for t in t_matrix]
-    node_sets = [frozenset()]
-    for xi in order:
-        unit = frozenset((xi,))
-        node_sets += [s | unit for s in node_sets]
-    return [node_sets[batch[t]] for t in t_matrix]
+        unit = batch[1 << pos]
+        coeffs += [c ^ unit for c in coeffs]
+    return TargetSolutions(tuple(coeffs), order)

@@ -111,11 +111,17 @@ class Window:
     forest: PredecessorForest
     nodes: frozenset[int]
     ordered: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         if not is_rho_closed(self.forest, self.nodes):
             raise DomainError("window is not closed under the predecessor map")
         object.__setattr__(self, "ordered", tuple(sorted(self.nodes)))
+        # windows key the solvers' caches; hashing the forest's parents tuple per lookup adds up
+        object.__setattr__(self, "_hash", hash((self.forest, self.nodes)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def whole(cls, forest: PredecessorForest) -> "Window":

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from cascadekit import f2linalg
 from cascadekit.errors import CertificateError, DomainError
 from cascadekit.f2linalg import (
     F2Vector,
+    TargetSolutions,
     combine_stars,
     forest_height,
     matrix_order,
@@ -215,9 +217,11 @@ class TestSolve:
             windows.append(rho_closure(f, set(rng.sample(range(1, 14), 4))))
         for K in windows:
             batch = solve_all_targets(K)
-            assert len(batch) == 1 << len(K)
-            for bits in range(1 << len(K)):
-                assert batch[bits] == solve_star_span(K, F2Vector(K, bits))
+            expected = [solve_star_span(K, F2Vector(K, bits)) for bits in range(1 << len(K))]
+            assert len(batch) == len(expected)
+            assert [batch[bits] for bits in range(len(batch))] == expected
+            assert list(batch) == expected
+            assert all(type(nodes) is frozenset for nodes in batch)
 
     def test_combine_stars_matches_star_vectors(self):
         rng = random.Random(4)
@@ -261,3 +265,45 @@ class TestSolve:
             for bits in range(1 << 6):
                 target = F2Vector(K, bits)
                 assert brute_force_solutions(K, target) == [solve_star_span(K, target)]
+
+
+class TestTargetSolutions:
+    """The batch holds every target's solution and boxes an entry only when it is read."""
+
+    def test_index_behaves_as_on_a_list(self):
+        f = forest_of(4, {1: 0, 2: 0, 3: 1})
+        K = Window(f, frozenset(range(4)))
+        batch = solve_all_targets(K)
+        expected = list(batch)
+        with pytest.raises(IndexError):
+            batch[len(batch)]
+        with pytest.raises(IndexError):
+            batch[-len(batch) - 1]
+        assert batch[-1] == expected[-1] == solve_star_span(K, F2Vector(K, 15))
+        assert batch[-len(batch)] == frozenset()
+        assert batch.index(frozenset({0})) == expected.index(frozenset({0}))
+        assert frozenset({0}) in batch
+
+    def test_read_only(self):
+        batch = solve_all_targets(Window(forest_of(2, {1: 0}), frozenset({0, 1})))
+        assert isinstance(batch, TargetSolutions)
+        with pytest.raises(TypeError):
+            batch[0] = frozenset({1})
+        with pytest.raises(AttributeError):
+            batch.coeffs = (0, 0, 0, 0)
+
+    def test_sixteen_node_window_stays_small(self):
+        # the masks take a few MB; a frozenset per target would peak near 41 MB
+        f = random_forest(16, 5)
+        K = Window.whole(f)
+        f2linalg._solve_data.cache_clear()
+        tracemalloc.start()
+        try:
+            batch = solve_all_targets(K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 1 << 16
+        assert peak < 16 * 2**20
+        for bits in random.Random(16).sample(range(1 << 16), 50):
+            assert batch[bits] == solve_star_span(K, F2Vector(K, bits))

@@ -9,7 +9,7 @@ from conftest import forest_of
 from cascadekit import _kernels as kernels
 from cascadekit.cascade import Condition, Coordinate, Packet, ToggleSet, generator
 from cascadekit.errors import DomainError, PreconditionError
-from cascadekit.forest import Window, random_forest, rho_closure
+from cascadekit.forest import PredecessorForest, Window, random_forest, rho_closure
 from cascadekit.names import (
     DEFAULT_M_RANGE,
     Assignment,
@@ -834,3 +834,62 @@ class TestMentionedCoordinates:
         tau = generator(f, xi, row, ToggleSet.finite({bit}))
         g = Assignment(box, g_bits)
         assert evaluate(broken, apply_to_assignment(tau, g)) != evaluate(broken, g)
+
+
+def padded_box(box, rng, min_coords):
+    """The box over its forest plus fresh leaf nodes, until it exceeds ``min_coords``.
+
+    The new nodes come last in box order and hang off original nodes, so
+    every original coordinate keeps its position and the new ones are
+    mentioned by no name over the original box.
+    """
+    per_node = box.rows * box.bits
+    size = box.forest.size
+    extra = min_coords // per_node + 1
+    parents = box.forest.parents + tuple(rng.randrange(size) for _ in range(extra))
+    big = PredecessorForest(size + extra, parents)
+    return CoordinateBox(Window.whole(big), box.rows, box.bits)
+
+
+def family_conditions(scheme):
+    return {m: {pkt.condition for pkt in packets} for m, packets in scheme.families}
+
+
+class TestBoxExtension:
+    """Fresh leaf nodes add only unmentioned coordinates, so no verdict moves.
+
+    The padded boxes exceed ``kernels.MAX_TABLE_COORDS``, where the full-box
+    oracle tables of ``verify normalize`` and ``verify code`` cannot go.
+    """
+
+    @pytest.mark.parametrize("shape", _BOX_SHAPES)
+    def test_padding_keeps_support_scheme_and_code(self, shape):
+        rng = random.Random(sum(shape) * 37 + shape[1])
+        unsupported = 0
+        for _ in range(20):
+            box = _random_box(rng, shape)
+            name, A = _random_supported_name(rng, box)
+            if rng.random() < 0.3:
+                name = random_raw_name(rng, box)
+            big = padded_box(box, rng, kernels.MAX_TABLE_COORDS + rng.randrange(40))
+            assert big.n_coords > kernels.MAX_TABLE_COORDS
+            big_A = Window(big.forest, A.nodes)
+            report = support_report(name, A, box)
+            big_report = support_report(name, big_A, big)
+            # original coordinates keep their positions, so even the witness is equal
+            assert (big_report.supported, big_report.witness) == (report.supported, report.witness)
+            assert big_report.assignments_checked == 2**big.n_coords
+            if not report.supported:
+                unsupported += 1
+                with pytest.raises(PreconditionError):
+                    normalize(name, big_A, big)
+                continue
+            expected = family_conditions(normalize(name, A, box))
+            scheme = normalize(name, big_A, big)
+            assert family_conditions(scheme) == expected
+            decoded = decode_two_layer(two_layer_code(scheme, big), big)
+            assert family_conditions(decoded) == expected
+            for _ in range(20):
+                g = Assignment(big, rng.getrandbits(big.n_coords))
+                assert evaluate(name, g) == evaluate(scheme, g) == evaluate(decoded, g)
+        assert unsupported  # the unsupported branch ran
