@@ -32,10 +32,6 @@ class F2Vector:
             raise DomainError("vector bits exceed the window length")
 
     @classmethod
-    def zero(cls, window: Window) -> "F2Vector":
-        return cls(window, 0)
-
-    @classmethod
     def from_nodes(cls, window: Window, nodes) -> "F2Vector":
         bits = 0
         for xi in nodes:
@@ -138,14 +134,6 @@ class F2Matrix:
             if col >> (j + 1):
                 return False
         return True
-
-    def to_text(self) -> str:
-        """Header line with the node ordering, then one 0/1 row per line."""
-        header = " ".join(str(xi) for xi in self.col_order)
-        rows = []
-        for i in range(len(self.row_order)):
-            rows.append("".join(str(self.entry(i, j)) for j in range(len(self.cols))))
-        return header + "\n" + "\n".join(rows) + "\n"
 
 
 def star_matrix(K: Window) -> F2Matrix:

@@ -10,10 +10,11 @@ still covers every assignment of the box: the box may have any size, and
 ``kernels.MAX_TABLE_COORDS`` bounds what one name mentions.
 
 A name supported by a closed window A normalizes to a packet scheme: per
-member m, the family of restrictions-to-A of the assignments carrying m,
-trimmed to the coordinates the name actually mentions over A.  Schemes
-admit a two-layer code via a canonical enumeration of all packets over the
-box.
+member m, the prime implicants (the Blake canonical form) of m's
+conditions restricted to the coordinates the name mentions over A.  The
+family depends only on which restrictions-to-A carry m, not on how the
+name presents them.  Schemes admit a two-layer code via a canonical
+enumeration of all packets over the box.
 """
 
 from __future__ import annotations
@@ -144,11 +145,6 @@ class Assignment:
         return Assignment(self.box, self.value_bits ^ mask)
 
 
-def all_assignments(box: CoordinateBox) -> Iterable[Assignment]:
-    for bits in range(1 << box.n_coords):
-        yield Assignment(box, bits)
-
-
 def automorphism_flip_mask(tau: CascadeAutomorphism, box: CoordinateBox) -> int:
     """The box coordinates a cascade automorphism toggles, as a bitmask."""
     mask = 0
@@ -159,10 +155,6 @@ def automorphism_flip_mask(tau: CascadeAutomorphism, box: CoordinateBox) -> int:
         base = box.index(Coordinate(node, row, 0))
         mask |= row_mask << base
     return mask
-
-
-def apply_to_assignment(tau: CascadeAutomorphism, g: Assignment) -> Assignment:
-    return g.flip(automorphism_flip_mask(tau, g.box))
 
 
 @dataclass(frozen=True)
@@ -377,17 +369,60 @@ def decision_invariant(
     return kernels.subcube_member_summary(table, m, *_slot_masks(restriction, slot)) == verdict
 
 
+def _prime_cubes(cubes) -> set[tuple[int, int]]:
+    """Every prime implicant of a union of ``(dmask, vmask)`` cubes: its Blake canonical form.
+
+    Iterated consensus with absorption.  A cube that no kept cube absorbs
+    evicts the kept cubes it absorbs and queues its consensus with each
+    one left; once the queue is empty, every consensus of two kept cubes
+    is absorbed by a kept cube, so by Blake's theorem the kept cubes are
+    exactly the prime implicants.
+    """
+    primes: set[tuple[int, int]] = set()
+    queue = list(set(cubes))
+    while queue:
+        d, v = queue.pop()
+        if any(pd & ~d == 0 and v & pd == pv for pd, pv in primes):
+            continue
+        primes = {(pd, pv) for pd, pv in primes if d & ~pd or pv & d != v}
+        for pd, pv in primes:
+            opposed = d & pd & (v ^ pv)
+            if opposed and not opposed & (opposed - 1):
+                queue.append(((d | pd) & ~opposed, (v | pv) & ~opposed))
+        primes.add((d, v))
+    return primes
+
+
+def _packet_certifier(forest: PredecessorForest):
+    """Packet constructor certifying each condition by the closure of its own node support.
+
+    One ``rho_closure`` per distinct node support.
+    """
+    closures: dict[frozenset[int], frozenset[int]] = {}
+
+    def packet(cond: Condition) -> Packet:
+        support = cond.node_support()
+        if support not in closures:
+            closures[support] = rho_closure(forest, support).nodes
+        return Packet(cond, closures[support])
+
+    return packet
+
+
 def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     """Rewrite a supported name as a packet scheme over its support window.
 
-    Per member m the family collects, over all assignments carrying m, the
-    restriction to the support rows trimmed to the coordinates the name
-    mentions there.  Evaluation then inspects only mentioned coordinates,
-    and support erases off-window differences, so the scheme evaluates
-    exactly like the name on every assignment.  Support is checked by the
-    same exhaustive sweep as :func:`support_report`, on the one member
-    table of the mentioned coordinates both steps share; the box may have
-    any size, and a name that mentions more than
+    Per member m the family is the set of prime implicants of m's
+    conditions, each restricted to the coordinates the name mentions over
+    the support.  The assignments carrying m are the union of those
+    conditions' cubes, and projecting a union of cubes onto the trimmed
+    coordinates restricts each cube, so the family covers exactly the
+    projections of the assignments carrying m.  Support makes membership
+    depend on those projections alone, so the scheme evaluates exactly like
+    the name on every assignment; the prime implicants depend only on that
+    function, so two presentations of one name give one scheme.  Support is
+    checked by the same exhaustive sweep as :func:`support_report`; the box
+    may have any size, and a name that mentions more than
     ``kernels.MAX_TABLE_COORDS`` coordinates raises :class:`DomainError`.
     Families run over the members below ``DEFAULT_M_RANGE`` and every
     member that occurs.
@@ -400,15 +435,16 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
         raise PreconditionError(
             f"name is not supported by the window; witness generator+assignment {report.witness}"
         )
-    trimmed = [(j, coord) for coord, j in slot.items() if coord.node in A.nodes]
-    trim_mask = sum(1 << j for j, _ in trimmed)
-    # every packet mentions all trimmed coordinates, so one closure certifies them all
-    closed = rho_closure(box.forest, {coord.node for _, coord in trimmed}).nodes
+    trimmed = {coord: j for coord, j in slot.items() if coord.node in A.nodes}
+    cubes: dict[int, list[tuple[int, int]]] = {}
+    for m, cond in pairs:
+        cubes.setdefault(m, []).append(_slot_masks(cond, trimmed))
+    packet = _packet_certifier(box.forest)
     families: dict[int, set[Packet]] = {m: set() for m in range(DEFAULT_M_RANGE)}
-    for m in sorted({m for m, _ in pairs}):
+    for m, member_cubes in cubes.items():
         families[m] = {
-            Packet(Condition(tuple((coord, (proj >> j) & 1) for j, coord in trimmed)), closed)
-            for proj in kernels.project_member(table, m, trim_mask)
+            packet(Condition(tuple((c, (v >> j) & 1) for c, j in trimmed.items() if (d >> j) & 1)))
+            for d, v in _prime_cubes(member_cubes)
         }
     return PacketScheme.of(A, families)
 
@@ -426,6 +462,11 @@ class TwoLayerCode:
         size, rows, bits = self.box_dims
         n = size * rows * bits
         canonical = tuple(sorted((m, tuple(sorted(ks))) for m, ks in self.packet_indices))
+        members = [m for m, _ in canonical]
+        if members and members[0] < 0:
+            raise DomainError("member indices must be naturals")
+        if len(set(members)) != len(members):
+            raise DomainError("duplicate index list for one member")
         for _, ks in canonical:
             for k in ks:
                 # k < 2**n <= 3**n needs no power, which is huge for a large box
@@ -497,17 +538,8 @@ def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
         raise DomainError(f"unknown enumeration version {code.version!r}")
     if code.box_dims != box.dims():
         raise DomainError("code was built over a box of different dimensions")
-    forest = box.forest
-    closures: dict[frozenset[int], frozenset[int]] = {}  # one rho_closure per node support
-    families: dict[int, set[Packet]] = {}
-    for m, ks in code.packet_indices:
-        packets = families[m] = set()
-        for k in ks:
-            cond = packet_unrank(k, box)
-            support = cond.node_support()
-            if support not in closures:
-                closures[support] = rho_closure(forest, support).nodes
-            packets.add(Packet(cond, closures[support]))
+    packet = _packet_certifier(box.forest)
+    families = {m: {packet(packet_unrank(k, box)) for k in ks} for m, ks in code.packet_indices}
     return PacketScheme.of(code.support, families)
 
 
@@ -540,6 +572,8 @@ def parse_scheme(text: str, forest: PredecessorForest) -> PacketScheme:
             m = int(head[2:])
         except ValueError:
             raise ParseError(f"bad member index in {head!r}", lineno) from None
+        if m in families:
+            raise ParseError(f"repeated line for member {m}", lineno)
         packets: set[Packet] = set()
         rest = rest.strip()
         while rest:

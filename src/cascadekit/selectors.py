@@ -30,7 +30,7 @@ from .names import Assignment, CoordinateBox, automorphism_flip_mask
 class EqualityPattern:
     """Agreement bits of two rows over a truncated bit window.
 
-    Bit n is 1 when the rows agree at n; rendered low bit first.
+    Bit n is 1 when the rows agree at n.
     """
 
     window_bits: int
@@ -39,9 +39,6 @@ class EqualityPattern:
     def __post_init__(self):
         if self.bits < 0 or self.bits >> self.window_bits:
             raise DomainError("pattern bits exceed the window")
-
-    def as_string(self) -> str:
-        return "".join(str((self.bits >> n) & 1) for n in range(self.window_bits))
 
 
 def equality_pattern(
@@ -221,12 +218,6 @@ class IndexedFamily:
 
     def indices(self) -> tuple:
         return tuple(t for t, _ in self.sets)
-
-    def set_at(self, t) -> frozenset:
-        for key, elems in self.sets:
-            if key == t:
-                return elems
-        raise DomainError(f"unknown index {t!r}")
 
 
 def lift_choice(family: IndexedFamily, k: int, f: Mapping) -> dict:

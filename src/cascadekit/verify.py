@@ -231,7 +231,7 @@ def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
                             f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
                         )
     report.trials = trials + swept
-    report.notes = f"{swept} exhaustive instances on the 8-coordinate box"
+    report.notes = f"{swept} exhaustive instances on the 8-coordinate box, plus {trials} sampled trials"
     return _finish(report, started)
 
 
@@ -438,6 +438,52 @@ def verify_decision(
     return _finish(report, started)
 
 
+def _cube_minterms(dmask: int, vmask: int, within: int) -> list[int]:
+    """Every assignment of the bits ``within`` that a cube inside them covers."""
+    free = within & ~dmask
+    out = [vmask]
+    sub = free
+    while sub:
+        out.append(vmask | sub)
+        sub = (sub - 1) & free
+    return out
+
+
+def _family_fault(name, scheme, A: Window, box: CoordinateBox) -> str | None:
+    """The first way a normalized family is not the Blake canonical form, or None.
+
+    Per member, the packets' minterms over the coordinates the name
+    mentions over ``A`` must be exactly ``kernels.project_member`` of the
+    whole-box member table; dropping any literal of a packet must leave
+    that cover; and every consensus of two packets must be absorbed by a
+    packet, which by Blake's theorem makes the family every prime implicant.
+    """
+    table = _member_table(box, name)
+    mentioned = 0
+    for _, cond in _name_pairs(name):
+        mentioned |= box.condition_masks(cond)[0]
+    trim = mentioned & box.node_coord_mask(A.nodes)
+    for m, packets in scheme.families:
+        cubes = [box.condition_masks(pkt.condition) for pkt in packets]
+        if any(d & ~trim for d, _ in cubes):
+            return f"member {m}: a packet mentions a coordinate the name does not mention over A"
+        cover = {g for d, v in cubes for g in _cube_minterms(d, v, trim)}
+        if cover != set(kernels.project_member(table, m, trim)):
+            return f"member {m}: packets do not cover exactly the projected assignments"
+        for d, v in cubes:
+            for b in (1 << i for i in range(d.bit_length()) if (d >> i) & 1):
+                if all(g ^ b in cover for g in _cube_minterms(d, v, trim)):
+                    return f"member {m}: a packet is not prime"
+        for (d1, v1), (d2, v2) in itertools.combinations(cubes, 2):
+            opposed = d1 & d2 & (v1 ^ v2)
+            if bin(opposed).count("1") != 1:
+                continue
+            d, v = (d1 | d2) & ~opposed, (v1 | v2) & ~opposed
+            if not any(pd & ~d == 0 and v & pd == pv for pd, pv in cubes):
+                return f"member {m}: a consensus of two packets is not absorbed"
+    return None
+
+
 def verify_normalize(
     trials: int = 100,
     seed: int = 0,
@@ -455,7 +501,13 @@ def verify_normalize(
             report.record(f"trial {trial}: normalized scheme changed some evaluation")
         if not check_support(scheme, A, box):
             report.record(f"trial {trial}: normalized scheme fails support on its own window")
-    report.notes = "evaluation equality checked on every assignment of each box"
+        fault = _family_fault(name, scheme, A, box)
+        if fault:
+            report.record(f"trial {trial}: {fault}")
+    report.notes = (
+        "evaluation equality checked on every assignment of each box; each family's minterms "
+        "equal the whole-box projection, its packets are prime and it is closed under consensus"
+    )
     return _finish(report, started)
 
 
@@ -632,6 +684,7 @@ def verify_selector(trials: int = 200, seed: int = 0) -> VerificationReport:
         if shuffled[canonical_selector(shuffled)] != chosen:
             report.record("random window selection not permutation invariant")
     report.trials = count
+    report.notes = f"{count - trials} enumerated triples in every order, plus {trials} sampled triples"
     return _finish(report, started)
 
 
@@ -709,6 +762,7 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
             report.record(f"certificate failed for exhaustive condition {q.entries}")
         if not _pattern_flip_sweep(w, box):
             report.record(f"assignment sweep refutes the pattern flip for {q.entries}")
+    enumerated = count
     # sampled conditions on 12-coordinate boxes, sweeps stay exhaustive
     for trial in range(trials):
         n_nodes, rows, bits = rng.choice(((3, 2, 2), (4, 1, 3), (3, 1, 4)))
@@ -740,7 +794,10 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
             if not both_rows_toggled_invariance(tau, 1, 2, 0, b):
                 report.record(f"both-toggled generator moved the pattern (B={bits_count})")
     report.trials = count
-    report.notes = "pattern flip re-swept on every assignment of each witness's box"
+    report.notes = (
+        f"{enumerated} enumerated conditions and {count - enumerated - trials} both-toggled generators, "
+        f"plus {trials} sampled conditions; pattern flip re-swept on every assignment of each witness's box"
+    )
     return _finish(report, started)
 
 

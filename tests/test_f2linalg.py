@@ -158,13 +158,12 @@ class TestStarMatrix:
                 above = col & ~(1 << j)
                 assert above >> j == 0
 
-    def test_export_text(self):
+    def test_child_before_parent_order(self):
         f = forest_of(3, {1: 0, 2: 0})
-        text = star_matrix(Window(f, frozenset({0, 1, 2}))).to_text()
-        lines = text.splitlines()
-        assert lines[0] == "1 2 0"
-        assert len(lines) == 4
-        assert all(set(row) <= {"0", "1"} for row in lines[1:])
+        m = star_matrix(Window(f, frozenset({0, 1, 2})))
+        assert m.col_order == m.row_order == (1, 2, 0)
+        assert m.shape() == (3, 3)
+        assert [[m.entry(i, j) for j in range(3)] for i in range(3)] == [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
 
 
 class TestSolve:
@@ -179,7 +178,7 @@ class TestSolve:
     def test_zero_target(self):
         f = forest_of(2, {1: 0})
         K = Window(f, frozenset({0, 1}))
-        assert solve_star_span(K, F2Vector.zero(K)) == set()
+        assert solve_star_span(K, F2Vector(K, 0)) == set()
 
     def test_fork_all_ones(self):
         f = forest_of(3, {1: 0, 2: 0})
@@ -194,7 +193,7 @@ class TestSolve:
         K1 = Window(f, frozenset({0, 1, 2}))
         K2 = Window(f, frozenset({0, 1}))
         with pytest.raises(DomainError):
-            solve_star_span(K1, F2Vector.zero(K2))
+            solve_star_span(K1, F2Vector(K2, 0))
 
     def test_round_trip_all_targets(self):
         for seed in (0, 1, 2):
@@ -230,7 +229,7 @@ class TestSolve:
             K = rho_closure(f, set(rng.sample(range(f.size), rng.randint(1, f.size))))
             for _ in range(10):
                 nodes = rng.sample(K.ordered, rng.randrange(len(K) + 1))
-                expected = F2Vector.zero(K)
+                expected = F2Vector(K, 0)
                 for xi in nodes:
                     expected = expected ^ star_vector(K, xi)
                 assert combine_stars(K, nodes) == expected
@@ -238,7 +237,7 @@ class TestSolve:
     def test_combine_stars_rejects_off_window_node(self):
         f = forest_of(4, {1: 0, 2: 0, 3: 1})
         K = Window(f, frozenset({0, 1}))
-        assert combine_stars(K, []) == F2Vector.zero(K)
+        assert combine_stars(K, []) == F2Vector(K, 0)
         for outside in (2, 3, 7, -1):
             with pytest.raises(DomainError):
                 combine_stars(K, [0, outside])

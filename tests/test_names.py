@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import forest_of
+from conftest import all_assignments, apply_to_assignment, forest_of
 from cascadekit import _kernels as kernels
 from cascadekit.cascade import Condition, Coordinate, Packet, ToggleSet, generator
 from cascadekit.errors import DomainError, PreconditionError
@@ -16,8 +18,8 @@ from cascadekit.names import (
     CoordinateBox,
     PacketScheme,
     RawName,
-    all_assignments,
-    apply_to_assignment,
+    TwoLayerCode,
+    _prime_cubes,
     check_support,
     decision_invariant,
     decode_two_layer,
@@ -34,6 +36,7 @@ from cascadekit.names import (
 )
 from cascadekit.verify import (
     _BOX_SHAPES,
+    _cube_minterms,
     _eval_tables_equal,
     _member_table,
     _random_box,
@@ -726,21 +729,41 @@ def full_box_support(name, A, box):
     return True, None
 
 
-def full_box_families(name, A, box):
-    """Normalized families projected from the member table of the whole box."""
+def full_box_minterms(name, A, box):
+    """``(trim_mask, minterms)``: per member, the projections of the whole-box assignments carrying it.
+
+    The projection keeps the coordinates the name mentions over ``A``, at
+    their box positions.
+    """
     table = _member_table(box, name)
-    pairs = sorted(name.pairs, key=lambda p: (p[0], p[1].entries))
     mentioned = 0
-    for _, cond in pairs:
+    for _, cond in name.pairs:
         mentioned |= box.condition_masks(cond)[0]
     trim_mask = mentioned & box.node_coord_mask(A.nodes)
-    families = {m: set() for m in range(DEFAULT_M_RANGE)}
-    for m in {m for m, _ in pairs}:
-        families[m] = {
-            Packet.of(Assignment(box, proj).restrict_to_coord_mask(trim_mask), box.forest)
-            for proj in kernels.project_member(table, m, trim_mask)
-        }
-    return PacketScheme.of(A, families)
+    return trim_mask, {m: set(kernels.project_member(table, m, trim_mask)) for m in name.members()}
+
+
+def brute_force_primes(minterms, within):
+    """Every prime implicant ``(dmask, vmask)`` of a set of minterms, among all 3^t cubes over ``within``."""
+    bits = [1 << i for i in range(within.bit_length()) if (within >> i) & 1]
+    implied = {}
+
+    def implicant(d, v):
+        if (d, v) not in implied:
+            free = within & ~d
+            low = free & -free
+            implied[d, v] = (
+                v in minterms if not free else implicant(d | low, v) and implicant(d | low, v | low)
+            )
+        return implied[d, v]
+
+    primes = set()
+    for digits in itertools.product((0, 1, 2), repeat=len(bits)):
+        d = sum(b for b, x in zip(bits, digits) if x < 2)
+        v = sum(b for b, x in zip(bits, digits) if x == 1)
+        if implicant(d, v) and not any(implicant(d & ~b, v & ~b) for b in bits if d & b):
+            primes.add((d, v))
+    return primes
 
 
 def full_box_decision(name, A, p, m, box):
@@ -768,7 +791,7 @@ class TestMentionedCoordinates:
     @pytest.mark.parametrize("shape", _BOX_SHAPES)
     def test_verdicts_match_whole_box_tables(self, shape):
         rng = random.Random(sum(shape) * 101 + shape[0])
-        unsupported = 0
+        unsupported = brute_forced = 0
         for _ in range(30):
             box = _random_box(rng, shape)
             name, A = _random_supported_name(rng, box)
@@ -783,7 +806,17 @@ class TestMentionedCoordinates:
                 with pytest.raises(PreconditionError):
                     normalize(name, A, box)
                 continue
-            assert normalize(name, A, box) == full_box_families(name, A, box)
+            scheme = normalize(name, A, box)
+            trim_mask, minterms = full_box_minterms(name, A, box)
+            cubes = {m: [box.condition_masks(pkt.condition) for pkt in pkts] for m, pkts in scheme.families}
+            for m, expected in minterms.items():
+                # the packets cover exactly the whole-box projections
+                assert {g for d, v in cubes[m] for g in _cube_minterms(d, v, trim_mask)} == expected
+                if bin(trim_mask).count("1") <= 8:
+                    assert set(cubes[m]) == brute_force_primes(expected, trim_mask)
+                    brute_forced += 1
+            assert all(not cubes[m] for m in cubes if m not in minterms)
+            assert all(pkt == Packet.of(pkt.condition, box.forest) for _, pkts in scheme.families for pkt in pkts)
             coords = list(box.coords())
             probes = [(cond, m) for m, cond in name.pairs]
             for _ in range(8):
@@ -797,14 +830,13 @@ class TestMentionedCoordinates:
                 else:
                     assert decision_invariant(name, A, p, m, box) == expected
         assert unsupported  # the witness comparison ran
+        assert brute_forced  # the prime comparison ran
 
     def test_box_of_600_coordinates(self):
         rng = random.Random(600)
         f = random_forest(150, 600)
         box = CoordinateBox(Window.whole(f), 2, 2)  # 600 coordinates
         A = rho_closure(f, set(rng.sample(range(150), 6)))
-        # a family holds a packet per assignment of the mentioned coordinates over A
-        # a member leaves free, so draw them from a small pool to keep families small
         over_A = rng.sample([c for c in box.coords() if c.node in A.nodes], 6)
         off_A = [c for c in box.coords() if c.node not in A.nodes]
         pairs = []
@@ -893,3 +925,73 @@ class TestBoxExtension:
                 g = Assignment(big, rng.getrandbits(big.n_coords))
                 assert evaluate(name, g) == evaluate(scheme, g) == evaluate(decoded, g)
         assert unsupported  # the unsupported branch ran
+
+
+small_cubes = st.lists(
+    st.tuples(st.integers(0, 31), st.integers(0, 31)).map(lambda dv: (dv[0], dv[0] & dv[1])),
+    max_size=8,
+)
+
+
+class TestPrimePackets:
+    """Families are the prime implicants of the restricted conditions: the Blake canonical form."""
+
+    @given(small_cubes)
+    def test_prime_cubes_match_brute_force(self, cubes):
+        minterms = {g for d, v in cubes for g in _cube_minterms(d, v, 31)}
+        assert _prime_cubes(cubes) == brute_force_primes(minterms, 31)
+
+    def test_wide_support_normalizes_to_few_packets(self):
+        # each member fixes 3 of 15 coordinates over A; one packet per
+        # assignment of the other 12 would make 5 * 2**12 packets
+        rng = random.Random(600)
+        f = random_forest(150, 600)
+        box = CoordinateBox(Window.whole(f), 2, 2)  # 600 coordinates
+        A = rho_closure(f, set(rng.sample(range(150), 6)))
+        over_A = rng.sample([c for c in box.coords() if c.node in A.nodes], 15)
+        off_A = [c for c in box.coords() if c.node not in A.nodes]
+        pairs = []
+        for m in range(5):
+            base = tuple((c, rng.randrange(2)) for c in over_A[3 * m : 3 * m + 3])
+            free = rng.choice(off_A)
+            pairs += [(m, Condition(base + ((free, 0),))), (m, Condition(base + ((free, 1),)))]
+        name = RawName.of(pairs)
+        scheme = normalize(name, A, box)
+        assert sum(len(pkts) for _, pkts in scheme.families) <= 5
+        decoded = decode_two_layer(two_layer_code(scheme, box), box)
+        assert decoded == scheme
+        for _ in range(50):
+            g = Assignment(box, rng.getrandbits(600))
+            assert evaluate(name, g) == evaluate(scheme, g)
+
+    def test_two_presentations_give_one_scheme(self):
+        box = small_box()
+        f = box.forest
+        A = rho_closure(f, {0, 1, 2})
+        x, y = {(0, 0, 0): 0}, {(1, 0, 0): 1}
+        first = RawName.of([(0, Condition.from_map(x)), (0, Condition.from_map({(0, 0, 0): 1, **y}))])
+        second = RawName.of([(0, Condition.from_map(x)), (0, Condition.from_map(y))])
+        scheme = normalize(first, A, box)
+        assert scheme == normalize(second, A, box)
+        assert scheme.family(0) == {Packet.of(Condition.from_map(x), f), Packet.of(Condition.from_map(y), f)}
+
+    def test_parity_has_a_prime_per_minterm(self):
+        # no two odd-parity minterms are adjacent, so no consensus merges any
+        box = small_box()
+        A = rho_closure(box.forest, {0, 1, 2})
+        coords = list(box.coords())
+        odd = [
+            Condition(tuple(zip(coords, values)))
+            for values in itertools.product((0, 1), repeat=6)
+            if sum(values) % 2
+        ]
+        scheme = normalize(RawName.of((0, cond) for cond in odd), A, box)
+        assert len(scheme.family(0)) == 32
+        assert {pkt.condition for pkt in scheme.family(0)} == set(odd)
+
+    def test_code_rejects_duplicate_and_negative_members(self):
+        A = rho_closure(small_box().forest, {0})
+        with pytest.raises(DomainError):
+            TwoLayerCode(A, (3, 1, 2), ((0, (1,)), (0, (2,))))
+        with pytest.raises(DomainError):
+            TwoLayerCode(A, (3, 1, 2), ((-1, (1,)),))

@@ -70,12 +70,11 @@ def codes(draw):
     dims = tuple(draw(st.integers(1, 3)) for _ in range(3))
     total = 3 ** (dims[0] * dims[1] * dims[2])
     indices = draw(
-        st.lists(
-            st.tuples(st.integers(0, 9), st.lists(st.integers(0, total - 1), max_size=4).map(tuple)),
-            max_size=3,
+        st.dictionaries(
+            st.integers(0, 9), st.lists(st.integers(0, total - 1), max_size=4).map(tuple), max_size=3
         )
     )
-    return TwoLayerCode(draw(windows()), dims, tuple(indices))
+    return TwoLayerCode(draw(windows()), dims, tuple(indices.items()))
 
 
 @st.composite
@@ -152,11 +151,15 @@ def test_format_then_parse_round_trips(kind, data):
         ("code", "box 0 1 1\nenumeration lex-v1\nsupport: 0\n"),
         ("code", "box 1 1 1\nenumeration \nsupport: 0\n"),
         ("code", "box 1 1 1\nenumeration lex-v1\nsupport: 3\n"),
+        ("code", "box 3 1 2\nenumeration lex-v1\nsupport: 0\nm 0: 1\nm 0: 2\n"),
+        ("code", "box 3 1 2\nenumeration lex-v1\nsupport: 0\nm -1: 1\n"),
         ("scheme", "support: 0\nm 0: {0 0 x 1}\n"),
         ("scheme", "support: 0\nm 0: {9 0 0 1}\n"),
         ("scheme", "support: 0\nm 0: {0 0 0 2}\n"),
         ("scheme", "support: 0\nm 0: {1 0 0 1}\n"),
         ("scheme", "support: 0\nm -1:\n"),
+        ("scheme", "support: 0\nm 0: {0 0 0 1}\nm 0: {0 0 1 0}\n"),
+        ("scheme", "support: 0\nm 0:\nm 0:\n"),
         ("toggle_set", "fin{-1}"),
         ("partition", "-1\n"),
         ("partition", "99999999999\n"),

@@ -9,8 +9,10 @@ from cascadekit.verify import (
     REGISTRY,
     lemma_parameters,
     verify_dyadic,
+    verify_selector,
     verify_shield,
     verify_starspan,
+    verify_swap,
 )
 
 SHIELD_SWEEP = 131_868  # every condition on the 2x2x2 box, row pair and legal toggle
@@ -22,6 +24,16 @@ def test_shield_exhaustive_count_is_seed_independent(seed):
     assert report.ok()
     assert report.trials == 2 + SHIELD_SWEEP
     assert report.notes.startswith(f"{SHIELD_SWEEP} exhaustive instances")
+    assert "plus 2 sampled trials" in report.notes
+
+
+def test_notes_split_enumerated_from_sampled_counts():
+    selector = verify_selector(trials=5, seed=0)
+    assert selector.trials == 56 + 5
+    assert selector.notes == "56 enumerated triples in every order, plus 5 sampled triples"
+    swap = verify_swap(trials=3, seed=0)
+    assert swap.trials == 729 + 6 + 3
+    assert swap.notes.startswith("729 enumerated conditions and 6 both-toggled generators, plus 3 sampled conditions")
 
 
 @pytest.mark.parametrize("lemma", list(REGISTRY))
