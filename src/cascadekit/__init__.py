@@ -27,7 +27,6 @@ from .f2linalg import (
     F2Matrix,
     F2Vector,
     combine_stars,
-    forest_height,
     matrix_order,
     solve_all_targets,
     solve_star_span,

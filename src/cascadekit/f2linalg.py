@@ -2,8 +2,10 @@
 
 The star of a node inside a window is the node together with its immediate
 successors that fall in the window.  Listing the window child-before-parent
-makes the star-incidence matrix unit upper triangular, so the star vectors
-form a basis and every target pattern is solvable by back-substitution.
+(descending node id, since the forest is regressive) makes the star-incidence
+matrix unit upper triangular, so the star vectors form a basis.  In the
+window's own ascending order the same matrix is unit lower triangular, and
+every target pattern is solvable by forward substitution.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CertificateError, DomainError
-from .forest import NodeId, Window, is_rho_closed
+from .forest import NodeId, Window
 
 
 @dataclass(frozen=True)
@@ -57,38 +59,12 @@ def _position(window: Window, xi: NodeId) -> int:
         raise DomainError(f"node {xi} not in window") from None
 
 
-def forest_height(K: Window, xi: NodeId) -> int:
-    """Length of the longest descending child-chain from ``xi`` inside ``K``.
-
-    Leaves in ``K`` have height 0.  This is the height function fixed by the
-    package: sorting a window by ascending height puts every child before
-    its parent.
-    """
-    if xi not in K:
-        raise DomainError(f"node {xi} not in window")
-    heights = _heights(K)
-    return heights[xi]
-
-
-def _heights(K: Window) -> dict[int, int]:
-    forest = K.forest
-    heights: dict[int, int] = {}
-    # children come later in ascending node order, so fill from the top down
-    for xi in reversed(K.ordered):
-        kids = [eta for eta in forest._children[xi] if eta in K.nodes]
-        heights[xi] = 1 + max(heights[eta] for eta in kids) if kids else 0
-    return heights
-
-
 def matrix_order(K: Window) -> tuple[int, ...]:
-    """The fixed child-before-parent ordering of a window.
+    """The fixed child-before-parent ordering of a window: descending node id.
 
-    Nodes are sorted by ascending height (leaves first), ties broken by
-    ascending node id.  Every child has strictly smaller height than its
-    parent, so children always precede parents.
+    The forest is regressive, so every child has a larger id than its parent.
     """
-    heights = _heights(K)
-    return tuple(sorted(K.nodes, key=lambda xi: (heights[xi], xi)))
+    return tuple(reversed(K.ordered))
 
 
 def star_vector(K: Window, xi: NodeId) -> F2Vector:
@@ -145,8 +121,6 @@ def star_matrix(K: Window) -> F2Matrix:
     """
     if not K.nodes:
         raise DomainError("window must be nonempty")
-    if not is_rho_closed(K.forest, K.nodes):
-        raise DomainError("window is not closed under the predecessor map")
     order = matrix_order(K)
     pos = {xi: i for i, xi in enumerate(order)}
     cols = []
@@ -160,49 +134,8 @@ def star_matrix(K: Window) -> F2Matrix:
 
 
 @lru_cache(maxsize=256)
-def _solve_data(K: Window):
-    """Star columns plus position maps, cached: solvers sweep many targets per window."""
-    matrix = star_matrix(K)
-    order = matrix.row_order
-    pos = {xi: i for i, xi in enumerate(order)}
-    window_to_matrix = tuple(pos[xi] for xi in K.ordered)
-    return matrix.cols, order, window_to_matrix
-
-
-def solve_star_span(K: Window, target: F2Vector) -> set[NodeId]:
-    """The unique node set whose star vectors XOR to ``target``.
-
-    Back-substitution through the triangular star matrix, scanning parents
-    before children; the unit diagonal means the residual always clears.
-    """
-    if target.window != K:
-        raise DomainError("target indexed by a different window")
-    cols, order, window_to_matrix = _solve_data(K)
-    residual = 0
-    bits = target.bits
-    while bits:
-        low = bits & -bits
-        residual |= 1 << window_to_matrix[low.bit_length() - 1]
-        bits ^= low
-    chosen: set[int] = set()
-    # visit only the residual's set bits, top down; a column that fails to
-    # clear its own pivot leaves the top bit in place and ends the loop
-    bound = residual.bit_length()
-    while residual:
-        j = residual.bit_length() - 1
-        if j >= bound:
-            break
-        chosen.add(order[j])
-        residual ^= cols[j]
-        bound = j
-    if residual:
-        raise CertificateError("triangular solve left a residual; matrix not invertible")
-    return chosen
-
-
-@lru_cache(maxsize=256)
 def _star_masks(K: Window) -> dict[int, int]:
-    """Star vector bits per window node, cached: callers combine many node sets per window."""
+    """Star vector bits per window node, cached: callers solve many targets per window."""
     pos = {xi: j for j, xi in enumerate(K.ordered)}
     children = K.forest._children
     masks = {}
@@ -213,6 +146,31 @@ def _star_masks(K: Window) -> dict[int, int]:
                 mask |= 1 << pos[eta]
         masks[xi] = mask
     return masks
+
+
+def solve_star_span(K: Window, target: F2Vector) -> set[NodeId]:
+    """The unique node set whose star vectors XOR to ``target``.
+
+    Forward substitution in window order: a star holds its own node and
+    later-listed children, so the lowest residual bit names the next node.
+    """
+    if target.window != K:
+        raise DomainError("target indexed by a different window")
+    if not K.nodes:
+        raise DomainError("window must be nonempty")
+    masks = _star_masks(K)
+    order = K.ordered
+    residual = target.bits
+    chosen: set[int] = set()
+    while residual:
+        low = residual & -residual
+        xi = order[low.bit_length() - 1]
+        residual ^= masks[xi]
+        # a mask that leaves bits at or below its pivot would stall or cycle
+        if residual & ((low << 1) - 1):
+            raise CertificateError("star mask did not clear its own bit; matrix not invertible")
+        chosen.add(xi)
+    return chosen
 
 
 def combine_stars(K: Window, nodes) -> F2Vector:
@@ -264,12 +222,13 @@ def solve_all_targets(K: Window) -> TargetSolutions:
     """
     from . import _kernels as kernels
 
-    cols, order, window_to_matrix = _solve_data(K)
-    batch = kernels.solve_unit_triangular_all(cols, len(order))
+    matrix = star_matrix(K)
+    n = len(matrix.cols)
+    batch = kernels.solve_unit_triangular_all(matrix.cols, n)
     # reindex to window-order targets by doubling: entry t | 2**j is entry t
-    # XOR the solution of window unit j, which sits at matrix target 2**pos
+    # XOR the solution of window unit j, which sits at matrix position n-1-j
     coeffs = [0]
-    for pos in window_to_matrix:
-        unit = batch[1 << pos]
+    for j in range(n):
+        unit = batch[1 << (n - 1 - j)]
         coeffs += [c ^ unit for c in coeffs]
-    return TargetSolutions(tuple(coeffs), order)
+    return TargetSolutions(tuple(coeffs), matrix.col_order)

@@ -49,6 +49,8 @@ class PredecessorForest:
     @classmethod
     def from_pred(cls, size: int, pred: dict[int, int]) -> "PredecessorForest":
         """Build from a ``{node: predecessor}`` map over ``1..size-1``."""
+        if size < 1:  # checked first: a huge negative size overflows the list below
+            raise DomainError("universe must contain at least the root node")
         parents = [-1] * size
         for xi, p in pred.items():
             if not 1 <= xi < size:
@@ -58,11 +60,6 @@ class PredecessorForest:
             if parents[xi] == -1:
                 raise DomainError(f"pred undefined at node {xi}")
         return cls(size, tuple(parents))
-
-    def pred(self, xi: NodeId) -> NodeId:
-        if not 1 <= xi < self.size:
-            raise DomainError(f"pred is undefined at node {xi}")
-        return self.parents[xi]
 
     def contains(self, xi: NodeId) -> bool:
         return 0 <= xi < self.size

@@ -122,9 +122,6 @@ class Assignment:
         if self.value_bits < 0 or self.value_bits >> self.box.n_coords:
             raise DomainError("assignment bits exceed the box")
 
-    def value(self, coord: Coordinate) -> int:
-        return (self.value_bits >> self.box.index(coord)) & 1
-
     def extends(self, cond: Condition) -> bool:
         dmask, vmask = self.box.condition_masks(cond)
         return self.value_bits & dmask == vmask

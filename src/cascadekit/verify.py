@@ -194,10 +194,7 @@ def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(2, 9), rng.getrandbits(32))
-        entries = {}
-        for _ in range(rng.randrange(7)):
-            entries[(rng.randrange(forest.size), rng.randrange(3), rng.randrange(5))] = rng.randrange(2)
-        q = Condition.from_map(entries)
+        q = _random_condition(forest, rng)
         beta = rng.randrange(forest.size)
         row = rng.randrange(3)
         shield = shield_set(q, beta, row, forest)

@@ -13,7 +13,6 @@ from cascadekit.f2linalg import (
     F2Vector,
     TargetSolutions,
     combine_stars,
-    forest_height,
     matrix_order,
     solve_all_targets,
     solve_star_span,
@@ -51,29 +50,6 @@ def gf2_invertible(matrix):
 
 
 class TestHeight:
-    def test_fork(self):
-        f = forest_of(3, {1: 0, 2: 0})
-        K = Window(f, frozenset({0, 1, 2}))
-        assert forest_height(K, 0) == 1
-        assert forest_height(K, 1) == 0
-        assert forest_height(K, 2) == 0
-
-    def test_chain(self):
-        f = forest_of(3, {1: 0, 2: 1})
-        K = Window(f, frozenset({0, 1, 2}))
-        assert forest_height(K, 0) == 2
-
-    def test_singleton(self):
-        f = forest_of(3, {1: 0, 2: 1})
-        K = Window(f, frozenset({0}))
-        assert forest_height(K, 0) == 0
-
-    def test_outside_window(self):
-        f = forest_of(3, {1: 0, 2: 1})
-        K = Window(f, frozenset({0}))
-        with pytest.raises(DomainError):
-            forest_height(K, 2)
-
     def test_children_precede_parents_in_order(self):
         for f in all_forests(6):
             for closed in all_closed_subsets(f):
@@ -115,7 +91,7 @@ class TestStarMatrix:
         f = forest_of(3, {1: 0, 2: 0})
         K = Window(f, frozenset({0, 1, 2}))
         m = star_matrix(K)
-        assert m.col_order == (1, 2, 0)
+        assert m.col_order == (2, 1, 0)
         assert m.is_upper_triangular_unit()
 
     def test_singleton_identity(self):
@@ -161,7 +137,7 @@ class TestStarMatrix:
     def test_child_before_parent_order(self):
         f = forest_of(3, {1: 0, 2: 0})
         m = star_matrix(Window(f, frozenset({0, 1, 2})))
-        assert m.col_order == m.row_order == (1, 2, 0)
+        assert m.col_order == m.row_order == (2, 1, 0)
         assert m.shape() == (3, 3)
         assert [[m.entry(i, j) for j in range(3)] for i in range(3)] == [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
 
@@ -214,6 +190,7 @@ class TestSolve:
         for seed in range(3):
             f = random_forest(14, seed)
             windows.append(rho_closure(f, set(rng.sample(range(1, 14), 4))))
+        windows.append(Window.whole(random_forest(12, 0)))
         for K in windows:
             batch = solve_all_targets(K)
             expected = [solve_star_span(K, F2Vector(K, bits)) for bits in range(1 << len(K))]
@@ -243,10 +220,10 @@ class TestSolve:
                 combine_stars(K, [0, outside])
 
     def test_residual_raises_under_any_optimisation_level(self, monkeypatch):
-        # a zero column leaves the residual uncleared; the check is not an assert
+        # a zero star mask leaves the residual uncleared; the check is not an assert
         f = forest_of(2, {1: 0})
         K = Window(f, frozenset({0, 1}))
-        monkeypatch.setattr(f2linalg, "_solve_data", lambda K: ((0, 0), (1, 0), (1, 0)))
+        monkeypatch.setattr(f2linalg, "_star_masks", lambda K: {0: 0, 1: 0})
         with pytest.raises(CertificateError):
             solve_star_span(K, F2Vector.from_nodes(K, {0}))
 
@@ -295,7 +272,7 @@ class TestTargetSolutions:
         # the masks take a few MB; a frozenset per target would peak near 41 MB
         f = random_forest(16, 5)
         K = Window.whole(f)
-        f2linalg._solve_data.cache_clear()
+        f2linalg._star_masks.cache_clear()
         tracemalloc.start()
         try:
             batch = solve_all_targets(K)

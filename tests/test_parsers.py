@@ -164,6 +164,7 @@ def test_format_then_parse_round_trips(kind, data):
         ("partition", "-1\n"),
         ("partition", "99999999999\n"),
         ("forest", "99999999999\n"),
+        ("forest", "-199999999999999999999\n"),
     ],
 )
 def test_bad_values_raise_parse_error(kind, text):
