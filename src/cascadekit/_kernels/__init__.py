@@ -2,17 +2,20 @@
 
 The heavy operations are sweeps over every total assignment of a small
 coordinate box: building the member table of a name, checking XOR-flip
-invariance, projecting satisfying assignments, and batch triangular
-solving.  A table keys its columns by member index ``m``, any natural
-number; a column is one integer with bit ``g`` set when assignment ``g``
-carries ``m``.  Subcube indicators are built by width doubling,
-XOR-permutation by half-block swaps and projection by an OR-fold over the
-dropped coordinates, so the per-assignment work runs inside CPython's
-big-int arithmetic instead of a Python-level loop.
+invariance and projecting satisfying assignments.  A table keys its
+columns by member index ``m``, any natural number; a column is one integer
+with bit ``g`` set when assignment ``g`` carries ``m``.  Subcube indicators
+are built by width doubling, XOR-permutation by half-block swaps and
+projection by an OR-fold over the dropped coordinates, so the
+per-assignment work runs inside CPython's big-int arithmetic instead of a
+Python-level loop.  The batch triangular solver inverts its matrix once and
+derives each target's solution by linearity when it is read, so it never
+sweeps every target.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 from ..errors import CertificateError, DomainError
@@ -147,11 +150,52 @@ def subcube_member_summary(table: Table, m: int, dmask: int, vmask: int) -> int:
     return 2
 
 
-def solve_unit_triangular_all(cols, n: int) -> list[int]:
+def xor_combination(cols, t: int) -> int:
+    """XOR of ``cols[i]`` over the set bits ``i`` of ``t``.
+
+    ``t`` indexes the ``2**len(cols)`` combinations as on a list: a negative
+    index counts from the end, and one out of range raises ``IndexError``.
+    """
+    size = 1 << len(cols)
+    if t < 0:
+        t += size
+    if not 0 <= t < size:
+        raise IndexError("combination index out of range")
+    acc = 0
+    while t:
+        low = t & -t
+        acc ^= cols[low.bit_length() - 1]
+        t ^= low
+    return acc
+
+
+class XorSpan(Sequence):
+    """Read-only sequence of every XOR combination of a few columns.
+
+    Entry ``t`` is :func:`xor_combination` of the columns, computed when it
+    is read; only the columns are stored.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols: tuple[int, ...]):
+        self.cols = cols
+
+    def __len__(self) -> int:
+        return 1 << len(self.cols)
+
+    def __getitem__(self, t: int) -> int:
+        return xor_combination(self.cols, t)
+
+
+def solve_unit_triangular_all(cols, n: int) -> XorSpan:
     """Solve every target of F2^n through a unit upper triangular matrix.
 
     ``cols[j]`` is the j-th column as a row-position bitmask with bit ``j``
-    set and no bits above it.  Returns the coefficient mask per target.
+    set and no bits above it.  Back-substitutes the n unit targets once and
+    returns the coefficient mask per target as an :class:`XorSpan` over those
+    inverse columns: a target's solution is the XOR of the solutions of the
+    unit targets its bits name.
     """
     _check_dims(n)
     cols = list(cols)
@@ -160,8 +204,7 @@ def solve_unit_triangular_all(cols, n: int) -> list[int]:
     for j, col in enumerate(cols):
         if not (col >> j) & 1 or col >> (j + 1):
             raise DomainError("columns must be unit upper triangular")
-    # solve the unit vectors, then extend by linearity: out[t | 2**i] = out[t] ^ inv[i]
-    out = [0]
+    inverse = []
     for i in range(n):
         residual = 1 << i
         coeffs = 0
@@ -171,5 +214,5 @@ def solve_unit_triangular_all(cols, n: int) -> list[int]:
                 residual ^= cols[j]
         if residual:
             raise CertificateError("triangular solve left a residual")
-        out += [c ^ coeffs for c in out]
-    return out
+        inverse.append(coeffs)
+    return XorSpan(tuple(inverse))

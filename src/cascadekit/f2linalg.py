@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import _kernels as kernels
 from .errors import CertificateError, DomainError
 from .forest import NodeId, Window
 
@@ -187,22 +188,23 @@ def combine_stars(K: Window, nodes) -> F2Vector:
 
 @dataclass(frozen=True)
 class TargetSolutions(Sequence):
-    """Coefficient sets for every target over a window, each boxed when read.
+    """Coefficient sets for every target over a window, each derived when read.
 
-    ``coeffs[t]`` is the solution for ``F2Vector(K, t)`` as a mask over
-    matrix positions, and ``order`` names the node at each position.
-    An integer index returns a ``frozenset`` of nodes; negative indices and
-    ``IndexError`` work as on a list.
+    ``units[j]`` is the solution for the window's unit target ``2**j`` as a
+    mask over matrix positions, and ``order`` names the node at each
+    position.  Solutions are linear in the target, so entry ``t`` XORs the
+    units at the set bits of ``t`` and boxes the result as a ``frozenset``
+    of nodes; negative indices and ``IndexError`` work as on a list.
     """
 
-    coeffs: tuple[int, ...]
+    units: tuple[int, ...]
     order: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return 1 << len(self.units)
 
     def __getitem__(self, t: int) -> frozenset:
-        mask = self.coeffs[t]
+        mask = kernels.xor_combination(self.units, t)
         order = self.order
         nodes = []
         while mask:
@@ -215,20 +217,15 @@ class TargetSolutions(Sequence):
 def solve_all_targets(K: Window) -> TargetSolutions:
     """Coefficient sets for every target over the window, solved in one batch.
 
-    Index ``t`` holds the solution for ``F2Vector(K, t)``.  Runs the
-    back-substitution through the batch kernel; agreement with the
-    per-target :func:`solve_star_span` is part of the verification suite.
-    Node sets are built only for the entries read.
+    Index ``t`` holds the solution for ``F2Vector(K, t)``.  The batch kernel
+    back-substitutes the star matrix's unit targets once; each entry is
+    derived from them by linearity, and its node set built, only when it is
+    read.  Agreement with the per-target :func:`solve_star_span` is part of
+    the verification suite.
     """
-    from . import _kernels as kernels
-
     matrix = star_matrix(K)
     n = len(matrix.cols)
     batch = kernels.solve_unit_triangular_all(matrix.cols, n)
-    # reindex to window-order targets by doubling: entry t | 2**j is entry t
-    # XOR the solution of window unit j, which sits at matrix position n-1-j
-    coeffs = [0]
-    for j in range(n):
-        unit = batch[1 << (n - 1 - j)]
-        coeffs += [c ^ unit for c in coeffs]
-    return TargetSolutions(tuple(coeffs), matrix.col_order)
+    # window unit j sits at matrix position n-1-j
+    units = tuple(batch[1 << (n - 1 - j)] for j in range(n))
+    return TargetSolutions(units, matrix.col_order)

@@ -132,8 +132,8 @@ class TestVerify:
             (("--all", "--max-window", "0"), "--max-window must be positive"),
             (("dyadic", "--dim", "-1"), "--dim must not be negative"),
             (("--all", "--dim", "-1"), "--dim must not be negative"),
-            (("dyadic", "--dim", "6"), "--dim must be at most 5"),
-            (("--all", "--dim", "6"), "--dim must be at most 5"),
+            (("dyadic", "--dim", "7"), "--dim must be at most 6"),
+            (("--all", "--dim", "7"), "--dim must be at most 6"),
         ],
     )
     def test_out_of_range_sizes_usage_error(self, capsys, argv, message):

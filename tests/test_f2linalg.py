@@ -283,3 +283,19 @@ class TestTargetSolutions:
         assert peak < 16 * 2**20
         for bits in random.Random(16).sample(range(1 << 16), 50):
             assert batch[bits] == solve_star_span(K, F2Vector(K, bits))
+
+    def test_twenty_two_node_window_builds_nothing_per_target(self):
+        # 2**22 targets; the batch keeps only the 22 unit solutions
+        f = random_forest(22, 3)
+        K = Window.whole(f)
+        tracemalloc.start()
+        try:
+            batch = solve_all_targets(K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 1 << 22
+        assert peak < 64 * 2**10
+        rng = random.Random(22)
+        for t in rng.sample(range(-(1 << 22), 1 << 22), 200):
+            assert batch[t] == solve_star_span(K, F2Vector(K, t % (1 << 22)))

@@ -1,6 +1,7 @@
 """Big-int kernels against naive per-assignment loops."""
 
 import random
+from collections.abc import Sequence
 
 import pytest
 
@@ -107,6 +108,19 @@ class TestAgainstNaive:
                     if (coeffs >> j) & 1:
                         acc ^= cols[j]
                 assert acc == target
+
+    def test_solve_unit_triangular_is_a_lazy_sequence(self):
+        n = 5
+        cols = [(1 << j) | (j and 1) for j in range(n)]
+        solved = _kernels.solve_unit_triangular_all(cols, n)
+        assert isinstance(solved, Sequence)
+        assert len(solved) == 2**n
+        assert solved[-1] == solved[2**n - 1]
+        assert solved[-(2**n)] == solved[0] == 0
+        with pytest.raises(IndexError):
+            solved[2**n]
+        with pytest.raises(IndexError):
+            solved[-(2**n) - 1]
 
 
 class TestDispatchValidation:

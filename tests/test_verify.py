@@ -1,5 +1,7 @@
 """Sweep sizes of the verification routines, independent of the seed."""
 
+import itertools
+
 import pytest
 
 from cascadekit import cli
@@ -7,6 +9,8 @@ from cascadekit.errors import DomainError
 from cascadekit.verify import (
     MAX_DYADIC_DIM,
     REGISTRY,
+    _echelon_bases,
+    _subspace_span,
     lemma_parameters,
     verify_dyadic,
     verify_selector,
@@ -51,3 +55,23 @@ def test_starspan_note_states_the_window_bound_applied():
 def test_dyadic_dimension_above_the_sweep_bound_rejected():
     with pytest.raises(DomainError):
         verify_dyadic(dim=MAX_DYADIC_DIM + 1)
+
+
+def test_echelon_bases_give_every_subspace_once():
+    # Gaussian binomial sums: the number of subspaces of F2^d
+    for d, expected in enumerate([1, 2, 5, 16, 67, 374, 2825]):
+        spans = [frozenset(_subspace_span(basis)) for basis in _echelon_bases(d)]
+        assert len(spans) == len(set(spans)) == expected
+        if d <= 4:
+            swept = {
+                frozenset(_subspace_span(combo))
+                for k in range(d + 1)
+                for combo in itertools.combinations(range(1, 1 << d), k)
+            }
+            assert set(spans) == swept
+
+
+def test_dyadic_sweeps_every_subspace_up_to_dimension_six():
+    report = verify_dyadic(dim=6)
+    assert report.ok()
+    assert report.notes.startswith("3290 coset partitions")
