@@ -159,76 +159,50 @@ class QuotientAnalysis:
     witness: tuple[int, int, int] | None  # (q, q2, v): equal labels split by v
 
 
-def _echelon_basis(vectors) -> list[int]:
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
-
-
 def _reduce(v: int, basis: list[int]) -> int:
     for b in basis:
-        v = min(v, v ^ b)
+        if v ^ b < v:
+            v ^= b
     return v
 
 
 def quotient_analysis(partition: TranslationPartition) -> QuotientAnalysis:
     """Decide translation invariance and compute the coset structure.
 
-    Invariance means equal labels stay equal under every common translation.
-    For an invariant labelling the classes are exactly the cosets of
-    ``W = {v : label(v) = label(0)}`` and the class count is the index of
-    W, a power of two.  A non-invariant labelling is reported with a
-    witness triple (q, q2, v): label(q) = label(q2) but the translates by
-    v get different labels.
+    Invariance means equal labels stay equal under every common translation:
+    each member of ``W = {v : label(v) = label(0)}`` is a period and distinct
+    cosets of W carry distinct labels.  A period pass checks the members of W
+    outside the span found so far, then a coset pass maps each label to the
+    coset where it first appears; the class count is the index of W, a power
+    of two.  A non-invariant labelling gets a witness (q, q2, v) with
+    label(q) = label(q2) whose translates by v get different labels.
     """
     d = partition.dimension
     labels = partition.labels
     size = 1 << d
-    W = [v for v in range(size) if labels[v] == labels[0]]
-    basis = _echelon_basis(W)
-    span_size = 1 << len(basis)
-    if span_size != len(W):
-        # W is not closed under addition: some pair of its members splits
-        w_set = set(W)
-        for v in W:
-            for w in W:
-                if v ^ w not in w_set:
-                    return QuotientAnalysis(False, None, None, (0, v, w))
-        raise CertificateError("span size mismatch without an addition witness")
-    reps: dict[int, int] = {}
+    basis: list[int] = []
+    for v in range(1, size):
+        if labels[v] != labels[0]:
+            continue
+        reduced = _reduce(v, basis)
+        if not reduced:
+            continue
+        for x in range(size):
+            if labels[x ^ v] != labels[x]:
+                return QuotientAnalysis(False, None, None, (0, v, x))
+        basis.append(reduced)
+        basis.sort(reverse=True)
+    # W is now the span of basis and labels are constant on its cosets
+    first_rep: dict[int, int] = {}
     for q in range(size):
         rep = _reduce(q, basis)
-        if rep not in reps:
-            reps[rep] = labels[q]
-        elif reps[rep] != labels[q]:
-            # q and its reduction share a coset of W but not a label
-            walk = q
-            for b in basis:
-                step = min(walk, walk ^ b)
-                if step != walk and labels[step] != labels[walk]:
-                    return QuotientAnalysis(False, None, None, (0, walk ^ step, walk))
-                walk = step
-            raise CertificateError("label changed along the coset without a step witness")
-    by_label: dict[int, int] = {}
-    for rep, label in reps.items():
-        if label in by_label:
-            other = by_label[label]
-            for u in range(size):
-                if labels[other ^ u] != labels[rep ^ u]:
-                    return QuotientAnalysis(False, None, None, (other, rep, u))
-            raise CertificateError("two cosets share a label yet no translate splits them")
-        by_label[label] = rep
-    class_count = len(reps)
-    if class_count != 1 << (d - len(basis)):
-        raise CertificateError(
-            f"{class_count} cosets found, but a {len(basis)}-dimensional subspace of F2^{d} has "
-            f"{1 << (d - len(basis))}"
-        )
+        other = first_rep.setdefault(labels[q], rep)
+        if other != rep:
+            # translating by other sends it to 0, in W, and rep to other ^ rep, outside W
+            return QuotientAnalysis(False, None, None, (other, rep, other))
+    class_count = len(first_rep)
+    if class_count << len(basis) != size:
+        raise CertificateError(f"{class_count} labels, but W has {size >> len(basis)} cosets in F2^{d}")
     return QuotientAnalysis(True, tuple(sorted(basis)), class_count, None)
 
 

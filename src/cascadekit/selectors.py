@@ -76,14 +76,12 @@ class SwapCertificate:
     """The three swap certificates.
 
     ``pattern_flip`` is decided exactly by :func:`pattern_shift`, so it
-    covers all ``assignments_checked = 2**n_coords`` assignments of the box
-    and ``exhaustive`` is always true.
+    covers all ``assignments_checked = 2**n_coords`` assignments of the box.
     """
 
     condition_fixed: bool
     support_fixed: bool
     pattern_flip: bool
-    exhaustive: bool
     assignments_checked: int
 
     def all_pass(self) -> bool:
@@ -127,7 +125,6 @@ def swap_witness(q: Condition, A: Window, row: int, box: CoordinateBox) -> SwapW
         condition_fixed=apply(tau, q) == q,
         support_fixed=fixes_rows_over(tau, A),
         pattern_flip=pattern_shift(tau, beta, gamma, row, box) == toggle.mask_below(box.bits),
-        exhaustive=True,
         assignments_checked=1 << box.n_coords,
     )
     return SwapWitness(beta, gamma, row, shield, toggle, cert)

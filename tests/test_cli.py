@@ -103,6 +103,15 @@ class TestVerify:
         assert code == 0
         assert "lemma=starspan trials=20" in out
 
+    def test_starspan_exhaustive_window_bound(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "starspan", "--exhaustive", "--max-window", "30")
+        assert code == 2
+        assert out == ""
+        assert "max_window 30 exceeds the exhaustive sweep bound 22" in err
+        code, out, _ = run_cli(capsys, "verify", "starspan", "--trials", "5", "--max-window", "23")
+        assert code == 0
+        assert "lemma=starspan trials=5" in out and "failures=0" in out
+
     def test_dyadic_dim(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "dyadic", "--dim", "2")
         assert code == 0

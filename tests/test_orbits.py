@@ -238,6 +238,27 @@ def coset_labels(d, basis):
     return TranslationPartition(d, tuple(labels))
 
 
+def set_partitions(n):
+    """Every labelling of range(n) by first appearance, one per set partition."""
+    if n == 0:
+        yield ()
+        return
+    for head in set_partitions(n - 1):
+        for label in range(max(head, default=-1) + 2):
+            yield (*head, label)
+
+
+def brute_force_invariant(labels):
+    n = len(labels)
+    return all(
+        labels[q ^ v] == labels[q2 ^ v]
+        for q in range(n)
+        for q2 in range(n)
+        if labels[q] == labels[q2]
+        for v in range(n)
+    )
+
+
 class TestQuotientAnalysis:
     def test_first_coordinate_labels(self):
         labels = tuple(v & 1 for v in range(4))
@@ -278,6 +299,24 @@ class TestQuotientAnalysis:
                     dim_w = len(result.subspace_basis)
                     assert 1 << dim_w == len(span)
                     assert result.class_count == 1 << (d - dim_w)
+
+    def test_every_set_partition_up_to_dim3_against_brute_force(self):
+        swept = 0
+        for d in range(4):
+            for labels in set_partitions(1 << d):
+                swept += 1
+                result = quotient_analysis(TranslationPartition(d, labels))
+                assert result.invariant == brute_force_invariant(labels), labels
+                if result.invariant:
+                    classes = len(set(labels))
+                    assert result.class_count == classes
+                    assert classes & (classes - 1) == 0
+                    assert classes << len(result.subspace_basis) == 1 << d
+                else:
+                    q, q2, v = result.witness
+                    assert labels[q] == labels[q2]
+                    assert labels[q ^ v] != labels[q2 ^ v]
+        assert swept == 1 + 2 + 15 + 4140  # Bell numbers B(1), B(2), B(4), B(8)
 
     def test_witnesses_on_random_relabelings(self):
         # merging two cosets of a strict subspace under one label must fail
