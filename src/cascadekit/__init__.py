@@ -72,7 +72,6 @@ from .orbits import (
     quotient_analysis,
 )
 from .selectors import (
-    EqualityPattern,
     IndexedFamily,
     SwapWitness,
     TraceProfile,

@@ -69,11 +69,8 @@ class ToggleSet:
 
     def mask_below(self, B: int) -> int:
         """Members among ``0..B-1`` as a bitmask; how the set acts on a truncated box."""
-        mask = 0
-        for n in range(B):
-            if n in self:
-                mask |= 1 << n
-        return mask
+        mask = sum(1 << n for n in self.exceptions if n < B)
+        return mask ^ ((1 << B) - 1) if self.cofinite else mask
 
     def serialize(self) -> str:
         inner = ",".join(str(n) for n in sorted(self.exceptions))
@@ -129,12 +126,6 @@ class Condition:
 
     def domain(self) -> frozenset[Coordinate]:
         return frozenset(c for c, _ in self.entries)
-
-    def value(self, coord: Coordinate) -> int:
-        for c, v in self.entries:
-            if c == coord:
-                return v
-        raise DomainError(f"condition undefined at {coord}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -333,9 +324,8 @@ def transport(p: Condition, q: Condition, A: Window) -> CascadeAutomorphism:
     """
     forest = A.forest
     p_pad, q_pad = pad_common_domain(p, q)
-    diff = {
-        c: pv ^ q_pad.value(c) for c, pv in p_pad.entries if pv != q_pad.value(c)
-    }
+    # padding gives both one domain, so their sorted entries align
+    diff = [c for (c, pv), (_, qv) in zip(p_pad.entries, q_pad.entries) if pv != qv]
     for c in diff:
         if c.node in A.nodes:
             raise PreconditionError(f"conditions disagree over the window at {c}")

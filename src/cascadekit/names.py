@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from . import _kernels as kernels
-from .cascade import CascadeAutomorphism, Condition, Coordinate, Packet
+from .cascade import Condition, Coordinate, Packet
 from .errors import DomainError, ParseError, PreconditionError
 from .forest import PredecessorForest, Window, parse_node_set, rho_closure
 
@@ -138,20 +138,6 @@ class Assignment:
     def restrict_to_nodes(self, nodes) -> Condition:
         return self.restrict_to_coord_mask(self.box.node_coord_mask(nodes))
 
-    def flip(self, mask: int) -> "Assignment":
-        return Assignment(self.box, self.value_bits ^ mask)
-
-
-def automorphism_flip_mask(tau: CascadeAutomorphism, box: CoordinateBox) -> int:
-    """The box coordinates a cascade automorphism toggles, as a bitmask."""
-    mask = 0
-    for (node, row), ts in tau.row_toggles:
-        if node not in box.window.nodes or row >= box.rows:
-            continue
-        row_mask = ts.mask_below(box.bits)
-        base = box.index(Coordinate(node, row, 0))
-        mask |= row_mask << base
-    return mask
 
 
 @dataclass(frozen=True)

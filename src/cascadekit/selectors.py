@@ -23,36 +23,18 @@ from .cascade import (
 )
 from .errors import DomainError, PreconditionError
 from .forest import NodeId, Window, fresh_separation
-from .names import Assignment, CoordinateBox, automorphism_flip_mask
+from .names import Assignment, CoordinateBox
 
 
-@dataclass(frozen=True)
-class EqualityPattern:
-    """Agreement bits of two rows over a truncated bit window.
-
-    Bit n is 1 when the rows agree at n.
-    """
-
-    window_bits: int
-    bits: int
-
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.window_bits:
-            raise DomainError("pattern bits exceed the window")
-
-
-def equality_pattern(
-    g: Assignment, beta: NodeId, gamma: NodeId, row: int
-) -> EqualityPattern:
-    """Pattern of bit positions where the two rows of ``g`` agree."""
+def equality_pattern(g: Assignment, beta: NodeId, gamma: NodeId, row: int) -> int:
+    """Agreement bits of two rows of ``g``: bit n is 1 when the rows agree at n."""
     if beta == gamma:
         raise DomainError("equality pattern needs two distinct rows")
     box = g.box
-    B = box.bits
-    row_mask = (1 << B) - 1
-    beta_bits = (g.value_bits >> box.index(Coordinate(beta, row, 0))) & row_mask
-    gamma_bits = (g.value_bits >> box.index(Coordinate(gamma, row, 0))) & row_mask
-    return EqualityPattern(B, ~(beta_bits ^ gamma_bits) & row_mask)
+    row_mask = (1 << box.bits) - 1
+    beta_bits = g.value_bits >> box.index(Coordinate(beta, row, 0))
+    gamma_bits = g.value_bits >> box.index(Coordinate(gamma, row, 0))
+    return ~(beta_bits ^ gamma_bits) & row_mask
 
 
 def pattern_shift(
@@ -60,23 +42,26 @@ def pattern_shift(
 ) -> int:
     """Bits at which ``tau`` flips the equality pattern of two rows, on every assignment.
 
-    The pattern is affine in the assignment: ``pattern(g ^ f) == pattern(g)
-    ^ pattern(f) ^ pattern(0)`` for the flip mask ``f`` of ``tau``.  So the
-    shift ``pattern(g ^ f) ^ pattern(g)`` is the same for every ``g`` of
-    the box, and two evaluations decide it exactly.
+    ``tau`` flips bit n of a row exactly when n lies in that row's toggle
+    set, and two rows change agreement at n exactly when one of them flips
+    there.  So the shift is the symmetric difference of the two rows'
+    toggle sets below ``box.bits``, the same for every assignment of the box.
     """
-    flip_mask = automorphism_flip_mask(tau, box)
-    shifted = equality_pattern(Assignment(box, flip_mask), beta, gamma, row)
-    base = equality_pattern(Assignment(box, 0), beta, gamma, row)
-    return shifted.bits ^ base.bits
+    if beta == gamma:
+        raise DomainError("equality pattern needs two distinct rows")
+    box.index(Coordinate(beta, row, 0))
+    box.index(Coordinate(gamma, row, 0))
+    return (tau.toggle_at(beta, row) ^ tau.toggle_at(gamma, row)).mask_below(box.bits)
 
 
 @dataclass(frozen=True)
 class SwapCertificate:
     """The three swap certificates.
 
-    ``pattern_flip`` is decided exactly by :func:`pattern_shift`, so it
-    covers all ``assignments_checked = 2**n_coords`` assignments of the box.
+    ``pattern_flip`` compares the toggle sets of the rows (beta, row) and
+    (gamma, row) through :func:`pattern_shift`: the pattern flips exactly on
+    the toggle when beta's row takes it and gamma's row does not.  That
+    holds for all ``assignments_checked = 2**n_coords`` assignments of the box.
     """
 
     condition_fixed: bool
@@ -128,15 +113,6 @@ def swap_witness(q: Condition, A: Window, row: int, box: CoordinateBox) -> SwapW
         assignments_checked=1 << box.n_coords,
     )
     return SwapWitness(beta, gamma, row, shield, toggle, cert)
-
-
-def both_rows_toggled_invariance(
-    tau: CascadeAutomorphism, beta: NodeId, gamma: NodeId, row: int, box: CoordinateBox
-) -> bool:
-    """Check that a toggle hitting both rows identically fixes their pattern."""
-    if tau.toggle_at(beta, row) != tau.toggle_at(gamma, row):
-        raise PreconditionError("automorphism does not toggle the two rows alike")
-    return pattern_shift(tau, beta, gamma, row, box) == 0
 
 
 def format_witness(w: SwapWitness) -> str:
@@ -212,9 +188,6 @@ class IndexedFamily:
     @classmethod
     def of(cls, mapping: Mapping) -> "IndexedFamily":
         return cls(tuple((t, frozenset(elems)) for t, elems in mapping.items()))
-
-    def indices(self) -> tuple:
-        return tuple(t for t, _ in self.sets)
 
 
 def lift_choice(family: IndexedFamily, k: int, f: Mapping) -> dict:

@@ -57,7 +57,6 @@ from .selectors import (
     IndexedFamily,
     SwapWitness,
     TraceProfile,
-    both_rows_toggled_invariance,
     canonical_selector,
     lift_choice,
     swap_witness,
@@ -728,28 +727,28 @@ def verify_lift(seed: int = 0) -> VerificationReport:
     return _finish(report, started)
 
 
-def _pattern_flip_sweep(w: SwapWitness, box: CoordinateBox) -> bool:
-    """Replay the pattern-flip certificate on every assignment of the box.
+def _pattern_flip_sweep(
+    tau, beta: int, gamma: int, row: int, expected: int, box: CoordinateBox
+) -> bool:
+    """Whether ``tau`` moves the equality pattern of two rows by ``expected`` on every assignment.
 
-    The flip mask is rebuilt pointwise from the generator's toggle sets with
+    The flip mask is rebuilt pointwise from the toggle sets of ``tau`` with
     this function's own coordinate packing (node-major, then row, then bit),
     and assignments are plain ints, so no library mask, index or pattern
     code is trusted.
     """
     rows, bits = box.rows, box.bits
-    tau = generator(box.forest, w.beta, w.row, w.toggle)
     pos = {xi: k for k, xi in enumerate(box.window.ordered)}
     flip = 0
     for xi, k in pos.items():
-        for row in range(rows):
-            ts = tau.toggle_at(xi, row)
+        for r in range(rows):
+            ts = tau.toggle_at(xi, r)
             for bit in range(bits):
                 if bit in ts:
-                    flip |= 1 << ((k * rows + row) * bits + bit)
+                    flip |= 1 << ((k * rows + r) * bits + bit)
     row_mask = (1 << bits) - 1
-    at_beta = (pos[w.beta] * rows + w.row) * bits
-    at_gamma = (pos[w.gamma] * rows + w.row) * bits
-    expected = sum(1 << bit for bit in range(bits) if bit in w.toggle)
+    at_beta = (pos[beta] * rows + row) * bits
+    at_gamma = (pos[gamma] * rows + row) * bits
     for g in range(1 << box.n_coords):
         before = ~((g >> at_beta) ^ (g >> at_gamma)) & row_mask
         h = g ^ flip
@@ -757,6 +756,13 @@ def _pattern_flip_sweep(w: SwapWitness, box: CoordinateBox) -> bool:
         if before ^ after != expected:
             return False
     return True
+
+
+def _witness_sweep(w: SwapWitness, box: CoordinateBox) -> bool:
+    """Sweep a witness's generator: the pattern must flip on the toggle's bits below B."""
+    tau = generator(box.forest, w.beta, w.row, w.toggle)
+    expected = sum(1 << bit for bit in range(box.bits) if bit in w.toggle)
+    return _pattern_flip_sweep(tau, w.beta, w.gamma, w.row, expected, box)
 
 
 def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
@@ -776,7 +782,7 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
         w = swap_witness(q, A, 0, box)
         if not w.certificate.all_pass():
             report.record(f"certificate failed for exhaustive condition {q.entries}")
-        if not _pattern_flip_sweep(w, box):
+        if not _witness_sweep(w, box):
             report.record(f"assignment sweep refutes the pattern flip for {q.entries}")
     enumerated = count
     # sampled conditions on 12-coordinate boxes, sweeps stay exhaustive
@@ -798,7 +804,7 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
             continue
         if not w.certificate.all_pass():
             report.record(f"certificate failed on sampled condition trial {trial}")
-        if not _pattern_flip_sweep(w, b):
+        if not _witness_sweep(w, b):
             report.record(f"assignment sweep refutes the pattern flip on trial {trial}")
     # both-toggled case: a generator at the shared predecessor fixes the pattern
     fork = PredecessorForest.from_pred(3, {1: 0, 2: 0})
@@ -807,7 +813,7 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
         for exceptions in ({0}, set(), {1}):
             tau = generator(fork, 0, 0, ToggleSet.cofinite_excluding(exceptions))
             count += 1
-            if not both_rows_toggled_invariance(tau, 1, 2, 0, b):
+            if not _pattern_flip_sweep(tau, 1, 2, 0, 0, b):
                 report.record(f"both-toggled generator moved the pattern (B={bits_count})")
     report.trials = count
     report.notes = (

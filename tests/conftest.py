@@ -1,5 +1,5 @@
 from cascadekit.forest import PredecessorForest
-from cascadekit.names import Assignment, automorphism_flip_mask
+from cascadekit.names import Assignment
 from cascadekit.verify import _all_closed_subsets as all_closed_subsets  # noqa: F401
 from cascadekit.verify import _all_forests as all_forests  # noqa: F401
 
@@ -14,5 +14,10 @@ def all_assignments(box):
 
 
 def apply_to_assignment(tau, g):
-    """The assignment a cascade automorphism carries ``g`` to."""
-    return g.flip(automorphism_flip_mask(tau, g.box))
+    """The assignment a cascade automorphism carries ``g`` to: each toggled box coordinate flips."""
+    box = g.box
+    flip = 0
+    for c in box.coords():
+        if c.bit in tau.toggle_at(c.node, c.row):
+            flip |= 1 << box.index(c)
+    return Assignment(box, g.value_bits ^ flip)

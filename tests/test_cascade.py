@@ -79,6 +79,17 @@ class TestToggleSet:
     def test_mask_below(self):
         assert ToggleSet.cofinite_excluding({1}).mask_below(4) == 0b1101
         assert ToggleSet.finite({0, 5}).mask_below(4) == 0b0001
+        cases = [
+            ToggleSet.empty(),
+            ToggleSet.cofinite_excluding(set()),
+            ToggleSet.finite({4, 9}),  # every exception at or above B = 4
+            ToggleSet.cofinite_excluding({4, 9}),
+            ToggleSet.finite({0, 3, 4}),
+            ToggleSet.cofinite_excluding({0, 3, 4}),
+        ]
+        for s in cases:
+            for B in range(7):  # B = 0 included
+                assert s.mask_below(B) == sum(1 << n for n in range(B) if n in s)
 
     def test_negative_bits_rejected(self):
         with pytest.raises(DomainError):

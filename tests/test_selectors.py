@@ -10,11 +10,10 @@ from conftest import all_assignments, apply_to_assignment, forest_of
 from cascadekit.cascade import Condition, ToggleSet, compose, compose_all, generator
 from cascadekit.errors import CapacityError, DomainError, PreconditionError
 from cascadekit.forest import Window, random_forest, rho_closure
-from cascadekit.names import Assignment, CoordinateBox, automorphism_flip_mask
+from cascadekit.names import Assignment, CoordinateBox
 from cascadekit.selectors import (
     IndexedFamily,
     TraceProfile,
-    both_rows_toggled_invariance,
     canonical_selector,
     equality_pattern,
     format_witness,
@@ -46,17 +45,17 @@ class TestEqualityPattern:
         box = box_on(2, 1, 4)
         # rows 0101 and 0110 written low bit first
         g = assignment_with_rows(box, {0: 0b1010, 1: 0b0110})
-        assert equality_pattern(g, 0, 1, 0).bits == 0b0011  # 1100 low bit first
+        assert equality_pattern(g, 0, 1, 0) == 0b0011  # 1100 low bit first
 
     def test_identical_rows(self):
         box = box_on(2, 1, 4)
         g = assignment_with_rows(box, {0: 0b1010, 1: 0b1010})
-        assert equality_pattern(g, 0, 1, 0).bits == 0b1111  # 1111 low bit first
+        assert equality_pattern(g, 0, 1, 0) == 0b1111  # 1111 low bit first
 
     def test_complementary_rows(self):
         box = box_on(2, 1, 4)
         g = assignment_with_rows(box, {0: 0b1010, 1: 0b0101})
-        assert equality_pattern(g, 0, 1, 0).bits == 0b0000  # 0000 low bit first
+        assert equality_pattern(g, 0, 1, 0) == 0b0000  # 0000 low bit first
 
     def test_same_row_rejected(self):
         box = box_on(2, 1, 4)
@@ -112,7 +111,7 @@ class TestSwapWitness:
         for g in all_assignments(box):
             before = equality_pattern(g, w.beta, w.gamma, w.row)
             after = equality_pattern(apply_to_assignment(tau, g), w.beta, w.gamma, w.row)
-            assert after.bits == before.bits ^ expected_flip
+            assert after == before ^ expected_flip
 
     def test_pair_is_preserved_while_members_swap(self):
         box = box_on(3, 1, 3)
@@ -122,8 +121,8 @@ class TestSwapWitness:
         tau = generator(f, w.beta, w.row, w.toggle)
         full = (1 << box.bits) - 1
         for g in all_assignments(box):
-            before = equality_pattern(g, w.beta, w.gamma, w.row).bits
-            after = equality_pattern(apply_to_assignment(tau, g), w.beta, w.gamma, w.row).bits
+            before = equality_pattern(g, w.beta, w.gamma, w.row)
+            after = equality_pattern(apply_to_assignment(tau, g), w.beta, w.gamma, w.row)
             assert {after, after ^ full} == {before, before ^ full}
             assert after == before ^ full  # toggle covers every bit below B
 
@@ -132,7 +131,7 @@ class TestSwapWitness:
         box = box_on(3, 1, 3)
         f = box.forest
         tau = generator(f, 0, 0, ToggleSet.cofinite_excluding({1}))
-        assert both_rows_toggled_invariance(tau, 1, 2, 0, box)
+        assert pattern_shift(tau, 1, 2, 0, box) == 0
 
     def test_witness_text_block(self):
         box = box_on(3, 1, 4)
@@ -147,10 +146,9 @@ class TestSwapWitness:
 
 def swept_shifts(tau, beta, gamma, row, box):
     """Brute force: the pattern shift ``pattern(g ^ f) ^ pattern(g)`` of every assignment."""
-    flip = automorphism_flip_mask(tau, box)
     return {
-        equality_pattern(g.flip(flip), beta, gamma, row).bits
-        ^ equality_pattern(g, beta, gamma, row).bits
+        equality_pattern(apply_to_assignment(tau, g), beta, gamma, row)
+        ^ equality_pattern(g, beta, gamma, row)
         for g in all_assignments(box)
     }
 
@@ -184,7 +182,7 @@ class TestClosedFormCertificate:
             assert w.certificate.pattern_flip == (swept == {w.toggle.mask_below(box.bits)})
             assert w.certificate.all_pass()
             assert w.certificate.assignments_checked == 1 << box.n_coords
-            assert _pattern_flip_sweep(w, box)
+            assert _pattern_flip_sweep(tau, w.beta, w.gamma, w.row, w.toggle.mask_below(box.bits), box)
 
     def test_shift_of_any_automorphism_is_constant(self):
         rng = random.Random(7)
@@ -210,7 +208,7 @@ class TestClosedFormCertificate:
         expected = w.toggle.mask_below(box.bits)
         assert pattern_shift(tau, tampered.beta, tampered.gamma, 0, box) != expected
         assert swept_shifts(tau, tampered.beta, tampered.gamma, 0, box) != {expected}
-        assert not _pattern_flip_sweep(tampered, box)
+        assert not _pattern_flip_sweep(tau, tampered.beta, tampered.gamma, 0, expected, box)
         # the same rows with gamma's row toggled alike by a second generator
         both = compose(tau, generator(box.forest, w.gamma, 0, w.toggle))
         assert pattern_shift(both, w.beta, w.gamma, 0, box) == 0 != expected
@@ -220,10 +218,19 @@ class TestClosedFormCertificate:
             box = box_on(4, 1, bits, pred={1: 0, 2: 0, 3: 1})
             for exceptions in (set(), {0}, {1, 2}):
                 tau = generator(box.forest, 0, 0, ToggleSet.cofinite_excluding(exceptions))
-                assert both_rows_toggled_invariance(tau, 1, 2, 0, box)
+                assert pattern_shift(tau, 1, 2, 0, box) == 0
                 assert swept_shifts(tau, 1, 2, 0, box) == {0}
-        with pytest.raises(PreconditionError):
-            both_rows_toggled_invariance(tau, 1, 3, 0, box)
+                assert _pattern_flip_sweep(tau, 1, 2, 0, 0, box)
+
+    def test_sweep_rejects_one_row_toggled(self):
+        # node 3's predecessor is 1, so a generator at 1 toggles rows 1 and 3 but not row 2
+        box = box_on(4, 1, 2, pred={1: 0, 2: 0, 3: 1})
+        for s in (ToggleSet.cofinite_excluding(set()), ToggleSet.finite({1})):
+            tau = generator(box.forest, 1, 0, s)
+            assert not _pattern_flip_sweep(tau, 1, 2, 0, 0, box)
+            assert not _pattern_flip_sweep(tau, 2, 3, 0, 0, box)
+            assert _pattern_flip_sweep(tau, 1, 3, 0, 0, box)
+            assert _pattern_flip_sweep(tau, 1, 2, 0, s.mask_below(box.bits), box)
 
 
 class TestCanonicalSelector:
