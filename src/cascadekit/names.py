@@ -7,7 +7,10 @@ play the role of a maximal antichain of atoms, so "decides" and "supported
 by" become finite sweeps.  Evaluation reads only the coordinates a name
 mentions, so each sweep runs over a member table of those coordinates and
 still covers every assignment of the box: the box may have any size, and
-``kernels.MAX_TABLE_COORDS`` bounds what one name mentions.
+``kernels.MAX_TABLE_COORDS`` bounds what one name mentions.  One member
+table is built per (name, box) and reused by support, normalization and
+decision questions, as is each support sweep per (name, support, box); each
+cache keeps only its ``_CACHE_ENTRIES`` most recent entries.
 
 A name supported by a closed window A normalizes to a packet scheme: per
 member m, the prime implicants (the Blake canonical form) of m's
@@ -31,6 +34,10 @@ from .forest import PredecessorForest, Window, parse_node_set, rho_closure
 
 DEFAULT_M_RANGE = 8
 ENUMERATION_VERSION = "lex-v1"
+# Entries kept by the member-table and support caches.  Every caller asks all
+# its questions about one name before it moves on, so the name asked about
+# again is the most recent one.
+_CACHE_ENTRIES = 1
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,8 @@ class RawName:
     pairs: frozenset[tuple[int, Condition]]
 
     def __post_init__(self):
+        # a frozenset keeps the name hashable, so it can key the member-table cache
+        object.__setattr__(self, "pairs", frozenset(self.pairs))
         for m, _ in self.pairs:
             if m < 0:
                 raise DomainError("member indices must be naturals")
@@ -179,9 +188,9 @@ class PacketScheme:
                     raise DomainError(
                         f"packet in family {m} mentions nodes outside the support"
                     )
-        canonical = tuple(sorted(self.families, key=lambda kv: kv[0]))
-        if canonical != self.families:
-            object.__setattr__(self, "families", canonical)
+        # frozen families keep the scheme hashable, so it can key the member-table cache
+        frozen = ((m, frozenset(packets)) for m, packets in self.families)
+        object.__setattr__(self, "families", tuple(sorted(frozen, key=lambda kv: kv[0])))
 
     @classmethod
     def of(cls, support: Window, families: Mapping[int, Iterable[Packet]]) -> "PacketScheme":
@@ -199,11 +208,16 @@ class PacketScheme:
         )
 
 
+def _check_name(name) -> None:
+    """Reject anything but a raw name or packet scheme, before it is hashed as a cache key."""
+    if not isinstance(name, (RawName, PacketScheme)):
+        raise DomainError(f"expected a raw name or packet scheme, got {type(name)!r}")
+
+
 def _name_pairs(name) -> tuple[tuple[int, Condition], ...]:
+    _check_name(name)
     if isinstance(name, PacketScheme):
         name = name.to_raw_name()
-    if not isinstance(name, RawName):
-        raise DomainError(f"expected a raw name or packet scheme, got {type(name)!r}")
     return tuple(sorted(name.pairs, key=lambda p: (p[0], p[1].entries)))
 
 
@@ -216,20 +230,32 @@ def evaluate(name, g: Assignment) -> set[int]:
     return out
 
 
-def _mentioned_table(pairs, box: CoordinateBox):
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _name_table(name, box: CoordinateBox):
     """Member table of a name over only the coordinates its conditions mention.
 
-    Returns ``(table, positions, slot)``: the table, the ascending box
-    positions of the mentioned coordinates, and each mentioned coordinate's
-    bit in the table.  Evaluation reads no other coordinate, so a verdict
-    over the table holds for all ``2**n_coords`` assignments of the box.  A
-    coordinate outside the box, or more than ``kernels.MAX_TABLE_COORDS``
-    mentioned coordinates, raises :class:`DomainError`.
+    Returns ``(pairs, table, positions, slot)``: the name's sorted pairs, the
+    table, the ascending box positions of the mentioned coordinates, and
+    each mentioned coordinate's bit in the table.  Evaluation reads no other
+    coordinate, so a verdict over the table holds for all ``2**n_coords``
+    assignments of the box.  A coordinate outside the box, or more than
+    ``kernels.MAX_TABLE_COORDS`` mentioned coordinates, raises
+    :class:`DomainError`.
+
+    Built once per (name, box) and reused by every question asked of the
+    name: equal names over equal boxes (same window, rows and bits) have
+    equal tables.  The cache keeps the ``_CACHE_ENTRIES`` most recent
+    tables, each one column of at most ``2**MAX_TABLE_COORDS`` bits
+    (512 KB) per member.  Nothing mutates what it returns: the
+    kernels only read a table.  Callers check the name's type first
+    (``_check_name``), so a list raises :class:`DomainError`, not
+    ``TypeError`` from hashing.
     """
-    positions = sorted({box.index(c) for _, cond in pairs for c, _ in cond.entries})
+    pairs = _name_pairs(name)
+    positions = tuple(sorted({box.index(c) for _, cond in pairs for c, _ in cond.entries}))
     slot = {box.coord_at(pos): j for j, pos in enumerate(positions)}
     entries = [(*_slot_masks(cond, slot), m) for m, cond in pairs]
-    return kernels.build_table(len(positions), entries), positions, slot
+    return pairs, kernels.build_table(len(positions), entries), positions, slot
 
 
 def _slot_masks(cond: Condition, slot) -> tuple[int, int]:
@@ -276,16 +302,21 @@ def _check_box_window(A: Window, box: CoordinateBox) -> None:
         raise DomainError("support window and box use different forests")
 
 
-def _sweep_support(table, positions, slot, A: Window, box: CoordinateBox) -> SupportReport:
-    """Flip every single-bit generator at a node off the support over the whole table.
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _support(name, A: Window, box: CoordinateBox) -> SupportReport:
+    """Flip every single-bit generator at a node off the support over the name's table.
 
     A generator's flip mask covers its own coordinate and the matching
     coordinate of each successor in the box; only its mentioned coordinates
     can change an evaluation, so a generator that mentions none is skipped
     and each distinct table mask is swept once.  The witness is the first
     generator, in box order, that changes some evaluation, with the least
-    assignment it changes (unmentioned coordinates 0).
+    assignment it changes (unmentioned coordinates 0).  Like
+    :func:`_name_table`, the ``_CACHE_ENTRIES`` most recent (name, support,
+    box) verdicts are kept, so :func:`normalize` reuses the sweep
+    :func:`support_report` ran.
     """
+    _, table, positions, slot = _name_table(name, box)
     checked = 1 << box.n_coords
     children = box.forest._children
     touched = {c.node for c in slot}
@@ -319,10 +350,13 @@ def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
     a name that mentions more than ``kernels.MAX_TABLE_COORDS`` coordinates
     raises :class:`DomainError`.  Generators off the support suffice: the
     group is abelian and every element fixing the support factors into them
-    inside the box.
+    inside the box.  The member table is built once per (name, box) and the
+    sweep run once per (name, support, box), each kept in a bounded cache
+    that :func:`normalize` and :func:`decision_invariant` read too.
     """
     _check_box_window(A, box)
-    return _sweep_support(*_mentioned_table(_name_pairs(name), box), A, box)
+    _check_name(name)
+    return _support(name, A, box)
 
 
 def check_support(name, A: Window, box: CoordinateBox) -> bool:
@@ -340,11 +374,14 @@ def decision_invariant(
     m with the same truth value, sweeping all of its total extensions.  The
     coordinates of ``p`` that the name does not mention cannot change
     membership, so they drop out of the sweep; they must still lie in the box.
+    The name's member table comes from the bounded per-(name, box) cache,
+    so asking about many conditions of one name builds it once.
     """
     _check_box_window(A, box)
+    _check_name(name)
     for coord, _ in p.entries:
         box.index(coord)
-    table, _, slot = _mentioned_table(_name_pairs(name), box)
+    _, table, _, slot = _name_table(name, box)
     verdict = kernels.subcube_member_summary(table, m, *_slot_masks(p, slot))
     if verdict == 2:
         raise PreconditionError(f"condition does not decide membership of {m}")
@@ -404,20 +441,22 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     depend on those projections alone, so the scheme evaluates exactly like
     the name on every assignment; the prime implicants depend only on that
     function, so two presentations of one name give one scheme.  Support is
-    checked by the same exhaustive sweep as :func:`support_report`; the box
-    may have any size, and a name that mentions more than
+    checked by the same exhaustive sweep as :func:`support_report`, and
+    both read the same bounded caches: after :func:`support_report` on the
+    same name, support and box, neither the member table nor the sweep is
+    redone.  The box may have any size, and a name that mentions more than
     ``kernels.MAX_TABLE_COORDS`` coordinates raises :class:`DomainError`.
     Families run over the members below ``DEFAULT_M_RANGE`` and every
     member that occurs.
     """
     _check_box_window(A, box)
-    pairs = _name_pairs(name)
-    table, positions, slot = _mentioned_table(pairs, box)
-    report = _sweep_support(table, positions, slot, A, box)
+    _check_name(name)
+    report = _support(name, A, box)
     if not report.supported:
         raise PreconditionError(
             f"name is not supported by the window; witness generator+assignment {report.witness}"
         )
+    pairs, _, _, slot = _name_table(name, box)
     trimmed = {coord: j for coord, j in slot.items() if coord.node in A.nodes}
     cubes: dict[int, list[tuple[int, int]]] = {}
     for m, cond in pairs:

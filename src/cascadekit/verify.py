@@ -407,10 +407,10 @@ def _eval_tables_equal(name_a, name_b, box: CoordinateBox) -> bool:
     return kernels.tables_equal(_member_table(box, name_a), _member_table(box, name_b))
 
 
-def _decides(name, p: Condition, m: int, box: CoordinateBox) -> bool:
-    """Whether every total extension of p agrees on membership of m."""
+def _decides(table, p: Condition, m: int, box: CoordinateBox) -> bool:
+    """Whether every total extension of p agrees on membership of m, on the whole-box table."""
     dmask, vmask = box.condition_masks(p)
-    return kernels.subcube_member_summary(_member_table(box, name), m, dmask, vmask) != 2
+    return kernels.subcube_member_summary(table, m, dmask, vmask) != 2
 
 
 def verify_decision(
@@ -422,6 +422,7 @@ def verify_decision(
     started = time.perf_counter()
     report = VerificationReport("decision", trials, False, [], seed)
     rng = random.Random(seed)
+    pair_probes = total_probes = drawn = kept = 0
     for trial in range(trials):
         box = _random_box(rng, box_dims)
         name, A = _random_supported_name(rng, box)
@@ -431,20 +432,29 @@ def verify_decision(
         probes: list[tuple[Condition, int]] = []
         for m, cond in sorted(name.pairs, key=lambda p: (p[0], p[1].entries)):
             probes.append((cond, m))  # extends a pair, so it decides that member true
+        pair_probes += len(probes)
         g = Assignment(box, rng.getrandbits(box.n_coords))
         total = g.restrict_to_nodes(box.window.nodes)
         for m in range(4):
             probes.append((total, m))  # total conditions decide everything
+        total_probes += 4
         coords = list(box.coords())
+        table = _member_table(box, name)
         for _ in range(6):  # random partial conditions, kept only when they decide
             picked = rng.sample(coords, rng.randint(1, min(6, len(coords))))
             p = Condition(tuple((c, rng.randrange(2)) for c in picked))
             m = rng.randrange(4)
-            if _decides(name, p, m, box):
+            drawn += 1
+            if _decides(table, p, m, box):
                 probes.append((p, m))
+                kept += 1
         for p, m in probes:
             if not decision_invariant(name, A, p, m, box):
                 report.record(f"trial {trial}: restriction of a deciding condition flipped m={m}")
+    report.notes = (
+        f"probes: {pair_probes} pair conditions, {total_probes} total-assignment conditions, "
+        f"{kept} of {drawn} random conditions kept as deciding"
+    )
     return _finish(report, started)
 
 

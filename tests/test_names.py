@@ -19,7 +19,10 @@ from cascadekit.names import (
     PacketScheme,
     RawName,
     TwoLayerCode,
+    _CACHE_ENTRIES,
+    _name_table,
     _prime_cubes,
+    _support,
     check_support,
     decision_invariant,
     decode_two_layer,
@@ -42,6 +45,17 @@ from cascadekit.verify import (
     _random_box,
     _random_supported_name,
 )
+
+
+def clear_name_caches():
+    _name_table.cache_clear()
+    _support.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_name_caches():
+    """Each test counts its own kernel calls, whatever an earlier test left cached."""
+    clear_name_caches()
 
 
 def small_box(rows=1, bits=2, size=3, pred=None):
@@ -995,3 +1009,112 @@ class TestPrimePackets:
             TwoLayerCode(A, (3, 1, 2), ((0, (1,)), (0, (2,))))
         with pytest.raises(DomainError):
             TwoLayerCode(A, (3, 1, 2), ((-1, (1,)),))
+
+
+class TestNameCache:
+    """One member table per (name, box) and one support sweep per (name, support, box)."""
+
+    @staticmethod
+    def counting(monkeypatch, attr):
+        calls = []
+        real = getattr(kernels, attr)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, attr, counted)
+        return calls
+
+    def test_one_table_and_one_sweep_per_name(self, monkeypatch):
+        builds = self.counting(monkeypatch, "build_table")
+        flips = self.counting(monkeypatch, "flip_violation")
+        f = forest_of(4, {1: 0, 2: 1, 3: 0})
+        box = CoordinateBox(Window.whole(f), 1, 2)
+        A = rho_closure(f, {0, 1})
+        over, off = Coordinate(1, 0, 0), Coordinate(3, 0, 1)
+        pairs = [
+            (0, Condition(((over, 1),))),
+            (1, Condition(((over, 0), (off, 0)))),  # off-support coordinate set both ways
+            (1, Condition(((over, 0), (off, 1)))),
+        ]
+        name = RawName.of(pairs)
+        assert support_report(name, A, box).supported
+        assert len(builds) == 1 and len(flips) >= 1
+        sweep = len(flips)
+        normalize(name, A, box)
+        for m, cond in pairs:
+            assert decision_invariant(name, A, cond, m, box)
+        assert check_support(name, A, box)
+        assert len(builds) == 1 and len(flips) == sweep
+
+    def test_list_or_dict_name_raises_domain_error(self):
+        box = small_box()
+        A = rho_closure(box.forest, {0})
+        pairs = [(0, Condition.from_map({(0, 0, 0): 1}))]
+        p = Condition.from_map({(0, 0, 0): 1})
+        for name in (pairs, dict(pairs)):
+            with pytest.raises(DomainError):
+                support_report(name, A, box)
+            with pytest.raises(DomainError):
+                check_support(name, A, box)
+            with pytest.raises(DomainError):
+                normalize(name, A, box)
+            with pytest.raises(DomainError):
+                decision_invariant(name, A, p, 0, box)
+
+    def test_names_built_from_sets_are_frozen_into_cache_keys(self):
+        box = small_box()
+        A = rho_closure(box.forest, {0})
+        cond = Condition.from_map({(0, 0, 0): 1})
+        raw = RawName({(0, cond)})
+        scheme = PacketScheme(A, ((0, {Packet.of(cond, box.forest)}),))
+        assert raw == RawName.of([(0, cond)]) and hash(raw) == hash(RawName.of([(0, cond)]))
+        assert support_report(raw, A, box).supported and support_report(scheme, A, box).supported
+
+    def test_cached_verdicts_equal_uncached(self):
+        rng = random.Random(16)
+        for _ in range(200):
+            box = _random_box(rng, None)
+            name, A = _random_supported_name(rng, box)
+            root = rho_closure(box.forest, {0})
+            pairs = sorted(name.pairs, key=lambda p: (p[0], p[1].entries))
+
+            def answers(fresh):
+                def call(fn, *args):
+                    if fresh:
+                        clear_name_caches()
+                    try:
+                        return fn(*args)
+                    except PreconditionError:
+                        return "precondition"
+
+                # an equal name over an equal box reads the tables the first built;
+                # a wider box packs the same coordinates at other positions
+                twin = RawName.of(list(name.pairs))
+                twin_box = CoordinateBox(Window(box.forest, frozenset(box.window.nodes)), box.rows, box.bits)
+                wide = CoordinateBox(box.window, box.rows, box.bits + 1)
+                return (
+                    call(support_report, name, A, box),
+                    call(support_report, name, root, box),
+                    call(normalize, name, A, box),
+                    call(normalize, twin, A, twin_box),
+                    call(normalize, name, root, box),
+                    [call(decision_invariant, name, A, cond, m, box) for m, cond in pairs],
+                    call(check_support, twin, root, twin_box),
+                    call(support_report, name, root, wide),
+                    call(normalize, name, A, wide),
+                )
+
+            assert answers(fresh=False) == answers(fresh=True)
+
+    def test_caches_are_bounded_by_the_documented_constant(self):
+        assert _name_table.cache_info().maxsize == _CACHE_ENTRIES
+        assert _support.cache_info().maxsize == _CACHE_ENTRIES
+        box = small_box()
+        A = rho_closure(box.forest, {0})
+        for k in range(20):
+            name = RawName.of([(k, Condition.from_map({(0, 0, 0): 1}))])
+            support_report(name, A, box)
+        assert _name_table.cache_info().currsize == _CACHE_ENTRIES
+        assert _support.cache_info().currsize == _CACHE_ENTRIES

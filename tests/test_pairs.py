@@ -1,0 +1,67 @@
+"""The pair runner's summary of parent/change runs, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("pairs", ROOT / "benchmarks" / "pairs.py")
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+METRICS = [{"name": "wall", "better": "lower"}, {"name": "rate", "better": "higher"}]
+
+
+def run(workload, side, pair, wall, rate):
+    return {"workload": workload, "side": side, "pair": pair, "metrics": {"wall": wall, "rate": rate}}
+
+
+def synthetic_runs():
+    parent = [4.0, 2.0, 3.0, 5.0, 1.0]
+    change = [2.0, 2.0, 1.0, 6.0, 0.5]  # pair 2 ties, pair 4 loses
+    runs = []
+    for i, (p, c) in enumerate(zip(parent, change), start=1):
+        runs.append(run("w", "parent", i, p, 10 * p))
+        runs.append(run("w", "change", i, c, 10 * c))
+    runs.append(run("w", "parent", 6, 100.0, 0.0))  # a pair without its change run is left out
+    return runs
+
+
+def test_medians_quartiles_and_pairs_won():
+    summary = pairs.summarize(synthetic_runs(), METRICS)
+    wall = summary["w"]["wall"]
+    # sorted parent 1 2 3 4 5; change 0.5 1 2 2 6: exclusive quartiles at ranks 1.5 and 4.5
+    assert wall["parent_median"] == 3.0
+    assert wall["parent_quartiles"] == [1.5, 4.5]
+    assert wall["change_median"] == 2.0
+    assert wall["change_quartiles"] == [0.75, 4.0]
+    assert wall["change_over_parent"] == pytest.approx(2 / 3, abs=1e-3)
+    assert wall["pairs_change_better"] == 3  # a tie is not a win
+    # for a higher-is-better metric, the same values win the other pairs
+    rate = summary["w"]["rate"]
+    assert rate["parent_median"] == 30.0 and rate["change_median"] == 20.0
+    assert rate["pairs_change_better"] == 1
+
+
+def test_workloads_summarised_separately_and_in_order():
+    runs = [run("b", side, 1, 1.0, 1.0) for side in ("parent", "change")]
+    runs += [run("a", "parent", 1, 2.0, 1.0), run("a", "change", 1, 1.0, 1.0)]
+    summary = pairs.summarize(runs, METRICS)
+    assert list(summary) == ["b", "a"]
+    # one pair: the quartiles collapse onto the single value
+    assert summary["a"]["wall"]["parent_quartiles"] == [2.0, 2.0]
+    assert summary["a"]["wall"]["pairs_change_better"] == 1
+    assert summary["b"]["wall"]["pairs_change_better"] == 0
+
+
+def test_pairs_alternate_which_side_runs_first():
+    assert [pairs.first_side(i) for i in range(1, 5)] == ["parent", "change", "parent", "change"]
+
+
+def test_failed_runs_are_named():
+    runs = [{**r, "correct": True, "failed": 0} for r in synthetic_runs()]
+    assert pairs.failed_runs(runs) == []
+    runs[3] = {**runs[3], "failed": 2}
+    runs[6] = {**runs[6], "correct": False}
+    assert pairs.failed_runs(runs) == [runs[3], runs[6]]

@@ -1,6 +1,7 @@
 """Sweep sizes of the verification routines, independent of the seed."""
 
 import itertools
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from cascadekit.verify import (
     _echelon_bases,
     _subspace_span,
     lemma_parameters,
+    verify_decision,
     verify_dyadic,
     verify_selector,
     verify_shield,
@@ -38,6 +40,18 @@ def test_notes_split_enumerated_from_sampled_counts():
     swap = verify_swap(trials=3, seed=0)
     assert swap.trials == 729 + 6 + 3
     assert swap.notes.startswith("729 enumerated conditions and 6 both-toggled generators, plus 3 sampled conditions")
+
+
+def test_decision_note_counts_probes_by_kind():
+    # every trial's name passes its own support check, so each draws 6 random conditions
+    report = verify_decision(trials=10, seed=0)
+    assert report.ok()
+    match = re.fullmatch(
+        r"probes: (\d+) pair conditions, 40 total-assignment conditions, "
+        r"(\d+) of 60 random conditions kept as deciding",
+        report.notes,
+    )
+    assert match and int(match[1]) >= 10 and 0 < int(match[2]) <= 60
 
 
 @pytest.mark.parametrize("lemma", list(REGISTRY))
