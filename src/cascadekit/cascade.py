@@ -11,6 +11,7 @@ toggle set per row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CertificateError, DomainError, ParseError, PreconditionError
@@ -65,7 +66,9 @@ class ToggleSet:
         return not self.cofinite and not self.exceptions
 
     def disjoint_from(self, bits: Iterable[int]) -> bool:
-        return all(n not in self for n in bits)
+        if self.cofinite:
+            return self.exceptions.issuperset(bits)
+        return self.exceptions.isdisjoint(bits)
 
     def mask_below(self, B: int) -> int:
         """Members among ``0..B-1`` as a bitmask; how the set acts on a truncated box."""
@@ -78,6 +81,7 @@ class ToggleSet:
 
 
 _EMPTY_TOGGLE = ToggleSet(False, frozenset())
+_NO_BITS: frozenset[int] = frozenset()
 
 
 def parse_toggle_set(text: str) -> ToggleSet:
@@ -126,6 +130,21 @@ class Condition:
 
     def domain(self) -> frozenset[Coordinate]:
         return frozenset(c for c, _ in self.entries)
+
+    @cached_property
+    def _row_bits(self) -> dict[tuple[int, int], frozenset[int]]:
+        """The bits mentioned on each (node, row), built on first use and kept.
+
+        Not a field, so equality, hashing, repr and pickling ignore it.
+        """
+        rows: dict[tuple[int, int], list[int]] = {}
+        for (node, row, bit), _ in self.entries:
+            rows.setdefault((node, row), []).append(bit)
+        return {key: frozenset(bits) for key, bits in rows.items()}
+
+    def __getstate__(self):
+        # pickle the value alone; the row index is rebuilt on first use
+        return {"entries": self.entries}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -262,18 +281,22 @@ def compose_all(
 def apply(tau: CascadeAutomorphism, q: Condition) -> Condition:
     """Act on a condition: flip each entry whose bit lies in its row's toggle set.
 
-    Returns ``q`` itself when no entry flips.
+    The test runs over the rows ``tau`` toggles, against the row index of
+    ``q`` (its bits per (node, row), built in one pass over the entries on
+    the condition's first ``apply`` or ``shield_set`` and kept): one dict
+    lookup and one set test per toggled row.  Returns ``q`` itself when no
+    toggle set meets its row's bits; otherwise the entries are rebuilt.
     """
-    lookup = tau._lookup
-    entries = q.entries
-    for first, (coord, _) in enumerate(entries):
-        ts = lookup.get((coord.node, coord.row))
-        if ts is not None and coord.bit in ts:
+    rows = q._row_bits
+    for key, ts in tau.row_toggles:
+        bits = rows.get(key)
+        if bits is not None and not ts.disjoint_from(bits):
             break
     else:
         return q
-    out = list(entries[:first])
-    for coord, value in entries[first:]:
+    lookup = tau._lookup
+    out = []
+    for coord, value in q.entries:
         ts = lookup.get((coord.node, coord.row))
         if ts is not None and coord.bit in ts:
             value ^= 1
@@ -286,13 +309,18 @@ def shield_set(
 ) -> frozenset[int]:
     """Bits at which ``q`` constrains row (beta, row) or a successor's matching row.
 
-    Any toggle set disjoint from this finite set leaves ``q`` fixed.
+    Any toggle set disjoint from this finite set leaves ``q`` fixed.  It is
+    the union of at most 1 + |children of beta| sets read from the row
+    index of ``q`` (built once per condition, as for :func:`apply`).
     """
     forest.check_node(beta)
-    nodes = {beta} | set(forest._children[beta])
-    return frozenset(
-        c.bit for c, _ in q.entries if c.row == row and c.node in nodes
-    )
+    rows = q._row_bits
+    found = rows.get((beta, row), _NO_BITS)
+    for eta in forest._children[beta]:
+        bits = rows.get((eta, row))
+        if bits:
+            found |= bits
+    return found
 
 
 def fixes_rows_over(tau: CascadeAutomorphism, A: Window) -> bool:

@@ -236,7 +236,8 @@ def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
                     toggles = legal[key] = _legal_toggles(forest, *key)
                 swept += len(toggles)
                 for s, tau in toggles:
-                    if apply(tau, q) != q:
+                    moved = apply(tau, q)
+                    if moved is not q and moved != q:  # identity settles the common case cheaply
                         report.record(
                             f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
                         )
@@ -469,16 +470,16 @@ def _cube_minterms(dmask: int, vmask: int, within: int) -> list[int]:
     return out
 
 
-def _family_fault(name, scheme, A: Window, box: CoordinateBox) -> str | None:
+def _family_fault(name, table, scheme, A: Window, box: CoordinateBox) -> str | None:
     """The first way a normalized family is not the Blake canonical form, or None.
 
+    ``table`` is the name's whole-box member table (:func:`_member_table`).
     Per member, the packets' minterms over the coordinates the name
-    mentions over ``A`` must be exactly ``kernels.project_member`` of the
-    whole-box member table; dropping any literal of a packet must leave
-    that cover; and every consensus of two packets must be absorbed by a
-    packet, which by Blake's theorem makes the family every prime implicant.
+    mentions over ``A`` must be exactly ``kernels.project_member`` of that
+    table; dropping any literal of a packet must leave that cover; and
+    every consensus of two packets must be absorbed by a packet, which by
+    Blake's theorem makes the family every prime implicant.
     """
-    table = _member_table(box, name)
     mentioned = 0
     for _, cond in _name_pairs(name):
         mentioned |= box.condition_masks(cond)[0]
@@ -517,11 +518,12 @@ def verify_normalize(
         box = _random_box(rng, box_dims)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
-        if not _eval_tables_equal(name, scheme, box):
+        table = _member_table(box, name)
+        if not kernels.tables_equal(table, _member_table(box, scheme)):
             report.record(f"trial {trial}: normalized scheme changed some evaluation")
         if not check_support(scheme, A, box):
             report.record(f"trial {trial}: normalized scheme fails support on its own window")
-        fault = _family_fault(name, scheme, A, box)
+        fault = _family_fault(name, table, scheme, A, box)
         if fault:
             report.record(f"trial {trial}: {fault}")
     report.notes = (
@@ -745,9 +747,13 @@ def _pattern_flip_sweep(
     The flip mask is rebuilt pointwise from the toggle sets of ``tau`` with
     this function's own coordinate packing (node-major, then row, then bit),
     and assignments are plain ints, so no library mask, index or pattern
-    code is trusted.
+    code is trusted.  All ``2**n_coords`` assignments are checked at once:
+    column ``i`` is an int whose bit ``g`` is coordinate ``i`` of
+    assignment ``g``, so each bit of the row costs a few XORs of columns.
     """
     rows, bits = box.rows, box.bits
+    if expected >> bits:  # the shift of a pattern lies within its row
+        return False
     pos = {xi: k for k, xi in enumerate(box.window.ordered)}
     flip = 0
     for xi, k in pos.items():
@@ -756,14 +762,24 @@ def _pattern_flip_sweep(
             for bit in range(bits):
                 if bit in ts:
                     flip |= 1 << ((k * rows + r) * bits + bit)
-    row_mask = (1 << bits) - 1
+    size = 1 << box.n_coords
+    every = (1 << size) - 1
+
+    def column(i: int) -> int:
+        # period 2**(i+1): 2**i zero bits, then 2**i one bits
+        half = 1 << i
+        return every // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+
+    def flipped(i: int) -> int:
+        return every if flip >> i & 1 else 0
+
     at_beta = (pos[beta] * rows + row) * bits
     at_gamma = (pos[gamma] * rows + row) * bits
-    for g in range(1 << box.n_coords):
-        before = ~((g >> at_beta) ^ (g >> at_gamma)) & row_mask
-        h = g ^ flip
-        after = ~((h >> at_beta) ^ (h >> at_gamma)) & row_mask
-        if before ^ after != expected:
+    for j in range(bits):
+        x, y = column(at_beta + j), column(at_gamma + j)
+        before = ~(x ^ y) & every
+        after = ~((x ^ flipped(at_beta + j)) ^ (y ^ flipped(at_gamma + j))) & every
+        if before ^ after != (every if expected >> j & 1 else 0):
             return False
     return True
 

@@ -21,3 +21,26 @@ def apply_to_assignment(tau, g):
         if c.bit in tau.toggle_at(c.node, c.row):
             flip |= 1 << box.index(c)
     return Assignment(box, g.value_bits ^ flip)
+
+
+def pattern_flip_loop(tau, beta, gamma, row, expected, box):
+    """Reference for ``verify._pattern_flip_sweep``: the same check, one assignment at a time."""
+    rows, bits = box.rows, box.bits
+    pos = {xi: k for k, xi in enumerate(box.window.ordered)}
+    flip = 0
+    for xi, k in pos.items():
+        for r in range(rows):
+            ts = tau.toggle_at(xi, r)
+            for bit in range(bits):
+                if bit in ts:
+                    flip |= 1 << ((k * rows + r) * bits + bit)
+    row_mask = (1 << bits) - 1
+    at_beta = (pos[beta] * rows + row) * bits
+    at_gamma = (pos[gamma] * rows + row) * bits
+    for g in range(1 << box.n_coords):
+        before = ~((g >> at_beta) ^ (g >> at_gamma)) & row_mask
+        h = g ^ flip
+        after = ~((h >> at_beta) ^ (h >> at_gamma)) & row_mask
+        if before ^ after != expected:
+            return False
+    return True

@@ -1,6 +1,7 @@
 """Conditions, toggle sets, cascade automorphisms, shielding, transport."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -90,6 +91,14 @@ class TestToggleSet:
         for s in cases:
             for B in range(7):  # B = 0 included
                 assert s.mask_below(B) == sum(1 << n for n in range(B) if n in s)
+
+    @given(toggle_sets, st.lists(st.integers(0, 14), max_size=6))
+    def test_disjoint_from_matches_pointwise(self, s, bits):
+        expected = all(n not in s for n in bits)
+        assert s.disjoint_from(set(bits)) == expected
+        assert s.disjoint_from(frozenset(bits)) == expected
+        assert s.disjoint_from(list(bits)) == expected
+        assert s.disjoint_from(n for n in bits) == expected  # a one-shot iterator
 
     def test_negative_bits_rejected(self):
         with pytest.raises(DomainError):
@@ -311,6 +320,64 @@ class TestShield:
                     continue
                 assert s.disjoint_from(shield)
                 assert apply(generator(f, beta, row, s), q) == q
+
+    def test_pointwise_replay(self):
+        # conditions mention rows 0..2 of nodes anywhere in the forest; rows 3 and 4 never
+        rng = random.Random(314)
+        checked = {"found": 0, "empty": 0, "unmentioned": 0}
+        for _ in range(300):
+            f = random_forest(rng.randint(1, 7), rng.getrandbits(32))
+            q = random_condition(f, rng, max_len=rng.choice((0, 3, 8)))
+            for beta in range(f.size):
+                for row in range(5):
+                    expected = frozenset(
+                        c.bit for c, _ in q.entries
+                        if c.row == row and (c.node == beta or f.parents[c.node] == beta)
+                    )
+                    got = shield_set(q, beta, row, f)
+                    assert type(got) is frozenset and got == expected
+                    if expected:
+                        checked["found"] += 1
+                    elif any(c.row == row for c, _ in q.entries):
+                        checked["empty"] += 1  # the row is mentioned, but only off beta and its children
+                    else:
+                        checked["unmentioned"] += 1
+        assert min(checked.values()) > 100
+
+    def test_bad_node_still_rejected(self):
+        f = forest_of(3, {1: 0, 2: 1})
+        q = Condition.from_map({(1, 0, 2): 1})
+        with pytest.raises(DomainError):
+            shield_set(q, 3, 0, f)
+
+
+class TestRowIndex:
+    """The row index ``apply`` and ``shield_set`` read is a cache, not part of the value."""
+
+    def test_equality_and_hash_ignore_the_index(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            f = random_forest(rng.randint(2, 6), rng.getrandbits(32))
+            q = random_condition(f, rng)
+            shuffled = list(q.entries)
+            rng.shuffle(shuffled)
+            other = Condition(tuple(shuffled))
+            text, blob = repr(q), pickle.dumps(q)
+            apply(random_generator(f, rng), q)  # builds the index on q only
+            shield_set(q, 0, 0, f)
+            assert "_row_bits" in vars(q) and "_row_bits" not in vars(other)
+            assert q == other and other == q and hash(q) == hash(other)
+            assert len({q, other}) == 1
+            assert repr(q) == repr(other) == text
+            assert pickle.dumps(q) == pickle.dumps(other) == blob
+            restored = pickle.loads(blob)
+            assert restored == q and hash(restored) == hash(q)
+            assert "_row_bits" not in vars(restored) and restored._row_bits == q._row_bits
+
+    def test_index_matches_the_entries(self):
+        q = Condition.from_map({(2, 0, 3): 1, (0, 1, 0): 0, (2, 0, 1): 1, (1, 1, 4): 0})
+        assert q._row_bits == {(0, 1): {0}, (1, 1): {4}, (2, 0): {1, 3}}
+        assert Condition.empty()._row_bits == {}
 
 
 class TestFixesRowsOver:

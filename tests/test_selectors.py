@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import all_assignments, apply_to_assignment, forest_of
+from conftest import all_assignments, apply_to_assignment, forest_of, pattern_flip_loop
 from cascadekit.cascade import Condition, ToggleSet, compose, compose_all, generator
 from cascadekit.errors import CapacityError, DomainError, PreconditionError
 from cascadekit.forest import Window, random_forest, rho_closure
@@ -231,6 +231,66 @@ class TestClosedFormCertificate:
             assert not _pattern_flip_sweep(tau, 2, 3, 0, 0, box)
             assert _pattern_flip_sweep(tau, 1, 3, 0, 0, box)
             assert _pattern_flip_sweep(tau, 1, 2, 0, s.mask_below(box.bits), box)
+
+
+class TestBitParallelOracle:
+    """``_pattern_flip_sweep`` against the per-assignment loop it replaced (``conftest``)."""
+
+    @staticmethod
+    def assert_agrees(tau, beta, gamma, row, box):
+        """Agreement on every shift a row can have and one outside it; exactly one holds."""
+        accepted = []
+        for expected in range(1 << (box.bits + 1)):
+            verdict = _pattern_flip_sweep(tau, beta, gamma, row, expected, box)
+            assert verdict == pattern_flip_loop(tau, beta, gamma, row, expected, box)
+            if verdict:
+                accepted.append(expected)
+        assert len(accepted) == 1 and accepted[0] < 1 << box.bits
+        return accepted[0]
+
+    def test_every_enumerated_witness(self):
+        # the 729 conditions of verify swap's 6-coordinate enumeration
+        box = box_on(3, 1, 2)
+        A = rho_closure(box.forest, {0})
+        coords = list(box.coords())
+        count = 0
+        for values in itertools.product((None, 0, 1), repeat=len(coords)):
+            q = Condition(tuple((c, v) for c, v in zip(coords, values) if v is not None))
+            w = swap_witness(q, A, 0, box)
+            tau = generator(box.forest, w.beta, w.row, w.toggle)
+            true = self.assert_agrees(tau, w.beta, w.gamma, w.row, box)
+            assert true == w.toggle.mask_below(box.bits)
+            # tampered rows: beta against itself, and the pair read from the other side
+            assert self.assert_agrees(tau, w.beta, w.beta, w.row, box) == 0
+            assert self.assert_agrees(tau, w.gamma, w.beta, w.row, box) == true
+            count += 1
+        assert count == 729
+
+    def test_random_boxes_up_to_twelve_coordinates(self):
+        rng = random.Random(1717)
+        shapes = ((3, 2, 2), (4, 1, 3), (3, 1, 4), (2, 3, 2), (2, 1, 6), (6, 2, 1), (2, 2, 1))
+        widths = set()
+        for _ in range(60):
+            n_nodes, rows, bits = rng.choice(shapes)
+            box = CoordinateBox(Window.whole(random_forest(n_nodes, rng.getrandbits(32))), rows, bits)
+            f = box.forest
+            gens = []
+            for _ in range(rng.randrange(4)):
+                s = ToggleSet(rng.random() < 0.5, frozenset(rng.sample(range(bits + 1), rng.randint(1, bits))))
+                gens.append(generator(f, rng.randrange(n_nodes), rng.randrange(rows), s))
+            tau = compose_all(f, gens)
+            beta, gamma = rng.sample(range(n_nodes), 2)
+            row = rng.randrange(rows)
+            true = self.assert_agrees(tau, beta, gamma, row, box)
+            assert true == pattern_shift(tau, beta, gamma, row, box)
+            widths.add(box.n_coords)
+        assert max(widths) == 12
+
+    def test_negative_expected_rejected(self):
+        box = box_on(3, 1, 2)
+        tau = generator(box.forest, 1, 0, ToggleSet.finite({0}))
+        assert not _pattern_flip_sweep(tau, 1, 2, 0, -1, box)
+        assert not pattern_flip_loop(tau, 1, 2, 0, -1, box)
 
 
 class TestCanonicalSelector:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from cascadekit import cli
+from cascadekit import cli, verify
 from cascadekit.errors import DomainError
 from cascadekit.verify import (
     MAX_DYADIC_DIM,
@@ -15,6 +15,7 @@ from cascadekit.verify import (
     lemma_parameters,
     verify_decision,
     verify_dyadic,
+    verify_normalize,
     verify_selector,
     verify_shield,
     verify_starspan,
@@ -52,6 +53,20 @@ def test_decision_note_counts_probes_by_kind():
         report.notes,
     )
     assert match and int(match[1]) >= 10 and 0 < int(match[2]) <= 60
+
+
+def test_normalize_builds_each_oracle_table_once_per_trial(monkeypatch):
+    built = []
+    real = verify._member_table
+
+    def counting(box, name):
+        built.append(name)
+        return real(box, name)
+
+    monkeypatch.setattr(verify, "_member_table", counting)
+    report = verify_normalize(trials=10, seed=0)
+    assert report.ok()
+    assert len(built) == 20  # per trial: the name's table, shared by both checks, and the scheme's
 
 
 @pytest.mark.parametrize("lemma", list(REGISTRY))
