@@ -20,7 +20,10 @@ The output holds ``command``, ``machine``, ``parent``, ``change``,
 workload and metric, each side's median and quartiles (the exclusive
 method of ``statistics.quantiles``), the ratio of the medians and
 ``pairs_change_better``, the number of pairs in which the change beat the
-parent.  A run whose verdicts were not all correct, or that failed any
+parent.  Each record in ``runs`` holds the run's end-to-end metrics and, for
+verify-sweep, ``lemma_norm_s``: the normalised seconds of each lemma, whose
+sum is ``norm_wall_s``, so a gain can be traced to the lemmas it came from.
+A run whose verdicts were not all correct, or that failed any
 operation, still goes into the file, but the script then names it on
 stderr and exits with status 1, so no claim rests on failing runs.  Only
 the standard library is used.
@@ -95,6 +98,23 @@ def failed_runs(runs: list[dict]) -> list[dict]:
     return [run for run in runs if run["correct"] is not True or run["failed"] > 0]
 
 
+def run_record(workload: str, side: str, pair: int, seed: int, out: dict) -> dict:
+    """One run of the output's ``runs``, from ``perfbench/run.py``'s merged provenance and verdict."""
+    record = {
+        "workload": workload,
+        "side": side,
+        "pair": pair,
+        "seed": seed,
+        "source_sha256": out["provenance"]["source_sha256"],
+        "correct": out["correct"],
+        "failed": out["failed"],
+        "metrics": {k: round(v["value"], 6) for k, v in out["metrics"].items()},
+    }
+    if "lemma_norm_s" in out["provenance"]:
+        record["lemma_norm_s"] = {k: round(v, 6) for k, v in out["provenance"]["lemma_norm_s"].items()}
+    return record
+
+
 def git(*args: str, cwd: Path) -> str:
     return subprocess.run(
         ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
@@ -150,16 +170,7 @@ def main(argv=None) -> int:
                 first = first_side(pair)
                 for side in (first, *(s for s in SIDES if s != first)):
                     out = run_once(trees[side], workload, seed, args.seconds)
-                    runs.append({
-                        "workload": workload,
-                        "side": side,
-                        "pair": pair,
-                        "seed": seed,
-                        "source_sha256": out["provenance"]["source_sha256"],
-                        "correct": out["correct"],
-                        "failed": out["failed"],
-                        "metrics": {k: round(v["value"], 6) for k, v in out["metrics"].items()},
-                    })
+                    runs.append(run_record(workload, side, pair, seed, out))
                     print(f"{workload} pair {pair} {side}: norm_wall_s="
                           f"{runs[-1]['metrics'].get('norm_wall_s')}", file=sys.stderr)
 

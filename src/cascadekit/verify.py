@@ -578,13 +578,19 @@ def verify_odd_fixed(seed: int = 0) -> VerificationReport:
     """Every 2-group from at most two involutions fixes a point of any odd set up to 7 points."""
     started = time.perf_counter()
     report = VerificationReport("odd-fixed", 0, True, [], seed)
-    count = 0
+    count = pairs = products = 0
     for n in range(1, 8, 2):
         invs = list(_involutions(n))
+        # many pairs share a product (at n = 7 every permutation occurs), so order each once
+        orders: dict[tuple[int, ...], int] = {}
         for a_idx in range(len(invs)):
             for b_idx in range(a_idx, len(invs)):
+                pairs += 1
                 sigma, mu = invs[a_idx], invs[b_idx]
-                product_order = _cycle_lcm(_compose(sigma, mu))
+                product = _compose(sigma, mu)
+                product_order = orders.get(product)
+                if product_order is None:
+                    product_order = orders[product] = _cycle_lcm(product)
                 if product_order & (product_order - 1):
                     continue  # the dihedral closure would contain an odd-order element
                 count += 1
@@ -604,7 +610,12 @@ def verify_odd_fixed(seed: int = 0) -> VerificationReport:
                 least = next((orbit[0] for orbit in orbits if len(orbit) == 1), None)
                 if fixed != least:
                     report.record(f"fixed point {fixed} is not the least singleton orbit {least}")
+        products += len(orders)
     report.trials = count
+    report.notes = (
+        f"{pairs} involution pairs on 1, 3, 5 and 7 points, {count} with a 2-power product "
+        f"closed and checked, {products} distinct products"
+    )
     return _finish(report, started)
 
 
@@ -716,26 +727,40 @@ def verify_selector(trials: int = 200, seed: int = 0) -> VerificationReport:
 
 
 def verify_lift(seed: int = 0) -> VerificationReport:
-    """Every product choice map projects to a valid choice map; fully enumerated."""
+    """Every product choice map projects to exactly its first coordinates; fully enumerated."""
     started = time.perf_counter()
     report = VerificationReport("lift", 0, True, [], seed)
-    count = 0
+    count = families = 0
+    arities = range(1, 4)
     for t_count in range(1, 5):
+        last = t_count - 1
         for sizes in itertools.product(range(1, 4), repeat=t_count):
             family = IndexedFamily.of({t: frozenset(range(s)) for t, s in enumerate(sizes)})
-            allowed = [range(s) for s in sizes]
-            for k in range(1, 4):
-                option_lists = [
-                    [(a, j) for a in range(sizes[t]) for j in range(k)]
-                    for t in range(t_count)
-                ]
-                for combo in itertools.product(*option_lists):
-                    count += 1
-                    chosen = lift_choice(family, k, dict(enumerate(combo)))
-                    for t, ids in enumerate(allowed):
-                        if chosen[t] not in ids:
-                            report.record(f"projection left the set at {t} for sizes {sizes}")
+            families += 1
+            for k in arities:
+                # each option of index t is a pair (a, j) with the projection a it must give
+                options = [[((a, j), a) for a in range(s) for j in range(k)] for s in sizes]
+                # an odometer over one choice map: the last index turns innermost and the
+                # other entries are rewritten only when the prefix turns, so no map is built
+                # per choice
+                f: dict[int, tuple[int, int]] = {}
+                expected: dict[int, int] = {}
+                for prefix in itertools.product(*options[:last]):
+                    for t, (pair, a) in enumerate(prefix):
+                        f[t] = pair
+                        expected[t] = a
+                    for pair, a in options[last]:
+                        f[last] = pair
+                        expected[last] = a
+                        count += 1
+                        got = lift_choice(family, k, f)
+                        if got != expected:
+                            report.record(f"sizes {sizes}, k={k}: {f} projects to {got}, not {expected}")
     report.trials = count
+    report.notes = (
+        f"{families} families (1 to 4 sets of sizes 1 to 3) x {len(arities)} arities (1 to 3); "
+        "every choice map compared with its exact projection"
+    )
     return _finish(report, started)
 
 
@@ -746,10 +771,16 @@ def _pattern_flip_sweep(
 
     The flip mask is rebuilt pointwise from the toggle sets of ``tau`` with
     this function's own coordinate packing (node-major, then row, then bit),
-    and assignments are plain ints, so no library mask, index or pattern
-    code is trusted.  All ``2**n_coords`` assignments are checked at once:
-    column ``i`` is an int whose bit ``g`` is coordinate ``i`` of
-    assignment ``g``, so each bit of the row costs a few XORs of columns.
+    so no library mask, index or pattern code is trusted.  All
+    ``2**n_coords`` assignments are checked at once: column ``i`` is an int
+    whose bit ``g`` is coordinate ``i`` of assignment ``g``, so each bit of
+    the row costs a few XORs of columns.
+
+    The sweep rests on the same argument as the library's certificate: per
+    row bit, ``before ^ after`` is ``fb ^ fc``, the two rows' flip bits,
+    whatever the columns hold.  So the verdict is decided by the flip mask
+    alone; this oracle is independent because it rebuilds that mask from
+    the toggle sets, not because it evaluates the assignments.
     """
     rows, bits = box.rows, box.bits
     if expected >> bits:  # the shift of a pattern lies within its row

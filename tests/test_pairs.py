@@ -65,3 +65,26 @@ def test_failed_runs_are_named():
     runs[3] = {**runs[3], "failed": 2}
     runs[6] = {**runs[6], "correct": False}
     assert pairs.failed_runs(runs) == [runs[3], runs[6]]
+
+
+def perfbench_output(provenance_extra):
+    return {
+        "provenance": {"workload": "w", "source_sha256": "abc", **provenance_extra},
+        "correct": True,
+        "attempted": 3,
+        "failed": 0,
+        "metrics": {"norm_wall_s": {"value": 1.23456789, "unit": "s"}},
+    }
+
+
+def test_run_record_keeps_verify_sweeps_per_lemma_seconds():
+    lemmas = {"shield": 0.1234567, "lift": 0.2}
+    record = pairs.run_record("verify-sweep", "change", 2, 7, perfbench_output({"lemma_norm_s": lemmas}))
+    assert record == {
+        "workload": "verify-sweep", "side": "change", "pair": 2, "seed": 7,
+        "source_sha256": "abc", "correct": True, "failed": 0,
+        "metrics": {"norm_wall_s": 1.234568},
+        "lemma_norm_s": {"shield": 0.123457, "lift": 0.2},
+    }
+    # workloads without per-lemma seconds get no such key
+    assert "lemma_norm_s" not in pairs.run_record("names-wide", "parent", 1, 1, perfbench_output({}))

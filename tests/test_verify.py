@@ -7,15 +7,19 @@ import pytest
 
 from cascadekit import cli, verify
 from cascadekit.errors import DomainError
+from cascadekit.orbits import _perm_order
 from cascadekit.verify import (
     MAX_DYADIC_DIM,
     REGISTRY,
+    _cycle_lcm,
     _echelon_bases,
     _subspace_span,
     lemma_parameters,
     verify_decision,
     verify_dyadic,
+    verify_lift,
     verify_normalize,
+    verify_odd_fixed,
     verify_selector,
     verify_shield,
     verify_starspan,
@@ -41,6 +45,20 @@ def test_notes_split_enumerated_from_sampled_counts():
     swap = verify_swap(trials=3, seed=0)
     assert swap.trials == 729 + 6 + 3
     assert swap.notes.startswith("729 enumerated conditions and 6 both-toggled generators, plus 3 sampled conditions")
+    odd = verify_odd_fixed()
+    assert odd.trials == 7467
+    # involutions on 1, 3, 5, 7 points: 1, 4, 26, 232, so 1 + 10 + 351 + 27028 unordered pairs;
+    # the products cover S_1, S_3, S_5 and S_7: 1 + 6 + 120 + 5040
+    assert odd.notes == (
+        "27390 involution pairs on 1, 3, 5 and 7 points, 7467 with a 2-power product "
+        "closed and checked, 5167 distinct products"
+    )
+    lift = verify_lift()
+    assert lift.trials == 135_324
+    assert lift.notes == (
+        "120 families (1 to 4 sets of sizes 1 to 3) x 3 arities (1 to 3); "
+        "every choice map compared with its exact projection"
+    )
 
 
 def test_decision_note_counts_probes_by_kind():
@@ -104,3 +122,34 @@ def test_dyadic_sweeps_every_subspace_up_to_dimension_six():
     report = verify_dyadic(dim=6)
     assert report.ok()
     assert report.notes.startswith("3290 coset partitions")
+
+
+def test_lift_rejects_a_member_that_is_not_the_projection(monkeypatch):
+    # a member of every set, so a membership check alone would pass it
+    def least_member(family, k, f):
+        return {t: min(elems) for t, elems in family.sets}
+
+    monkeypatch.setattr(verify, "lift_choice", least_member)
+    report = verify_lift()
+    assert not report.ok()
+    assert report.trials == 135_324
+
+
+def test_lift_odometer_visits_every_choice_map_once(monkeypatch):
+    seen = []
+    real = verify.lift_choice
+
+    def recording(family, k, f):
+        seen.append((tuple(len(elems) for _, elems in family.sets), k, frozenset(f.items())))
+        return real(family, k, f)
+
+    monkeypatch.setattr(verify, "lift_choice", recording)
+    report = verify_lift()
+    assert report.ok()
+    assert len(seen) == len(set(seen)) == 135_324
+
+
+def test_cycle_lcm_is_the_permutation_order():
+    for n in range(7):
+        for p in itertools.permutations(range(n)):
+            assert _cycle_lcm(p) == _perm_order(p)
