@@ -84,19 +84,6 @@ _EMPTY_TOGGLE = ToggleSet(False, frozenset())
 _NO_BITS: frozenset[int] = frozenset()
 
 
-def parse_toggle_set(text: str) -> ToggleSet:
-    """Parse the textual form ``fin{1,2}`` / ``cofin{0}``."""
-    text = text.strip()
-    for prefix, cofinite in (("fin", False), ("cofin", True)):
-        if text.startswith(prefix + "{") and text.endswith("}"):
-            body = text[len(prefix) + 1 : -1].strip()
-            try:
-                return ToggleSet(cofinite, frozenset(int(b) for b in body.split(",") if b.strip()))
-            except ValueError:  # DomainError included: negative bit index
-                raise ParseError(f"bad toggle set {text!r}") from None
-    raise ParseError(f"bad toggle set {text!r}")
-
-
 @dataclass(frozen=True)
 class Condition:
     """A finite partial 0/1 function on coordinates, stored canonically sorted."""

@@ -29,11 +29,10 @@ from typing import Iterable, Mapping
 
 from . import _kernels as kernels
 from .cascade import Condition, Coordinate, Packet
-from .errors import DomainError, ParseError, PreconditionError
-from .forest import PredecessorForest, Window, parse_node_set, rho_closure
+from .errors import DomainError, PreconditionError
+from .forest import PredecessorForest, Window, rho_closure
 
 DEFAULT_M_RANGE = 8
-ENUMERATION_VERSION = "lex-v1"
 # Entries kept by the member-table and support caches.  Every caller asks all
 # its questions about one name before it moves on, so the name asked about
 # again is the most recent one.
@@ -478,7 +477,6 @@ class TwoLayerCode:
     support: Window
     box_dims: tuple[int, int, int]
     packet_indices: tuple[tuple[int, tuple[int, ...]], ...]
-    version: str = ENUMERATION_VERSION
 
     def __post_init__(self):
         size, rows, bits = self.box_dims
@@ -556,131 +554,8 @@ def two_layer_code(scheme: PacketScheme, box: CoordinateBox) -> TwoLayerCode:
 
 
 def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
-    if code.version != ENUMERATION_VERSION:
-        raise DomainError(f"unknown enumeration version {code.version!r}")
     if code.box_dims != box.dims():
         raise DomainError("code was built over a box of different dimensions")
     packet = _packet_certifier(box.forest)
     families = {m: {packet(packet_unrank(k, box)) for k in ks} for m, ks in code.packet_indices}
     return PacketScheme.of(code.support, families)
-
-
-def format_scheme(scheme: PacketScheme) -> str:
-    """Text form: support line, then one ``m <idx>: {...} {...}`` line per member."""
-    lines = [f"support: {scheme.support.serialize()}"]
-    for m, packets in scheme.families:
-        blocks = []
-        for pkt in sorted(packets, key=lambda p: p.condition.entries):
-            cells = "; ".join(
-                f"{c.node} {c.row} {c.bit} {v}" for c, v in pkt.condition.entries
-            )
-            blocks.append("{%s}" % cells)
-        lines.append(f"m {m}:" + (" " + " ".join(blocks) if blocks else ""))
-    return "\n".join(lines) + "\n"
-
-
-def parse_scheme(text: str, forest: PredecessorForest) -> PacketScheme:
-    """Inverse of :func:`format_scheme`; raises only :class:`ParseError` on bad input."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("support:"):
-        raise ParseError("scheme file must start with a support line", 1)
-    support = _parse_support(lines[0], forest, 1)
-    families: dict[int, set[Packet]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.startswith("m "):
-            raise ParseError(f"expected 'm <idx>:' line, got {line!r}", lineno)
-        head, _, rest = line.partition(":")
-        try:
-            m = int(head[2:])
-        except ValueError:
-            raise ParseError(f"bad member index in {head!r}", lineno) from None
-        if m in families:
-            raise ParseError(f"repeated line for member {m}", lineno)
-        packets: set[Packet] = set()
-        rest = rest.strip()
-        while rest:
-            if not rest.startswith("{"):
-                raise ParseError(f"expected a packet block in {rest!r}", lineno)
-            end = rest.find("}")
-            if end < 0:
-                raise ParseError("unterminated packet block", lineno)
-            body = rest[1:end].strip()
-            entries = []
-            if body:
-                for cell in body.split(";"):
-                    parts = cell.split()
-                    if len(parts) != 4:
-                        raise ParseError(f"bad packet cell {cell!r}", lineno)
-                    try:
-                        node, row, bit, value = (int(x) for x in parts)
-                    except ValueError:
-                        raise ParseError(f"non-integer packet cell {cell!r}", lineno) from None
-                    entries.append((Coordinate(node, row, bit), value))
-            try:
-                packets.add(Packet.of(Condition(tuple(entries)), forest))
-            except DomainError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            rest = rest[end + 1 :].strip()
-        families[m] = packets
-    try:
-        return PacketScheme.of(support, families)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _parse_support(line: str, forest: PredecessorForest, lineno: int) -> Window:
-    nodes = parse_node_set(line[len("support:"):].replace(" ", ","))
-    try:
-        return Window(forest, frozenset(nodes))
-    except DomainError as exc:
-        raise ParseError(str(exc), lineno) from exc
-
-
-def format_code(code: TwoLayerCode) -> str:
-    n, r, b = code.box_dims
-    lines = [
-        f"box {n} {r} {b}",
-        f"enumeration {code.version}",
-        f"support: {code.support.serialize()}",
-    ]
-    for m, ks in code.packet_indices:
-        lines.append(f"m {m}:" + (" " + ",".join(str(k) for k in ks) if ks else ""))
-    return "\n".join(lines) + "\n"
-
-
-def parse_code(text: str, forest: PredecessorForest) -> TwoLayerCode:
-    """Inverse of :func:`format_code`; raises only :class:`ParseError` on bad input."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 3:
-        raise ParseError("code file needs box, enumeration, and support lines", 1)
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "box":
-        raise ParseError(f"expected 'box N R B', got {lines[0]!r}", 1)
-    try:
-        dims = (int(head[1]), int(head[2]), int(head[3]))
-    except ValueError:
-        raise ParseError(f"non-integer box dimensions in {lines[0]!r}", 1) from None
-    if min(dims) < 1:
-        raise ParseError(f"box dimensions must be positive, got {lines[0]!r}", 1)
-    enum_line = lines[1].split(None, 1)
-    if len(enum_line) != 2 or enum_line[0] != "enumeration":
-        raise ParseError(f"expected enumeration line, got {lines[1]!r}", 2)
-    version = enum_line[1]
-    if not lines[2].startswith("support:"):
-        raise ParseError(f"expected support line, got {lines[2]!r}", 3)
-    support = _parse_support(lines[2], forest, 3)
-    indices = []
-    for lineno, line in enumerate(lines[3:], start=4):
-        if not line.startswith("m "):
-            raise ParseError(f"expected 'm <idx>:' line, got {line!r}", lineno)
-        head, _, rest = line.partition(":")
-        try:
-            m = int(head[2:])
-            ks = tuple(int(x) for x in rest.replace(",", " ").split())
-        except ValueError:
-            raise ParseError(f"bad index list in {line!r}", lineno) from None
-        indices.append((m, ks))
-    try:
-        return TwoLayerCode(support, dims, tuple(indices), version)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CertificateError, DomainError, ParseError, PreconditionError
+from .errors import CertificateError, DomainError, PreconditionError
 
 Permutation = tuple[int, ...]
 MAX_DIMENSION = 20
@@ -204,45 +204,3 @@ def quotient_analysis(partition: TranslationPartition) -> QuotientAnalysis:
     if class_count << len(basis) != size:
         raise CertificateError(f"{class_count} labels, but W has {size >> len(basis)} cosets in F2^{d}")
     return QuotientAnalysis(True, tuple(sorted(basis)), class_count, None)
-
-
-def format_partition(partition: TranslationPartition) -> str:
-    """Text form: dimension line, then one ``bits label`` line per vector."""
-    d = partition.dimension
-    lines = [str(d)]
-    for v in range(1 << d):
-        bits = "".join(str((v >> j) & 1) for j in range(d))
-        lines.append(f"{bits} {partition.labels[v]}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_partition(text: str) -> TranslationPartition:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty partition file", 1)
-    try:
-        d = int(lines[0].strip())
-    except ValueError:
-        raise ParseError(f"expected dimension, got {lines[0]!r}", 1) from None
-    if not 0 <= d <= MAX_DIMENSION:
-        raise ParseError(f"dimension {d} outside 0..{MAX_DIMENSION}", 1)
-    labels: dict[int, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if d == 0 and len(parts) == 1:
-            parts = ["", parts[0]]  # the one vector of F2^0 is written as an empty string
-        if len(parts) != 2:
-            raise ParseError(f"expected 'bits label', got {line!r}", lineno)
-        bits, label_text = parts
-        if len(bits) != d or any(ch not in "01" for ch in bits):
-            raise ParseError(f"bad vector {bits!r} for dimension {d}", lineno)
-        v = sum(1 << j for j, ch in enumerate(bits) if ch == "1")
-        if v in labels:
-            raise ParseError(f"duplicate vector {bits!r}", lineno)
-        try:
-            labels[v] = int(label_text)
-        except ValueError:
-            raise ParseError(f"bad label {label_text!r}", lineno) from None
-    if len(labels) != 1 << d:
-        raise ParseError("labelling does not cover every vector")
-    return TranslationPartition(d, tuple(labels[v] for v in range(1 << d)))

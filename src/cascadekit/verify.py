@@ -366,6 +366,9 @@ _BOX_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 1, 4), (2, 1, 7), (4, 1, 3), (2, 3, 2))
 
 def _random_box(rng: random.Random, box_dims: tuple[int, int, int] | None) -> CoordinateBox:
     n_nodes, rows, bits = box_dims if box_dims is not None else rng.choice(_BOX_SHAPES)
+    if min(n_nodes, rows, bits) > 0:
+        # each caller's oracle sweeps the whole box; refuse one too large before building it
+        kernels._check_dims(n_nodes * rows * bits)
     forest = random_forest(n_nodes, rng.getrandbits(32))
     return CoordinateBox(Window.whole(forest), rows, bits)
 

@@ -25,7 +25,6 @@ from cascadekit.cascade import (
     identity,
     pad_common_domain,
     parse_condition,
-    parse_toggle_set,
     shield_set,
     transport,
 )
@@ -70,12 +69,8 @@ class TestToggleSet:
         assert a ^ b == b ^ a
 
     def test_serialize_round_trip(self):
-        for s in (ToggleSet.finite({1, 2}), ToggleSet.cofinite_excluding({0}), ToggleSet.empty()):
-            assert parse_toggle_set(s.serialize()) == s
         assert ToggleSet.finite({1, 2}).serialize() == "fin{1,2}"
         assert ToggleSet.cofinite_excluding({0}).serialize() == "cofin{0}"
-        with pytest.raises(ParseError):
-            parse_toggle_set("open{1}")
 
     def test_mask_below(self):
         assert ToggleSet.cofinite_excluding({1}).mask_below(4) == 0b1101

@@ -161,6 +161,18 @@ class TestVerify:
         assert f"verify {argv[0]} does not accept {flag}" in err
         assert "lemma=" not in out
 
+    def test_box_over_sweep_bound_fails_before_building(self, capsys, monkeypatch):
+        from cascadekit import verify
+
+        def no_forest(*args):
+            raise AssertionError("random_forest called for a box over the sweep bound")
+
+        monkeypatch.setattr(verify, "random_forest", no_forest)
+        code, out, err = run_cli(capsys, "verify", "normalize", "--box", "100000000,1,1")
+        assert code == 2
+        assert "table over 100000000 coordinates exceeds the 22-bit sweep bound" in err
+        assert "lemma=" not in out
+
     def test_verify_deterministic_given_seed(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "transport", "--trials", "30", "--seed", "5")
         _, out2, _ = run_cli(capsys, "verify", "transport", "--trials", "30", "--seed", "5")

@@ -27,13 +27,9 @@ from cascadekit.names import (
     decision_invariant,
     decode_two_layer,
     evaluate,
-    format_code,
-    format_scheme,
     normalize,
     packet_rank,
     packet_unrank,
-    parse_code,
-    parse_scheme,
     support_report,
     two_layer_code,
 )
@@ -663,15 +659,6 @@ class TestTwoLayerCode:
         with pytest.raises(DomainError):
             decode_two_layer(code, other)
 
-    def test_unknown_version_rejected(self):
-        from dataclasses import replace
-
-        box = small_box()
-        A = rho_closure(box.forest, set())
-        code = two_layer_code(PacketScheme.of(A, {}), box)
-        with pytest.raises(DomainError):
-            decode_two_layer(replace(code, version="lex-v999"), box)
-
 
 class TestBoxValidation:
     def test_degenerate_dimensions(self):
@@ -689,40 +676,6 @@ class TestBoxValidation:
         f = forest_of(2, {1: 0})
         with pytest.raises(DomainError):
             Window(f, frozenset({0, 5}))
-
-
-class TestSchemeText:
-    def test_scheme_round_trip(self):
-        box = small_box()
-        f = box.forest
-        A = rho_closure(f, {0, 1})
-        scheme = PacketScheme.of(
-            A,
-            {
-                0: {Packet.of(Condition.from_map({(1, 0, 0): 1, (0, 0, 1): 0}), f)},
-                1: set(),
-            },
-        )
-        assert parse_scheme(format_scheme(scheme), f) == scheme
-
-    def test_code_round_trip(self):
-        box = small_box()
-        f = box.forest
-        A = rho_closure(f, {0})
-        scheme = PacketScheme.of(A, {0: {Packet.of(Condition.from_map({(0, 0, 0): 1}), f)}})
-        code = two_layer_code(scheme, box)
-        assert parse_code(format_code(code), f) == code
-
-    def test_parse_scheme_bad_block(self):
-        from cascadekit.errors import ParseError
-
-        f = small_box().forest
-        with pytest.raises(ParseError):
-            parse_scheme("support: 0\nm 0: {0 0 0}\n", f)
-        with pytest.raises(ParseError):
-            parse_scheme("m 0:\n", f)
-        with pytest.raises(ParseError):
-            parse_scheme("support: 0\nm 0: {0 0 0 1\n", f)
 
 
 def full_box_support(name, A, box):
@@ -865,7 +818,6 @@ class TestMentionedCoordinates:
         code = two_layer_code(scheme, box)
         decoded = decode_two_layer(code, box)
         assert decoded == scheme
-        assert parse_code(format_code(code), f) == code
         for _ in range(200):
             g = Assignment(box, rng.getrandbits(600))
             assert evaluate(name, g) == evaluate(scheme, g) == evaluate(decoded, g)
@@ -1009,6 +961,27 @@ class TestPrimePackets:
             TwoLayerCode(A, (3, 1, 2), ((0, (1,)), (0, (2,))))
         with pytest.raises(DomainError):
             TwoLayerCode(A, (3, 1, 2), ((-1, (1,)),))
+        with pytest.raises(DomainError):
+            TwoLayerCode(A, (1, 1, 1), ((0, (3,)),))  # one coordinate has 3 packets: ranks 0..2
+
+    def test_huge_box_code_keeps_small_indices(self):
+        # the rank bound needs no 3**n, which would not fit in memory for this box
+        A = rho_closure(small_box().forest, {0})
+        code = TwoLayerCode(A, (99999999999, 9, 9), ((0, (5,)),))
+        assert code.packet_indices == ((0, (5,)),)
+
+    def test_scheme_rejects_off_support_repeated_and_negative_members(self):
+        f = small_box().forest
+        A = rho_closure(f, {0})
+        off_support = Packet.of(Condition.from_map({(1, 0, 0): 1}), f)
+        with pytest.raises(DomainError):
+            PacketScheme.of(A, {0: {off_support}})
+        with pytest.raises(DomainError):
+            PacketScheme(A, ((0, frozenset()), (0, frozenset())))
+        with pytest.raises(DomainError):
+            PacketScheme.of(A, {-1: set()})
+        with pytest.raises(DomainError):
+            Packet.of(Condition.from_map({(9, 0, 0): 1}), f)  # node outside the forest
 
 
 class TestNameCache:

@@ -4,15 +4,13 @@ import itertools
 
 import pytest
 
-from cascadekit.errors import CertificateError, DomainError, ParseError, PreconditionError
+from cascadekit.errors import CertificateError, DomainError, PreconditionError
 from cascadekit.orbits import (
     FiniteAction,
     TranslationPartition,
     close_group,
-    format_partition,
     odd_fixed_point,
     orbit_partition,
-    parse_partition,
     quotient_analysis,
 )
 
@@ -331,19 +329,6 @@ class TestQuotientAnalysis:
         assert merged.labels[q ^ v] != merged.labels[q2 ^ v]
 
     def test_dimension_bound(self):
-        with pytest.raises(DomainError):
-            TranslationPartition(21, tuple())
-
-
-class TestPartitionText:
-    def test_round_trip(self):
-        partition = coset_labels(3, [0b011])
-        assert parse_partition(format_partition(partition)) == partition
-
-    def test_parse_errors(self):
-        with pytest.raises(ParseError):
-            parse_partition("")
-        with pytest.raises(ParseError, match="line 2"):
-            parse_partition("2\n0 0\n")
-        with pytest.raises(ParseError):
-            parse_partition("1\n0 0\n")
+        for d in (21, -1, 99999999999):
+            with pytest.raises(DomainError):
+                TranslationPartition(d, tuple())
