@@ -22,7 +22,9 @@ method of ``statistics.quantiles``), the ratio of the medians and
 ``pairs_change_better``, the number of pairs in which the change beat the
 parent.  Each record in ``runs`` holds the run's end-to-end metrics and, for
 verify-sweep, ``lemma_norm_s``: the normalised seconds of each lemma, whose
-sum is ``norm_wall_s``, so a gain can be traced to the lemmas it came from.
+sum is ``norm_wall_s``.  The verify-sweep summary adds ``lemma_norm_s`` too:
+per lemma, each side's median and their ratio, so a gain can be traced to
+the lemmas it came from.
 A run whose verdicts were not all correct, or that failed any
 operation, still goes into the file, but the script then names it on
 stderr and exits with status 1, so no claim rests on failing runs.  Only
@@ -57,26 +59,44 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def lemma_medians(pairs: list[dict]) -> dict:
+    """Per lemma that every run of ``pairs`` timed: each side's median ``lemma_norm_s`` and their ratio."""
+    tables = [sides[side].get("lemma_norm_s", {}) for sides in pairs for side in SIDES]
+    lemmas = [k for k in tables[0] if all(k in t for t in tables)] if tables else []
+    out = {}
+    for lemma in lemmas:
+        p_med = statistics.median(sides["parent"]["lemma_norm_s"][lemma] for sides in pairs)
+        c_med = statistics.median(sides["change"]["lemma_norm_s"][lemma] for sides in pairs)
+        out[lemma] = {
+            "parent_median": round(p_med, 6),
+            "change_median": round(c_med, 6),
+            "change_over_parent": round(c_med / p_med, 3) if p_med else None,
+        }
+    return out
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and metric: medians, quartiles, their ratio and the pairs the change won.
 
-    ``runs`` are records with ``workload``, ``side``, ``pair`` and a
-    ``metrics`` dict of values; ``metrics`` are ``BENCHMARK.json``'s
-    end-to-end entries, each with a ``name`` and ``better`` (``lower`` or
-    ``higher``).  A tie counts as a pair the change did not win.
+    ``runs`` are records with ``workload``, ``side``, ``pair``, a
+    ``metrics`` dict of values and, for verify-sweep, ``lemma_norm_s``;
+    ``metrics`` are ``BENCHMARK.json``'s end-to-end entries, each with a
+    ``name`` and ``better`` (``lower`` or ``higher``).  A tie counts as a
+    pair the change did not win.  Where the runs time lemmas, the
+    workload's summary also holds ``lemma_norm_s`` from :func:`lemma_medians`.
     """
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         by_pair: dict[int, dict[str, dict]] = {}
         for run in runs:
             if run["workload"] == workload:
-                by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+                by_pair.setdefault(run["pair"], {})[run["side"]] = run
         pairs = [sides for _, sides in sorted(by_pair.items()) if set(sides) == set(SIDES)]
         out = {}
         for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
-            parent = [sides["parent"][name] for sides in pairs]
-            change = [sides["change"][name] for sides in pairs]
+            parent = [sides["parent"]["metrics"][name] for sides in pairs]
+            change = [sides["change"]["metrics"][name] for sides in pairs]
             if not parent:
                 continue
             p_med, c_med = statistics.median(parent), statistics.median(change)
@@ -89,6 +109,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "change_over_parent": round(c_med / p_med, 3) if p_med else None,
                 "pairs_change_better": won,
             }
+        lemmas = lemma_medians(pairs)
+        if lemmas:
+            out["lemma_norm_s"] = lemmas
         summary[workload] = out
     return summary
 

@@ -16,13 +16,13 @@ A name supported by a closed window A normalizes to a packet scheme: per
 member m, the prime implicants (the Blake canonical form) of m's
 conditions restricted to the coordinates the name mentions over A.  The
 family depends only on which restrictions-to-A carry m, not on how the
-name presents them.  Schemes admit a two-layer code via a canonical
-enumeration of all packets over the box.
+name presents them.  Schemes admit a two-layer code via one well-orderable
+base: an injection of all finite packets over nodes x rows x bits into the
+naturals, so a code names its packets over every box that holds them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -32,7 +32,6 @@ from .cascade import Condition, Coordinate, Packet
 from .errors import DomainError, PreconditionError
 from .forest import PredecessorForest, Window, rho_closure
 
-DEFAULT_M_RANGE = 8
 # Entries kept by the member-table and support caches.  Every caller asks all
 # its questions about one name before it moves on, so the name asked about
 # again is the most recent one.
@@ -50,16 +49,12 @@ class CoordinateBox:
     window: Window
     rows: int
     bits: int
-    _node_pos: dict = field(init=False, repr=False, compare=False, default=None)
     _coords: tuple = field(init=False, repr=False, compare=False, default=None)
     _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.window.nodes or self.rows < 1 or self.bits < 1:
             raise DomainError("box must have nodes, rows, and bits")
-        object.__setattr__(
-            self, "_node_pos", {xi: k for k, xi in enumerate(self.window.ordered)}
-        )
         coords = tuple(
             Coordinate(xi, row, bit)
             for xi in self.window.ordered
@@ -106,12 +101,7 @@ class CoordinateBox:
 
     def node_coord_mask(self, nodes) -> int:
         """Bitmask of every coordinate whose node lies in ``nodes``."""
-        mask = 0
-        per_node = (1 << (self.rows * self.bits)) - 1
-        for xi in nodes:
-            if xi in self._node_pos:
-                mask |= per_node << (self._node_pos[xi] * self.rows * self.bits)
-        return mask
+        return sum(1 << i for i, coord in enumerate(self._coords) if coord.node in nodes)
 
     def dims(self) -> tuple[int, int, int]:
         return len(self.window), self.rows, self.bits
@@ -132,18 +122,9 @@ class Assignment:
         dmask, vmask = self.box.condition_masks(cond)
         return self.value_bits & dmask == vmask
 
-    def restrict_to_coord_mask(self, mask: int) -> Condition:
-        entries = []
-        idx = 0
-        while mask >> idx:
-            if (mask >> idx) & 1:
-                entries.append((self.box.coord_at(idx), (self.value_bits >> idx) & 1))
-            idx += 1
-        return Condition(tuple(entries))
-
     def restrict_to_nodes(self, nodes) -> Condition:
-        return self.restrict_to_coord_mask(self.box.node_coord_mask(nodes))
-
+        coords = enumerate(self.box.coords())
+        return Condition(tuple((c, (self.value_bits >> i) & 1) for i, c in coords if c.node in nodes))
 
 
 @dataclass(frozen=True)
@@ -301,6 +282,13 @@ def _check_box_window(A: Window, box: CoordinateBox) -> None:
         raise DomainError("support window and box use different forests")
 
 
+def _in_box(cond: Condition, box: CoordinateBox) -> Condition:
+    """The condition, once each of its coordinates is found in the box."""
+    for coord, _ in cond.entries:
+        box.index(coord)
+    return cond
+
+
 @lru_cache(maxsize=_CACHE_ENTRIES)
 def _support(name, A: Window, box: CoordinateBox) -> SupportReport:
     """Flip every single-bit generator at a node off the support over the name's table.
@@ -378,8 +366,7 @@ def decision_invariant(
     """
     _check_box_window(A, box)
     _check_name(name)
-    for coord, _ in p.entries:
-        box.index(coord)
+    _in_box(p, box)
     _, table, _, slot = _name_table(name, box)
     verdict = kernels.subcube_member_summary(table, m, *_slot_masks(p, slot))
     if verdict == 2:
@@ -445,8 +432,8 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     same name, support and box, neither the member table nor the sweep is
     redone.  The box may have any size, and a name that mentions more than
     ``kernels.MAX_TABLE_COORDS`` coordinates raises :class:`DomainError`.
-    Families run over the members below ``DEFAULT_M_RANGE`` and every
-    member that occurs.
+    Families run over the members that occur; :meth:`PacketScheme.family`
+    gives every other member the empty family.
     """
     _check_box_window(A, box)
     _check_name(name)
@@ -461,101 +448,91 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     for m, cond in pairs:
         cubes.setdefault(m, []).append(_slot_masks(cond, trimmed))
     packet = _packet_certifier(box.forest)
-    families: dict[int, set[Packet]] = {m: set() for m in range(DEFAULT_M_RANGE)}
-    for m, member_cubes in cubes.items():
-        families[m] = {
+    families = {
+        m: {
             packet(Condition(tuple((c, (v >> j) & 1) for c, j in trimmed.items() if (d >> j) & 1)))
             for d, v in _prime_cubes(member_cubes)
         }
+        for m, member_cubes in cubes.items()
+    }
     return PacketScheme.of(A, families)
 
 
 @dataclass(frozen=True)
 class TwoLayerCode:
-    """A scheme coded as its support plus packet ranks in the box enumeration."""
+    """A scheme coded as its support plus, per member, the codes of its packets."""
 
     support: Window
-    box_dims: tuple[int, int, int]
     packet_indices: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        size, rows, bits = self.box_dims
-        n = size * rows * bits
         canonical = tuple(sorted((m, tuple(sorted(ks))) for m, ks in self.packet_indices))
-        members = [m for m, _ in canonical]
-        if members and members[0] < 0:
-            raise DomainError("member indices must be naturals")
-        if len(set(members)) != len(members):
+        if any(m < 0 or (ks and ks[0] < 0) for m, ks in canonical):
+            raise DomainError("member indices and packet codes must be naturals")
+        if len({m for m, _ in canonical}) != len(canonical):
             raise DomainError("duplicate index list for one member")
-        for _, ks in canonical:
-            for k in ks:
-                # k < 2**n <= 3**n needs no power, which is huge for a large box
-                if k < 0 or (k.bit_length() > n and k >= 3**n):
-                    raise DomainError(f"packet index {k} outside the enumeration")
         if canonical != self.packet_indices:
             object.__setattr__(self, "packet_indices", canonical)
 
 
-@lru_cache(maxsize=16)
-def _powers_of_3(n: int) -> tuple[int, ...]:
-    """``(3**0, 3**1, ..., 3**n)``."""
-    powers = [1]
-    for _ in range(n):
-        powers.append(3 * powers[-1])
-    return tuple(powers)
+def packet_code(cond: Condition) -> int:
+    """A packet's code in one injection of all finite packets over nodes x rows x bits into ℕ.
 
-
-def packet_rank(cond: Condition, box: CoordinateBox) -> int:
-    """Position of a condition in the canonical packet enumeration of the box.
-
-    Packets are ordered lexicographically by their serialized list of
-    (coordinate index, value) pairs; a proper prefix precedes its
-    extensions.  Over coordinates ``base..n-1`` there are ``3**(n - base)``
-    packets, so the packets skipped on the way to coordinate ``i`` number
-    ``3**(n - base) - 3**(n - i)``: one closed form per entry.
+    The sorted literals are listed as (node gap, row, bit, value), the gap
+    counting from the previous literal's node and from 0 for the first; the
+    sequence x1..xn is coded by setting bit x1+...+xi+i-1 for each i.
     """
-    n = box.n_coords
-    powers = _powers_of_3(n)
-    rank = 0
-    base = 0
-    for i, v in sorted((box.index(c), v) for c, v in cond.entries):
-        # the prefix itself, both values of each skipped coordinate, then v at i
-        rank += 1 + powers[n - base] - powers[n - i] + v * powers[n - 1 - i]
-        base = i + 1
-    return rank
+    code = node = 0
+    pos = -1
+    for (xi, row, bit), value in cond.entries:
+        for x in (xi - node, row, bit, value):
+            pos += x + 1
+            code |= 1 << pos
+        node = xi
+    return code
 
 
-def packet_unrank(k: int, box: CoordinateBox) -> Condition:
-    """Inverse of :func:`packet_rank`."""
-    n = box.n_coords
-    powers = _powers_of_3(n)
-    if not 0 <= k < powers[n]:
-        raise DomainError(f"packet index {k} outside the enumeration of 3**{n} packets")
+def packet_of_code(k: int) -> Condition:
+    """Inverse of :func:`packet_code`, reading the gaps between set bits back.
+
+    A natural that :func:`packet_code` never returns raises
+    :class:`DomainError`: its gaps do not come in fours, or give a value
+    above 1 or literals that are not strictly increasing.
+    """
+    if k < 0:
+        raise DomainError(f"packet code {k} is not a natural")
+    # the runs of zeros below each set bit, lowest first, are the gaps x1..xn
+    xs = [len(run) for run in bin(k)[:1:-1].split("1")[:-1]]
+    if len(xs) % 4:
+        raise DomainError(f"{k} codes no packet")
     entries = []
-    base = 0
-    while k > 0:
-        k -= 1  # past the prefix itself
-        # the next coordinate i is the one whose skip count 3**(n-base) - 3**(n-i)
-        # is the largest not above k, i.e. powers[t-1] < 3**(n-base) - k <= powers[t], t = n - i
-        r = powers[n - base] - k
-        t = bisect_left(powers, r)
-        v, k = divmod(powers[t] - r, powers[t - 1])
-        entries.append((box.coord_at(n - t), v))
-        base = n - t + 1
+    node = 0
+    literals = iter(xs)
+    for gap, row, bit, value in zip(literals, literals, literals, literals):
+        node += gap
+        coord = Coordinate(node, row, bit)
+        if value > 1 or (entries and coord <= entries[-1][0]):
+            raise DomainError(f"{k} codes no packet")
+        entries.append((coord, value))
     return Condition(tuple(entries))
 
 
 def two_layer_code(scheme: PacketScheme, box: CoordinateBox) -> TwoLayerCode:
-    """Code a scheme by packet ranks; decoding restores equal semantics."""
-    indices = []
-    for m, packets in scheme.families:
-        indices.append((m, tuple(sorted(packet_rank(p.condition, box) for p in packets))))
-    return TwoLayerCode(scheme.support, box.dims(), tuple(indices))
+    """Code a scheme by its packets' codes; a packet outside the box raises :class:`DomainError`."""
+    indices = tuple(
+        (m, tuple(sorted(packet_code(_in_box(p.condition, box)) for p in packets)))
+        for m, packets in scheme.families
+    )
+    return TwoLayerCode(scheme.support, indices)
 
 
 def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
-    if code.box_dims != box.dims():
-        raise DomainError("code was built over a box of different dimensions")
+    """The scheme a code names, the same over every box that holds its packets.
+
+    A packet outside the box raises :class:`DomainError`.
+    """
     packet = _packet_certifier(box.forest)
-    families = {m: {packet(packet_unrank(k, box)) for k in ks} for m, ks in code.packet_indices}
+    families = {
+        m: {packet(_in_box(packet_of_code(k), box)) for k in ks} for m, ks in code.packet_indices
+    }
     return PacketScheme.of(code.support, families)

@@ -373,6 +373,16 @@ def _random_box(rng: random.Random, box_dims: tuple[int, int, int] | None) -> Co
     return CoordinateBox(Window.whole(forest), rows, bits)
 
 
+def _grown_box(rng: random.Random, box: CoordinateBox) -> CoordinateBox:
+    """The box with 0-2 fresh nodes hung off its forest, 0-1 more rows and 0-1 more bits."""
+    parents = list(box.forest.parents)
+    for _ in range(rng.randint(0, 2)):
+        parents.append(rng.randrange(len(parents)))
+    forest = PredecessorForest(len(parents), tuple(parents))
+    rows, bits = box.rows + rng.randint(0, 1), box.bits + rng.randint(0, 1)
+    return CoordinateBox(Window.whole(forest), rows, bits)
+
+
 def _random_supported_name(rng: random.Random, box: CoordinateBox):
     """A name supported by a random closed window, not always in packet shape.
 
@@ -411,12 +421,6 @@ def _eval_tables_equal(name_a, name_b, box: CoordinateBox) -> bool:
     return kernels.tables_equal(_member_table(box, name_a), _member_table(box, name_b))
 
 
-def _decides(table, p: Condition, m: int, box: CoordinateBox) -> bool:
-    """Whether every total extension of p agrees on membership of m, on the whole-box table."""
-    dmask, vmask = box.condition_masks(p)
-    return kernels.subcube_member_summary(table, m, dmask, vmask) != 2
-
-
 def verify_decision(
     trials: int = 100,
     seed: int = 0,
@@ -433,14 +437,12 @@ def verify_decision(
         if not check_support(name, A, box):
             report.record(f"trial {trial}: scheme-built name failed its own support check")
             continue
-        probes: list[tuple[Condition, int]] = []
-        for m, cond in sorted(name.pairs, key=lambda p: (p[0], p[1].entries)):
-            probes.append((cond, m))  # extends a pair, so it decides that member true
+        # a pair's condition decides its member true
+        probes = [(cond, m) for m, cond in _name_pairs(name)]
         pair_probes += len(probes)
         g = Assignment(box, rng.getrandbits(box.n_coords))
         total = g.restrict_to_nodes(box.window.nodes)
-        for m in range(4):
-            probes.append((total, m))  # total conditions decide everything
+        probes += [(total, m) for m in range(4)]  # total conditions decide everything
         total_probes += 4
         coords = list(box.coords())
         table = _member_table(box, name)
@@ -449,7 +451,8 @@ def verify_decision(
             p = Condition(tuple((c, rng.randrange(2)) for c in picked))
             m = rng.randrange(4)
             drawn += 1
-            if _decides(table, p, m, box):
+            # kept when every total extension of p agrees on membership of m
+            if kernels.subcube_member_summary(table, m, *box.condition_masks(p)) != 2:
                 probes.append((p, m))
                 kept += 1
         for p, m in probes:
@@ -549,9 +552,18 @@ def verify_code(
         box = _random_box(rng, box_dims)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
-        decoded = decode_two_layer(two_layer_code(scheme, box), box)
+        code = two_layer_code(scheme, box)
+        decoded = decode_two_layer(code, box)
         if not _eval_tables_equal(scheme, decoded, box):
             report.record(f"trial {trial}: decoded scheme changed some evaluation")
+        # a generator of its own, so the grown box leaves every other draw alone
+        grown = _grown_box(random.Random(f"code/{seed}/{trial}"), box)
+        if decode_two_layer(code, grown).families != decoded.families:
+            report.record(f"trial {trial}: decoding over a grown box changed the families")
+    report.notes = (
+        "evaluation equality checked on every assignment of each box; each code also decoded "
+        "over its box grown by 0-2 nodes, 0-1 rows and 0-1 bits, to the same families"
+    )
     return _finish(report, started)
 
 
@@ -584,6 +596,7 @@ def verify_odd_fixed(seed: int = 0) -> VerificationReport:
     count = pairs = products = 0
     for n in range(1, 8, 2):
         invs = list(_involutions(n))
+        ident = tuple(range(n))
         # many pairs share a product (at n = 7 every permutation occurs), so order each once
         orders: dict[tuple[int, ...], int] = {}
         for a_idx in range(len(invs)):
@@ -601,6 +614,13 @@ def verify_odd_fixed(seed: int = 0) -> VerificationReport:
                     action = close_group([sigma, mu])
                 except CertificateError:
                     report.record(f"2-power product order yet certificate failed: {sigma} {mu}")
+                    continue
+                # two distinct involutions generate a dihedral group of order 2 ord(sigma mu)
+                elements = action.elements
+                dihedral = sigma != mu and ident not in (sigma, mu)
+                order = 2 * product_order if dihedral else len({ident, sigma, mu})
+                if sigma not in elements or mu not in elements or len(elements) != order:
+                    report.record(f"closure of {sigma},{mu} is not the group they generate")
                     continue
                 orbits = orbit_partition(action)
                 for orbit in orbits:

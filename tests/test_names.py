@@ -13,7 +13,6 @@ from cascadekit.cascade import Condition, Coordinate, Packet, ToggleSet, generat
 from cascadekit.errors import DomainError, PreconditionError
 from cascadekit.forest import PredecessorForest, Window, random_forest, rho_closure
 from cascadekit.names import (
-    DEFAULT_M_RANGE,
     Assignment,
     CoordinateBox,
     PacketScheme,
@@ -28,8 +27,8 @@ from cascadekit.names import (
     decode_two_layer,
     evaluate,
     normalize,
-    packet_rank,
-    packet_unrank,
+    packet_code,
+    packet_of_code,
     support_report,
     two_layer_code,
 )
@@ -37,6 +36,7 @@ from cascadekit.verify import (
     _BOX_SHAPES,
     _cube_minterms,
     _eval_tables_equal,
+    _grown_box,
     _member_table,
     _random_box,
     _random_supported_name,
@@ -386,7 +386,7 @@ class TestNormalize:
         box = small_box()
         A = rho_closure(box.forest, set())
         scheme = normalize(RawName.of([]), A, box)
-        assert scheme.families and all(not pkts for _, pkts in scheme.families)
+        assert scheme.families == () and scheme.family(0) == frozenset()
 
     def test_unsupported_name_rejected(self):
         box = small_box()
@@ -396,13 +396,14 @@ class TestNormalize:
             normalize(name, A, box)
 
     def test_m_range_padding(self):
+        # no padding: families only for the members that occur
         box = small_box()
         A = rho_closure(box.forest, {0})
         cond = Condition.from_map({(0, 0, 0): 1})
         scheme = normalize(RawName.of([(0, cond)]), A, box)
-        assert len(scheme.families) == 8
+        assert [m for m, _ in scheme.families] == [0]
         wide = normalize(RawName.of([(11, cond)]), A, box)
-        assert len(wide.families) == 9
+        assert [m for m, _ in wide.families] == [11]
         assert wide.family(10) == frozenset()
         assert wide.family(11) != frozenset()
 
@@ -411,9 +412,9 @@ class TestNormalize:
         A = rho_closure(box.forest, {0})
         cond = Condition.from_map({(0, 0, 0): 1})
         scheme = normalize(RawName.of([(10**6, cond)]), A, box)
-        assert [m for m, _ in scheme.families] == [*range(DEFAULT_M_RANGE), 10**6]
+        assert [m for m, _ in scheme.families] == [10**6]
         code = two_layer_code(scheme, box)
-        assert len(code.packet_indices) == 9
+        assert code.packet_indices == ((10**6, (packet_code(cond),)),)
         assert decode_two_layer(code, box) == scheme
 
     def test_random_supported_names_normalize_soundly(self):
@@ -510,109 +511,54 @@ class TestManyMembers:
         assert not _eval_tables_equal(name, RawName.of(pairs[1:]), box)
 
 
-def digit_walk_rank(cond, box):
-    """Rank oracle: add every skipped coordinate's two blocks one power at a time."""
-    n = box.n_coords
-    rank = 0
-    base = 0
-    for i, v in sorted((box.index(c), v) for c, v in cond.entries):
-        rank += 1
-        for j in range(base, i):
-            rank += 2 * 3 ** (n - 1 - j)
-        rank += v * 3 ** (n - 1 - i)
-        base = i + 1
-    return rank
-
-
-def digit_walk_unrank(k, box):
-    """Unrank oracle: walk the coordinates and both values block by block."""
-    n = box.n_coords
-    entries = []
-    base = 0
-    while k > 0:
-        k -= 1
-        placed = False
-        for i in range(base, n):
-            block = 3 ** (n - 1 - i)
-            for v in (0, 1):
-                if k < block:
-                    entries.append((box.coord_at(i), v))
-                    base = i + 1
-                    placed = True
-                    break
-                k -= block
-            if placed:
-                break
-        if not placed:
-            raise AssertionError("index outside the enumeration")
-    return Condition(tuple(entries))
-
-
-def tiny_enumeration_box():
-    f = forest_of(1, {})
-    return CoordinateBox(Window.whole(f), 1, 3)  # 3 coordinates, 27 packets
+def all_packets(box):
+    """Every packet of the box: each partial 0/1 function on its coordinates."""
+    coords = list(box.coords())
+    for values in itertools.product((None, 0, 1), repeat=len(coords)):
+        yield Condition(tuple((c, v) for c, v in zip(coords, values) if v is not None))
 
 
 class TestPacketEnumeration:
-    def test_rank_matches_explicit_enumeration(self):
-        box = tiny_enumeration_box()
-        coords = list(box.coords())
-        packets = []
-        for dom_size in range(len(coords) + 1):
-            for combo in itertools.combinations(range(len(coords)), dom_size):
-                for values in itertools.product((0, 1), repeat=dom_size):
-                    cond = Condition(tuple((coords[i], v) for i, v in zip(combo, values)))
-                    packets.append(cond)
-        def serialized(cond):
-            return tuple(sorted((box.index(c), v) for c, v in cond.entries))
-        packets.sort(key=serialized)
-        assert len(packets) == 27
-        for k, cond in enumerate(packets):
-            assert packet_rank(cond, box) == k
-            assert packet_unrank(k, box) == cond
+    """One injection of all finite packets into the naturals, independent of any box."""
 
-    def test_unrank_out_of_range(self):
-        box = tiny_enumeration_box()
+    def test_every_natural_below_2_16_decodes_or_is_rejected(self):
+        decoded = rejected = 0
+        for k in range(1 << 16):
+            try:
+                cond = packet_of_code(k)
+            except DomainError:
+                rejected += 1
+                continue
+            assert packet_code(cond) == k
+            decoded += 1
+        assert (decoded, rejected) == (6790, 58746)
+
+    @pytest.mark.parametrize(
+        "k",
+        [-1, 0b111, 0b100111, 0b11111111],
+        ids=["negative", "three-gaps", "value-2", "repeated-coordinate"],
+    )
+    def test_natural_that_codes_no_packet_rejected(self, k):
+        # 0b100111 reads (0, 0, 0, 2); 0b11111111 reads (0, 0, 0, 0) twice
         with pytest.raises(DomainError):
-            packet_unrank(27, box)
+            packet_of_code(k)
 
     def test_round_trip_on_six_coordinate_box(self):
         box = small_box(rows=1, bits=2)  # 6 coordinates, 729 packets
-        coords = list(box.coords())
-        rng = random.Random(6)
-        previous = []
-        for k in range(3 ** len(coords)):
-            cond = packet_unrank(k, box)
-            assert packet_rank(cond, box) == k
-            previous.append(cond)
-        # spot check the order: serialization is strictly increasing in rank
-        def serialized(cond):
-            return tuple(sorted((box.index(c), v) for c, v in cond.entries))
-        for _ in range(100):
-            i, j = sorted(rng.sample(range(len(previous)), 2))
-            assert serialized(previous[i]) < serialized(previous[j])
+        codes = set()
+        for cond in all_packets(box):
+            k = packet_code(cond)
+            assert packet_of_code(k) == cond
+            codes.add(k)
+        assert len(codes) == 3**6
 
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2)])
-    def test_closed_form_matches_digit_walk_everywhere(self, shape):
-        box = small_box(rows=shape[1], bits=shape[2], size=shape[0])
-        for k in range(3**box.n_coords):
-            cond = digit_walk_unrank(k, box)
-            assert packet_unrank(k, box) == cond
-            assert packet_rank(cond, box) == digit_walk_rank(cond, box) == k
-
-    @pytest.mark.parametrize("shape", [(4, 1, 4), (5, 2, 2), (7, 1, 3)])
-    def test_closed_form_matches_digit_walk_on_random_packets(self, shape):
-        box = small_box(rows=shape[1], bits=shape[2], size=shape[0])
-        coords = list(box.coords())
-        rng = random.Random(box.n_coords)
-        for _ in range(300):
-            picked = rng.sample(coords, rng.randrange(len(coords) + 1))
-            cond = Condition(tuple((c, rng.randrange(2)) for c in picked))
-            k = packet_rank(cond, box)
-            assert k == digit_walk_rank(cond, box)
-            assert packet_unrank(k, box) == cond
-            j = rng.randrange(3**box.n_coords)
-            assert packet_unrank(j, box) == digit_walk_unrank(j, box)
+    def test_code_reads_gaps_between_set_bits(self):
+        # literals (node gap, row, bit, value): (2, 0, 1, 1) then (0, 1, 0, 0) on the same node
+        cond = Condition.from_map({(2, 0, 1): 1, (2, 1, 0): 0})
+        positions = [2, 3, 5, 7, 8, 10, 11, 12]
+        assert packet_code(cond) == sum(1 << p for p in positions)
+        assert packet_code(Condition.empty()) == 0
+        assert packet_of_code(0) == Condition.empty()
 
     def test_single_packet_code_indices(self):
         box = small_box()
@@ -621,7 +567,7 @@ class TestPacketEnumeration:
         cond = Condition.from_map({(0, 0, 1): 1})
         scheme = PacketScheme.of(A, {2: {Packet.of(cond, f)}})
         code = two_layer_code(scheme, box)
-        assert dict(code.packet_indices)[2] == (packet_rank(cond, box),)
+        assert dict(code.packet_indices)[2] == (packet_code(cond),)
 
 
 class TestTwoLayerCode:
@@ -651,13 +597,32 @@ class TestTwoLayerCode:
             for g in all_assignments(box):
                 assert evaluate(decoded, g) == evaluate(scheme, g)
 
-    def test_dimension_mismatch_rejected(self):
-        box = small_box()
-        other = small_box(bits=3)
-        A = rho_closure(box.forest, set())
-        code = two_layer_code(PacketScheme.of(A, {}), box)
+    def test_decode_over_grown_box_gives_same_scheme(self):
+        rng = random.Random(29)
+        for shape in _BOX_SHAPES:
+            for _ in range(5):
+                box = _random_box(rng, shape)
+                name, A = _random_supported_name(rng, box)
+                scheme = normalize(name, A, box)
+                code = two_layer_code(scheme, box)
+                grown = _grown_box(rng, box)
+                assert two_layer_code(scheme, grown) == code
+                assert decode_two_layer(code, grown) == scheme
+
+    def test_box_missing_a_coordinate_rejected(self):
+        box = small_box(bits=3)
+        A = rho_closure(box.forest, {0})
+        cond = Condition.from_map({(0, 0, 2): 1})
+        code = two_layer_code(PacketScheme.of(A, {0: {Packet.of(cond, box.forest)}}), box)
+        narrow = small_box(bits=2)
         with pytest.raises(DomainError):
-            decode_two_layer(code, other)
+            decode_two_layer(code, narrow)
+        with pytest.raises(DomainError):
+            two_layer_code(decode_two_layer(code, box), narrow)
+        far = Condition.from_map({(2, 0, 0): 1})
+        code = two_layer_code(PacketScheme.of(Window.whole(box.forest), {0: {Packet.of(far, box.forest)}}), box)
+        with pytest.raises(DomainError):
+            decode_two_layer(code, small_box(size=2))
 
 
 class TestBoxValidation:
@@ -958,17 +923,21 @@ class TestPrimePackets:
     def test_code_rejects_duplicate_and_negative_members(self):
         A = rho_closure(small_box().forest, {0})
         with pytest.raises(DomainError):
-            TwoLayerCode(A, (3, 1, 2), ((0, (1,)), (0, (2,))))
+            TwoLayerCode(A, ((0, (1,)), (0, (2,))))
         with pytest.raises(DomainError):
-            TwoLayerCode(A, (3, 1, 2), ((-1, (1,)),))
+            TwoLayerCode(A, ((-1, (1,)),))
         with pytest.raises(DomainError):
-            TwoLayerCode(A, (1, 1, 1), ((0, (3,)),))  # one coordinate has 3 packets: ranks 0..2
+            TwoLayerCode(A, ((0, (5, -1)),))  # a code is any natural, and only that
 
     def test_huge_box_code_keeps_small_indices(self):
-        # the rank bound needs no 3**n, which would not fit in memory for this box
-        A = rho_closure(small_box().forest, {0})
-        code = TwoLayerCode(A, (99999999999, 9, 9), ((0, (5,)),))
-        assert code.packet_indices == ((0, (5,)),)
+        # a packet's code grows with its literals, not with the box: 3**600 has 951 bits
+        f = random_forest(150, 600)
+        box = CoordinateBox(Window.whole(f), 2, 2)  # 600 coordinates
+        cond = Condition.from_map({(149, 1, 1): 1, (149, 1, 0): 0})
+        A = rho_closure(f, {149})
+        code = two_layer_code(PacketScheme.of(A, {0: {Packet.of(cond, f)}}), box)
+        assert code.packet_indices == ((0, (packet_code(cond),)),)
+        assert packet_code(cond).bit_length() == 161
 
     def test_scheme_rejects_off_support_repeated_and_negative_members(self):
         f = small_box().forest

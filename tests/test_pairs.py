@@ -88,3 +88,21 @@ def test_run_record_keeps_verify_sweeps_per_lemma_seconds():
     }
     # workloads without per-lemma seconds get no such key
     assert "lemma_norm_s" not in pairs.run_record("names-wide", "parent", 1, 1, perfbench_output({}))
+
+
+def test_verify_sweep_summary_gives_each_lemmas_medians_and_ratio():
+    runs = []
+    for i, (p, c) in enumerate([(1.0, 0.5), (3.0, 1.0), (2.0, 2.0)], start=1):
+        for side, shield in (("parent", p), ("change", c)):
+            record = run("verify-sweep", side, i, shield + 1.0, 1.0)
+            # "new" is timed only on the change side, so it has no parent median
+            record["lemma_norm_s"] = {"shield": shield, "lift": 1.0, **({"new": 0.1} if side == "change" else {})}
+            runs.append(record)
+    summary = pairs.summarize(runs, METRICS)
+    assert list(summary["verify-sweep"]) == ["wall", "rate", "lemma_norm_s"]
+    assert summary["verify-sweep"]["lemma_norm_s"] == {
+        "shield": {"parent_median": 2.0, "change_median": 1.0, "change_over_parent": 0.5},
+        "lift": {"parent_median": 1.0, "change_median": 1.0, "change_over_parent": 1.0},
+    }
+    # runs without per-lemma seconds get no such key
+    assert "lemma_norm_s" not in pairs.summarize(synthetic_runs(), METRICS)["w"]

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from cascadekit import cli, verify
+from cascadekit import cli, orbits, verify
 from cascadekit.errors import DomainError
 from cascadekit.orbits import _perm_order
 from cascadekit.verify import (
@@ -133,6 +133,26 @@ def test_lift_rejects_a_member_that_is_not_the_projection(monkeypatch):
     report = verify_lift()
     assert not report.ok()
     assert report.trials == 135_324
+
+
+_real_generate = orbits._generate
+
+
+@pytest.mark.parametrize(
+    "closure, failures",
+    [
+        (lambda generators, ident: {ident}, 7463),
+        (lambda generators, ident: _real_generate(generators[:1], ident), 7204),
+        (lambda generators, ident: _real_generate(generators[1:], ident), 6945),
+    ],
+    ids=["identity-only", "first-only", "second-only"],
+)
+def test_odd_fixed_rejects_a_closure_that_is_not_the_generated_group(monkeypatch, closure, failures):
+    # each mutant still yields a 2-group with a least fixed point, so only the order check sees it
+    monkeypatch.setattr(orbits, "_generate", closure)
+    report = verify_odd_fixed()
+    assert report.failure_count() == failures
+    assert report.trials == 7467
 
 
 def test_lift_odometer_visits_every_choice_map_once(monkeypatch):
