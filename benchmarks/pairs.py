@@ -60,7 +60,7 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def lemma_medians(pairs: list[dict]) -> dict:
-    """Per lemma that every run of ``pairs`` timed: each side's median ``lemma_norm_s`` and their ratio."""
+    """Each side's median ``lemma_norm_s`` and their ratio, per lemma that every run timed."""
     tables = [sides[side].get("lemma_norm_s", {}) for sides in pairs for side in SIDES]
     lemmas = [k for k in tables[0] if all(k in t for t in tables)] if tables else []
     out = {}

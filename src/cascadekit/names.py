@@ -476,7 +476,7 @@ class TwoLayerCode:
 
 
 def packet_code(cond: Condition) -> int:
-    """A packet's code in one injection of all finite packets over nodes x rows x bits into ℕ.
+    """A packet's natural in one injection of all finite packets into the naturals.
 
     The sorted literals are listed as (node gap, row, bit, value), the gap
     counting from the previous literal's node and from 0 for the first; the
@@ -529,9 +529,10 @@ def two_layer_code(scheme: PacketScheme, box: CoordinateBox) -> TwoLayerCode:
 def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
     """The scheme a code names, the same over every box that holds its packets.
 
-    A packet outside the box raises :class:`DomainError`.
+    Packets are certified in the support's forest, whatever the box's; a
+    packet outside the box raises :class:`DomainError`.
     """
-    packet = _packet_certifier(box.forest)
+    packet = _packet_certifier(code.support.forest)
     families = {
         m: {packet(_in_box(packet_of_code(k), box)) for k in ks} for m, ks in code.packet_indices
     }

@@ -609,6 +609,15 @@ class TestTwoLayerCode:
                 assert two_layer_code(scheme, grown) == code
                 assert decode_two_layer(code, grown) == scheme
 
+    def test_packets_certified_in_the_supports_forest(self):
+        # the box's forest hangs node 2 off 0, the code's off 1, so the closures differ
+        chain, star = forest_of(3, {1: 0, 2: 1}), forest_of(3, {1: 0, 2: 0})
+        box = CoordinateBox(Window.whole(chain), 1, 1)
+        pkt = Packet.of(Condition.from_map({(2, 0, 0): 1}), chain)
+        scheme = PacketScheme.of(Window.whole(chain), {0: {pkt}})
+        code = two_layer_code(scheme, box)
+        assert decode_two_layer(code, CoordinateBox(Window.whole(star), 1, 1)) == scheme
+
     def test_box_missing_a_coordinate_rejected(self):
         box = small_box(bits=3)
         A = rho_closure(box.forest, {0})
@@ -619,8 +628,8 @@ class TestTwoLayerCode:
             decode_two_layer(code, narrow)
         with pytest.raises(DomainError):
             two_layer_code(decode_two_layer(code, box), narrow)
-        far = Condition.from_map({(2, 0, 0): 1})
-        code = two_layer_code(PacketScheme.of(Window.whole(box.forest), {0: {Packet.of(far, box.forest)}}), box)
+        far = Packet.of(Condition.from_map({(2, 0, 0): 1}), box.forest)
+        code = two_layer_code(PacketScheme.of(Window.whole(box.forest), {0: {far}}), box)
         with pytest.raises(DomainError):
             decode_two_layer(code, small_box(size=2))
 

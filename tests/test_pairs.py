@@ -96,7 +96,9 @@ def test_verify_sweep_summary_gives_each_lemmas_medians_and_ratio():
         for side, shield in (("parent", p), ("change", c)):
             record = run("verify-sweep", side, i, shield + 1.0, 1.0)
             # "new" is timed only on the change side, so it has no parent median
-            record["lemma_norm_s"] = {"shield": shield, "lift": 1.0, **({"new": 0.1} if side == "change" else {})}
+            record["lemma_norm_s"] = {"shield": shield, "lift": 1.0}
+            if side == "change":
+                record["lemma_norm_s"]["new"] = 0.1
             runs.append(record)
     summary = pairs.summarize(runs, METRICS)
     assert list(summary["verify-sweep"]) == ["wall", "rate", "lemma_norm_s"]

@@ -147,7 +147,9 @@ _real_generate = orbits._generate
     ],
     ids=["identity-only", "first-only", "second-only"],
 )
-def test_odd_fixed_rejects_a_closure_that_is_not_the_generated_group(monkeypatch, closure, failures):
+def test_odd_fixed_rejects_a_closure_that_is_not_the_generated_group(
+    monkeypatch, closure, failures
+):
     # each mutant still yields a 2-group with a least fixed point, so only the order check sees it
     monkeypatch.setattr(orbits, "_generate", closure)
     report = verify_odd_fixed()
