@@ -500,11 +500,11 @@ def packet_of_code(k: int) -> Condition:
     above 1 or literals that are not strictly increasing.
     """
     if k < 0:
-        raise DomainError(f"packet code {k} is not a natural")
+        raise DomainError("packet codes must be naturals")
     # the runs of zeros below each set bit, lowest first, are the gaps x1..xn
     xs = [len(run) for run in bin(k)[:1:-1].split("1")[:-1]]
     if len(xs) % 4:
-        raise DomainError(f"{k} codes no packet")
+        raise DomainError(f"no packet has code {k:#x}")
     entries = []
     node = 0
     literals = iter(xs)
@@ -512,7 +512,7 @@ def packet_of_code(k: int) -> Condition:
         node += gap
         coord = Coordinate(node, row, bit)
         if value > 1 or (entries and coord <= entries[-1][0]):
-            raise DomainError(f"{k} codes no packet")
+            raise DomainError(f"no packet has code {k:#x}")
         entries.append((coord, value))
     return Condition(tuple(entries))
 

@@ -535,11 +535,12 @@ class TestPacketEnumeration:
 
     @pytest.mark.parametrize(
         "k",
-        [-1, 0b111, 0b100111, 0b11111111],
-        ids=["negative", "three-gaps", "value-2", "repeated-coordinate"],
+        [-1, -(2**20000), 0b111, 2**20000, 0b100111, 0b11111111],
+        ids=["negative", "huge-negative", "three-gaps", "huge-one-gap", "value-2", "repeated-coordinate"],
     )
     def test_natural_that_codes_no_packet_rejected(self, k):
-        # 0b100111 reads (0, 0, 0, 2); 0b11111111 reads (0, 0, 0, 0) twice
+        # 0b100111 reads (0, 0, 0, 2); 0b11111111 reads (0, 0, 0, 0) twice; a huge k
+        # has more than the 4,300 digits Python formats in decimal, so no message may print it so
         with pytest.raises(DomainError):
             packet_of_code(k)
 
