@@ -274,7 +274,8 @@ class SupportReport:
     supported: bool
     exhaustive: bool
     assignments_checked: int
-    witness: tuple[int, int, int, int] | None  # (node, row, bit, assignment)
+    # (node, row, bit, assignment): flipping that coordinate alone changes the assignment's members
+    witness: tuple[int, int, int, int] | None
 
 
 def _check_box_window(A: Window, box: CoordinateBox) -> None:
@@ -291,55 +292,37 @@ def _in_box(cond: Condition, box: CoordinateBox) -> Condition:
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
 def _support(name, A: Window, box: CoordinateBox) -> SupportReport:
-    """Flip every single-bit generator at a node off the support over the name's table.
+    """Flip each mentioned coordinate off the support alone over the name's table.
 
-    A generator's flip mask covers its own coordinate and the matching
-    coordinate of each successor in the box; only its mentioned coordinates
-    can change an evaluation, so a generator that mentions none is skipped
-    and each distinct table mask is swept once.  The witness is the first
-    generator, in box order, that changes some evaluation, with the least
-    assignment it changes (unmentioned coordinates 0).  Like
-    :func:`_name_table`, the ``_CACHE_ENTRIES`` most recent (name, support,
-    box) verdicts are kept, so :func:`normalize` reuses the sweep
-    :func:`support_report` ran.
+    The witness is the first such coordinate, in box order, whose flip
+    changes some evaluation, with the least assignment it changes
+    (unmentioned coordinates 0).  Like :func:`_name_table`, the
+    ``_CACHE_ENTRIES`` most recent (name, support, box) verdicts are kept,
+    so :func:`normalize` reuses the sweep :func:`support_report` ran.
     """
     _, table, positions, slot = _name_table(name, box)
     checked = 1 << box.n_coords
-    children = box.forest._children
-    touched = {c.node for c in slot}
-    swept = set()
-    for xi in box.window.ordered:
-        if xi in A.nodes:
-            continue
-        nodes = [eta for eta in (xi, *children[xi]) if eta in touched]
-        if not nodes:
-            continue
-        for row in range(box.rows):
-            for bit in range(box.bits):
-                mask = 0
-                for eta in nodes:
-                    j = slot.get(Coordinate(eta, row, bit))
-                    if j is not None:
-                        mask |= 1 << j
-                if not mask or mask in swept:
-                    continue
-                swept.add(mask)
-                g = kernels.flip_violation(table, mask)
-                if g >= 0:
-                    return SupportReport(False, True, checked, (xi, row, bit, _expand(g, positions)))
+    for coord, j in slot.items():
+        if coord.node not in A.nodes:
+            g = kernels.flip_violation(table, 1 << j)
+            if g >= 0:
+                return SupportReport(False, True, checked, (*coord, _expand(g, positions)))
     return SupportReport(True, True, checked, None)
 
 
 def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
-    """Sweep single-bit generators off the support for evaluation invariance.
+    """Flip each coordinate off the support alone and check that no evaluation changes.
 
     Exhaustive over all ``2**n_coords`` assignments of a box of any size;
     a name that mentions more than ``kernels.MAX_TABLE_COORDS`` coordinates
-    raises :class:`DomainError`.  Generators off the support suffice: the
-    group is abelian and every element fixing the support factors into them
-    inside the box.  The member table is built once per (name, box) and the
-    sweep run once per (name, support, box), each kept in a bounded cache
-    that :func:`normalize` and :func:`decision_invariant` read too.
+    raises :class:`DomainError`.  Single coordinates suffice by the
+    star-span lemma: the generators at nodes off the closed window ``A``
+    toggle a node and its successors, all off ``A``, and their star matrix
+    is unit triangular, so the group fixing the rows over ``A`` is exactly
+    the group of flips of coordinates off ``A``.  The member table is built
+    once per (name, box) and the sweep run once per (name, support, box),
+    each kept in a bounded cache that :func:`normalize` and
+    :func:`decision_invariant` read too.
     """
     _check_box_window(A, box)
     _check_name(name)
@@ -347,7 +330,7 @@ def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
 
 
 def check_support(name, A: Window, box: CoordinateBox) -> bool:
-    """True when no off-support single-bit generator changes any evaluation."""
+    """True when flipping no single coordinate off the support changes any evaluation."""
     return support_report(name, A, box).supported
 
 
@@ -368,11 +351,13 @@ def decision_invariant(
     _check_name(name)
     _in_box(p, box)
     _, table, _, slot = _name_table(name, box)
-    verdict = kernels.subcube_member_summary(table, m, *_slot_masks(p, slot))
+    dmask, vmask = _slot_masks(p, slot)
+    verdict = kernels.subcube_member_summary(table, m, dmask, vmask)
     if verdict == 2:
         raise PreconditionError(f"condition does not decide membership of {m}")
-    restriction = p.restrict_to_nodes(A.nodes)
-    return kernels.subcube_member_summary(table, m, *_slot_masks(restriction, slot)) == verdict
+    # restricting p to the rows over A keeps the table bits of the coordinates over A
+    over_A = sum(1 << j for coord, j in slot.items() if coord.node in A.nodes)
+    return kernels.subcube_member_summary(table, m, dmask & over_A, vmask & over_A) == verdict
 
 
 def _prime_cubes(cubes) -> set[tuple[int, int]]:
@@ -440,7 +425,7 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     report = _support(name, A, box)
     if not report.supported:
         raise PreconditionError(
-            f"name is not supported by the window; witness generator+assignment {report.witness}"
+            f"name is not supported by the window; witness coordinate+assignment {report.witness}"
         )
     pairs, _, _, slot = _name_table(name, box)
     trimmed = {coord: j for coord, j in slot.items() if coord.node in A.nodes}

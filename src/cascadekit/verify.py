@@ -2,10 +2,25 @@
 
 Each routine replays an invariant suite and returns a report; the CLI maps
 lemma ids onto these.  A routine's keywords are ``seed`` plus the ones the
-CLI's verify flags set; every other scale is fixed here.  Oracles here are
-deliberately independent of the code paths they check: invertibility is
-recomputed by Gaussian elimination, actions are replayed pointwise, and
-certificates are recomputed from scratch.
+CLI's verify flags set; every other scale is fixed here.  What each oracle
+recomputes, apart from the code it checks:
+
+- starspan: invertibility by Gaussian elimination;
+- decision, normalize and code: member tables over every assignment of the
+  whole box, not only the coordinates a name mentions.  Normalize also
+  sweeps support over every single-bit generator off each closed window of
+  the box (:func:`_generator_sweep_supported`), the sweep that the library
+  replaces by single-coordinate flips through the star-span lemma, and
+  flips each unsupported witness in the whole-box table;
+- odd-fixed: each closure's order from the product's cycle lengths;
+  dyadic: each coset partition from its subspace's span; lift: each choice
+  map's projection, known by construction; fresh: the separation clauses
+  from the parents;
+- swap: the pattern flip on every assignment, from a mask rebuilt from the
+  generator's toggle sets.
+
+Shield, abelian and transport still act through the library's ``apply``
+and ``fixes_rows_over``: no pointwise replay of actions checks them.
 """
 
 from __future__ import annotations
@@ -42,6 +57,7 @@ from .names import (
     decision_invariant,
     decode_two_layer,
     normalize,
+    support_report,
     two_layer_code,
     _name_pairs,
 )
@@ -434,6 +450,7 @@ def verify_decision(
     for trial in range(trials):
         box = _random_box(rng, box_dims)
         name, A = _random_supported_name(rng, box)
+        empty = Window(box.forest, frozenset())
         if not check_support(name, A, box):
             report.record(f"trial {trial}: scheme-built name failed its own support check")
             continue
@@ -458,6 +475,11 @@ def verify_decision(
         for p, m in probes:
             if not decision_invariant(name, A, p, m, box):
                 report.record(f"trial {trial}: restriction of a deciding condition flipped m={m}")
+            # the empty condition decides alike exactly when m's column is constant at p's verdict
+            verdict = kernels.subcube_member_summary(table, m, *box.condition_masks(p))
+            constant = kernels.subcube_member_summary(table, m, 0, 0) == verdict
+            if decision_invariant(name, empty, p, m, box) != constant:
+                report.record(f"trial {trial}: the empty window's decision on m={m} disagrees with the table")
     report.notes = (
         f"probes: {pair_probes} pair conditions, {total_probes} total-assignment conditions, "
         f"{kept} of {drawn} random conditions kept as deciding"
@@ -511,6 +533,42 @@ def _family_fault(name, table, scheme, A: Window, box: CoordinateBox) -> str | N
     return None
 
 
+def _generator_sweep_supported(table, A: Window, box: CoordinateBox) -> bool:
+    """Whether every single-bit generator at a node off ``A`` fixes a whole-box member table.
+
+    ``table`` covers every assignment of the box (:func:`_member_table`).  A
+    generator (xi, row, {bit}) flips that coordinate of xi and of each
+    successor of xi in the box, read from ``forest.parents``.  The
+    generators at nodes off a closed ``A`` generate the group that fixes the
+    rows over ``A``, so this is the support sweep without the star-span
+    lemma that reduces it to single coordinates.
+    """
+    parents = box.forest.parents
+    for xi in box.window.ordered:
+        if xi in A.nodes:
+            continue
+        # a node's coordinates follow its row-0, bit-0 one in (row, bit) order
+        star = sum(
+            1 << box.index(Coordinate(eta, 0, 0)) for eta in box.window.ordered if xi in (eta, parents[eta])
+        )
+        for shift in range(box.rows * box.bits):
+            if kernels.flip_violation(table, star << shift) >= 0:
+                return False
+    return True
+
+
+def _witness_flips(witness, table, A: Window, box: CoordinateBox) -> bool:
+    """Whether a support witness's one coordinate, off ``A``, changes some member when flipped."""
+    if witness is None:
+        return False
+    node, row, bit, g = witness
+    coord = Coordinate(node, row, bit)
+    if node in A.nodes or not box.contains(coord) or not 0 <= g < 1 << box.n_coords:
+        return False
+    flipped = g ^ 1 << box.index(coord)
+    return any((col >> g ^ col >> flipped) & 1 for col in table.cols.values())
+
+
 def verify_normalize(
     trials: int = 100,
     seed: int = 0,
@@ -520,6 +578,7 @@ def verify_normalize(
     started = time.perf_counter()
     report = VerificationReport("normalize", trials, False, [], seed)
     rng = random.Random(seed)
+    outcomes = [0, 0]  # unsupported, supported
     for trial in range(trials):
         box = _random_box(rng, box_dims)
         name, A = _random_supported_name(rng, box)
@@ -532,9 +591,19 @@ def verify_normalize(
         fault = _family_fault(name, table, scheme, A, box)
         if fault:
             report.record(f"trial {trial}: {fault}")
+        for closed in _all_closed_subsets(box.forest):
+            W = Window(box.forest, closed)
+            supported = _generator_sweep_supported(table, W, box)
+            outcomes[supported] += 1
+            if check_support(name, W, box) != supported:
+                report.record(f"trial {trial}: support over {sorted(closed)} disagrees with the generator sweep")
+            elif not supported and not _witness_flips(support_report(name, W, box).witness, table, W, box):
+                report.record(f"trial {trial}: the witness over {sorted(closed)} changes no member")
     report.notes = (
         "evaluation equality checked on every assignment of each box; each family's minterms "
-        "equal the whole-box projection, its packets are prime and it is closed under consensus"
+        "equal the whole-box projection, its packets are prime and it is closed under consensus; "
+        f"support over every closed window against the generator sweep: {outcomes[1]} supported, "
+        f"{outcomes[0]} unsupported with their witnesses flipped"
     )
     return _finish(report, started)
 
@@ -552,13 +621,18 @@ def verify_code(
         box = _random_box(rng, box_dims)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
-        code = two_layer_code(scheme, box)
-        decoded = decode_two_layer(code, box)
-        if not _eval_tables_equal(scheme, decoded, box):
-            report.record(f"trial {trial}: decoded scheme changed some evaluation")
         # a generator of its own, so the grown box leaves every other draw alone
         grown = _grown_box(random.Random(f"code/{seed}/{trial}"), box)
-        if decode_two_layer(code, grown).families != decoded.families:
+        try:
+            code = two_layer_code(scheme, box)
+            decoded = decode_two_layer(code, box)
+            regrown = decode_two_layer(code, grown)
+        except (DomainError, CertificateError) as exc:
+            report.record(f"trial {trial}: coding raised {type(exc).__name__}: {exc}")
+            continue
+        if not _eval_tables_equal(scheme, decoded, box):
+            report.record(f"trial {trial}: decoded scheme changed some evaluation")
+        if regrown.families != decoded.families:
             report.record(f"trial {trial}: decoding over a grown box changed the families")
     report.notes = (
         "evaluation equality checked on every assignment of each box; each code also decoded "

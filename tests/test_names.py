@@ -36,6 +36,7 @@ from cascadekit.verify import (
     _BOX_SHAPES,
     _cube_minterms,
     _eval_tables_equal,
+    _generator_sweep_supported,
     _grown_box,
     _member_table,
     _random_box,
@@ -72,6 +73,13 @@ def naive_supported(name, A, box):
                     if evaluate(name, apply_to_assignment(tau, g)) != evaluate(name, g):
                         return False
     return True
+
+
+def witness_flip_changes_members(name, box, witness):
+    """Whether flipping the witness's one coordinate at its assignment changes the name's members."""
+    xi, row, bit, g_bits = witness
+    flipped = g_bits ^ 1 << box.index(Coordinate(xi, row, bit))
+    return evaluate(name, Assignment(box, flipped)) != evaluate(name, Assignment(box, g_bits))
 
 
 class TestBoxAndAssignment:
@@ -185,10 +193,8 @@ class TestCheckSupport:
         report = support_report(name, A, box)
         assert not report.supported
         assert report.exhaustive
-        xi, row, bit, g_bits = report.witness
-        tau = generator(f, xi, row, ToggleSet.finite({bit}))
-        g = Assignment(box, g_bits)
-        assert evaluate(name, apply_to_assignment(tau, g)) != evaluate(name, g)
+        assert report.witness[0] not in A.nodes
+        assert witness_flip_changes_members(name, box, report.witness)
 
     def test_empty_name_supported(self):
         box = small_box()
@@ -231,11 +237,8 @@ class TestCheckSupport:
         assert not report.supported and report.exhaustive
         assert report.assignments_checked == 2**18
         assert not check_support(name, A, box)
-        xi, row, bit, g_bits = report.witness
-        assert xi not in A.nodes
-        tau = generator(f, xi, row, ToggleSet.finite({bit}))
-        g = Assignment(box, g_bits)
-        assert evaluate(name, apply_to_assignment(tau, g)) != evaluate(name, g)
+        assert report.witness[0] not in A.nodes
+        assert witness_flip_changes_members(name, box, report.witness)
 
     def test_box_above_table_bound_rejected(self):
         # the table bound caps the coordinates a name mentions, not the box
@@ -274,10 +277,9 @@ class TestCheckSupport:
         report = support_report(name, A, box)
         assert built == [4]
         assert not report.supported and report.assignments_checked == 2**22
-        xi, row, bit, g_bits = report.witness
-        tau = generator(f, xi, row, ToggleSet.finite({bit}))
-        g = Assignment(box, g_bits)
-        assert evaluate(name, apply_to_assignment(tau, g)) != evaluate(name, g)
+        # the least off-support mentioned coordinate, with the least assignment its flip changes
+        assert report.witness == (*box.coord_at(3), 0)
+        assert witness_flip_changes_members(name, box, report.witness)
 
 
 class TestDecisionInvariant:
@@ -653,24 +655,6 @@ class TestBoxValidation:
             Window(f, frozenset({0, 5}))
 
 
-def full_box_support(name, A, box):
-    """The support sweep over the member table of the whole box: (supported, witness)."""
-    table = _member_table(box, name)
-    for xi in box.window.ordered:
-        if xi in A.nodes:
-            continue
-        kids = [eta for eta in box.forest._children[xi] if eta in box.window.nodes]
-        for row in range(box.rows):
-            for bit in range(box.bits):
-                mask = 0
-                for eta in (xi, *kids):
-                    mask |= 1 << box.index(Coordinate(eta, row, bit))
-                g = kernels.flip_violation(table, mask)
-                if g >= 0:
-                    return False, (xi, row, bit, g)
-    return True, None
-
-
 def full_box_minterms(name, A, box):
     """``(trim_mask, minterms)``: per member, the projections of the whole-box assignments carrying it.
 
@@ -740,11 +724,21 @@ class TestMentionedCoordinates:
             if rng.random() < 0.5:
                 name = random_raw_name(rng, box)
             report = support_report(name, A, box)
-            supported, witness = full_box_support(name, A, box)
-            assert (report.supported, report.witness) == (supported, witness)
+            table = _member_table(box, name)
+            supported = _generator_sweep_supported(table, A, box)
+            assert report.supported == supported
             assert report.assignments_checked == 2**box.n_coords
             if not supported:
                 unsupported += 1
+                # the first coordinate off A, in box order, whose flip alone changes the whole-box
+                # table, with the least assignment it changes
+                flips = (
+                    (i, kernels.flip_violation(table, 1 << i))
+                    for i, c in enumerate(box.coords())
+                    if c.node not in A.nodes
+                )
+                i, g = next((i, g) for i, g in flips if g >= 0)
+                assert report.witness == (*box.coord_at(i), g)
                 with pytest.raises(PreconditionError):
                     normalize(name, A, box)
                 continue
@@ -803,10 +797,8 @@ class TestMentionedCoordinates:
         broken = RawName.of(pairs + [(0, Condition(((leaf, 1),)))])
         report = support_report(broken, A, box)
         assert not report.supported
-        xi, row, bit, g_bits = report.witness
-        tau = generator(f, xi, row, ToggleSet.finite({bit}))
-        g = Assignment(box, g_bits)
-        assert evaluate(broken, apply_to_assignment(tau, g)) != evaluate(broken, g)
+        assert report.witness[0] not in A.nodes
+        assert witness_flip_changes_members(broken, box, report.witness)
 
 
 def padded_box(box, rng, min_coords):

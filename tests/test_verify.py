@@ -1,5 +1,6 @@
 """Sweep sizes of the verification routines, independent of the seed."""
 
+import dataclasses
 import itertools
 import re
 
@@ -7,6 +8,7 @@ import pytest
 
 from cascadekit import cli, orbits, verify
 from cascadekit.errors import DomainError
+from cascadekit.names import _name_pairs
 from cascadekit.orbits import _perm_order
 from cascadekit.verify import (
     MAX_DYADIC_DIM,
@@ -155,6 +157,49 @@ def test_odd_fixed_rejects_a_closure_that_is_not_the_generated_group(
     report = verify_odd_fixed()
     assert report.failure_count() == failures
     assert report.trials == 7467
+
+
+_real_support_report = verify.support_report
+
+
+def unmentioned_witness(name, A, box):
+    """The support report with its witness moved to a coordinate off ``A`` the name never reads."""
+    report = _real_support_report(name, A, box)
+    mentioned = {c for _, cond in _name_pairs(name) for c, _ in cond.entries}
+    spare = [c for c in box.coords() if c.node not in A.nodes and c not in mentioned]
+    if report.supported or not spare:
+        return report
+    return dataclasses.replace(report, witness=(*spare[0], report.witness[3]))
+
+
+def raising_decode(code, box):
+    raise DomainError("no packet has this code")
+
+
+@pytest.mark.parametrize(
+    "attr, mutant, lemma, message",
+    [
+        ("check_support", lambda name, A, box: True, "normalize", "disagrees with the generator sweep"),
+        ("support_report", unmentioned_witness, "normalize", "changes no member"),
+        ("decision_invariant", lambda name, A, p, m, box: True, "decision", "the empty window's decision"),
+        ("decode_two_layer", raising_decode, "code", "coding raised DomainError"),
+    ],
+    ids=["support-always", "witness-unmentioned", "decision-always", "decode-raises"],
+)
+def test_name_layer_mutants_fail_by_counted_failures(monkeypatch, attr, mutant, lemma, message):
+    # each oracle must count the mutant's wrong answers, not let an exception escape
+    monkeypatch.setattr(verify, attr, mutant)
+    report = verify.run(lemma, seed=0)
+    assert report.trials == 100
+    assert report.failure_count() > 0
+    assert all(message in failure for failure in report.failures)
+
+
+def test_normalize_note_counts_both_support_outcomes():
+    report = verify_normalize(trials=20, seed=0)
+    assert report.ok()
+    match = re.search(r"generator sweep: (\d+) supported, (\d+) unsupported", report.notes)
+    assert match and int(match[1]) > 0 and int(match[2]) > 0
 
 
 def test_lift_odometer_visits_every_choice_map_once(monkeypatch):
