@@ -584,13 +584,7 @@ def verify_normalize(
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
         table = _member_table(box, name)
-        if not kernels.tables_equal(table, _member_table(box, scheme)):
-            report.record(f"trial {trial}: normalized scheme changed some evaluation")
-        if not check_support(scheme, A, box):
-            report.record(f"trial {trial}: normalized scheme fails support on its own window")
-        fault = _family_fault(name, table, scheme, A, box)
-        if fault:
-            report.record(f"trial {trial}: {fault}")
+        # before any question about the scheme, so the name's cached member table is reused
         for closed in _all_closed_subsets(box.forest):
             W = Window(box.forest, closed)
             supported = _generator_sweep_supported(table, W, box)
@@ -599,6 +593,13 @@ def verify_normalize(
                 report.record(f"trial {trial}: support over {sorted(closed)} disagrees with the generator sweep")
             elif not supported and not _witness_flips(support_report(name, W, box).witness, table, W, box):
                 report.record(f"trial {trial}: the witness over {sorted(closed)} changes no member")
+        if not kernels.tables_equal(table, _member_table(box, scheme)):
+            report.record(f"trial {trial}: normalized scheme changed some evaluation")
+        if not check_support(scheme, A, box):
+            report.record(f"trial {trial}: normalized scheme fails support on its own window")
+        fault = _family_fault(name, table, scheme, A, box)
+        if fault:
+            report.record(f"trial {trial}: {fault}")
     report.notes = (
         "evaluation equality checked on every assignment of each box; each family's minterms "
         "equal the whole-box projection, its packets are prime and it is closed under consensus; "
