@@ -318,11 +318,11 @@ def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
     raises :class:`DomainError`.  Single coordinates suffice by the
     star-span lemma: the generators at nodes off the closed window ``A``
     toggle a node and its successors, all off ``A``, and their star matrix
-    is unit triangular, so the group fixing the rows over ``A`` is exactly
-    the group of flips of coordinates off ``A``.  The member table is built
-    once per (name, box) and the sweep run once per (name, support, box),
-    each kept in a bounded cache that :func:`normalize` and
-    :func:`decision_invariant` read too.
+    is unit triangular, so inside the box the group fixing the rows over
+    ``A`` is exactly the group of flips of coordinates off ``A``.  The
+    member table is built once per (name, box) and the sweep run once per
+    (name, support, box), each kept in a bounded cache that
+    :func:`normalize` and :func:`decision_invariant` read too.
     """
     _check_box_window(A, box)
     _check_name(name)
