@@ -43,8 +43,7 @@ def _check_dims(n_coords: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _subcube_indicator(n_coords: int, dmask: int, vmask: int) -> int:
+def _build_subcube_indicator(n_coords: int, dmask: int, vmask: int) -> int:
     """Bitset over all assignments of ``{g : g & dmask == vmask}``."""
     ind = 1
     for j in range(n_coords):
@@ -54,6 +53,17 @@ def _subcube_indicator(n_coords: int, dmask: int, vmask: int) -> int:
         elif (vmask >> j) & 1:
             ind <<= width
     return ind
+
+
+# indicators over at most 16 coordinates (8 KB each) are cached, 8 MB at most;
+# a wider one (up to 512 KB) is rebuilt on each call
+_cached_subcube_indicator = lru_cache(maxsize=1024)(_build_subcube_indicator)
+
+
+def _subcube_indicator(n_coords: int, dmask: int, vmask: int) -> int:
+    if n_coords <= 16:
+        return _cached_subcube_indicator(n_coords, dmask, vmask)
+    return _build_subcube_indicator(n_coords, dmask, vmask)
 
 
 @lru_cache(maxsize=None)

@@ -113,18 +113,14 @@ def _print_report(report, description: str) -> None:
 # verify flags that tune a lemma, by the keyword they pass to it
 _VERIFY_FLAGS = {
     "trials": "--trials",
-    "max_window": "--max-window",
     "dim": "--dim",
     "exhaustive": "--exhaustive",
-    "box_dims": "--box",
 }
 
 
 def cmd_verify(args) -> int:
     if args.trials is not None and args.trials <= 0:
         raise ParseError(f"--trials must be positive, got {args.trials}")
-    if args.max_window is not None and args.max_window < 1:
-        raise ParseError(f"--max-window must be positive, got {args.max_window}")
     if args.dim is not None and args.dim < 0:
         raise ParseError(f"--dim must not be negative, got {args.dim}")
     if args.dim is not None and args.dim > MAX_DYADIC_DIM:
@@ -132,10 +128,8 @@ def cmd_verify(args) -> int:
     kwargs = {
         "seed": args.seed,
         "trials": args.trials,
-        "max_window": args.max_window,
         "dim": args.dim,
         "exhaustive": args.exhaustive or None,
-        "box_dims": _parse_box_dims(args.box) if args.box else None,
     }
     if args.all:
         reports = run_all(**kwargs)
@@ -230,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--exhaustive", action="store_true")
-    p_verify.add_argument("--max-window", dest="max_window", type=int, default=None)
     p_verify.add_argument("--dim", type=int, default=None)
-    p_verify.add_argument("--box", default=None, help="N,R,B box dimensions")
     p_verify.add_argument("--out", default=None)
 
     p_demo = sub.add_parser("demo", help="demonstrations of the obstruction machinery")

@@ -83,6 +83,8 @@ MAX_RECORDED_FAILURES = 25
 # reduced echelon basis: 3,290 in 0.17 s at dim 6 on a 2-CPU machine; dim 7
 # would add 29,212 more
 MAX_DYADIC_DIM = 6
+# starspan's closed windows have at most this many nodes
+MAX_STARSPAN_WINDOW = 12
 
 
 @dataclass
@@ -159,25 +161,20 @@ def _random_closed_subset(forest: PredecessorForest, rng: random.Random) -> Wind
     return rho_closure(forest, seed_nodes)
 
 
-def verify_starspan(
-    trials: int = 200,
-    seed: int = 0,
-    max_window: int = 12,
-    exhaustive: bool = False,
-) -> VerificationReport:
-    """Star matrices are unit triangular and invertible; the solver hits every target."""
-    if exhaustive and max_window > kernels.MAX_TABLE_COORDS:
-        # solve_all_targets rejects larger windows; fail before the first trial, not midway
-        raise DomainError(
-            f"max_window {max_window} exceeds the exhaustive sweep bound {kernels.MAX_TABLE_COORDS}"
-        )
+def verify_starspan(trials: int = 200, seed: int = 0, exhaustive: bool = False) -> VerificationReport:
+    """Star matrices are unit triangular and invertible; the solver hits every target.
+
+    Each trial draws a closed window of up to ``MAX_STARSPAN_WINDOW`` nodes.
+    Every target is solved, one at a time and in one batch, on windows of up
+    to 10 nodes, or on every window with ``exhaustive``.
+    """
     started = time.perf_counter()
-    sweep_window = max_window if exhaustive else min(10, max_window)
+    sweep_window = MAX_STARSPAN_WINDOW if exhaustive else 10
     report = VerificationReport("starspan", trials, False, [], seed)
     rng = random.Random(seed)
     for trial in range(trials):
-        forest = random_forest(rng.randint(1, 2 * max_window), rng.getrandbits(32))
-        K = _random_window(forest, rng, max_window)
+        forest = random_forest(rng.randint(1, 2 * MAX_STARSPAN_WINDOW), rng.getrandbits(32))
+        K = _random_window(forest, rng, MAX_STARSPAN_WINDOW)
         matrix = star_matrix(K)
         if not matrix.is_upper_triangular_unit():
             report.record(f"trial {trial}: star matrix not unit upper triangular on {K.serialize()}")
@@ -380,11 +377,8 @@ def verify_transport(trials: int = 500, seed: int = 0) -> VerificationReport:
 _BOX_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 1, 4), (2, 1, 7), (4, 1, 3), (2, 3, 2))
 
 
-def _random_box(rng: random.Random, box_dims: tuple[int, int, int] | None) -> CoordinateBox:
-    n_nodes, rows, bits = box_dims if box_dims is not None else rng.choice(_BOX_SHAPES)
-    if min(n_nodes, rows, bits) > 0:
-        # each caller's oracle sweeps the whole box; refuse one too large before building it
-        kernels._check_dims(n_nodes * rows * bits)
+def _random_box(rng: random.Random) -> CoordinateBox:
+    n_nodes, rows, bits = rng.choice(_BOX_SHAPES)
     forest = random_forest(n_nodes, rng.getrandbits(32))
     return CoordinateBox(Window.whole(forest), rows, bits)
 
@@ -437,18 +431,14 @@ def _eval_tables_equal(name_a, name_b, box: CoordinateBox) -> bool:
     return kernels.tables_equal(_member_table(box, name_a), _member_table(box, name_b))
 
 
-def verify_decision(
-    trials: int = 100,
-    seed: int = 0,
-    box_dims: tuple[int, int, int] | None = None,
-) -> VerificationReport:
+def verify_decision(trials: int = 100, seed: int = 0) -> VerificationReport:
     """Deciding conditions restricted to the support keep deciding the same way."""
     started = time.perf_counter()
     report = VerificationReport("decision", trials, False, [], seed)
     rng = random.Random(seed)
     pair_probes = total_probes = drawn = kept = 0
     for trial in range(trials):
-        box = _random_box(rng, box_dims)
+        box = _random_box(rng)
         name, A = _random_supported_name(rng, box)
         empty = Window(box.forest, frozenset())
         if not check_support(name, A, box):
@@ -569,18 +559,14 @@ def _witness_flips(witness, table, A: Window, box: CoordinateBox) -> bool:
     return any((col >> g ^ col >> flipped) & 1 for col in table.cols.values())
 
 
-def verify_normalize(
-    trials: int = 100,
-    seed: int = 0,
-    box_dims: tuple[int, int, int] | None = None,
-) -> VerificationReport:
+def verify_normalize(trials: int = 100, seed: int = 0) -> VerificationReport:
     """Normalized schemes evaluate exactly like the original name everywhere."""
     started = time.perf_counter()
     report = VerificationReport("normalize", trials, False, [], seed)
     rng = random.Random(seed)
     outcomes = [0, 0]  # unsupported, supported
     for trial in range(trials):
-        box = _random_box(rng, box_dims)
+        box = _random_box(rng)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
         table = _member_table(box, name)
@@ -609,17 +595,13 @@ def verify_normalize(
     return _finish(report, started)
 
 
-def verify_code(
-    trials: int = 100,
-    seed: int = 0,
-    box_dims: tuple[int, int, int] | None = None,
-) -> VerificationReport:
+def verify_code(trials: int = 100, seed: int = 0) -> VerificationReport:
     """Two-layer encode/decode preserves evaluation on every assignment."""
     started = time.perf_counter()
     report = VerificationReport("code", trials, False, [], seed)
     rng = random.Random(seed)
     for trial in range(trials):
-        box = _random_box(rng, box_dims)
+        box = _random_box(rng)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
         # a generator of its own, so the grown box leaves every other draw alone

@@ -1,11 +1,17 @@
-from cascadekit.forest import PredecessorForest
-from cascadekit.names import Assignment
+from cascadekit.forest import PredecessorForest, Window, random_forest
+from cascadekit.names import Assignment, CoordinateBox
 from cascadekit.verify import _all_closed_subsets as all_closed_subsets  # noqa: F401
 from cascadekit.verify import _all_forests as all_forests  # noqa: F401
 
 
 def forest_of(size: int, pred: dict[int, int]) -> PredecessorForest:
     return PredecessorForest.from_pred(size, pred)
+
+
+def random_box(rng, shape):
+    """A box of the given (nodes, rows, bits) shape over a random forest drawn from ``rng``."""
+    n_nodes, rows, bits = shape
+    return CoordinateBox(Window.whole(random_forest(n_nodes, rng.getrandbits(32))), rows, bits)
 
 
 def all_assignments(box):

@@ -37,7 +37,7 @@ def _criterion(number, label, passed, detail=""):
 
 
 def test_criterion_1_star_span_solver():
-    report = verify_starspan(trials=200, seed=11, max_window=12)
+    report = verify_starspan(trials=200, seed=11)
     _criterion(
         1,
         "star-span basis and solver",

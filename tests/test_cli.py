@@ -98,19 +98,10 @@ class TestVerify:
 
     def test_starspan_scaled_down(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "starspan", "--trials", "20", "--max-window", "6", "--exhaustive"
+            capsys, "verify", "starspan", "--trials", "20", "--exhaustive"
         )
         assert code == 0
         assert "lemma=starspan trials=20" in out
-
-    def test_starspan_exhaustive_window_bound(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "starspan", "--exhaustive", "--max-window", "30")
-        assert code == 2
-        assert out == ""
-        assert "max_window 30 exceeds the exhaustive sweep bound 22" in err
-        code, out, _ = run_cli(capsys, "verify", "starspan", "--trials", "5", "--max-window", "23")
-        assert code == 0
-        assert "lemma=starspan trials=5" in out and "failures=0" in out
 
     def test_dyadic_dim(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "dyadic", "--dim", "2")
@@ -136,9 +127,6 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("starspan", "--max-window", "0"), "--max-window must be positive"),
-            (("starspan", "--max-window", "-2"), "--max-window must be positive"),
-            (("--all", "--max-window", "0"), "--max-window must be positive"),
             (("dyadic", "--dim", "-1"), "--dim must not be negative"),
             (("--all", "--dim", "-1"), "--dim must not be negative"),
             (("dyadic", "--dim", "7"), "--dim must be at most 6"),
@@ -153,7 +141,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "argv, flag",
-        [(("fresh", "--trials", "5"), "--trials"), (("dyadic", "--box", "2,2,2"), "--box")],
+        [(("fresh", "--trials", "5"), "--trials"), (("dyadic", "--trials", "5"), "--trials")],
     )
     def test_inapplicable_flag_usage_error(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "verify", *argv)
@@ -161,16 +149,14 @@ class TestVerify:
         assert f"verify {argv[0]} does not accept {flag}" in err
         assert "lemma=" not in out
 
-    def test_box_over_sweep_bound_fails_before_building(self, capsys, monkeypatch):
-        from cascadekit import verify
-
-        def no_forest(*args):
-            raise AssertionError("random_forest called for a box over the sweep bound")
-
-        monkeypatch.setattr(verify, "random_forest", no_forest)
-        code, out, err = run_cli(capsys, "verify", "normalize", "--box", "100000000,1,1")
-        assert code == 2
-        assert "table over 100000000 coordinates exceeds the 22-bit sweep bound" in err
+    @pytest.mark.parametrize("argv", [("starspan", "--max-window", "6"), ("normalize", "--box", "2,2,2")])
+    def test_window_and_box_size_flags_refused(self, capsys, argv):
+        # window and box sizes are fixed in verify.py, so verify takes no flag for them
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in err
         assert "lemma=" not in out
 
     def test_verify_deterministic_given_seed(self, capsys):

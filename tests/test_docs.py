@@ -1,6 +1,9 @@
 """The docs and the CI workflow stay in step."""
 
+import re
 from pathlib import Path
+
+from cascadekit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +34,10 @@ def test_ci_runs_exactly_the_readme_cli_block():
     block = readme_cli_block()
     assert block and all(line.startswith("cascadekit ") for line in block)
     assert ci_readme_step() == block
+
+
+def test_readme_names_exactly_the_verify_flags():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    sentence = text.split("`verify` accepts a lemma id", 1)[1].split(" where applicable.", 1)[0]
+    flags = re.findall(r"`(--[a-z-]+)`", sentence.split(" plus ", 1)[1])
+    assert sorted(flags) == sorted({"--seed", *cli._VERIFY_FLAGS.values()})

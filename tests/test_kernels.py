@@ -1,6 +1,7 @@
 """Big-int kernels against naive per-assignment loops."""
 
 import random
+import tracemalloc
 from collections.abc import Sequence
 
 import pytest
@@ -150,3 +151,26 @@ class TestDispatchValidation:
             _kernels.subcube_member_summary(table, 1, 1 << 3, 0)
         with pytest.raises(IndexError):
             _kernels.subcube_member_summary(table, 1, 0b001, 0b010)
+
+
+class TestIndicatorCache:
+    def test_wide_indicators_are_not_retained(self):
+        # each 22-coordinate indicator is 512 KB: caching all 200 would keep 100 MB
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for dmask in range(1, 201):
+                _kernels.build_table(22, [(dmask, 0, 0)])
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 10 << 20
+
+    def test_narrow_indicators_are_cached_in_a_bounded_lru(self):
+        cached = _kernels._cached_subcube_indicator
+        cached.cache_clear()
+        for _ in range(2):
+            _kernels.build_table(16, [(0b101, 0b001, 0)])
+        _kernels.build_table(17, [(0b101, 0b001, 0)])
+        info = cached.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (1, 1, 1024)

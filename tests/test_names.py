@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_assignments, apply_to_assignment, forest_of
+from conftest import all_assignments, apply_to_assignment, forest_of, random_box
 from cascadekit import _kernels as kernels
 from cascadekit.cascade import Condition, Coordinate, Packet, ToggleSet, generator
 from cascadekit.errors import DomainError, PreconditionError
@@ -604,7 +604,7 @@ class TestTwoLayerCode:
         rng = random.Random(29)
         for shape in _BOX_SHAPES:
             for _ in range(5):
-                box = _random_box(rng, shape)
+                box = random_box(rng, shape)
                 name, A = _random_supported_name(rng, box)
                 scheme = normalize(name, A, box)
                 code = two_layer_code(scheme, box)
@@ -719,7 +719,7 @@ class TestMentionedCoordinates:
         rng = random.Random(sum(shape) * 101 + shape[0])
         unsupported = brute_forced = 0
         for _ in range(30):
-            box = _random_box(rng, shape)
+            box = random_box(rng, shape)
             name, A = _random_supported_name(rng, box)
             if rng.random() < 0.5:
                 name = random_raw_name(rng, box)
@@ -832,7 +832,7 @@ class TestBoxExtension:
         rng = random.Random(sum(shape) * 37 + shape[1])
         unsupported = 0
         for _ in range(20):
-            box = _random_box(rng, shape)
+            box = random_box(rng, shape)
             name, A = _random_supported_name(rng, box)
             if rng.random() < 0.3:
                 name = random_raw_name(rng, box)
@@ -1019,7 +1019,7 @@ class TestNameCache:
     def test_cached_verdicts_equal_uncached(self):
         rng = random.Random(16)
         for _ in range(200):
-            box = _random_box(rng, None)
+            box = _random_box(rng)
             name, A = _random_supported_name(rng, box)
             root = rho_closure(box.forest, {0})
             pairs = sorted(name.pairs, key=lambda p: (p[0], p[1].entries))

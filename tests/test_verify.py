@@ -95,10 +95,10 @@ def test_lemma_takes_only_the_seed_and_cli_flags(lemma):
 
 
 def test_starspan_note_states_the_window_bound_applied():
-    # no window can exceed --max-window, so the note must not claim the default sweep bound of 10
-    report = verify_starspan(trials=20, seed=0, max_window=5)
-    assert report.ok()
-    assert report.notes == "all targets swept on windows up to 5 nodes"
+    for exhaustive, bound in ((False, 10), (True, 12)):
+        report = verify_starspan(trials=20, seed=0, exhaustive=exhaustive)
+        assert report.ok()
+        assert report.notes == f"all targets swept on windows up to {bound} nodes"
 
 
 def test_dyadic_dimension_above_the_sweep_bound_rejected():
