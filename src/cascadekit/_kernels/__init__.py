@@ -8,9 +8,12 @@ with bit ``g`` set when assignment ``g`` carries ``m``.  Subcube indicators
 are built by width doubling, XOR-permutation by half-block swaps and
 projection by an OR-fold over the dropped coordinates, so the
 per-assignment work runs inside CPython's big-int arithmetic instead of a
-Python-level loop.  The batch triangular solver inverts its matrix once and
-derives each target's solution by linearity when it is read, so it never
-sweeps every target.
+Python-level loop.
+
+The batch triangular solver :func:`solve_unit_triangular_all`, with
+:class:`XorSpan` and :func:`xor_combination`, has no library caller since
+``f2linalg`` solves through its own per-window basis; it is kept only
+because the benchmark's probe test still calls it.
 """
 
 from __future__ import annotations
@@ -66,8 +69,7 @@ def _subcube_indicator(n_coords: int, dmask: int, vmask: int) -> int:
     return _build_subcube_indicator(n_coords, dmask, vmask)
 
 
-@lru_cache(maxsize=None)
-def _low_half_mask(n_coords: int, b: int) -> int:
+def _build_low_half_mask(n_coords: int, b: int) -> int:
     """Bitset of assignments with coordinate ``b`` equal to 0."""
     block = 1 << b
     mask = (1 << block) - 1
@@ -77,6 +79,17 @@ def _low_half_mask(n_coords: int, b: int) -> int:
         mask |= mask << width
         width <<= 1
     return mask
+
+
+# masks over at most 16 coordinates are cached, all 136 keys (n_coords, b) of
+# them in 240 KB; a wider one (up to 512 KB) is rebuilt on each call
+_cached_low_half_mask = lru_cache(maxsize=136)(_build_low_half_mask)
+
+
+def _low_half_mask(n_coords: int, b: int) -> int:
+    if n_coords <= 16:
+        return _cached_low_half_mask(n_coords, b)
+    return _build_low_half_mask(n_coords, b)
 
 
 def build_table(n_coords: int, entries) -> Table:

@@ -5,7 +5,8 @@ lemma ids onto these.  A routine's keywords are ``seed`` plus the ones the
 CLI's verify flags set; every other scale is fixed here.  What each oracle
 recomputes, apart from the code it checks:
 
-- starspan: invertibility by Gaussian elimination;
+- starspan: invertibility by Gaussian elimination, and each node's star
+  rebuilt from the parent map;
 - decision, normalize and code: member tables over every assignment of the
   whole box, not only the coordinates a name mentions.  Normalize also
   sweeps support over every single-bit generator off each closed window of
@@ -161,16 +162,30 @@ def _random_closed_subset(forest: PredecessorForest, rng: random.Random) -> Wind
     return rho_closure(forest, seed_nodes)
 
 
+def _parent_star(K: Window, xi: int) -> int:
+    """Bits of ``xi``'s star read from the parent map: xi and every node of ``K`` whose parent is xi."""
+    parents = K.forest.parents
+    bits = 0
+    for j, eta in enumerate(K.ordered):
+        if eta == xi or (eta and parents[eta] == xi):
+            bits |= 1 << j
+    return bits
+
+
 def verify_starspan(trials: int = 200, seed: int = 0, exhaustive: bool = False) -> VerificationReport:
     """Star matrices are unit triangular and invertible; the solver hits every target.
 
-    Each trial draws a closed window of up to ``MAX_STARSPAN_WINDOW`` nodes.
-    Every target is solved, one at a time and in one batch, on windows of up
-    to 10 nodes, or on every window with ``exhaustive``.
+    Each trial draws a closed window of up to ``MAX_STARSPAN_WINDOW`` nodes
+    and compares the star the library combines for each node with the one
+    rebuilt from the parent map.  Every target is solved, one at a time and
+    in one batch, on windows of up to 10 nodes, or on every window with
+    ``exhaustive``.  Both solvers read one basis, so their agreement and the
+    round trip check its units only against its own stars; the rebuilt stars
+    check those against the forest.
     """
     started = time.perf_counter()
     sweep_window = MAX_STARSPAN_WINDOW if exhaustive else 10
-    report = VerificationReport("starspan", trials, False, [], seed)
+    report = VerificationReport("starspan", trials, exhaustive, [], seed)
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(1, 2 * MAX_STARSPAN_WINDOW), rng.getrandbits(32))
@@ -182,17 +197,24 @@ def verify_starspan(trials: int = 200, seed: int = 0, exhaustive: bool = False) 
         if not _gf2_invertible(matrix):
             report.record(f"trial {trial}: star matrix singular on {K.serialize()}")
             continue
-        if len(K) <= sweep_window:
-            batch = solve_all_targets(K)
-            for bits in range(1 << len(K)):
-                target = F2Vector(K, bits)
-                solved = solve_star_span(K, target)
-                if combine_stars(K, solved) != target:
-                    report.record(f"trial {trial}: solve failed for target {bits:b}")
-                    break
-                if batch[bits] != solved:
-                    report.record(f"trial {trial}: batch and per-target solutions differ")
-                    break
+        try:
+            wrong = [xi for xi in K.ordered if combine_stars(K, [xi]).bits != _parent_star(K, xi)]
+            if wrong:
+                report.record(f"trial {trial}: star of node {wrong[0]} differs from its parent-map star")
+                continue
+            if len(K) <= sweep_window:
+                batch = solve_all_targets(K)
+                for bits in range(1 << len(K)):
+                    target = F2Vector(K, bits)
+                    solved = solve_star_span(K, target)
+                    if combine_stars(K, solved) != target:
+                        report.record(f"trial {trial}: solve failed for target {bits:b}")
+                        break
+                    if batch[bits] != solved:
+                        report.record(f"trial {trial}: batch and per-target solutions differ")
+                        break
+        except CertificateError as exc:
+            report.record(f"trial {trial}: basis certificate failed on {K.serialize()}: {exc}")
     report.notes = f"all targets swept on windows up to {sweep_window} nodes"
     return _finish(report, started)
 

@@ -8,6 +8,26 @@ def forest_of(size: int, pred: dict[int, int]) -> PredecessorForest:
     return PredecessorForest.from_pred(size, pred)
 
 
+def forward_substitution(K, bits):
+    """Reference star-span solver: stars read from the parent map, one residual bit at a time.
+
+    In window order a star holds its own node and later-listed children, so
+    the lowest residual bit names the next node of the solution.
+    """
+    order = K.ordered
+    pos = {xi: j for j, xi in enumerate(order)}
+    stars = {xi: 1 << j for xi, j in pos.items()}
+    for eta, j in pos.items():
+        if eta:
+            stars[K.forest.parents[eta]] |= 1 << j
+    chosen = set()
+    while bits:
+        xi = order[(bits & -bits).bit_length() - 1]
+        bits ^= stars[xi]
+        chosen.add(xi)
+    return chosen
+
+
 def random_box(rng, shape):
     """A box of the given (nodes, rows, bits) shape over a random forest drawn from ``rng``."""
     n_nodes, rows, bits = shape

@@ -101,7 +101,7 @@ class TestVerify:
             capsys, "verify", "starspan", "--trials", "20", "--exhaustive"
         )
         assert code == 0
-        assert "lemma=starspan trials=20" in out
+        assert "lemma=starspan trials=20 exhaustive=true failures=0" in out
 
     def test_dyadic_dim(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "dyadic", "--dim", "2")

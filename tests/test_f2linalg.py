@@ -1,16 +1,20 @@
 """Star vectors, the triangular star matrix, and span solving."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
-from conftest import all_closed_subsets, all_forests, forest_of
+from conftest import all_closed_subsets, all_forests, forest_of, forward_substitution
 from cascadekit import f2linalg
 from cascadekit.errors import CertificateError, DomainError
 from cascadekit.f2linalg import (
     F2Vector,
+    StarBasis,
     TargetSolutions,
     combine_stars,
     matrix_order,
@@ -219,13 +223,66 @@ class TestSolve:
             with pytest.raises(DomainError):
                 combine_stars(K, [0, outside])
 
-    def test_residual_raises_under_any_optimisation_level(self, monkeypatch):
-        # a zero star mask leaves the residual uncleared; the check is not an assert
-        f = forest_of(2, {1: 0})
-        K = Window(f, frozenset({0, 1}))
-        monkeypatch.setattr(f2linalg, "_star_masks", lambda K: {0: 0, 1: 0})
+    def test_residual_raises_under_any_optimisation_level(self):
+        # corrupted star masks fail the basis certificate; its checks are raises, not asserts
+        K = Window(forest_of(2, {1: 0}), frozenset({0, 1}))
+        for masks in (
+            {0: 0, 1: 0},  # no star holds its own bit
+            {0: 0b01, 1: 0b11},  # the child's star holds its parent's bit
+            {0: 0b111, 1: 0b10},  # a star reaches past the window
+        ):
+            with pytest.raises(CertificateError):
+                StarBasis(K, masks)
+        # node 1's unit {1, 2} and node 2's unit {2} overlap inside node 0's
+        path = Window(forest_of(3, {1: 0, 2: 1}), frozenset(range(3)))
         with pytest.raises(CertificateError):
-            solve_star_span(K, F2Vector.from_nodes(K, {0}))
+            StarBasis(path, {0: 0b111, 1: 0b110, 2: 0b100})
+        code = (
+            "from cascadekit.errors import CertificateError\n"
+            "from cascadekit.f2linalg import StarBasis\n"
+            "from cascadekit.forest import PredecessorForest, Window\n"
+            "K = Window(PredecessorForest(2, (-1, 0)), frozenset({0, 1}))\n"
+            "try:\n"
+            "    StarBasis(K, {0: 0, 1: 0})\n"
+            "except CertificateError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+    def test_matches_forward_substitution_on_windows_up_to_22_nodes(self):
+        rng = random.Random(22)
+        for size in range(1, 23):
+            f = random_forest(size + rng.randrange(size), rng.getrandbits(32))
+            K = rho_closure(f, set(rng.sample(range(f.size), rng.randint(1, size))))
+            n = len(K)
+            batch = solve_all_targets(K)
+            # every target and every negative index on small windows, a sample on wide ones
+            if n <= 8:
+                targets = range(1 << n)
+            else:
+                targets = [0, (1 << n) - 1, *rng.sample(range(1 << n), 100)]
+            for t in targets:
+                expected = forward_substitution(K, t)
+                assert solve_star_span(K, F2Vector(K, t)) == expected
+                assert batch[t] == batch[t - (1 << n)] == expected
+
+    def test_two_thousand_node_path(self):
+        # a path is the deepest window: unit j holds every later node, so the units
+        # hold n**2 / 2 bits; substituting each unit back would cost O(n**2) steps
+        n = 2000
+        K = Window.whole(forest_of(n, {xi: xi - 1 for xi in range(1, n)}))
+        f2linalg._star_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            f2linalg._star_basis(K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        t = random.Random(2000).getrandbits(n)
+        assert solve_star_span(K, F2Vector(K, t)) == forward_substitution(K, t)
 
     def test_unique_solution_small_windows(self):
         for f in all_forests(5):
@@ -269,10 +326,10 @@ class TestTargetSolutions:
             batch.coeffs = (0, 0, 0, 0)
 
     def test_sixteen_node_window_stays_small(self):
-        # the masks take a few MB; a frozenset per target would peak near 41 MB
+        # the basis takes a few KB; a frozenset per target would peak near 41 MB
         f = random_forest(16, 5)
         K = Window.whole(f)
-        f2linalg._star_masks.cache_clear()
+        f2linalg._star_basis.cache_clear()
         tracemalloc.start()
         try:
             batch = solve_all_targets(K)

@@ -174,3 +174,17 @@ class TestIndicatorCache:
         _kernels.build_table(17, [(0b101, 0b001, 0)])
         info = cached.cache_info()
         assert (info.hits, info.misses, info.maxsize) == (1, 1, 1024)
+
+    def test_wide_low_half_masks_are_not_retained(self):
+        # flipping all 22 coordinates reads 22 low-half masks of 512 KB each; caching them kept 10.5 MB
+        table = _kernels.build_table(22, [(0b1, 0b1, 0)])
+        cached = _kernels._cached_low_half_mask
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            assert _kernels.flip_violation(table, (1 << 22) - 1) == 0
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 2 << 20
+        assert cached.cache_info().currsize <= cached.cache_info().maxsize == 136

@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from cascadekit import cli, orbits, verify
+from cascadekit import cli, f2linalg, orbits, verify
 from cascadekit.errors import DomainError
+from cascadekit.f2linalg import StarBasis
 from cascadekit.names import _name_pairs
 from cascadekit.orbits import _perm_order
 from cascadekit.verify import (
@@ -98,6 +99,7 @@ def test_starspan_note_states_the_window_bound_applied():
     for exhaustive, bound in ((False, 10), (True, 12)):
         report = verify_starspan(trials=20, seed=0, exhaustive=exhaustive)
         assert report.ok()
+        assert report.exhaustive is exhaustive
         assert report.notes == f"all targets swept on windows up to {bound} nodes"
 
 
@@ -193,6 +195,21 @@ def test_name_layer_mutants_fail_by_counted_failures(monkeypatch, attr, mutant, 
     assert report.trials == 100
     assert report.failure_count() > 0
     assert all(message in failure for failure in report.failures)
+
+
+def childless_basis(K):
+    """A basis whose stars drop the children; it certifies, since its units solve its own stars."""
+    return StarBasis(K, {xi: 1 << j for j, xi in enumerate(K.ordered)})
+
+
+def test_starspan_counts_a_basis_whose_stars_drop_the_children(monkeypatch):
+    # both solvers read the mutant basis and agree with its combine_stars, so only
+    # the stars rebuilt from the parent map can see it
+    monkeypatch.setattr(f2linalg, "_star_basis", childless_basis)
+    report = verify.run("starspan", seed=0)
+    assert report.trials == 200
+    assert report.failure_count() > 0
+    assert all("differs from its parent-map star" in failure for failure in report.failures)
 
 
 def test_normalize_note_counts_both_support_outcomes():
