@@ -31,7 +31,6 @@ from .f2linalg import (
     solve_all_targets,
     solve_star_span,
     star_matrix,
-    star_vector,
 )
 from .cascade import (
     CascadeAutomorphism,

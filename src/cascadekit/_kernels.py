@@ -8,7 +8,9 @@ with bit ``g`` set when assignment ``g`` carries ``m``.  Subcube indicators
 are built by width doubling, XOR-permutation by half-block swaps and
 projection by an OR-fold over the dropped coordinates, so the
 per-assignment work runs inside CPython's big-int arithmetic instead of a
-Python-level loop.
+Python-level loop.  A half-block mask, the assignments with coordinate
+``b`` equal to 0, is the one-coordinate subcube indicator; all indicators
+over at most 16 coordinates share one bounded LRU.
 
 The batch triangular solver :func:`solve_unit_triangular_all`, with
 :class:`XorSpan` and :func:`xor_combination`, has no library caller since
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from ..errors import CertificateError, DomainError
+from .errors import CertificateError, DomainError
 
 MAX_TABLE_COORDS = 22
 BACKEND = "python"
@@ -58,8 +60,9 @@ def _build_subcube_indicator(n_coords: int, dmask: int, vmask: int) -> int:
     return ind
 
 
-# indicators over at most 16 coordinates (8 KB each) are cached, 8 MB at most;
-# a wider one (up to 512 KB) is rebuilt on each call
+# indicators over at most 16 coordinates (8 KB each), the half-block masks of
+# flip_violation and project_member among them, are cached, 8 MB at most; a
+# wider one (up to 512 KB) is rebuilt on each call
 _cached_subcube_indicator = lru_cache(maxsize=1024)(_build_subcube_indicator)
 
 
@@ -67,29 +70,6 @@ def _subcube_indicator(n_coords: int, dmask: int, vmask: int) -> int:
     if n_coords <= 16:
         return _cached_subcube_indicator(n_coords, dmask, vmask)
     return _build_subcube_indicator(n_coords, dmask, vmask)
-
-
-def _build_low_half_mask(n_coords: int, b: int) -> int:
-    """Bitset of assignments with coordinate ``b`` equal to 0."""
-    block = 1 << b
-    mask = (1 << block) - 1
-    width = 2 * block
-    total = 1 << n_coords
-    while width < total:
-        mask |= mask << width
-        width <<= 1
-    return mask
-
-
-# masks over at most 16 coordinates are cached, all 136 keys (n_coords, b) of
-# them in 240 KB; a wider one (up to 512 KB) is rebuilt on each call
-_cached_low_half_mask = lru_cache(maxsize=136)(_build_low_half_mask)
-
-
-def _low_half_mask(n_coords: int, b: int) -> int:
-    if n_coords <= 16:
-        return _cached_low_half_mask(n_coords, b)
-    return _build_low_half_mask(n_coords, b)
 
 
 def build_table(n_coords: int, entries) -> Table:
@@ -129,7 +109,7 @@ def flip_violation(table: Table, flip_mask: int) -> int:
         for b in range(n):
             if (flip_mask >> b) & 1:
                 block = 1 << b
-                low = _low_half_mask(n, b)
+                low = _subcube_indicator(n, block, 0)
                 permuted = ((permuted & low) << block) | ((permuted >> block) & low)
         diff = col ^ permuted
         if diff:
@@ -147,7 +127,8 @@ def project_member(table: Table, m: int, proj_mask: int) -> tuple[int, ...]:
     # bit g survives exactly when some carrying assignment projects to g
     for b in range(n):
         if not (proj_mask >> b) & 1:
-            col = (col | (col >> (1 << b))) & _low_half_mask(n, b)
+            block = 1 << b
+            col = (col | (col >> block)) & _subcube_indicator(n, block, 0)
     out = []
     while col:
         low = col & -col

@@ -1,9 +1,12 @@
 """F2 vectors, star-incidence matrices and the star-span basis of a window.
 
 The star of a node inside a window is the node together with its immediate
-successors that fall in the window.  Listing the window child-before-parent
-(descending node id, since the forest is regressive) makes the star-incidence
-matrix unit upper triangular, so the star vectors form a basis.
+successors that fall in the window.  Every star is read from the parent map
+by one builder, :func:`_star_masks`, over whichever ordering the caller
+needs: the window's ascending order for the basis, child-before-parent for
+the matrix.  Listing the window child-before-parent (descending node id,
+since the forest is regressive) makes the star-incidence matrix unit upper
+triangular, so the star vectors form a basis.
 
 Both solvers, the per-target :func:`solve_star_span` and the batch
 :func:`solve_all_targets`, read one cached :class:`StarBasis` per window.
@@ -75,13 +78,17 @@ def matrix_order(K: Window) -> tuple[int, ...]:
     return tuple(reversed(K.ordered))
 
 
-def star_vector(K: Window, xi: NodeId) -> F2Vector:
-    """Characteristic vector of ``{xi}`` plus xi's successors inside ``K``."""
-    if xi not in K:
-        raise DomainError(f"node {xi} not in window")
-    members = {xi}
-    members.update(eta for eta in K.forest._children[xi] if eta in K.nodes)
-    return F2Vector.from_nodes(K, members)
+def _star_masks(order: Sequence[NodeId], parents: Sequence[int]) -> dict[NodeId, int]:
+    """Each node's star over the positions of ``order``, read from the parent map.
+
+    ``order`` lists a closed window, which holds the root and the parent of
+    every other node: each node's bit goes into its own star and its parent's.
+    """
+    masks = {xi: 1 << j for j, xi in enumerate(order)}
+    for j, xi in enumerate(order):
+        if xi:
+            masks[parents[xi]] |= 1 << j
+    return masks
 
 
 @dataclass(frozen=True)
@@ -130,15 +137,8 @@ def star_matrix(K: Window) -> F2Matrix:
     if not K.nodes:
         raise DomainError("window must be nonempty")
     order = matrix_order(K)
-    pos = {xi: i for i, xi in enumerate(order)}
-    cols = []
-    for xi in order:
-        col = 1 << pos[xi]
-        for eta in K.forest._children[xi]:
-            if eta in K.nodes:
-                col |= 1 << pos[eta]
-        cols.append(col)
-    return F2Matrix(order, order, tuple(cols))
+    masks = _star_masks(order, K.forest.parents)
+    return F2Matrix(order, order, tuple(masks[xi] for xi in order))
 
 
 # Bases kept by the window cache.  Every caller asks all its questions about one
@@ -235,13 +235,7 @@ class StarBasis:
 @lru_cache(maxsize=_BASIS_ENTRIES)
 def _star_basis(K: Window) -> StarBasis:
     """The certified basis of a window, cached: callers solve many targets per window."""
-    order = K.ordered
-    parents = K.forest.parents
-    masks = {xi: 1 << j for j, xi in enumerate(order)}
-    # a closed window holds the root first and the parent of every other node
-    for j in range(1, len(order)):
-        masks[parents[order[j]]] |= 1 << j
-    return StarBasis(K, masks)
+    return StarBasis(K, _star_masks(K.ordered, K.forest.parents))
 
 
 def solve_star_span(K: Window, target: F2Vector) -> set[NodeId]:

@@ -261,8 +261,7 @@ def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
     coords = [Coordinate(n, r, b) for n in range(2) for r in range(2) for b in range(2)]
     legal: dict[tuple[int, int, frozenset[int]], list] = {}
     swept = 0
-    for values in itertools.product((None, 0, 1), repeat=len(coords)):
-        q = Condition(tuple((c, v) for c, v in zip(coords, values) if v is not None))
+    for q in _all_conditions(coords):
         for beta in range(2):
             for row in range(2):
                 key = (beta, row, shield_set(q, beta, row, forest))
@@ -279,6 +278,12 @@ def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
     report.trials = trials + swept
     report.notes = f"{swept} exhaustive instances on the 8-coordinate box, plus {trials} sampled trials"
     return _finish(report, started)
+
+
+def _all_conditions(coords):
+    """Every condition on ``coords``: each coordinate absent, 0 or 1, the first one slowest."""
+    for values in itertools.product((None, 0, 1), repeat=len(coords)):
+        yield Condition(tuple((c, v) for c, v in zip(coords, values) if v is not None))
 
 
 def _all_forests(size: int):
@@ -746,6 +751,8 @@ def _echelon_bases(d: int):
 
 def verify_dyadic(dim: int = 3, seed: int = 0) -> VerificationReport:
     """Coset partitions pass with dyadic counts; 3-class labelings of F2^2 fail."""
+    if dim < 0:
+        raise DomainError(f"dimension {dim} is negative")
     if dim > MAX_DYADIC_DIM:
         raise DomainError(f"dimension {dim} exceeds the subspace sweep bound {MAX_DYADIC_DIM}")
     started = time.perf_counter()
@@ -935,8 +942,7 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
     box = CoordinateBox(Window.whole(forest), 1, 2)
     A = rho_closure(forest, {0})
     coords = list(box.coords())
-    for values in itertools.product((None, 0, 1), repeat=len(coords)):
-        q = Condition(tuple((c, v) for c, v in zip(coords, values) if v is not None))
+    for q in _all_conditions(coords):
         count += 1
         w = swap_witness(q, A, 0, box)
         if not w.certificate.all_pass():
@@ -1007,8 +1013,15 @@ def lemma_parameters(lemma: str) -> set[str]:
 
 
 def run(lemma: str, **kwargs) -> VerificationReport:
-    """Run one lemma, passing only the non-``None`` keywords it accepts."""
+    """Run one lemma, passing only the non-``None`` keywords it accepts.
+
+    A ``trials`` below 1 raises :class:`DomainError`: no trial would run,
+    and the report would pass vacuously.
+    """
     accepted = lemma_parameters(lemma)
+    trials = kwargs.get("trials")
+    if trials is not None and trials < 1:
+        raise DomainError(f"trials must be positive, got {trials}")
     fn, _ = REGISTRY[lemma]
     return fn(**{k: v for k, v in kwargs.items() if k in accepted and v is not None})
 

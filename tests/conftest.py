@@ -1,7 +1,9 @@
 from cascadekit.forest import PredecessorForest, Window, random_forest
 from cascadekit.names import Assignment, CoordinateBox
 from cascadekit.verify import _all_closed_subsets as all_closed_subsets  # noqa: F401
+from cascadekit.verify import _all_conditions as all_conditions  # noqa: F401
 from cascadekit.verify import _all_forests as all_forests  # noqa: F401
+from cascadekit.verify import _parent_star as parent_star
 
 
 def forest_of(size: int, pred: dict[int, int]) -> PredecessorForest:
@@ -15,15 +17,10 @@ def forward_substitution(K, bits):
     the lowest residual bit names the next node of the solution.
     """
     order = K.ordered
-    pos = {xi: j for j, xi in enumerate(order)}
-    stars = {xi: 1 << j for xi, j in pos.items()}
-    for eta, j in pos.items():
-        if eta:
-            stars[K.forest.parents[eta]] |= 1 << j
     chosen = set()
     while bits:
         xi = order[(bits & -bits).bit_length() - 1]
-        bits ^= stars[xi]
+        bits ^= parent_star(K, xi)
         chosen.add(xi)
     return chosen
 

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import all_closed_subsets, all_forests, forest_of, forward_substitution
+from conftest import all_closed_subsets, all_forests, forest_of, forward_substitution, parent_star
 from cascadekit import f2linalg
 from cascadekit.errors import CertificateError, DomainError
 from cascadekit.f2linalg import (
@@ -21,7 +21,6 @@ from cascadekit.f2linalg import (
     solve_all_targets,
     solve_star_span,
     star_matrix,
-    star_vector,
 )
 from cascadekit.forest import Window, random_forest, rho_closure
 
@@ -67,28 +66,31 @@ class TestHeight:
 
 
 class TestStarVector:
+    """A single node's star is ``combine_stars`` of that node alone."""
+
     def test_root_star_in_fork(self):
         f = forest_of(3, {1: 0, 2: 0})
         K = Window(f, frozenset({0, 1, 2}))
-        assert star_vector(K, 0).support() == {0, 1, 2}
+        assert combine_stars(K, [0]).support() == {0, 1, 2}
 
     def test_leaf_star(self):
         f = forest_of(3, {1: 0, 2: 0})
         K = Window(f, frozenset({0, 1, 2}))
-        assert star_vector(K, 1).support() == {1}
+        assert combine_stars(K, [1]).support() == {1}
 
     def test_intersection_with_window(self):
         f = forest_of(3, {1: 0, 2: 0})
         K = Window(f, frozenset({0, 1}))
-        assert star_vector(K, 0).support() == {0, 1}
+        assert combine_stars(K, [0]).support() == {0, 1}
 
     def test_diagonal_always_set(self):
         for f in all_forests(5):
             for closed in all_closed_subsets(f):
                 K = Window(f, closed)
                 for xi in closed:
-                    assert star_vector(K, xi).entry(xi) == 1
-
+                    star = combine_stars(K, [xi])
+                    assert star.entry(xi) == 1
+                    assert star.bits == parent_star(K, xi)
 
 class TestStarMatrix:
     def test_fork_order_and_triangularity(self):
@@ -210,10 +212,10 @@ class TestSolve:
             K = rho_closure(f, set(rng.sample(range(f.size), rng.randint(1, f.size))))
             for _ in range(10):
                 nodes = rng.sample(K.ordered, rng.randrange(len(K) + 1))
-                expected = F2Vector(K, 0)
+                expected = 0
                 for xi in nodes:
-                    expected = expected ^ star_vector(K, xi)
-                assert combine_stars(K, nodes) == expected
+                    expected ^= parent_star(K, xi)
+                assert combine_stars(K, nodes) == F2Vector(K, expected)
 
     def test_combine_stars_rejects_off_window_node(self):
         f = forest_of(4, {1: 0, 2: 0, 3: 1})

@@ -175,6 +175,35 @@ class TestIndicatorCache:
         info = cached.cache_info()
         assert (info.hits, info.misses, info.maxsize) == (1, 1, 1024)
 
+    @pytest.mark.parametrize("n", [1, 9, 16])
+    def test_one_coordinate_flip_hits_the_indicator_cache(self, n):
+        # the half-block mask of coordinate b is the one-coordinate subcube indicator
+        table = _kernels.build_table(n, [(1, 1, 0)])
+        cached = _kernels._cached_subcube_indicator
+        cached.cache_clear()
+        for _ in range(2):
+            _kernels.flip_violation(table, 1 << (n - 1))
+        info = cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        low_half = sum(1 << g for g in range(1 << n) if not (g >> (n - 1)) & 1)
+        assert cached(n, 1 << (n - 1), 0) == low_half
+
+    def test_flip_and_projection_agree_across_the_cache_threshold(self):
+        # a 17th coordinate that no entry mentions changes no answer for masks below bit 16,
+        # though the 16-coordinate table reads cached half-block masks and the wider one rebuilds them
+        rng = random.Random(17)
+        entries = random_entries(rng, 16, 12)
+        narrow = _kernels.build_table(16, entries)
+        wide = _kernels.build_table(17, entries)
+        flips = [0, 1, 1 << 15, (1 << 16) - 1, *(rng.getrandbits(16) for _ in range(20))]
+        for mask in flips:
+            assert _kernels.flip_violation(wide, mask) == _kernels.flip_violation(narrow, mask)
+        # sparse projections keep the outputs short; the full mask keeps every assignment
+        projs = [0, 1 << 15, (1 << 16) - 1, *(rng.getrandbits(16) & rng.getrandbits(16) for _ in range(10))]
+        for proj in projs:
+            for m in range(3):
+                assert _kernels.project_member(wide, m, proj) == _kernels.project_member(narrow, m, proj)
+
     def test_wide_low_half_masks_are_not_retained(self):
         # flipping all 22 coordinates reads 22 low-half masks of 512 KB each; caching them kept 10.5 MB
         table = _kernels.build_table(22, [(0b1, 0b1, 0)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_assignments, apply_to_assignment, forest_of, random_box
+from conftest import all_assignments, all_conditions, apply_to_assignment, forest_of, random_box
 from cascadekit import _kernels as kernels
 from cascadekit.cascade import Condition, Coordinate, Packet, ToggleSet, generator
 from cascadekit.errors import DomainError, PreconditionError
@@ -513,13 +513,6 @@ class TestManyMembers:
         assert not _eval_tables_equal(name, RawName.of(pairs[1:]), box)
 
 
-def all_packets(box):
-    """Every packet of the box: each partial 0/1 function on its coordinates."""
-    coords = list(box.coords())
-    for values in itertools.product((None, 0, 1), repeat=len(coords)):
-        yield Condition(tuple((c, v) for c, v in zip(coords, values) if v is not None))
-
-
 class TestPacketEnumeration:
     """One injection of all finite packets into the naturals, independent of any box."""
 
@@ -549,7 +542,7 @@ class TestPacketEnumeration:
     def test_round_trip_on_six_coordinate_box(self):
         box = small_box(rows=1, bits=2)  # 6 coordinates, 729 packets
         codes = set()
-        for cond in all_packets(box):
+        for cond in all_conditions(list(box.coords())):
             k = packet_code(cond)
             assert packet_of_code(k) == cond
             codes.add(k)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import all_assignments, apply_to_assignment, forest_of, pattern_flip_loop
+from conftest import all_assignments, all_conditions, apply_to_assignment, forest_of, pattern_flip_loop
 from cascadekit.cascade import Condition, ToggleSet, compose, compose_all, generator
 from cascadekit.errors import CapacityError, DomainError, PreconditionError
 from cascadekit.forest import Window, random_forest, rho_closure
@@ -252,10 +252,8 @@ class TestBitParallelOracle:
         # the 729 conditions of verify swap's 6-coordinate enumeration
         box = box_on(3, 1, 2)
         A = rho_closure(box.forest, {0})
-        coords = list(box.coords())
         count = 0
-        for values in itertools.product((None, 0, 1), repeat=len(coords)):
-            q = Condition(tuple((c, v) for c, v in zip(coords, values) if v is not None))
+        for q in all_conditions(list(box.coords())):
             w = swap_witness(q, A, 0, box)
             tau = generator(box.forest, w.beta, w.row, w.toggle)
             true = self.assert_agrees(tau, w.beta, w.gamma, w.row, box)

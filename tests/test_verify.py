@@ -7,6 +7,7 @@ import re
 import pytest
 
 from cascadekit import cli, f2linalg, orbits, verify
+from cascadekit.cascade import Coordinate
 from cascadekit.errors import DomainError
 from cascadekit.f2linalg import StarBasis
 from cascadekit.names import _name_pairs
@@ -108,6 +109,37 @@ def test_dyadic_dimension_above_the_sweep_bound_rejected():
         verify_dyadic(dim=MAX_DYADIC_DIM + 1)
 
 
+def test_dyadic_negative_dimension_rejected():
+    # a negative dimension sweeps no coset partition, so it must not pass
+    with pytest.raises(DomainError):
+        verify_dyadic(dim=-1)
+    with pytest.raises(DomainError):
+        verify.run("dyadic", dim=-1)
+
+
+@pytest.mark.parametrize("lemma", [lemma for lemma in REGISTRY if "trials" in lemma_parameters(lemma)])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_rejects_trials_below_one(lemma, trials):
+    # zero trials would report a vacuous pass, and a negative count would be printed as run
+    with pytest.raises(DomainError, match="trials must be positive"):
+        verify.run(lemma, trials=trials)
+
+
+def test_run_all_rejects_trials_below_one():
+    with pytest.raises(DomainError):
+        verify.run_all(trials=0)
+
+
+def test_all_conditions_enumerates_every_partial_function_once():
+    coords = [Coordinate(0, 0, b) for b in range(3)]
+    conditions = list(verify._all_conditions(coords))
+    assert len(conditions) == len(set(conditions)) == 27
+    # the first coordinate varies slowest, as in the sweeps' fixed counts
+    assert conditions[0].entries == ()
+    assert conditions[1].entries == ((coords[2], 0),)
+    assert conditions[-1].entries == tuple((c, 1) for c in coords)
+
+
 def test_echelon_bases_give_every_subspace_once():
     # Gaussian binomial sums: the number of subspaces of F2^d
     for d, expected in enumerate([1, 2, 5, 16, 67, 374, 2825]):
@@ -207,6 +239,25 @@ def test_starspan_counts_a_basis_whose_stars_drop_the_children(monkeypatch):
     # the stars rebuilt from the parent map can see it
     monkeypatch.setattr(f2linalg, "_star_basis", childless_basis)
     report = verify.run("starspan", seed=0)
+    assert report.trials == 200
+    assert report.failure_count() > 0
+    assert all("differs from its parent-map star" in failure for failure in report.failures)
+
+
+def childless_masks(order, parents):
+    """Stars that drop the children: each node's own bit only."""
+    return {xi: 1 << j for j, xi in enumerate(order)}
+
+
+def test_starspan_counts_star_masks_that_drop_the_children(monkeypatch):
+    # the star matrix becomes the identity, triangular and invertible, and the basis
+    # certifies its own stars, so only the stars rebuilt from the parent map see it
+    monkeypatch.setattr(f2linalg, "_star_masks", childless_masks)
+    f2linalg._star_basis.cache_clear()
+    try:
+        report = verify.run("starspan", seed=0)
+    finally:
+        f2linalg._star_basis.cache_clear()
     assert report.trials == 200
     assert report.failure_count() > 0
     assert all("differs from its parent-map star" in failure for failure in report.failures)
