@@ -29,7 +29,7 @@ from .errors import CertificateError, DomainError
 from .forest import NodeId, Window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class F2Vector:
     """A 0/1 vector indexed by a window, packed as an int bitset.
 
@@ -40,9 +40,14 @@ class F2Vector:
     window: Window
     bits: int
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> len(self.window.nodes):
+    def __init__(self, window: Window, bits: int):
+        if bits < 0 or bits >> len(window.nodes):
             raise DomainError("vector bits exceed the window length")
+        # the solvers build two vectors per target: write the frozen fields
+        # into the instance dict directly, skipping the frozen __setattr__
+        fields = self.__dict__
+        fields["window"] = window
+        fields["bits"] = bits
 
     @classmethod
     def from_nodes(cls, window: Window, nodes) -> "F2Vector":

@@ -1,8 +1,17 @@
-"""Finite 2-group actions and translation-invariant quotients of F2 spaces."""
+"""Finite 2-group actions and translation-invariant quotients of F2 spaces.
+
+A permutation is a tuple of images.  Composition goes through
+:func:`operator.itemgetter`: ``p∘q`` is ``itemgetter(*q)(p)``, one C call.
+:func:`close_group` closes the identity under right multiplication by the
+generators, and orbits and fixed points read the action by columns: the
+images of point ``x`` under the whole group are column ``x`` of the element
+list.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CertificateError, DomainError, PreconditionError
 
@@ -11,8 +20,10 @@ MAX_DIMENSION = 20
 
 
 def _compose(p: Permutation, q: Permutation) -> Permutation:
-    # apply q first, then p
-    return tuple(map(p.__getitem__, q))
+    # apply q first, then p; on one point itemgetter returns the bare image
+    if len(q) == 1:
+        return (p[q[0]],)
+    return itemgetter(*q)(p)
 
 
 def _perm_order(p: Permutation) -> int:
@@ -31,14 +42,22 @@ def _is_power_of_two(k: int) -> bool:
 
 
 def _generate(generators: list[Permutation], ident: Permutation) -> set[Permutation]:
-    """Closure of the generators under composition, by breadth-first search."""
+    """Closure of the identity under right multiplication by the generators.
+
+    Breadth-first search: each frontier element p yields p∘g for every
+    generator g, so the set reached holds every product of generators.  In
+    a finite group each inverse is a positive power, so that set is the
+    generated group and is closed under composition.
+    """
+    # ``right(p)`` is p∘g; on one point every permutation is the identity
+    rights = [itemgetter(*g) for g in generators] if len(ident) > 1 else []
     elements = {ident}
     frontier = [ident]
     while frontier:
         fresh = []
-        for g in generators:
+        for right in rights:
             for p in frontier:
-                composed = _compose(g, p)
+                composed = right(p)
                 if composed not in elements:
                     elements.add(composed)
                     fresh.append(composed)
@@ -86,12 +105,13 @@ def close_group(generators: list[Permutation], set_size: int | None = None) -> F
         set_size = len(generators[0])
     if set_size < 1:
         raise DomainError("the acted-on set must be nonempty")
+    points = list(range(set_size))
     for g in generators:
         if len(g) != set_size:
             raise DomainError("generators permute sets of different sizes")
-        if sorted(g) != list(range(set_size)):
+        if sorted(g) != points:
             raise DomainError(f"not a permutation: {g}")
-    elements = _generate(generators, tuple(range(set_size)))
+    elements = _generate(generators, tuple(points))
     if not _is_power_of_two(len(elements)):
         for p in sorted(elements):
             order = _perm_order(p)
@@ -103,8 +123,9 @@ def close_group(generators: list[Permutation], set_size: int | None = None) -> F
         raise CertificateError(
             f"group of order {len(elements)} is not a 2-group"
         )  # pragma: no cover - Cauchy guarantees an odd-order witness
-    # The BFS closure is closed, holds the identity and is made of checked
-    # permutations, so skip the constructor's closure re-check.
+    # The closure under right multiplication is the generated group, holds
+    # the identity and is made of checked permutations, so skip the
+    # constructor's closure re-check.
     action = object.__new__(FiniteAction)
     object.__setattr__(action, "set_size", set_size)
     object.__setattr__(action, "elements", tuple(sorted(elements)))
@@ -113,12 +134,12 @@ def close_group(generators: list[Permutation], set_size: int | None = None) -> F
 
 def orbit_partition(action: FiniteAction) -> list[tuple[int, ...]]:
     """Orbits of the action, each sorted, listed by least element."""
-    # the element list is the whole group, so one pass over it finds each orbit
+    # the element list is the whole group, so column x holds the orbit of x
     seen: set[int] = set()
     orbits = []
-    for x in range(action.set_size):
+    for x, images in enumerate(zip(*action.elements)):
         if x not in seen:
-            orbit = {p[x] for p in action.elements}
+            orbit = set(images)
             seen |= orbit
             orbits.append(tuple(sorted(orbit)))
     return orbits
@@ -128,11 +149,8 @@ def odd_fixed_point(action: FiniteAction) -> int:
     """The least point fixed by the whole group; exists whenever |S| is odd."""
     if action.set_size % 2 == 0:
         raise PreconditionError("fixed points are only promised for odd set sizes")
-    for x in range(action.set_size):
-        for p in action.elements:
-            if p[x] != x:
-                break
-        else:
+    for x, images in enumerate(zip(*action.elements)):
+        if images.count(x) == len(images):
             return x
     raise CertificateError("odd set size admits no singleton orbit; 2-group invariant broken")
 

@@ -120,6 +120,9 @@ class VerificationReport:
 
 
 def _finish(report: VerificationReport, started: float) -> VerificationReport:
+    """Stamp the elapsed time; a report that holds no instance would pass vacuously."""
+    if report.trials < 1:
+        raise DomainError(f"{report.lemma} checked no instance (trials={report.trials})")
     report.elapsed = time.perf_counter() - started
     return report
 

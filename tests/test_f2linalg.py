@@ -1,7 +1,9 @@
 """Star vectors, the triangular star matrix, and span solving."""
 
+import dataclasses
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -91,6 +93,41 @@ class TestStarVector:
                     star = combine_stars(K, [xi])
                     assert star.entry(xi) == 1
                     assert star.bits == parent_star(K, xi)
+
+class TestF2Vector:
+    K = Window.whole(forest_of(4, {1: 0, 2: 0, 3: 1}))
+
+    @pytest.mark.parametrize("bits", [-1, 16, 1 << 40])
+    def test_bits_outside_the_window_rejected(self, bits):
+        with pytest.raises(DomainError, match="vector bits exceed the window length"):
+            F2Vector(self.K, bits)
+
+    def test_equality_hash_and_repr(self):
+        v = F2Vector(self.K, 5)
+        assert v == F2Vector(window=self.K, bits=5) != F2Vector(self.K, 4)
+        assert hash(v) == hash(F2Vector(self.K, 5))
+        assert repr(v) == f"F2Vector(window={self.K!r}, bits=5)"
+        assert vars(v) == {"window": self.K, "bits": 5}
+
+    def test_replace_checks_the_new_bits(self):
+        v = F2Vector(self.K, 5)
+        assert dataclasses.replace(v, bits=3) == F2Vector(self.K, 3)
+        with pytest.raises(DomainError):
+            dataclasses.replace(v, bits=16)
+
+    def test_pickle_round_trip(self):
+        v = F2Vector(self.K, 9)
+        restored = pickle.loads(pickle.dumps(v))
+        assert restored == v and hash(restored) == hash(v)
+
+    @pytest.mark.parametrize("name", ["window", "bits"])
+    def test_fields_are_frozen(self, name):
+        v = F2Vector(self.K, 5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, name)
+
 
 class TestStarMatrix:
     def test_fork_order_and_triangularity(self):

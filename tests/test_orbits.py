@@ -8,6 +8,7 @@ from cascadekit.errors import CertificateError, DomainError, PreconditionError
 from cascadekit.orbits import (
     FiniteAction,
     TranslationPartition,
+    _compose,
     close_group,
     odd_fixed_point,
     orbit_partition,
@@ -181,6 +182,47 @@ class TestGeneratingSetClosure:
     def test_unsorted_duplicate_listing_is_canonicalised(self):
         action = FiniteAction(4, ((1, 0, 2, 3), (0, 1, 2, 3), (1, 0, 2, 3)))
         assert action.elements == ((0, 1, 2, 3), (1, 0, 2, 3))
+
+
+def brute_force_closure(generators, n):
+    """Oracle: the identity and the generators, multiplied pairwise until nothing new appears."""
+    group = {tuple(range(n)), *generators}
+    while True:
+        grown = group | {compose(p, q) for p in group for q in group}
+        if grown == group:
+            return group
+        group = grown
+
+
+class TestComposeAndClose:
+    def test_compose_applies_q_first_on_one_to_five_points(self):
+        for n in range(1, 6):
+            perms = list(itertools.permutations(range(n)))
+            for p, q in itertools.product(perms, repeat=2):
+                composed = _compose(p, q)
+                assert isinstance(composed, tuple)
+                assert all(composed[i] == p[q[i]] for i in range(n))
+
+    def test_close_group_matches_brute_force_on_every_pair_up_to_four_points(self):
+        closed = rejected = 0
+        for n in range(1, 5):
+            perms = list(itertools.permutations(range(n)))
+            for p, q in itertools.product(perms, repeat=2):
+                group = brute_force_closure([p, q], n)
+                if len(group) & (len(group) - 1):
+                    with pytest.raises(CertificateError):
+                        close_group([p, q])
+                    rejected += 1
+                else:
+                    assert set(close_group([p, q]).elements) == group
+                    closed += 1
+        assert closed and rejected
+
+    def test_one_point_group(self):
+        action = close_group([(0,), (0,)])
+        assert action.elements == ((0,),)
+        assert orbit_partition(action) == [(0,)]
+        assert odd_fixed_point(action) == 0
 
 
 def involutions(n):

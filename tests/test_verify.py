@@ -125,6 +125,16 @@ def test_run_rejects_trials_below_one(lemma, trials):
         verify.run(lemma, trials=trials)
 
 
+@pytest.mark.parametrize(
+    "routine",
+    ["verify_starspan", "verify_normalize", "verify_decision", "verify_code", "verify_abelian", "verify_transport"],
+)
+def test_direct_call_with_no_trial_raises(routine):
+    # every trial-taking routine that sweeps nothing beyond its trials would pass vacuously
+    with pytest.raises(DomainError, match="checked no instance"):
+        getattr(verify, routine)(trials=0)
+
+
 def test_run_all_rejects_trials_below_one():
     with pytest.raises(DomainError):
         verify.run_all(trials=0)
