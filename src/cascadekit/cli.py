@@ -30,7 +30,7 @@ from .forest import (
 )
 from .names import CoordinateBox
 from .selectors import format_witness, swap_witness
-from .verify import MAX_DYADIC_DIM, REGISTRY, lemma_parameters, run, run_all
+from .verify import MAX_DYADIC_DIM, REGISTRY, lemma_parameters, run
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -132,7 +132,7 @@ def cmd_verify(args) -> int:
         "exhaustive": args.exhaustive or None,
     }
     if args.all:
-        reports = run_all(**kwargs)
+        lemmas = list(REGISTRY)
     elif args.lemma is None:
         raise ParseError("verify needs a lemma id or --all")
     else:
@@ -149,11 +149,13 @@ def cmd_verify(args) -> int:
         ]
         if ignored:
             raise ParseError(f"verify {args.lemma} does not accept {', '.join(ignored)}")
-        reports = [run(args.lemma, **kwargs)]
+        lemmas = [args.lemma]
     failures = 0
     out_lines = []
-    for report in reports:
-        _print_report(report, REGISTRY[report.lemma][1])
+    # each report prints as its lemma returns, so a lemma that raises keeps the earlier reports
+    for lemma in lemmas:
+        report = run(lemma, **kwargs)
+        _print_report(report, REGISTRY[lemma][1])
         out_lines.append(report.summary_line())
         failures += report.failure_count()
     if args.out:

@@ -8,15 +8,14 @@ the matrix.  Listing the window child-before-parent (descending node id,
 since the forest is regressive) makes the star-incidence matrix unit upper
 triangular, so the star vectors form a basis.
 
-Both solvers, the per-target :func:`solve_star_span` and the batch
-:func:`solve_all_targets`, read one cached :class:`StarBasis` per window.
-The target that is 1 at a single node is solved by that node plus its
-descendants inside the window; the basis holds these unit solutions in
-four-Russians tables (Arlazarov, Dinic, Kronrod and Faradzev, 1970), every
-XOR of each group of four, so a solve costs one lookup per four bits.  The
-basis is certified once, when it is built, and by linearity its certificate
-covers every target.  The batch kernel ``_kernels.solve_unit_triangular_all``
-is no longer called here; it is kept only for the benchmark's probe test.
+Each window gets one cached :class:`StarBasis`: :func:`solve_star_span`
+reads it per target, and :func:`solve_all_targets` returns it as the
+read-only sequence of every target's solution.  The target that is 1 at a
+single node is solved by that node plus its descendants inside the window;
+the basis holds these unit solutions in four-Russians tables (Arlazarov,
+Dinic, Kronrod and Faradzev, 1970), every XOR of each group of four, so a
+solve costs one lookup per four bits.  The basis is certified once, when it
+is built, and by linearity its certificate covers every target.
 """
 
 from __future__ import annotations
@@ -98,32 +97,25 @@ def _star_masks(order: Sequence[NodeId], parents: Sequence[int]) -> dict[NodeId,
 
 @dataclass(frozen=True)
 class F2Matrix:
-    """A 0/1 matrix with node-labelled rows and columns.
+    """A square 0/1 matrix whose rows and columns share one node ordering.
 
     ``cols[j]`` is the j-th column packed as a bitset over row positions.
     """
 
-    row_order: tuple[int, ...]
-    col_order: tuple[int, ...]
+    order: tuple[int, ...]
     cols: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.cols) != len(self.col_order):
-            raise DomainError("column count does not match the column ordering")
+        if len(self.cols) != len(self.order):
+            raise DomainError("column count does not match the ordering")
         for c in self.cols:
-            if c < 0 or c >> len(self.row_order):
-                raise DomainError("column bits exceed the row ordering")
+            if c < 0 or c >> len(self.order):
+                raise DomainError("column bits exceed the ordering")
 
     def entry(self, i: int, j: int) -> int:
         return (self.cols[j] >> i) & 1
 
-    def shape(self) -> tuple[int, int]:
-        return len(self.row_order), len(self.col_order)
-
     def is_upper_triangular_unit(self) -> bool:
-        n = len(self.row_order)
-        if len(self.col_order) != n:
-            return False
         for j, col in enumerate(self.cols):
             if not (col >> j) & 1:
                 return False
@@ -143,7 +135,7 @@ def star_matrix(K: Window) -> F2Matrix:
         raise DomainError("window must be nonempty")
     order = matrix_order(K)
     masks = _star_masks(order, K.forest.parents)
-    return F2Matrix(order, order, tuple(masks[xi] for xi in order))
+    return F2Matrix(order, tuple(masks[xi] for xi in order))
 
 
 # Bases kept by the window cache.  Every caller asks all its questions about one
@@ -169,8 +161,13 @@ def _node_table(a, b, c, d, *_) -> tuple[tuple[NodeId, ...], ...]:
     )
 
 
-class StarBasis:
+class StarBasis(Sequence):
     """The star masks of a window with their certified inverse, as lookup tables.
+
+    As a read-only sequence, entry ``t`` is the solution for
+    ``F2Vector(window, t)``, solved when it is read and boxed as a
+    ``frozenset`` of nodes; negative indices and ``IndexError`` work as on
+    a list.
 
     ``masks[xi]`` is the star of node ``xi`` over window positions.  Positions
     split into chunks of four: ``sums[c][i]`` is the solution mask (over
@@ -236,6 +233,17 @@ class StarBasis:
             mask >>= 4
         return out
 
+    def __len__(self) -> int:
+        return 1 << len(self.window.nodes)
+
+    def __getitem__(self, t: int) -> frozenset:
+        size = 1 << len(self.window.nodes)
+        if t < 0:
+            t += size
+        if not 0 <= t < size:
+            raise IndexError("target index out of range")
+        return frozenset(self.solution(t))
+
 
 @lru_cache(maxsize=_BASIS_ENTRIES)
 def _star_basis(K: Window) -> StarBasis:
@@ -268,36 +276,13 @@ def combine_stars(K: Window, nodes) -> F2Vector:
     return F2Vector(K, bits)
 
 
-@dataclass(frozen=True)
-class TargetSolutions(Sequence):
-    """Coefficient sets for every target over a window, each derived when read.
+def solve_all_targets(K: Window) -> StarBasis:
+    """Coefficient sets for every target over the window: its cached :class:`StarBasis`.
 
-    Entry ``t`` is the solution for ``F2Vector(basis.window, t)``, read from
-    the window's :class:`StarBasis` and boxed as a ``frozenset`` of nodes;
-    negative indices and ``IndexError`` work as on a list.
-    """
-
-    basis: StarBasis
-
-    def __len__(self) -> int:
-        return 1 << len(self.basis.window.nodes)
-
-    def __getitem__(self, t: int) -> frozenset:
-        size = 1 << len(self.basis.window.nodes)
-        if t < 0:
-            t += size
-        if not 0 <= t < size:
-            raise IndexError("target index out of range")
-        return frozenset(self.basis.solution(t))
-
-
-def solve_all_targets(K: Window) -> TargetSolutions:
-    """Coefficient sets for every target over the window, as one read-only sequence.
-
-    Index ``t`` holds the solution for ``F2Vector(K, t)``.  The sequence is a
-    view over the same certified basis that :func:`solve_star_span` reads, so
-    no entry is stored or solved before it is read.
+    Index ``t`` holds the solution for ``F2Vector(K, t)``.  The basis is the
+    one :func:`solve_star_span` reads, so no entry is stored or solved
+    before it is read.
     """
     if not K.nodes:
         raise DomainError("window must be nonempty")
-    return TargetSolutions(_star_basis(K))
+    return _star_basis(K)

@@ -129,7 +129,7 @@ def _finish(report: VerificationReport, started: float) -> VerificationReport:
 
 def _gf2_invertible(matrix) -> bool:
     """Gaussian elimination oracle; ignores the triangular structure."""
-    n = len(matrix.row_order)
+    n = len(matrix.order)
     rows = [sum(matrix.entry(i, j) << j for j in range(n)) for i in range(n)]
     rank = 0
     for col in range(n):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from conftest import all_closed_subsets, all_forests
 from cascadekit.f2linalg import star_matrix
@@ -27,6 +28,8 @@ from cascadekit.verify import (
     verify_swap,
     verify_transport,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _criterion(number, label, passed, detail=""):
@@ -176,19 +179,22 @@ def test_criterion_selector_mechanics():
 
 
 def test_criterion_12_verify_all_end_to_end():
+    # tier-1's one seed-0 run, so it also holds the seed-0 golden check (seed 300: test_golden.py)
     started = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "cascadekit.cli", "verify", "--all"],
+        [sys.executable, "-m", "cascadekit.cli", "verify", "--all", "--seed", "0"],
         capture_output=True,
         text=True,
     )
     elapsed = time.perf_counter() - started
     failures = dict(re.findall(r"^lemma=(\S+) .* failures=(\d+) ", proc.stdout, re.M))
     passed = [lemma for lemma in REGISTRY if failures.get(lemma) == "0"]
+    transcript = re.sub(r" elapsed=[0-9.]*s", "", proc.stdout)
+    golden = transcript == (GOLDEN / "verify_all_seed0.txt").read_text()
     _criterion(
         12,
         "verify --all end to end",
-        proc.returncode == 0 and len(REGISTRY) == 13 and len(passed) == 13 and elapsed < 60.0,
+        proc.returncode == 0 and len(REGISTRY) == 13 and len(passed) == 13 and elapsed < 60.0 and golden,
         f"exit={proc.returncode} lemmas with failures=0: {len(passed)}/13 "
-        f"elapsed={elapsed:.2f}s (budget 60s)",
+        f"elapsed={elapsed:.2f}s (budget 60s) golden transcript {'matches' if golden else 'DIFFERS'}",
     )

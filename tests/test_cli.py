@@ -1,8 +1,12 @@
 """CLI surface: exit codes, output formats, determinism."""
 
+import re
+
 import pytest
 
+from cascadekit import verify
 from cascadekit.cli import main
+from cascadekit.errors import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +169,19 @@ class TestVerify:
         def strip_elapsed(text):
             return [ln.split(" elapsed=")[0] for ln in text.splitlines()]
         assert strip_elapsed(out1) == strip_elapsed(out2)
+
+    def test_reports_print_as_each_lemma_returns(self, capsys, monkeypatch, tmp_path):
+        # a library error in the last lemma keeps the twelve reports printed before it
+        def broken(trials: int = 1, seed: int = 0):
+            raise DomainError("injected fault")
+
+        monkeypatch.setitem(verify.REGISTRY, "swap", (broken, "swap witnesses certify the complement flip"))
+        out_path = tmp_path / "report.txt"
+        code, out, err = run_cli(capsys, "verify", "--all", "--trials", "1", "--out", str(out_path))
+        assert code == 2
+        assert "injected fault" in err
+        assert re.findall(r"^lemma=(\S+) ", out, re.M) == [lemma for lemma in verify.REGISTRY if lemma != "swap"]
+        assert not out_path.exists()
 
     def test_report_written_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.txt"

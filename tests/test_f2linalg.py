@@ -9,15 +9,17 @@ import subprocess
 import sys
 import tracemalloc
 
+from collections.abc import Sequence
+
 import pytest
 
 from conftest import all_closed_subsets, all_forests, forest_of, forward_substitution, parent_star
 from cascadekit import f2linalg
 from cascadekit.errors import CertificateError, DomainError
 from cascadekit.f2linalg import (
+    F2Matrix,
     F2Vector,
     StarBasis,
-    TargetSolutions,
     combine_stars,
     matrix_order,
     solve_all_targets,
@@ -39,7 +41,7 @@ def brute_force_solutions(K, target):
 
 def gf2_invertible(matrix):
     """Gaussian-elimination invertibility oracle, independent of triangularity."""
-    n = len(matrix.row_order)
+    n = len(matrix.order)
     rows = [sum(matrix.entry(i, j) << j for j in range(n)) for i in range(n)]
     rank = 0
     for col in range(n):
@@ -134,18 +136,18 @@ class TestStarMatrix:
         f = forest_of(3, {1: 0, 2: 0})
         K = Window(f, frozenset({0, 1, 2}))
         m = star_matrix(K)
-        assert m.col_order == (2, 1, 0)
+        assert m.order == (2, 1, 0)
         assert m.is_upper_triangular_unit()
 
     def test_singleton_identity(self):
         f = forest_of(2, {1: 0})
         m = star_matrix(Window(f, frozenset({0})))
-        assert m.shape() == (1, 1) and m.entry(0, 0) == 1
+        assert m.order == (0,) and m.cols == (1,) and m.entry(0, 0) == 1
 
     def test_chain_matrix_by_hand(self):
         f = forest_of(3, {1: 0, 2: 1})
         m = star_matrix(Window(f, frozenset({0, 1, 2})))
-        assert m.col_order == (2, 1, 0)
+        assert m.order == (2, 1, 0)
         expected = {
             (0, 0): 1, (0, 1): 1, (0, 2): 0,
             (1, 0): 0, (1, 1): 1, (1, 2): 1,
@@ -153,6 +155,12 @@ class TestStarMatrix:
         }
         for (i, j), v in expected.items():
             assert m.entry(i, j) == v
+
+    def test_columns_checked_against_the_order(self):
+        with pytest.raises(DomainError, match="column count"):
+            F2Matrix((1, 0), (1,))
+        with pytest.raises(DomainError, match="column bits"):
+            F2Matrix((0,), (2,))
 
     def test_rejects_empty_window(self):
         f = forest_of(2, {1: 0})
@@ -180,8 +188,7 @@ class TestStarMatrix:
     def test_child_before_parent_order(self):
         f = forest_of(3, {1: 0, 2: 0})
         m = star_matrix(Window(f, frozenset({0, 1, 2})))
-        assert m.col_order == m.row_order == (2, 1, 0)
-        assert m.shape() == (3, 3)
+        assert m.order == (2, 1, 0) and len(m.cols) == 3
         assert [[m.entry(i, j) for j in range(3)] for i in range(3)] == [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
 
 
@@ -340,7 +347,27 @@ class TestSolve:
 
 
 class TestTargetSolutions:
-    """The batch holds every target's solution and boxes an entry only when it is read."""
+    """``solve_all_targets`` returns the window's basis, the sequence of every target's solution.
+
+    An entry is solved and boxed only when it is read.
+    """
+
+    def test_batch_is_the_cached_basis(self):
+        K = Window(forest_of(3, {1: 0, 2: 0}), frozenset(range(3)))
+        batch = solve_all_targets(K)
+        assert batch is f2linalg._star_basis(K)
+        assert isinstance(batch, StarBasis) and isinstance(batch, Sequence)
+
+    def test_every_closed_window_up_to_five_nodes(self):
+        for size in range(1, 6):
+            for f in all_forests(size):
+                for closed in all_closed_subsets(f):
+                    if not closed:
+                        continue
+                    K = Window(f, closed)
+                    expected = [frozenset(solve_star_span(K, F2Vector(K, t))) for t in range(2 ** len(K))]
+                    assert list(solve_all_targets(K)) == expected
+                    assert star_matrix(K).order == matrix_order(K)
 
     def test_index_behaves_as_on_a_list(self):
         f = forest_of(4, {1: 0, 2: 0, 3: 1})
@@ -358,9 +385,10 @@ class TestTargetSolutions:
 
     def test_read_only(self):
         batch = solve_all_targets(Window(forest_of(2, {1: 0}), frozenset({0, 1})))
-        assert isinstance(batch, TargetSolutions)
         with pytest.raises(TypeError):
             batch[0] = frozenset({1})
+        with pytest.raises(TypeError):
+            del batch[0]
         with pytest.raises(AttributeError):
             batch.coeffs = (0, 0, 0, 0)
 
