@@ -1,3 +1,8 @@
+import functools
+import subprocess
+import sys
+import time
+
 from cascadekit.forest import PredecessorForest, Window, random_forest
 from cascadekit.names import Assignment, CoordinateBox
 from cascadekit.verify import _all_closed_subsets as all_closed_subsets  # noqa: F401
@@ -67,3 +72,21 @@ def pattern_flip_loop(tau, beta, gamma, row, expected, box):
         if before ^ after != expected:
             return False
     return True
+
+
+@functools.cache
+def verify_all_run(seed):
+    """``verify --all --seed seed`` in a subprocess, run once per test session.
+
+    Returns ``(returncode, stdout, elapsed seconds)``; the golden transcripts
+    and acceptance criterion 12 read the same run, so tier-1 runs each seed once.
+    The interpreter's ``-W`` options (``python -W error -m pytest``) pass to the subprocess.
+    """
+    warn = [f"-W{option}" for option in sys.warnoptions]
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *warn, "-m", "cascadekit.cli", "verify", "--all", "--seed", str(seed)],
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout, time.perf_counter() - started

@@ -5,12 +5,10 @@ pass/fail lines.
 """
 
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
-from conftest import all_closed_subsets, all_forests
+from conftest import all_closed_subsets, all_forests, verify_all_run
 from cascadekit.f2linalg import star_matrix
 from cascadekit.forest import Window
 from cascadekit.verify import (
@@ -179,22 +177,16 @@ def test_criterion_selector_mechanics():
 
 
 def test_criterion_12_verify_all_end_to_end():
-    # tier-1's one seed-0 run, so it also holds the seed-0 golden check (seed 300: test_golden.py)
-    started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "cascadekit.cli", "verify", "--all", "--seed", "0"],
-        capture_output=True,
-        text=True,
-    )
-    elapsed = time.perf_counter() - started
-    failures = dict(re.findall(r"^lemma=(\S+) .* failures=(\d+) ", proc.stdout, re.M))
+    # the seed-0 run test_golden.py also reads, so tier-1 runs verify --all --seed 0 once
+    returncode, stdout, elapsed = verify_all_run(0)
+    failures = dict(re.findall(r"^lemma=(\S+) .* failures=(\d+) ", stdout, re.M))
     passed = [lemma for lemma in REGISTRY if failures.get(lemma) == "0"]
-    transcript = re.sub(r" elapsed=[0-9.]*s", "", proc.stdout)
+    transcript = re.sub(r" elapsed=[0-9.]*s", "", stdout)
     golden = transcript == (GOLDEN / "verify_all_seed0.txt").read_text()
     _criterion(
         12,
         "verify --all end to end",
-        proc.returncode == 0 and len(REGISTRY) == 13 and len(passed) == 13 and elapsed < 60.0 and golden,
-        f"exit={proc.returncode} lemmas with failures=0: {len(passed)}/13 "
+        returncode == 0 and len(REGISTRY) == 13 and len(passed) == 13 and elapsed < 60.0 and golden,
+        f"exit={returncode} lemmas with failures=0: {len(passed)}/13 "
         f"elapsed={elapsed:.2f}s (budget 60s) golden transcript {'matches' if golden else 'DIFFERS'}",
     )
