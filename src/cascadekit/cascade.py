@@ -162,7 +162,9 @@ class Packet:
     """A condition whose node support is certified by a closed superset.
 
     The certificate is the closure of the mentioned nodes; it may strictly
-    contain them (closing adds ancestors, never coordinates).
+    contain them (closing adds ancestors, never coordinates).  :meth:`of` is
+    the one certificate constructor: ``names.normalize`` and
+    ``names.decode_two_layer`` build every packet through it.
     """
 
     condition: Condition

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 from . import _kernels as kernels
 from .cascade import Condition, Coordinate, Packet
 from .errors import DomainError, PreconditionError
-from .forest import PredecessorForest, Window, rho_closure
+from .forest import PredecessorForest, Window
 
 # Entries kept by the member-table and support caches.  Every caller asks all
 # its questions about one name before it moves on, so the name asked about
@@ -384,22 +384,6 @@ def _prime_cubes(cubes) -> set[tuple[int, int]]:
     return primes
 
 
-def _packet_certifier(forest: PredecessorForest):
-    """Packet constructor certifying each condition by the closure of its own node support.
-
-    One ``rho_closure`` per distinct node support.
-    """
-    closures: dict[frozenset[int], frozenset[int]] = {}
-
-    def packet(cond: Condition) -> Packet:
-        support = cond.node_support()
-        if support not in closures:
-            closures[support] = rho_closure(forest, support).nodes
-        return Packet(cond, closures[support])
-
-    return packet
-
-
 def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     """Rewrite a supported name as a packet scheme over its support window.
 
@@ -432,10 +416,12 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     cubes: dict[int, list[tuple[int, int]]] = {}
     for m, cond in pairs:
         cubes.setdefault(m, []).append(_slot_masks(cond, trimmed))
-    packet = _packet_certifier(box.forest)
     families = {
         m: {
-            packet(Condition(tuple((c, (v >> j) & 1) for c, j in trimmed.items() if (d >> j) & 1)))
+            Packet.of(
+                Condition(tuple((c, (v >> j) & 1) for c, j in trimmed.items() if (d >> j) & 1)),
+                box.forest,
+            )
             for d, v in _prime_cubes(member_cubes)
         }
         for m, member_cubes in cubes.items()
@@ -517,8 +503,9 @@ def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
     Packets are certified in the support's forest, whatever the box's; a
     packet outside the box raises :class:`DomainError`.
     """
-    packet = _packet_certifier(code.support.forest)
+    forest = code.support.forest
     families = {
-        m: {packet(_in_box(packet_of_code(k), box)) for k in ks} for m, ks in code.packet_indices
+        m: {Packet.of(_in_box(packet_of_code(k), box), forest) for k in ks}
+        for m, ks in code.packet_indices
     }
     return PacketScheme.of(code.support, families)

@@ -90,14 +90,21 @@ MAX_STARSPAN_WINDOW = 12
 
 @dataclass
 class VerificationReport:
+    """One lemma's run: its counts, recorded failures and notes.
+
+    ``elapsed`` counts from when the report was made, so a lemma makes its
+    report first and :func:`_finish` stamps it last.
+    """
+
     lemma: str
     trials: int
     exhaustive: bool
-    failures: list[str]
     seed: int
+    failures: list[str] = field(default_factory=list)
     elapsed: float = 0.0
     notes: str = ""
     _dropped: int = field(default=0, repr=False)
+    started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
 
     def ok(self) -> bool:
         return not self.failures and self._dropped == 0
@@ -119,11 +126,11 @@ class VerificationReport:
         )
 
 
-def _finish(report: VerificationReport, started: float) -> VerificationReport:
+def _finish(report: VerificationReport) -> VerificationReport:
     """Stamp the elapsed time; a report that holds no instance would pass vacuously."""
     if report.trials < 1:
         raise DomainError(f"{report.lemma} checked no instance (trials={report.trials})")
-    report.elapsed = time.perf_counter() - started
+    report.elapsed = time.perf_counter() - report.started
     return report
 
 
@@ -154,7 +161,7 @@ def _random_window(forest: PredecessorForest, rng: random.Random, max_size: int)
         cur = xi
         while cur not in chosen:
             chain.append(cur)
-            cur = forest.parents[cur] if cur >= 1 else 0
+            cur = forest.parents[cur]
         if len(chosen) + len(chain) <= target:
             chosen.update(chain)
     return Window(forest, frozenset(chosen))
@@ -186,9 +193,8 @@ def verify_starspan(trials: int = 200, seed: int = 0, exhaustive: bool = False) 
     round trip check its units only against its own stars; the rebuilt stars
     check those against the forest.
     """
-    started = time.perf_counter()
     sweep_window = MAX_STARSPAN_WINDOW if exhaustive else 10
-    report = VerificationReport("starspan", trials, exhaustive, [], seed)
+    report = VerificationReport("starspan", trials, exhaustive, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(1, 2 * MAX_STARSPAN_WINDOW), rng.getrandbits(32))
@@ -219,7 +225,7 @@ def verify_starspan(trials: int = 200, seed: int = 0, exhaustive: bool = False) 
         except CertificateError as exc:
             report.record(f"trial {trial}: basis certificate failed on {K.serialize()}: {exc}")
     report.notes = f"all targets swept on windows up to {sweep_window} nodes"
-    return _finish(report, started)
+    return _finish(report)
 
 
 def _legal_toggles(forest: PredecessorForest, beta: int, row: int, shield: frozenset[int]) -> list:
@@ -240,8 +246,7 @@ def _legal_toggles(forest: PredecessorForest, beta: int, row: int, shield: froze
 
 def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
     """Toggles avoiding the shield fix the condition; random plus a full tiny sweep."""
-    started = time.perf_counter()
-    report = VerificationReport("shield", trials, True, [], seed)
+    report = VerificationReport("shield", trials, True, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(2, 9), rng.getrandbits(32))
@@ -280,7 +285,7 @@ def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
                         )
     report.trials = trials + swept
     report.notes = f"{swept} exhaustive instances on the 8-coordinate box, plus {trials} sampled trials"
-    return _finish(report, started)
+    return _finish(report)
 
 
 def _all_conditions(coords):
@@ -307,8 +312,7 @@ def _all_closed_subsets(forest: PredecessorForest):
 
 def verify_fresh(seed: int = 0) -> VerificationReport:
     """Exhaustive four-clause check of fresh separation on universes up to 6 nodes."""
-    started = time.perf_counter()
-    report = VerificationReport("fresh", 0, True, [], seed)
+    report = VerificationReport("fresh", 0, True, seed)
     count = 0
     for size in range(1, 7):
         for forest in _all_forests(size):
@@ -339,7 +343,7 @@ def verify_fresh(seed: int = 0) -> VerificationReport:
                         f"clauses {clauses} failed for ({beta},{gamma}) on {sorted(closed)}"
                     )
     report.trials = count
-    return _finish(report, started)
+    return _finish(report)
 
 
 def _random_toggle(rng: random.Random) -> ToggleSet:
@@ -356,8 +360,7 @@ def _random_condition(forest, rng, max_len=6) -> Condition:
 
 def verify_abelian(trials: int = 300, seed: int = 0) -> VerificationReport:
     """Generators commute, every element squares to the identity, fixing is closed."""
-    started = time.perf_counter()
-    report = VerificationReport("abelian", trials, False, [], seed)
+    report = VerificationReport("abelian", trials, False, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
@@ -380,13 +383,12 @@ def verify_abelian(trials: int = 300, seed: int = 0) -> VerificationReport:
         for t1, t2 in itertools.combinations(fixers, 2):
             if not fixes_rows_over(compose(t1, t2), A):
                 report.record(f"trial {trial}: fixing subgroup not closed under composition")
-    return _finish(report, started)
+    return _finish(report)
 
 
 def verify_transport(trials: int = 500, seed: int = 0) -> VerificationReport:
     """Transport maps padded p to padded q and fixes all rows over the window."""
-    started = time.perf_counter()
-    report = VerificationReport("transport", trials, False, [], seed)
+    report = VerificationReport("transport", trials, False, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
@@ -401,7 +403,7 @@ def verify_transport(trials: int = 500, seed: int = 0) -> VerificationReport:
             report.record(f"trial {trial}: transport missed the target condition")
         if not fixes_rows_over(pi, A):
             report.record(f"trial {trial}: transport toggles rows over the window")
-    return _finish(report, started)
+    return _finish(report)
 
 
 _BOX_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 1, 4), (2, 1, 7), (4, 1, 3), (2, 3, 2))
@@ -463,8 +465,7 @@ def _eval_tables_equal(name_a, name_b, box: CoordinateBox) -> bool:
 
 def verify_decision(trials: int = 100, seed: int = 0) -> VerificationReport:
     """Deciding conditions restricted to the support keep deciding the same way."""
-    started = time.perf_counter()
-    report = VerificationReport("decision", trials, False, [], seed)
+    report = VerificationReport("decision", trials, False, seed)
     rng = random.Random(seed)
     pair_probes = total_probes = drawn = kept = 0
     for trial in range(trials):
@@ -504,7 +505,7 @@ def verify_decision(trials: int = 100, seed: int = 0) -> VerificationReport:
         f"probes: {pair_probes} pair conditions, {total_probes} total-assignment conditions, "
         f"{kept} of {drawn} random conditions kept as deciding"
     )
-    return _finish(report, started)
+    return _finish(report)
 
 
 def _cube_minterms(dmask: int, vmask: int, within: int) -> list[int]:
@@ -591,8 +592,7 @@ def _witness_flips(witness, table, A: Window, box: CoordinateBox) -> bool:
 
 def verify_normalize(trials: int = 100, seed: int = 0) -> VerificationReport:
     """Normalized schemes evaluate exactly like the original name everywhere."""
-    started = time.perf_counter()
-    report = VerificationReport("normalize", trials, False, [], seed)
+    report = VerificationReport("normalize", trials, False, seed)
     rng = random.Random(seed)
     outcomes = [0, 0]  # unsupported, supported
     for trial in range(trials):
@@ -622,13 +622,12 @@ def verify_normalize(trials: int = 100, seed: int = 0) -> VerificationReport:
         f"support over every closed window against the generator sweep: {outcomes[1]} supported, "
         f"{outcomes[0]} unsupported with their witnesses flipped"
     )
-    return _finish(report, started)
+    return _finish(report)
 
 
 def verify_code(trials: int = 100, seed: int = 0) -> VerificationReport:
     """Two-layer encode/decode preserves evaluation on every assignment."""
-    started = time.perf_counter()
-    report = VerificationReport("code", trials, False, [], seed)
+    report = VerificationReport("code", trials, False, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         box = _random_box(rng)
@@ -651,7 +650,7 @@ def verify_code(trials: int = 100, seed: int = 0) -> VerificationReport:
         "evaluation equality checked on every assignment of each box; each code also decoded "
         "over its box grown by 0-2 nodes, 0-1 rows and 0-1 bits, to the same families"
     )
-    return _finish(report, started)
+    return _finish(report)
 
 
 def _involutions(n: int):
@@ -678,8 +677,7 @@ def _cycle_lcm(p) -> int:
 
 def verify_odd_fixed(seed: int = 0) -> VerificationReport:
     """Every 2-group from at most two involutions fixes a point of any odd set up to 7 points."""
-    started = time.perf_counter()
-    report = VerificationReport("odd-fixed", 0, True, [], seed)
+    report = VerificationReport("odd-fixed", 0, True, seed)
     count = pairs = products = 0
     for n in range(1, 8, 2):
         invs = list(_involutions(n))
@@ -726,7 +724,7 @@ def verify_odd_fixed(seed: int = 0) -> VerificationReport:
         f"{pairs} involution pairs on 1, 3, 5 and 7 points, {count} with a 2-power product "
         f"closed and checked, {products} distinct products"
     )
-    return _finish(report, started)
+    return _finish(report)
 
 
 def _subspace_span(basis) -> set[int]:
@@ -758,8 +756,7 @@ def verify_dyadic(dim: int = 3, seed: int = 0) -> VerificationReport:
         raise DomainError(f"dimension {dim} is negative")
     if dim > MAX_DYADIC_DIM:
         raise DomainError(f"dimension {dim} exceeds the subspace sweep bound {MAX_DYADIC_DIM}")
-    started = time.perf_counter()
-    report = VerificationReport("dyadic", 0, True, [], seed)
+    report = VerificationReport("dyadic", 0, True, seed)
     count = 0
     for d in range(dim + 1):
         for basis in _echelon_bases(d):
@@ -793,13 +790,12 @@ def verify_dyadic(dim: int = 3, seed: int = 0) -> VerificationReport:
             report.record(f"witness {result.witness} does not split {labels}")
     report.trials = count + three_class
     report.notes = f"{count} coset partitions, {three_class} three-class labelings"
-    return _finish(report, started)
+    return _finish(report)
 
 
 def verify_selector(trials: int = 200, seed: int = 0) -> VerificationReport:
     """Canonical selection is permutation invariant; duplicates are rejected."""
-    started = time.perf_counter()
-    report = VerificationReport("selector", 0, True, [], seed)
+    report = VerificationReport("selector", 0, True, seed)
     rng = random.Random(seed)
     forest = PredecessorForest.from_pred(3, {1: 0, 2: 0})
     W = Window.whole(forest)
@@ -835,13 +831,12 @@ def verify_selector(trials: int = 200, seed: int = 0) -> VerificationReport:
             report.record("random window selection not permutation invariant")
     report.trials = count
     report.notes = f"{count - trials} enumerated triples in every order, plus {trials} sampled triples"
-    return _finish(report, started)
+    return _finish(report)
 
 
 def verify_lift(seed: int = 0) -> VerificationReport:
     """Every product choice map projects to exactly its first coordinates; fully enumerated."""
-    started = time.perf_counter()
-    report = VerificationReport("lift", 0, True, [], seed)
+    report = VerificationReport("lift", 0, True, seed)
     count = families = 0
     arities = range(1, 4)
     for t_count in range(1, 5):
@@ -873,7 +868,7 @@ def verify_lift(seed: int = 0) -> VerificationReport:
         f"{families} families (1 to 4 sets of sizes 1 to 3) x {len(arities)} arities (1 to 3); "
         "every choice map compared with its exact projection"
     )
-    return _finish(report, started)
+    return _finish(report)
 
 
 def _pattern_flip_sweep(
@@ -936,11 +931,10 @@ def _witness_sweep(w: SwapWitness, box: CoordinateBox) -> bool:
 
 def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
     """Swap witnesses certify, and an independent sweep of every assignment agrees."""
-    started = time.perf_counter()
-    report = VerificationReport("swap", 0, True, [], seed)
+    report = VerificationReport("swap", 0, True, seed)
     rng = random.Random(seed)
     count = 0
-    # full condition enumeration on a 6-coordinate box
+    # full condition enumeration on a 6-coordinate box over the fork 1 -> 0 <- 2
     forest = PredecessorForest.from_pred(3, {1: 0, 2: 0})
     box = CoordinateBox(Window.whole(forest), 1, 2)
     A = rho_closure(forest, {0})
@@ -975,11 +969,10 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
         if not _witness_sweep(w, b):
             report.record(f"assignment sweep refutes the pattern flip on trial {trial}")
     # both-toggled case: a generator at the shared predecessor fixes the pattern
-    fork = PredecessorForest.from_pred(3, {1: 0, 2: 0})
     for bits_count in (2, 3):
-        b = CoordinateBox(Window.whole(fork), 1, bits_count)
+        b = CoordinateBox(Window.whole(forest), 1, bits_count)
         for exceptions in ({0}, set(), {1}):
-            tau = generator(fork, 0, 0, ToggleSet.cofinite_excluding(exceptions))
+            tau = generator(forest, 0, 0, ToggleSet.cofinite_excluding(exceptions))
             count += 1
             if not _pattern_flip_sweep(tau, 1, 2, 0, 0, b):
                 report.record(f"both-toggled generator moved the pattern (B={bits_count})")
@@ -988,7 +981,7 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
         f"{enumerated} enumerated conditions and {count - enumerated - trials} both-toggled generators, "
         f"plus {trials} sampled conditions; pattern flip re-swept on every assignment of each witness's box"
     )
-    return _finish(report, started)
+    return _finish(report)
 
 
 REGISTRY = {

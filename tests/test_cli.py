@@ -115,7 +115,8 @@ class TestVerify:
     def test_unknown_lemma_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")
         assert code == 2
-        assert "starspan" in err and "swap" in err
+        assert err.startswith("error: unknown lemma id 'bogus'; valid ids: starspan,")
+        assert "swap" in err
 
     def test_missing_lemma(self, capsys):
         code, _, err = run_cli(capsys, "verify")

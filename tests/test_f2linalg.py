@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import pytest
 
-from conftest import all_closed_subsets, all_forests, forest_of, forward_substitution, parent_star
+from conftest import all_closed_subsets, all_forests, forest_of, forward_substitution, gf2_invertible, parent_star
 from cascadekit import f2linalg
 from cascadekit.errors import CertificateError, DomainError
 from cascadekit.f2linalg import (
@@ -37,23 +37,6 @@ def brute_force_solutions(K, target):
             if combine_stars(K, combo) == target:
                 hits.append(set(combo))
     return hits
-
-
-def gf2_invertible(matrix):
-    """Gaussian-elimination invertibility oracle, independent of triangularity."""
-    n = len(matrix.order)
-    rows = [sum(matrix.entry(i, j) << j for j in range(n)) for i in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if (rows[r] >> col) & 1), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(n):
-            if r != rank and (rows[r] >> col) & 1:
-                rows[r] ^= rows[rank]
-        rank += 1
-    return rank == n
 
 
 class TestHeight:

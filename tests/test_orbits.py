@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from conftest import subspace_span
 from cascadekit.errors import CertificateError, DomainError, PreconditionError
 from cascadekit.orbits import (
     FiniteAction,
@@ -20,13 +21,6 @@ def transposition(n, i, j):
     p = list(range(n))
     p[i], p[j] = p[j], p[i]
     return tuple(p)
-
-
-def subspace_span(basis):
-    vectors = {0}
-    for b in basis:
-        vectors |= {v ^ b for v in vectors}
-    return vectors
 
 
 class TestCloseGroup:
