@@ -143,11 +143,6 @@ class Condition:
         node_set = set(nodes)
         return Condition(tuple((c, v) for c, v in self.entries if c.node in node_set))
 
-    def extends(self, other: "Condition") -> bool:
-        """True when this condition is defined and equal wherever ``other`` is."""
-        mine = self.as_dict()
-        return all(mine.get(c) == v for c, v in other.entries)
-
     def merge(self, other: "Condition") -> "Condition":
         """Union of two compatible conditions; disagreement is a domain error."""
         out = self.as_dict()

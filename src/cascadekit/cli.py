@@ -196,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_forest = sub.add_parser("forest", help="generate forests and compute closures")
+    p_forest.set_defaults(run=cmd_forest)
     forest_sub = p_forest.add_subparsers(dest="forest_cmd", required=True)
     p_gen = forest_sub.add_parser("gen", help="sample a random forest")
     p_gen.add_argument("--size", type=int, required=True)
@@ -207,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clo.add_argument("--out", default=None)
 
     p_span = sub.add_parser("starspan", help="solve a target against the star basis")
+    p_span.set_defaults(run=cmd_starspan)
     p_span.add_argument("--in", dest="infile", required=True)
     p_span.add_argument("--window", required=True, help="comma-separated closed node set")
     p_span.add_argument(
@@ -215,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_span.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run a lemma's verification suite")
-    p_verify.add_argument("lemma", nargs="?", default=None, choices=None)
+    p_verify.set_defaults(run=cmd_verify)
+    p_verify.add_argument("lemma", nargs="?", default=None)
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
@@ -224,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None)
 
     p_demo = sub.add_parser("demo", help="demonstrations of the obstruction machinery")
+    p_demo.set_defaults(run=cmd_demo)
     demo_sub = p_demo.add_subparsers(dest="demo_cmd", required=True)
     p_nosel = demo_sub.add_parser(
         "no-selector", help="certified swap witness beside a support window"
@@ -238,18 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "forest":
-            return cmd_forest(args)
-        if args.command == "starspan":
-            return cmd_starspan(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "demo":
-            return cmd_demo(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ParseError, DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -259,7 +254,6 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

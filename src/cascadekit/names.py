@@ -214,13 +214,12 @@ def evaluate(name, g: Assignment) -> set[int]:
 def _name_table(name, box: CoordinateBox):
     """Member table of a name over only the coordinates its conditions mention.
 
-    Returns ``(pairs, table, positions, slot)``: the name's sorted pairs, the
-    table, the ascending box positions of the mentioned coordinates, and
-    each mentioned coordinate's bit in the table.  Evaluation reads no other
-    coordinate, so a verdict over the table holds for all ``2**n_coords``
-    assignments of the box.  A coordinate outside the box, or more than
-    ``kernels.MAX_TABLE_COORDS`` mentioned coordinates, raises
-    :class:`DomainError`.
+    Returns ``(pairs, table, slot)``: the name's sorted pairs, the table,
+    and each mentioned coordinate's bit in the table, in box order.
+    Evaluation reads no other coordinate, so a verdict over the table holds
+    for all ``2**n_coords`` assignments of the box.  A coordinate outside
+    the box, or more than ``kernels.MAX_TABLE_COORDS`` mentioned
+    coordinates, raises :class:`DomainError`.
 
     Built once per (name, box) and reused by every question asked of the
     name: equal names over equal boxes (same window, rows and bits) have
@@ -232,10 +231,10 @@ def _name_table(name, box: CoordinateBox):
     ``TypeError`` from hashing.
     """
     pairs = _name_pairs(name)
-    positions = tuple(sorted({box.index(c) for _, cond in pairs for c, _ in cond.entries}))
-    slot = {box.coord_at(pos): j for j, pos in enumerate(positions)}
+    mentioned = sorted({c for _, cond in pairs for c, _ in cond.entries}, key=box.index)
+    slot = {c: j for j, c in enumerate(mentioned)}
     entries = [(*_slot_masks(cond, slot), m) for m, cond in pairs]
-    return pairs, kernels.build_table(len(positions), entries), positions, slot
+    return pairs, kernels.build_table(len(slot), entries), slot
 
 
 def _slot_masks(cond: Condition, slot) -> tuple[int, int]:
@@ -250,15 +249,6 @@ def _slot_masks(cond: Condition, slot) -> tuple[int, int]:
             dmask |= 1 << j
             vmask |= value << j
     return dmask, vmask
-
-
-def _expand(bits: int, positions) -> int:
-    """Table bits moved back to their box positions."""
-    out = 0
-    for j, pos in enumerate(positions):
-        if (bits >> j) & 1:
-            out |= 1 << pos
-    return out
 
 
 @dataclass(frozen=True)
@@ -300,13 +290,14 @@ def _support(name, A: Window, box: CoordinateBox) -> SupportReport:
     ``_CACHE_ENTRIES`` most recent (name, support, box) verdicts are kept,
     so :func:`normalize` reuses the sweep :func:`support_report` ran.
     """
-    _, table, positions, slot = _name_table(name, box)
+    _, table, slot = _name_table(name, box)
     checked = 1 << box.n_coords
     for coord, j in slot.items():
         if coord.node not in A.nodes:
             g = kernels.flip_violation(table, 1 << j)
             if g >= 0:
-                return SupportReport(False, True, checked, (*coord, _expand(g, positions)))
+                assignment = sum(1 << box.index(c) for c, i in slot.items() if g >> i & 1)
+                return SupportReport(False, True, checked, (*coord, assignment))
     return SupportReport(True, True, checked, None)
 
 
@@ -350,7 +341,7 @@ def decision_invariant(
     _check_box_window(A, box)
     _check_name(name)
     _in_box(p, box)
-    _, table, _, slot = _name_table(name, box)
+    _, table, slot = _name_table(name, box)
     dmask, vmask = _slot_masks(p, slot)
     verdict = kernels.subcube_member_summary(table, m, dmask, vmask)
     if verdict == 2:
@@ -411,7 +402,7 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
         raise PreconditionError(
             f"name is not supported by the window; witness coordinate+assignment {report.witness}"
         )
-    pairs, _, _, slot = _name_table(name, box)
+    pairs, _, slot = _name_table(name, box)
     trimmed = {coord: j for coord, j in slot.items() if coord.node in A.nodes}
     cubes: dict[int, list[tuple[int, int]]] = {}
     for m, cond in pairs:

@@ -92,17 +92,16 @@ class FiniteAction:
             object.__setattr__(self, "elements", canonical)
 
 
-def close_group(generators: list[Permutation], set_size: int | None = None) -> FiniteAction:
+def close_group(generators: list[Permutation]) -> FiniteAction:
     """Generate the group and certify it is a 2-group.
 
     A non-2-group is rejected with a :class:`CertificateError` naming a
     witness element of odd order greater than one.
     """
     generators = [tuple(g) for g in generators]
-    if set_size is None:
-        if not generators:
-            raise DomainError("need a set size when no generators are given")
-        set_size = len(generators[0])
+    if not generators:
+        raise DomainError("need at least one generator")
+    set_size = len(generators[0])
     if set_size < 1:
         raise DomainError("the acted-on set must be nonempty")
     points = list(range(set_size))

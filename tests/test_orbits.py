@@ -50,15 +50,15 @@ class TestCloseGroup:
             close_group([(0, 0, 1)])
 
     def test_empty_set_rejected(self):
-        with pytest.raises(DomainError):
-            close_group([], set_size=0)
+        with pytest.raises(DomainError, match="at least one generator"):
+            close_group([])
         with pytest.raises(DomainError):
             close_group([()])
 
 
 class TestOrbitPartition:
     def test_identity_group_gives_singletons(self):
-        action = close_group([], set_size=5)
+        action = close_group([tuple(range(5))])
         assert orbit_partition(action) == [(0,), (1,), (2,), (3,), (4,)]
 
     def test_single_swap(self):
@@ -101,7 +101,7 @@ class TestOddFixedPoint:
         assert odd_fixed_point(action) == 2
 
     def test_identity_on_singleton(self):
-        action = close_group([], set_size=1)
+        action = close_group([(0,)])
         assert odd_fixed_point(action) == 0
 
     def test_two_swaps_on_five_points(self):

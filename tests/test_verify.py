@@ -135,11 +135,6 @@ def test_direct_call_with_no_trial_raises(routine):
         getattr(verify, routine)(trials=0)
 
 
-def test_run_all_rejects_trials_below_one():
-    with pytest.raises(DomainError):
-        verify.run_all(trials=0)
-
-
 def test_all_conditions_enumerates_every_partial_function_once():
     coords = [Coordinate(0, 0, b) for b in range(3)]
     conditions = list(verify._all_conditions(coords))
