@@ -154,25 +154,15 @@ class Condition:
 
 @dataclass(frozen=True)
 class Packet:
-    """A condition whose node support is certified by a closed superset.
+    """One condition of a packet scheme's family.
 
-    The certificate is the closure of the mentioned nodes; it may strictly
-    contain them (closing adds ancestors, never coordinates).  :meth:`of` is
-    the one certificate constructor: ``names.normalize`` and
-    ``names.decode_two_layer`` build every packet through it.
+    A packet carries no certificate of its own: the scheme that holds it
+    checks its nodes against the scheme's closed support
+    (``names.PacketScheme``), and that support already contains the
+    closure of every packet's nodes.
     """
 
     condition: Condition
-    support: frozenset[int]
-
-    def __post_init__(self):
-        if not self.condition.node_support() <= self.support:
-            raise DomainError("support certificate misses mentioned nodes")
-
-    @classmethod
-    def of(cls, condition: Condition, forest: PredecessorForest) -> "Packet":
-        closed = rho_closure(forest, condition.node_support())
-        return cls(condition, closed.nodes)
 
 
 @dataclass(frozen=True)
@@ -363,15 +353,12 @@ def transport(p: Condition, q: Condition, A: Window) -> CascadeAutomorphism:
     return pi
 
 
-def format_condition(q: Condition, size: int, rows: int, bits: int) -> str:
-    """Text form: header ``box N R B``, then one ``node row bit value`` line each."""
-    lines = [f"box {size} {rows} {bits}"]
-    lines.extend(f"{c.node} {c.row} {c.bit} {v}" for c, v in q.entries)
-    return "\n".join(lines) + "\n"
-
-
 def parse_condition(text: str) -> tuple[tuple[int, int, int], Condition]:
-    """Inverse of :func:`format_condition`; returns ((N, R, B), condition)."""
+    """Read a condition file; returns ((N, R, B), condition).
+
+    The first nonblank line is the header ``box N R B``; each later
+    nonblank line is one ``node row bit value`` entry inside that box.
+    """
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():

@@ -37,6 +37,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
+# the most nodes `forest gen` draws and the most coordinates N*R*B a `demo` box holds,
+# checked before anything of that size is allocated
+MAX_SIZE = 1 << 16
+
 
 def _write_out(text: str, out: str | None) -> None:
     if out:
@@ -65,6 +69,8 @@ def _parse_box_dims(text: str) -> tuple[int, int, int]:
 
 def cmd_forest(args) -> int:
     if args.forest_cmd == "gen":
+        if args.size > MAX_SIZE:
+            raise ParseError(f"--size must be at most {MAX_SIZE}, got {args.size}")
         forest = random_forest(args.size, args.seed)
         _write_out(format_forest(forest), args.out)
         return EXIT_OK
@@ -170,6 +176,9 @@ def cmd_demo(args) -> int:
     else:
         raise ParseError("demo no-selector needs --in or --box")
     size, rows, bits = dims
+    # a zero or negative product would let one huge dimension past the bound
+    if not 0 < size * rows * bits <= MAX_SIZE:
+        raise ParseError(f"box {size},{rows},{bits} must hold 1 to {MAX_SIZE} coordinates")
     if args.forest:
         forest = parse_forest(_read_file(args.forest))
         if forest.size != size:

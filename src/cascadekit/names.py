@@ -150,7 +150,13 @@ class RawName:
 
 @dataclass(frozen=True)
 class PacketScheme:
-    """A support window plus, per member index, a family of packets over it."""
+    """A support window plus, per member index, a family of packets over it.
+
+    The node check here is the one packet certificate: a packet that
+    mentions a node outside the support (or outside the forest) raises
+    :class:`DomainError`.  That is enough, because the support is closed,
+    so the closure of any packet's nodes already lies inside it.
+    """
 
     support: Window
     families: tuple[tuple[int, frozenset[Packet]], ...]
@@ -409,10 +415,7 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
         cubes.setdefault(m, []).append(_slot_masks(cond, trimmed))
     families = {
         m: {
-            Packet.of(
-                Condition(tuple((c, (v >> j) & 1) for c, j in trimmed.items() if (d >> j) & 1)),
-                box.forest,
-            )
+            Packet(Condition(tuple((c, (v >> j) & 1) for c, j in trimmed.items() if (d >> j) & 1)))
             for d, v in _prime_cubes(member_cubes)
         }
         for m, member_cubes in cubes.items()
@@ -491,12 +494,12 @@ def two_layer_code(scheme: PacketScheme, box: CoordinateBox) -> TwoLayerCode:
 def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
     """The scheme a code names, the same over every box that holds its packets.
 
-    Packets are certified in the support's forest, whatever the box's; a
-    packet outside the box raises :class:`DomainError`.
+    Packets are certified by the scheme's node check against the code's
+    support, whatever the box's forest; a packet outside the box raises
+    :class:`DomainError`.
     """
-    forest = code.support.forest
     families = {
-        m: {Packet.of(_in_box(packet_of_code(k), box), forest) for k in ks}
+        m: {Packet(_in_box(packet_of_code(k), box)) for k in ks}
         for m, ks in code.packet_indices
     }
     return PacketScheme.of(code.support, families)

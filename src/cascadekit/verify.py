@@ -345,10 +345,10 @@ def _random_toggle(rng: random.Random) -> ToggleSet:
     return ToggleSet(rng.random() < 0.4, exceptions)
 
 
-def _random_condition(forest, rng, max_len=6) -> Condition:
+def _random_condition(forest, rng, max_len=6, rows=3, bits=5) -> Condition:
     entries = {}
     for _ in range(rng.randrange(max_len + 1)):
-        entries[(rng.randrange(forest.size), rng.randrange(3), rng.randrange(5))] = rng.randrange(2)
+        entries[(rng.randrange(forest.size), rng.randrange(rows), rng.randrange(bits))] = rng.randrange(2)
     return Condition.from_map(entries)
 
 
@@ -947,10 +947,7 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
         f = random_forest(n_nodes, rng.getrandbits(32))
         b = CoordinateBox(Window.whole(f), rows, bits)
         A_r = rho_closure(f, {0})
-        entries = {}
-        for _ in range(rng.randrange(5)):
-            entries[(rng.randrange(f.size), rng.randrange(rows), rng.randrange(bits))] = rng.randrange(2)
-        q = Condition.from_map(entries)
+        q = _random_condition(f, rng, max_len=4, rows=rows, bits=bits)
         count += 1
         row = rng.randrange(rows)
         try:

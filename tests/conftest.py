@@ -17,6 +17,13 @@ def forest_of(size: int, pred: dict[int, int]) -> PredecessorForest:
     return PredecessorForest.from_pred(size, pred)
 
 
+def format_condition(q, size: int, rows: int, bits: int) -> str:
+    """A condition file: header ``box N R B``, then one ``node row bit value`` line each."""
+    lines = [f"box {size} {rows} {bits}"]
+    lines.extend(f"{c.node} {c.row} {c.bit} {v}" for c, v in q.entries)
+    return "\n".join(lines) + "\n"
+
+
 def forward_substitution(K, bits):
     """Reference star-span solver: stars read from the parent map, one residual bit at a time.
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_closed_subsets, forest_of
+from conftest import all_closed_subsets, forest_of, format_condition
 from cascadekit import cascade
 from cascadekit.cascade import (
     CascadeAutomorphism,
@@ -20,7 +20,6 @@ from cascadekit.cascade import (
     compose,
     compose_all,
     fixes_rows_over,
-    format_condition,
     generator,
     identity,
     pad_common_domain,
@@ -433,21 +432,12 @@ class TestPadCommonDomain:
 
 
 class TestPacket:
-    def test_closure_certificate(self):
-        f = forest_of(4, {1: 0, 2: 0, 3: 1})
-        pkt = Packet.of(Condition.from_map({(3, 0, 0): 1}), f)
-        assert pkt.support == {0, 1, 3}
-
-    def test_support_must_cover_mentions(self):
-        with pytest.raises(DomainError):
-            Packet(Condition.from_map({(2, 0, 0): 1}), frozenset({0}))
-
     def test_fixed_by_support_fixers(self):
         rng = random.Random(13)
         for trial in range(100):
             f = random_forest(rng.randrange(2, 7), trial + 1000)
-            pkt = Packet.of(random_condition(f, rng), f)
-            A = Window(f, pkt.support)
+            pkt = Packet(random_condition(f, rng))
+            A = rho_closure(f, pkt.condition.node_support())
             tau = random_generator(f, rng)
             if fixes_rows_over(tau, A):
                 assert apply(tau, pkt.condition) == pkt.condition

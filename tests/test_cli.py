@@ -5,7 +5,7 @@ import re
 import pytest
 
 from cascadekit import verify
-from cascadekit.cli import main
+from cascadekit.cli import MAX_SIZE, main
 from cascadekit.errors import DomainError
 
 
@@ -30,6 +30,13 @@ class TestForestCommands:
         assert main(["forest", "gen", "--size", "5", "--seed", "7", "--out", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
         assert out1.read_text().splitlines()[0] == "5"
+
+    def test_size_above_bound_refused(self, capsys, tmp_path):
+        out = tmp_path / "forest.txt"
+        code, _, err = run_cli(capsys, "forest", "gen", "--size", str(MAX_SIZE + 1), "--out", str(out))
+        assert code == 2
+        assert err == f"error: --size must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n"
+        assert not out.exists()
 
     def test_closure_output(self, capsys, forest_file):
         code, out, _ = run_cli(capsys, "forest", "closure", "--in", forest_file, "--set", "3")
@@ -224,6 +231,22 @@ class TestDemoNoSelector:
         )
         assert code == 0
         assert "pattern-flip: PASS (exhaustive, 2^15000 assignments)" in out
+
+    @pytest.mark.parametrize("source", ["box", "header"])
+    def test_box_above_bound_refused(self, capsys, tmp_path, source):
+        if source == "box":
+            given = ("--box", f"{MAX_SIZE + 1},1,1")
+        else:
+            cond = tmp_path / "cond.txt"
+            cond.write_text(f"box {MAX_SIZE + 1} 1 1\n")
+            given = ("--in", str(cond))
+        out = tmp_path / "witness.txt"
+        code, printed, err = run_cli(
+            capsys, "demo", "no-selector", *given, "--support", "0", "--out", str(out)
+        )
+        assert code == 2
+        assert err == f"error: box {MAX_SIZE + 1},1,1 must hold 1 to {MAX_SIZE} coordinates\n"
+        assert not printed and not out.exists()
 
     def test_saturated_support_capacity_error(self, capsys):
         code, _, err = run_cli(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import all_assignments, all_conditions, apply_to_assignment, forest_of, random_box
 from cascadekit import _kernels as kernels
+from cascadekit import cascade
 from cascadekit.cascade import Condition, Coordinate, Packet, ToggleSet, generator
 from cascadekit.errors import DomainError, PreconditionError
 from cascadekit.forest import PredecessorForest, Window, random_forest, rho_closure
@@ -148,7 +149,7 @@ class TestEvaluate:
         box = small_box()
         f = box.forest
         A = rho_closure(f, {0})
-        pkt = Packet.of(Condition.from_map({(0, 0, 0): 1}), f)
+        pkt = Packet(Condition.from_map({(0, 0, 0): 1}))
         scheme = PacketScheme.of(A, {3: {pkt}})
         for g in all_assignments(box):
             assert (3 in evaluate(scheme, g)) == g.extends(pkt.condition)
@@ -178,7 +179,7 @@ class TestCheckSupport:
         box = small_box()
         f = box.forest
         A = rho_closure(f, {0, 1})
-        pkt = Packet.of(Condition.from_map({(1, 0, 1): 1, (0, 0, 0): 0}), f)
+        pkt = Packet(Condition.from_map({(1, 0, 1): 1, (0, 0, 0): 0}))
         scheme = PacketScheme.of(A, {0: {pkt}})
         name = scheme.to_raw_name()
         assert naive_supported(name, A, box)
@@ -222,7 +223,7 @@ class TestCheckSupport:
         f = random_forest(size, 1)
         box = CoordinateBox(Window.whole(f), rows, bits)  # 17, 18 and 22 coordinates
         A = rho_closure(f, {0})
-        pkt = Packet.of(Condition.from_map({(0, rows - 1, bits - 1): 1}), f)
+        pkt = Packet(Condition.from_map({(0, rows - 1, bits - 1): 1}))
         name = PacketScheme.of(A, {0: {pkt}}).to_raw_name()
         report = support_report(name, A, box)
         assert report.supported and report.exhaustive
@@ -287,7 +288,7 @@ class TestDecisionInvariant:
         box = small_box()
         f = box.forest
         A = rho_closure(f, {0, 1})
-        pkt = Packet.of(Condition.from_map({(1, 0, 0): 1}), f)
+        pkt = Packet(Condition.from_map({(1, 0, 0): 1}))
         name = PacketScheme.of(A, {2: {pkt}}).to_raw_name()
         p = Condition.from_map({(1, 0, 0): 1, (0, 0, 1): 0})
         assert decision_invariant(name, A, p, 2, box)
@@ -322,7 +323,7 @@ class TestDecisionInvariant:
         box = small_box()
         f = box.forest
         A = rho_closure(f, {0})
-        pkt = Packet.of(Condition.from_map({(0, 0, 0): 1}), f)
+        pkt = Packet(Condition.from_map({(0, 0, 0): 1}))
         name = PacketScheme.of(A, {0: {pkt}}).to_raw_name()
         with pytest.raises(PreconditionError):
             decision_invariant(name, A, Condition.empty(), 0, box)
@@ -351,7 +352,7 @@ class TestNormalize:
         A = rho_closure(f, {0, 1})
         p = Condition.from_map({(1, 0, 0): 1, (0, 0, 1): 0})
         scheme = normalize(RawName.of([(0, p)]), A, box)
-        assert scheme.family(0) == {Packet.of(p, f)}
+        assert scheme.family(0) == {Packet(p)}
 
     def test_member_table_built_once(self, monkeypatch):
         built = []
@@ -375,8 +376,8 @@ class TestNormalize:
         f = box.forest
         A = rho_closure(f, {0, 2})
         pkts = {
-            Packet.of(Condition.from_map({(2, 0, 0): 1}), f),
-            Packet.of(Condition.from_map({(0, 0, 1): 0, (2, 0, 1): 1}), f),
+            Packet(Condition.from_map({(2, 0, 0): 1})),
+            Packet(Condition.from_map({(0, 0, 1): 0, (2, 0, 1): 1})),
         }
         scheme = PacketScheme.of(A, {0: pkts, 1: set()})
         name = scheme.to_raw_name()
@@ -453,7 +454,7 @@ class TestNormalize:
         assert check_support(name, A, box)
         assert naive_supported(name, A, box)
         scheme = normalize(name, A, box)
-        assert scheme.family(0) == {Packet.of(base, f)}
+        assert scheme.family(0) == {Packet(base)}
         for g in all_assignments(box):
             assert evaluate(scheme, g) == evaluate(name, g)
 
@@ -474,7 +475,7 @@ class TestNormalize:
         box = small_box()
         f = box.forest
         A = rho_closure(f, {0, 1})
-        pkt = Packet.of(Condition.from_map({(1, 0, 1): 1}), f)
+        pkt = Packet(Condition.from_map({(1, 0, 1): 1}))
         name = PacketScheme.of(A, {0: {pkt}}).to_raw_name()
         tau = generator(f, 2, 0, ToggleSet.finite({0, 1}))
         for g in all_assignments(box):
@@ -561,7 +562,7 @@ class TestPacketEnumeration:
         f = box.forest
         A = rho_closure(f, {0})
         cond = Condition.from_map({(0, 0, 1): 1})
-        scheme = PacketScheme.of(A, {2: {Packet.of(cond, f)}})
+        scheme = PacketScheme.of(A, {2: {Packet(cond)}})
         code = two_layer_code(scheme, box)
         assert dict(code.packet_indices)[2] == (packet_code(cond),)
 
@@ -586,7 +587,7 @@ class TestTwoLayerCode:
                 for _ in range(rng.randrange(3)):
                     k = rng.randrange(1, len(coords_over_A) + 1)
                     picked = rng.sample(coords_over_A, k)
-                    packets.add(Packet.of(Condition(tuple((c, rng.randrange(2)) for c in picked)), f))
+                    packets.add(Packet(Condition(tuple((c, rng.randrange(2)) for c in picked))))
                 families[m] = packets
             scheme = PacketScheme.of(A, families)
             decoded = decode_two_layer(two_layer_code(scheme, box), box)
@@ -606,25 +607,39 @@ class TestTwoLayerCode:
                 assert decode_two_layer(code, grown) == scheme
 
     def test_packets_certified_in_the_supports_forest(self):
-        # the box's forest hangs node 2 off 0, the code's off 1, so the closures differ
+        # the box's forest hangs node 2 off 0, the code's off 1; decoding checks the code's support
         chain, star = forest_of(3, {1: 0, 2: 1}), forest_of(3, {1: 0, 2: 0})
         box = CoordinateBox(Window.whole(chain), 1, 1)
-        pkt = Packet.of(Condition.from_map({(2, 0, 0): 1}), chain)
+        pkt = Packet(Condition.from_map({(2, 0, 0): 1}))
         scheme = PacketScheme.of(Window.whole(chain), {0: {pkt}})
         code = two_layer_code(scheme, box)
         assert decode_two_layer(code, CoordinateBox(Window.whole(star), 1, 1)) == scheme
+
+    def test_normalize_and_decode_take_no_closures(self, monkeypatch):
+        # the scheme's closed support certifies its packets, so no packet closes its own nodes
+        box = small_box(size=3, pred={1: 0, 2: 1})
+        A = rho_closure(box.forest, {1})
+        name = RawName.of([(0, Condition.from_map({(1, 0, 0): 1, (0, 0, 1): 0}))])
+
+        def refuse(*args):
+            raise AssertionError("rho_closure called")
+
+        monkeypatch.setattr(cascade, "rho_closure", refuse)
+        scheme = normalize(name, A, box)
+        assert scheme.family(0) == {Packet(Condition.from_map({(1, 0, 0): 1, (0, 0, 1): 0}))}
+        assert decode_two_layer(two_layer_code(scheme, box), box) == scheme
 
     def test_box_missing_a_coordinate_rejected(self):
         box = small_box(bits=3)
         A = rho_closure(box.forest, {0})
         cond = Condition.from_map({(0, 0, 2): 1})
-        code = two_layer_code(PacketScheme.of(A, {0: {Packet.of(cond, box.forest)}}), box)
+        code = two_layer_code(PacketScheme.of(A, {0: {Packet(cond)}}), box)
         narrow = small_box(bits=2)
         with pytest.raises(DomainError):
             decode_two_layer(code, narrow)
         with pytest.raises(DomainError):
             two_layer_code(decode_two_layer(code, box), narrow)
-        far = Packet.of(Condition.from_map({(2, 0, 0): 1}), box.forest)
+        far = Packet(Condition.from_map({(2, 0, 0): 1}))
         code = two_layer_code(PacketScheme.of(Window.whole(box.forest), {0: {far}}), box)
         with pytest.raises(DomainError):
             decode_two_layer(code, small_box(size=2))
@@ -745,7 +760,12 @@ class TestMentionedCoordinates:
                     assert set(cubes[m]) == brute_force_primes(expected, trim_mask)
                     brute_forced += 1
             assert all(not cubes[m] for m in cubes if m not in minterms)
-            assert all(pkt == Packet.of(pkt.condition, box.forest) for _, pkts in scheme.families for pkt in pkts)
+            # the support is closed, so it holds the closure of every packet's nodes
+            assert all(
+                rho_closure(box.forest, pkt.condition.node_support()).nodes <= A.nodes
+                for _, pkts in scheme.families
+                for pkt in pkts
+            )
             coords = list(box.coords())
             probes = [(cond, m) for m, cond in name.pairs]
             for _ in range(8):
@@ -899,7 +919,7 @@ class TestPrimePackets:
         second = RawName.of([(0, Condition.from_map(x)), (0, Condition.from_map(y))])
         scheme = normalize(first, A, box)
         assert scheme == normalize(second, A, box)
-        assert scheme.family(0) == {Packet.of(Condition.from_map(x), f), Packet.of(Condition.from_map(y), f)}
+        assert scheme.family(0) == {Packet(Condition.from_map(x)), Packet(Condition.from_map(y))}
 
     def test_parity_has_a_prime_per_minterm(self):
         # no two odd-parity minterms are adjacent, so no consensus merges any
@@ -930,22 +950,23 @@ class TestPrimePackets:
         box = CoordinateBox(Window.whole(f), 2, 2)  # 600 coordinates
         cond = Condition.from_map({(149, 1, 1): 1, (149, 1, 0): 0})
         A = rho_closure(f, {149})
-        code = two_layer_code(PacketScheme.of(A, {0: {Packet.of(cond, f)}}), box)
+        code = two_layer_code(PacketScheme.of(A, {0: {Packet(cond)}}), box)
         assert code.packet_indices == ((0, (packet_code(cond),)),)
         assert packet_code(cond).bit_length() == 161
 
     def test_scheme_rejects_off_support_repeated_and_negative_members(self):
         f = small_box().forest
         A = rho_closure(f, {0})
-        off_support = Packet.of(Condition.from_map({(1, 0, 0): 1}), f)
+        off_support = Packet(Condition.from_map({(1, 0, 0): 1}))
         with pytest.raises(DomainError):
             PacketScheme.of(A, {0: {off_support}})
         with pytest.raises(DomainError):
             PacketScheme(A, ((0, frozenset()), (0, frozenset())))
         with pytest.raises(DomainError):
             PacketScheme.of(A, {-1: set()})
+        outside = Packet(Condition.from_map({(9, 0, 0): 1}))  # node outside the forest
         with pytest.raises(DomainError):
-            Packet.of(Condition.from_map({(9, 0, 0): 1}), f)  # node outside the forest
+            PacketScheme.of(A, {0: {outside}})
 
 
 class TestNameCache:
@@ -1005,7 +1026,7 @@ class TestNameCache:
         A = rho_closure(box.forest, {0})
         cond = Condition.from_map({(0, 0, 0): 1})
         raw = RawName({(0, cond)})
-        scheme = PacketScheme(A, ((0, {Packet.of(cond, box.forest)}),))
+        scheme = PacketScheme(A, ((0, {Packet(cond)}),))
         assert raw == RawName.of([(0, cond)]) and hash(raw) == hash(RawName.of([(0, cond)]))
         assert support_report(raw, A, box).supported and support_report(scheme, A, box).supported
 

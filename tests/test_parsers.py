@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadekit.cascade import Condition, format_condition, parse_condition
+from conftest import format_condition
+from cascadekit.cascade import Condition, parse_condition
 from cascadekit.cli import _parse_box_dims
 from cascadekit.errors import ParseError
 from cascadekit.forest import format_forest, parse_forest, parse_node_set, random_forest
