@@ -1,9 +1,11 @@
 """Seeded verification routines, one per implemented statement.
 
-Each routine replays an invariant suite and returns a report; the CLI maps
-lemma ids onto these.  A routine's keywords are ``seed`` plus the ones the
-CLI's verify flags set; every other scale is fixed here.  What each oracle
-recomputes, apart from the code it checks:
+Each routine replays an invariant suite and returns a report, whose
+``trials`` counts the instances checked (enumerated by a fixed sweep plus
+sampled from the seed) and which is ``exhaustive`` when it has an
+enumerated part; the CLI maps lemma ids onto these.  A routine's keywords
+are ``seed`` plus the ones the CLI's verify flags set; every other scale
+is fixed here.  What each oracle recomputes, apart from the code it checks:
 
 - starspan: invertibility by Gaussian elimination, and each node's star
   rebuilt from the parent map;
@@ -26,6 +28,7 @@ and ``fixes_rows_over``: no pointwise replay of actions checks them.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
@@ -92,19 +95,25 @@ MAX_STARSPAN_WINDOW = 12
 class VerificationReport:
     """One lemma's run: its counts, recorded failures and notes.
 
-    ``elapsed`` counts from when the report was made, so a lemma makes its
-    report first and :func:`_finish` stamps it last.
+    ``enumerated`` and ``sampled`` count the instances checked, by a fixed sweep and from the seed.
     """
 
     lemma: str
-    trials: int
-    exhaustive: bool
     seed: int
+    enumerated: int = 0
+    sampled: int = 0
     failures: list[str] = field(default_factory=list)
     elapsed: float = 0.0
     notes: str = ""
     _dropped: int = field(default=0, repr=False)
-    started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
+
+    @property
+    def trials(self) -> int:
+        return self.enumerated + self.sampled
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.enumerated > 0
 
     def ok(self) -> bool:
         return not self.failures and self._dropped == 0
@@ -126,12 +135,34 @@ class VerificationReport:
         )
 
 
-def _finish(report: VerificationReport) -> VerificationReport:
-    """Stamp the elapsed time; a report that holds no instance would pass vacuously."""
-    if report.trials < 1:
-        raise DomainError(f"{report.lemma} checked no instance (trials={report.trials})")
-    report.elapsed = time.perf_counter() - report.started
-    return report
+# lemma id -> (routine, description), in the order `verify --all` runs them
+REGISTRY: dict[str, tuple] = {}
+
+
+def _lemma(lemma: str, description: str):
+    """Register the decorated body, which fills the report passed first, as ``lemma``'s routine."""
+
+    def register(body):
+        signature = inspect.signature(body)
+        public = signature.replace(parameters=list(signature.parameters.values())[1:])
+
+        @functools.wraps(body)
+        def routine(*args, **kwargs):
+            started = time.perf_counter()
+            bound = public.bind(*args, **kwargs)
+            bound.apply_defaults()
+            report = VerificationReport(lemma, bound.arguments["seed"])
+            body(report, *bound.args, **bound.kwargs)
+            if report.trials < 1:  # a report that holds no instance would pass vacuously
+                raise DomainError(f"{lemma} checked no instance (trials={report.trials})")
+            report.elapsed = time.perf_counter() - started
+            return report
+
+        routine.__signature__ = public
+        REGISTRY[lemma] = (routine, description)
+        return routine
+
+    return register
 
 
 def _gf2_invertible(matrix) -> bool:
@@ -182,18 +213,18 @@ def _parent_star(K: Window, xi: int) -> int:
     return bits
 
 
-def verify_starspan(trials: int = 200, seed: int = 0, exhaustive: bool = False) -> VerificationReport:
+@_lemma("starspan", "star basis spans every window target")
+def verify_starspan(report: VerificationReport, trials: int = 200, seed: int = 0, exhaustive: bool = False):
     """Star matrices are unit triangular and invertible; the solver hits every target.
 
     Each trial draws a closed window of up to ``MAX_STARSPAN_WINDOW`` nodes
     and compares the star the library combines for each node with the one
     rebuilt from the parent map.  Every target is solved, one at a time, on
-    windows of up to 10 nodes, or on every window with ``exhaustive``.  The
-    round trip checks the basis's units only against its own stars; the
-    rebuilt stars check those against the forest.
+    windows of up to 10 nodes, or on every (still sampled) window with
+    ``exhaustive``.  The round trip checks the basis's units only against its
+    own stars; the rebuilt stars check those against the forest.
     """
     sweep_window = MAX_STARSPAN_WINDOW if exhaustive else 10
-    report = VerificationReport("starspan", trials, exhaustive, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(1, 2 * MAX_STARSPAN_WINDOW), rng.getrandbits(32))
@@ -218,8 +249,8 @@ def verify_starspan(trials: int = 200, seed: int = 0, exhaustive: bool = False) 
                         break
         except CertificateError as exc:
             report.record(f"trial {trial}: basis certificate failed on {K.serialize()}: {exc}")
+    report.sampled = trials
     report.notes = f"all targets swept on windows up to {sweep_window} nodes"
-    return _finish(report)
 
 
 def _legal_toggles(forest: PredecessorForest, beta: int, row: int, shield: frozenset[int]) -> list:
@@ -238,9 +269,9 @@ def _legal_toggles(forest: PredecessorForest, beta: int, row: int, shield: froze
     return out
 
 
-def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
+@_lemma("shield", "toggles off the shield fix conditions")
+def verify_shield(report: VerificationReport, trials: int = 1000, seed: int = 0):
     """Toggles avoiding the shield fix the condition; random plus a full tiny sweep."""
-    report = VerificationReport("shield", trials, True, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(2, 9), rng.getrandbits(32))
@@ -250,12 +281,11 @@ def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
         shield = shield_set(q, beta, row, forest)
         free = [n for n in range(7) if n not in shield]
         picked = frozenset(rng.sample(free, rng.randrange(len(free) + 1)))
-        if rng.random() < 0.5:
+        # an empty finite pick would toggle nothing, so it takes the cofinite toggle drawn for it
+        if rng.random() < 0.5 or not picked:
             s = ToggleSet.cofinite_excluding(frozenset(shield) | (frozenset(free) - picked))
         else:
             s = ToggleSet.finite(picked)
-        if s.is_empty():
-            continue
         if apply(generator(forest, beta, row, s), q) != q:
             report.record(f"trial {trial}: shielded toggle moved the condition")
     # exhaustive sweep: every condition on a 2x2x2 box, every row pair, every legal toggle
@@ -277,9 +307,8 @@ def verify_shield(trials: int = 1000, seed: int = 0) -> VerificationReport:
                         report.record(
                             f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
                         )
-    report.trials = trials + swept
+    report.enumerated, report.sampled = swept, trials
     report.notes = f"{swept} exhaustive instances on the 8-coordinate box, plus {trials} sampled trials"
-    return _finish(report)
 
 
 def _all_conditions(coords):
@@ -304,14 +333,13 @@ def _all_closed_subsets(forest: PredecessorForest):
                 yield frozenset(chosen)
 
 
-def verify_fresh(seed: int = 0) -> VerificationReport:
+@_lemma("fresh", "fresh separation clauses hold exhaustively")
+def verify_fresh(report: VerificationReport, seed: int = 0):
     """Exhaustive four-clause check of fresh separation on universes up to 6 nodes."""
-    report = VerificationReport("fresh", 0, True, seed)
-    count = 0
     for size in range(1, 7):
         for forest in _all_forests(size):
             for closed in _all_closed_subsets(forest):
-                count += 1
+                report.enumerated += 1
                 A = Window(forest, closed)
                 blocked = set(closed) | {forest.parents[x] for x in closed if x >= 1}
                 free = [x for x in range(size) if x not in blocked]
@@ -336,8 +364,6 @@ def verify_fresh(seed: int = 0) -> VerificationReport:
                     report.record(
                         f"clauses {clauses} failed for ({beta},{gamma}) on {sorted(closed)}"
                     )
-    report.trials = count
-    return _finish(report)
 
 
 def _random_toggle(rng: random.Random) -> ToggleSet:
@@ -352,9 +378,9 @@ def _random_condition(forest, rng, max_len=6, rows=3, bits=5) -> Condition:
     return Condition.from_map(entries)
 
 
-def verify_abelian(trials: int = 300, seed: int = 0) -> VerificationReport:
+@_lemma("abelian", "the cascade group is abelian of exponent 2")
+def verify_abelian(report: VerificationReport, trials: int = 300, seed: int = 0):
     """Generators commute, every element squares to the identity, fixing is closed."""
-    report = VerificationReport("abelian", trials, False, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
@@ -377,12 +403,12 @@ def verify_abelian(trials: int = 300, seed: int = 0) -> VerificationReport:
         for t1, t2 in itertools.combinations(fixers, 2):
             if not fixes_rows_over(compose(t1, t2), A):
                 report.record(f"trial {trial}: fixing subgroup not closed under composition")
-    return _finish(report)
+    report.sampled = trials
 
 
-def verify_transport(trials: int = 500, seed: int = 0) -> VerificationReport:
+@_lemma("transport", "transport carries p to q fixing the window")
+def verify_transport(report: VerificationReport, trials: int = 500, seed: int = 0):
     """Transport maps padded p to padded q and fixes all rows over the window."""
-    report = VerificationReport("transport", trials, False, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
@@ -397,7 +423,7 @@ def verify_transport(trials: int = 500, seed: int = 0) -> VerificationReport:
             report.record(f"trial {trial}: transport missed the target condition")
         if not fixes_rows_over(pi, A):
             report.record(f"trial {trial}: transport toggles rows over the window")
-    return _finish(report)
+    report.sampled = trials
 
 
 _BOX_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 1, 4), (2, 1, 7), (4, 1, 3), (2, 3, 2))
@@ -457,9 +483,9 @@ def _eval_tables_equal(name_a, name_b, box: CoordinateBox) -> bool:
     return kernels.tables_equal(_member_table(box, name_a), _member_table(box, name_b))
 
 
-def verify_decision(trials: int = 100, seed: int = 0) -> VerificationReport:
+@_lemma("decision", "restrictions of deciding conditions decide alike")
+def verify_decision(report: VerificationReport, trials: int = 100, seed: int = 0):
     """Deciding conditions restricted to the support keep deciding the same way."""
-    report = VerificationReport("decision", trials, False, seed)
     rng = random.Random(seed)
     pair_probes = total_probes = drawn = kept = 0
     for trial in range(trials):
@@ -495,11 +521,11 @@ def verify_decision(trials: int = 100, seed: int = 0) -> VerificationReport:
             constant = kernels.subcube_member_summary(table, m, 0, 0) == verdict
             if decision_invariant(name, empty, p, m, box) != constant:
                 report.record(f"trial {trial}: the empty window's decision on m={m} disagrees with the table")
+    report.sampled = trials
     report.notes = (
         f"probes: {pair_probes} pair conditions, {total_probes} total-assignment conditions, "
         f"{kept} of {drawn} random conditions kept as deciding"
     )
-    return _finish(report)
 
 
 def _cube_minterms(dmask: int, vmask: int, within: int) -> list[int]:
@@ -584,9 +610,9 @@ def _witness_flips(witness, table, A: Window, box: CoordinateBox) -> bool:
     return any((col >> g ^ col >> flipped) & 1 for col in table.cols.values())
 
 
-def verify_normalize(trials: int = 100, seed: int = 0) -> VerificationReport:
+@_lemma("normalize", "packet schemes evaluate like their names")
+def verify_normalize(report: VerificationReport, trials: int = 100, seed: int = 0):
     """Normalized schemes evaluate exactly like the original name everywhere."""
-    report = VerificationReport("normalize", trials, False, seed)
     rng = random.Random(seed)
     outcomes = [0, 0]  # unsupported, supported
     for trial in range(trials):
@@ -610,18 +636,18 @@ def verify_normalize(trials: int = 100, seed: int = 0) -> VerificationReport:
         fault = _family_fault(name, table, scheme, A, box)
         if fault:
             report.record(f"trial {trial}: {fault}")
+    report.sampled = trials
     report.notes = (
         "evaluation equality checked on every assignment of each box; each family's minterms "
         "equal the whole-box projection, its packets are prime and it is closed under consensus; "
         f"support over every closed window against the generator sweep: {outcomes[1]} supported, "
         f"{outcomes[0]} unsupported with their witnesses flipped"
     )
-    return _finish(report)
 
 
-def verify_code(trials: int = 100, seed: int = 0) -> VerificationReport:
+@_lemma("code", "two-layer codes round-trip semantics")
+def verify_code(report: VerificationReport, trials: int = 100, seed: int = 0):
     """Two-layer encode/decode preserves evaluation on every assignment."""
-    report = VerificationReport("code", trials, False, seed)
     rng = random.Random(seed)
     for trial in range(trials):
         box = _random_box(rng)
@@ -640,11 +666,11 @@ def verify_code(trials: int = 100, seed: int = 0) -> VerificationReport:
             report.record(f"trial {trial}: decoded scheme changed some evaluation")
         if regrown.families != decoded.families:
             report.record(f"trial {trial}: decoding over a grown box changed the families")
+    report.sampled = trials
     report.notes = (
         "evaluation equality checked on every assignment of each box; each code also decoded "
         "over its box grown by 0-2 nodes, 0-1 rows and 0-1 bits, to the same families"
     )
-    return _finish(report)
 
 
 def _involutions(n: int):
@@ -669,10 +695,10 @@ def _cycle_lcm(p) -> int:
     return out
 
 
-def verify_odd_fixed(seed: int = 0) -> VerificationReport:
+@_lemma("odd-fixed", "odd sets under 2-groups have fixed points")
+def verify_odd_fixed(report: VerificationReport, seed: int = 0):
     """Every 2-group from at most two involutions fixes a point of any odd set up to 7 points."""
-    report = VerificationReport("odd-fixed", 0, True, seed)
-    count = pairs = products = 0
+    pairs = products = 0
     for n in range(1, 8, 2):
         invs = list(_involutions(n))
         ident = tuple(range(n))
@@ -688,7 +714,7 @@ def verify_odd_fixed(seed: int = 0) -> VerificationReport:
                     product_order = orders[product] = _cycle_lcm(product)
                 if product_order & (product_order - 1):
                     continue  # the dihedral closure would contain an odd-order element
-                count += 1
+                report.enumerated += 1
                 try:
                     action = close_group([sigma, mu])
                 except CertificateError:
@@ -713,12 +739,10 @@ def verify_odd_fixed(seed: int = 0) -> VerificationReport:
                 if fixed != least:
                     report.record(f"fixed point {fixed} is not the least singleton orbit {least}")
         products += len(orders)
-    report.trials = count
     report.notes = (
-        f"{pairs} involution pairs on 1, 3, 5 and 7 points, {count} with a 2-power product "
+        f"{pairs} involution pairs on 1, 3, 5 and 7 points, {report.enumerated} with a 2-power product "
         f"closed and checked, {products} distinct products"
     )
-    return _finish(report)
 
 
 def _subspace_span(basis) -> set[int]:
@@ -744,13 +768,13 @@ def _echelon_bases(d: int):
             yield from itertools.product(*rows)
 
 
-def verify_dyadic(dim: int = 3, seed: int = 0) -> VerificationReport:
+@_lemma("dyadic", "translation quotients have dyadic size")
+def verify_dyadic(report: VerificationReport, dim: int = 3, seed: int = 0):
     """Coset partitions pass with dyadic counts; 3-class labelings of F2^2 fail."""
     if dim < 0:
         raise DomainError(f"dimension {dim} is negative")
     if dim > MAX_DYADIC_DIM:
         raise DomainError(f"dimension {dim} exceeds the subspace sweep bound {MAX_DYADIC_DIM}")
-    report = VerificationReport("dyadic", 0, True, seed)
     count = 0
     for d in range(dim + 1):
         for basis in _echelon_bases(d):
@@ -782,21 +806,19 @@ def verify_dyadic(dim: int = 3, seed: int = 0) -> VerificationReport:
         q, q2, v = result.witness
         if labels[q] != labels[q2] or labels[q ^ v] == labels[q2 ^ v]:
             report.record(f"witness {result.witness} does not split {labels}")
-    report.trials = count + three_class
+    report.enumerated = count + three_class
     report.notes = f"{count} coset partitions, {three_class} three-class labelings"
-    return _finish(report)
 
 
-def verify_selector(trials: int = 200, seed: int = 0) -> VerificationReport:
+@_lemma("selector", "trace-separated triples select canonically")
+def verify_selector(report: VerificationReport, trials: int = 200, seed: int = 0):
     """Canonical selection is permutation invariant; duplicates are rejected."""
-    report = VerificationReport("selector", 0, True, seed)
     rng = random.Random(seed)
     forest = PredecessorForest.from_pred(3, {1: 0, 2: 0})
     W = Window.whole(forest)
     subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(range(3), r)]
-    count = 0
     for triple in itertools.combinations(subsets, 3):
-        count += 1
+        report.enumerated += 1
         profiles = [TraceProfile(W, s) for s in triple]
         chosen = profiles[canonical_selector(profiles)]
         for perm in itertools.permutations(profiles):
@@ -817,20 +839,18 @@ def verify_selector(trials: int = 200, seed: int = 0) -> VerificationReport:
         while len(picks) < 3:
             picks.add(frozenset(rng.sample(range(f.size), rng.randrange(f.size + 1))))
         profiles = [TraceProfile(Wr, s) for s in picks]
-        count += 1
         chosen = profiles[canonical_selector(profiles)]
         shuffled = profiles[:]
         rng.shuffle(shuffled)
         if shuffled[canonical_selector(shuffled)] != chosen:
             report.record("random window selection not permutation invariant")
-    report.trials = count
-    report.notes = f"{count - trials} enumerated triples in every order, plus {trials} sampled triples"
-    return _finish(report)
+    report.sampled = trials
+    report.notes = f"{report.enumerated} enumerated triples in every order, plus {trials} sampled triples"
 
 
-def verify_lift(seed: int = 0) -> VerificationReport:
+@_lemma("lift", "product choices project to choices")
+def verify_lift(report: VerificationReport, seed: int = 0):
     """Every product choice map projects to exactly its first coordinates; fully enumerated."""
-    report = VerificationReport("lift", 0, True, seed)
     count = families = 0
     arities = range(1, 4)
     for t_count in range(1, 5):
@@ -857,12 +877,11 @@ def verify_lift(seed: int = 0) -> VerificationReport:
                         got = lift_choice(family, k, f)
                         if got != expected:
                             report.record(f"sizes {sizes}, k={k}: {f} projects to {got}, not {expected}")
-    report.trials = count
+    report.enumerated = count
     report.notes = (
         f"{families} families (1 to 4 sets of sizes 1 to 3) x {len(arities)} arities (1 to 3); "
         "every choice map compared with its exact projection"
     )
-    return _finish(report)
 
 
 def _pattern_flip_sweep(
@@ -923,24 +942,23 @@ def _witness_sweep(w: SwapWitness, box: CoordinateBox) -> bool:
     return _pattern_flip_sweep(tau, w.beta, w.gamma, w.row, expected, box)
 
 
-def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
+@_lemma("swap", "swap witnesses certify the complement flip")
+def verify_swap(report: VerificationReport, trials: int = 60, seed: int = 0):
     """Swap witnesses certify, and an independent sweep of every assignment agrees."""
-    report = VerificationReport("swap", 0, True, seed)
     rng = random.Random(seed)
-    count = 0
     # full condition enumeration on a 6-coordinate box over the fork 1 -> 0 <- 2
     forest = PredecessorForest.from_pred(3, {1: 0, 2: 0})
     box = CoordinateBox(Window.whole(forest), 1, 2)
     A = rho_closure(forest, {0})
     coords = list(box.coords())
     for q in _all_conditions(coords):
-        count += 1
+        report.enumerated += 1
         w = swap_witness(q, A, 0, box)
         if not w.certificate.all_pass():
             report.record(f"certificate failed for exhaustive condition {q.entries}")
         if not _witness_sweep(w, box):
             report.record(f"assignment sweep refutes the pattern flip for {q.entries}")
-    enumerated = count
+    conditions = report.enumerated
     # sampled conditions on 12-coordinate boxes, sweeps stay exhaustive
     for trial in range(trials):
         n_nodes, rows, bits = rng.choice(((3, 2, 2), (4, 1, 3), (3, 1, 4)))
@@ -948,7 +966,6 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
         b = CoordinateBox(Window.whole(f), rows, bits)
         A_r = rho_closure(f, {0})
         q = _random_condition(f, rng, max_len=4, rows=rows, bits=bits)
-        count += 1
         row = rng.randrange(rows)
         try:
             w = swap_witness(q, A_r, row, b)
@@ -963,32 +980,14 @@ def verify_swap(trials: int = 60, seed: int = 0) -> VerificationReport:
         b = CoordinateBox(Window.whole(forest), 1, bits_count)
         for exceptions in ({0}, set(), {1}):
             tau = generator(forest, 0, 0, ToggleSet.cofinite_excluding(exceptions))
-            count += 1
+            report.enumerated += 1
             if not _pattern_flip_sweep(tau, 1, 2, 0, 0, b):
                 report.record(f"both-toggled generator moved the pattern (B={bits_count})")
-    report.trials = count
+    report.sampled = trials
     report.notes = (
-        f"{enumerated} enumerated conditions and {count - enumerated - trials} both-toggled generators, "
+        f"{conditions} enumerated conditions and {report.enumerated - conditions} both-toggled generators, "
         f"plus {trials} sampled conditions; pattern flip re-swept on every assignment of each witness's box"
     )
-    return _finish(report)
-
-
-REGISTRY = {
-    "starspan": (verify_starspan, "star basis spans every window target"),
-    "shield": (verify_shield, "toggles off the shield fix conditions"),
-    "fresh": (verify_fresh, "fresh separation clauses hold exhaustively"),
-    "abelian": (verify_abelian, "the cascade group is abelian of exponent 2"),
-    "transport": (verify_transport, "transport carries p to q fixing the window"),
-    "decision": (verify_decision, "restrictions of deciding conditions decide alike"),
-    "normalize": (verify_normalize, "packet schemes evaluate like their names"),
-    "code": (verify_code, "two-layer codes round-trip semantics"),
-    "odd-fixed": (verify_odd_fixed, "odd sets under 2-groups have fixed points"),
-    "dyadic": (verify_dyadic, "translation quotients have dyadic size"),
-    "selector": (verify_selector, "trace-separated triples select canonically"),
-    "lift": (verify_lift, "product choices project to choices"),
-    "swap": (verify_swap, "swap witnesses certify the complement flip"),
-}
 
 
 def lemma_parameters(lemma: str) -> set[str]:

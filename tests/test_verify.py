@@ -42,6 +42,81 @@ def test_shield_exhaustive_count_is_seed_independent(seed):
     assert "plus 2 sampled trials" in report.notes
 
 
+def test_every_counted_shield_trial_applies_a_toggle(monkeypatch):
+    # an empty finite pick toggles nothing, so a trial that drew one would be counted unchecked
+    calls = 0
+    real = verify.apply
+
+    def counting(tau, q):
+        nonlocal calls
+        calls += 1
+        return real(tau, q)
+
+    monkeypatch.setattr(verify, "apply", counting)
+    report = verify_shield(trials=1000, seed=0)
+    assert report.ok()
+    assert calls == report.trials == 1000 + SHIELD_SWEEP
+
+
+# the order `verify --all` runs and prints the lemmas in
+LEMMA_ORDER = (
+    "starspan", "shield", "fresh", "abelian", "transport", "decision", "normalize",
+    "code", "odd-fixed", "dyadic", "selector", "lift", "swap",
+)
+
+# (enumerated, sampled) of each lemma at its default keywords, whatever the seed
+DEFAULT_COUNTS = {
+    "starspan": (0, 200),
+    "shield": (SHIELD_SWEEP, 1000),
+    "fresh": (2261, 0),
+    "abelian": (0, 300),
+    "transport": (0, 500),
+    "decision": (0, 100),
+    "normalize": (0, 100),
+    "code": (0, 100),
+    "odd-fixed": (7467, 0),
+    "dyadic": (24 + 36, 0),
+    "selector": (56, 200),
+    "lift": (135_324, 0),
+    "swap": (729 + 6, 60),
+}
+
+# each count a note prints, as a pattern whose groups sum to (enumerated, sampled)
+NOTE_COUNTS = {
+    "shield": (r"(\d+) exhaustive instances on the 8-coordinate box, plus (\d+) sampled trials", (1,), (2,)),
+    "selector": (r"(\d+) enumerated triples in every order, plus (\d+) sampled triples", (1,), (2,)),
+    "swap": (r"(\d+) enumerated conditions and (\d+) both-toggled generators, plus (\d+) sampled conditions", (1, 2), (3,)),
+    "dyadic": (r"(\d+) coset partitions, (\d+) three-class labelings", (1, 2), ()),
+    "odd-fixed": (r"\d+ involution pairs on 1, 3, 5 and 7 points, (\d+) with a 2-power product", (1,), ()),
+}
+
+
+def test_registry_holds_each_routine_under_its_id_in_sweep_order():
+    assert tuple(REGISTRY) == LEMMA_ORDER
+    for lemma, (routine, _) in REGISTRY.items():
+        assert getattr(verify, "verify_" + lemma.replace("-", "_")) is routine
+
+
+@pytest.mark.parametrize("seed", [0, 300])
+def test_counts_labels_and_notes_agree(seed):
+    for lemma, (routine, _) in REGISTRY.items():
+        report = routine(seed=seed)
+        assert report.ok(), lemma
+        assert (report.enumerated, report.sampled) == DEFAULT_COUNTS[lemma]
+        assert report.trials == report.enumerated + report.sampled
+        assert report.exhaustive == (report.enumerated > 0)
+        flag = "true" if report.exhaustive else "false"
+        assert report.summary_line().startswith(
+            f"lemma={lemma} trials={report.trials} exhaustive={flag} failures=0 seed={seed} "
+        )
+        if lemma in NOTE_COUNTS:
+            pattern, enumerated, sampled = NOTE_COUNTS[lemma]
+            match = re.match(pattern, report.notes)
+            assert match, lemma
+            assert sum(int(match[g]) for g in enumerated) == report.enumerated, lemma
+            assert sum(int(match[g]) for g in sampled) == report.sampled, lemma
+
+
 def test_notes_split_enumerated_from_sampled_counts():
     selector = verify_selector(trials=5, seed=0)
     assert selector.trials == 56 + 5
@@ -100,7 +175,8 @@ def test_starspan_note_states_the_window_bound_applied():
     for exhaustive, bound in ((False, 10), (True, 12)):
         report = verify_starspan(trials=20, seed=0, exhaustive=exhaustive)
         assert report.ok()
-        assert report.exhaustive is exhaustive
+        # the windows are drawn at random, so sweeping every target leaves the run sampled
+        assert report.exhaustive is False
         assert report.notes == f"all targets swept on windows up to {bound} nodes"
 
 
