@@ -85,7 +85,9 @@ DEFAULT_COUNTS = {
 NOTE_COUNTS = {
     "shield": (r"(\d+) exhaustive instances on the 8-coordinate box, plus (\d+) sampled trials", (1,), (2,)),
     "selector": (r"(\d+) enumerated triples in every order, plus (\d+) sampled triples", (1,), (2,)),
-    "swap": (r"(\d+) enumerated conditions and (\d+) both-toggled generators, plus (\d+) sampled conditions", (1, 2), (3,)),
+    "swap": (
+        r"(\d+) enumerated conditions and (\d+) both-toggled generators, plus (\d+) sampled conditions", (1, 2), (3,)
+    ),
     "dyadic": (r"(\d+) coset partitions, (\d+) three-class labelings", (1, 2), ()),
     "odd-fixed": (r"\d+ involution pairs on 1, 3, 5 and 7 points, (\d+) with a 2-power product", (1,), ()),
 }
