@@ -30,7 +30,7 @@ from .forest import (
 )
 from .names import CoordinateBox
 from .selectors import format_witness, swap_witness
-from .verify import MAX_DYADIC_DIM, REGISTRY, lemma_parameters, run
+from .verify import REGISTRY, lemma_parameters, run
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -43,16 +43,19 @@ MAX_SIZE = 1 << 16
 
 
 def _write_out(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc}") from exc
 
 
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -117,27 +120,14 @@ def _print_report(report, description: str) -> None:
 
 
 # verify flags that tune a lemma, by the keyword they pass to it
-_VERIFY_FLAGS = {
-    "trials": "--trials",
-    "dim": "--dim",
-    "exhaustive": "--exhaustive",
-}
+_VERIFY_FLAGS = {"trials": "--trials"}
 
 
 def cmd_verify(args) -> int:
-    if args.trials is not None and args.trials <= 0:
-        raise ParseError(f"--trials must be positive, got {args.trials}")
-    if args.dim is not None and args.dim < 0:
-        raise ParseError(f"--dim must not be negative, got {args.dim}")
-    if args.dim is not None and args.dim > MAX_DYADIC_DIM:
-        raise ParseError(f"--dim must be at most {MAX_DYADIC_DIM}, got {args.dim}")
-    kwargs = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "dim": args.dim,
-        "exhaustive": args.exhaustive or None,
-    }
+    kwargs = {"seed": args.seed, "trials": args.trials}
     if args.all:
+        if args.lemma is not None:
+            raise ParseError(f"verify takes a lemma id or --all, not both (got {args.lemma!r})")
         lemmas = list(REGISTRY)
     elif args.lemma is None:
         raise ParseError("verify needs a lemma id or --all")
@@ -159,7 +149,7 @@ def cmd_verify(args) -> int:
         out_lines.append(report.summary_line())
         failures += report.failure_count()
     if args.out:
-        Path(args.out).write_text("\n".join(out_lines) + "\n")
+        _write_out("\n".join(out_lines) + "\n", args.out)
     if failures:
         print(f"verification failed: {failures} failing instances")
         return EXIT_VERIFY_FAILED
@@ -231,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--exhaustive", action="store_true")
-    p_verify.add_argument("--dim", type=int, default=None)
     p_verify.add_argument("--out", default=None)
 
     p_demo = sub.add_parser("demo", help="demonstrations of the obstruction machinery")

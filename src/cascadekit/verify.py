@@ -4,8 +4,9 @@ Each routine replays an invariant suite and returns a report, whose
 ``trials`` counts the instances checked (enumerated by a fixed sweep plus
 sampled from the seed) and which is ``exhaustive`` when it has an
 enumerated part; the CLI maps lemma ids onto these.  A routine's keywords
-are ``seed`` plus the ones the CLI's verify flags set; every other scale
-is fixed here.  What each oracle recomputes, apart from the code it checks:
+are ``seed`` and, when it samples, ``trials``, which the harness that
+registers it checks; every other scale is fixed here.  What each oracle
+recomputes, apart from the code it checks:
 
 - starspan: invertibility by Gaussian elimination, and each node's star
   rebuilt from the parent map;
@@ -83,12 +84,15 @@ from .selectors import (
 )
 
 MAX_RECORDED_FAILURES = 25
-# the dyadic sweep visits every subspace of F2^d for d <= dim once, by its
-# reduced echelon basis: 3,290 in 0.17 s at dim 6 on a 2-CPU machine; dim 7
-# would add 29,212 more
-MAX_DYADIC_DIM = 6
+# the dyadic sweep visits every subspace of F2^d for d <= DYADIC_DIM once, by
+# its reduced echelon basis: 24 of them; the 3,290 up to d = 6 take 0.18 s on
+# a 2-CPU machine, against 0.0007 s for these
+DYADIC_DIM = 3
 # starspan's closed windows have at most this many nodes
 MAX_STARSPAN_WINDOW = 12
+# starspan solves every target on its windows of at most this many nodes,
+# which fill the solver's first two 4-bit lookup tables
+STARSPAN_SWEEP_WINDOW = 10
 
 
 @dataclass
@@ -140,7 +144,10 @@ REGISTRY: dict[str, tuple] = {}
 
 
 def _lemma(lemma: str, description: str):
-    """Register the decorated body, which fills the report passed first, as ``lemma``'s routine."""
+    """Register the decorated body, which fills the report passed first, as ``lemma``'s routine.
+
+    The routine rejects a ``trials`` below 1, and a report that counts no instance.
+    """
 
     def register(body):
         signature = inspect.signature(body)
@@ -151,6 +158,10 @@ def _lemma(lemma: str, description: str):
             started = time.perf_counter()
             bound = public.bind(*args, **kwargs)
             bound.apply_defaults()
+            # no trial would run, and a negative count would be printed as run
+            trials = bound.arguments.get("trials")
+            if trials is not None and trials < 1:
+                raise DomainError(f"trials must be positive, got {trials}")
             report = VerificationReport(lemma, bound.arguments["seed"])
             body(report, *bound.args, **bound.kwargs)
             if report.trials < 1:  # a report that holds no instance would pass vacuously
@@ -214,17 +225,16 @@ def _parent_star(K: Window, xi: int) -> int:
 
 
 @_lemma("starspan", "star basis spans every window target")
-def verify_starspan(report: VerificationReport, trials: int = 200, seed: int = 0, exhaustive: bool = False):
+def verify_starspan(report: VerificationReport, trials: int = 200, seed: int = 0):
     """Star matrices are unit triangular and invertible; the solver hits every target.
 
     Each trial draws a closed window of up to ``MAX_STARSPAN_WINDOW`` nodes
     and compares the star the library combines for each node with the one
     rebuilt from the parent map.  Every target is solved, one at a time, on
-    windows of up to 10 nodes, or on every (still sampled) window with
-    ``exhaustive``.  The round trip checks the basis's units only against its
-    own stars; the rebuilt stars check those against the forest.
+    windows of up to ``STARSPAN_SWEEP_WINDOW`` nodes.  The round trip checks
+    the basis's units only against its own stars; the rebuilt stars check
+    those against the forest.
     """
-    sweep_window = MAX_STARSPAN_WINDOW if exhaustive else 10
     rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(1, 2 * MAX_STARSPAN_WINDOW), rng.getrandbits(32))
@@ -241,7 +251,7 @@ def verify_starspan(report: VerificationReport, trials: int = 200, seed: int = 0
             if wrong:
                 report.record(f"trial {trial}: star of node {wrong[0]} differs from its parent-map star")
                 continue
-            if len(K) <= sweep_window:
+            if len(K) <= STARSPAN_SWEEP_WINDOW:
                 for bits in range(1 << len(K)):
                     target = F2Vector(K, bits)
                     if combine_stars(K, solve_star_span(K, target)) != target:
@@ -250,7 +260,7 @@ def verify_starspan(report: VerificationReport, trials: int = 200, seed: int = 0
         except CertificateError as exc:
             report.record(f"trial {trial}: basis certificate failed on {K.serialize()}: {exc}")
     report.sampled = trials
-    report.notes = f"all targets swept on windows up to {sweep_window} nodes"
+    report.notes = f"all targets swept on windows up to {STARSPAN_SWEEP_WINDOW} nodes"
 
 
 def _legal_toggles(forest: PredecessorForest, beta: int, row: int, shield: frozenset[int]) -> list:
@@ -769,14 +779,10 @@ def _echelon_bases(d: int):
 
 
 @_lemma("dyadic", "translation quotients have dyadic size")
-def verify_dyadic(report: VerificationReport, dim: int = 3, seed: int = 0):
+def verify_dyadic(report: VerificationReport, seed: int = 0):
     """Coset partitions pass with dyadic counts; 3-class labelings of F2^2 fail."""
-    if dim < 0:
-        raise DomainError(f"dimension {dim} is negative")
-    if dim > MAX_DYADIC_DIM:
-        raise DomainError(f"dimension {dim} exceeds the subspace sweep bound {MAX_DYADIC_DIM}")
     count = 0
-    for d in range(dim + 1):
+    for d in range(DYADIC_DIM + 1):
         for basis in _echelon_bases(d):
             span = _subspace_span(basis)
             labels = [-1] * (1 << d)
@@ -1000,12 +1006,9 @@ def lemma_parameters(lemma: str) -> set[str]:
 def run(lemma: str, **kwargs) -> VerificationReport:
     """Run one lemma, passing only the non-``None`` keywords it accepts.
 
-    A ``trials`` below 1 raises :class:`DomainError`: no trial would run,
-    and the report would pass vacuously.
+    A ``trials`` below 1 raises :class:`DomainError` from the lemma's
+    harness before any instance runs.
     """
     accepted = lemma_parameters(lemma)
-    trials = kwargs.get("trials")
-    if trials is not None and trials < 1:
-        raise DomainError(f"trials must be positive, got {trials}")
     fn, _ = REGISTRY[lemma]
     return fn(**{k: v for k, v in kwargs.items() if k in accepted and v is not None})

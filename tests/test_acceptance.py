@@ -136,7 +136,7 @@ def test_criterion_8_odd_fixed_points():
 
 
 def test_criterion_9_dyadic_quotients():
-    report = verify_dyadic(dim=3)
+    report = verify_dyadic()
     _criterion(
         9,
         "dyadic quotients and 3-class rejection",

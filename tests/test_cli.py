@@ -108,18 +108,11 @@ class TestVerify:
         assert "seed=3" in out
 
     def test_starspan_scaled_down(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "starspan", "--trials", "20", "--exhaustive"
-        )
+        code, out, _ = run_cli(capsys, "verify", "starspan", "--trials", "20")
         assert code == 0
         # the windows are drawn at random, so the run is sampled even when every target is swept
         assert "lemma=starspan trials=20 exhaustive=false failures=0" in out
-        assert "note: all targets swept on windows up to 12 nodes" in out
-
-    def test_dyadic_dim(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "dyadic", "--dim", "2")
-        assert code == 0
-        assert "lemma=dyadic" in out and "failures=0" in out
+        assert "note: all targets swept on windows up to 10 nodes" in out
 
     def test_unknown_lemma_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")
@@ -131,26 +124,18 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
 
+    def test_lemma_id_beside_all_usage_error(self, capsys):
+        # an id next to --all would otherwise be dropped without a word
+        code, out, err = run_cli(capsys, "verify", "bogus", "--all")
+        assert code == 2
+        assert err == "error: verify takes a lemma id or --all, not both (got 'bogus')\n"
+        assert "lemma=" not in out
+
     @pytest.mark.parametrize("argv", [("starspan", "--trials", "0"), ("--all", "--trials", "-3")])
     def test_nonpositive_trials_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
-        assert "--trials must be positive" in err
-        assert "lemma=" not in out
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (("dyadic", "--dim", "-1"), "--dim must not be negative"),
-            (("--all", "--dim", "-1"), "--dim must not be negative"),
-            (("dyadic", "--dim", "7"), "--dim must be at most 6"),
-            (("--all", "--dim", "7"), "--dim must be at most 6"),
-        ],
-    )
-    def test_out_of_range_sizes_usage_error(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, "verify", *argv)
-        assert code == 2
-        assert message in err
+        assert "error: trials must be positive" in err
         assert "lemma=" not in out
 
     @pytest.mark.parametrize(
@@ -163,15 +148,29 @@ class TestVerify:
         assert f"verify {argv[0]} does not accept {flag}" in err
         assert "lemma=" not in out
 
-    @pytest.mark.parametrize("argv", [("starspan", "--max-window", "6"), ("normalize", "--box", "2,2,2")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("starspan", "--max-window", "6"),
+            ("normalize", "--box", "2,2,2"),
+            ("starspan", "--exhaustive"),
+            ("dyadic", "--dim", "2"),
+        ],
+    )
     def test_window_and_box_size_flags_refused(self, capsys, argv):
-        # window and box sizes are fixed in verify.py, so verify takes no flag for them
+        # window, box and sweep sizes are fixed in verify.py, so verify takes no flag for them
         with pytest.raises(SystemExit) as exc:
             main(["verify", *argv])
         out, err = capsys.readouterr()
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in err
         assert "lemma=" not in out
+
+    def test_help_lists_only_the_lemma_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z-]+", out)) == {"--help", "--all", "--trials", "--seed", "--out"}
 
     def test_verify_deterministic_given_seed(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "transport", "--trials", "30", "--seed", "5")
@@ -273,3 +272,22 @@ class TestDemoNoSelector:
         assert code == 0
         # support closes to {0,1}; fresh pair in the remaining nodes
         assert "beta: 3" in out and "gamma: 2" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("forest", "closure", "--in", "{latin1}"), id="forest-closure-in"),
+        pytest.param(("demo", "no-selector", "--in", "{latin1}"), id="demo-in"),
+        pytest.param(("forest", "gen", "--size", "4", "--out", "{missing}"), id="forest-gen-out"),
+        pytest.param(("verify", "dyadic", "--out", "{missing}"), id="verify-out"),
+    ],
+)
+def test_file_errors_are_usage_errors(capsys, tmp_path, argv):
+    # exit 1 means a verification failure, so a non-UTF-8 or unwritable file must exit 2
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("4\n1 0\n2 0\n3 1 # \u00e9\n".encode("latin-1"))
+    missing = tmp_path / "missing" / "out.txt"
+    code, _, err = run_cli(capsys, *(arg.format(latin1=latin1, missing=missing) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: cannot ")

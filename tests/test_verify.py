@@ -13,7 +13,6 @@ from cascadekit.f2linalg import StarBasis
 from cascadekit.names import _name_pairs
 from cascadekit.orbits import _perm_order
 from cascadekit.verify import (
-    MAX_DYADIC_DIM,
     REGISTRY,
     _cycle_lcm,
     _echelon_bases,
@@ -173,26 +172,18 @@ def test_lemma_takes_only_the_seed_and_cli_flags(lemma):
     assert lemma_parameters(lemma) <= {"seed"} | set(cli._VERIFY_FLAGS)
 
 
+def test_lemma_parameters_are_seed_and_trials_alone():
+    assert set(cli._VERIFY_FLAGS) == {"trials"}
+    # every lemma takes seed, and the nine that sample take trials too
+    assert sum(len(lemma_parameters(lemma)) for lemma in REGISTRY) == 22
+
+
 def test_starspan_note_states_the_window_bound_applied():
-    for exhaustive, bound in ((False, 10), (True, 12)):
-        report = verify_starspan(trials=20, seed=0, exhaustive=exhaustive)
-        assert report.ok()
-        # the windows are drawn at random, so sweeping every target leaves the run sampled
-        assert report.exhaustive is False
-        assert report.notes == f"all targets swept on windows up to {bound} nodes"
-
-
-def test_dyadic_dimension_above_the_sweep_bound_rejected():
-    with pytest.raises(DomainError):
-        verify_dyadic(dim=MAX_DYADIC_DIM + 1)
-
-
-def test_dyadic_negative_dimension_rejected():
-    # a negative dimension sweeps no coset partition, so it must not pass
-    with pytest.raises(DomainError):
-        verify_dyadic(dim=-1)
-    with pytest.raises(DomainError):
-        verify.run("dyadic", dim=-1)
+    report = verify_starspan(trials=20, seed=0)
+    assert report.ok()
+    # the windows are drawn at random, so sweeping every target leaves the run sampled
+    assert report.exhaustive is False
+    assert report.notes == f"all targets swept on windows up to {verify.STARSPAN_SWEEP_WINDOW} nodes"
 
 
 @pytest.mark.parametrize("lemma", [lemma for lemma in REGISTRY if "trials" in lemma_parameters(lemma)])
@@ -209,8 +200,27 @@ def test_run_rejects_trials_below_one(lemma, trials):
 )
 def test_direct_call_with_no_trial_raises(routine):
     # every trial-taking routine that sweeps nothing beyond its trials would pass vacuously
-    with pytest.raises(DomainError, match="checked no instance"):
+    with pytest.raises(DomainError, match="trials must be positive"):
         getattr(verify, routine)(trials=0)
+
+
+@pytest.mark.parametrize("routine", [verify_shield, verify_selector, verify_swap])
+def test_direct_call_with_negative_trials_raises(routine):
+    # each also sweeps a fixed part, so a negative count would be subtracted from a passing total
+    with pytest.raises(DomainError, match="trials must be positive, got -3"):
+        routine(trials=-3)
+
+
+def test_report_that_counts_no_instance_raises(monkeypatch):
+    monkeypatch.setattr(verify, "REGISTRY", {})
+
+    @verify._lemma("empty", "checks nothing")
+    def verify_empty(report, trials: int = 5, seed: int = 0):
+        pass
+
+    assert list(verify.REGISTRY) == ["empty"]
+    with pytest.raises(DomainError, match="empty checked no instance"):
+        verify_empty()
 
 
 def test_all_conditions_enumerates_every_partial_function_once():
@@ -237,8 +247,9 @@ def test_echelon_bases_give_every_subspace_once():
             assert set(spans) == swept
 
 
-def test_dyadic_sweeps_every_subspace_up_to_dimension_six():
-    report = verify_dyadic(dim=6)
+def test_dyadic_sweeps_every_subspace_up_to_dimension_six(monkeypatch):
+    monkeypatch.setattr(verify, "DYADIC_DIM", 6)
+    report = verify_dyadic()
     assert report.ok()
     assert report.notes.startswith("3290 coset partitions")
 
