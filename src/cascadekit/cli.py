@@ -140,6 +140,8 @@ def cmd_verify(args) -> int:
         if ignored:
             raise ParseError(f"verify {args.lemma} does not accept {', '.join(ignored)}")
         lemmas = [args.lemma]
+    if args.out and not Path(args.out).parent.is_dir():  # refused before the sweep, not after it
+        raise ParseError(f"cannot write {args.out}: {Path(args.out).parent} is not a directory")
     failures = 0
     out_lines = []
     # each report prints as its lemma returns, so a lemma that raises keeps the earlier reports

@@ -8,21 +8,21 @@ the matrix.  Listing the window child-before-parent (descending node id,
 since the forest is regressive) makes the star-incidence matrix unit upper
 triangular, so the star vectors form a basis.
 
-Each window gets one cached :class:`StarBasis`: :func:`solve_star_span`
-reads it per target, and :func:`solve_all_targets` returns it as the
-read-only sequence of every target's solution.  The target that is 1 at a
-single node is solved by that node plus its descendants inside the window;
-the basis holds these unit solutions in four-Russians tables (Arlazarov,
-Dinic, Kronrod and Faradzev, 1970), every XOR of each group of four, so a
-solve costs one lookup per four bits.  The basis is certified once, when it
-is built, and by linearity its certificate covers every target.
+Each window keeps the :class:`StarBasis` built on its first solve for as
+long as it lives: :func:`solve_star_span` reads it per target, and
+:func:`solve_all_targets` returns it as the read-only sequence of every
+target's solution.  The target that is 1 at a single node is solved by that
+node plus its descendants inside the window; the basis holds these unit
+solutions in four-Russians tables (Arlazarov, Dinic, Kronrod and Faradzev,
+1970), every XOR of each group of four, so a solve costs one lookup per four
+bits.  The basis is certified once, when it is built, and by linearity its
+certificate covers every target.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CertificateError, DomainError
 from .forest import NodeId, Window
@@ -138,15 +138,6 @@ def star_matrix(K: Window) -> F2Matrix:
     return F2Matrix(order, tuple(masks[xi] for xi in order))
 
 
-# Bases kept by the window cache.  Every caller asks all its questions about one
-# window before it moves on.  Measured per pass: with one entry, window-solve
-# misses 42 of 5,418 lookups (once per window) and verify-sweep (seed 100) 409
-# of 56,446, against 42 and 329 with 256 entries; names-wide makes none.  A
-# basis holds about 6 KB up to 22 nodes; its tables grow as n**2 / 2 bytes, so
-# the cached basis of a 2,000-node window holds 3 MB.
-_BASIS_ENTRIES = 1
-
-
 def _xor_table(a: int, b: int, c: int, d: int, *_) -> tuple[int, ...]:
     """Every XOR of four masks: entry ``i`` XORs the masks at the set bits of ``i``."""
     ab, cd = a ^ b, c ^ d
@@ -186,7 +177,7 @@ class StarBasis(Sequence):
     steps build the units; no unit is substituted back.
     """
 
-    __slots__ = ("window", "masks", "sums", "nodes")
+    __slots__ = ("size", "masks", "sums", "nodes")
 
     def __init__(self, K: Window, masks: dict[int, int]):
         order = K.ordered
@@ -216,7 +207,7 @@ class StarBasis(Sequence):
             size = 1 << min(4, n - c)
             sums.append(_xor_table(*units[c : c + 4], 0, 0, 0)[:size])
             nodes.append(_node_table(*order[c : c + 4], None, None, None)[:size])
-        self.window = K
+        self.size = 1 << n
         self.masks = masks
         self.sums = tuple(sums)
         self.nodes = tuple(nodes)
@@ -234,21 +225,25 @@ class StarBasis(Sequence):
         return out
 
     def __len__(self) -> int:
-        return 1 << len(self.window.nodes)
+        return self.size
 
     def __getitem__(self, t: int) -> frozenset:
-        size = 1 << len(self.window.nodes)
         if t < 0:
-            t += size
-        if not 0 <= t < size:
+            t += self.size
+        if not 0 <= t < self.size:
             raise IndexError("target index out of range")
         return frozenset(self.solution(t))
 
 
-@lru_cache(maxsize=_BASIS_ENTRIES)
 def _star_basis(K: Window) -> StarBasis:
-    """The certified basis of a window, cached: callers solve many targets per window."""
-    return StarBasis(K, _star_masks(K.ordered, K.forest.parents))
+    """The window's certified basis, built on its first solve and kept by the window.
+
+    It is held as long as the window lives: about 6 KB up to 22 nodes, with
+    tables growing as n**2 / 2 bytes, so 3 MB for a 2,000-node window.
+    """
+    if K._basis is None:
+        object.__setattr__(K, "_basis", StarBasis(K, _star_masks(K.ordered, K.forest.parents)))
+    return K._basis
 
 
 def solve_star_span(K: Window, target: F2Vector) -> set[NodeId]:
@@ -277,7 +272,7 @@ def combine_stars(K: Window, nodes) -> F2Vector:
 
 
 def solve_all_targets(K: Window) -> StarBasis:
-    """Coefficient sets for every target over the window: its cached :class:`StarBasis`.
+    """Coefficient sets for every target over the window: its :class:`StarBasis`.
 
     Index ``t`` holds the solution for ``F2Vector(K, t)``.  The basis is the
     one :func:`solve_star_span` reads, so no entry is stored or solved

@@ -109,6 +109,8 @@ class Window:
     nodes: frozenset[int]
     ordered: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
     _hash: int = field(init=False, repr=False, compare=False, default=0)
+    # the window's certified star basis, set by f2linalg on its first solve
+    _basis: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not is_rho_closed(self.forest, self.nodes):

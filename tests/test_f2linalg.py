@@ -1,6 +1,7 @@
 """Star vectors, the triangular star matrix, and span solving."""
 
 import dataclasses
+import gc
 import itertools
 import os
 import pickle
@@ -8,6 +9,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 from collections.abc import Sequence
 
@@ -302,7 +304,6 @@ class TestSolve:
         # hold n**2 / 2 bits; substituting each unit back would cost O(n**2) steps
         n = 2000
         K = Window.whole(forest_of(n, {xi: xi - 1 for xi in range(1, n)}))
-        f2linalg._star_basis.cache_clear()
         tracemalloc.start()
         try:
             f2linalg._star_basis(K)
@@ -340,6 +341,27 @@ class TestTargetSolutions:
         batch = solve_all_targets(K)
         assert batch is f2linalg._star_basis(K)
         assert isinstance(batch, StarBasis) and isinstance(batch, Sequence)
+
+    def test_window_keeps_its_basis_while_others_are_solved(self):
+        K1 = Window(forest_of(3, {1: 0, 2: 0}), frozenset(range(3)))
+        K2 = Window(forest_of(4, {1: 0, 2: 1, 3: 1}), frozenset(range(4)))
+        first = solve_all_targets(K1)
+        assert solve_star_span(K2, F2Vector(K2, 0b1010)) == forward_substitution(K2, 0b1010)
+        assert solve_all_targets(K1) is first
+
+    def test_solved_window_dies_with_its_last_reference(self):
+        # nothing outside the window holds it, and its basis does not point back at it
+        K = Window(forest_of(4, {1: 0, 2: 1, 3: 1}), frozenset(range(4)))
+        gc.disable()
+        try:
+            solve_star_span(K, F2Vector(K, 0b0110))
+            combine_stars(K, [1, 3])
+            solve_all_targets(K)[5]
+            ref = weakref.ref(K)
+            del K
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_every_closed_window_up_to_five_nodes(self):
         for size in range(1, 6):
@@ -379,7 +401,6 @@ class TestTargetSolutions:
         # the basis takes a few KB; a frozenset per target would peak near 41 MB
         f = random_forest(16, 5)
         K = Window.whole(f)
-        f2linalg._star_basis.cache_clear()
         tracemalloc.start()
         try:
             batch = solve_all_targets(K)
