@@ -140,8 +140,8 @@ def cmd_verify(args) -> int:
         if ignored:
             raise ParseError(f"verify {args.lemma} does not accept {', '.join(ignored)}")
         lemmas = [args.lemma]
-    if args.out and not Path(args.out).parent.is_dir():  # refused before the sweep, not after it
-        raise ParseError(f"cannot write {args.out}: {Path(args.out).parent} is not a directory")
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):  # before the sweep
+        raise ParseError(f"cannot write {args.out}: not a file path in an existing directory")
     failures = 0
     out_lines = []
     # each report prints as its lemma returns, so a lemma that raises keeps the earlier reports

@@ -108,7 +108,6 @@ class Window:
     forest: PredecessorForest
     nodes: frozenset[int]
     ordered: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
     # the window's certified star basis, set by f2linalg on its first solve
     _basis: object = field(init=False, repr=False, compare=False, default=None)
 
@@ -116,11 +115,9 @@ class Window:
         if not is_rho_closed(self.forest, self.nodes):
             raise DomainError("window is not closed under the predecessor map")
         object.__setattr__(self, "ordered", tuple(sorted(self.nodes)))
-        # windows key the solvers' caches; hashing the forest's parents tuple per lookup adds up
-        object.__setattr__(self, "_hash", hash((self.forest, self.nodes)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getstate__(self):  # pickle the value alone; the basis is rebuilt on the first solve
+        return {"forest": self.forest, "nodes": self.nodes, "ordered": self.ordered}
 
     @classmethod
     def whole(cls, forest: PredecessorForest) -> "Window":

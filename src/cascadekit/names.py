@@ -7,10 +7,10 @@ play the role of a maximal antichain of atoms, so "decides" and "supported
 by" become finite sweeps.  Evaluation reads only the coordinates a name
 mentions, so each sweep runs over a member table of those coordinates and
 still covers every assignment of the box: the box may have any size, and
-``kernels.MAX_TABLE_COORDS`` bounds what one name mentions.  One member
-table is built per (name, box) and reused by support, normalization and
-decision questions, as is each support sweep per (name, support, box); each
-cache keeps only its ``_CACHE_ENTRIES`` most recent entries.
+``kernels.MAX_TABLE_COORDS`` bounds what one name mentions.  A name holds
+the member table built on its first question, reused by support,
+normalization and decision questions over any box that holds it, and the
+verdict of each single-coordinate flip once some support window needs it.
 
 A name supported by a closed window A normalizes to a packet scheme: per
 member m, the prime implicants (the Blake canonical form) of m's
@@ -24,18 +24,12 @@ naturals, so a code names its packets over every box that holds them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from . import _kernels as kernels
 from .cascade import Condition, Coordinate, Packet
 from .errors import DomainError, PreconditionError
 from .forest import PredecessorForest, Window
-
-# Entries kept by the member-table and support caches.  Every caller asks all
-# its questions about one name before it moves on, so the name asked about
-# again is the most recent one.
-_CACHE_ENTRIES = 1
 
 
 @dataclass(frozen=True)
@@ -132,13 +126,18 @@ class RawName:
     """A finite set of (m, condition) pairs; the pre-normalization shape."""
 
     pairs: frozenset[tuple[int, Condition]]
+    # the name's member table and flip verdicts, set by _name_table on its first question
+    _table: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        # a frozenset keeps the name hashable, so it can key the member-table cache
+        # a frozenset keeps the pairs fixed, so the table the name holds stays its own
         object.__setattr__(self, "pairs", frozenset(self.pairs))
         for m, _ in self.pairs:
             if m < 0:
                 raise DomainError("member indices must be naturals")
+
+    def __getstate__(self):  # pickle the value alone; the table is rebuilt on the first question
+        return {"pairs": self.pairs}
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, Condition]]) -> "RawName":
@@ -160,6 +159,7 @@ class PacketScheme:
 
     support: Window
     families: tuple[tuple[int, frozenset[Packet]], ...]
+    _table: tuple = field(init=False, repr=False, compare=False, default=None)  # as RawName's
 
     def __post_init__(self):
         seen = set()
@@ -174,9 +174,12 @@ class PacketScheme:
                     raise DomainError(
                         f"packet in family {m} mentions nodes outside the support"
                     )
-        # frozen families keep the scheme hashable, so it can key the member-table cache
+        # frozen families keep the packets fixed, so the table the scheme holds stays its own
         frozen = ((m, frozenset(packets)) for m, packets in self.families)
         object.__setattr__(self, "families", tuple(sorted(frozen, key=lambda kv: kv[0])))
+
+    def __getstate__(self):  # pickle the value alone; the table is rebuilt on the first question
+        return {"support": self.support, "families": self.families}
 
     @classmethod
     def of(cls, support: Window, families: Mapping[int, Iterable[Packet]]) -> "PacketScheme":
@@ -195,7 +198,7 @@ class PacketScheme:
 
 
 def _check_name(name) -> None:
-    """Reject anything but a raw name or packet scheme, before it is hashed as a cache key."""
+    """Reject anything but a raw name or packet scheme, before its pairs or table are read."""
     if not isinstance(name, (RawName, PacketScheme)):
         raise DomainError(f"expected a raw name or packet scheme, got {type(name)!r}")
 
@@ -209,38 +212,41 @@ def _name_pairs(name) -> tuple[tuple[int, Condition], ...]:
 
 def evaluate(name, g: Assignment) -> set[int]:
     """Members of the name under one total assignment."""
-    out = set()
-    for m, cond in _name_pairs(name):
-        if g.extends(cond):
-            out.add(m)
-    return out
+    return {m for m, cond in _name_pairs(name) if g.extends(cond)}
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
 def _name_table(name, box: CoordinateBox):
     """Member table of a name over only the coordinates its conditions mention.
 
-    Returns ``(pairs, table, slot)``: the name's sorted pairs, the table,
-    and each mentioned coordinate's bit in the table, in box order.
+    Returns ``(pairs, table, slot, flips)``: the name's sorted pairs, the
+    table, each mentioned coordinate's bit in the table, in box order, and
+    the ``kernels.flip_violation`` result of each table bit flipped so far.
     Evaluation reads no other coordinate, so a verdict over the table holds
     for all ``2**n_coords`` assignments of the box.  A coordinate outside
     the box, or more than ``kernels.MAX_TABLE_COORDS`` mentioned
     coordinates, raises :class:`DomainError`.
 
-    Built once per (name, box) and reused by every question asked of the
-    name: equal names over equal boxes (same window, rows and bits) have
-    equal tables.  The cache keeps the ``_CACHE_ENTRIES`` most recent
-    tables, each one column of at most ``2**MAX_TABLE_COORDS`` bits
-    (512 KB) per member.  Nothing mutates what it returns: the
-    kernels only read a table.  Callers check the name's type first
-    (``_check_name``), so a list raises :class:`DomainError`, not
-    ``TypeError`` from hashing.
+    Built on the name's first question and held by the name for as long as
+    it lives: one column of at most ``2**MAX_TABLE_COORDS`` bits (512 KB)
+    per member.  Boxes pack coordinates in the order of :class:`Coordinate`
+    tuples, so the table is the same over every box that holds it, and the
+    box is read only to check that it does.
     """
-    pairs = _name_pairs(name)
-    mentioned = sorted({c for _, cond in pairs for c, _ in cond.entries}, key=box.index)
-    slot = {c: j for j, c in enumerate(mentioned)}
-    entries = [(*_slot_masks(cond, slot), m) for m, cond in pairs]
-    return pairs, kernels.build_table(len(slot), entries), slot
+    _check_name(name)
+    if name._table is None:
+        pairs = _name_pairs(name)
+        mentioned = sorted({c for _, cond in pairs for c, _ in cond.entries})
+        slot = {c: j for j, c in enumerate(mentioned)}
+        table = kernels.build_table(len(slot), [(*_slot_masks(cond, slot), m) for m, cond in pairs])
+        # a box holds every mentioned coordinate when it holds their nodes, largest row and bit
+        nodes, rows, bits = list(zip(*mentioned)) or [(), (), ()]
+        reach = set(nodes), max(rows, default=-1), max(bits, default=-1)
+        object.__setattr__(name, "_table", (pairs, table, slot, {}, reach))
+    pairs, table, slot, flips, (nodes, top_row, top_bit) = name._table
+    if not (nodes <= box.window.nodes and top_row < box.rows and top_bit < box.bits):
+        for coord in slot:
+            box.index(coord)  # raises DomainError naming a coordinate outside the box
+    return pairs, table, slot, flips
 
 
 def _slot_masks(cond: Condition, slot) -> tuple[int, int]:
@@ -286,21 +292,21 @@ def _in_box(cond: Condition, box: CoordinateBox) -> Condition:
     return cond
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
 def _support(name, A: Window, box: CoordinateBox) -> SupportReport:
     """Flip each mentioned coordinate off the support alone over the name's table.
 
     The witness is the first such coordinate, in box order, whose flip
     changes some evaluation, with the least assignment it changes
-    (unmentioned coordinates 0).  Like :func:`_name_table`, the
-    ``_CACHE_ENTRIES`` most recent (name, support, box) verdicts are kept,
-    so :func:`normalize` reuses the sweep :func:`support_report` ran.
+    (unmentioned coordinates 0).  A flip's verdict depends on the name
+    alone, so the name keeps it in ``flips``: each flip runs at most once.
     """
-    _, table, slot = _name_table(name, box)
+    _, table, slot, flips = _name_table(name, box)
     checked = 1 << box.n_coords
     for coord, j in slot.items():
         if coord.node not in A.nodes:
-            g = kernels.flip_violation(table, 1 << j)
+            if j not in flips:
+                flips[j] = kernels.flip_violation(table, 1 << j)
+            g = flips[j]
             if g >= 0:
                 assignment = sum(1 << box.index(c) for c, i in slot.items() if g >> i & 1)
                 return SupportReport(False, True, checked, (*coord, assignment))
@@ -317,12 +323,10 @@ def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
     toggle a node and its successors, all off ``A``, and their star matrix
     is unit triangular, so inside the box the group fixing the rows over
     ``A`` is exactly the group of flips of coordinates off ``A``.  The
-    member table is built once per (name, box) and the sweep run once per
-    (name, support, box), each kept in a bounded cache that
-    :func:`normalize` and :func:`decision_invariant` read too.
+    name holds its member table and each flip's verdict from their first
+    use, and :func:`normalize` and :func:`decision_invariant` read them too.
     """
     _check_box_window(A, box)
-    _check_name(name)
     return _support(name, A, box)
 
 
@@ -341,13 +345,12 @@ def decision_invariant(
     m with the same truth value, sweeping all of its total extensions.  The
     coordinates of ``p`` that the name does not mention cannot change
     membership, so they drop out of the sweep; they must still lie in the box.
-    The name's member table comes from the bounded per-(name, box) cache,
-    so asking about many conditions of one name builds it once.
+    The name holds its member table, so asking about many conditions of
+    one name builds it once.
     """
     _check_box_window(A, box)
-    _check_name(name)
     _in_box(p, box)
-    _, table, slot = _name_table(name, box)
+    _, table, slot, _ = _name_table(name, box)
     dmask, vmask = _slot_masks(p, slot)
     verdict = kernels.subcube_member_summary(table, m, dmask, vmask)
     if verdict == 2:
@@ -393,22 +396,21 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     depend on those projections alone, so the scheme evaluates exactly like
     the name on every assignment; the prime implicants depend only on that
     function, so two presentations of one name give one scheme.  Support is
-    checked by the same exhaustive sweep as :func:`support_report`, and
-    both read the same bounded caches: after :func:`support_report` on the
-    same name, support and box, neither the member table nor the sweep is
-    redone.  The box may have any size, and a name that mentions more than
-    ``kernels.MAX_TABLE_COORDS`` coordinates raises :class:`DomainError`.
+    checked by the same exhaustive sweep as :func:`support_report`, over
+    the member table and flip verdicts the name holds: after
+    :func:`support_report` on the same name, no table is built and no flip
+    runs again.  The box may have any size, and a name that mentions more
+    than ``kernels.MAX_TABLE_COORDS`` coordinates raises :class:`DomainError`.
     Families run over the members that occur; :meth:`PacketScheme.family`
     gives every other member the empty family.
     """
     _check_box_window(A, box)
-    _check_name(name)
     report = _support(name, A, box)
     if not report.supported:
         raise PreconditionError(
             f"name is not supported by the window; witness coordinate+assignment {report.witness}"
         )
-    pairs, _, slot = _name_table(name, box)
+    pairs, _, slot, _ = _name_table(name, box)
     trimmed = {coord: j for coord, j in slot.items() if coord.node in A.nodes}
     cubes: dict[int, list[tuple[int, int]]] = {}
     for m, cond in pairs:

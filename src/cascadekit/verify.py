@@ -630,7 +630,6 @@ def verify_normalize(report: VerificationReport, trials: int = 100, seed: int = 
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
         table = _member_table(box, name)
-        # before any question about the scheme, so the name's cached member table is reused
         for closed in _all_closed_subsets(box.forest):
             W = Window(box.forest, closed)
             supported = _generator_sweep_supported(table, W, box)

@@ -282,6 +282,7 @@ class TestDemoNoSelector:
         pytest.param(("forest", "gen", "--size", "4", "--out", "{missing}"), id="forest-gen-out"),
         pytest.param(("verify", "dyadic", "--out", "{missing}"), id="verify-out"),
         pytest.param(("verify", "--all", "--out", "{missing}"), id="verify-all-out"),
+        pytest.param(("verify", "--all", "--out", "{outdir}"), id="verify-all-out-dir"),
     ],
 )
 def test_file_errors_are_usage_errors(capsys, tmp_path, argv):
@@ -289,7 +290,8 @@ def test_file_errors_are_usage_errors(capsys, tmp_path, argv):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("4\n1 0\n2 0\n3 1 # \u00e9\n".encode("latin-1"))
     missing = tmp_path / "missing" / "out.txt"
-    code, out, err = run_cli(capsys, *(arg.format(latin1=latin1, missing=missing) for arg in argv))
+    fields = {"latin1": latin1, "missing": missing, "outdir": tmp_path}
+    code, out, err = run_cli(capsys, *(arg.format(**fields) for arg in argv))
     assert code == 2
     assert err.startswith("error: cannot ")
     # an unwritable --out is refused before the first lemma runs

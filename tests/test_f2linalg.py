@@ -363,6 +363,16 @@ class TestTargetSolutions:
         finally:
             gc.enable()
 
+    def test_pickle_carries_the_window_alone(self):
+        # the basis is derived, so a solved window pickles to the bytes of an unsolved one
+        K = Window(forest_of(5, {1: 0, 2: 1, 3: 1, 4: 0}), frozenset(range(5)))
+        blob = pickle.dumps(K)
+        solved = solve_all_targets(K)
+        assert pickle.dumps(K) == blob
+        restored = pickle.loads(blob)
+        assert restored == K and hash(restored) == hash(K) and restored._basis is None
+        assert list(solve_all_targets(restored)) == list(solved)
+
     def test_every_closed_window_up_to_five_nodes(self):
         for size in range(1, 6):
             for f in all_forests(size):

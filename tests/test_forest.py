@@ -114,7 +114,7 @@ class TestWindow:
         assert w.serialize() == "0 1 2 3"
 
     def test_equal_windows_hash_equal(self):
-        # built separately, from separately built forests: the cached hash must still agree
+        # built separately, from separately built forests: the dataclass hash must still agree
         a = rho_closure(forest_of(5, {1: 0, 2: 1, 3: 0, 4: 3}), {2, 4})
         b = Window(forest_of(5, {1: 0, 2: 1, 3: 0, 4: 3}), frozenset({0, 1, 2, 3, 4}))
         assert a is not b and a.forest is not b.forest

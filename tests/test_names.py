@@ -1,7 +1,10 @@
 """Name evaluation, support sweeps, normalization, and two-layer coding."""
 
+import gc
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -19,10 +22,7 @@ from cascadekit.names import (
     PacketScheme,
     RawName,
     TwoLayerCode,
-    _CACHE_ENTRIES,
-    _name_table,
     _prime_cubes,
-    _support,
     check_support,
     decision_invariant,
     decode_two_layer,
@@ -43,17 +43,6 @@ from cascadekit.verify import (
     _random_box,
     _random_supported_name,
 )
-
-
-def clear_name_caches():
-    _name_table.cache_clear()
-    _support.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def fresh_name_caches():
-    """Each test counts its own kernel calls, whatever an earlier test left cached."""
-    clear_name_caches()
 
 
 def small_box(rows=1, bits=2, size=3, pred=None):
@@ -970,7 +959,7 @@ class TestPrimePackets:
 
 
 class TestNameCache:
-    """One member table per (name, box) and one support sweep per (name, support, box)."""
+    """A name holds one member table and one verdict per flip, whatever the window or box."""
 
     @staticmethod
     def counting(monkeypatch, attr):
@@ -1006,6 +995,69 @@ class TestNameCache:
         assert check_support(name, A, box)
         assert len(builds) == 1 and len(flips) == sweep
 
+    def test_flips_run_once_per_name_across_windows(self, monkeypatch):
+        flips = self.counting(monkeypatch, "flip_violation")
+        f = forest_of(3, {1: 0, 2: 0})
+        box = CoordinateBox(Window.whole(f), 1, 1)
+        A = rho_closure(f, {2})
+        off, over = Coordinate(1, 0, 0), Coordinate(2, 0, 0)
+        # member 1 holds whatever the off-support coordinate says; member 0 reads the one over A
+        name = RawName.of([(0, Condition(((over, 1),))), (1, Condition(((off, 0),))), (1, Condition(((off, 1),)))])
+        assert support_report(name, A, box).supported
+        first = {mask for _, mask in flips}
+        del flips[:]
+        report = support_report(name, Window(f, frozenset()), box)
+        assert not report.supported and report.witness[:3] == over
+        assert flips and not {mask for _, mask in flips} & first
+
+    def test_answered_name_dies_with_its_last_reference(self):
+        # no module cache holds a name, and the table it holds does not point back at it
+        box = small_box()
+        A = rho_closure(box.forest, {0})
+        name = RawName.of([(0, Condition.from_map({(1, 0, 0): 1})), (1, Condition.from_map({(0, 0, 1): 0}))])
+        gc.disable()
+        try:
+            assert not support_report(name, A, box).supported
+            ref = weakref.ref(name)
+            del name
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_box_lacking_a_mentioned_coordinate_still_rejected(self):
+        f = forest_of(3, {1: 0, 2: 1})
+        A = rho_closure(f, {0})
+        name = RawName.of([(0, Condition.from_map({(2, 1, 2): 1}))])
+        holds = CoordinateBox(Window.whole(f), 2, 3)
+        report = support_report(name, A, holds)
+        p = Condition.from_map({(0, 0, 0): 1})
+        # a box without the mentioned node, row or bit, asked after one that holds them all
+        for box in (
+            CoordinateBox(rho_closure(f, {1}), 2, 3),
+            CoordinateBox(Window.whole(f), 1, 3),
+            CoordinateBox(Window.whole(f), 2, 2),
+        ):
+            with pytest.raises(DomainError, match="outside the box"):
+                support_report(name, A, box)
+            with pytest.raises(DomainError, match="outside the box"):
+                normalize(name, A, box)
+            with pytest.raises(DomainError, match="outside the box"):
+                decision_invariant(name, A, p, 0, box)
+        assert support_report(name, A, holds) == report
+
+    def test_pickle_carries_the_name_alone(self):
+        box = small_box()
+        A = rho_closure(box.forest, {0, 1})
+        name = RawName.of([(0, Condition.from_map({(1, 0, 0): 1})), (2, Condition.from_map({(2, 0, 1): 0}))])
+        scheme = PacketScheme.of(A, {0: {Packet(Condition.from_map({(1, 0, 0): 1}))}})
+        for named in (name, scheme):
+            blob = pickle.dumps(named)
+            report = support_report(named, A, box)
+            assert pickle.dumps(named) == blob
+            restored = pickle.loads(blob)
+            assert restored == named and hash(restored) == hash(named) and restored._table is None
+            assert support_report(restored, A, box) == report
+
     def test_list_or_dict_name_raises_domain_error(self):
         box = small_box()
         A = rho_closure(box.forest, {0})
@@ -1039,15 +1091,15 @@ class TestNameCache:
             pairs = sorted(name.pairs, key=lambda p: (p[0], p[1].entries))
 
             def answers(fresh):
-                def call(fn, *args):
-                    if fresh:
-                        clear_name_caches()
+                def call(fn, named, *args):
+                    if fresh:  # an equal copy builds its own table and runs its own flips
+                        named = RawName.of(named.pairs)
                     try:
-                        return fn(*args)
+                        return fn(named, *args)
                     except PreconditionError:
                         return "precondition"
 
-                # an equal name over an equal box reads the tables the first built;
+                # the name and an equal twin are asked over two windows and three boxes;
                 # a wider box packs the same coordinates at other positions
                 twin = RawName.of(list(name.pairs))
                 twin_box = CoordinateBox(Window(box.forest, frozenset(box.window.nodes)), box.rows, box.bits)
@@ -1065,14 +1117,3 @@ class TestNameCache:
                 )
 
             assert answers(fresh=False) == answers(fresh=True)
-
-    def test_caches_are_bounded_by_the_documented_constant(self):
-        assert _name_table.cache_info().maxsize == _CACHE_ENTRIES
-        assert _support.cache_info().maxsize == _CACHE_ENTRIES
-        box = small_box()
-        A = rho_closure(box.forest, {0})
-        for k in range(20):
-            name = RawName.of([(k, Condition.from_map({(0, 0, 0): 1}))])
-            support_report(name, A, box)
-        assert _name_table.cache_info().currsize == _CACHE_ENTRIES
-        assert _support.cache_info().currsize == _CACHE_ENTRIES
