@@ -6,6 +6,8 @@ normalization of names under finite semantics, 2-group orbit analysis, and
 the even/odd selector mechanics, all behind a verification CLI.
 """
 
+from types import ModuleType as _Module
+
 from .errors import (
     CapacityError,
     CascadekitError,
@@ -82,4 +84,5 @@ from .selectors import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported classes and functions; the imports above also bind their submodules
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _Module))

@@ -91,7 +91,7 @@ def build_table(n_coords: int, entries) -> Table:
         if m < 0:
             raise DomainError("member index must be a natural number")
         cols[m] = cols.get(m, 0) | _subcube_indicator(n_coords, dmask, vmask)
-    return Table(n_coords, {m: c for m, c in cols.items() if c})
+    return Table(n_coords, cols)
 
 
 def tables_equal(t1: Table, t2: Table) -> bool:

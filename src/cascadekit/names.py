@@ -85,13 +85,7 @@ class CoordinateBox:
 
     def condition_masks(self, cond: Condition) -> tuple[int, int]:
         """Domain and value bitmasks of a condition inside this box."""
-        dmask = vmask = 0
-        for coord, value in cond.entries:
-            pos = self.index(coord)
-            dmask |= 1 << pos
-            if value:
-                vmask |= 1 << pos
-        return dmask, vmask
+        return _slot_masks(_in_box(cond, self), self._index)
 
     def node_coord_mask(self, nodes) -> int:
         """Bitmask of every coordinate whose node lies in ``nodes``."""
@@ -292,14 +286,24 @@ def _in_box(cond: Condition, box: CoordinateBox) -> Condition:
     return cond
 
 
-def _support(name, A: Window, box: CoordinateBox) -> SupportReport:
-    """Flip each mentioned coordinate off the support alone over the name's table.
+def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
+    """Flip each coordinate off the support alone and check that no evaluation changes.
 
-    The witness is the first such coordinate, in box order, whose flip
-    changes some evaluation, with the least assignment it changes
-    (unmentioned coordinates 0).  A flip's verdict depends on the name
-    alone, so the name keeps it in ``flips``: each flip runs at most once.
+    Exhaustive over all ``2**n_coords`` assignments of a box of any size;
+    a name that mentions more than ``kernels.MAX_TABLE_COORDS`` coordinates
+    raises :class:`DomainError`.  Single coordinates suffice by the
+    star-span lemma: the generators at nodes off the closed window ``A``
+    toggle a node and its successors, all off ``A``, and their star matrix
+    is unit triangular, so inside the box the group fixing the rows over
+    ``A`` is exactly the group of flips of coordinates off ``A``.  The
+    witness is the first mentioned coordinate off ``A``, in box order,
+    whose flip changes some evaluation, with the least assignment it
+    changes (unmentioned coordinates 0).  A flip's verdict depends on the
+    name alone, so the name holds its member table and each flip's verdict
+    from their first use: each flip runs at most once, and :func:`normalize`
+    and :func:`decision_invariant` read them too.
     """
+    _check_box_window(A, box)
     _, table, slot, flips = _name_table(name, box)
     checked = 1 << box.n_coords
     for coord, j in slot.items():
@@ -311,23 +315,6 @@ def _support(name, A: Window, box: CoordinateBox) -> SupportReport:
                 assignment = sum(1 << box.index(c) for c, i in slot.items() if g >> i & 1)
                 return SupportReport(False, True, checked, (*coord, assignment))
     return SupportReport(True, True, checked, None)
-
-
-def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
-    """Flip each coordinate off the support alone and check that no evaluation changes.
-
-    Exhaustive over all ``2**n_coords`` assignments of a box of any size;
-    a name that mentions more than ``kernels.MAX_TABLE_COORDS`` coordinates
-    raises :class:`DomainError`.  Single coordinates suffice by the
-    star-span lemma: the generators at nodes off the closed window ``A``
-    toggle a node and its successors, all off ``A``, and their star matrix
-    is unit triangular, so inside the box the group fixing the rows over
-    ``A`` is exactly the group of flips of coordinates off ``A``.  The
-    name holds its member table and each flip's verdict from their first
-    use, and :func:`normalize` and :func:`decision_invariant` read them too.
-    """
-    _check_box_window(A, box)
-    return _support(name, A, box)
 
 
 def check_support(name, A: Window, box: CoordinateBox) -> bool:
@@ -396,16 +383,15 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     depend on those projections alone, so the scheme evaluates exactly like
     the name on every assignment; the prime implicants depend only on that
     function, so two presentations of one name give one scheme.  Support is
-    checked by the same exhaustive sweep as :func:`support_report`, over
-    the member table and flip verdicts the name holds: after
-    :func:`support_report` on the same name, no table is built and no flip
-    runs again.  The box may have any size, and a name that mentions more
-    than ``kernels.MAX_TABLE_COORDS`` coordinates raises :class:`DomainError`.
+    checked by :func:`support_report`, over the member table and flip
+    verdicts the name holds: after :func:`support_report` on the same name,
+    no table is built and no flip runs again.  The box may have any size,
+    and a name that mentions more than ``kernels.MAX_TABLE_COORDS``
+    coordinates raises :class:`DomainError`.
     Families run over the members that occur; :meth:`PacketScheme.family`
     gives every other member the empty family.
     """
-    _check_box_window(A, box)
-    report = _support(name, A, box)
+    report = support_report(name, A, box)
     if not report.supported:
         raise PreconditionError(
             f"name is not supported by the window; witness coordinate+assignment {report.witness}"

@@ -23,7 +23,7 @@ from .cascade import (
 )
 from .errors import DomainError, PreconditionError
 from .forest import NodeId, Window, fresh_separation
-from .names import Assignment, CoordinateBox
+from .names import Assignment, CoordinateBox, _check_box_window
 
 
 def equality_pattern(g: Assignment, beta: NodeId, gamma: NodeId, row: int) -> int:
@@ -98,8 +98,7 @@ def swap_witness(q: Condition, A: Window, row: int, box: CoordinateBox) -> SwapW
     :class:`CapacityError` when the box has no two fresh nodes left.
     """
     forest = box.forest
-    if A.forest != forest:
-        raise DomainError("support window and box use different forests")
+    _check_box_window(A, box)
     if not 0 <= row < box.rows:
         raise DomainError(f"row {row} outside the box")
     beta, gamma = fresh_separation(forest, A, pool=box.window.nodes)

@@ -119,6 +119,26 @@ class TestBoxAndAssignment:
             with pytest.raises(DomainError):
                 box.coord_at(idx)
 
+    @pytest.mark.parametrize("shape", _BOX_SHAPES)
+    def test_condition_masks_match_the_index(self, shape):
+        n_nodes, rows, bits = shape
+        f = forest_of(n_nodes + 1, {i: 0 for i in range(1, n_nodes + 1)})
+        box = CoordinateBox(rho_closure(f, set(range(n_nodes))), rows, bits)
+        coords = list(box.coords())
+        rng = random.Random(n_nodes * 100 + rows * 10 + bits)
+        for _ in range(40):
+            picked = rng.sample(coords, rng.randrange(len(coords) + 1))
+            cond = Condition(tuple((c, rng.randrange(2)) for c in picked))
+            # oracle: each coordinate's bit read from the box's index alone
+            dmask = sum(1 << box.index(c) for c, _ in cond.entries)
+            vmask = sum(v << box.index(c) for c, v in cond.entries)
+            assert box.condition_masks(cond) == (dmask, vmask)
+        for outside in (Coordinate(n_nodes, 0, 0), Coordinate(0, rows, 0), Coordinate(0, 0, bits)):
+            cond = Condition(((coords[0], 1), (coords[-1], 0), (outside, 1)))
+            with pytest.raises(DomainError) as excinfo:
+                box.condition_masks(cond)
+            assert str(outside) in str(excinfo.value)
+
     def test_assignment_extends(self):
         box = small_box()
         g = Assignment(box, 0b000001)  # bit 0 of node 0, row 0 set
