@@ -2,15 +2,17 @@
 
 The heavy operations are sweeps over every total assignment of a small
 coordinate box: building the member table of a name, checking XOR-flip
-invariance and projecting satisfying assignments.  A table keys its
-columns by member index ``m``, any natural number; a column is one integer
-with bit ``g`` set when assignment ``g`` carries ``m``.  Subcube indicators
-are built by width doubling, XOR-permutation by half-block swaps and
-projection by an OR-fold over the dropped coordinates, so the
-per-assignment work runs inside CPython's big-int arithmetic instead of a
-Python-level loop.  A half-block mask, the assignments with coordinate
-``b`` equal to 0, is the one-coordinate subcube indicator; all indicators
-over at most 16 coordinates share one bounded LRU.
+invariance and projecting satisfying assignments.  A :class:`Table` is a
+value: its coordinate count and its columns keyed by member index ``m``,
+any natural number, where a column is one integer with bit ``g`` set when
+assignment ``g`` carries ``m``; two tables are equal under ``==`` exactly
+when both parts are.  Subcube indicators are built by width doubling,
+XOR-permutation by half-block swaps and projection by an OR-fold over the
+dropped coordinates, so the per-assignment work runs inside CPython's
+big-int arithmetic instead of a Python-level loop.  A half-block mask, the
+assignments with coordinate ``b`` equal to 0, is the one-coordinate
+subcube indicator; all indicators over at most 16 coordinates share one
+bounded LRU.
 
 The batch triangular solver :func:`solve_unit_triangular_all`, with
 :class:`XorSpan` and :func:`xor_combination`, has no library caller since
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CertificateError, DomainError
 
@@ -29,14 +32,11 @@ MAX_TABLE_COORDS = 22
 BACKEND = "python"
 
 
-class Table:
+class Table(NamedTuple):
     """Member table: one column bitset per member index that occurs."""
 
-    __slots__ = ("n_coords", "cols")
-
-    def __init__(self, n_coords: int, cols: dict[int, int]):
-        self.n_coords = n_coords
-        self.cols = cols
+    n_coords: int
+    cols: dict[int, int]
 
 
 def _check_dims(n_coords: int) -> None:
@@ -92,10 +92,6 @@ def build_table(n_coords: int, entries) -> Table:
             raise DomainError("member index must be a natural number")
         cols[m] = cols.get(m, 0) | _subcube_indicator(n_coords, dmask, vmask)
     return Table(n_coords, cols)
-
-
-def tables_equal(t1: Table, t2: Table) -> bool:
-    return t1.n_coords == t2.n_coords and t1.cols == t2.cols
 
 
 def flip_violation(table: Table, flip_mask: int) -> int:

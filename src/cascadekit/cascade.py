@@ -39,8 +39,8 @@ class ToggleSet:
 
     def __post_init__(self):
         for n in self.exceptions:
-            if n < 0:
-                raise DomainError("bit indices must be nonnegative")
+            if not isinstance(n, int) or n < 0:
+                raise DomainError(f"bit index {n!r} must be a natural int")
 
     @classmethod
     def finite(cls, bits: Iterable[int]) -> "ToggleSet":
@@ -93,9 +93,13 @@ class Condition:
     def __post_init__(self):
         seen = set()
         for coord, value in self.entries:
-            if value not in (0, 1):
-                raise DomainError(f"value at {coord} must be 0 or 1")
-            if coord.node < 0 or coord.row < 0 or coord.bit < 0:
+            # bool passes as an int; 1.0 equals 1 but cannot shift into a mask
+            if value not in (0, 1) or not isinstance(value, int):
+                raise DomainError(f"value at {coord} must be the int 0 or 1")
+            node, row, bit = coord.node, coord.row, coord.bit
+            if not (isinstance(node, int) and isinstance(row, int) and isinstance(bit, int)):
+                raise DomainError(f"coordinate {coord} must hold ints")
+            if node < 0 or row < 0 or bit < 0:
                 raise DomainError(f"negative coordinate {coord}")
             if coord in seen:
                 raise DomainError(f"duplicate coordinate {coord}")

@@ -127,8 +127,8 @@ class RawName:
         # a frozenset keeps the pairs fixed, so the table the name holds stays its own
         object.__setattr__(self, "pairs", frozenset(self.pairs))
         for m, _ in self.pairs:
-            if m < 0:
-                raise DomainError("member indices must be naturals")
+            if not isinstance(m, int) or m < 0:
+                raise DomainError(f"member index {m!r} must be a natural int")
 
     def __getstate__(self):  # pickle the value alone; the table is rebuilt on the first question
         return {"pairs": self.pairs}
@@ -158,8 +158,8 @@ class PacketScheme:
     def __post_init__(self):
         seen = set()
         for m, packets in self.families:
-            if m < 0:
-                raise DomainError("member indices must be naturals")
+            if not isinstance(m, int) or m < 0:
+                raise DomainError(f"member index {m!r} must be a natural int")
             if m in seen:
                 raise DomainError(f"duplicate family for member {m}")
             seen.add(m)
@@ -419,9 +419,10 @@ class TwoLayerCode:
     packet_indices: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        for m, ks in self.packet_indices:  # before sorting, which would raise TypeError on a str
+            if not all(isinstance(k, int) and k >= 0 for k in (m, *ks)):
+                raise DomainError("member indices and packet codes must be natural ints")
         canonical = tuple(sorted((m, tuple(sorted(ks))) for m, ks in self.packet_indices))
-        if any(m < 0 or (ks and ks[0] < 0) for m, ks in canonical):
-            raise DomainError("member indices and packet codes must be naturals")
         if len({m for m, _ in canonical}) != len(canonical):
             raise DomainError("duplicate index list for one member")
         if canonical != self.packet_indices:

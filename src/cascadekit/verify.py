@@ -58,7 +58,6 @@ from .names import (
     Assignment,
     CoordinateBox,
     RawName,
-    check_support,
     decision_invariant,
     decode_two_layer,
     normalize,
@@ -118,9 +117,6 @@ class VerificationReport:
     @property
     def exhaustive(self) -> bool:
         return self.enumerated > 0
-
-    def ok(self) -> bool:
-        return not self.failures and self._dropped == 0
 
     def record(self, message: str) -> None:
         if len(self.failures) < MAX_RECORDED_FAILURES:
@@ -488,11 +484,6 @@ def _member_table(box: CoordinateBox, name):
     return kernels.build_table(box.n_coords, entries)
 
 
-def _eval_tables_equal(name_a, name_b, box: CoordinateBox) -> bool:
-    """Compare evaluation maps over every assignment."""
-    return kernels.tables_equal(_member_table(box, name_a), _member_table(box, name_b))
-
-
 @_lemma("decision", "restrictions of deciding conditions decide alike")
 def verify_decision(report: VerificationReport, trials: int = 100, seed: int = 0):
     """Deciding conditions restricted to the support keep deciding the same way."""
@@ -502,7 +493,7 @@ def verify_decision(report: VerificationReport, trials: int = 100, seed: int = 0
         box = _random_box(rng)
         name, A = _random_supported_name(rng, box)
         empty = Window(box.forest, frozenset())
-        if not check_support(name, A, box):
+        if not support_report(name, A, box).supported:
             report.record(f"trial {trial}: scheme-built name failed its own support check")
             continue
         # a pair's condition decides its member true
@@ -514,22 +505,26 @@ def verify_decision(report: VerificationReport, trials: int = 100, seed: int = 0
         total_probes += 4
         coords = list(box.coords())
         table = _member_table(box, name)
+        # each probe keeps m's verdict over the extensions of p: 0 none carry m, 1 all do, 2 mixed
+        summary = kernels.subcube_member_summary
+        probes = [(p, m, summary(table, m, *box.condition_masks(p))) for p, m in probes]
         for _ in range(6):  # random partial conditions, kept only when they decide
             picked = rng.sample(coords, rng.randint(1, min(6, len(coords))))
             p = Condition(tuple((c, rng.randrange(2)) for c in picked))
             m = rng.randrange(4)
             drawn += 1
             # kept when every total extension of p agrees on membership of m
-            if kernels.subcube_member_summary(table, m, *box.condition_masks(p)) != 2:
-                probes.append((p, m))
+            verdict = summary(table, m, *box.condition_masks(p))
+            if verdict != 2:
+                probes.append((p, m, verdict))
                 kept += 1
-        for p, m in probes:
+        # each member's verdict over the whole box, which is all the empty window can read
+        overall = [summary(table, m, 0, 0) for m in range(4)]
+        for p, m, verdict in probes:
             if not decision_invariant(name, A, p, m, box):
                 report.record(f"trial {trial}: restriction of a deciding condition flipped m={m}")
             # the empty condition decides alike exactly when m's column is constant at p's verdict
-            verdict = kernels.subcube_member_summary(table, m, *box.condition_masks(p))
-            constant = kernels.subcube_member_summary(table, m, 0, 0) == verdict
-            if decision_invariant(name, empty, p, m, box) != constant:
+            if decision_invariant(name, empty, p, m, box) != (overall[m] == verdict):
                 report.record(f"trial {trial}: the empty window's decision on m={m} disagrees with the table")
     report.sampled = trials
     report.notes = (
@@ -634,13 +629,14 @@ def verify_normalize(report: VerificationReport, trials: int = 100, seed: int = 
             W = Window(box.forest, closed)
             supported = _generator_sweep_supported(table, W, box)
             outcomes[supported] += 1
-            if check_support(name, W, box) != supported:
+            found = support_report(name, W, box)
+            if found.supported != supported:
                 report.record(f"trial {trial}: support over {sorted(closed)} disagrees with the generator sweep")
-            elif not supported and not _witness_flips(support_report(name, W, box).witness, table, W, box):
+            elif not supported and not _witness_flips(found.witness, table, W, box):
                 report.record(f"trial {trial}: the witness over {sorted(closed)} changes no member")
-        if not kernels.tables_equal(table, _member_table(box, scheme)):
+        if table != _member_table(box, scheme):
             report.record(f"trial {trial}: normalized scheme changed some evaluation")
-        if not check_support(scheme, A, box):
+        if not support_report(scheme, A, box).supported:
             report.record(f"trial {trial}: normalized scheme fails support on its own window")
         fault = _family_fault(name, table, scheme, A, box)
         if fault:
@@ -671,7 +667,7 @@ def verify_code(report: VerificationReport, trials: int = 100, seed: int = 0):
         except (DomainError, CertificateError) as exc:
             report.record(f"trial {trial}: coding raised {type(exc).__name__}: {exc}")
             continue
-        if not _eval_tables_equal(scheme, decoded, box):
+        if _member_table(box, scheme) != _member_table(box, decoded):
             report.record(f"trial {trial}: decoded scheme changed some evaluation")
         if regrown.families != decoded.families:
             report.record(f"trial {trial}: decoding over a grown box changed the families")
@@ -972,10 +968,8 @@ def verify_swap(report: VerificationReport, trials: int = 60, seed: int = 0):
         A_r = rho_closure(f, {0})
         q = _random_condition(f, rng, max_len=4, rows=rows, bits=bits)
         row = rng.randrange(rows)
-        try:
-            w = swap_witness(q, A_r, row, b)
-        except CapacityError:
-            continue
+        # A_r = {0} blocks node 0 alone, so nodes 1 and 2 are fresh and every sampled trial is checked
+        w = swap_witness(q, A_r, row, b)
         if not w.certificate.all_pass():
             report.record(f"certificate failed on sampled condition trial {trial}")
         if not _witness_sweep(w, b):

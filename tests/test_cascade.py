@@ -97,16 +97,30 @@ class TestToggleSet:
     def test_negative_bits_rejected(self):
         with pytest.raises(DomainError):
             ToggleSet.finite({-1})
+        with pytest.raises(DomainError):  # no mask has a bit 1.5
+            ToggleSet.finite({1.5})
+        with pytest.raises(DomainError):
+            ToggleSet.cofinite_excluding({0, 2.0})
 
 
 class TestConditionValidation:
     def test_bad_value(self):
         with pytest.raises(DomainError):
             Condition.from_map({(0, 0, 0): 2})
+        for value in (1.0, 0.0, "1", None):  # 1.0 == 1, but only ints shift into masks
+            with pytest.raises(DomainError):
+                Condition(((Coordinate(0, 0, 0), value),))
+
+    def test_bool_values_accepted(self):
+        cond = Condition(((Coordinate(0, 0, 1), True), (Coordinate(0, 0, 0), False)))
+        assert cond == Condition.from_map({(0, 0, 0): 0, (0, 0, 1): 1})
 
     def test_negative_coordinate(self):
         with pytest.raises(DomainError):
             Condition.from_map({(0, -1, 0): 1})
+        for coord in (Coordinate(0.0, 0, 0), Coordinate(0, 1.0, 0), Coordinate(0, 0, 0.5)):
+            with pytest.raises(DomainError):
+                Condition(((coord, 1),))
 
     def test_duplicate_coordinate(self):
         with pytest.raises(DomainError):

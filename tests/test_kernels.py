@@ -48,6 +48,15 @@ class TestAgainstNaive:
         assert _kernels.subcube_member_summary(table, 1000, 0b011, 0b000) == 2
         assert _kernels.flip_violation(table, 0b010) == 1
 
+    def test_tables_compare_by_value(self):
+        entries = [(0b01, 0b01, 0), (0b10, 0, 3)]
+        table = _kernels.build_table(2, entries)
+        assert table == _kernels.build_table(2, reversed(entries))
+        assert table != _kernels.build_table(2, entries[:1])
+        # equal columns over more coordinates name other assignments, so the tables differ
+        wider = _kernels.Table(3, dict(table.cols))
+        assert wider.cols == table.cols and wider != table
+
     def test_flip_violation(self):
         rng = random.Random(2)
         n = 6

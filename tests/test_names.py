@@ -36,7 +36,6 @@ from cascadekit.names import (
 from cascadekit.verify import (
     _BOX_SHAPES,
     _cube_minterms,
-    _eval_tables_equal,
     _generator_sweep_supported,
     _grown_box,
     _member_table,
@@ -518,9 +517,8 @@ class TestManyMembers:
         for g in all_assignments(box):
             assert evaluate(scheme, g) == evaluate(decoded, g) == evaluate(name, g)
         assert len(set().union(*(evaluate(name, g) for g in all_assignments(box)))) > 64
-        assert _eval_tables_equal(name, scheme, box)
-        assert _eval_tables_equal(scheme, decoded, box)
-        assert not _eval_tables_equal(name, RawName.of(pairs[1:]), box)
+        assert _member_table(box, name) == _member_table(box, scheme) == _member_table(box, decoded)
+        assert _member_table(box, name) != _member_table(box, RawName.of(pairs[1:]))
 
 
 class TestPacketEnumeration:
@@ -952,6 +950,12 @@ class TestPrimePackets:
             TwoLayerCode(A, ((-1, (1,)),))
         with pytest.raises(DomainError):
             TwoLayerCode(A, ((0, (5, -1)),))  # a code is any natural, and only that
+        with pytest.raises(DomainError):
+            TwoLayerCode(A, ((1.5, (1,)),))
+        with pytest.raises(DomainError):
+            TwoLayerCode(A, ((0, (1, 2.0)),))
+        with pytest.raises(DomainError):
+            TwoLayerCode(A, ((0, (1,)), ("1", (2,))))
 
     def test_huge_box_code_keeps_small_indices(self):
         # a packet's code grows with its literals, not with the box: 3**600 has 951 bits
@@ -973,6 +977,12 @@ class TestPrimePackets:
             PacketScheme(A, ((0, frozenset()), (0, frozenset())))
         with pytest.raises(DomainError):
             PacketScheme.of(A, {-1: set()})
+        with pytest.raises(DomainError):
+            PacketScheme.of(A, {1.5: set()})
+        cond = Condition.from_map({(0, 0, 0): 1})
+        for m in (-1, 1.5, 0.0):  # a raw name's member indices are natural ints too
+            with pytest.raises(DomainError):
+                RawName.of([(m, cond)])
         outside = Packet(Condition.from_map({(9, 0, 0): 1}))  # node outside the forest
         with pytest.raises(DomainError):
             PacketScheme.of(A, {0: {outside}})

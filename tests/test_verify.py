@@ -8,7 +8,7 @@ import pytest
 
 from cascadekit import cli, f2linalg, orbits, verify
 from cascadekit.cascade import Coordinate
-from cascadekit.errors import DomainError
+from cascadekit.errors import CapacityError, DomainError
 from cascadekit.f2linalg import StarBasis
 from cascadekit.names import _name_pairs
 from cascadekit.orbits import _perm_order
@@ -35,7 +35,7 @@ SHIELD_SWEEP = 131_868  # every condition on the 2x2x2 box, row pair and legal t
 @pytest.mark.parametrize("seed", [0, 7, 300])
 def test_shield_exhaustive_count_is_seed_independent(seed):
     report = verify_shield(trials=2, seed=seed)
-    assert report.ok()
+    assert report.failure_count() == 0
     assert report.trials == 2 + SHIELD_SWEEP
     assert report.notes.startswith(f"{SHIELD_SWEEP} exhaustive instances")
     assert "plus 2 sampled trials" in report.notes
@@ -53,8 +53,22 @@ def test_every_counted_shield_trial_applies_a_toggle(monkeypatch):
 
     monkeypatch.setattr(verify, "apply", counting)
     report = verify_shield(trials=1000, seed=0)
-    assert report.ok()
+    assert report.failure_count() == 0
     assert calls == report.trials == 1000 + SHIELD_SWEEP
+
+
+def test_every_counted_swap_trial_builds_a_witness(monkeypatch):
+    # a sampled trial whose witness raised would be counted unchecked, so the error must surface
+    real = verify.swap_witness
+
+    def full_on_sampled_boxes(q, A, row, box):
+        if box.n_coords > 6:  # the sampled boxes; the enumerated one has 6 coordinates
+            raise CapacityError("no two fresh nodes")
+        return real(q, A, row, box)
+
+    monkeypatch.setattr(verify, "swap_witness", full_on_sampled_boxes)
+    with pytest.raises(CapacityError):
+        verify_swap(trials=2)
 
 
 # the order `verify --all` runs and prints the lemmas in
@@ -102,7 +116,7 @@ def test_registry_holds_each_routine_under_its_id_in_sweep_order():
 def test_counts_labels_and_notes_agree(seed):
     for lemma, (routine, _) in REGISTRY.items():
         report = routine(seed=seed)
-        assert report.ok(), lemma
+        assert report.failure_count() == 0, lemma
         assert (report.enumerated, report.sampled) == DEFAULT_COUNTS[lemma]
         assert report.trials == report.enumerated + report.sampled
         assert report.exhaustive == (report.enumerated > 0)
@@ -144,7 +158,7 @@ def test_notes_split_enumerated_from_sampled_counts():
 def test_decision_note_counts_probes_by_kind():
     # every trial's name passes its own support check, so each draws 6 random conditions
     report = verify_decision(trials=10, seed=0)
-    assert report.ok()
+    assert report.failure_count() == 0
     match = re.fullmatch(
         r"probes: (\d+) pair conditions, 40 total-assignment conditions, "
         r"(\d+) of 60 random conditions kept as deciding",
@@ -163,7 +177,7 @@ def test_normalize_builds_each_oracle_table_once_per_trial(monkeypatch):
 
     monkeypatch.setattr(verify, "_member_table", counting)
     report = verify_normalize(trials=10, seed=0)
-    assert report.ok()
+    assert report.failure_count() == 0
     assert len(built) == 20  # per trial: the name's table, shared by both checks, and the scheme's
 
 
@@ -180,7 +194,7 @@ def test_lemma_parameters_are_seed_and_trials_alone():
 
 def test_starspan_note_states_the_window_bound_applied():
     report = verify_starspan(trials=20, seed=0)
-    assert report.ok()
+    assert report.failure_count() == 0
     # the windows are drawn at random, so sweeping every target leaves the run sampled
     assert report.exhaustive is False
     assert report.notes == f"all targets swept on windows up to {verify.STARSPAN_SWEEP_WINDOW} nodes"
@@ -250,7 +264,7 @@ def test_echelon_bases_give_every_subspace_once():
 def test_dyadic_sweeps_every_subspace_up_to_dimension_six(monkeypatch):
     monkeypatch.setattr(verify, "DYADIC_DIM", 6)
     report = verify_dyadic()
-    assert report.ok()
+    assert report.failure_count() == 0
     assert report.notes.startswith("3290 coset partitions")
 
 
@@ -261,7 +275,7 @@ def test_lift_rejects_a_member_that_is_not_the_projection(monkeypatch):
 
     monkeypatch.setattr(verify, "lift_choice", least_member)
     report = verify_lift()
-    assert not report.ok()
+    assert report.failure_count() > 0
     assert report.trials == 135_324
 
 
@@ -290,6 +304,10 @@ def test_odd_fixed_rejects_a_closure_that_is_not_the_generated_group(
 _real_support_report = verify.support_report
 
 
+def always_supported(name, A, box):
+    return dataclasses.replace(_real_support_report(name, A, box), supported=True, witness=None)
+
+
 def unmentioned_witness(name, A, box):
     """The support report with its witness moved to a coordinate off ``A`` the name never reads."""
     report = _real_support_report(name, A, box)
@@ -307,7 +325,7 @@ def raising_decode(code, box):
 @pytest.mark.parametrize(
     "attr, mutant, lemma, message",
     [
-        ("check_support", lambda name, A, box: True, "normalize", "disagrees with the generator sweep"),
+        ("support_report", always_supported, "normalize", "disagrees with the generator sweep"),
         ("support_report", unmentioned_witness, "normalize", "changes no member"),
         ("decision_invariant", lambda name, A, p, m, box: True, "decision", "the empty window's decision"),
         ("decode_two_layer", raising_decode, "code", "coding raised DomainError"),
@@ -355,7 +373,7 @@ def test_starspan_counts_star_masks_that_drop_the_children(monkeypatch):
 
 def test_normalize_note_counts_both_support_outcomes():
     report = verify_normalize(trials=20, seed=0)
-    assert report.ok()
+    assert report.failure_count() == 0
     match = re.search(r"generator sweep: (\d+) supported, (\d+) unsupported", report.notes)
     assert match and int(match[1]) > 0 and int(match[2]) > 0
 
@@ -370,7 +388,7 @@ def test_lift_odometer_visits_every_choice_map_once(monkeypatch):
 
     monkeypatch.setattr(verify, "lift_choice", recording)
     report = verify_lift()
-    assert report.ok()
+    assert report.failure_count() == 0
     assert len(seen) == len(set(seen)) == 135_324
 
 
