@@ -16,7 +16,9 @@ sides alike.  The end-to-end metrics and which way each is better come from
 the change's ``BENCHMARK.json``.
 
 The output holds ``command``, ``machine``, ``parent``, ``change``,
-``pairing``, ``claim``, ``summary`` and ``runs``.  ``summary`` gives, per
+``src_lines``, ``pairing``, ``claim``, ``summary`` and ``runs``.
+``src_lines`` gives each side's total line count of
+``src/cascadekit/**/*.py``, as ``wc -l`` counts it.  ``summary`` gives, per
 workload and metric, each side's median and quartiles (the exclusive
 method of ``statistics.quantiles``), the ratio of the medians and
 ``pairs_change_better``, the number of pairs in which the change beat the
@@ -138,6 +140,11 @@ def run_record(workload: str, side: str, pair: int, seed: int, out: dict) -> dic
     return record
 
 
+def src_lines(tree: Path) -> int:
+    """Newlines in every ``src/cascadekit/**/*.py`` of ``tree``: the library's line count."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "cascadekit").rglob("*.py"))
+
+
 def git(*args: str, cwd: Path) -> str:
     return subprocess.run(
         ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
@@ -185,6 +192,7 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             checkout(revisions[side], trees[side])
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         workloads = args.workload or [w["name"] for w in bench["workloads"]]
         for workload in workloads:
@@ -209,6 +217,7 @@ def main(argv=None) -> int:
         },
         "parent": revisions["parent"],
         "change": revisions["change"],
+        "src_lines": lines,
         "pairing": (f"{args.pairs} pairs per workload; pair i runs seed {args.seed} + i - 1, "
                     "the parent first when i is odd and the change first when i is even"),
         "claim": args.claim,

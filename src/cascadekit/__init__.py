@@ -56,7 +56,6 @@ from .names import (
     PacketScheme,
     RawName,
     TwoLayerCode,
-    check_support,
     decision_invariant,
     decode_two_layer,
     evaluate,

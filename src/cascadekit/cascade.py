@@ -38,6 +38,8 @@ class ToggleSet:
     exceptions: frozenset[int]
 
     def __post_init__(self):
+        if not isinstance(self.cofinite, bool):
+            raise DomainError(f"cofinite flag {self.cofinite!r} must be a bool")
         for n in self.exceptions:
             if not isinstance(n, int) or n < 0:
                 raise DomainError(f"bit index {n!r} must be a natural int")
@@ -49,10 +51,6 @@ class ToggleSet:
     @classmethod
     def cofinite_excluding(cls, bits: Iterable[int]) -> "ToggleSet":
         return cls(True, frozenset(bits))
-
-    @classmethod
-    def empty(cls) -> "ToggleSet":
-        return _EMPTY_TOGGLE
 
     def __contains__(self, n: int) -> bool:
         return self.cofinite != (n in self.exceptions)
@@ -96,7 +94,9 @@ class Condition:
             # bool passes as an int; 1.0 equals 1 but cannot shift into a mask
             if value not in (0, 1) or not isinstance(value, int):
                 raise DomainError(f"value at {coord} must be the int 0 or 1")
-            node, row, bit = coord.node, coord.row, coord.bit
+            if not isinstance(coord, Coordinate):
+                raise DomainError(f"coordinate {coord!r} must be a Coordinate")
+            node, row, bit = coord
             if not (isinstance(node, int) and isinstance(row, int) and isinstance(bit, int)):
                 raise DomainError(f"coordinate {coord} must hold ints")
             if node < 0 or row < 0 or bit < 0:

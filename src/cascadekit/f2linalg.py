@@ -32,8 +32,7 @@ from .forest import NodeId, Window
 class F2Vector:
     """A 0/1 vector indexed by a window, packed as an int bitset.
 
-    Bit ``j`` is the entry at ``window.ordered[j]``.  Arithmetic across
-    different windows is rejected rather than silently misaligned.
+    Bit ``j`` is the entry at ``window.ordered[j]``.
     """
 
     window: Window
@@ -57,14 +56,6 @@ class F2Vector:
 
     def entry(self, xi: NodeId) -> int:
         return (self.bits >> _position(self.window, xi)) & 1
-
-    def support(self) -> set[NodeId]:
-        return {xi for j, xi in enumerate(self.window.ordered) if (self.bits >> j) & 1}
-
-    def __xor__(self, other: "F2Vector") -> "F2Vector":
-        if self.window != other.window:
-            raise DomainError("vectors indexed by different windows")
-        return F2Vector(self.window, self.bits ^ other.bits)
 
 
 def _position(window: Window, xi: NodeId) -> int:

@@ -61,15 +61,11 @@ class PredecessorForest:
                 raise DomainError(f"pred undefined at node {xi}")
         return cls(size, tuple(parents))
 
-    def contains(self, xi: NodeId) -> bool:
-        return 0 <= xi < self.size
-
     def check_node(self, xi: NodeId) -> None:
-        if not self.contains(xi):
+        if not isinstance(xi, int):  # bool passes; 1.0 would index no parent or child list
+            raise DomainError(f"node {xi!r} must be an int")
+        if not 0 <= xi < self.size:
             raise DomainError(f"node {xi} outside universe of size {self.size}")
-
-    def nodes(self) -> range:
-        return range(self.size)
 
 
 def successors(forest: PredecessorForest, xi: NodeId) -> set[NodeId]:
@@ -154,7 +150,7 @@ def fresh_separation(
     for eta in A.nodes:
         if eta >= 1:
             blocked.add(forest.parents[eta])
-    candidates = forest.nodes() if pool is None else sorted(set(pool))
+    candidates = range(forest.size) if pool is None else sorted(set(pool))
     found: list[int] = []
     for xi in candidates:
         forest.check_node(xi)

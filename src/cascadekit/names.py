@@ -47,6 +47,8 @@ class CoordinateBox:
     _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if not (isinstance(self.rows, int) and isinstance(self.bits, int)):
+            raise DomainError("box rows and bits must be ints")
         if not self.window.nodes or self.rows < 1 or self.bits < 1:
             raise DomainError("box must have nodes, rows, and bits")
         coords = tuple(
@@ -74,11 +76,6 @@ class CoordinateBox:
             return self._index[coord]
         except KeyError:
             raise DomainError(f"coordinate {coord} outside the box") from None
-
-    def coord_at(self, idx: int) -> Coordinate:
-        if not 0 <= idx < len(self._coords):
-            raise DomainError(f"coordinate index {idx} outside the box")
-        return self._coords[idx]
 
     def coords(self) -> Iterable[Coordinate]:
         return self._coords
@@ -126,9 +123,11 @@ class RawName:
     def __post_init__(self):
         # a frozenset keeps the pairs fixed, so the table the name holds stays its own
         object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for m, _ in self.pairs:
+        for m, cond in self.pairs:
             if not isinstance(m, int) or m < 0:
                 raise DomainError(f"member index {m!r} must be a natural int")
+            if not isinstance(cond, Condition):
+                raise DomainError(f"member {m} is paired with {cond!r}, not a Condition")
 
     def __getstate__(self):  # pickle the value alone; the table is rebuilt on the first question
         return {"pairs": self.pairs}
@@ -136,9 +135,6 @@ class RawName:
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, Condition]]) -> "RawName":
         return cls(frozenset(pairs))
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(sorted({m for m, _ in self.pairs}))
 
 
 @dataclass(frozen=True)
@@ -178,12 +174,6 @@ class PacketScheme:
     @classmethod
     def of(cls, support: Window, families: Mapping[int, Iterable[Packet]]) -> "PacketScheme":
         return cls(support, tuple((m, frozenset(ps)) for m, ps in families.items()))
-
-    def family(self, m: int) -> frozenset[Packet]:
-        for k, packets in self.families:
-            if k == m:
-                return packets
-        return frozenset()
 
     def to_raw_name(self) -> RawName:
         return RawName.of(
@@ -317,11 +307,6 @@ def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
     return SupportReport(True, True, checked, None)
 
 
-def check_support(name, A: Window, box: CoordinateBox) -> bool:
-    """True when flipping no single coordinate off the support changes any evaluation."""
-    return support_report(name, A, box).supported
-
-
 def decision_invariant(
     name, A: Window, p: Condition, m: int, box: CoordinateBox
 ) -> bool:
@@ -388,8 +373,8 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     no table is built and no flip runs again.  The box may have any size,
     and a name that mentions more than ``kernels.MAX_TABLE_COORDS``
     coordinates raises :class:`DomainError`.
-    Families run over the members that occur; :meth:`PacketScheme.family`
-    gives every other member the empty family.
+    Families run over the members that occur; every other member's family
+    is empty.
     """
     report = support_report(name, A, box)
     if not report.supported:

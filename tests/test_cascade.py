@@ -75,7 +75,7 @@ class TestToggleSet:
         assert ToggleSet.cofinite_excluding({1}).mask_below(4) == 0b1101
         assert ToggleSet.finite({0, 5}).mask_below(4) == 0b0001
         cases = [
-            ToggleSet.empty(),
+            ToggleSet.finite(()),
             ToggleSet.cofinite_excluding(set()),
             ToggleSet.finite({4, 9}),  # every exception at or above B = 4
             ToggleSet.cofinite_excluding({4, 9}),
@@ -102,6 +102,12 @@ class TestToggleSet:
         with pytest.raises(DomainError):
             ToggleSet.cofinite_excluding({0, 2.0})
 
+    def test_non_bool_cofinite_rejected(self):
+        # 'yes' != True, so a truthy flag would put the excluded bit 1 in the set
+        for flag in ("yes", 1, 0, None):
+            with pytest.raises(DomainError):
+                ToggleSet(flag, frozenset({1}))
+
 
 class TestConditionValidation:
     def test_bad_value(self):
@@ -118,7 +124,8 @@ class TestConditionValidation:
     def test_negative_coordinate(self):
         with pytest.raises(DomainError):
             Condition.from_map({(0, -1, 0): 1})
-        for coord in (Coordinate(0.0, 0, 0), Coordinate(0, 1.0, 0), Coordinate(0, 0, 0.5)):
+        # a plain tuple is no Coordinate, though it compares equal to one
+        for coord in (Coordinate(0.0, 0, 0), Coordinate(0, 1.0, 0), Coordinate(0, 0, 0.5), (0, 0, 0), None):
             with pytest.raises(DomainError):
                 Condition(((coord, 1),))
 
@@ -158,7 +165,13 @@ class TestGenerator:
     def test_empty_toggle_rejected(self):
         f = forest_of(2, {1: 0})
         with pytest.raises(DomainError):
-            generator(f, 0, 0, ToggleSet.empty())
+            generator(f, 0, 0, ToggleSet.finite(()))
+
+    def test_non_int_node_rejected(self):
+        f = forest_of(2, {1: 0})
+        for xi in (0.0, "0"):
+            with pytest.raises(DomainError):
+                generator(f, xi, 0, ToggleSet.finite({0}))
 
 
 class TestAutomorphismValidation:
@@ -179,7 +192,7 @@ class TestAutomorphismValidation:
             (((-1, 0), ToggleSet.finite({1})),),  # negative node
             (((1, -1), ToggleSet.finite({1})),),  # negative row
             (((1, 0), ToggleSet.finite(())),),  # empty toggle
-            (((2, 0), ToggleSet.finite({1})), ((0, 0), ToggleSet.empty())),  # empty, unsorted
+            (((2, 0), ToggleSet.finite({1})), ((0, 0), ToggleSet.finite(()))),  # empty, unsorted
         ],
     )
     def test_rejections(self, entries):
@@ -357,6 +370,9 @@ class TestShield:
         q = Condition.from_map({(1, 0, 2): 1})
         with pytest.raises(DomainError):
             shield_set(q, 3, 0, f)
+        for beta in (1.0, "1"):
+            with pytest.raises(DomainError):
+                shield_set(q, beta, 0, f)
 
 
 class TestRowIndex:

@@ -41,3 +41,11 @@ def test_readme_names_exactly_the_verify_flags():
     sentence = text.split("`verify` accepts a lemma id", 1)[1].split(" where applicable.", 1)[0]
     flags = re.findall(r"`(--[a-z-]+)`", sentence.split(" plus ", 1)[1])
     assert sorted(flags) == sorted({"--seed", *cli._VERIFY_FLAGS.values()})
+
+
+def test_readme_layout_names_exactly_the_package_modules():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Package layout\n", 1)[1].split("```\n", 2)[1]
+    listed = [line.split()[0] for line in block.splitlines()[1:] if line.strip()]
+    modules = sorted(p.name for p in (ROOT / "src" / "cascadekit").glob("*.py") if p.name != "__init__.py")
+    assert sorted(listed) == modules and len(listed) == len(set(listed))

@@ -60,17 +60,17 @@ class TestStarVector:
     def test_root_star_in_fork(self):
         f = forest_of(3, {1: 0, 2: 0})
         K = Window(f, frozenset({0, 1, 2}))
-        assert combine_stars(K, [0]).support() == {0, 1, 2}
+        assert combine_stars(K, [0]) == F2Vector.from_nodes(K, {0, 1, 2})
 
     def test_leaf_star(self):
         f = forest_of(3, {1: 0, 2: 0})
         K = Window(f, frozenset({0, 1, 2}))
-        assert combine_stars(K, [1]).support() == {1}
+        assert combine_stars(K, [1]) == F2Vector.from_nodes(K, {1})
 
     def test_intersection_with_window(self):
         f = forest_of(3, {1: 0, 2: 0})
         K = Window(f, frozenset({0, 1}))
-        assert combine_stars(K, [0]).support() == {0, 1}
+        assert combine_stars(K, [0]) == F2Vector.from_nodes(K, {0, 1})
 
     def test_diagonal_always_set(self):
         for f in all_forests(5):

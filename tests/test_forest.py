@@ -49,6 +49,23 @@ class TestSuccessors:
         with pytest.raises(DomainError):
             successors(f, 5)
 
+    def test_non_int_nodes_rejected(self):
+        f = forest_of(3, {1: 0, 2: 1})
+        for xi in (1.0, "1", None):
+            with pytest.raises(DomainError):
+                f.check_node(xi)
+            with pytest.raises(DomainError):
+                successors(f, xi)
+            with pytest.raises(DomainError):
+                rho_closure(f, {xi})
+            with pytest.raises(DomainError):
+                Window(f, frozenset({0, xi}))
+        with pytest.raises(DomainError):  # the pool's nodes pass the same check
+            fresh_separation(f, rho_closure(f, {0}), pool=[1.0, 2])
+        # bool is an int subclass and stays accepted
+        f.check_node(True)
+        assert successors(f, True) == {2}
+
     def test_successors_lie_strictly_above(self):
         for f in all_forests(5):
             for xi in range(f.size):

@@ -23,7 +23,6 @@ from cascadekit.names import (
     RawName,
     TwoLayerCode,
     _prime_cubes,
-    check_support,
     decision_invariant,
     decode_two_layer,
     evaluate,
@@ -75,7 +74,7 @@ class TestBoxAndAssignment:
     def test_index_round_trip(self):
         box = small_box(rows=2, bits=3)
         for idx in range(box.n_coords):
-            assert box.index(box.coord_at(idx)) == idx
+            assert box.index(box.coords()[idx]) == idx
 
     def test_outside_coordinate_rejected(self):
         box = small_box()
@@ -96,7 +95,7 @@ class TestBoxAndAssignment:
         ]
         assert list(box.coords()) == packed
         for idx, coord in enumerate(packed):
-            assert box.coord_at(idx) == coord
+            assert box.coords()[idx] == coord
             assert box.index(coord) == idx
             assert box.contains(coord)
 
@@ -114,9 +113,6 @@ class TestBoxAndAssignment:
             assert not box.contains(coord)
             with pytest.raises(DomainError):
                 box.index(coord)
-        for idx in (-1, box.n_coords):
-            with pytest.raises(DomainError):
-                box.coord_at(idx)
 
     @pytest.mark.parametrize("shape", _BOX_SHAPES)
     def test_condition_masks_match_the_index(self, shape):
@@ -191,7 +187,7 @@ class TestCheckSupport:
         scheme = PacketScheme.of(A, {0: {pkt}})
         name = scheme.to_raw_name()
         assert naive_supported(name, A, box)
-        assert check_support(name, A, box)
+        assert support_report(name, A, box).supported
 
     def test_leaf_mention_off_support_fails(self):
         box = small_box()
@@ -208,7 +204,7 @@ class TestCheckSupport:
     def test_empty_name_supported(self):
         box = small_box()
         A = rho_closure(box.forest, set())
-        assert check_support(RawName.of([]), A, box)
+        assert support_report(RawName.of([]), A, box).supported
 
     def test_matches_naive_oracle_on_random_names(self):
         rng = random.Random(8)
@@ -223,7 +219,7 @@ class TestCheckSupport:
                 pairs.append((rng.randrange(2), cond))
             name = RawName.of(pairs)
             A = rho_closure(f, set(rng.sample(range(f.size), rng.randrange(f.size + 1))))
-            assert check_support(name, A, box) == naive_supported(name, A, box)
+            assert support_report(name, A, box).supported == naive_supported(name, A, box)
 
     @pytest.mark.parametrize("shape", [(17, 1, 1), (3, 3, 2), (11, 1, 2)])
     def test_exhaustive_above_sixteen_coordinates(self, shape):
@@ -245,7 +241,7 @@ class TestCheckSupport:
         report = support_report(name, A, box)
         assert not report.supported and report.exhaustive
         assert report.assignments_checked == 2**18
-        assert not check_support(name, A, box)
+        assert not support_report(name, A, box).supported
         assert report.witness[0] not in A.nodes
         assert witness_flip_changes_members(name, box, report.witness)
 
@@ -257,14 +253,12 @@ class TestCheckSupport:
         small = RawName.of([(0, Condition.from_map({(0, 0, 0): 1}))])
         report = support_report(small, A, box)
         assert report.supported and report.assignments_checked == 2**23
-        assert normalize(small, A, box).family(0)
+        assert dict(normalize(small, A, box).families).get(0, frozenset())
         coords = list(box.coords())
         low = Condition(tuple((c, 0) for c in coords[:12]))
         every = RawName.of([(0, low), (1, Condition(tuple((c, 1) for c in coords[12:])))])
         with pytest.raises(DomainError):
             support_report(every, A, box)
-        with pytest.raises(DomainError):
-            check_support(every, A, box)
         with pytest.raises(DomainError):
             normalize(every, A, box)
         with pytest.raises(DomainError):
@@ -282,12 +276,12 @@ class TestCheckSupport:
         f = random_forest(11, 1)
         box = CoordinateBox(Window.whole(f), 1, 2)  # 22 coordinates
         A = rho_closure(f, {0})
-        name = RawName.of([(m, Condition(((box.coord_at(2 * m + 1), 1),))) for m in range(4)])
+        name = RawName.of([(m, Condition(((box.coords()[2 * m + 1], 1),))) for m in range(4)])
         report = support_report(name, A, box)
         assert built == [4]
         assert not report.supported and report.assignments_checked == 2**22
         # the least off-support mentioned coordinate, with the least assignment its flip changes
-        assert report.witness == (*box.coord_at(3), 0)
+        assert report.witness == (*box.coords()[3], 0)
         assert witness_flip_changes_members(name, box, report.witness)
 
 
@@ -313,7 +307,7 @@ class TestDecisionInvariant:
                 picked = rng.sample(coords_over_A, rng.randrange(1, min(3, len(coords_over_A)) + 1))
                 pairs.append((rng.randrange(3), Condition(tuple((c, rng.randrange(2)) for c in picked))))
             name = RawName.of(pairs)
-            assert check_support(name, A, box)
+            assert support_report(name, A, box).supported
             for g in itertools.islice(all_assignments(box), 0, 1 << box.n_coords, 7):
                 p = g.restrict_to_nodes(box.window.nodes)  # total, so it decides
                 for m in range(3):
@@ -360,7 +354,7 @@ class TestNormalize:
         A = rho_closure(f, {0, 1})
         p = Condition.from_map({(1, 0, 0): 1, (0, 0, 1): 0})
         scheme = normalize(RawName.of([(0, p)]), A, box)
-        assert scheme.family(0) == {Packet(p)}
+        assert dict(scheme.families).get(0, frozenset()) == {Packet(p)}
 
     def test_member_table_built_once(self, monkeypatch):
         built = []
@@ -397,7 +391,7 @@ class TestNormalize:
         box = small_box()
         A = rho_closure(box.forest, set())
         scheme = normalize(RawName.of([]), A, box)
-        assert scheme.families == () and scheme.family(0) == frozenset()
+        assert scheme.families == () and dict(scheme.families).get(0, frozenset()) == frozenset()
 
     def test_unsupported_name_rejected(self):
         box = small_box()
@@ -415,8 +409,8 @@ class TestNormalize:
         assert [m for m, _ in scheme.families] == [0]
         wide = normalize(RawName.of([(11, cond)]), A, box)
         assert [m for m, _ in wide.families] == [11]
-        assert wide.family(10) == frozenset()
-        assert wide.family(11) != frozenset()
+        assert dict(wide.families).get(10, frozenset()) == frozenset()
+        assert dict(wide.families).get(11, frozenset()) != frozenset()
 
     def test_large_member_pads_no_gap(self):
         box = small_box()
@@ -444,7 +438,7 @@ class TestNormalize:
             scheme = normalize(name, A, box)
             for g in all_assignments(box):
                 assert evaluate(scheme, g) == evaluate(name, g)
-            assert check_support(scheme, A, box)
+            assert support_report(scheme, A, box).supported
 
     def test_complementary_off_window_pairs_trim_away(self):
         # both values of an off-window coordinate appear, so the name is
@@ -459,10 +453,10 @@ class TestNormalize:
                 (0, base.merge(Condition.from_map({(2, 0, 1): 1}))),
             ]
         )
-        assert check_support(name, A, box)
+        assert support_report(name, A, box).supported
         assert naive_supported(name, A, box)
         scheme = normalize(name, A, box)
-        assert scheme.family(0) == {Packet(base)}
+        assert dict(scheme.families).get(0, frozenset()) == {Packet(base)}
         for g in all_assignments(box):
             assert evaluate(scheme, g) == evaluate(name, g)
 
@@ -474,7 +468,7 @@ class TestNormalize:
         over = Condition.from_map({(0, 0, 1): 1})
         bigger = over.merge(Condition.from_map({(2, 0, 0): 0}))
         name = RawName.of([(1, over), (1, bigger)])
-        assert check_support(name, A, box)
+        assert support_report(name, A, box).supported
         scheme = normalize(name, A, box)
         for g in all_assignments(box):
             assert evaluate(scheme, g) == evaluate(name, g)
@@ -633,7 +627,7 @@ class TestTwoLayerCode:
 
         monkeypatch.setattr(cascade, "rho_closure", refuse)
         scheme = normalize(name, A, box)
-        assert scheme.family(0) == {Packet(Condition.from_map({(1, 0, 0): 1, (0, 0, 1): 0}))}
+        assert dict(scheme.families).get(0, frozenset()) == {Packet(Condition.from_map({(1, 0, 0): 1, (0, 0, 1): 0}))}
         assert decode_two_layer(two_layer_code(scheme, box), box) == scheme
 
     def test_box_missing_a_coordinate_rejected(self):
@@ -661,6 +655,10 @@ class TestBoxValidation:
             CoordinateBox(Window.whole(f), 0, 2)
         with pytest.raises(DomainError):
             CoordinateBox(Window.whole(f), 1, 0)
+        for rows, bits in ((1.5, 2), (1, 2.0), ("1", 1), (None, 1)):
+            with pytest.raises(DomainError):
+                CoordinateBox(Window.whole(f), rows, bits)
+        assert CoordinateBox(Window.whole(f), True, 1).n_coords == 2  # bool stays accepted
 
     def test_window_node_outside_universe(self):
         from cascadekit.forest import Window
@@ -681,7 +679,7 @@ def full_box_minterms(name, A, box):
     for _, cond in name.pairs:
         mentioned |= box.condition_masks(cond)[0]
     trim_mask = mentioned & box.node_coord_mask(A.nodes)
-    return trim_mask, {m: set(kernels.project_member(table, m, trim_mask)) for m in name.members()}
+    return trim_mask, {m: set(kernels.project_member(table, m, trim_mask)) for m in {m for m, _ in name.pairs}}
 
 
 def brute_force_primes(minterms, within):
@@ -753,7 +751,7 @@ class TestMentionedCoordinates:
                     if c.node not in A.nodes
                 )
                 i, g = next((i, g) for i, g in flips if g >= 0)
-                assert report.witness == (*box.coord_at(i), g)
+                assert report.witness == (*box.coords()[i], g)
                 with pytest.raises(PreconditionError):
                     normalize(name, A, box)
                 continue
@@ -926,7 +924,7 @@ class TestPrimePackets:
         second = RawName.of([(0, Condition.from_map(x)), (0, Condition.from_map(y))])
         scheme = normalize(first, A, box)
         assert scheme == normalize(second, A, box)
-        assert scheme.family(0) == {Packet(Condition.from_map(x)), Packet(Condition.from_map(y))}
+        assert dict(scheme.families).get(0, frozenset()) == {Packet(Condition.from_map(x)), Packet(Condition.from_map(y))}
 
     def test_parity_has_a_prime_per_minterm(self):
         # no two odd-parity minterms are adjacent, so no consensus merges any
@@ -939,8 +937,8 @@ class TestPrimePackets:
             if sum(values) % 2
         ]
         scheme = normalize(RawName.of((0, cond) for cond in odd), A, box)
-        assert len(scheme.family(0)) == 32
-        assert {pkt.condition for pkt in scheme.family(0)} == set(odd)
+        assert len(dict(scheme.families).get(0, frozenset())) == 32
+        assert {pkt.condition for pkt in dict(scheme.families).get(0, frozenset())} == set(odd)
 
     def test_code_rejects_duplicate_and_negative_members(self):
         A = rho_closure(small_box().forest, {0})
@@ -983,6 +981,9 @@ class TestPrimePackets:
         for m in (-1, 1.5, 0.0):  # a raw name's member indices are natural ints too
             with pytest.raises(DomainError):
                 RawName.of([(m, cond)])
+        for bad in (((Coordinate(0, 0, 0), 1),), Packet(cond), None):  # and its conditions Conditions
+            with pytest.raises(DomainError):
+                RawName.of([(0, bad)])
         outside = Packet(Condition.from_map({(9, 0, 0): 1}))  # node outside the forest
         with pytest.raises(DomainError):
             PacketScheme.of(A, {0: {outside}})
@@ -1022,7 +1023,7 @@ class TestNameCache:
         normalize(name, A, box)
         for m, cond in pairs:
             assert decision_invariant(name, A, cond, m, box)
-        assert check_support(name, A, box)
+        assert support_report(name, A, box).supported
         assert len(builds) == 1 and len(flips) == sweep
 
     def test_flips_run_once_per_name_across_windows(self, monkeypatch):
@@ -1097,7 +1098,7 @@ class TestNameCache:
             with pytest.raises(DomainError):
                 support_report(name, A, box)
             with pytest.raises(DomainError):
-                check_support(name, A, box)
+                support_report(name, A, box).supported
             with pytest.raises(DomainError):
                 normalize(name, A, box)
             with pytest.raises(DomainError):
@@ -1141,7 +1142,7 @@ class TestNameCache:
                     call(normalize, twin, A, twin_box),
                     call(normalize, name, root, box),
                     [call(decision_invariant, name, A, cond, m, box) for m, cond in pairs],
-                    call(check_support, twin, root, twin_box),
+                    call(support_report, twin, root, twin_box).supported,
                     call(support_report, name, root, wide),
                     call(normalize, name, A, wide),
                 )

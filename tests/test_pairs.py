@@ -108,3 +108,14 @@ def test_verify_sweep_summary_gives_each_lemmas_medians_and_ratio():
     }
     # runs without per-lemma seconds get no such key
     assert "lemma_norm_s" not in pairs.summarize(synthetic_runs(), METRICS)["w"]
+
+
+def test_src_lines_counts_every_library_module_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "cascadekit"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "sub" / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (pkg / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("outside\nthe\nlibrary\n")
+    assert pairs.src_lines(tmp_path) == 2
