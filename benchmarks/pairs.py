@@ -20,9 +20,13 @@ The output holds ``command``, ``machine``, ``parent``, ``change``,
 ``src_lines`` gives each side's total line count of
 ``src/cascadekit/**/*.py``, as ``wc -l`` counts it.  ``summary`` gives, per
 workload and metric, each side's median and quartiles (the exclusive
-method of ``statistics.quantiles``), the ratio of the medians and
+method of ``statistics.quantiles``), the ratio of the medians,
 ``pairs_change_better``, the number of pairs in which the change beat the
-parent.  Each record in ``runs`` holds the run's end-to-end metrics and, for
+parent, ``gain_rule_met``, whether the change won at least 9 in 10 pairs
+and its median beat the parent's by more than the parent's interquartile
+range, and ``within_bound``, whether the change's median is worse than the
+parent's by no more than the metric's ``bound`` (a fraction of the
+parent's median).  Each record in ``runs`` holds the run's end-to-end metrics and, for
 verify-sweep, ``lemma_norm_s``: the normalised seconds of each lemma, whose
 sum is ``norm_wall_s``.  The verify-sweep summary adds ``lemma_norm_s`` too:
 per lemma, each side's median and their ratio, so a gain can be traced to
@@ -83,8 +87,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     ``runs`` are records with ``workload``, ``side``, ``pair``, a
     ``metrics`` dict of values and, for verify-sweep, ``lemma_norm_s``;
     ``metrics`` are ``BENCHMARK.json``'s end-to-end entries, each with a
-    ``name`` and ``better`` (``lower`` or ``higher``).  A tie counts as a
-    pair the change did not win.  Where the runs time lemmas, the
+    ``name``, ``better`` (``lower`` or ``higher``) and ``bound``.  A tie
+    counts as a pair the change did not win.  Where the runs time lemmas, the
     workload's summary also holds ``lemma_norm_s`` from :func:`lemma_medians`.
     """
     summary: dict[str, dict] = {}
@@ -103,13 +107,17 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 continue
             p_med, c_med = statistics.median(parent), statistics.median(change)
             won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+            gain = p_med - c_med if lower else c_med - p_med
+            q1, q3 = quartiles(parent)
             out[name] = {
                 "parent_median": round(p_med, 6),
-                "parent_quartiles": [round(q, 6) for q in quartiles(parent)],
+                "parent_quartiles": [round(q1, 6), round(q3, 6)],
                 "change_median": round(c_med, 6),
                 "change_quartiles": [round(q, 6) for q in quartiles(change)],
                 "change_over_parent": round(c_med / p_med, 3) if p_med else None,
                 "pairs_change_better": won,
+                "gain_rule_met": 10 * won >= 9 * len(pairs) and gain > q3 - q1,
+                "within_bound": -gain <= metric["bound"] * p_med,
             }
         lemmas = lemma_medians(pairs)
         if lemmas:

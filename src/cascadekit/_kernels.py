@@ -94,19 +94,28 @@ def build_table(n_coords: int, entries) -> Table:
     return Table(n_coords, cols)
 
 
+def set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of a natural ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def flip_violation(table: Table, flip_mask: int) -> int:
     """Least assignment whose members change under XOR with ``flip_mask``; -1 if none."""
     n = table.n_coords
     if flip_mask < 0 or flip_mask >> n:
         raise IndexError("flip mask outside the table")
+    # only the flipped coordinates permute: each swaps the halves of its blocks
+    swaps = [(1 << b, _subcube_indicator(n, 1 << b, 0)) for b in set_bits(flip_mask)]
     best = -1
     for col in table.cols.values():
         permuted = col
-        for b in range(n):
-            if (flip_mask >> b) & 1:
-                block = 1 << b
-                low = _subcube_indicator(n, block, 0)
-                permuted = ((permuted & low) << block) | ((permuted >> block) & low)
+        for block, low in swaps:
+            permuted = ((permuted & low) << block) | ((permuted >> block) & low)
         diff = col ^ permuted
         if diff:
             g = (diff & -diff).bit_length() - 1
@@ -125,12 +134,7 @@ def project_member(table: Table, m: int, proj_mask: int) -> tuple[int, ...]:
         if not (proj_mask >> b) & 1:
             block = 1 << b
             col = (col | (col >> block)) & _subcube_indicator(n, block, 0)
-    out = []
-    while col:
-        low = col & -col
-        out.append(low.bit_length() - 1)
-        col ^= low
-    return tuple(out)
+    return tuple(set_bits(col))
 
 
 def subcube_member_summary(table: Table, m: int, dmask: int, vmask: int) -> int:

@@ -84,7 +84,14 @@ _NO_BITS: frozenset[int] = frozenset()
 
 @dataclass(frozen=True)
 class Condition:
-    """A finite partial 0/1 function on coordinates, stored canonically sorted."""
+    """A finite partial 0/1 function on coordinates, stored canonically sorted.
+
+    ``Condition(...)`` checks every entry of input from outside the library.
+    A condition the library derives from checked ones (:func:`apply`,
+    :meth:`restrict_to_nodes`, :meth:`merge`, :func:`pad_common_domain`, and
+    the packets ``names`` builds and decodes) is built by :meth:`_checked`
+    and is not checked again.
+    """
 
     entries: tuple[tuple[Coordinate, int], ...]
 
@@ -107,6 +114,17 @@ class Condition:
         canonical = tuple(sorted(self.entries))
         if canonical != self.entries:
             object.__setattr__(self, "entries", canonical)
+
+    @classmethod
+    def _checked(cls, entries: tuple[tuple[Coordinate, int], ...]) -> "Condition":
+        """A condition of entries that already pass every check here, in sorted order.
+
+        Only for entries the library derives from checked ones; input from
+        outside goes through ``Condition(...)``, which checks it all.
+        """
+        cond = object.__new__(cls)
+        object.__setattr__(cond, "entries", entries)
+        return cond
 
     @classmethod
     def from_map(cls, mapping: Mapping[tuple[int, int, int], int]) -> "Condition":
@@ -140,12 +158,9 @@ class Condition:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def node_support(self) -> frozenset[int]:
-        return frozenset(c.node for c, _ in self.entries)
-
     def restrict_to_nodes(self, nodes) -> "Condition":
         node_set = set(nodes)
-        return Condition(tuple((c, v) for c, v in self.entries if c.node in node_set))
+        return Condition._checked(tuple((c, v) for c, v in self.entries if c.node in node_set))
 
     def merge(self, other: "Condition") -> "Condition":
         """Union of two compatible conditions; disagreement is a domain error."""
@@ -153,7 +168,7 @@ class Condition:
         for c, v in other.entries:
             if out.setdefault(c, v) != v:
                 raise DomainError(f"conditions disagree at {c}")
-        return Condition(tuple(out.items()))
+        return Condition._checked(tuple(sorted(out.items())))
 
 
 @dataclass(frozen=True)
@@ -192,8 +207,10 @@ class CascadeAutomorphism:
         prev = None
         for key, ts in entries:
             node, row = key
-            if not 0 <= node < size:
+            if not (isinstance(node, int) and 0 <= node < size):
                 self.forest.check_node(node)
+            if not isinstance(row, int):  # bool passes, as for nodes
+                raise DomainError(f"row {row!r} must be an int")
             if row < 0:
                 raise DomainError("negative row index")
             if ts.is_empty():
@@ -279,7 +296,7 @@ def apply(tau: CascadeAutomorphism, q: Condition) -> Condition:
         if ts is not None and coord.bit in ts:
             value ^= 1
         out.append((coord, value))
-    return Condition(tuple(out))
+    return Condition._checked(tuple(out))
 
 
 def shield_set(
@@ -310,12 +327,12 @@ def fixes_rows_over(tau: CascadeAutomorphism, A: Window) -> bool:
 
 def pad_common_domain(p: Condition, q: Condition) -> tuple[Condition, Condition]:
     """Extend both conditions by zeros so they share the union of their domains."""
-    union = p.domain() | q.domain()
+    union = sorted(p.domain() | q.domain())
     p_map = p.as_dict()
     q_map = q.as_dict()
     p_out = tuple((c, p_map.get(c, 0)) for c in union)
     q_out = tuple((c, q_map.get(c, 0)) for c in union)
-    return Condition(p_out), Condition(q_out)
+    return Condition._checked(p_out), Condition._checked(q_out)
 
 
 def transport(p: Condition, q: Condition, A: Window) -> CascadeAutomorphism:

@@ -150,10 +150,15 @@ def fresh_separation(
     for eta in A.nodes:
         if eta >= 1:
             blocked.add(forest.parents[eta])
-    candidates = range(forest.size) if pool is None else sorted(set(pool))
+    if pool is None:
+        candidates = range(forest.size)
+    else:
+        pool = set(pool)
+        for xi in pool:  # before sorting, which would raise TypeError on a str
+            forest.check_node(xi)
+        candidates = sorted(pool)
     found: list[int] = []
     for xi in candidates:
-        forest.check_node(xi)
         if xi not in blocked:
             found.append(xi)
             if len(found) == 2:

@@ -8,9 +8,15 @@ by" become finite sweeps.  Evaluation reads only the coordinates a name
 mentions, so each sweep runs over a member table of those coordinates and
 still covers every assignment of the box: the box may have any size, and
 ``kernels.MAX_TABLE_COORDS`` bounds what one name mentions.  A name holds
-the member table built on its first question, reused by support,
-normalization and decision questions over any box that holds it, and the
-verdict of each single-coordinate flip once some support window needs it.
+an index built on its first question: its member table, each pair's
+masks over the table's bits, the coordinate of each bit, each node's bits
+and the verdict of each single-coordinate flip once some support window
+needs it.  Support, normalization and decision questions over any box that
+holds the name read that index instead of the conditions.
+
+Conditions from outside the library are checked by ``Condition``; the
+packets this module derives from checked ones (normalized and decoded
+packets) are built by ``Condition._checked`` and not checked again.
 
 A name supported by a closed window A normalizes to a packet scheme: per
 member m, the prime implicants (the Blake canonical form) of m's
@@ -24,7 +30,7 @@ naturals, so a code names its packets over every box that holds them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import _kernels as kernels
 from .cascade import Condition, Coordinate, Packet
@@ -109,7 +115,9 @@ class Assignment:
 
     def restrict_to_nodes(self, nodes) -> Condition:
         coords = enumerate(self.box.coords())
-        return Condition(tuple((c, (self.value_bits >> i) & 1) for i, c in coords if c.node in nodes))
+        return Condition._checked(
+            tuple((c, (self.value_bits >> i) & 1) for i, c in coords if c.node in nodes)
+        )
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,7 @@ class RawName:
     """A finite set of (m, condition) pairs; the pre-normalization shape."""
 
     pairs: frozenset[tuple[int, Condition]]
-    # the name's member table and flip verdicts, set by _name_table on its first question
+    # the name's index (member table, masks, flip verdicts), set by _name_table on its first question
     _table: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -153,6 +161,7 @@ class PacketScheme:
 
     def __post_init__(self):
         seen = set()
+        nodes = self.support.nodes
         for m, packets in self.families:
             if not isinstance(m, int) or m < 0:
                 raise DomainError(f"member index {m!r} must be a natural int")
@@ -160,10 +169,13 @@ class PacketScheme:
                 raise DomainError(f"duplicate family for member {m}")
             seen.add(m)
             for pkt in packets:
-                if not pkt.condition.node_support() <= self.support.nodes:
-                    raise DomainError(
-                        f"packet in family {m} mentions nodes outside the support"
-                    )
+                if not isinstance(pkt, Packet):
+                    raise DomainError(f"family {m} holds {pkt!r}, not a Packet")
+                for coord, _ in pkt.condition.entries:
+                    if coord.node not in nodes:
+                        raise DomainError(
+                            f"packet in family {m} mentions nodes outside the support"
+                        )
         # frozen families keep the packets fixed, so the table the scheme holds stays its own
         frozen = ((m, frozenset(packets)) for m, packets in self.families)
         object.__setattr__(self, "families", tuple(sorted(frozen, key=lambda kv: kv[0])))
@@ -199,38 +211,61 @@ def evaluate(name, g: Assignment) -> set[int]:
     return {m for m, cond in _name_pairs(name) if g.extends(cond)}
 
 
-def _name_table(name, box: CoordinateBox):
-    """Member table of a name over only the coordinates its conditions mention.
+class _NameIndex(NamedTuple):
+    """What a name knows about itself, from one pass over its conditions."""
 
-    Returns ``(pairs, table, slot, flips)``: the name's sorted pairs, the
-    table, each mentioned coordinate's bit in the table, in box order, and
-    the ``kernels.flip_violation`` result of each table bit flipped so far.
-    Evaluation reads no other coordinate, so a verdict over the table holds
-    for all ``2**n_coords`` assignments of the box.  A coordinate outside
-    the box, or more than ``kernels.MAX_TABLE_COORDS`` mentioned
-    coordinates, raises :class:`DomainError`.
+    table: kernels.Table
+    masks: tuple[tuple[int, int, int], ...]  # each pair's (dmask, vmask, m) over the table bits
+    coords: tuple[Coordinate, ...]  # the mentioned coordinates, by table bit
+    slot: dict[Coordinate, int]  # each mentioned coordinate's table bit
+    node_bits: dict[int, int]  # each mentioned node's table bits, as a mask
+    flips: dict[int, int]  # kernels.flip_violation of each table bit flipped so far
+    top: tuple[int, int]  # the largest row and bit mentioned, -1 when none
+
+    def bits_over(self, A: Window) -> int:
+        """Mask of the table bits whose coordinates lie over the window ``A``."""
+        return sum(bits for node, bits in self.node_bits.items() if node in A.nodes)
+
+
+def _name_table(name, box: CoordinateBox) -> _NameIndex:
+    """The name's index: its member table over only the coordinates it mentions.
+
+    The table's bits are the mentioned coordinates in box order.  The index
+    also holds each of the name's sorted pairs as ``(dmask, vmask, m)`` over
+    those bits, the coordinate of each bit and its inverse ``slot``,
+    each mentioned node's bits, and the ``kernels.flip_violation`` result
+    of each bit flipped so far.  Evaluation reads no other coordinate, so a
+    verdict over the table holds for all ``2**n_coords`` assignments of the
+    box.  A coordinate outside the box, or more than
+    ``kernels.MAX_TABLE_COORDS`` mentioned coordinates, raises
+    :class:`DomainError`.
 
     Built on the name's first question and held by the name for as long as
     it lives: one column of at most ``2**MAX_TABLE_COORDS`` bits (512 KB)
     per member.  Boxes pack coordinates in the order of :class:`Coordinate`
-    tuples, so the table is the same over every box that holds it, and the
+    tuples, so the index is the same over every box that holds it, and the
     box is read only to check that it does.
     """
     _check_name(name)
-    if name._table is None:
+    index = name._table
+    if index is None:
         pairs = _name_pairs(name)
-        mentioned = sorted({c for _, cond in pairs for c, _ in cond.entries})
-        slot = {c: j for j, c in enumerate(mentioned)}
-        table = kernels.build_table(len(slot), [(*_slot_masks(cond, slot), m) for m, cond in pairs])
-        # a box holds every mentioned coordinate when it holds their nodes, largest row and bit
-        nodes, rows, bits = list(zip(*mentioned)) or [(), (), ()]
-        reach = set(nodes), max(rows, default=-1), max(bits, default=-1)
-        object.__setattr__(name, "_table", (pairs, table, slot, {}, reach))
-    pairs, table, slot, flips, (nodes, top_row, top_bit) = name._table
-    if not (nodes <= box.window.nodes and top_row < box.rows and top_bit < box.bits):
-        for coord in slot:
+        coords = tuple(sorted({c for _, cond in pairs for c, _ in cond.entries}))
+        slot = {c: j for j, c in enumerate(coords)}
+        masks = tuple((*_slot_masks(cond, slot), m) for m, cond in pairs)
+        node_bits: dict[int, int] = {}
+        for j, coord in enumerate(coords):
+            node_bits[coord.node] = node_bits.get(coord.node, 0) | 1 << j
+        top = max((c.row for c in coords), default=-1), max((c.bit for c in coords), default=-1)
+        table = kernels.build_table(len(coords), masks)
+        index = _NameIndex(table, masks, coords, slot, node_bits, {}, top)
+        object.__setattr__(name, "_table", index)
+    # a box holds every mentioned coordinate when it holds their nodes, largest row and bit
+    top_row, top_bit = index.top
+    if not (index.node_bits.keys() <= box.window.nodes and top_row < box.rows and top_bit < box.bits):
+        for coord in index.coords:
             box.index(coord)  # raises DomainError naming a coordinate outside the box
-    return pairs, table, slot, flips
+    return index
 
 
 def _slot_masks(cond: Condition, slot) -> tuple[int, int]:
@@ -271,8 +306,10 @@ def _check_box_window(A: Window, box: CoordinateBox) -> None:
 
 def _in_box(cond: Condition, box: CoordinateBox) -> Condition:
     """The condition, once each of its coordinates is found in the box."""
+    index = box._index
     for coord, _ in cond.entries:
-        box.index(coord)
+        if coord not in index:
+            box.index(coord)  # raises DomainError naming the coordinate
     return cond
 
 
@@ -294,15 +331,16 @@ def support_report(name, A: Window, box: CoordinateBox) -> SupportReport:
     and :func:`decision_invariant` read them too.
     """
     _check_box_window(A, box)
-    _, table, slot, flips = _name_table(name, box)
+    index = _name_table(name, box)
+    coords, flips = index.coords, index.flips
     checked = 1 << box.n_coords
-    for coord, j in slot.items():
+    for j, coord in enumerate(coords):
         if coord.node not in A.nodes:
             if j not in flips:
-                flips[j] = kernels.flip_violation(table, 1 << j)
+                flips[j] = kernels.flip_violation(index.table, 1 << j)
             g = flips[j]
             if g >= 0:
-                assignment = sum(1 << box.index(c) for c, i in slot.items() if g >> i & 1)
+                assignment = sum(1 << box.index(coords[i]) for i in kernels.set_bits(g))
                 return SupportReport(False, True, checked, (*coord, assignment))
     return SupportReport(True, True, checked, None)
 
@@ -317,19 +355,19 @@ def decision_invariant(
     m with the same truth value, sweeping all of its total extensions.  The
     coordinates of ``p`` that the name does not mention cannot change
     membership, so they drop out of the sweep; they must still lie in the box.
-    The name holds its member table, so asking about many conditions of
-    one name builds it once.
+    The name holds its index, so asking about many conditions of one name
+    builds its table once.
     """
     _check_box_window(A, box)
     _in_box(p, box)
-    _, table, slot, _ = _name_table(name, box)
-    dmask, vmask = _slot_masks(p, slot)
-    verdict = kernels.subcube_member_summary(table, m, dmask, vmask)
+    index = _name_table(name, box)
+    dmask, vmask = _slot_masks(p, index.slot)
+    verdict = kernels.subcube_member_summary(index.table, m, dmask, vmask)
     if verdict == 2:
         raise PreconditionError(f"condition does not decide membership of {m}")
     # restricting p to the rows over A keeps the table bits of the coordinates over A
-    over_A = sum(1 << j for coord, j in slot.items() if coord.node in A.nodes)
-    return kernels.subcube_member_summary(table, m, dmask & over_A, vmask & over_A) == verdict
+    over_A = index.bits_over(A)
+    return kernels.subcube_member_summary(index.table, m, dmask & over_A, vmask & over_A) == verdict
 
 
 def _prime_cubes(cubes) -> set[tuple[int, int]]:
@@ -381,14 +419,16 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
         raise PreconditionError(
             f"name is not supported by the window; witness coordinate+assignment {report.witness}"
         )
-    pairs, _, slot, _ = _name_table(name, box)
-    trimmed = {coord: j for coord, j in slot.items() if coord.node in A.nodes}
+    index = _name_table(name, box)
+    keep = index.bits_over(A)
     cubes: dict[int, list[tuple[int, int]]] = {}
-    for m, cond in pairs:
-        cubes.setdefault(m, []).append(_slot_masks(cond, trimmed))
+    for dmask, vmask, m in index.masks:
+        cubes.setdefault(m, []).append((dmask & keep, vmask & keep))
+    coords = index.coords
+    # a prime's bits ascend in box order, which is the coordinates' sorted order
     families = {
         m: {
-            Packet(Condition(tuple((c, (v >> j) & 1) for c, j in trimmed.items() if (d >> j) & 1)))
+            Packet(Condition._checked(tuple((coords[j], (v >> j) & 1) for j in kernels.set_bits(d))))
             for d, v in _prime_cubes(member_cubes)
         }
         for m, member_cubes in cubes.items()
@@ -453,7 +493,7 @@ def packet_of_code(k: int) -> Condition:
         if value > 1 or (entries and coord <= entries[-1][0]):
             raise DomainError(f"no packet has code {k:#x}")
         entries.append((coord, value))
-    return Condition(tuple(entries))
+    return Condition._checked(tuple(entries))
 
 
 def two_layer_code(scheme: PacketScheme, box: CoordinateBox) -> TwoLayerCode:

@@ -191,6 +191,9 @@ class TestAutomorphismValidation:
             (((3, 0), ToggleSet.finite({1})),),  # node outside the universe
             (((-1, 0), ToggleSet.finite({1})),),  # negative node
             (((1, -1), ToggleSet.finite({1})),),  # negative row
+            (((1.0, 0), ToggleSet.finite({0})),),  # non-int node
+            (((1, 0.5), ToggleSet.finite({0})),),  # non-int row
+            ((("1", 0), ToggleSet.finite({0})),),  # str node
             (((1, 0), ToggleSet.finite(())),),  # empty toggle
             (((2, 0), ToggleSet.finite({1})), ((0, 0), ToggleSet.finite(()))),  # empty, unsorted
         ],
@@ -199,6 +202,54 @@ class TestAutomorphismValidation:
         f = forest_of(3, {1: 0, 2: 0})
         with pytest.raises(DomainError):
             CascadeAutomorphism(f, entries)
+
+    def test_bool_node_and_row_accepted(self):
+        f = forest_of(3, {1: 0, 2: 0})
+        tau = CascadeAutomorphism(f, (((True, True), ToggleSet.finite({0})),))
+        assert tau.toggle_at(1, 1) == ToggleSet.finite({0})
+
+
+def assert_canonical(cond):
+    """A derived condition is one ``Condition(...)`` accepts unchanged: sorted and checked."""
+    assert Condition(cond.entries) == cond
+    assert list(cond.entries) == sorted(cond.entries)
+
+
+conditions = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 3)),
+    st.integers(0, 1),
+    max_size=7,
+).map(Condition.from_map)
+
+
+class TestDerivedConditions:
+    """Conditions derived from checked ones skip the checks, so each must already pass them."""
+
+    @given(conditions, st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_apply(self, q, seed, n_generators):
+        rng = random.Random(seed)
+        f = random_forest(5, seed)
+        tau = compose_all(f, (random_generator(f, rng) for _ in range(n_generators)))
+        assert_canonical(apply(tau, q))
+
+    @given(conditions, st.sets(st.integers(0, 5)))
+    def test_restrict_to_nodes(self, q, nodes):
+        got = q.restrict_to_nodes(nodes)
+        assert_canonical(got)
+        assert got.as_dict() == {c: v for c, v in q.entries if c.node in nodes}
+
+    @given(conditions, conditions)
+    def test_merge_and_pad(self, p, q):
+        p_map = p.as_dict()
+        # q without the coordinates where it disagrees with p, so the two merge
+        compatible = Condition.from_map({c: v for c, v in q.entries if p_map.get(c, v) == v})
+        merged = p.merge(compatible)
+        assert_canonical(merged)
+        assert merged.as_dict() == {**compatible.as_dict(), **p_map}
+        p_pad, q_pad = pad_common_domain(p, q)
+        assert_canonical(p_pad)
+        assert_canonical(q_pad)
+        assert p_pad.domain() == q_pad.domain() == p.domain() | q.domain()
 
 
 def random_generator(forest, rng, rows=3, bits=4):
@@ -467,7 +518,7 @@ class TestPacket:
         for trial in range(100):
             f = random_forest(rng.randrange(2, 7), trial + 1000)
             pkt = Packet(random_condition(f, rng))
-            A = rho_closure(f, pkt.condition.node_support())
+            A = rho_closure(f, {c.node for c in pkt.condition.domain()})
             tau = random_generator(f, rng)
             if fixes_rows_over(tau, A):
                 assert apply(tau, pkt.condition) == pkt.condition

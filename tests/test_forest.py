@@ -60,8 +60,9 @@ class TestSuccessors:
                 rho_closure(f, {xi})
             with pytest.raises(DomainError):
                 Window(f, frozenset({0, xi}))
-        with pytest.raises(DomainError):  # the pool's nodes pass the same check
-            fresh_separation(f, rho_closure(f, {0}), pool=[1.0, 2])
+        for pool in ([1.0, 2], ["1", 2]):  # the pool's nodes pass the same check, before sorting
+            with pytest.raises(DomainError):
+                fresh_separation(f, rho_closure(f, {0}), pool=pool)
         # bool is an int subclass and stays accepted
         f.check_node(True)
         assert successors(f, True) == {2}

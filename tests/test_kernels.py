@@ -5,6 +5,8 @@ import tracemalloc
 from collections.abc import Sequence
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cascadekit import _kernels
 from cascadekit.errors import DomainError
@@ -69,6 +71,18 @@ class TestAgainstNaive:
                     naive = g
                     break
             assert _kernels.flip_violation(table, mask) == naive
+
+    @given(st.integers(0, 9), st.integers(0, 2**32 - 1), st.integers(0, 6), st.data())
+    def test_flip_violation_matches_flip_oracle(self, n, seed, n_pairs, data):
+        entries = random_entries(random.Random(seed), n, n_pairs)
+        table = _kernels.build_table(n, entries)
+        flipped = data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=min(n, 4)))
+        mask = sum(1 << b for b in flipped)
+        # the least assignment whose members change when the flipped coordinates toggle
+        oracle = next(
+            (g for g in range(1 << n) if naive_eval(entries, g) != naive_eval(entries, g ^ mask)), -1
+        )
+        assert _kernels.flip_violation(table, mask) == oracle
 
     def test_project_member(self):
         rng = random.Random(3)

@@ -144,7 +144,7 @@ class TestBoxAndAssignment:
         box = small_box()
         g = Assignment(box, 0b110101)
         cond = g.restrict_to_nodes({1})
-        assert cond.node_support() == {1}
+        assert {c.node for c in cond.domain()} == {1}
         assert len(cond) == box.rows * box.bits
 
 
@@ -767,7 +767,7 @@ class TestMentionedCoordinates:
             assert all(not cubes[m] for m in cubes if m not in minterms)
             # the support is closed, so it holds the closure of every packet's nodes
             assert all(
-                rho_closure(box.forest, pkt.condition.node_support()).nodes <= A.nodes
+                rho_closure(box.forest, {c.node for c in pkt.condition.domain()}).nodes <= A.nodes
                 for _, pkts in scheme.families
                 for pkt in pkts
             )
@@ -987,6 +987,60 @@ class TestPrimePackets:
         outside = Packet(Condition.from_map({(9, 0, 0): 1}))  # node outside the forest
         with pytest.raises(DomainError):
             PacketScheme.of(A, {0: {outside}})
+        for bad in (cond, None):  # a family holds Packets
+            with pytest.raises(DomainError):
+                PacketScheme.of(A, {0: {bad}})
+
+
+def assert_canonical(cond):
+    """A derived condition is one ``Condition(...)`` accepts unchanged: sorted and checked."""
+    assert Condition(cond.entries) == cond
+    assert list(cond.entries) == sorted(cond.entries)
+
+
+class TestDerivedConditions:
+    """Conditions this module derives skip the checks, so each must already pass them."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_normalized_packets(self, seed):
+        rng = random.Random(seed)
+        box = random_box(rng, rng.choice(_BOX_SHAPES))
+        name, A = _random_supported_name(rng, box)
+        for _, packets in normalize(name, A, box).families:
+            for pkt in packets:
+                assert_canonical(pkt.condition)
+
+    @given(st.integers(0, 2**48))
+    def test_decoded_packets(self, k):
+        try:
+            cond = packet_of_code(k)
+        except DomainError:
+            return
+        assert_canonical(cond)
+        assert packet_code(cond) == k
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3)),
+            st.integers(0, 1),
+            max_size=6,
+        )
+    )
+    def test_coded_packets_decode_canonical(self, mapping):
+        cond = Condition.from_map(mapping)
+        decoded = packet_of_code(packet_code(cond))
+        assert_canonical(decoded)
+        assert decoded == cond
+
+    @given(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 4)))
+    def test_assignment_restrictions(self, seed, nodes):
+        rng = random.Random(seed)
+        box = random_box(rng, rng.choice(_BOX_SHAPES))
+        g = Assignment(box, rng.getrandbits(box.n_coords))
+        got = g.restrict_to_nodes(nodes)
+        assert_canonical(got)
+        assert got.domain() == {c for c in box.coords() if c.node in nodes}
+        assert g.extends(got)
 
 
 class TestNameCache:

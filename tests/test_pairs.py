@@ -10,7 +10,10 @@ _spec = importlib.util.spec_from_file_location("pairs", ROOT / "benchmarks" / "p
 pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
 
-METRICS = [{"name": "wall", "better": "lower"}, {"name": "rate", "better": "higher"}]
+METRICS = [
+    {"name": "wall", "better": "lower", "bound": 0.25},
+    {"name": "rate", "better": "higher", "bound": 0.25},
+]
 
 
 def run(workload, side, pair, wall, rate):
@@ -42,6 +45,49 @@ def test_medians_quartiles_and_pairs_won():
     rate = summary["w"]["rate"]
     assert rate["parent_median"] == 30.0 and rate["change_median"] == 20.0
     assert rate["pairs_change_better"] == 1
+
+
+def test_gain_rule_and_bound():
+    summary = pairs.summarize(synthetic_runs(), METRICS)["w"]
+    # 3 of 5 pairs won is short of 9 in 10; the median 2.0 is well inside 3.0's bound
+    assert summary["wall"]["gain_rule_met"] is False
+    assert summary["wall"]["within_bound"] is True
+    # the rate median fell from 30 to 20, a third of the parent's: beyond the 0.25 bound
+    assert summary["rate"]["gain_rule_met"] is False
+    assert summary["rate"]["within_bound"] is False
+
+
+def paired_runs(parent, change):
+    runs = []
+    for i, (p, c) in enumerate(zip(parent, change), start=1):
+        runs += [run("w", "parent", i, p, p), run("w", "change", i, c, c)]
+    return runs
+
+
+@pytest.mark.parametrize(
+    "change, gain_met",
+    [
+        ([x - 2.0 for x in range(10, 20)], False),  # won 10/10, but by 2 against an IQR of 5.5
+        ([x - 6.0 for x in range(10, 20)], True),  # won 10/10 by 6
+        ([x - 6.0 for x in range(10, 19)] + [20.0], True),  # 9/10 is enough; median 8.5
+        ([x - 6.0 for x in range(10, 18)] + [20.0, 20.0], False),  # 8/10 is not; median 8.5
+    ],
+)
+def test_gain_rule_needs_nine_in_ten_pairs_and_a_gap_beyond_the_iqr(change, gain_met):
+    parent = [float(x) for x in range(10, 20)]
+    wall = pairs.summarize(paired_runs(parent, change), METRICS)["w"]["wall"]
+    # parent quartiles 11.75 and 17.25 around 14.5: the medians must differ by more than 5.5
+    assert wall["parent_quartiles"] == [11.75, 17.25]
+    assert wall["gain_rule_met"] is gain_met
+
+
+def test_within_bound_is_relative_to_the_parent_median():
+    parent = [10.0] * 4
+    for worse, within in ((12.5, True), (12.6, False), (8.0, True)):
+        summary = pairs.summarize(paired_runs(parent, [worse] * 4), METRICS)["w"]
+        assert summary["wall"]["within_bound"] is within
+        # for a higher-is-better metric the bound counts the other way
+        assert summary["rate"]["within_bound"] is (worse >= 7.5)
 
 
 def test_workloads_summarised_separately_and_in_order():
