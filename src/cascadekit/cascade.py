@@ -84,14 +84,7 @@ _NO_BITS: frozenset[int] = frozenset()
 
 @dataclass(frozen=True)
 class Condition:
-    """A finite partial 0/1 function on coordinates, stored canonically sorted.
-
-    ``Condition(...)`` checks every entry of input from outside the library.
-    A condition the library derives from checked ones (:func:`apply`,
-    :meth:`restrict_to_nodes`, :meth:`merge`, :func:`pad_common_domain`, and
-    the packets ``names`` builds and decodes) is built by :meth:`_checked`
-    and is not checked again.
-    """
+    """A finite partial 0/1 function on coordinates, stored canonically sorted."""
 
     entries: tuple[tuple[Coordinate, int], ...]
 
@@ -119,8 +112,11 @@ class Condition:
     def _checked(cls, entries: tuple[tuple[Coordinate, int], ...]) -> "Condition":
         """A condition of entries that already pass every check here, in sorted order.
 
-        Only for entries the library derives from checked ones; input from
-        outside goes through ``Condition(...)``, which checks it all.
+        Only for entries the library derives from checked ones (:func:`apply`,
+        :meth:`restrict_to_nodes`, :meth:`merge`, :func:`pad_common_domain`,
+        the packets ``names`` normalizes and decodes, and an assignment's
+        restriction); input from outside goes through ``Condition(...)``,
+        which checks it all.
         """
         cond = object.__new__(cls)
         object.__setattr__(cond, "entries", entries)

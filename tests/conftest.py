@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 
+from cascadekit.cascade import Condition
 from cascadekit.forest import PredecessorForest, Window, random_forest
 from cascadekit.names import Assignment, CoordinateBox
 from cascadekit.verify import _all_closed_subsets as all_closed_subsets  # noqa: F401
@@ -37,6 +38,12 @@ def forward_substitution(K, bits):
         bits ^= parent_star(K, xi)
         chosen.add(xi)
     return chosen
+
+
+def assert_canonical(cond):
+    """A derived condition is one ``Condition(...)`` accepts unchanged: sorted and checked."""
+    assert Condition(cond.entries) == cond
+    assert list(cond.entries) == sorted(cond.entries)
 
 
 def random_box(rng, shape):

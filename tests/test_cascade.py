@@ -1,14 +1,16 @@
 """Conditions, toggle sets, cascade automorphisms, shielding, transport."""
 
+import ast
 import itertools
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_closed_subsets, forest_of, format_condition
+from conftest import all_closed_subsets, assert_canonical, forest_of, format_condition
 from cascadekit import cascade
 from cascadekit.cascade import (
     CascadeAutomorphism,
@@ -209,12 +211,6 @@ class TestAutomorphismValidation:
         assert tau.toggle_at(1, 1) == ToggleSet.finite({0})
 
 
-def assert_canonical(cond):
-    """A derived condition is one ``Condition(...)`` accepts unchanged: sorted and checked."""
-    assert Condition(cond.entries) == cond
-    assert list(cond.entries) == sorted(cond.entries)
-
-
 conditions = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 3)),
     st.integers(0, 1),
@@ -224,6 +220,28 @@ conditions = st.dictionaries(
 
 class TestDerivedConditions:
     """Conditions derived from checked ones skip the checks, so each must already pass them."""
+
+    def test_checked_only_at_derivation_sites(self):
+        sites = set()
+        for path in Path(cascade.__file__).parent.glob("*.py"):
+            for top in ast.parse(path.read_text()).body:
+                members = top.body if isinstance(top, ast.ClassDef) else [top]
+                for fn in members:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    name = f"{top.name}.{fn.name}" if fn is not top else fn.name
+                    for node in ast.walk(fn):
+                        if isinstance(node, ast.Attribute) and node.attr == "_checked":
+                            sites.add((path.stem, name))
+        assert sites == {
+            ("cascade", "Condition.restrict_to_nodes"),
+            ("cascade", "Condition.merge"),
+            ("cascade", "apply"),
+            ("cascade", "pad_common_domain"),
+            ("names", "Assignment.restrict_to_nodes"),
+            ("names", "normalize"),
+            ("names", "packet_of_code"),
+        }
 
     @given(conditions, st.integers(0, 2**32 - 1), st.integers(0, 6))
     def test_apply(self, q, seed, n_generators):

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_assignments, all_conditions, apply_to_assignment, forest_of, random_box
+from conftest import (
+    all_assignments,
+    all_conditions,
+    apply_to_assignment,
+    assert_canonical,
+    forest_of,
+    random_box,
+)
 from cascadekit import _kernels as kernels
 from cascadekit import cascade
 from cascadekit.cascade import Condition, Coordinate, Packet, ToggleSet, generator
@@ -990,12 +997,6 @@ class TestPrimePackets:
         for bad in (cond, None):  # a family holds Packets
             with pytest.raises(DomainError):
                 PacketScheme.of(A, {0: {bad}})
-
-
-def assert_canonical(cond):
-    """A derived condition is one ``Condition(...)`` accepts unchanged: sorted and checked."""
-    assert Condition(cond.entries) == cond
-    assert list(cond.entries) == sorted(cond.entries)
 
 
 class TestDerivedConditions:
