@@ -106,6 +106,8 @@ class Assignment:
     value_bits: int
 
     def __post_init__(self):
+        if not isinstance(self.value_bits, int):  # bool passes, as elsewhere
+            raise DomainError(f"assignment bits {self.value_bits!r} must be an int")
         if self.value_bits < 0 or self.value_bits >> self.box.n_coords:
             raise DomainError("assignment bits exceed the box")
 
@@ -160,6 +162,8 @@ class PacketScheme:
     _table: tuple = field(init=False, repr=False, compare=False, default=None)  # as RawName's
 
     def __post_init__(self):
+        if not isinstance(self.support, Window):
+            raise DomainError(f"scheme support {self.support!r} must be a Window")
         seen = set()
         nodes = self.support.nodes
         for m, packets in self.families:
@@ -169,8 +173,8 @@ class PacketScheme:
                 raise DomainError(f"duplicate family for member {m}")
             seen.add(m)
             for pkt in packets:
-                if not isinstance(pkt, Packet):
-                    raise DomainError(f"family {m} holds {pkt!r}, not a Packet")
+                if not (isinstance(pkt, Packet) and isinstance(pkt.condition, Condition)):
+                    raise DomainError(f"family {m} holds {pkt!r}, not a Packet of a Condition")
                 for coord, _ in pkt.condition.entries:
                     if coord.node not in nodes:
                         raise DomainError(
@@ -444,6 +448,8 @@ class TwoLayerCode:
     packet_indices: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        if not isinstance(self.support, Window):
+            raise DomainError(f"code support {self.support!r} must be a Window")
         for m, ks in self.packet_indices:  # before sorting, which would raise TypeError on a str
             if not all(isinstance(k, int) and k >= 0 for k in (m, *ks)):
                 raise DomainError("member indices and packet codes must be natural ints")
@@ -498,6 +504,8 @@ def packet_of_code(k: int) -> Condition:
 
 def two_layer_code(scheme: PacketScheme, box: CoordinateBox) -> TwoLayerCode:
     """Code a scheme by its packets' codes; a packet outside the box raises :class:`DomainError`."""
+    if not isinstance(scheme, PacketScheme):
+        raise DomainError(f"expected a packet scheme, got {type(scheme)!r}")
     indices = tuple(
         (m, tuple(sorted(packet_code(_in_box(p.condition, box)) for p in packets)))
         for m, packets in scheme.families
@@ -512,6 +520,8 @@ def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
     support, whatever the box's forest; a packet outside the box raises
     :class:`DomainError`.
     """
+    if not isinstance(code, TwoLayerCode):
+        raise DomainError(f"expected a two-layer code, got {type(code)!r}")
     families = {
         m: {Packet(_in_box(packet_of_code(k), box)) for k in ks}
         for m, ks in code.packet_indices

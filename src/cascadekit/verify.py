@@ -4,9 +4,11 @@ Each routine replays an invariant suite and returns a report, whose
 ``trials`` counts the instances checked (enumerated by a fixed sweep plus
 sampled from the seed) and which is ``exhaustive`` when it has an
 enumerated part; the CLI maps lemma ids onto these.  A routine's keywords
-are ``seed`` and, when it samples, ``trials``, which the harness that
-registers it checks; every other scale is fixed here.  What each oracle
-recomputes, apart from the code it checks:
+are ``seed`` and, when it samples, ``trials``; every other scale is fixed
+here.  The harness checks them and builds the report; a sampling body
+receives it with ``random.Random(seed)`` and the trial count, which the
+harness counts as sampled, and any other body the report alone.  What each
+oracle recomputes, apart from the code it checks:
 
 - starspan: invertibility by Gaussian elimination, and each node's star
   rebuilt from the parent map;
@@ -29,7 +31,6 @@ and ``fixes_rows_over``: no pointwise replay of actions checks them.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import itertools
 import math
@@ -139,33 +140,41 @@ class VerificationReport:
 REGISTRY: dict[str, tuple] = {}
 
 
-def _lemma(lemma: str, description: str):
+def _lemma(lemma: str, description: str, trials: int | None = None):
     """Register the decorated body, which fills the report passed first, as ``lemma``'s routine.
 
-    The routine rejects a ``trials`` below 1, and a report that counts no instance.
+    A lemma that samples names its default ``trials``: its routine takes
+    ``(trials, seed=0)``, rejects a ``trials`` below 1, calls
+    ``body(report, rng, trials)`` with ``rng = random.Random(seed)`` and
+    counts the trials as sampled.  Any other routine takes ``(seed=0)`` and
+    calls ``body(report)``.  Either rejects a report that counts no instance.
     """
 
     def register(body):
-        signature = inspect.signature(body)
-        public = signature.replace(parameters=list(signature.parameters.values())[1:])
-
-        @functools.wraps(body)
-        def routine(*args, **kwargs):
+        def check(seed, count):
             started = time.perf_counter()
-            bound = public.bind(*args, **kwargs)
-            bound.apply_defaults()
-            # no trial would run, and a negative count would be printed as run
-            trials = bound.arguments.get("trials")
-            if trials is not None and trials < 1:
-                raise DomainError(f"trials must be positive, got {trials}")
-            report = VerificationReport(lemma, bound.arguments["seed"])
-            body(report, *bound.args, **bound.kwargs)
+            report = VerificationReport(lemma, seed)
+            if count is None:
+                body(report)
+            elif count < 1:  # no trial would run, and a negative count would be printed as run
+                raise DomainError(f"trials must be positive, got {count}")
+            else:
+                body(report, random.Random(seed), count)
+                report.sampled = count
             if report.trials < 1:  # a report that holds no instance would pass vacuously
                 raise DomainError(f"{lemma} checked no instance (trials={report.trials})")
             report.elapsed = time.perf_counter() - started
             return report
 
-        routine.__signature__ = public
+        if trials is None:
+            def routine(seed: int = 0):
+                return check(seed, None)
+        else:
+            def routine(trials: int = trials, seed: int = 0):
+                return check(seed, trials)
+
+        # not functools.wraps: inspect.signature would follow its __wrapped__ to the body's parameters
+        routine.__name__, routine.__qualname__, routine.__doc__ = body.__name__, body.__qualname__, body.__doc__
         REGISTRY[lemma] = (routine, description)
         return routine
 
@@ -220,8 +229,8 @@ def _parent_star(K: Window, xi: int) -> int:
     return bits
 
 
-@_lemma("starspan", "star basis spans every window target")
-def verify_starspan(report: VerificationReport, trials: int = 200, seed: int = 0):
+@_lemma("starspan", "star basis spans every window target", trials=200)
+def verify_starspan(report: VerificationReport, rng: random.Random, trials: int):
     """Star matrices are unit triangular and invertible; the solver hits every target.
 
     Each trial draws a closed window of up to ``MAX_STARSPAN_WINDOW`` nodes
@@ -231,7 +240,6 @@ def verify_starspan(report: VerificationReport, trials: int = 200, seed: int = 0
     the basis's units only against its own stars; the rebuilt stars check
     those against the forest.
     """
-    rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(1, 2 * MAX_STARSPAN_WINDOW), rng.getrandbits(32))
         K = _random_window(forest, rng)
@@ -255,7 +263,6 @@ def verify_starspan(report: VerificationReport, trials: int = 200, seed: int = 0
                         break
         except CertificateError as exc:
             report.record(f"trial {trial}: basis certificate failed on {K.serialize()}: {exc}")
-    report.sampled = trials
     report.notes = f"all targets swept on windows up to {STARSPAN_SWEEP_WINDOW} nodes"
 
 
@@ -275,10 +282,9 @@ def _legal_toggles(forest: PredecessorForest, beta: int, row: int, shield: froze
     return out
 
 
-@_lemma("shield", "toggles off the shield fix conditions")
-def verify_shield(report: VerificationReport, trials: int = 1000, seed: int = 0):
+@_lemma("shield", "toggles off the shield fix conditions", trials=1000)
+def verify_shield(report: VerificationReport, rng: random.Random, trials: int):
     """Toggles avoiding the shield fix the condition; random plus a full tiny sweep."""
-    rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(2, 9), rng.getrandbits(32))
         q = _random_condition(forest, rng)
@@ -313,7 +319,7 @@ def verify_shield(report: VerificationReport, trials: int = 1000, seed: int = 0)
                         report.record(
                             f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
                         )
-    report.enumerated, report.sampled = swept, trials
+    report.enumerated = swept
     report.notes = f"{swept} exhaustive instances on the 8-coordinate box, plus {trials} sampled trials"
 
 
@@ -340,7 +346,7 @@ def _all_closed_subsets(forest: PredecessorForest):
 
 
 @_lemma("fresh", "fresh separation clauses hold exhaustively")
-def verify_fresh(report: VerificationReport, seed: int = 0):
+def verify_fresh(report: VerificationReport):
     """Exhaustive four-clause check of fresh separation on universes up to 6 nodes."""
     for size in range(1, 7):
         for forest in _all_forests(size):
@@ -384,10 +390,9 @@ def _random_condition(forest, rng, max_len=6, rows=3, bits=5) -> Condition:
     return Condition.from_map(entries)
 
 
-@_lemma("abelian", "the cascade group is abelian of exponent 2")
-def verify_abelian(report: VerificationReport, trials: int = 300, seed: int = 0):
+@_lemma("abelian", "the cascade group is abelian of exponent 2", trials=300)
+def verify_abelian(report: VerificationReport, rng: random.Random, trials: int):
     """Generators commute, every element squares to the identity, fixing is closed."""
-    rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
         g1 = generator(forest, rng.randrange(forest.size), rng.randrange(3), _random_toggle(rng))
@@ -409,13 +414,11 @@ def verify_abelian(report: VerificationReport, trials: int = 300, seed: int = 0)
         for t1, t2 in itertools.combinations(fixers, 2):
             if not fixes_rows_over(compose(t1, t2), A):
                 report.record(f"trial {trial}: fixing subgroup not closed under composition")
-    report.sampled = trials
 
 
-@_lemma("transport", "transport carries p to q fixing the window")
-def verify_transport(report: VerificationReport, trials: int = 500, seed: int = 0):
+@_lemma("transport", "transport carries p to q fixing the window", trials=500)
+def verify_transport(report: VerificationReport, rng: random.Random, trials: int):
     """Transport maps padded p to padded q and fixes all rows over the window."""
-    rng = random.Random(seed)
     for trial in range(trials):
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
         A = _random_closed_subset(forest, rng)
@@ -429,7 +432,6 @@ def verify_transport(report: VerificationReport, trials: int = 500, seed: int = 
             report.record(f"trial {trial}: transport missed the target condition")
         if not fixes_rows_over(pi, A):
             report.record(f"trial {trial}: transport toggles rows over the window")
-    report.sampled = trials
 
 
 _BOX_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 1, 4), (2, 1, 7), (4, 1, 3), (2, 3, 2))
@@ -484,10 +486,9 @@ def _member_table(box: CoordinateBox, name):
     return kernels.build_table(box.n_coords, entries)
 
 
-@_lemma("decision", "restrictions of deciding conditions decide alike")
-def verify_decision(report: VerificationReport, trials: int = 100, seed: int = 0):
+@_lemma("decision", "restrictions of deciding conditions decide alike", trials=100)
+def verify_decision(report: VerificationReport, rng: random.Random, trials: int):
     """Deciding conditions restricted to the support keep deciding the same way."""
-    rng = random.Random(seed)
     pair_probes = total_probes = drawn = kept = 0
     for trial in range(trials):
         box = _random_box(rng)
@@ -526,7 +527,6 @@ def verify_decision(report: VerificationReport, trials: int = 100, seed: int = 0
             # the empty condition decides alike exactly when m's column is constant at p's verdict
             if decision_invariant(name, empty, p, m, box) != (overall[m] == verdict):
                 report.record(f"trial {trial}: the empty window's decision on m={m} disagrees with the table")
-    report.sampled = trials
     report.notes = (
         f"probes: {pair_probes} pair conditions, {total_probes} total-assignment conditions, "
         f"{kept} of {drawn} random conditions kept as deciding"
@@ -615,10 +615,9 @@ def _witness_flips(witness, table, A: Window, box: CoordinateBox) -> bool:
     return any((col >> g ^ col >> flipped) & 1 for col in table.cols.values())
 
 
-@_lemma("normalize", "packet schemes evaluate like their names")
-def verify_normalize(report: VerificationReport, trials: int = 100, seed: int = 0):
+@_lemma("normalize", "packet schemes evaluate like their names", trials=100)
+def verify_normalize(report: VerificationReport, rng: random.Random, trials: int):
     """Normalized schemes evaluate exactly like the original name everywhere."""
-    rng = random.Random(seed)
     outcomes = [0, 0]  # unsupported, supported
     for trial in range(trials):
         box = _random_box(rng)
@@ -641,7 +640,6 @@ def verify_normalize(report: VerificationReport, trials: int = 100, seed: int = 
         fault = _family_fault(name, table, scheme, A, box)
         if fault:
             report.record(f"trial {trial}: {fault}")
-    report.sampled = trials
     report.notes = (
         "evaluation equality checked on every assignment of each box; each family's minterms "
         "equal the whole-box projection, its packets are prime and it is closed under consensus; "
@@ -650,16 +648,15 @@ def verify_normalize(report: VerificationReport, trials: int = 100, seed: int = 
     )
 
 
-@_lemma("code", "two-layer codes round-trip semantics")
-def verify_code(report: VerificationReport, trials: int = 100, seed: int = 0):
+@_lemma("code", "two-layer codes round-trip semantics", trials=100)
+def verify_code(report: VerificationReport, rng: random.Random, trials: int):
     """Two-layer encode/decode preserves evaluation on every assignment."""
-    rng = random.Random(seed)
     for trial in range(trials):
         box = _random_box(rng)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
         # a generator of its own, so the grown box leaves every other draw alone
-        grown = _grown_box(random.Random(f"code/{seed}/{trial}"), box)
+        grown = _grown_box(random.Random(f"code/{report.seed}/{trial}"), box)
         try:
             code = two_layer_code(scheme, box)
             decoded = decode_two_layer(code, box)
@@ -671,7 +668,6 @@ def verify_code(report: VerificationReport, trials: int = 100, seed: int = 0):
             report.record(f"trial {trial}: decoded scheme changed some evaluation")
         if regrown.families != decoded.families:
             report.record(f"trial {trial}: decoding over a grown box changed the families")
-    report.sampled = trials
     report.notes = (
         "evaluation equality checked on every assignment of each box; each code also decoded "
         "over its box grown by 0-2 nodes, 0-1 rows and 0-1 bits, to the same families"
@@ -701,7 +697,7 @@ def _cycle_lcm(p) -> int:
 
 
 @_lemma("odd-fixed", "odd sets under 2-groups have fixed points")
-def verify_odd_fixed(report: VerificationReport, seed: int = 0):
+def verify_odd_fixed(report: VerificationReport):
     """Every 2-group from at most two involutions fixes a point of any odd set up to 7 points."""
     pairs = products = 0
     for n in range(1, 8, 2):
@@ -774,7 +770,7 @@ def _echelon_bases(d: int):
 
 
 @_lemma("dyadic", "translation quotients have dyadic size")
-def verify_dyadic(report: VerificationReport, seed: int = 0):
+def verify_dyadic(report: VerificationReport):
     """Coset partitions pass with dyadic counts; 3-class labelings of F2^2 fail."""
     count = 0
     for d in range(DYADIC_DIM + 1):
@@ -811,10 +807,9 @@ def verify_dyadic(report: VerificationReport, seed: int = 0):
     report.notes = f"{count} coset partitions, {three_class} three-class labelings"
 
 
-@_lemma("selector", "trace-separated triples select canonically")
-def verify_selector(report: VerificationReport, trials: int = 200, seed: int = 0):
+@_lemma("selector", "trace-separated triples select canonically", trials=200)
+def verify_selector(report: VerificationReport, rng: random.Random, trials: int):
     """Canonical selection is permutation invariant; duplicates are rejected."""
-    rng = random.Random(seed)
     forest = PredecessorForest.from_pred(3, {1: 0, 2: 0})
     W = Window.whole(forest)
     subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(range(3), r)]
@@ -845,12 +840,11 @@ def verify_selector(report: VerificationReport, trials: int = 200, seed: int = 0
         rng.shuffle(shuffled)
         if shuffled[canonical_selector(shuffled)] != chosen:
             report.record("random window selection not permutation invariant")
-    report.sampled = trials
     report.notes = f"{report.enumerated} enumerated triples in every order, plus {trials} sampled triples"
 
 
 @_lemma("lift", "product choices project to choices")
-def verify_lift(report: VerificationReport, seed: int = 0):
+def verify_lift(report: VerificationReport):
     """Every product choice map projects to exactly its first coordinates; fully enumerated."""
     count = families = 0
     arities = range(1, 4)
@@ -943,10 +937,9 @@ def _witness_sweep(w: SwapWitness, box: CoordinateBox) -> bool:
     return _pattern_flip_sweep(tau, w.beta, w.gamma, w.row, expected, box)
 
 
-@_lemma("swap", "swap witnesses certify the complement flip")
-def verify_swap(report: VerificationReport, trials: int = 60, seed: int = 0):
+@_lemma("swap", "swap witnesses certify the complement flip", trials=60)
+def verify_swap(report: VerificationReport, rng: random.Random, trials: int):
     """Swap witnesses certify, and an independent sweep of every assignment agrees."""
-    rng = random.Random(seed)
     # full condition enumeration on a 6-coordinate box over the fork 1 -> 0 <- 2
     forest = PredecessorForest.from_pred(3, {1: 0, 2: 0})
     box = CoordinateBox(Window.whole(forest), 1, 2)
@@ -982,7 +975,6 @@ def verify_swap(report: VerificationReport, trials: int = 60, seed: int = 0):
             report.enumerated += 1
             if not _pattern_flip_sweep(tau, 1, 2, 0, 0, b):
                 report.record(f"both-toggled generator moved the pattern (B={bits_count})")
-    report.sampled = trials
     report.notes = (
         f"{conditions} enumerated conditions and {report.enumerated - conditions} both-toggled generators, "
         f"plus {trials} sampled conditions; pattern flip re-swept on every assignment of each witness's box"

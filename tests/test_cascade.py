@@ -669,3 +669,26 @@ class TestConditionText:
     def test_duplicate_coordinate(self):
         with pytest.raises(ParseError):
             parse_condition("box 2 2 2\n0 0 0 1\n0 0 0 0\n")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: generator(forest_of(2, {1: 0}), 0, -1, ToggleSet.finite({0})),
+            "negative row index",
+            id="generator-negative-row",
+        ),
+        pytest.param(
+            lambda: fixes_rows_over(
+                generator(forest_of(2, {1: 0}), 0, 0, ToggleSet.finite({0})),
+                Window.whole(forest_of(3, {1: 0, 2: 0})),
+            ),
+            "automorphism and window use different forests",
+            id="fixes-foreign-window",
+        ),
+    ],
+)
+def test_generator_and_fixing_rejections(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -297,3 +297,19 @@ def test_file_errors_are_usage_errors(capsys, tmp_path, argv):
     # an unwritable --out is refused before the first lemma runs
     assert "lemma=" not in out
     assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        pytest.param((), "demo no-selector needs --in or --box", id="no-box"),
+        pytest.param(("--box", "4,1,1", "--forest", "{forest3}"), "forest universe 3 disagrees with box size 4", id="forest-size"),
+    ],
+)
+def test_demo_box_source_errors_are_usage_errors(capsys, tmp_path, given, message):
+    forest3 = tmp_path / "forest3.txt"
+    forest3.write_text("3\n1 0\n2 0\n")
+    code, out, err = run_cli(capsys, "demo", "no-selector", *(a.format(forest3=forest3) for a in given), "--support", "0")
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not out

@@ -437,3 +437,23 @@ class TestTargetSolutions:
         rng = random.Random(22)
         for t in rng.sample(range(-(1 << 22), 1 << 22), 200):
             assert batch[t] == solve_star_span(K, F2Vector(K, t % (1 << 22)))
+
+
+EMPTY = Window(forest_of(2, {1: 0}), frozenset())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: F2Vector(rho_closure(forest_of(3, {1: 0, 2: 0}), {1}), 0).entry(2),
+            "node 2 not in window",
+            id="entry-off-window",
+        ),
+        pytest.param(lambda: solve_star_span(EMPTY, F2Vector(EMPTY, 0)), "window must be nonempty", id="solve-empty"),
+        pytest.param(lambda: solve_all_targets(EMPTY), "window must be nonempty", id="solve-all-empty"),
+    ],
+)
+def test_off_window_and_empty_window_rejected(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

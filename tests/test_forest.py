@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import all_closed_subsets, all_forests, forest_of
 from cascadekit.errors import CapacityError, DomainError, ParseError
 from cascadekit.forest import (
+    PredecessorForest,
     Window,
     format_forest,
     fresh_separation,
@@ -233,3 +234,30 @@ class TestForestText:
         assert parse_node_set("") == set()
         with pytest.raises(ParseError):
             parse_node_set("3,x")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(lambda: PredecessorForest(0, ()), DomainError, "at least the root", id="empty-universe"),
+        pytest.param(lambda: PredecessorForest(2, (-1,)), DomainError, "cover the whole universe", id="short-parents"),
+        pytest.param(lambda: PredecessorForest(2, (0, 0)), DomainError, "entry must be -1", id="rooted-root"),
+        pytest.param(lambda: forest_of(2, {5: 0}), DomainError, "node 5 outside universe of size 2", id="pred-off-universe"),
+        pytest.param(lambda: forest_of(3, {1: 0}), DomainError, "pred undefined at node 2", id="pred-missing"),
+        pytest.param(
+            lambda: fresh_separation(forest_of(2, {1: 0}), Window.whole(forest_of(3, {1: 0, 2: 0}))),
+            DomainError,
+            "window belongs to a different forest",
+            id="foreign-window",
+        ),
+        pytest.param(
+            lambda: parse_forest("3\n1 0\n1 0\n2 0\n"),
+            ParseError,
+            "line 3: duplicate entry for node 1",
+            id="duplicate-node",
+        ),
+    ],
+)
+def test_malformed_forests_and_windows_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

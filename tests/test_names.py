@@ -1203,3 +1203,33 @@ class TestNameCache:
                 )
 
             assert answers(fresh=False) == answers(fresh=True)
+
+
+BOX = small_box()
+ROOT = rho_closure(BOX.forest, {0})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: support_report(RawName.of([]), Window.whole(forest_of(2, {1: 0})), BOX),
+            "support window and box use different forests",
+            id="support-foreign-window",
+        ),
+        pytest.param(lambda: Assignment(BOX, 1 << BOX.n_coords), "assignment bits exceed the box", id="assignment-wide"),
+        pytest.param(lambda: Assignment(BOX, 1.5), "must be an int", id="assignment-float"),
+        pytest.param(lambda: PacketScheme.of(ROOT, {0: {Packet(None)}}), "not a Packet of a Condition", id="packet-none"),
+        pytest.param(lambda: PacketScheme.of(None, {}), "must be a Window", id="scheme-support-none"),
+        pytest.param(lambda: TwoLayerCode(None, ()), "must be a Window", id="code-support-none"),
+        pytest.param(lambda: two_layer_code(RawName.of([]), BOX), "expected a packet scheme", id="code-of-raw-name"),
+        pytest.param(lambda: decode_two_layer(None, BOX), "expected a two-layer code", id="decode-none"),
+    ],
+)
+def test_malformed_names_layer_inputs_rejected(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_assignment_accepts_bool_bits():
+    assert Assignment(BOX, True).value_bits == 1

@@ -368,3 +368,20 @@ class TestQuotientAnalysis:
         for d in (21, -1, 99999999999):
             with pytest.raises(DomainError):
                 TranslationPartition(d, tuple())
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: FiniteAction(0, ((),)), "the acted-on set must be nonempty", id="empty-set"),
+        pytest.param(lambda: FiniteAction(2, ((0, 1), (0, 0))), "not a permutation of the set", id="non-permutation"),
+        pytest.param(
+            lambda: TranslationPartition(2, (0, 0, 0)),
+            "labelling must cover every vector exactly once",
+            id="short-labelling",
+        ),
+    ],
+)
+def test_malformed_actions_and_partitions_rejected(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()

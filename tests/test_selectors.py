@@ -13,6 +13,7 @@ from cascadekit.forest import Window, random_forest, rho_closure
 from cascadekit.names import Assignment, CoordinateBox
 from cascadekit.selectors import (
     IndexedFamily,
+    SwapWitness,
     TraceProfile,
     canonical_selector,
     equality_pattern,
@@ -385,3 +386,50 @@ class TestLiftChoice:
                 for combo in itertools.product(*products):
                     f = dict(enumerate(combo))
                     assert lift_choice(family, k, f) == {t: a for t, (a, _) in f.items()}
+
+
+FORK = forest_of(3, {1: 0, 2: 0})
+FORK_BOX = CoordinateBox(Window.whole(FORK), 1, 2)
+SINGLETON = IndexedFamily.of({0: {0}})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: pattern_shift(generator(FORK, 1, 0, ToggleSet.finite({0})), 1, 1, 0, FORK_BOX),
+            "equality pattern needs two distinct rows",
+            id="shift-same-row",
+        ),
+        pytest.param(
+            lambda: SwapWitness(1, 2, 0, frozenset(), ToggleSet.finite({0}), None),
+            "swap toggles must be cofinite",
+            id="witness-finite-toggle",
+        ),
+        pytest.param(
+            lambda: SwapWitness(1, 2, 0, frozenset({0}), ToggleSet.cofinite_excluding(frozenset()), None),
+            "toggle set meets the shield",
+            id="witness-toggle-meets-shield",
+        ),
+        pytest.param(
+            lambda: swap_witness(Condition.empty(), rho_closure(FORK, {0}), 1, FORK_BOX),
+            "row 1 outside the box",
+            id="witness-row-off-box",
+        ),
+        pytest.param(
+            lambda: canonical_selector([TraceProfile(Window.whole(FORK), frozenset(s)) for s in ((), (1,))]),
+            "selector expects exactly three profiles",
+            id="selector-two-profiles",
+        ),
+        pytest.param(
+            lambda: IndexedFamily(((0, frozenset({1})), (0, frozenset({2})))),
+            "duplicate index 0",
+            id="family-duplicate-index",
+        ),
+        pytest.param(lambda: lift_choice(SINGLETON, 0, {0: (0, 0)}), "product arity must be positive", id="lift-k0"),
+        pytest.param(lambda: lift_choice(SINGLETON, 1, {0: 0}), "choice at 0 is not a pair", id="lift-not-pair"),
+    ],
+)
+def test_selector_layer_rejections(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

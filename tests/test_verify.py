@@ -1,7 +1,10 @@
 """Sweep sizes of the verification routines, independent of the seed."""
 
+import ast
 import dataclasses
+import inspect
 import itertools
+import random
 import re
 
 import pytest
@@ -229,12 +232,85 @@ def test_report_that_counts_no_instance_raises(monkeypatch):
     monkeypatch.setattr(verify, "REGISTRY", {})
 
     @verify._lemma("empty", "checks nothing")
-    def verify_empty(report, trials: int = 5, seed: int = 0):
+    def verify_empty(report):
         pass
 
     assert list(verify.REGISTRY) == ["empty"]
     with pytest.raises(DomainError, match="empty checked no instance"):
         verify_empty()
+
+
+def test_sampling_body_receives_the_seeds_generator_and_counts_its_trials(monkeypatch):
+    monkeypatch.setattr(verify, "REGISTRY", {})
+    received = []
+
+    @verify._lemma("draw", "draws once", trials=3)
+    def verify_draw(report, rng, trials):
+        received.append((rng.random(), trials))
+
+    report = verify_draw(seed=5)
+    assert received == [(random.Random(5).random(), 3)]
+    assert (report.seed, report.enumerated, report.sampled) == (5, 0, 3)
+    assert verify_draw(2, 7).sampled == 2  # positional, in the signature's order
+    with pytest.raises(DomainError, match="trials must be positive, got 0"):
+        verify_draw(trials=0)
+    assert len(received) == 2  # the rejected call reached no body
+
+
+# the nine sampling lemmas' default trial counts; the other four take the seed alone
+SAMPLING_TRIALS = {
+    "starspan": 200,
+    "shield": 1000,
+    "abelian": 300,
+    "transport": 500,
+    "decision": 100,
+    "normalize": 100,
+    "code": 100,
+    "selector": 200,
+    "swap": 60,
+}
+
+
+@pytest.mark.parametrize("lemma", list(REGISTRY))
+def test_routine_signature_is_trials_and_seed_or_seed_alone(lemma):
+    routine, _ = REGISTRY[lemma]
+    expected = {"trials": SAMPLING_TRIALS[lemma], "seed": 0} if lemma in SAMPLING_TRIALS else {"seed": 0}
+    params = inspect.signature(routine).parameters
+    assert {name: p.default for name, p in params.items()} == expected
+    assert list(params) == list(expected)
+    # a __wrapped__ body would make perfbench's functools.wraps wrappers report the body's parameters
+    assert not hasattr(routine, "__wrapped__")
+    assert set(REGISTRY) - set(SAMPLING_TRIALS) == {"fresh", "odd-fixed", "dyadic", "lift"}
+
+
+def test_lemma_bodies_take_only_what_the_harness_passes():
+    tree = ast.parse(inspect.getsource(verify))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    bodies = 0
+    for fn in functions:
+        harness = [
+            d for d in fn.decorator_list if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_lemma"
+        ]
+        if not harness:
+            continue
+        bodies += 1
+        samples = any(keyword.arg == "trials" for keyword in harness[0].keywords)
+        args = fn.args
+        assert [a.arg for a in args.args] == (["report", "rng", "trials"] if samples else ["report"]), fn.name
+        assert not (args.posonlyargs or args.kwonlyargs or args.defaults or args.vararg or args.kwarg), fn.name
+        stores = [
+            n for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == "sampled" and isinstance(n.ctx, ast.Store)
+        ]
+        assert not stores, f"{fn.name} counts its own sampled trials"
+    assert bodies == len(REGISTRY)
+
+    def builds_generator(fn):
+        return any(
+            isinstance(n, ast.Call) and ast.unparse(n.func) == "random.Random" for n in ast.walk(fn)
+        )
+
+    # the harness builds each seed's generator; verify_code also grows each trial's box from its own
+    assert {fn.name for fn in functions if builds_generator(fn)} == {"_lemma", "verify_code"}
 
 
 def test_all_conditions_enumerates_every_partial_function_once():
