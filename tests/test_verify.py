@@ -193,6 +193,7 @@ def test_lemma_parameters_are_seed_and_trials_alone():
     assert set(cli._VERIFY_FLAGS) == {"trials"}
     # every lemma takes seed, and the nine that sample take trials too
     assert sum(len(lemma_parameters(lemma)) for lemma in REGISTRY) == 22
+    assert set(REGISTRY) - set(SAMPLING_TRIALS) == {"fresh", "odd-fixed", "dyadic", "lift"}
 
 
 def test_starspan_note_states_the_window_bound_applied():
@@ -280,7 +281,6 @@ def test_routine_signature_is_trials_and_seed_or_seed_alone(lemma):
     assert list(params) == list(expected)
     # a __wrapped__ body would make perfbench's functools.wraps wrappers report the body's parameters
     assert not hasattr(routine, "__wrapped__")
-    assert set(REGISTRY) - set(SAMPLING_TRIALS) == {"fresh", "odd-fixed", "dyadic", "lift"}
 
 
 def test_lemma_bodies_take_only_what_the_harness_passes():
