@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CertificateError, DomainError, ParseError, PreconditionError
+from .errors import CertificateError, DomainError, PreconditionError
 from .f2linalg import F2Vector, solve_star_span
 from .forest import NodeId, PredecessorForest, Window, rho_closure
 
@@ -40,6 +40,8 @@ class ToggleSet:
     def __post_init__(self):
         if not isinstance(self.cofinite, bool):
             raise DomainError(f"cofinite flag {self.cofinite!r} must be a bool")
+        if not isinstance(self.exceptions, frozenset):  # compose's sets arrive frozen
+            object.__setattr__(self, "exceptions", frozenset(self.exceptions))
         for n in self.exceptions:
             if not isinstance(n, int) or n < 0:
                 raise DomainError(f"bit index {n!r} must be a natural int")
@@ -368,43 +370,3 @@ def transport(p: Condition, q: Condition, A: Window) -> CascadeAutomorphism:
     if apply(pi, p_pad) != q_pad:
         raise CertificateError("transport does not carry p to q")
     return pi
-
-
-def parse_condition(text: str) -> tuple[tuple[int, int, int], Condition]:
-    """Read a condition file; returns ((N, R, B), condition).
-
-    The first nonblank line is the header ``box N R B``; each later
-    nonblank line is one ``node row bit value`` entry inside that box.
-    """
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError("empty condition file", 1)
-    head = lines[idx].split()
-    if len(head) != 4 or head[0] != "box":
-        raise ParseError(f"expected 'box N R B' header, got {lines[idx]!r}", idx + 1)
-    try:
-        size, rows, bits = int(head[1]), int(head[2]), int(head[3])
-    except ValueError:
-        raise ParseError(f"non-integer box dimensions in {lines[idx]!r}", idx + 1) from None
-    entries = []
-    for lineno in range(idx + 1, len(lines)):
-        raw = lines[lineno].strip()
-        if not raw:
-            continue
-        parts = raw.split()
-        if len(parts) != 4:
-            raise ParseError(f"expected 'node row bit value', got {raw!r}", lineno + 1)
-        try:
-            node, row, bit, value = (int(x) for x in parts)
-        except ValueError:
-            raise ParseError(f"non-integer entry in {raw!r}", lineno + 1) from None
-        if not (0 <= node < size and 0 <= row < rows and 0 <= bit < bits):
-            raise ParseError(f"coordinate outside the declared box: {raw!r}", lineno + 1)
-        entries.append((Coordinate(node, row, bit), value))
-    try:
-        return (size, rows, bits), Condition(tuple(entries))
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc

@@ -1,4 +1,4 @@
-"""Command-line front end: forest tools, the span solver, verification, demos.
+"""Command-line front end: forest tools, the span solver, verification, demos, and the text formats they read.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 capacity error (the finite universe ran out of room).
@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cascade import Condition, parse_condition
+from .cascade import Condition, Coordinate
 from .errors import (
     CapacityError,
     CertificateError,
@@ -19,15 +19,7 @@ from .errors import (
     PreconditionError,
 )
 from .f2linalg import F2Vector, combine_stars, solve_star_span
-from .forest import (
-    PredecessorForest,
-    Window,
-    format_forest,
-    parse_forest,
-    parse_node_set,
-    random_forest,
-    rho_closure,
-)
+from .forest import PredecessorForest, Window, random_forest, rho_closure
 from .names import CoordinateBox
 from .selectors import format_witness, swap_witness
 from .verify import REGISTRY, lemma_parameters, run
@@ -59,15 +51,90 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_box_dims(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ParseError(f"expected --box N,R,B, got {text!r}")
+def _lines(text: str, kind: str) -> list[tuple[int, str]]:
+    """Each nonblank line of a ``kind`` file with its 1-based number; none at all is an error."""
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines:
+        raise ParseError(f"empty {kind} file", 1)
+    return lines
+
+
+def _int(field: str, message: str, line: int | None = None) -> int:
     try:
-        n, r, b = (int(p.strip()) for p in parts)
+        return int(field.strip())
     except ValueError:
-        raise ParseError(f"non-integer box dimension in {text!r}") from None
-    return n, r, b
+        raise ParseError(message, line) from None
+
+
+def _ints(
+    record: str, fields: list[str], count: int, expected: str, line: int | None = None, non_int="non-integer entry"
+) -> tuple[int, ...]:
+    """The ``count`` ints in ``fields``, split from ``record``; the error message names the record."""
+    if len(fields) != count:
+        raise ParseError(f"expected {expected}, got {record!r}", line)
+    try:
+        return tuple(map(int, map(str.strip, fields)))  # str.strip also drops "\x1c", which int() keeps
+    except ValueError:
+        raise ParseError(f"{non_int} in {record!r}", line) from None
+
+
+def format_forest(forest: PredecessorForest) -> str:
+    """Line-oriented text form: first line N, then one ``xi pred(xi)`` line each."""
+    rows = (f"{xi} {forest.parents[xi]}\n" for xi in range(1, forest.size))
+    return f"{forest.size}\n" + "".join(rows)
+
+
+def parse_forest(text: str) -> PredecessorForest:
+    """Inverse of :func:`format_forest`; raises :class:`ParseError` with a line number."""
+    (head_no, head), *lines = _lines(text, "forest")
+    size = _int(head, f"expected universe size, got {head!r}", head_no)
+    pred: dict[int, int] = {}
+    for lineno, line in lines:
+        raw = line.strip()
+        xi, p = _ints(raw, raw.split(), 2, "'node pred' pair", lineno)
+        if xi in pred:
+            raise ParseError(f"duplicate entry for node {xi}", lineno)
+        pred[xi] = p
+    if size > len(pred) + 1:  # checked before from_pred allocates `size` entries
+        raise ParseError(f"universe of size {size} needs {size - 1} 'node pred' lines")
+    try:
+        return PredecessorForest.from_pred(size, pred)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def parse_condition(text: str) -> tuple[tuple[int, int, int], Condition]:
+    """Read a condition file; returns ((N, R, B), condition).
+
+    The first nonblank line is the header ``box N R B``; each later
+    nonblank line is one ``node row bit value`` entry inside that box.
+    """
+    (head_no, head), *lines = _lines(text, "condition")
+    word, *dims = head.split()
+    if word != "box":
+        raise ParseError(f"expected 'box N R B' header, got {head!r}", head_no)
+    size, rows, bits = _ints(head, dims, 3, "'box N R B' header", head_no, "non-integer box dimensions")
+    entries = []
+    for lineno, line in lines:
+        raw = line.strip()
+        node, row, bit, value = _ints(raw, raw.split(), 4, "'node row bit value'", lineno)
+        if not (0 <= node < size and 0 <= row < rows and 0 <= bit < bits):
+            raise ParseError(f"coordinate outside the declared box: {raw!r}", lineno)
+        entries.append((Coordinate(node, row, bit), value))
+    try:
+        return (size, rows, bits), Condition(tuple(entries))
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def parse_node_set(text: str) -> set[int]:
+    """Comma-separated node list, tolerant of blanks: ``"3,5"`` or ``""``."""
+    chunks = (chunk.strip() for chunk in text.split(","))
+    return {_int(chunk, f"bad node id {chunk!r}") for chunk in chunks if chunk}
+
+
+def _parse_box_dims(text: str) -> tuple[int, int, int]:
+    return _ints(text, text.split(","), 3, "--box N,R,B", non_int="non-integer box dimension")
 
 
 def cmd_forest(args) -> int:

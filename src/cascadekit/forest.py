@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, DomainError, ParseError
+from .errors import CapacityError, DomainError
 
 NodeId = int
 
@@ -32,6 +32,8 @@ class PredecessorForest:
     )
 
     def __post_init__(self):
+        # a tuple keeps the map fixed, and equal to the same map given as a list
+        object.__setattr__(self, "parents", tuple(self.parents))
         if self.size < 1:
             raise DomainError("universe must contain at least the root node")
         if len(self.parents) != self.size:
@@ -108,6 +110,9 @@ class Window:
     _basis: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if not isinstance(self.forest, PredecessorForest):
+            raise DomainError(f"window forest {self.forest!r} must be a PredecessorForest")
+        object.__setattr__(self, "nodes", frozenset(self.nodes))
         if not is_rho_closed(self.forest, self.nodes):
             raise DomainError("window is not closed under the predecessor map")
         object.__setattr__(self, "ordered", tuple(sorted(self.nodes)))
@@ -175,59 +180,3 @@ def random_forest(n: int, seed: int) -> PredecessorForest:
     rng = random.Random(seed)
     parents = [-1] + [rng.randrange(xi) for xi in range(1, n)]
     return PredecessorForest(n, tuple(parents))
-
-
-def format_forest(forest: PredecessorForest) -> str:
-    """Line-oriented text form: first line N, then one ``xi pred(xi)`` line each."""
-    lines = [str(forest.size)]
-    lines.extend(f"{xi} {forest.parents[xi]}" for xi in range(1, forest.size))
-    return "\n".join(lines) + "\n"
-
-
-def parse_forest(text: str) -> PredecessorForest:
-    """Inverse of :func:`format_forest`; raises :class:`ParseError` with a line number."""
-    lines = [ln for ln in text.splitlines()]
-    idx = 0
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError("empty forest file", 1)
-    try:
-        size = int(lines[idx].strip())
-    except ValueError:
-        raise ParseError(f"expected universe size, got {lines[idx]!r}", idx + 1) from None
-    pred: dict[int, int] = {}
-    for lineno in range(idx + 1, len(lines)):
-        raw = lines[lineno].strip()
-        if not raw:
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'node pred' pair, got {raw!r}", lineno + 1)
-        try:
-            xi, p = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer entry in {raw!r}", lineno + 1) from None
-        if xi in pred:
-            raise ParseError(f"duplicate entry for node {xi}", lineno + 1)
-        pred[xi] = p
-    if size > len(pred) + 1:  # checked before from_pred allocates `size` entries
-        raise ParseError(f"universe of size {size} needs {size - 1} 'node pred' lines")
-    try:
-        return PredecessorForest.from_pred(size, pred)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def parse_node_set(text: str) -> set[int]:
-    """Comma-separated node list, tolerant of blanks: ``"3,5"`` or ``""``."""
-    out: set[int] = set()
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            out.add(int(chunk))
-        except ValueError:
-            raise ParseError(f"bad node id {chunk!r}") from None
-    return out

@@ -53,8 +53,8 @@ class CoordinateBox:
     _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if not (isinstance(self.rows, int) and isinstance(self.bits, int)):
-            raise DomainError("box rows and bits must be ints")
+        if not (isinstance(self.window, Window) and isinstance(self.rows, int) and isinstance(self.bits, int)):
+            raise DomainError("a box needs a Window and int rows and bits")
         if not self.window.nodes or self.rows < 1 or self.bits < 1:
             raise DomainError("box must have nodes, rows, and bits")
         coords = tuple(
@@ -106,6 +106,8 @@ class Assignment:
     value_bits: int
 
     def __post_init__(self):
+        if not isinstance(self.box, CoordinateBox):
+            raise DomainError(f"assignment box {self.box!r} must be a CoordinateBox")
         if not isinstance(self.value_bits, int):  # bool passes, as elsewhere
             raise DomainError(f"assignment bits {self.value_bits!r} must be an int")
         if self.value_bits < 0 or self.value_bits >> self.box.n_coords:
@@ -304,6 +306,8 @@ class SupportReport:
 
 
 def _check_box_window(A: Window, box: CoordinateBox) -> None:
+    if not (isinstance(A, Window) and isinstance(box, CoordinateBox)):
+        raise DomainError(f"expected a Window and a CoordinateBox, got {type(A)!r} and {type(box)!r}")
     if A.forest != box.forest:
         raise DomainError("support window and box use different forests")
 

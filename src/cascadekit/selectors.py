@@ -97,8 +97,8 @@ def swap_witness(q: Condition, A: Window, row: int, box: CoordinateBox) -> SwapW
     three certificates are recomputed, not assumed.  Raises
     :class:`CapacityError` when the box has no two fresh nodes left.
     """
-    forest = box.forest
     _check_box_window(A, box)
+    forest = box.forest
     if not 0 <= row < box.rows:
         raise DomainError(f"row {row} outside the box")
     beta, gamma = fresh_separation(forest, A, pool=box.window.nodes)
@@ -144,6 +144,7 @@ class TraceProfile:
     nodes: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", frozenset(self.nodes))
         if not self.nodes <= self.window.nodes:
             raise DomainError("profile nodes must lie inside the window")
 

@@ -144,7 +144,7 @@ def _lemma(lemma: str, description: str, trials: int | None = None):
     """Register the decorated body, which fills the report passed first, as ``lemma``'s routine.
 
     A lemma that samples names its default ``trials``: its routine takes
-    ``(trials, seed=0)``, rejects a ``trials`` below 1, calls
+    ``(trials, seed=0)``, rejects a ``trials`` that is not an int or is below 1, calls
     ``body(report, rng, trials)`` with ``rng = random.Random(seed)`` and
     counts the trials as sampled.  Any other routine takes ``(seed=0)`` and
     calls ``body(report)``.  Either rejects a report that counts no instance.
@@ -156,11 +156,13 @@ def _lemma(lemma: str, description: str, trials: int | None = None):
             report = VerificationReport(lemma, seed)
             if count is None:
                 body(report)
+            elif not isinstance(count, int):  # a bool passes, and runs and is counted as its int
+                raise DomainError(f"trials {count!r} must be an int")
             elif count < 1:  # no trial would run, and a negative count would be printed as run
-                raise DomainError(f"trials must be positive, got {count}")
+                raise DomainError(f"trials must be positive, got {count:d}")
             else:
-                body(report, random.Random(seed), count)
-                report.sampled = count
+                report.sampled = int(count)
+                body(report, random.Random(seed), report.sampled)
             if report.trials < 1:  # a report that holds no instance would pass vacuously
                 raise DomainError(f"{lemma} checked no instance (trials={report.trials})")
             report.elapsed = time.perf_counter() - started
@@ -991,8 +993,8 @@ def lemma_parameters(lemma: str) -> set[str]:
 def run(lemma: str, **kwargs) -> VerificationReport:
     """Run one lemma, passing only the non-``None`` keywords it accepts.
 
-    A ``trials`` below 1 raises :class:`DomainError` from the lemma's
-    harness before any instance runs.
+    A ``trials`` that is not an int or is below 1 raises
+    :class:`DomainError` from the lemma's harness before any instance runs.
     """
     accepted = lemma_parameters(lemma)
     fn, _ = REGISTRY[lemma]

@@ -25,10 +25,10 @@ from cascadekit.cascade import (
     generator,
     identity,
     pad_common_domain,
-    parse_condition,
     shield_set,
     transport,
 )
+from cascadekit.cli import parse_condition
 from cascadekit.errors import CertificateError, DomainError, ParseError, PreconditionError
 from cascadekit.forest import Window, random_forest, rho_closure
 
@@ -692,3 +692,9 @@ class TestConditionText:
 def test_generator_and_fixing_rejections(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_toggle_set_given_a_list_equals_the_frozen_one():
+    listed = ToggleSet(False, [1])
+    assert listed == ToggleSet.finite({1}) and hash(listed) == hash(ToggleSet.finite({1}))
+    assert listed ^ ToggleSet.finite({2}) == ToggleSet.finite({1, 2})

@@ -5,15 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import all_closed_subsets, all_forests, forest_of
+from cascadekit.cli import format_forest, parse_forest, parse_node_set
 from cascadekit.errors import CapacityError, DomainError, ParseError
 from cascadekit.forest import (
     PredecessorForest,
     Window,
-    format_forest,
     fresh_separation,
     is_rho_closed,
-    parse_forest,
-    parse_node_set,
     random_forest,
     rho_closure,
     successors,
@@ -250,6 +248,7 @@ class TestForestText:
             "window belongs to a different forest",
             id="foreign-window",
         ),
+        pytest.param(lambda: Window(None, frozenset({0})), DomainError, "must be a PredecessorForest", id="window-forest-none"),
         pytest.param(
             lambda: parse_forest("3\n1 0\n1 0\n2 0\n"),
             ParseError,
@@ -261,3 +260,12 @@ class TestForestText:
 def test_malformed_forests_and_windows_rejected(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_forest_and_window_given_lists_equal_the_frozen_ones():
+    f = forest_of(4, {1: 0, 2: 0, 3: 1})
+    listed = PredecessorForest(4, [-1, 0, 0, 1])
+    assert listed == f and hash(listed) == hash(f)
+    assert fresh_separation(f, Window(listed, [0])) == (2, 1)
+    window = Window(f, [0, 1])
+    assert window == rho_closure(f, {0, 1}) and hash(window) == hash(rho_closure(f, {0, 1}))

@@ -1224,6 +1224,14 @@ ROOT = rho_closure(BOX.forest, {0})
         pytest.param(lambda: TwoLayerCode(None, ()), "must be a Window", id="code-support-none"),
         pytest.param(lambda: two_layer_code(RawName.of([]), BOX), "expected a packet scheme", id="code-of-raw-name"),
         pytest.param(lambda: decode_two_layer(None, BOX), "expected a two-layer code", id="decode-none"),
+        pytest.param(lambda: Assignment(None, 0), "must be a CoordinateBox", id="assignment-box-none"),
+        pytest.param(lambda: CoordinateBox(None, 1, 1), "a box needs a Window", id="box-window-none"),
+        pytest.param(
+            lambda: support_report(RawName.of([]), None, BOX), "expected a Window and a CoordinateBox", id="support-window-none"
+        ),
+        pytest.param(
+            lambda: normalize(RawName.of([]), ROOT, None), "expected a Window and a CoordinateBox", id="normalize-box-none"
+        ),
     ],
 )
 def test_malformed_names_layer_inputs_rejected(call, message):

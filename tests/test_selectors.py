@@ -417,6 +417,11 @@ SINGLETON = IndexedFamily.of({0: {0}})
             id="witness-row-off-box",
         ),
         pytest.param(
+            lambda: swap_witness(Condition.empty(), rho_closure(FORK, {0}), 0, None),
+            "expected a Window and a CoordinateBox",
+            id="witness-box-none",
+        ),
+        pytest.param(
             lambda: canonical_selector([TraceProfile(Window.whole(FORK), frozenset(s)) for s in ((), (1,))]),
             "selector expects exactly three profiles",
             id="selector-two-profiles",
@@ -433,3 +438,10 @@ SINGLETON = IndexedFamily.of({0: {0}})
 def test_selector_layer_rejections(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_trace_profile_given_a_list_equals_the_frozen_one():
+    W = Window.whole(FORK)
+    profile = TraceProfile(W, [0])
+    assert profile == TraceProfile(W, frozenset({0}))
+    assert hash(profile) == hash(TraceProfile(W, frozenset({0})))

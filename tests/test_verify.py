@@ -229,6 +229,20 @@ def test_direct_call_with_negative_trials_raises(routine):
         routine(trials=-3)
 
 
+@pytest.mark.parametrize("trials", [1.5, "3"])
+def test_run_rejects_trials_that_are_not_ints(trials):
+    # checked before range() would raise TypeError inside the body
+    with pytest.raises(DomainError, match="must be an int"):
+        verify.run("abelian", trials=trials)
+
+
+def test_bool_trials_are_counted_as_their_int():
+    report = verify_shield(trials=True)
+    assert report.sampled == 1 and type(report.sampled) is int
+    with pytest.raises(DomainError, match="trials must be positive, got 0"):
+        verify_shield(trials=False)
+
+
 def test_report_that_counts_no_instance_raises(monkeypatch):
     monkeypatch.setattr(verify, "REGISTRY", {})
 
