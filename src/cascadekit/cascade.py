@@ -196,7 +196,12 @@ class CascadeAutomorphism:
     _lookup: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if not isinstance(self.forest, PredecessorForest):
+            raise DomainError(f"automorphism forest {self.forest!r} must be a PredecessorForest")
         entries = self.row_toggles
+        if not isinstance(entries, tuple):  # generator and compose pass tuples
+            entries = tuple(entries)
+            object.__setattr__(self, "row_toggles", entries)
         lookup = dict(entries)
         if len(lookup) != len(entries):
             raise DomainError("duplicate row in toggle map")
@@ -236,8 +241,8 @@ def generator(
 ) -> CascadeAutomorphism:
     """The basic automorphism toggling row (xi, row) and its successor rows along s."""
     forest.check_node(xi)
-    if row < 0:
-        raise DomainError("negative row index")
+    if not isinstance(s, ToggleSet):
+        raise DomainError(f"toggle set {s!r} must be a ToggleSet")
     if s.is_empty():
         raise DomainError("a generator needs a nonempty toggle set")
     # children are larger than xi and listed ascending, so the keys arrive sorted

@@ -97,6 +97,8 @@ class F2Matrix:
     cols: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "order", tuple(self.order))
+        object.__setattr__(self, "cols", tuple(self.cols))
         if len(self.cols) != len(self.order):
             raise DomainError("column count does not match the ordering")
         for c in self.cols:

@@ -32,6 +32,10 @@ class PredecessorForest:
     )
 
     def __post_init__(self):
+        if not isinstance(self.size, int):
+            raise DomainError(f"universe size {self.size!r} must be an int")
+        if not isinstance(self.parents, (tuple, list)):
+            raise DomainError(f"parents {self.parents!r} must be a tuple of ints")
         # a tuple keeps the map fixed, and equal to the same map given as a list
         object.__setattr__(self, "parents", tuple(self.parents))
         if self.size < 1:
@@ -43,7 +47,7 @@ class PredecessorForest:
         kids: list[list[int]] = [[] for _ in range(self.size)]
         for xi in range(1, self.size):
             p = self.parents[xi]
-            if not 0 <= p < xi:
+            if not (isinstance(p, int) and 0 <= p < xi):
                 raise DomainError(f"pred({xi})={p} is not regressive")
             kids[p].append(xi)
         object.__setattr__(self, "_children", tuple(tuple(k) for k in kids))

@@ -75,14 +75,15 @@ class FiniteAction:
     def __post_init__(self):
         if self.set_size < 1:
             raise DomainError("the acted-on set must be nonempty")
+        elements = tuple(map(tuple, self.elements))
         ident = tuple(range(self.set_size))
-        if ident not in self.elements:
+        if ident not in elements:
             raise DomainError("element list is missing the identity")
-        for p in self.elements:
+        for p in elements:
             if len(p) != self.set_size or sorted(p) != list(ident):
                 raise DomainError(f"not a permutation of the set: {p}")
         # a finite set of permutations closed under composition is a group
-        elems = set(self.elements)
+        elems = set(elements)
         if any(_compose(p, q) not in elems for p in elems for q in elems):
             raise DomainError("element list is not closed under composition")
         if not _is_power_of_two(len(elems)):
@@ -164,6 +165,7 @@ class TranslationPartition:
     def __post_init__(self):
         if not 0 <= self.dimension <= MAX_DIMENSION:
             raise DomainError(f"dimension must lie in 0..{MAX_DIMENSION}")
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != 1 << self.dimension:
             raise DomainError("labelling must cover every vector exactly once")
 

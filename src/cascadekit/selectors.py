@@ -144,6 +144,8 @@ class TraceProfile:
     nodes: frozenset[int]
 
     def __post_init__(self):
+        if not isinstance(self.window, Window):
+            raise DomainError(f"profile window {self.window!r} must be a Window")
         object.__setattr__(self, "nodes", frozenset(self.nodes))
         if not self.nodes <= self.window.nodes:
             raise DomainError("profile nodes must lie inside the window")
@@ -177,6 +179,8 @@ class IndexedFamily:
     sets: tuple[tuple[object, frozenset], ...]
 
     def __post_init__(self):
+        # frozenset returns a frozenset it is given unchanged, so the sets of ``of`` are not copied
+        object.__setattr__(self, "sets", tuple((t, frozenset(elems)) for t, elems in self.sets))
         seen = set()
         for t, elems in self.sets:
             if t in seen:

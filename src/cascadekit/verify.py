@@ -22,8 +22,8 @@ oracle recomputes, apart from the code it checks:
   dyadic: each coset partition from its subspace's span; lift: each choice
   map's projection, known by construction; fresh: the separation clauses
   from the parents;
-- swap: the pattern flip on every assignment, from a mask rebuilt from the
-  generator's toggle sets.
+- swap: each witness's three certificates, by replaying its generator from
+  the parent map and the toggle set's fields (:func:`_replayed_flips`).
 
 Shield, abelian and transport still act through the library's ``apply``
 and ``fixes_rows_over``: no pointwise replay of actions checks them.
@@ -31,6 +31,7 @@ and ``fixes_rows_over``: no pointwise replay of actions checks them.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
@@ -80,6 +81,7 @@ from .selectors import (
     TraceProfile,
     canonical_selector,
     lift_choice,
+    pattern_shift,
     swap_witness,
 )
 
@@ -881,81 +883,52 @@ def verify_lift(report: VerificationReport):
     )
 
 
-def _pattern_flip_sweep(
-    tau, beta: int, gamma: int, row: int, expected: int, box: CoordinateBox
-) -> bool:
-    """Whether ``tau`` moves the equality pattern of two rows by ``expected`` on every assignment.
+def _replayed_flips(forest: PredecessorForest, word, node: int, row: int, B: int) -> int:
+    """Bits below ``B`` that a word of generators ``(xi, row, S)`` flips on the row ``(node, row)``.
 
-    The flip mask is rebuilt pointwise from the toggle sets of ``tau`` with
-    this function's own coordinate packing (node-major, then row, then bit),
-    so no library mask, index or pattern code is trusted.  All
-    ``2**n_coords`` assignments are checked at once: column ``i`` is an int
-    whose bit ``g`` is coordinate ``i`` of assignment ``g``, so each bit of
-    the row costs a few XORs of columns.
-
-    The sweep rests on the same argument as the library's certificate: per
-    row bit, ``before ^ after`` is ``fb ^ fc``, the two rows' flip bits,
-    whatever the columns hold.  So the verdict is decided by the flip mask
-    alone; this oracle is independent because it rebuilds that mask from
-    the toggle sets, not because it evaluates the assignments.
+    The swap oracle: a generator toggles its row of ``xi`` and of each node
+    whose parent is ``xi`` (``forest.parents``) along ``S`` (its ``cofinite``
+    and ``exceptions`` fields), and flips add mod 2.  It calls no library code.
     """
-    rows, bits = box.rows, box.bits
-    if expected >> bits:  # the shift of a pattern lies within its row
-        return False
-    pos = {xi: k for k, xi in enumerate(box.window.ordered)}
-    flip = 0
-    for xi, k in pos.items():
-        for r in range(rows):
-            ts = tau.toggle_at(xi, r)
-            for bit in range(bits):
-                if bit in ts:
-                    flip |= 1 << ((k * rows + r) * bits + bit)
-    size = 1 << box.n_coords
-    every = (1 << size) - 1
-
-    def column(i: int) -> int:
-        # period 2**(i+1): 2**i zero bits, then 2**i one bits
-        half = 1 << i
-        return every // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
-
-    def flipped(i: int) -> int:
-        return every if flip >> i & 1 else 0
-
-    at_beta = (pos[beta] * rows + row) * bits
-    at_gamma = (pos[gamma] * rows + row) * bits
-    for j in range(bits):
-        x, y = column(at_beta + j), column(at_gamma + j)
-        before = ~(x ^ y) & every
-        after = ~((x ^ flipped(at_beta + j)) ^ (y ^ flipped(at_gamma + j))) & every
-        if before ^ after != (every if expected >> j & 1 else 0):
-            return False
-    return True
+    flips = 0
+    for xi, r, s in word:
+        if r == row and xi in (node, forest.parents[node]):
+            mask = sum(1 << bit for bit in s.exceptions if bit < B)
+            flips ^= mask ^ ((1 << B) - 1) if s.cofinite else mask
+    return flips
 
 
-def _witness_sweep(w: SwapWitness, box: CoordinateBox) -> bool:
-    """Sweep a witness's generator: the pattern must flip on the toggle's bits below B."""
-    tau = generator(box.forest, w.beta, w.row, w.toggle)
-    expected = sum(1 << bit for bit in range(box.bits) if bit in w.toggle)
-    return _pattern_flip_sweep(tau, w.beta, w.gamma, w.row, expected, box)
+def _witness_faults(w: SwapWitness, q: Condition, A: Window, box: CoordinateBox) -> list[str]:
+    """The certificates of ``w`` that the replay of its generator refutes."""
+    B = box.bits
+    flips = functools.partial(_replayed_flips, box.forest, [(w.beta, w.row, w.toggle)])
+    # past every exception, so a row the generator touches flips some bit below it
+    past = max(w.toggle.exceptions, default=0) + 2
+    toggle_bits = sum(1 << bit for bit in range(B) if (bit in w.toggle.exceptions) != w.toggle.cofinite)
+    holds = {
+        "condition-fixed": not any(flips(node, row, bit + 1) >> bit for (node, row, bit), _ in q.entries),
+        "support-fixed": not any(flips(node, w.row, past) for node in A.nodes),
+        "pattern-flip": flips(w.beta, w.row, B) ^ flips(w.gamma, w.row, B) == toggle_bits,
+    }
+    return [name for name, ok in holds.items() if not ok]
 
 
 @_lemma("swap", "swap witnesses certify the complement flip", trials=60)
 def verify_swap(report: VerificationReport, rng: random.Random, trials: int):
-    """Swap witnesses certify, and an independent sweep of every assignment agrees."""
+    """Swap witnesses certify, and a replay of each witness's generator from the parent map agrees."""
     # full condition enumeration on a 6-coordinate box over the fork 1 -> 0 <- 2
     forest = PredecessorForest.from_pred(3, {1: 0, 2: 0})
     box = CoordinateBox(Window.whole(forest), 1, 2)
     A = rho_closure(forest, {0})
-    coords = list(box.coords())
-    for q in _all_conditions(coords):
+    for q in _all_conditions(list(box.coords())):
         report.enumerated += 1
         w = swap_witness(q, A, 0, box)
         if not w.certificate.all_pass():
             report.record(f"certificate failed for exhaustive condition {q.entries}")
-        if not _witness_sweep(w, box):
-            report.record(f"assignment sweep refutes the pattern flip for {q.entries}")
+        for fault in _witness_faults(w, q, A, box):
+            report.record(f"replay refutes the {fault} certificate for {q.entries}")
     conditions = report.enumerated
-    # sampled conditions on 12-coordinate boxes, sweeps stay exhaustive
+    # sampled conditions on boxes of up to 12 coordinates
     for trial in range(trials):
         n_nodes, rows, bits = rng.choice(((3, 2, 2), (4, 1, 3), (3, 1, 4)))
         f = random_forest(n_nodes, rng.getrandbits(32))
@@ -967,19 +940,20 @@ def verify_swap(report: VerificationReport, rng: random.Random, trials: int):
         w = swap_witness(q, A_r, row, b)
         if not w.certificate.all_pass():
             report.record(f"certificate failed on sampled condition trial {trial}")
-        if not _witness_sweep(w, b):
-            report.record(f"assignment sweep refutes the pattern flip on trial {trial}")
+        for fault in _witness_faults(w, q, A_r, b):
+            report.record(f"replay refutes the {fault} certificate on trial {trial}")
     # both-toggled case: a generator at the shared predecessor fixes the pattern
     for bits_count in (2, 3):
         b = CoordinateBox(Window.whole(forest), 1, bits_count)
         for exceptions in ({0}, set(), {1}):
-            tau = generator(forest, 0, 0, ToggleSet.cofinite_excluding(exceptions))
+            word = [(0, 0, ToggleSet.cofinite_excluding(exceptions))]
             report.enumerated += 1
-            if not _pattern_flip_sweep(tau, 1, 2, 0, 0, b):
+            row_flips = functools.partial(_replayed_flips, forest, word, row=0, B=bits_count)
+            if row_flips(1) ^ row_flips(2) or pattern_shift(generator(forest, *word[0]), 1, 2, 0, b):
                 report.record(f"both-toggled generator moved the pattern (B={bits_count})")
     report.notes = (
         f"{conditions} enumerated conditions and {report.enumerated - conditions} both-toggled generators, "
-        f"plus {trials} sampled conditions; pattern flip re-swept on every assignment of each witness's box"
+        f"plus {trials} sampled conditions; each witness's three certificates replayed from the parent map"
     )
 
 

@@ -68,7 +68,12 @@ def apply_to_assignment(tau, g):
 
 
 def pattern_flip_loop(tau, beta, gamma, row, expected, box):
-    """Reference for ``verify._pattern_flip_sweep``: the same check, one assignment at a time."""
+    """Whether ``tau`` moves the equality pattern of two rows by ``expected``, on every assignment.
+
+    The reference for ``verify._replayed_flips``: it reads the flip mask
+    through ``tau.toggle_at`` and compares the two rows' pattern before and
+    after on each of the box's ``2**n_coords`` assignments, one at a time.
+    """
     rows, bits = box.rows, box.bits
     pos = {xi: k for k, xi in enumerate(box.window.ordered)}
     flip = 0
@@ -88,6 +93,22 @@ def pattern_flip_loop(tau, beta, gamma, row, expected, box):
         if before ^ after != expected:
             return False
     return True
+
+
+def record_calls(monkeypatch, module, attr):
+    """Wrap ``module.attr`` for the test so that each call's positional arguments are recorded.
+
+    Returns the list the calls go into; the wrapped function still runs.
+    """
+    calls = []
+    real = getattr(module, attr)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, attr, recorded)
+    return calls
 
 
 @functools.cache

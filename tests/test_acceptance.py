@@ -151,7 +151,7 @@ def test_criterion_10_swap_mechanism():
         10,
         "swap witness certificates",
         report.failure_count() == 0 and report.trials == 795,
-        f"witnesses={report.trials}, assignment sweeps exhaustive",
+        f"witnesses={report.trials}, certificates replayed from the parent map",
     )
 
 

@@ -523,6 +523,12 @@ class TestPadCommonDomain:
         p = Condition.from_map({(0, 1, 2): 1, (1, 0, 0): 0})
         assert pad_common_domain(p, p) == (p, p)
 
+    def test_pads_both_sides_with_zero(self):
+        a, b = Coordinate(0, 0, 0), Coordinate(1, 0, 0)
+        p2, q2 = pad_common_domain(Condition(((a, 1),)), Condition(((b, 1),)))
+        assert p2.as_dict() == {a: 1, b: 0}
+        assert q2.as_dict() == {a: 0, b: 1}
+
     def test_disjoint_domains(self):
         p = Condition.from_map({(0, 0, 0): 1})
         q = Condition.from_map({(1, 0, 0): 1})
@@ -687,6 +693,16 @@ class TestConditionText:
             "automorphism and window use different forests",
             id="fixes-foreign-window",
         ),
+        pytest.param(
+            lambda: generator(forest_of(2, {1: 0}), 1, 0, None),
+            "toggle set None must be a ToggleSet",
+            id="generator-toggle-none",
+        ),
+        pytest.param(
+            lambda: CascadeAutomorphism(None, ()),
+            "automorphism forest None must be a PredecessorForest",
+            id="automorphism-forest-none",
+        ),
     ],
 )
 def test_generator_and_fixing_rejections(call, message):
@@ -698,3 +714,11 @@ def test_toggle_set_given_a_list_equals_the_frozen_one():
     listed = ToggleSet(False, [1])
     assert listed == ToggleSet.finite({1}) and hash(listed) == hash(ToggleSet.finite({1}))
     assert listed ^ ToggleSet.finite({2}) == ToggleSet.finite({1, 2})
+
+
+def test_automorphism_given_a_list_equals_the_tuple_one():
+    f = forest_of(2, {1: 0})
+    entries = [((1, 0), ToggleSet.finite({1}))]
+    listed = CascadeAutomorphism(f, entries)
+    assert listed == CascadeAutomorphism(f, tuple(entries))
+    assert hash(listed) == hash(generator(f, 1, 0, ToggleSet.finite({1})))

@@ -141,6 +141,20 @@ class TestStarMatrix:
         for (i, j), v in expected.items():
             assert m.entry(i, j) == v
 
+    @pytest.mark.parametrize(
+        "cols",
+        [
+            pytest.param((0b11, 0b10), id="entry-below-the-diagonal"),
+            pytest.param((0b00, 0b10), id="zero-on-the-diagonal"),
+        ],
+    )
+    def test_not_unit_upper_triangular(self, cols):
+        assert not F2Matrix((1, 0), cols).is_upper_triangular_unit()
+
+    def test_lists_stored_as_tuples(self):
+        listed = F2Matrix([0], [1])
+        assert listed == F2Matrix((0,), (1,)) and hash(listed) == hash(F2Matrix((0,), (1,)))
+
     def test_columns_checked_against_the_order(self):
         with pytest.raises(DomainError, match="column count"):
             F2Matrix((1, 0), (1,))

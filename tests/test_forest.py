@@ -240,6 +240,9 @@ class TestForestText:
         pytest.param(lambda: PredecessorForest(0, ()), DomainError, "at least the root", id="empty-universe"),
         pytest.param(lambda: PredecessorForest(2, (-1,)), DomainError, "cover the whole universe", id="short-parents"),
         pytest.param(lambda: PredecessorForest(2, (0, 0)), DomainError, "entry must be -1", id="rooted-root"),
+        pytest.param(lambda: PredecessorForest(2.0, (-1, 0)), DomainError, "size 2.0 must be an int", id="float-size"),
+        pytest.param(lambda: PredecessorForest(3, None), DomainError, "parents None must be a tuple", id="parents-none"),
+        pytest.param(lambda: PredecessorForest(2, (-1, 0.0)), DomainError, r"pred\(1\)=0.0 is not regressive", id="float-parent"),
         pytest.param(lambda: forest_of(2, {5: 0}), DomainError, "node 5 outside universe of size 2", id="pred-off-universe"),
         pytest.param(lambda: forest_of(3, {1: 0}), DomainError, "pred undefined at node 2", id="pred-missing"),
         pytest.param(

@@ -17,6 +17,7 @@ from conftest import (
     assert_canonical,
     forest_of,
     random_box,
+    record_calls,
 )
 from cascadekit import _kernels as kernels
 from cascadekit import cascade
@@ -272,20 +273,13 @@ class TestCheckSupport:
             decision_invariant(every, A, low, 0, box)
 
     def test_22_coordinate_box_sweeps_mentioned_coordinates(self, monkeypatch):
-        built = []
-        real = kernels.build_table
-
-        def counting(n_coords, entries):
-            built.append(n_coords)
-            return real(n_coords, entries)
-
-        monkeypatch.setattr(kernels, "build_table", counting)
+        built = record_calls(monkeypatch, kernels, "build_table")
         f = random_forest(11, 1)
         box = CoordinateBox(Window.whole(f), 1, 2)  # 22 coordinates
         A = rho_closure(f, {0})
         name = RawName.of([(m, Condition(((box.coords()[2 * m + 1], 1),))) for m in range(4)])
         report = support_report(name, A, box)
-        assert built == [4]
+        assert [n_coords for n_coords, _ in built] == [4]
         assert not report.supported and report.assignments_checked == 2**22
         # the least off-support mentioned coordinate, with the least assignment its flip changes
         assert report.witness == (*box.coords()[3], 0)
@@ -364,21 +358,14 @@ class TestNormalize:
         assert dict(scheme.families).get(0, frozenset()) == {Packet(p)}
 
     def test_member_table_built_once(self, monkeypatch):
-        built = []
-        real = kernels.build_table
-
-        def counting(n_coords, entries):
-            built.append(n_coords)
-            return real(n_coords, entries)
-
-        monkeypatch.setattr(kernels, "build_table", counting)
+        built = record_calls(monkeypatch, kernels, "build_table")
         box = small_box()
         A = rho_closure(box.forest, {0, 1})
         name = RawName.of(
             [(0, Condition.from_map({(1, 0, 0): 1})), (3, Condition.from_map({(0, 0, 1): 0}))]
         )
         normalize(name, A, box)
-        assert built == [2]  # the two coordinates the name mentions, not the box's 6
+        assert [n_coords for n_coords, _ in built] == [2]  # the two coordinates the name mentions, not the box's 6
 
     def test_scheme_normalizes_to_equal_semantics(self):
         box = small_box()
@@ -1047,21 +1034,9 @@ class TestDerivedConditions:
 class TestNameCache:
     """A name holds one member table and one verdict per flip, whatever the window or box."""
 
-    @staticmethod
-    def counting(monkeypatch, attr):
-        calls = []
-        real = getattr(kernels, attr)
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(kernels, attr, counted)
-        return calls
-
     def test_one_table_and_one_sweep_per_name(self, monkeypatch):
-        builds = self.counting(monkeypatch, "build_table")
-        flips = self.counting(monkeypatch, "flip_violation")
+        builds = record_calls(monkeypatch, kernels, "build_table")
+        flips = record_calls(monkeypatch, kernels, "flip_violation")
         f = forest_of(4, {1: 0, 2: 1, 3: 0})
         box = CoordinateBox(Window.whole(f), 1, 2)
         A = rho_closure(f, {0, 1})
@@ -1082,7 +1057,7 @@ class TestNameCache:
         assert len(builds) == 1 and len(flips) == sweep
 
     def test_flips_run_once_per_name_across_windows(self, monkeypatch):
-        flips = self.counting(monkeypatch, "flip_violation")
+        flips = record_calls(monkeypatch, kernels, "flip_violation")
         f = forest_of(3, {1: 0, 2: 0})
         box = CoordinateBox(Window.whole(f), 1, 1)
         A = rho_closure(f, {2})

@@ -385,3 +385,10 @@ class TestQuotientAnalysis:
 def test_malformed_actions_and_partitions_rejected(build, message):
     with pytest.raises(DomainError, match=message):
         build()
+
+
+def test_action_and_partition_given_lists_equal_the_tuple_ones():
+    action = FiniteAction(2, ((0, 1), [1, 0]))
+    assert action == FiniteAction(2, ((0, 1), (1, 0))) and hash(action) == hash(close_group([(1, 0)]))
+    partition = TranslationPartition(1, [0, 0])
+    assert partition == TranslationPartition(1, (0, 0)) and hash(partition) == hash(TranslationPartition(1, (0, 0)))

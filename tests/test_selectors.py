@@ -13,6 +13,7 @@ from cascadekit.forest import Window, random_forest, rho_closure
 from cascadekit.names import Assignment, CoordinateBox
 from cascadekit.selectors import (
     IndexedFamily,
+    SwapCertificate,
     SwapWitness,
     TraceProfile,
     canonical_selector,
@@ -22,7 +23,7 @@ from cascadekit.selectors import (
     pattern_shift,
     swap_witness,
 )
-from cascadekit.verify import _pattern_flip_sweep
+from cascadekit.verify import _replayed_flips, _witness_faults
 
 
 def box_on(size, rows, bits, pred=None):
@@ -145,6 +146,12 @@ class TestSwapWitness:
         assert text.count("PASS") == 3
 
 
+def replayed_shift(word, beta, gamma, row, box):
+    """The oracle's pattern shift: the replayed flips of the two rows, XORed."""
+    f, B = box.forest, box.bits
+    return _replayed_flips(f, word, beta, row, B) ^ _replayed_flips(f, word, gamma, row, B)
+
+
 def swept_shifts(tau, beta, gamma, row, box):
     """Brute force: the pattern shift ``pattern(g ^ f) ^ pattern(g)`` of every assignment."""
     return {
@@ -183,7 +190,8 @@ class TestClosedFormCertificate:
             assert w.certificate.pattern_flip == (swept == {w.toggle.mask_below(box.bits)})
             assert w.certificate.all_pass()
             assert w.certificate.assignments_checked == 1 << box.n_coords
-            assert _pattern_flip_sweep(tau, w.beta, w.gamma, w.row, w.toggle.mask_below(box.bits), box)
+            assert _witness_faults(w, q, A, box) == []
+            assert {replayed_shift([(w.beta, w.row, w.toggle)], w.beta, w.gamma, w.row, box)} == swept
 
     def test_shift_of_any_automorphism_is_constant(self):
         rng = random.Random(7)
@@ -209,7 +217,9 @@ class TestClosedFormCertificate:
         expected = w.toggle.mask_below(box.bits)
         assert pattern_shift(tau, tampered.beta, tampered.gamma, 0, box) != expected
         assert swept_shifts(tau, tampered.beta, tampered.gamma, 0, box) != {expected}
-        assert not _pattern_flip_sweep(tau, tampered.beta, tampered.gamma, 0, expected, box)
+        assert not pattern_flip_loop(tau, tampered.beta, tampered.gamma, 0, expected, box)
+        assert pattern_flip_loop(tau, 2, 3, 0, replayed_shift([(2, 0, w.toggle)], 2, 3, 0, box), box)
+        assert _witness_faults(tampered, Condition.empty(), A, box) == ["pattern-flip"]
         # the same rows with gamma's row toggled alike by a second generator
         both = compose(tau, generator(box.forest, w.gamma, 0, w.toggle))
         assert pattern_shift(both, w.beta, w.gamma, 0, box) == 0 != expected
@@ -218,36 +228,38 @@ class TestClosedFormCertificate:
         for bits in (1, 2, 3):
             box = box_on(4, 1, bits, pred={1: 0, 2: 0, 3: 1})
             for exceptions in (set(), {0}, {1, 2}):
-                tau = generator(box.forest, 0, 0, ToggleSet.cofinite_excluding(exceptions))
+                word = [(0, 0, ToggleSet.cofinite_excluding(exceptions))]
+                tau = generator(box.forest, *word[0])
                 assert pattern_shift(tau, 1, 2, 0, box) == 0
                 assert swept_shifts(tau, 1, 2, 0, box) == {0}
-                assert _pattern_flip_sweep(tau, 1, 2, 0, 0, box)
+                assert replayed_shift(word, 1, 2, 0, box) == 0
+                assert pattern_flip_loop(tau, 1, 2, 0, 0, box)
 
     def test_sweep_rejects_one_row_toggled(self):
         # node 3's predecessor is 1, so a generator at 1 toggles rows 1 and 3 but not row 2
         box = box_on(4, 1, 2, pred={1: 0, 2: 0, 3: 1})
         for s in (ToggleSet.cofinite_excluding(set()), ToggleSet.finite({1})):
-            tau = generator(box.forest, 1, 0, s)
-            assert not _pattern_flip_sweep(tau, 1, 2, 0, 0, box)
-            assert not _pattern_flip_sweep(tau, 2, 3, 0, 0, box)
-            assert _pattern_flip_sweep(tau, 1, 3, 0, 0, box)
-            assert _pattern_flip_sweep(tau, 1, 2, 0, s.mask_below(box.bits), box)
+            word = [(1, 0, s)]
+            tau = generator(box.forest, *word[0])
+            toggled = s.mask_below(box.bits)
+            for beta, gamma, shift in ((1, 2, toggled), (2, 3, toggled), (1, 3, 0)):
+                assert replayed_shift(word, beta, gamma, 0, box) == shift
+                assert pattern_flip_loop(tau, beta, gamma, 0, shift, box)
+                assert not pattern_flip_loop(tau, beta, gamma, 0, shift ^ toggled, box)
 
 
-class TestBitParallelOracle:
-    """``_pattern_flip_sweep`` against the per-assignment loop it replaced (``conftest``)."""
+class TestReplayOracle:
+    """``verify._replayed_flips`` against the per-assignment loop (``conftest.pattern_flip_loop``)."""
 
     @staticmethod
-    def assert_agrees(tau, beta, gamma, row, box):
-        """Agreement on every shift a row can have and one outside it; exactly one holds."""
-        accepted = []
+    def assert_agrees(word, beta, gamma, row, box):
+        """The loop accepts the replayed shift and no other, over every shift of a row and one past it."""
+        f = box.forest
+        tau = compose_all(f, [generator(f, *g) for g in word])
+        shift = replayed_shift(word, beta, gamma, row, box)
         for expected in range(1 << (box.bits + 1)):
-            verdict = _pattern_flip_sweep(tau, beta, gamma, row, expected, box)
-            assert verdict == pattern_flip_loop(tau, beta, gamma, row, expected, box)
-            if verdict:
-                accepted.append(expected)
-        assert len(accepted) == 1 and accepted[0] < 1 << box.bits
-        return accepted[0]
+            assert pattern_flip_loop(tau, beta, gamma, row, expected, box) == (expected == shift)
+        return shift
 
     def test_every_enumerated_witness(self):
         # the 729 conditions of verify swap's 6-coordinate enumeration
@@ -256,12 +268,13 @@ class TestBitParallelOracle:
         count = 0
         for q in all_conditions(list(box.coords())):
             w = swap_witness(q, A, 0, box)
-            tau = generator(box.forest, w.beta, w.row, w.toggle)
-            true = self.assert_agrees(tau, w.beta, w.gamma, w.row, box)
+            word = [(w.beta, w.row, w.toggle)]
+            true = self.assert_agrees(word, w.beta, w.gamma, w.row, box)
             assert true == w.toggle.mask_below(box.bits)
+            assert _witness_faults(w, q, A, box) == []
             # tampered rows: beta against itself, and the pair read from the other side
-            assert self.assert_agrees(tau, w.beta, w.beta, w.row, box) == 0
-            assert self.assert_agrees(tau, w.gamma, w.beta, w.row, box) == true
+            assert self.assert_agrees(word, w.beta, w.beta, w.row, box) == 0
+            assert self.assert_agrees(word, w.gamma, w.beta, w.row, box) == true
             count += 1
         assert count == 729
 
@@ -272,24 +285,32 @@ class TestBitParallelOracle:
         for _ in range(60):
             n_nodes, rows, bits = rng.choice(shapes)
             box = CoordinateBox(Window.whole(random_forest(n_nodes, rng.getrandbits(32))), rows, bits)
-            f = box.forest
-            gens = []
+            word = []
             for _ in range(rng.randrange(4)):
                 s = ToggleSet(rng.random() < 0.5, frozenset(rng.sample(range(bits + 1), rng.randint(1, bits))))
-                gens.append(generator(f, rng.randrange(n_nodes), rng.randrange(rows), s))
-            tau = compose_all(f, gens)
+                word.append((rng.randrange(n_nodes), rng.randrange(rows), s))
             beta, gamma = rng.sample(range(n_nodes), 2)
             row = rng.randrange(rows)
-            true = self.assert_agrees(tau, beta, gamma, row, box)
-            assert true == pattern_shift(tau, beta, gamma, row, box)
+            tau = compose_all(box.forest, [generator(box.forest, *g) for g in word])
+            assert self.assert_agrees(word, beta, gamma, row, box) == pattern_shift(tau, beta, gamma, row, box)
             widths.add(box.n_coords)
         assert max(widths) == 12
 
-    def test_negative_expected_rejected(self):
-        box = box_on(3, 1, 2)
-        tau = generator(box.forest, 1, 0, ToggleSet.finite({0}))
-        assert not _pattern_flip_sweep(tau, 1, 2, 0, -1, box)
-        assert not pattern_flip_loop(tau, 1, 2, 0, -1, box)
+    def test_replay_refutes_tampered_witnesses(self):
+        # the fork 1 -> 0 <- 2 with 3 -> 2: the witness beside A = {0} is (beta, gamma) = (2, 1)
+        box = box_on(4, 1, 3, pred={1: 0, 2: 0, 3: 2})
+        A = rho_closure(box.forest, {0})
+        q = Condition.from_map({(3, 0, 1): 1})
+        w = swap_witness(q, A, 0, box)
+        assert (w.beta, w.gamma, w.toggle) == (2, 1, ToggleSet.cofinite_excluding({1}))
+        assert _witness_faults(w, q, A, box) == []
+        # gamma a child of beta: beta's generator toggles both rows alike
+        assert _witness_faults(dataclasses.replace(w, gamma=3), q, A, box) == ["pattern-flip"]
+        # a toggle meeting the shield, which holds bit 1 of the child 3's row
+        meets = dataclasses.replace(w, shield=frozenset(), toggle=ToggleSet.cofinite_excluding(()))
+        assert _witness_faults(meets, q, A, box) == ["condition-fixed"]
+        # beta inside A: its generator toggles a row over the support
+        assert _witness_faults(dataclasses.replace(w, beta=0), q, A, box) == ["support-fixed", "pattern-flip"]
 
 
 class TestCanonicalSelector:
@@ -431,6 +452,7 @@ SINGLETON = IndexedFamily.of({0: {0}})
             "duplicate index 0",
             id="family-duplicate-index",
         ),
+        pytest.param(lambda: TraceProfile(None, [0]), "profile window None must be a Window", id="profile-window-none"),
         pytest.param(lambda: lift_choice(SINGLETON, 0, {0: (0, 0)}), "product arity must be positive", id="lift-k0"),
         pytest.param(lambda: lift_choice(SINGLETON, 1, {0: 0}), "choice at 0 is not a pair", id="lift-not-pair"),
     ],
@@ -445,3 +467,16 @@ def test_trace_profile_given_a_list_equals_the_frozen_one():
     profile = TraceProfile(W, [0])
     assert profile == TraceProfile(W, frozenset({0}))
     assert hash(profile) == hash(TraceProfile(W, frozenset({0})))
+
+
+def test_indexed_family_given_lists_equals_the_frozen_one():
+    frozen = IndexedFamily(((0, frozenset({1})),))
+    for listed in (IndexedFamily([(0, frozenset({1}))]), IndexedFamily(((0, [1]),))):
+        assert listed == frozen and hash(listed) == hash(frozen)
+
+
+@pytest.mark.parametrize("failing", ["condition_fixed", "support_fixed", "pattern_flip"])
+def test_certificate_fails_when_any_one_certificate_fails(failing):
+    passing = SwapCertificate(True, True, True, assignments_checked=64)
+    assert passing.all_pass()
+    assert not dataclasses.replace(passing, **{failing: False}).all_pass()

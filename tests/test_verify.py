@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from conftest import record_calls
 from cascadekit import cli, f2linalg, orbits, verify
 from cascadekit.cascade import Coordinate
 from cascadekit.errors import CapacityError, DomainError
@@ -46,18 +47,10 @@ def test_shield_exhaustive_count_is_seed_independent(seed):
 
 def test_every_counted_shield_trial_applies_a_toggle(monkeypatch):
     # an empty finite pick toggles nothing, so a trial that drew one would be counted unchecked
-    calls = 0
-    real = verify.apply
-
-    def counting(tau, q):
-        nonlocal calls
-        calls += 1
-        return real(tau, q)
-
-    monkeypatch.setattr(verify, "apply", counting)
+    calls = record_calls(monkeypatch, verify, "apply")
     report = verify_shield(trials=1000, seed=0)
     assert report.failure_count() == 0
-    assert calls == report.trials == 1000 + SHIELD_SWEEP
+    assert len(calls) == report.trials == 1000 + SHIELD_SWEEP
 
 
 def test_every_counted_swap_trial_builds_a_witness(monkeypatch):
@@ -171,14 +164,7 @@ def test_decision_note_counts_probes_by_kind():
 
 
 def test_normalize_builds_each_oracle_table_once_per_trial(monkeypatch):
-    built = []
-    real = verify._member_table
-
-    def counting(box, name):
-        built.append(name)
-        return real(box, name)
-
-    monkeypatch.setattr(verify, "_member_table", counting)
+    built = record_calls(monkeypatch, verify, "_member_table")
     report = verify_normalize(trials=10, seed=0)
     assert report.failure_count() == 0
     assert len(built) == 20  # per trial: the name's table, shared by both checks, and the scheme's
@@ -325,6 +311,20 @@ def test_lemma_bodies_take_only_what_the_harness_passes():
 
     # the harness builds each seed's generator; verify_code also grows each trial's box from its own
     assert {fn.name for fn in functions if builds_generator(fn)} == {"_lemma", "verify_code"}
+
+
+def test_swap_replay_reads_only_the_parent_map_and_toggle_fields():
+    tree = ast.parse(inspect.getsource(verify))
+    (replay,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_replayed_flips"]
+    attributes = {ast.unparse(n) for n in ast.walk(replay) if isinstance(n, ast.Attribute)}
+    assert attributes == {"forest.parents", "s.cofinite", "s.exceptions"}
+    # every name verify.py imports from the package, as it is bound in the module
+    imported = {
+        alias.asname or alias.name for n in tree.body if isinstance(n, ast.ImportFrom) and n.level for alias in n.names
+    }
+    assert {"generator", "ToggleSet", "pattern_shift", "kernels"} <= imported
+    called = {ast.unparse(n.func) for n in ast.walk(replay) if isinstance(n, ast.Call)}
+    assert called and not called & imported
 
 
 def test_all_conditions_enumerates_every_partial_function_once():
