@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CertificateError, DomainError, PreconditionError
+from .errors import CertificateError, DomainError, PreconditionError, _Value
 from .f2linalg import F2Vector, solve_star_span
 from .forest import NodeId, PredecessorForest, Window, rho_closure
 
@@ -26,7 +26,7 @@ class Coordinate(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ToggleSet:
+class ToggleSet(_Value):
     """A finite or cofinite set of bit indices.
 
     ``exceptions`` holds the set itself when finite and the complement when
@@ -85,7 +85,7 @@ _NO_BITS: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
-class Condition:
+class Condition(_Value):
     """A finite partial 0/1 function on coordinates, stored canonically sorted."""
 
     entries: tuple[tuple[Coordinate, int], ...]
@@ -170,7 +170,7 @@ class Condition:
 
 
 @dataclass(frozen=True)
-class Packet:
+class Packet(_Value):
     """One condition of a packet scheme's family.
 
     A packet carries no certificate of its own: the scheme that holds it
@@ -181,9 +181,13 @@ class Packet:
 
     condition: Condition
 
+    def __post_init__(self):
+        if not isinstance(self.condition, Condition):
+            raise DomainError(f"packet condition {self.condition!r} must be a Condition")
+
 
 @dataclass(frozen=True)
-class CascadeAutomorphism:
+class CascadeAutomorphism(_Value):
     """Normal form of a product of cascade generators.
 
     ``row_toggles`` maps (node, row) to the accumulated toggle set, with
@@ -196,8 +200,6 @@ class CascadeAutomorphism:
     _lookup: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if not isinstance(self.forest, PredecessorForest):
-            raise DomainError(f"automorphism forest {self.forest!r} must be a PredecessorForest")
         entries = self.row_toggles
         if not isinstance(entries, tuple):  # generator and compose pass tuples
             entries = tuple(entries)
@@ -241,8 +243,6 @@ def generator(
 ) -> CascadeAutomorphism:
     """The basic automorphism toggling row (xi, row) and its successor rows along s."""
     forest.check_node(xi)
-    if not isinstance(s, ToggleSet):
-        raise DomainError(f"toggle set {s!r} must be a ToggleSet")
     if s.is_empty():
         raise DomainError("a generator needs a nonempty toggle set")
     # children are larger than xi and listed ascending, so the keys arrive sorted

@@ -24,12 +24,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import CertificateError, DomainError
+from .errors import CertificateError, DomainError, _Value
 from .forest import NodeId, Window
 
 
 @dataclass(frozen=True, init=False)
-class F2Vector:
+class F2Vector(_Value):
     """A 0/1 vector indexed by a window, packed as an int bitset.
 
     Bit ``j`` is the entry at ``window.ordered[j]``.
@@ -39,10 +39,12 @@ class F2Vector:
     bits: int
 
     def __init__(self, window: Window, bits: int):
-        if bits < 0 or bits >> len(window.nodes):
-            raise DomainError("vector bits exceed the window length")
-        # the solvers build two vectors per target: write the frozen fields
-        # into the instance dict directly, skipping the frozen __setattr__
+        # two per solved target: checked here, not in a wrapped __post_init__; fields go straight into __dict__
+        try:
+            if bits < 0 or bits >> len(window.nodes):
+                raise DomainError("vector bits exceed the window length")
+        except (TypeError, AttributeError) as exc:
+            raise self._malformed(exc) from exc
         fields = self.__dict__
         fields["window"] = window
         fields["bits"] = bits
@@ -87,7 +89,7 @@ def _star_masks(order: Sequence[NodeId], parents: Sequence[int]) -> dict[NodeId,
 
 
 @dataclass(frozen=True)
-class F2Matrix:
+class F2Matrix(_Value):
     """A square 0/1 matrix whose rows and columns share one node ordering.
 
     ``cols[j]`` is the j-th column packed as a bitset over row positions.
@@ -109,12 +111,7 @@ class F2Matrix:
         return (self.cols[j] >> i) & 1
 
     def is_upper_triangular_unit(self) -> bool:
-        for j, col in enumerate(self.cols):
-            if not (col >> j) & 1:
-                return False
-            if col >> (j + 1):
-                return False
-        return True
+        return all(col >> j == 1 for j, col in enumerate(self.cols))  # column j: bit j, none higher
 
 
 def star_matrix(K: Window) -> F2Matrix:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _Value
 
 NodeId = int
 
 
 @dataclass(frozen=True)
-class PredecessorForest:
+class PredecessorForest(_Value):
     """A total regressive predecessor map on the universe ``0..size-1``.
 
     ``parents[xi]`` is the predecessor of node ``xi`` for ``xi >= 1`` and a
@@ -32,10 +32,6 @@ class PredecessorForest:
     )
 
     def __post_init__(self):
-        if not isinstance(self.size, int):
-            raise DomainError(f"universe size {self.size!r} must be an int")
-        if not isinstance(self.parents, (tuple, list)):
-            raise DomainError(f"parents {self.parents!r} must be a tuple of ints")
         # a tuple keeps the map fixed, and equal to the same map given as a list
         object.__setattr__(self, "parents", tuple(self.parents))
         if self.size < 1:
@@ -104,7 +100,7 @@ def is_rho_closed(forest: PredecessorForest, nodes) -> bool:
 
 
 @dataclass(frozen=True)
-class Window:
+class Window(_Value):
     """A finite set of nodes closed under the predecessor map."""
 
     forest: PredecessorForest
@@ -179,8 +175,6 @@ def fresh_separation(
 
 def random_forest(n: int, seed: int) -> PredecessorForest:
     """Uniformly random regressive predecessor map on ``0..n-1``, fixed by seed."""
-    if n < 1:
-        raise DomainError("universe must contain at least the root node")
     rng = random.Random(seed)
     parents = [-1] + [rng.randrange(xi) for xi in range(1, n)]
     return PredecessorForest(n, tuple(parents))

@@ -34,12 +34,12 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import _kernels as kernels
 from .cascade import Condition, Coordinate, Packet
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _Value
 from .forest import PredecessorForest, Window
 
 
 @dataclass(frozen=True)
-class CoordinateBox:
+class CoordinateBox(_Value):
     """A finite coordinate space: window nodes times ``rows`` times ``bits``.
 
     Coordinates are packed into bit positions node-major, then row, then
@@ -53,8 +53,6 @@ class CoordinateBox:
     _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if not (isinstance(self.window, Window) and isinstance(self.rows, int) and isinstance(self.bits, int)):
-            raise DomainError("a box needs a Window and int rows and bits")
         if not self.window.nodes or self.rows < 1 or self.bits < 1:
             raise DomainError("box must have nodes, rows, and bits")
         coords = tuple(
@@ -99,17 +97,13 @@ class CoordinateBox:
 
 
 @dataclass(frozen=True)
-class Assignment:
+class Assignment(_Value):
     """A total 0/1 function on a box, packed by coordinate index."""
 
     box: CoordinateBox
     value_bits: int
 
     def __post_init__(self):
-        if not isinstance(self.box, CoordinateBox):
-            raise DomainError(f"assignment box {self.box!r} must be a CoordinateBox")
-        if not isinstance(self.value_bits, int):  # bool passes, as elsewhere
-            raise DomainError(f"assignment bits {self.value_bits!r} must be an int")
         if self.value_bits < 0 or self.value_bits >> self.box.n_coords:
             raise DomainError("assignment bits exceed the box")
 
@@ -125,7 +119,7 @@ class Assignment:
 
 
 @dataclass(frozen=True)
-class RawName:
+class RawName(_Value):
     """A finite set of (m, condition) pairs; the pre-normalization shape."""
 
     pairs: frozenset[tuple[int, Condition]]
@@ -150,7 +144,7 @@ class RawName:
 
 
 @dataclass(frozen=True)
-class PacketScheme:
+class PacketScheme(_Value):
     """A support window plus, per member index, a family of packets over it.
 
     The node check here is the one packet certificate: a packet that
@@ -164,8 +158,6 @@ class PacketScheme:
     _table: tuple = field(init=False, repr=False, compare=False, default=None)  # as RawName's
 
     def __post_init__(self):
-        if not isinstance(self.support, Window):
-            raise DomainError(f"scheme support {self.support!r} must be a Window")
         seen = set()
         nodes = self.support.nodes
         for m, packets in self.families:
@@ -175,8 +167,8 @@ class PacketScheme:
                 raise DomainError(f"duplicate family for member {m}")
             seen.add(m)
             for pkt in packets:
-                if not (isinstance(pkt, Packet) and isinstance(pkt.condition, Condition)):
-                    raise DomainError(f"family {m} holds {pkt!r}, not a Packet of a Condition")
+                if not isinstance(pkt, Packet):
+                    raise DomainError(f"family {m} holds {pkt!r}, not a Packet")
                 for coord, _ in pkt.condition.entries:
                     if coord.node not in nodes:
                         raise DomainError(
@@ -199,14 +191,7 @@ class PacketScheme:
         )
 
 
-def _check_name(name) -> None:
-    """Reject anything but a raw name or packet scheme, before its pairs or table are read."""
-    if not isinstance(name, (RawName, PacketScheme)):
-        raise DomainError(f"expected a raw name or packet scheme, got {type(name)!r}")
-
-
 def _name_pairs(name) -> tuple[tuple[int, Condition], ...]:
-    _check_name(name)
     if isinstance(name, PacketScheme):
         name = name.to_raw_name()
     return tuple(sorted(name.pairs, key=lambda p: (p[0], p[1].entries)))
@@ -252,7 +237,6 @@ def _name_table(name, box: CoordinateBox) -> _NameIndex:
     tuples, so the index is the same over every box that holds it, and the
     box is read only to check that it does.
     """
-    _check_name(name)
     index = name._table
     if index is None:
         pairs = _name_pairs(name)
@@ -306,8 +290,6 @@ class SupportReport:
 
 
 def _check_box_window(A: Window, box: CoordinateBox) -> None:
-    if not (isinstance(A, Window) and isinstance(box, CoordinateBox)):
-        raise DomainError(f"expected a Window and a CoordinateBox, got {type(A)!r} and {type(box)!r}")
     if A.forest != box.forest:
         raise DomainError("support window and box use different forests")
 
@@ -445,7 +427,7 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
 
 
 @dataclass(frozen=True)
-class TwoLayerCode:
+class TwoLayerCode(_Value):
     """A scheme coded as its support plus, per member, the codes of its packets."""
 
     support: Window
@@ -454,7 +436,7 @@ class TwoLayerCode:
     def __post_init__(self):
         if not isinstance(self.support, Window):
             raise DomainError(f"code support {self.support!r} must be a Window")
-        for m, ks in self.packet_indices:  # before sorting, which would raise TypeError on a str
+        for m, ks in self.packet_indices:  # a float would sort, and be stored
             if not all(isinstance(k, int) and k >= 0 for k in (m, *ks)):
                 raise DomainError("member indices and packet codes must be natural ints")
         canonical = tuple(sorted((m, tuple(sorted(ks))) for m, ks in self.packet_indices))
@@ -508,8 +490,6 @@ def packet_of_code(k: int) -> Condition:
 
 def two_layer_code(scheme: PacketScheme, box: CoordinateBox) -> TwoLayerCode:
     """Code a scheme by its packets' codes; a packet outside the box raises :class:`DomainError`."""
-    if not isinstance(scheme, PacketScheme):
-        raise DomainError(f"expected a packet scheme, got {type(scheme)!r}")
     indices = tuple(
         (m, tuple(sorted(packet_code(_in_box(p.condition, box)) for p in packets)))
         for m, packets in scheme.families
@@ -524,8 +504,6 @@ def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
     support, whatever the box's forest; a packet outside the box raises
     :class:`DomainError`.
     """
-    if not isinstance(code, TwoLayerCode):
-        raise DomainError(f"expected a two-layer code, got {type(code)!r}")
     families = {
         m: {Packet(_in_box(packet_of_code(k), box)) for k in ks}
         for m, ks in code.packet_indices

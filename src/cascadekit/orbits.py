@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import CertificateError, DomainError, PreconditionError
+from .errors import CertificateError, DomainError, PreconditionError, _Value
 
 Permutation = tuple[int, ...]
 MAX_DIMENSION = 20
@@ -66,7 +66,7 @@ def _generate(generators: list[Permutation], ident: Permutation) -> set[Permutat
 
 
 @dataclass(frozen=True)
-class FiniteAction:
+class FiniteAction(_Value):
     """A finite 2-group given by its full element list acting on 0..set_size-1."""
 
     set_size: int
@@ -156,7 +156,7 @@ def odd_fixed_point(action: FiniteAction) -> int:
 
 
 @dataclass(frozen=True)
-class TranslationPartition:
+class TranslationPartition(_Value):
     """A labelling of F2^d; vectors are ints with bit j the j-th coordinate."""
 
     dimension: int

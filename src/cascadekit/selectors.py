@@ -21,7 +21,7 @@ from .cascade import (
     fixes_rows_over,
     shield_set,
 )
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _Value
 from .forest import NodeId, Window, fresh_separation
 from .names import Assignment, CoordinateBox, _check_box_window
 
@@ -74,7 +74,7 @@ class SwapCertificate:
 
 
 @dataclass(frozen=True)
-class SwapWitness:
+class SwapWitness(_Value):
     beta: NodeId
     gamma: NodeId
     row: int
@@ -137,15 +137,13 @@ def format_witness(w: SwapWitness) -> str:
 
 
 @dataclass(frozen=True)
-class TraceProfile:
+class TraceProfile(_Value):
     """A subset of a fixed window, compared by its characteristic code."""
 
     window: Window
     nodes: frozenset[int]
 
     def __post_init__(self):
-        if not isinstance(self.window, Window):
-            raise DomainError(f"profile window {self.window!r} must be a Window")
         object.__setattr__(self, "nodes", frozenset(self.nodes))
         if not self.nodes <= self.window.nodes:
             raise DomainError("profile nodes must lie inside the window")
@@ -173,7 +171,7 @@ def canonical_selector(profiles: list[TraceProfile]) -> int:
 
 
 @dataclass(frozen=True)
-class IndexedFamily:
+class IndexedFamily(_Value):
     """Finitely many nonempty finite sets of opaque ids, keyed by an index set."""
 
     sets: tuple[tuple[object, frozenset], ...]

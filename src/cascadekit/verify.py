@@ -7,11 +7,13 @@ enumerated part; the CLI maps lemma ids onto these.  A routine's keywords
 are ``seed`` and, when it samples, ``trials``; every other scale is fixed
 here.  The harness checks them and builds the report; a sampling body
 receives it with ``random.Random(seed)`` and the trial count, which the
-harness counts as sampled, and any other body the report alone.  What each
+harness counts as sampled, and any other body the report alone.  A
+:class:`CascadekitError` from the solver, ``transport`` or the coding is
+recorded as its starspan, transport or code trial's failure.  What each
 oracle recomputes, apart from the code it checks:
 
-- starspan: invertibility by Gaussian elimination, and each node's star
-  rebuilt from the parent map;
+- starspan: unit triangularity from the matrix's columns, invertibility by
+  Gaussian elimination, and each node's star rebuilt from the parent map;
 - decision, normalize and code: member tables over every assignment of the
   whole box, not only the coordinates a name mentions.  Normalize also
   sweeps support over every single-bit generator off each closed window of
@@ -53,7 +55,7 @@ from .cascade import (
     shield_set,
     transport,
 )
-from .errors import CapacityError, CertificateError, DomainError, PreconditionError
+from .errors import CapacityError, CascadekitError, CertificateError, DomainError, PreconditionError
 from .f2linalg import F2Vector, combine_stars, solve_star_span, star_matrix
 from .forest import PredecessorForest, Window, fresh_separation, random_forest, rho_closure
 from .names import (
@@ -248,7 +250,7 @@ def verify_starspan(report: VerificationReport, rng: random.Random, trials: int)
         forest = random_forest(rng.randint(1, 2 * MAX_STARSPAN_WINDOW), rng.getrandbits(32))
         K = _random_window(forest, rng)
         matrix = star_matrix(K)
-        if not matrix.is_upper_triangular_unit():
+        if any(col >> j != 1 for j, col in enumerate(matrix.cols)):  # column j: bit j, none higher
             report.record(f"trial {trial}: star matrix not unit upper triangular on {K.serialize()}")
             continue
         if not _gf2_invertible(matrix):
@@ -265,8 +267,8 @@ def verify_starspan(report: VerificationReport, rng: random.Random, trials: int)
                     if combine_stars(K, solve_star_span(K, target)) != target:
                         report.record(f"trial {trial}: solve failed for target {bits:b}")
                         break
-        except CertificateError as exc:
-            report.record(f"trial {trial}: basis certificate failed on {K.serialize()}: {exc}")
+        except CascadekitError as exc:
+            report.record(f"trial {trial}: solving raised {type(exc).__name__} on {K.serialize()}: {exc}")
     report.notes = f"all targets swept on windows up to {STARSPAN_SWEEP_WINDOW} nodes"
 
 
@@ -430,7 +432,11 @@ def verify_transport(report: VerificationReport, rng: random.Random, trials: int
         shared = _random_condition(forest, rng, max_len=4).restrict_to_nodes(A.nodes)
         p = shared.merge(_random_condition(forest, rng, max_len=4).restrict_to_nodes(off))
         q = shared.merge(_random_condition(forest, rng, max_len=4).restrict_to_nodes(off))
-        pi = transport(p, q, A)
+        try:
+            pi = transport(p, q, A)
+        except CascadekitError as exc:
+            report.record(f"trial {trial}: transport raised {type(exc).__name__}: {exc}")
+            continue
         p_pad, q_pad = pad_common_domain(p, q)
         if apply(pi, p_pad) != q_pad:
             report.record(f"trial {trial}: transport missed the target condition")
@@ -665,7 +671,7 @@ def verify_code(report: VerificationReport, rng: random.Random, trials: int):
             code = two_layer_code(scheme, box)
             decoded = decode_two_layer(code, box)
             regrown = decode_two_layer(code, grown)
-        except (DomainError, CertificateError) as exc:
+        except CascadekitError as exc:
             report.record(f"trial {trial}: coding raised {type(exc).__name__}: {exc}")
             continue
         if _member_table(box, scheme) != _member_table(box, decoded):

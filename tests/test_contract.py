@@ -1,0 +1,102 @@
+"""The input contract of the value types: a malformed field raises only a ``CascadekitError``.
+
+One valid example per exported class; each drawn case swaps one field, or
+the first part of a tuple field (or of that part), for a wrong-typed value
+and builds the class again.  The build either returns or raises a
+``CascadekitError``, never a bare ``TypeError``, ``ValueError`` or
+``AttributeError``.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cascadekit
+from cascadekit import (
+    Assignment,
+    CascadeAutomorphism,
+    CascadekitError,
+    Condition,
+    Coordinate,
+    CoordinateBox,
+    F2Matrix,
+    F2Vector,
+    FiniteAction,
+    IndexedFamily,
+    Packet,
+    PacketScheme,
+    PredecessorForest,
+    QuotientAnalysis,
+    RawName,
+    SwapWitness,
+    ToggleSet,
+    TraceProfile,
+    TranslationPartition,
+    TwoLayerCode,
+    Window,
+)
+from cascadekit.selectors import SwapCertificate
+
+FOREST = PredecessorForest(3, (-1, 0, 0))
+WINDOW = Window(FOREST, frozenset({0, 1}))
+COND = Condition(((Coordinate(0, 0, 0), 1),))
+BOX = CoordinateBox(WINDOW, 1, 1)
+
+# the fields of one valid instance of each exported value type, in constructor order
+VALID = {
+    PredecessorForest: (3, (-1, 0, 0)),
+    Window: (FOREST, frozenset({0, 1})),
+    F2Vector: (WINDOW, 1),
+    F2Matrix: ((1, 0), (1, 3)),
+    Coordinate: (0, 0, 0),
+    Condition: (((Coordinate(0, 0, 0), 1),),),
+    ToggleSet: (False, frozenset({0})),
+    Packet: (COND,),
+    CascadeAutomorphism: (FOREST, (((1, 0), ToggleSet.finite({0})),)),
+    CoordinateBox: (WINDOW, 1, 1),
+    Assignment: (BOX, 1),
+    RawName: (frozenset({(0, COND)}),),
+    PacketScheme: (WINDOW, ((0, frozenset({Packet(COND)})),)),
+    TwoLayerCode: (WINDOW, ((0, (1,)),)),
+    FiniteAction: (2, ((0, 1), (1, 0))),
+    QuotientAnalysis: (True, (1,), 2, None),
+    TranslationPartition: (1, (0, 1)),
+    IndexedFamily: (((0, frozenset({1})),),),
+    SwapWitness: (1, 2, 0, frozenset(), ToggleSet.cofinite_excluding(()), SwapCertificate(True, True, True, 4)),
+    TraceProfile: (WINDOW, frozenset({0})),
+}
+
+WRONG = (None, 1.5, "x", [0], {}, -1, object())
+
+
+def test_every_exported_value_type_has_an_example():
+    exported = {getattr(cascadekit, name) for name in cascadekit.__all__}
+    classes = {v for v in exported if isinstance(v, type) and not issubclass(v, BaseException)}
+    assert set(VALID) == classes
+    for cls, fields in VALID.items():
+        cls(*fields)
+
+
+def swap_first(value, depth, wrong):
+    """``value`` with its first part, ``depth`` levels down, swapped for ``wrong``.
+
+    A part is rebuilt as a tuple, so an unhashable ``wrong`` fits inside a set.
+    """
+    if depth == 0 or not isinstance(value, (tuple, frozenset)) or not value:
+        return wrong
+    first, *rest = value
+    return (swap_first(first, depth - 1, wrong), *rest)
+
+
+@pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_field_raises_only_cascadekit_errors(cls, data):
+    fields = list(VALID[cls])
+    i = data.draw(st.integers(0, len(fields) - 1), label="field")
+    depth = data.draw(st.integers(0, 2), label="depth")
+    fields[i] = swap_first(fields[i], depth, data.draw(st.sampled_from(WRONG), label="wrong"))
+    try:
+        cls(*fields)
+    except CascadekitError:
+        pass

@@ -240,8 +240,8 @@ class TestForestText:
         pytest.param(lambda: PredecessorForest(0, ()), DomainError, "at least the root", id="empty-universe"),
         pytest.param(lambda: PredecessorForest(2, (-1,)), DomainError, "cover the whole universe", id="short-parents"),
         pytest.param(lambda: PredecessorForest(2, (0, 0)), DomainError, "entry must be -1", id="rooted-root"),
-        pytest.param(lambda: PredecessorForest(2.0, (-1, 0)), DomainError, "size 2.0 must be an int", id="float-size"),
-        pytest.param(lambda: PredecessorForest(3, None), DomainError, "parents None must be a tuple", id="parents-none"),
+        pytest.param(lambda: PredecessorForest(2.0, (-1, 0)), DomainError, "malformed PredecessorForest", id="float-size"),
+        pytest.param(lambda: PredecessorForest(3, None), DomainError, "malformed PredecessorForest", id="parents-none"),
         pytest.param(lambda: PredecessorForest(2, (-1, 0.0)), DomainError, r"pred\(1\)=0.0 is not regressive", id="float-parent"),
         pytest.param(lambda: forest_of(2, {5: 0}), DomainError, "node 5 outside universe of size 2", id="pred-off-universe"),
         pytest.param(lambda: forest_of(3, {1: 0}), DomainError, "pred undefined at node 2", id="pred-missing"),
@@ -252,6 +252,8 @@ class TestForestText:
             id="foreign-window",
         ),
         pytest.param(lambda: Window(None, frozenset({0})), DomainError, "must be a PredecessorForest", id="window-forest-none"),
+        # no node is checked against the forest of an empty window, so only the forest check stops it
+        pytest.param(lambda: Window(None, frozenset()), DomainError, "must be a PredecessorForest", id="empty-window-forest-none"),
         pytest.param(
             lambda: parse_forest("3\n1 0\n1 0\n2 0\n"),
             ParseError,

@@ -10,8 +10,8 @@ import re
 import pytest
 
 from conftest import record_calls
-from cascadekit import cli, f2linalg, orbits, verify
-from cascadekit.cascade import Coordinate
+from cascadekit import cascade, cli, f2linalg, orbits, verify
+from cascadekit.cascade import CascadeAutomorphism, Coordinate
 from cascadekit.errors import CapacityError, DomainError
 from cascadekit.f2linalg import StarBasis
 from cascadekit.names import _name_pairs
@@ -436,29 +436,56 @@ def childless_basis(K):
     return StarBasis(K, {xi: 1 << j for j, xi in enumerate(K.ordered)})
 
 
-def test_starspan_counts_a_basis_whose_stars_drop_the_children(monkeypatch):
-    # both solvers read the mutant basis and agree with its combine_stars, so only
-    # the stars rebuilt from the parent map can see it
-    monkeypatch.setattr(f2linalg, "_star_basis", childless_basis)
-    report = verify.run("starspan", seed=0)
-    assert report.trials == 200
-    assert report.failure_count() > 0
-    assert all("differs from its parent-map star" in failure for failure in report.failures)
-
-
 def childless_masks(order, parents):
     """Stars that drop the children: each node's own bit only."""
     return {xi: 1 << j for j, xi in enumerate(order)}
 
 
-def test_starspan_counts_star_masks_that_drop_the_children(monkeypatch):
-    # the star matrix becomes the identity, triangular and invertible, and the basis
-    # certifies its own stars, so only the stars rebuilt from the parent map see it
-    monkeypatch.setattr(f2linalg, "_star_masks", childless_masks)
+@pytest.mark.parametrize(
+    "mutants, message",
+    [
+        # both solvers read the mutant basis and agree with its combine_stars, so only
+        # the stars rebuilt from the parent map can see it
+        ([(f2linalg, "_star_basis", childless_basis)], "differs from its parent-map star"),
+        # the star matrix becomes the identity, triangular and invertible, and the basis
+        # certifies its own stars, so only the stars rebuilt from the parent map see it
+        ([(f2linalg, "_star_masks", childless_masks)], "differs from its parent-map star"),
+        # parents before children put each child's row below the diagonal in its parent's column,
+        # and the library's own triangularity test says yes, so only the oracle's column read sees it
+        (
+            [
+                (f2linalg, "matrix_order", lambda K: K.ordered),
+                (f2linalg.F2Matrix, "is_upper_triangular_unit", lambda self: True),
+            ],
+            "star matrix not unit upper triangular",
+        ),
+    ],
+    ids=["basis-childless", "masks-childless", "order-ascending-triangularity-vacuous"],
+)
+def test_starspan_mutants_fail_by_counted_failures(monkeypatch, mutants, message):
+    for target, attr, mutant in mutants:
+        monkeypatch.setattr(target, attr, mutant)
     report = verify.run("starspan", seed=0)
     assert report.trials == 200
     assert report.failure_count() > 0
-    assert all("differs from its parent-map star" in failure for failure in report.failures)
+    assert all(message in failure for failure in report.failures)
+
+
+def childless_generator(forest, xi, row, s):
+    """A generator that toggles its own row and drops the children's."""
+    return CascadeAutomorphism(forest, (((xi, row), s),))
+
+
+def test_transport_counts_a_certificate_error_as_a_trial_failure(monkeypatch, capsys):
+    # transport's own result check raises CertificateError; each raising trial is counted, and the sweep goes on
+    monkeypatch.setattr(cascade, "generator", childless_generator)
+    report = verify.run("transport", seed=0)
+    assert report.trials == 500
+    assert report.failure_count() > 0
+    assert all("transport raised CertificateError" in failure for failure in report.failures)
+    assert cli.main(["verify", "--all", "--seed", "0"]) == cli.EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert sum(line.startswith("lemma=") for line in out.splitlines()) == len(REGISTRY) == 13
 
 
 def test_normalize_note_counts_both_support_outcomes():
