@@ -149,13 +149,6 @@ class Condition(_Value):
             rows.setdefault((node, row), []).append(bit)
         return {key: frozenset(bits) for key, bits in rows.items()}
 
-    def __getstate__(self):
-        # pickle the value alone; the row index is rebuilt on first use
-        return {"entries": self.entries}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def restrict_to_nodes(self, nodes) -> "Condition":
         node_set = set(nodes)
         return Condition._checked(tuple((c, v) for c, v in self.entries if c.node in node_set))

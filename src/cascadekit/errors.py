@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
+from dataclasses import fields
+
 
 class CascadekitError(Exception):
     """Base class for all package errors."""
@@ -38,6 +41,8 @@ class _Value:
 
     A ``TypeError``, ``ValueError`` or ``AttributeError`` from a subclass's own ``__post_init__``
     becomes ``DomainError("malformed <Type>: ...")``; a :class:`CascadekitError` passes unchanged.
+    A value pickles and copies as the call that builds it, so a loaded value is checked again
+    and no derived field is ever written.
     """
 
     def __init_subclass__(cls):
@@ -57,3 +62,13 @@ class _Value:
     @classmethod
     def _malformed(cls, exc: Exception) -> DomainError:
         return DomainError(f"malformed {cls.__name__}: {exc}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    @staticmethod
+    def _ordered(items, sorted_here: bool = False) -> tuple:
+        """``items`` as a tuple; a mapping, or a set unless the caller sorts it, is malformed."""
+        if isinstance(items, Mapping) or not sorted_here and isinstance(items, Set):
+            raise TypeError(f"an ordered field takes no {type(items).__name__}")
+        return tuple(items)

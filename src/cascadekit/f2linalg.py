@@ -99,8 +99,8 @@ class F2Matrix(_Value):
     cols: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "cols", tuple(self.cols))
+        object.__setattr__(self, "order", self._ordered(self.order))
+        object.__setattr__(self, "cols", self._ordered(self.cols))
         if len(self.cols) != len(self.order):
             raise DomainError("column count does not match the ordering")
         for c in self.cols:

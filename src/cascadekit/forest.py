@@ -33,7 +33,7 @@ class PredecessorForest(_Value):
 
     def __post_init__(self):
         # a tuple keeps the map fixed, and equal to the same map given as a list
-        object.__setattr__(self, "parents", tuple(self.parents))
+        object.__setattr__(self, "parents", self._ordered(self.parents))
         if self.size < 1:
             raise DomainError("universe must contain at least the root node")
         if len(self.parents) != self.size:
@@ -116,9 +116,6 @@ class Window(_Value):
         if not is_rho_closed(self.forest, self.nodes):
             raise DomainError("window is not closed under the predecessor map")
         object.__setattr__(self, "ordered", tuple(sorted(self.nodes)))
-
-    def __getstate__(self):  # pickle the value alone; the basis is rebuilt on the first solve
-        return {"forest": self.forest, "nodes": self.nodes, "ordered": self.ordered}
 
     @classmethod
     def whole(cls, forest: PredecessorForest) -> "Window":

@@ -135,9 +135,6 @@ class RawName(_Value):
             if not isinstance(cond, Condition):
                 raise DomainError(f"member {m} is paired with {cond!r}, not a Condition")
 
-    def __getstate__(self):  # pickle the value alone; the table is rebuilt on the first question
-        return {"pairs": self.pairs}
-
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, Condition]]) -> "RawName":
         return cls(frozenset(pairs))
@@ -177,9 +174,6 @@ class PacketScheme(_Value):
         # frozen families keep the packets fixed, so the table the scheme holds stays its own
         frozen = ((m, frozenset(packets)) for m, packets in self.families)
         object.__setattr__(self, "families", tuple(sorted(frozen, key=lambda kv: kv[0])))
-
-    def __getstate__(self):  # pickle the value alone; the table is rebuilt on the first question
-        return {"support": self.support, "families": self.families}
 
     @classmethod
     def of(cls, support: Window, families: Mapping[int, Iterable[Packet]]) -> "PacketScheme":

@@ -75,7 +75,7 @@ class FiniteAction(_Value):
     def __post_init__(self):
         if self.set_size < 1:
             raise DomainError("the acted-on set must be nonempty")
-        elements = tuple(map(tuple, self.elements))
+        elements = tuple(map(tuple, self._ordered(self.elements, sorted_here=True)))
         ident = tuple(range(self.set_size))
         if ident not in elements:
             raise DomainError("element list is missing the identity")
@@ -165,7 +165,7 @@ class TranslationPartition(_Value):
     def __post_init__(self):
         if not 0 <= self.dimension <= MAX_DIMENSION:
             raise DomainError(f"dimension must lie in 0..{MAX_DIMENSION}")
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", self._ordered(self.labels))
         if len(self.labels) != 1 << self.dimension:
             raise DomainError("labelling must cover every vector exactly once")
 

@@ -178,7 +178,7 @@ class IndexedFamily(_Value):
 
     def __post_init__(self):
         # frozenset returns a frozenset it is given unchanged, so the sets of ``of`` are not copied
-        object.__setattr__(self, "sets", tuple((t, frozenset(elems)) for t, elems in self.sets))
+        object.__setattr__(self, "sets", tuple((t, frozenset(elems)) for t, elems in self._ordered(self.sets)))
         seen = set()
         for t, elems in self.sets:
             if t in seen:
@@ -205,8 +205,6 @@ def lift_choice(family: IndexedFamily, k: int, f: Mapping) -> dict:
         if t not in f:
             raise DomainError(f"choice map undefined at index {t!r}")
         pair = f[t]
-        if not isinstance(pair, tuple) or len(pair) != 2:
-            raise DomainError(f"choice at {t!r} is not a pair")
         a, j = pair
         if a not in elems or not isinstance(j, int) or not 0 <= j < k:
             raise DomainError(f"choice {pair!r} outside the product set at {t!r}")

@@ -4,8 +4,13 @@ One valid example per exported class; each drawn case swaps one field, or
 the first part of a tuple field (or of that part), for a wrong-typed value
 and builds the class again.  The build either returns or raises a
 ``CascadekitError``, never a bare ``TypeError``, ``ValueError`` or
-``AttributeError``.
+``AttributeError``.  A value pickles and copies through its constructor,
+so a loaded value passes the same checks, and an ordered field refuses a
+mapping or a set.
 """
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +40,7 @@ from cascadekit import (
     TwoLayerCode,
     Window,
 )
+from cascadekit.errors import DomainError
 from cascadekit.selectors import SwapCertificate
 
 FOREST = PredecessorForest(3, (-1, 0, 0))
@@ -100,3 +106,39 @@ def test_malformed_field_raises_only_cascadekit_errors(cls, data):
         cls(*fields)
     except CascadekitError:
         pass
+
+
+@pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+def test_pickle_and_deepcopy_round_trip(cls):
+    value = cls(*VALID[cls])
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+
+
+def test_a_forged_window_fails_its_checks_on_load():
+    # the path 0 <- 1 <- 2: the node set {2} misses its predecessor 1
+    forged = object.__new__(Window)
+    forged.__dict__.update(forest=PredecessorForest(3, (-1, 0, 1)), nodes=frozenset({2}))
+    blob = pickle.dumps(forged)
+    with pytest.raises(DomainError, match="not closed"):
+        pickle.loads(blob)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: PredecessorForest(3, {-1: 0, 0: 0, 1: 0}), id="forest-dict"),
+        pytest.param(lambda: F2Matrix({1: 0, 0: 0}, (1, 3)), id="matrix-order-dict"),
+        pytest.param(lambda: F2Matrix((1, 0), {1, 3}), id="matrix-cols-set"),
+        pytest.param(lambda: TranslationPartition(1, {0: "a", 1: "b"}), id="partition-dict"),
+        pytest.param(lambda: IndexedFamily({(0, frozenset({1})): 1}), id="family-dict"),
+        pytest.param(lambda: FiniteAction(2, {(0, 1): "x", (1, 0): "y"}), id="action-dict"),
+    ],
+)
+def test_an_ordered_field_refuses_a_mapping_or_a_set(build):
+    with pytest.raises(DomainError, match="malformed"):
+        build()
+
+
+def test_a_field_sorted_on_build_takes_a_set():
+    assert FiniteAction(2, {(0, 1), (1, 0)}) == FiniteAction(2, ((0, 1), (1, 0)))

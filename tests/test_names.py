@@ -154,7 +154,7 @@ class TestBoxAndAssignment:
         g = Assignment(box, 0b110101)
         cond = g.restrict_to_nodes({1})
         assert {c.node for c in cond.domain()} == {1}
-        assert len(cond) == box.rows * box.bits
+        assert len(cond.entries) == box.rows * box.bits
 
 
 class TestEvaluate:
