@@ -38,21 +38,20 @@ class ToggleSet(_Value):
     exceptions: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "exceptions", frozenset(self._unordered(self.exceptions)))
         if not isinstance(self.cofinite, bool):
             raise DomainError(f"cofinite flag {self.cofinite!r} must be a bool")
-        if not isinstance(self.exceptions, frozenset):  # compose's sets arrive frozen
-            object.__setattr__(self, "exceptions", frozenset(self.exceptions))
         for n in self.exceptions:
             if not isinstance(n, int) or n < 0:
                 raise DomainError(f"bit index {n!r} must be a natural int")
 
     @classmethod
     def finite(cls, bits: Iterable[int]) -> "ToggleSet":
-        return cls(False, frozenset(bits))
+        return cls(False, bits)
 
     @classmethod
     def cofinite_excluding(cls, bits: Iterable[int]) -> "ToggleSet":
-        return cls(True, frozenset(bits))
+        return cls(True, bits)
 
     def __contains__(self, n: int) -> bool:
         return self.cofinite != (n in self.exceptions)
@@ -91,8 +90,9 @@ class Condition(_Value):
     entries: tuple[tuple[Coordinate, int], ...]
 
     def __post_init__(self):
+        entries = tuple(map(self._ordered, self._unordered(self.entries)))
         seen = set()
-        for coord, value in self.entries:
+        for coord, value in entries:
             # bool passes as an int; 1.0 equals 1 but cannot shift into a mask
             if value not in (0, 1) or not isinstance(value, int):
                 raise DomainError(f"value at {coord} must be the int 0 or 1")
@@ -106,9 +106,7 @@ class Condition(_Value):
             if coord in seen:
                 raise DomainError(f"duplicate coordinate {coord}")
             seen.add(coord)
-        canonical = tuple(sorted(self.entries))
-        if canonical != self.entries:
-            object.__setattr__(self, "entries", canonical)
+        object.__setattr__(self, "entries", tuple(sorted(entries)))
 
     @classmethod
     def _checked(cls, entries: tuple[tuple[Coordinate, int], ...]) -> "Condition":
@@ -126,7 +124,7 @@ class Condition(_Value):
 
     @classmethod
     def from_map(cls, mapping: Mapping[tuple[int, int, int], int]) -> "Condition":
-        return cls(tuple((Coordinate(*c), v) for c, v in mapping.items()))
+        return cls((Coordinate(*c), v) for c, v in mapping.items())
 
     @classmethod
     def empty(cls) -> "Condition":
@@ -193,18 +191,11 @@ class CascadeAutomorphism(_Value):
     _lookup: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        entries = self.row_toggles
-        if not isinstance(entries, tuple):  # generator and compose pass tuples
-            entries = tuple(entries)
-            object.__setattr__(self, "row_toggles", entries)
-        lookup = dict(entries)
-        if len(lookup) != len(entries):
-            raise DomainError("duplicate row in toggle map")
+        lookup = {}
         size = self.forest.size
-        ordered = True
-        prev = None
-        for key, ts in entries:
-            node, row = key
+        for pair in self._unordered(self.row_toggles):
+            key, ts = self._ordered(pair)
+            node, row = key = self._ordered(key)
             if not (isinstance(node, int) and 0 <= node < size):
                 self.forest.check_node(node)
             if not isinstance(row, int):  # bool passes, as for nodes
@@ -213,11 +204,10 @@ class CascadeAutomorphism(_Value):
                 raise DomainError("negative row index")
             if ts.is_empty():
                 raise DomainError("empty toggle entries must be omitted")
-            if prev is not None and key < prev:
-                ordered = False
-            prev = key
-        if not ordered:
-            object.__setattr__(self, "row_toggles", tuple(sorted(entries, key=lambda kv: kv[0])))
+            if key in lookup:
+                raise DomainError("duplicate row in toggle map")
+            lookup[key] = ts
+        object.__setattr__(self, "row_toggles", tuple(sorted(lookup.items())))
         object.__setattr__(self, "_lookup", lookup)
 
     def toggle_at(self, node: int, row: int) -> ToggleSet:
@@ -238,10 +228,9 @@ def generator(
     forest.check_node(xi)
     if s.is_empty():
         raise DomainError("a generator needs a nonempty toggle set")
-    # children are larger than xi and listed ascending, so the keys arrive sorted
     toggles = [((xi, row), s)]
     toggles.extend(((eta, row), s) for eta in forest._children[xi])
-    return CascadeAutomorphism(forest, tuple(toggles))
+    return CascadeAutomorphism(forest, toggles)
 
 
 def compose(

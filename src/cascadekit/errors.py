@@ -42,7 +42,8 @@ class _Value:
     A ``TypeError``, ``ValueError`` or ``AttributeError`` from a subclass's own ``__post_init__``
     becomes ``DomainError("malformed <Type>: ...")``; a :class:`CascadekitError` passes unchanged.
     A value pickles and copies as the call that builds it, so a loaded value is checked again
-    and no derived field is ever written.
+    and no derived field is ever written.  Every collection field, and each collection part of
+    one, is stored as a tuple or a frozenset.
     """
 
     def __init_subclass__(cls):
@@ -66,9 +67,26 @@ class _Value:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
+    # The one storage rule: a constructor first replaces each collection field, and each
+    # collection part of one, by a helper's result, then checks and canonicalises what it stored.
+    # The built-in sequences and sets skip the slower ABC test: none is a mapping or read once.
+
     @staticmethod
-    def _ordered(items, sorted_here: bool = False) -> tuple:
-        """``items`` as a tuple; a mapping, or a set unless the caller sorts it, is malformed."""
-        if isinstance(items, Mapping) or not sorted_here and isinstance(items, Set):
+    def _ordered(items) -> tuple:
+        """``items`` as a tuple in the order given; a mapping or a set has none, so is malformed."""
+        if type(items) not in (tuple, list) and isinstance(items, (Mapping, Set)):
             raise TypeError(f"an ordered field takes no {type(items).__name__}")
+        return tuple(items)
+
+    @staticmethod
+    def _unordered(items):
+        """Any other iterable, for the caller to sort or freeze; a mapping is malformed.
+
+        A built-in tuple, list, set or frozenset is returned as it is; any other iterable is
+        read once, into a tuple.
+        """
+        if type(items) in (tuple, list, set, frozenset):
+            return items
+        if isinstance(items, Mapping):
+            raise TypeError(f"a collection field takes no {type(items).__name__}")
         return tuple(items)

@@ -107,9 +107,6 @@ class F2Matrix(_Value):
             if c < 0 or c >> len(self.order):
                 raise DomainError("column bits exceed the ordering")
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.cols[j] >> i) & 1
-
     def is_upper_triangular_unit(self) -> bool:
         return all(col >> j == 1 for j, col in enumerate(self.cols))  # column j: bit j, none higher
 

@@ -32,7 +32,6 @@ class PredecessorForest(_Value):
     )
 
     def __post_init__(self):
-        # a tuple keeps the map fixed, and equal to the same map given as a list
         object.__setattr__(self, "parents", self._ordered(self.parents))
         if self.size < 1:
             raise DomainError("universe must contain at least the root node")
@@ -110,9 +109,9 @@ class Window(_Value):
     _basis: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", frozenset(self._unordered(self.nodes)))
         if not isinstance(self.forest, PredecessorForest):
             raise DomainError(f"window forest {self.forest!r} must be a PredecessorForest")
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
         if not is_rho_closed(self.forest, self.nodes):
             raise DomainError("window is not closed under the predecessor map")
         object.__setattr__(self, "ordered", tuple(sorted(self.nodes)))

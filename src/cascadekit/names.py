@@ -127,8 +127,8 @@ class RawName(_Value):
     _table: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        # a frozenset keeps the pairs fixed, so the table the name holds stays its own
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
+        # frozen pairs keep the name fixed, so the table it holds stays its own
+        object.__setattr__(self, "pairs", frozenset(map(self._ordered, self._unordered(self.pairs))))
         for m, cond in self.pairs:
             if not isinstance(m, int) or m < 0:
                 raise DomainError(f"member index {m!r} must be a natural int")
@@ -137,7 +137,7 @@ class RawName(_Value):
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, Condition]]) -> "RawName":
-        return cls(frozenset(pairs))
+        return cls(pairs)
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,12 @@ class PacketScheme(_Value):
     _table: tuple = field(init=False, repr=False, compare=False, default=None)  # as RawName's
 
     def __post_init__(self):
+        # frozen families keep the packets fixed, so the table the scheme holds stays its own
+        pairs = map(self._ordered, self._unordered(self.families))
+        families = tuple((m, frozenset(self._unordered(packets))) for m, packets in pairs)
         seen = set()
         nodes = self.support.nodes
-        for m, packets in self.families:
+        for m, packets in families:
             if not isinstance(m, int) or m < 0:
                 raise DomainError(f"member index {m!r} must be a natural int")
             if m in seen:
@@ -171,13 +174,11 @@ class PacketScheme(_Value):
                         raise DomainError(
                             f"packet in family {m} mentions nodes outside the support"
                         )
-        # frozen families keep the packets fixed, so the table the scheme holds stays its own
-        frozen = ((m, frozenset(packets)) for m, packets in self.families)
-        object.__setattr__(self, "families", tuple(sorted(frozen, key=lambda kv: kv[0])))
+        object.__setattr__(self, "families", tuple(sorted(families)))
 
     @classmethod
     def of(cls, support: Window, families: Mapping[int, Iterable[Packet]]) -> "PacketScheme":
-        return cls(support, tuple((m, frozenset(ps)) for m, ps in families.items()))
+        return cls(support, tuple(families.items()))
 
     def to_raw_name(self) -> RawName:
         return RawName.of(
@@ -428,16 +429,16 @@ class TwoLayerCode(_Value):
     packet_indices: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        pairs = map(self._ordered, self._unordered(self.packet_indices))
+        indices = tuple((m, self._unordered(ks)) for m, ks in pairs)
         if not isinstance(self.support, Window):
             raise DomainError(f"code support {self.support!r} must be a Window")
-        for m, ks in self.packet_indices:  # a float would sort, and be stored
+        for m, ks in indices:  # a float would sort, and be stored
             if not all(isinstance(k, int) and k >= 0 for k in (m, *ks)):
                 raise DomainError("member indices and packet codes must be natural ints")
-        canonical = tuple(sorted((m, tuple(sorted(ks))) for m, ks in self.packet_indices))
-        if len({m for m, _ in canonical}) != len(canonical):
+        if len({m for m, _ in indices}) != len(indices):
             raise DomainError("duplicate index list for one member")
-        if canonical != self.packet_indices:
-            object.__setattr__(self, "packet_indices", canonical)
+        object.__setattr__(self, "packet_indices", tuple(sorted((m, tuple(sorted(ks))) for m, ks in indices)))
 
 
 def packet_code(cond: Condition) -> int:
@@ -484,10 +485,9 @@ def packet_of_code(k: int) -> Condition:
 
 def two_layer_code(scheme: PacketScheme, box: CoordinateBox) -> TwoLayerCode:
     """Code a scheme by its packets' codes; a packet outside the box raises :class:`DomainError`."""
-    indices = tuple(
-        (m, tuple(sorted(packet_code(_in_box(p.condition, box)) for p in packets)))
-        for m, packets in scheme.families
-    )
+    indices = [
+        (m, [packet_code(_in_box(p.condition, box)) for p in packets]) for m, packets in scheme.families
+    ]
     return TwoLayerCode(scheme.support, indices)
 
 

@@ -73,9 +73,9 @@ class FiniteAction(_Value):
     elements: tuple[Permutation, ...]
 
     def __post_init__(self):
+        elements = tuple(map(self._ordered, self._unordered(self.elements)))
         if self.set_size < 1:
             raise DomainError("the acted-on set must be nonempty")
-        elements = tuple(map(tuple, self._ordered(self.elements, sorted_here=True)))
         ident = tuple(range(self.set_size))
         if ident not in elements:
             raise DomainError("element list is missing the identity")
@@ -88,9 +88,7 @@ class FiniteAction(_Value):
             raise DomainError("element list is not closed under composition")
         if not _is_power_of_two(len(elems)):
             raise CertificateError(f"group order {len(elems)} is not a power of 2")
-        canonical = tuple(sorted(elems))
-        if canonical != self.elements:
-            object.__setattr__(self, "elements", canonical)
+        object.__setattr__(self, "elements", tuple(sorted(elems)))
 
 
 def close_group(generators: list[Permutation]) -> FiniteAction:
@@ -163,9 +161,9 @@ class TranslationPartition(_Value):
     labels: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", self._ordered(self.labels))
         if not 0 <= self.dimension <= MAX_DIMENSION:
             raise DomainError(f"dimension must lie in 0..{MAX_DIMENSION}")
-        object.__setattr__(self, "labels", self._ordered(self.labels))
         if len(self.labels) != 1 << self.dimension:
             raise DomainError("labelling must cover every vector exactly once")
 

@@ -83,10 +83,15 @@ class SwapWitness(_Value):
     certificate: SwapCertificate
 
     def __post_init__(self):
+        object.__setattr__(self, "shield", frozenset(self._unordered(self.shield)))
+        if not (isinstance(self.beta, int) and isinstance(self.gamma, int) and isinstance(self.row, int)):
+            raise DomainError("swap nodes and row must be ints")
         if not self.toggle.cofinite:
             raise DomainError("swap toggles must be cofinite")
         if not self.toggle.disjoint_from(self.shield):
             raise DomainError("toggle set meets the shield")
+        if not isinstance(self.certificate, SwapCertificate):
+            raise DomainError(f"swap certificate {self.certificate!r} must be a SwapCertificate")
 
 
 def swap_witness(q: Condition, A: Window, row: int, box: CoordinateBox) -> SwapWitness:
@@ -144,7 +149,7 @@ class TraceProfile(_Value):
     nodes: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
+        object.__setattr__(self, "nodes", frozenset(self._unordered(self.nodes)))
         if not self.nodes <= self.window.nodes:
             raise DomainError("profile nodes must lie inside the window")
 
@@ -177,8 +182,8 @@ class IndexedFamily(_Value):
     sets: tuple[tuple[object, frozenset], ...]
 
     def __post_init__(self):
-        # frozenset returns a frozenset it is given unchanged, so the sets of ``of`` are not copied
-        object.__setattr__(self, "sets", tuple((t, frozenset(elems)) for t, elems in self._ordered(self.sets)))
+        pairs = map(self._ordered, self._ordered(self.sets))
+        object.__setattr__(self, "sets", tuple((t, frozenset(self._unordered(elems))) for t, elems in pairs))
         seen = set()
         for t, elems in self.sets:
             if t in seen:
@@ -189,7 +194,7 @@ class IndexedFamily(_Value):
 
     @classmethod
     def of(cls, mapping: Mapping) -> "IndexedFamily":
-        return cls(tuple((t, frozenset(elems)) for t, elems in mapping.items()))
+        return cls(tuple(mapping.items()))
 
 
 def lift_choice(family: IndexedFamily, k: int, f: Mapping) -> dict:

@@ -12,8 +12,9 @@ harness counts as sampled, and any other body the report alone.  A
 recorded as its starspan, transport or code trial's failure.  What each
 oracle recomputes, apart from the code it checks:
 
-- starspan: unit triangularity from the matrix's columns, invertibility by
-  Gaussian elimination, and each node's star rebuilt from the parent map;
+- starspan: unit triangularity from the star matrix's columns, and each
+  node's star rebuilt from the parent map, against both its matrix column
+  and the star the library combines;
 - decision, normalize and code: member tables over every assignment of the
   whole box, not only the coordinates a name mentions.  Normalize also
   sweeps support over every single-bit generator off each closed window of
@@ -187,23 +188,6 @@ def _lemma(lemma: str, description: str, trials: int | None = None):
     return register
 
 
-def _gf2_invertible(matrix) -> bool:
-    """Gaussian elimination oracle; ignores the triangular structure."""
-    n = len(matrix.order)
-    rows = [sum(matrix.entry(i, j) << j for j in range(n)) for i in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if (rows[r] >> col) & 1), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(n):
-            if r != rank and (rows[r] >> col) & 1:
-                rows[r] ^= rows[rank]
-        rank += 1
-    return rank == n
-
-
 def _random_window(forest: PredecessorForest, rng: random.Random) -> Window:
     target = rng.randint(1, MAX_STARSPAN_WINDOW)
     chosen = {0}
@@ -225,11 +209,13 @@ def _random_closed_subset(forest: PredecessorForest, rng: random.Random) -> Wind
     return rho_closure(forest, seed_nodes)
 
 
-def _parent_star(K: Window, xi: int) -> int:
-    """Bits of ``xi``'s star read from the parent map: xi and every node of ``K`` whose parent is xi."""
-    parents = K.forest.parents
+def _parent_star(order, parents, xi: int) -> int:
+    """Bits of ``xi``'s star over the positions of ``order``, read from the parent map.
+
+    The star holds xi and every node of ``order`` whose parent is xi.
+    """
     bits = 0
-    for j, eta in enumerate(K.ordered):
+    for j, eta in enumerate(order):
         if eta == xi or (eta and parents[eta] == xi):
             bits |= 1 << j
     return bits
@@ -237,27 +223,33 @@ def _parent_star(K: Window, xi: int) -> int:
 
 @_lemma("starspan", "star basis spans every window target", trials=200)
 def verify_starspan(report: VerificationReport, rng: random.Random, trials: int):
-    """Star matrices are unit triangular and invertible; the solver hits every target.
+    """Star matrices are unit triangular and hold the forest's stars; the solver hits every target.
 
     Each trial draws a closed window of up to ``MAX_STARSPAN_WINDOW`` nodes
-    and compares the star the library combines for each node with the one
-    rebuilt from the parent map.  Every target is solved, one at a time, on
-    windows of up to ``STARSPAN_SWEEP_WINDOW`` nodes.  The round trip checks
-    the basis's units only against its own stars; the rebuilt stars check
-    those against the forest.
+    and compares each column of its star matrix, and the star the library
+    combines for each node, with the star rebuilt from the parent map.
+    Every target is solved, one at a time, on windows of up to
+    ``STARSPAN_SWEEP_WINDOW`` nodes.  The round trip checks the basis's
+    units only against its own stars; the rebuilt stars check those
+    against the forest.
     """
     for trial in range(trials):
         forest = random_forest(rng.randint(1, 2 * MAX_STARSPAN_WINDOW), rng.getrandbits(32))
         K = _random_window(forest, rng)
         matrix = star_matrix(K)
+        order, parents = matrix.order, forest.parents
+        ordered = K.ordered
         if any(col >> j != 1 for j, col in enumerate(matrix.cols)):  # column j: bit j, none higher
             report.record(f"trial {trial}: star matrix not unit upper triangular on {K.serialize()}")
             continue
-        if not _gf2_invertible(matrix):
-            report.record(f"trial {trial}: star matrix singular on {K.serialize()}")
+        wrong = [xi for xi, col in zip(order, matrix.cols) if col != _parent_star(order, parents, xi)]
+        if wrong:
+            report.record(
+                f"trial {trial}: star matrix column of node {wrong[0]} differs from its parent-map star"
+            )
             continue
         try:
-            wrong = [xi for xi in K.ordered if combine_stars(K, [xi]).bits != _parent_star(K, xi)]
+            wrong = [xi for xi in ordered if combine_stars(K, [xi]).bits != _parent_star(ordered, parents, xi)]
             if wrong:
                 report.record(f"trial {trial}: star of node {wrong[0]} differs from its parent-map star")
                 continue

@@ -9,7 +9,6 @@ from cascadekit.names import Assignment, CoordinateBox
 from cascadekit.verify import _all_closed_subsets as all_closed_subsets  # noqa: F401
 from cascadekit.verify import _all_conditions as all_conditions  # noqa: F401
 from cascadekit.verify import _all_forests as all_forests  # noqa: F401
-from cascadekit.verify import _gf2_invertible as gf2_invertible  # noqa: F401
 from cascadekit.verify import _parent_star as parent_star
 from cascadekit.verify import _subspace_span as subspace_span  # noqa: F401
 
@@ -35,7 +34,7 @@ def forward_substitution(K, bits):
     chosen = set()
     while bits:
         xi = order[(bits & -bits).bit_length() - 1]
-        bits ^= parent_star(K, xi)
+        bits ^= parent_star(order, K.forest.parents, xi)
         chosen.add(xi)
     return chosen
 

@@ -5,8 +5,10 @@ the first part of a tuple field (or of that part), for a wrong-typed value
 and builds the class again.  The build either returns or raises a
 ``CascadekitError``, never a bare ``TypeError``, ``ValueError`` or
 ``AttributeError``.  A value pickles and copies through its constructor,
-so a loaded value passes the same checks, and an ordered field refuses a
-mapping or a set.
+so a loaded value passes the same checks.  Every collection field and
+part is read once and stored hashable: given as a generator, a list or
+(unless the caller gives its order) a set, it builds the valid value; given
+as a mapping, or as a set where the caller gives the order, it is malformed.
 """
 
 import copy
@@ -83,25 +85,28 @@ def test_every_exported_value_type_has_an_example():
         cls(*fields)
 
 
-def swap_first(value, depth, wrong):
-    """``value`` with its first part, ``depth`` levels down, swapped for ``wrong``.
+def rebuilt(value, path, make):
+    """``value`` with its part at ``path`` (indices, outermost first) replaced by ``make`` of that part.
 
-    A part is rebuilt as a tuple, so an unhashable ``wrong`` fits inside a set.
+    The path stops early at a part that is not a nonempty tuple or frozenset.  Each collection
+    on the way down is rebuilt as a tuple, so an unhashable replacement fits inside a set.
     """
-    if depth == 0 or not isinstance(value, (tuple, frozenset)) or not value:
-        return wrong
-    first, *rest = value
-    return (swap_first(first, depth - 1, wrong), *rest)
+    if not path or not isinstance(value, (tuple, frozenset)) or not value:
+        return make(value)
+    j, *rest = path
+    parts = list(value)
+    parts[j] = rebuilt(parts[j], rest, make)
+    return tuple(parts)
 
 
 @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_malformed_field_raises_only_cascadekit_errors(cls, data):
-    fields = list(VALID[cls])
-    i = data.draw(st.integers(0, len(fields) - 1), label="field")
+    i = data.draw(st.integers(0, len(VALID[cls]) - 1), label="field")
     depth = data.draw(st.integers(0, 2), label="depth")
-    fields[i] = swap_first(fields[i], depth, data.draw(st.sampled_from(WRONG), label="wrong"))
+    wrong = data.draw(st.sampled_from(WRONG), label="wrong")
+    fields = rebuilt(VALID[cls], (i,) + (0,) * depth, lambda _: wrong)
     try:
         cls(*fields)
     except CascadekitError:
@@ -124,21 +129,54 @@ def test_a_forged_window_fails_its_checks_on_load():
         pickle.loads(blob)
 
 
+# every collection field and collection part of the value types: (class, path, ordered);
+# a path is a field index and then part indices, and ordered says whether the caller gives the order
+COLLECTIONS = [
+    (PredecessorForest, (1,), True),
+    (Window, (1,), False),
+    (F2Matrix, (0,), True),
+    (F2Matrix, (1,), True),
+    (Condition, (0,), False),
+    (Condition, (0, 0), True),
+    (ToggleSet, (1,), False),
+    (CascadeAutomorphism, (1,), False),
+    (CascadeAutomorphism, (1, 0), True),
+    (CascadeAutomorphism, (1, 0, 0), True),
+    (RawName, (0,), False),
+    (RawName, (0, 0), True),
+    (PacketScheme, (1,), False),
+    (PacketScheme, (1, 0), True),
+    (PacketScheme, (1, 0, 1), False),
+    (TwoLayerCode, (1,), False),
+    (TwoLayerCode, (1, 0), True),
+    (TwoLayerCode, (1, 0, 1), False),
+    (FiniteAction, (1,), False),
+    (FiniteAction, (1, 0), True),
+    (TranslationPartition, (1,), True),
+    (IndexedFamily, (0,), True),
+    (IndexedFamily, (0, 0), True),
+    (IndexedFamily, (0, 0, 1), False),
+    (SwapWitness, (3,), False),
+    (TraceProfile, (1,), False),
+]
+
+FORMS = {
+    "generator": lambda items: (x for x in items),
+    "list": list,
+    "set": set,
+    "mapping": lambda items: dict.fromkeys(items, "x"),
+}
+
+
+@pytest.mark.parametrize("form", list(FORMS))
 @pytest.mark.parametrize(
-    "build",
-    [
-        pytest.param(lambda: PredecessorForest(3, {-1: 0, 0: 0, 1: 0}), id="forest-dict"),
-        pytest.param(lambda: F2Matrix({1: 0, 0: 0}, (1, 3)), id="matrix-order-dict"),
-        pytest.param(lambda: F2Matrix((1, 0), {1, 3}), id="matrix-cols-set"),
-        pytest.param(lambda: TranslationPartition(1, {0: "a", 1: "b"}), id="partition-dict"),
-        pytest.param(lambda: IndexedFamily({(0, frozenset({1})): 1}), id="family-dict"),
-        pytest.param(lambda: FiniteAction(2, {(0, 1): "x", (1, 0): "y"}), id="action-dict"),
-    ],
+    "cls, path, ordered", COLLECTIONS, ids=[f"{cls.__name__}{list(path)}" for cls, path, _ in COLLECTIONS]
 )
-def test_an_ordered_field_refuses_a_mapping_or_a_set(build):
-    with pytest.raises(DomainError, match="malformed"):
-        build()
-
-
-def test_a_field_sorted_on_build_takes_a_set():
-    assert FiniteAction(2, {(0, 1), (1, 0)}) == FiniteAction(2, ((0, 1), (1, 0)))
+def test_every_collection_is_read_once_and_stored_hashable(cls, path, ordered, form):
+    fields = rebuilt(VALID[cls], path, FORMS[form])
+    if form == "mapping" or form == "set" and ordered:
+        with pytest.raises(DomainError, match=f"malformed {cls.__name__}"):
+            cls(*fields)
+    else:
+        value, valid = cls(*fields), cls(*VALID[cls])
+        assert value == valid and hash(value) == hash(valid)

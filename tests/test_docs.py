@@ -1,9 +1,10 @@
 """The docs and the CI workflow stay in step."""
 
+import inspect
 import re
 from pathlib import Path
 
-from cascadekit import cli
+from cascadekit import cli, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,24 +17,36 @@ def readme_cli_block() -> list[str]:
     return [line.strip() for line in block.splitlines() if line.strip()]
 
 
-def ci_readme_step() -> list[str]:
-    """The ``cascadekit`` commands the "README CLI examples" CI step runs."""
+def ci_step(name: str) -> list[str]:
+    """The stripped lines of the CI step called ``name``."""
     lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines()
-    start = lines.index("      - name: README CLI examples")
-    commands = []
+    start = lines.index(f"      - name: {name}")
+    step = []
     for line in lines[start + 1:]:
         if line.startswith("      - "):
             break
-        stripped = line.strip()
-        if stripped.startswith("cascadekit "):
-            commands.append(stripped)
-    return commands
+        step.append(line.strip())
+    return step
 
 
 def test_ci_runs_exactly_the_readme_cli_block():
     block = readme_cli_block()
     assert block and all(line.startswith("cascadekit ") for line in block)
-    assert ci_readme_step() == block
+    assert [line for line in ci_step("README CLI examples") if line.startswith("cascadekit ")] == block
+
+
+def test_ci_runs_each_sampling_lemma_once_at_ten_times_its_trials_under_O():
+    runs = [
+        re.search(r"cascadekit\.cli verify ([a-z][a-z-]*)(?: --trials (\d+))?", line)
+        for line in ci_step("verify --all with assertions stripped")
+    ]
+    ran = sorted((m[1], m[2] and int(m[2])) for m in runs if m)
+    expected = []
+    for lemma, (routine, _) in verify.REGISTRY.items():
+        trials = inspect.signature(routine).parameters.get("trials")
+        if trials is not None:
+            expected.append((lemma, 10 * trials.default))
+    assert expected and ran == sorted(expected)
 
 
 def test_readme_names_exactly_the_verify_flags():

@@ -441,15 +441,23 @@ def childless_masks(order, parents):
     return {xi: 1 << j for j, xi in enumerate(order)}
 
 
+def identity_star_matrix(K):
+    """The identity in the window's matrix order: unit upper triangular, and no star matrix."""
+    return f2linalg.F2Matrix(f2linalg.matrix_order(K), tuple(1 << j for j in range(len(K))))
+
+
 @pytest.mark.parametrize(
     "mutants, message",
     [
         # both solvers read the mutant basis and agree with its combine_stars, so only
         # the stars rebuilt from the parent map can see it
         ([(f2linalg, "_star_basis", childless_basis)], "differs from its parent-map star"),
-        # the star matrix becomes the identity, triangular and invertible, and the basis
+        # the star matrix becomes the identity, which is triangular, and the basis
         # certifies its own stars, so only the stars rebuilt from the parent map see it
         ([(f2linalg, "_star_masks", childless_masks)], "differs from its parent-map star"),
+        # only the matrix becomes the identity: the basis stays right, so only the matrix's
+        # columns against the stars rebuilt from the parent map see it
+        ([(verify, "star_matrix", identity_star_matrix)], "star matrix column of node"),
         # parents before children put each child's row below the diagonal in its parent's column,
         # and the library's own triangularity test says yes, so only the oracle's column read sees it
         (
@@ -460,7 +468,7 @@ def childless_masks(order, parents):
             "star matrix not unit upper triangular",
         ),
     ],
-    ids=["basis-childless", "masks-childless", "order-ascending-triangularity-vacuous"],
+    ids=["basis-childless", "masks-childless", "matrix-identity", "order-ascending-triangularity-vacuous"],
 )
 def test_starspan_mutants_fail_by_counted_failures(monkeypatch, mutants, message):
     for target, attr, mutant in mutants:
