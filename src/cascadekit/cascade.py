@@ -109,20 +109,6 @@ class Condition(_Value):
         object.__setattr__(self, "entries", tuple(sorted(entries)))
 
     @classmethod
-    def _checked(cls, entries: tuple[tuple[Coordinate, int], ...]) -> "Condition":
-        """A condition of entries that already pass every check here, in sorted order.
-
-        Only for entries the library derives from checked ones (:func:`apply`,
-        :meth:`restrict_to_nodes`, :meth:`merge`, :func:`pad_common_domain`,
-        the packets ``names`` normalizes and decodes, and an assignment's
-        restriction); input from outside goes through ``Condition(...)``,
-        which checks it all.
-        """
-        cond = object.__new__(cls)
-        object.__setattr__(cond, "entries", entries)
-        return cond
-
-    @classmethod
     def from_map(cls, mapping: Mapping[tuple[int, int, int], int]) -> "Condition":
         return cls((Coordinate(*c), v) for c, v in mapping.items())
 
@@ -149,7 +135,7 @@ class Condition(_Value):
 
     def restrict_to_nodes(self, nodes) -> "Condition":
         node_set = set(nodes)
-        return Condition._checked(tuple((c, v) for c, v in self.entries if c.node in node_set))
+        return Condition._checked(entries=tuple((c, v) for c, v in self.entries if c.node in node_set))
 
     def merge(self, other: "Condition") -> "Condition":
         """Union of two compatible conditions; disagreement is a domain error."""
@@ -157,7 +143,7 @@ class Condition(_Value):
         for c, v in other.entries:
             if out.setdefault(c, v) != v:
                 raise DomainError(f"conditions disagree at {c}")
-        return Condition._checked(tuple(sorted(out.items())))
+        return Condition._checked(entries=tuple(sorted(out.items())))
 
 
 @dataclass(frozen=True)
@@ -237,25 +223,21 @@ def compose(
     tau1: CascadeAutomorphism, tau2: CascadeAutomorphism
 ) -> CascadeAutomorphism:
     """Pointwise XOR of the two toggle maps; commutative, and self-inverse."""
-    if tau1.forest != tau2.forest:
-        raise DomainError("automorphisms act on different forests")
-    merged: dict[tuple[int, int], ToggleSet] = dict(tau1.row_toggles)
-    for key, ts in tau2.row_toggles:
-        combined = merged.get(key, _EMPTY_TOGGLE) ^ ts
-        if combined.is_empty():
-            merged.pop(key, None)
-        else:
-            merged[key] = combined
-    return CascadeAutomorphism(tau1.forest, tuple(merged.items()))
+    return compose_all(tau1.forest, (tau1, tau2))
 
 
 def compose_all(
     forest: PredecessorForest, taus: Iterable[CascadeAutomorphism]
 ) -> CascadeAutomorphism:
-    acc = identity(forest)
+    """The product of a word: every factor's toggle map XORed into one, built once."""
+    merged: dict[tuple[int, int], ToggleSet] = {}
     for tau in taus:
-        acc = compose(acc, tau)
-    return acc
+        if tau.forest != forest:
+            raise DomainError("automorphisms act on different forests")
+        for key, ts in tau.row_toggles:
+            held = merged.get(key)
+            merged[key] = ts if held is None else held ^ ts
+    return CascadeAutomorphism(forest, [(key, ts) for key, ts in merged.items() if not ts.is_empty()])
 
 
 def apply(tau: CascadeAutomorphism, q: Condition) -> Condition:
@@ -281,7 +263,7 @@ def apply(tau: CascadeAutomorphism, q: Condition) -> Condition:
         if ts is not None and coord.bit in ts:
             value ^= 1
         out.append((coord, value))
-    return Condition._checked(tuple(out))
+    return Condition._checked(entries=tuple(out))
 
 
 def shield_set(
@@ -317,7 +299,7 @@ def pad_common_domain(p: Condition, q: Condition) -> tuple[Condition, Condition]
     q_map = q.as_dict()
     p_out = tuple((c, p_map.get(c, 0)) for c in union)
     q_out = tuple((c, q_map.get(c, 0)) for c in union)
-    return Condition._checked(p_out), Condition._checked(q_out)
+    return Condition._checked(entries=p_out), Condition._checked(entries=q_out)
 
 
 def transport(p: Condition, q: Condition, A: Window) -> CascadeAutomorphism:
@@ -344,14 +326,14 @@ def transport(p: Condition, q: Condition, A: Window) -> CascadeAutomorphism:
     slices: dict[tuple[int, int], set[int]] = {}
     for c in diff:
         slices.setdefault((c.row, c.bit), set()).add(c.node)
-    pi = identity(forest)
+    generators = []
     for (row, bit), nodes in sorted(slices.items()):
         target = F2Vector.from_nodes(K, nodes)
         coeffs = solve_star_span(K, target)
         if coeffs & A.nodes:
             raise CertificateError("solved coefficients reached the fixed window")
-        for xi in sorted(coeffs):
-            pi = compose(pi, generator(forest, xi, row, ToggleSet.finite({bit})))
+        generators.extend(generator(forest, xi, row, ToggleSet.finite({bit})) for xi in coeffs)
+    pi = compose_all(forest, generators)
     if not fixes_rows_over(pi, A):
         raise CertificateError("transport toggles a row over the fixed window")
     if apply(pi, p_pad) != q_pad:

@@ -67,6 +67,18 @@ class _Value:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
+    @classmethod
+    def _checked(cls, **fields):
+        """A value of fields that already pass every check and are stored canonically.
+
+        The one way round the checks, and only for values the library derives from checked
+        ones, at the sites ``tests/test_cascade.py`` pins; input from outside goes through the
+        constructor, which checks it all.  The keyword dict becomes the value's ``__dict__``.
+        """
+        value = object.__new__(cls)
+        object.__setattr__(value, "__dict__", fields)
+        return value
+
     # The one storage rule: a constructor first replaces each collection field, and each
     # collection part of one, by a helper's result, then checks and canonicalises what it stored.
     # The built-in sequences and sets skip the slower ABC test: none is a mapping or read once.

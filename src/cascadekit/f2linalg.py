@@ -103,12 +103,12 @@ class F2Matrix(_Value):
         object.__setattr__(self, "cols", self._ordered(self.cols))
         if len(self.cols) != len(self.order):
             raise DomainError("column count does not match the ordering")
+        for xi in self.order:
+            if not isinstance(xi, int):
+                raise DomainError(f"node {xi!r} in the ordering must be an int")
         for c in self.cols:
             if c < 0 or c >> len(self.order):
                 raise DomainError("column bits exceed the ordering")
-
-    def is_upper_triangular_unit(self) -> bool:
-        return all(col >> j == 1 for j, col in enumerate(self.cols))  # column j: bit j, none higher
 
 
 def star_matrix(K: Window) -> F2Matrix:

@@ -15,8 +15,9 @@ needs it.  Support, normalization and decision questions over any box that
 holds the name read that index instead of the conditions.
 
 Conditions from outside the library are checked by ``Condition``; the
-packets this module derives from checked ones (normalized and decoded
-packets) are built by ``Condition._checked`` and not checked again.
+conditions this module derives from checked ones (normalized and decoded
+packets, and an assignment's restriction) are built by ``_Value._checked``,
+the one build that skips the checks, and not checked again.
 
 A name supported by a closed window A normalizes to a packet scheme: per
 member m, the prime implicants (the Blake canonical form) of m's
@@ -114,7 +115,7 @@ class Assignment(_Value):
     def restrict_to_nodes(self, nodes) -> Condition:
         coords = enumerate(self.box.coords())
         return Condition._checked(
-            tuple((c, (self.value_bits >> i) & 1) for i, c in coords if c.node in nodes)
+            entries=tuple((c, (self.value_bits >> i) & 1) for i, c in coords if c.node in nodes)
         )
 
 
@@ -413,7 +414,7 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     # a prime's bits ascend in box order, which is the coordinates' sorted order
     families = {
         m: {
-            Packet(Condition._checked(tuple((coords[j], (v >> j) & 1) for j in kernels.set_bits(d))))
+            Packet(Condition._checked(entries=tuple((coords[j], (v >> j) & 1) for j in kernels.set_bits(d))))
             for d, v in _prime_cubes(member_cubes)
         }
         for m, member_cubes in cubes.items()
@@ -480,7 +481,7 @@ def packet_of_code(k: int) -> Condition:
         if value > 1 or (entries and coord <= entries[-1][0]):
             raise DomainError(f"no packet has code {k:#x}")
         entries.append((coord, value))
-    return Condition._checked(tuple(entries))
+    return Condition._checked(entries=tuple(entries))
 
 
 def two_layer_code(scheme: PacketScheme, box: CoordinateBox) -> TwoLayerCode:

@@ -82,9 +82,9 @@ class FiniteAction(_Value):
         for p in elements:
             if len(p) != self.set_size or sorted(p) != list(ident):
                 raise DomainError(f"not a permutation of the set: {p}")
-        # a finite set of permutations closed under composition is a group
+        # a finite set of permutations closed under composition is a group: the one it generates
         elems = set(elements)
-        if any(_compose(p, q) not in elems for p in elems for q in elems):
+        if _generate(sorted(elems), ident) != elems:
             raise DomainError("element list is not closed under composition")
         if not _is_power_of_two(len(elems)):
             raise CertificateError(f"group order {len(elems)} is not a power of 2")
@@ -121,13 +121,9 @@ def close_group(generators: list[Permutation]) -> FiniteAction:
         raise CertificateError(
             f"group of order {len(elements)} is not a 2-group"
         )  # pragma: no cover - Cauchy guarantees an odd-order witness
-    # The closure under right multiplication is the generated group, holds
-    # the identity and is made of checked permutations, so skip the
-    # constructor's closure re-check.
-    action = object.__new__(FiniteAction)
-    object.__setattr__(action, "set_size", set_size)
-    object.__setattr__(action, "elements", tuple(sorted(elements)))
-    return action
+    # the closure under right multiplication is the generated group, holds the
+    # identity and is made of checked permutations, so nothing is checked again
+    return FiniteAction._checked(set_size=set_size, elements=tuple(sorted(elements)))
 
 
 def orbit_partition(action: FiniteAction) -> list[tuple[int, ...]]:
@@ -166,6 +162,7 @@ class TranslationPartition(_Value):
             raise DomainError(f"dimension must lie in 0..{MAX_DIMENSION}")
         if len(self.labels) != 1 << self.dimension:
             raise DomainError("labelling must cover every vector exactly once")
+        hash(self.labels)  # quotient_analysis keys a dict by label; an unhashable one is malformed
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ def forest_of(size: int, pred: dict[int, int]) -> PredecessorForest:
     return PredecessorForest.from_pred(size, pred)
 
 
+def unit_upper_triangular(matrix) -> bool:
+    """Column j of the matrix holds bit j and no higher bit, read from its columns alone."""
+    return all(col >> j == 1 for j, col in enumerate(matrix.cols))
+
+
 def format_condition(q, size: int, rows: int, bits: int) -> str:
     """A condition file: header ``box N R B``, then one ``node row bit value`` line each."""
     lines = [f"box {size} {rows} {bits}"]

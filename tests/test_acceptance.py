@@ -8,7 +8,7 @@ import re
 import time
 from pathlib import Path
 
-from conftest import all_closed_subsets, all_forests, verify_all_run
+from conftest import all_closed_subsets, all_forests, unit_upper_triangular, verify_all_run
 from cascadekit.f2linalg import star_matrix
 from cascadekit.forest import Window
 from cascadekit.verify import (
@@ -58,7 +58,7 @@ def test_criterion_2_triangularity():
                 if not closed:
                     continue
                 checked += 1
-                if not star_matrix(Window(forest, closed)).is_upper_triangular_unit():
+                if not unit_upper_triangular(star_matrix(Window(forest, closed))):
                     bad += 1
     _criterion(
         2,

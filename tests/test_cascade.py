@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_closed_subsets, assert_canonical, forest_of, format_condition
+from conftest import all_closed_subsets, assert_canonical, forest_of, format_condition, record_calls
 from cascadekit import cascade
 from cascadekit.cascade import (
     CascadeAutomorphism,
@@ -219,7 +219,7 @@ conditions = st.dictionaries(
 
 
 class TestDerivedConditions:
-    """Conditions derived from checked ones skip the checks, so each must already pass them."""
+    """Derived values skip the checks through ``_Value._checked``, so each must already pass them."""
 
     def test_checked_only_at_derivation_sites(self):
         sites = set()
@@ -241,6 +241,7 @@ class TestDerivedConditions:
             ("names", "Assignment.restrict_to_nodes"),
             ("names", "normalize"),
             ("names", "packet_of_code"),
+            ("orbits", "close_group"),
         }
 
     @given(conditions, st.integers(0, 2**32 - 1), st.integers(0, 6))
@@ -315,6 +316,14 @@ class TestCompose:
         g2 = generator(forest_of(3, {1: 0, 2: 0}), 0, 0, ToggleSet.finite({1}))
         with pytest.raises(DomainError):
             compose(g1, g2)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_word_with_a_foreign_factor(self, position):
+        f = forest_of(3, {1: 0, 2: 0})
+        word = [generator(f, xi, 0, ToggleSet.finite({xi})) for xi in range(3)]
+        word.insert(position, generator(forest_of(3, {1: 0, 2: 1}), 0, 0, ToggleSet.finite({0})))
+        with pytest.raises(DomainError, match="different forests"):
+            compose_all(f, word)
 
     def test_every_product_is_self_inverse(self):
         f = random_forest(6, 2)
@@ -614,6 +623,17 @@ class TestTransport:
         assert fixes_rows_over(pi, A)
         p2, q2 = pad_common_domain(p, q)
         assert apply(pi, p2) == q2
+
+    def test_one_product_of_the_generators(self, monkeypatch):
+        # a row-bit slice of three nodes: each solved generator is built once, then one product
+        builds = record_calls(monkeypatch, CascadeAutomorphism, "__post_init__")
+        generators = record_calls(monkeypatch, cascade, "generator")
+        f = forest_of(4, {1: 0, 2: 1, 3: 1})
+        p = Condition.from_map({(1, 0, 0): 0, (2, 0, 0): 0, (3, 1, 2): 0})
+        q = Condition.from_map({(1, 0, 0): 1, (2, 0, 0): 1, (3, 1, 2): 1})
+        pi = transport(p, q, Window(f, frozenset()))
+        assert len(generators) >= 2 and len(builds) == len(generators) + 1
+        assert apply(pi, p) == q
 
     def test_random_instances(self):
         rng = random.Random(99)

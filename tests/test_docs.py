@@ -4,7 +4,7 @@ import inspect
 import re
 from pathlib import Path
 
-from cascadekit import cli, verify
+from cascadekit import verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,7 +53,8 @@ def test_readme_names_exactly_the_verify_flags():
     text = " ".join((ROOT / "README.md").read_text().split())
     sentence = text.split("`verify` accepts a lemma id", 1)[1].split(" where applicable.", 1)[0]
     flags = re.findall(r"`(--[a-z-]+)`", sentence.split(" plus ", 1)[1])
-    assert sorted(flags) == sorted({"--seed", *cli._VERIFY_FLAGS.values()})
+    params = {p for lemma in verify.REGISTRY for p in verify.lemma_parameters(lemma)}
+    assert sorted(flags) == sorted(f"--{p}" for p in params) == ["--seed", "--trials"]
 
 
 def test_readme_layout_names_exactly_the_package_modules():

@@ -15,7 +15,14 @@ from collections.abc import Sequence
 
 import pytest
 
-from conftest import all_closed_subsets, all_forests, forest_of, forward_substitution, parent_star
+from conftest import (
+    all_closed_subsets,
+    all_forests,
+    forest_of,
+    forward_substitution,
+    parent_star,
+    unit_upper_triangular,
+)
 from cascadekit import f2linalg
 from cascadekit.errors import CertificateError, DomainError
 from cascadekit.f2linalg import (
@@ -122,7 +129,7 @@ class TestStarMatrix:
         K = Window(f, frozenset({0, 1, 2}))
         m = star_matrix(K)
         assert m.order == (2, 1, 0)
-        assert m.is_upper_triangular_unit()
+        assert unit_upper_triangular(m)
 
     def test_singleton_identity(self):
         f = forest_of(2, {1: 0})
@@ -140,16 +147,6 @@ class TestStarMatrix:
         }
         for (i, j), v in expected.items():
             assert (m.cols[j] >> i) & 1 == v
-
-    @pytest.mark.parametrize(
-        "cols",
-        [
-            pytest.param((0b11, 0b10), id="entry-below-the-diagonal"),
-            pytest.param((0b00, 0b10), id="zero-on-the-diagonal"),
-        ],
-    )
-    def test_not_unit_upper_triangular(self, cols):
-        assert not F2Matrix((1, 0), cols).is_upper_triangular_unit()
 
     def test_lists_stored_as_tuples(self):
         listed = F2Matrix([0], [1])
@@ -171,8 +168,7 @@ class TestStarMatrix:
             for closed in all_closed_subsets(f):
                 if not closed:
                     continue
-                m = star_matrix(Window(f, closed))
-                assert m.is_upper_triangular_unit()
+                assert unit_upper_triangular(star_matrix(Window(f, closed)))
 
     def test_off_diagonal_ones_strictly_above(self):
         for seed in range(10):
