@@ -157,6 +157,8 @@ class TestStarMatrix:
             F2Matrix((1, 0), (1,))
         with pytest.raises(DomainError, match="column bits"):
             F2Matrix((0,), (2,))
+        with pytest.raises(DomainError, match="must be an int"):
+            F2Matrix(("a", "b"), (1, 2))
 
     def test_rejects_empty_window(self):
         f = forest_of(2, {1: 0})
