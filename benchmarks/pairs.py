@@ -16,9 +16,10 @@ sides alike.  The end-to-end metrics and which way each is better come from
 the change's ``BENCHMARK.json``.
 
 The output holds ``command``, ``machine``, ``parent``, ``change``,
-``src_lines``, ``pairing``, ``claim``, ``summary`` and ``runs``.
-``src_lines`` gives each side's total line count of
-``src/cascadekit/**/*.py``, as ``wc -l`` counts it.  ``summary`` gives, per
+``src_lines``, ``src_code_lines``, ``pairing``, ``claim``, ``summary`` and
+``runs``.  ``src_lines`` gives each side's total line count of
+``src/cascadekit/**/*.py``, as ``wc -l`` counts it, and ``src_code_lines``
+the non-blank lines among them.  ``summary`` gives, per
 workload and metric, each side's median and quartiles (the exclusive
 method of ``statistics.quantiles``), the ratio of the medians,
 ``pairs_change_better``, the number of pairs in which the change beat the
@@ -148,9 +149,18 @@ def run_record(workload: str, side: str, pair: int, seed: int, out: dict) -> dic
     return record
 
 
+def _library(tree: Path):
+    return (tree / "src" / "cascadekit").rglob("*.py")
+
+
 def src_lines(tree: Path) -> int:
     """Newlines in every ``src/cascadekit/**/*.py`` of ``tree``: the library's line count."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "cascadekit").rglob("*.py"))
+    return sum(path.read_bytes().count(b"\n") for path in _library(tree))
+
+
+def src_code_lines(tree: Path) -> int:
+    """Lines holding more than whitespace in every ``src/cascadekit/**/*.py`` of ``tree``."""
+    return sum(sum(1 for line in path.read_bytes().splitlines() if line.strip()) for path in _library(tree))
 
 
 def git(*args: str, cwd: Path) -> str:
@@ -201,6 +211,7 @@ def main(argv=None) -> int:
         for side in SIDES:
             checkout(revisions[side], trees[side])
         lines = {side: src_lines(trees[side]) for side in SIDES}
+        code_lines = {side: src_code_lines(trees[side]) for side in SIDES}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         workloads = args.workload or [w["name"] for w in bench["workloads"]]
         for workload in workloads:
@@ -226,6 +237,7 @@ def main(argv=None) -> int:
         "parent": revisions["parent"],
         "change": revisions["change"],
         "src_lines": lines,
+        "src_code_lines": code_lines,
         "pairing": (f"{args.pairs} pairs per workload; pair i runs seed {args.seed} + i - 1, "
                     "the parent first when i is odd and the change first when i is even"),
         "claim": args.claim,

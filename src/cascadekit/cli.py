@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
     if args.out:
         _write_out("\n".join(out_lines) + "\n", args.out)
     if failures:
-        print(f"verification failed: {failures} failing instances")
+        print(f"verification failed: {failures} failures")
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 

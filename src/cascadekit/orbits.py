@@ -84,7 +84,7 @@ class FiniteAction(_Value):
                 raise DomainError(f"not a permutation of the set: {p}")
         # a finite set of permutations closed under composition is a group: the one it generates
         elems = set(elements)
-        if _generate(sorted(elems), ident) != elems:
+        if any(_compose(p, q) not in elems for p in elems for q in elems):
             raise DomainError("element list is not closed under composition")
         if not _is_power_of_two(len(elems)):
             raise CertificateError(f"group order {len(elems)} is not a power of 2")

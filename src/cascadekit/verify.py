@@ -6,11 +6,11 @@ sampled from the seed) and which is ``exhaustive`` when it has an
 enumerated part; the CLI maps lemma ids onto these.  A routine's keywords
 are ``seed`` and, when it samples, ``trials``; every other scale is fixed
 here.  The harness checks them and builds the report; a sampling body
-receives it with ``random.Random(seed)`` and the trial count, which the
-harness counts as sampled, and any other body the report alone.  A
-:class:`CascadekitError` from the solver, ``transport`` or the coding is
-recorded as its starspan, transport or code trial's failure.  What each
-oracle recomputes, apart from the code it checks:
+receives it with ``random.Random(seed)`` and the trial count, and any other
+body the report alone.  A body hands each instance's check to the report,
+which counts it and records its faults and any :class:`CascadekitError` it
+raises (:class:`VerificationReport`); an error raised outside every check
+ends the run.  What each oracle recomputes, apart from the code it checks:
 
 - starspan: unit triangularity from the star matrix's columns, and each
   node's star rebuilt from the parent map, against both its matrix column
@@ -56,7 +56,7 @@ from .cascade import (
     shield_set,
     transport,
 )
-from .errors import CapacityError, CascadekitError, CertificateError, DomainError, PreconditionError
+from .errors import CapacityError, CascadekitError, DomainError, PreconditionError
 from .f2linalg import F2Vector, combine_stars, solve_star_span, star_matrix
 from .forest import PredecessorForest, Window, fresh_separation, random_forest, rho_closure
 from .names import (
@@ -105,6 +105,13 @@ class VerificationReport:
     """One lemma's run: its counts, recorded failures and notes.
 
     ``enumerated`` and ``sampled`` count the instances checked, by a fixed sweep and from the seed.
+    A body passes each instance's check, a generator of fault strings that
+    has not started, to :meth:`sample` or :meth:`sweep`, which run it at
+    once and record each fault it yields.  A :class:`CascadekitError` raised
+    inside a check is recorded as one more failure, ``raised <type>:
+    <message>``, and the body goes on with its next instance.  A check that
+    covers a group of instances counts as the group's size, and if it
+    raises, that is one failure.
     """
 
     lemma: str
@@ -130,6 +137,23 @@ class VerificationReport:
         else:
             self._dropped += 1
 
+    def sample(self, check, trial: int) -> None:
+        """Run sampled trial ``trial``'s check, recording each fault as ``trial N: <fault>``."""
+        self.sampled += 1
+        self._run(check, f"trial {trial}: ")
+
+    def sweep(self, check, count: int = 1) -> None:
+        """Run the check of ``count`` enumerated instances, recording each fault as it is yielded."""
+        self.enumerated += count
+        self._run(check, "")
+
+    def _run(self, check, label: str) -> None:
+        try:
+            for fault in check:
+                self.record(label + fault)
+        except CascadekitError as exc:
+            self.record(f"{label}raised {type(exc).__name__}: {exc}")
+
     def failure_count(self) -> int:
         return len(self.failures) + self._dropped
 
@@ -149,10 +173,10 @@ def _lemma(lemma: str, description: str, trials: int | None = None):
     """Register the decorated body, which fills the report passed first, as ``lemma``'s routine.
 
     A lemma that samples names its default ``trials``: its routine takes
-    ``(trials, seed=0)``, rejects a ``trials`` that is not an int or is below 1, calls
-    ``body(report, rng, trials)`` with ``rng = random.Random(seed)`` and
-    counts the trials as sampled.  Any other routine takes ``(seed=0)`` and
-    calls ``body(report)``.  Either rejects a report that counts no instance.
+    ``(trials, seed=0)``, rejects a ``trials`` that is not an int or is below 1 and calls
+    ``body(report, rng, trials)`` with ``rng = random.Random(seed)``.  Any other routine takes
+    ``(seed=0)`` and calls ``body(report)``.  The body counts its instances through the report's
+    checks, and either routine rejects a report that counts no instance.
     """
 
     def register(body):
@@ -166,8 +190,7 @@ def _lemma(lemma: str, description: str, trials: int | None = None):
             elif count < 1:  # no trial would run, and a negative count would be printed as run
                 raise DomainError(f"trials must be positive, got {count:d}")
             else:
-                report.sampled = int(count)
-                body(report, random.Random(seed), report.sampled)
+                body(report, random.Random(seed), int(count))
             if report.trials < 1:  # a report that holds no instance would pass vacuously
                 raise DomainError(f"{lemma} checked no instance (trials={report.trials})")
             report.elapsed = time.perf_counter() - started
@@ -233,34 +256,31 @@ def verify_starspan(report: VerificationReport, rng: random.Random, trials: int)
     units only against its own stars; the rebuilt stars check those
     against the forest.
     """
-    for trial in range(trials):
+    def check():
         forest = random_forest(rng.randint(1, 2 * MAX_STARSPAN_WINDOW), rng.getrandbits(32))
         K = _random_window(forest, rng)
         matrix = star_matrix(K)
         order, parents = matrix.order, forest.parents
-        ordered = K.ordered
         if any(col >> j != 1 for j, col in enumerate(matrix.cols)):  # column j: bit j, none higher
-            report.record(f"trial {trial}: star matrix not unit upper triangular on {K.serialize()}")
-            continue
+            yield f"star matrix not unit upper triangular on {K.serialize()}"
+            return
         wrong = [xi for xi, col in zip(order, matrix.cols) if col != _parent_star(order, parents, xi)]
         if wrong:
-            report.record(
-                f"trial {trial}: star matrix column of node {wrong[0]} differs from its parent-map star"
-            )
-            continue
-        try:
-            wrong = [xi for xi in ordered if combine_stars(K, [xi]).bits != _parent_star(ordered, parents, xi)]
-            if wrong:
-                report.record(f"trial {trial}: star of node {wrong[0]} differs from its parent-map star")
-                continue
-            if len(K) <= STARSPAN_SWEEP_WINDOW:
-                for bits in range(1 << len(K)):
-                    target = F2Vector(K, bits)
-                    if combine_stars(K, solve_star_span(K, target)) != target:
-                        report.record(f"trial {trial}: solve failed for target {bits:b}")
-                        break
-        except CascadekitError as exc:
-            report.record(f"trial {trial}: solving raised {type(exc).__name__} on {K.serialize()}: {exc}")
+            yield f"star matrix column of node {wrong[0]} differs from its parent-map star"
+            return
+        wrong = [xi for xi in K.ordered if combine_stars(K, [xi]).bits != _parent_star(K.ordered, parents, xi)]
+        if wrong:
+            yield f"star of node {wrong[0]} differs from its parent-map star"
+            return
+        if len(K) <= STARSPAN_SWEEP_WINDOW:
+            for bits in range(1 << len(K)):
+                target = F2Vector(K, bits)
+                if combine_stars(K, solve_star_span(K, target)) != target:
+                    yield f"solve failed for target {bits:b}"
+                    return
+
+    for trial in range(trials):
+        report.sample(check(), trial)
     report.notes = f"all targets swept on windows up to {STARSPAN_SWEEP_WINDOW} nodes"
 
 
@@ -283,7 +303,7 @@ def _legal_toggles(forest: PredecessorForest, beta: int, row: int, shield: froze
 @_lemma("shield", "toggles off the shield fix conditions", trials=1000)
 def verify_shield(report: VerificationReport, rng: random.Random, trials: int):
     """Toggles avoiding the shield fix the condition; random plus a full tiny sweep."""
-    for trial in range(trials):
+    def sampled():
         forest = random_forest(rng.randint(2, 9), rng.getrandbits(32))
         q = _random_condition(forest, rng)
         beta = rng.randrange(forest.size)
@@ -297,12 +317,21 @@ def verify_shield(report: VerificationReport, rng: random.Random, trials: int):
         else:
             s = ToggleSet.finite(picked)
         if apply(generator(forest, beta, row, s), q) != q:
-            report.record(f"trial {trial}: shielded toggle moved the condition")
-    # exhaustive sweep: every condition on a 2x2x2 box, every row pair, every legal toggle
+            yield "shielded toggle moved the condition"
+
+    def swept(q, beta, row, toggles):
+        for s, tau in toggles:
+            moved = apply(tau, q)
+            if moved is not q and moved != q:  # identity settles the common case cheaply
+                yield f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
+
+    for trial in range(trials):
+        report.sample(sampled(), trial)
+    # exhaustive sweep: every condition on a 2x2x2 box, every row pair, every legal toggle; one
+    # check per condition and row pair covers its legal toggles
     forest = PredecessorForest.from_pred(2, {1: 0})
     coords = [Coordinate(n, r, b) for n in range(2) for r in range(2) for b in range(2)]
     legal: dict[tuple[int, int, frozenset[int]], list] = {}
-    swept = 0
     for q in _all_conditions(coords):
         for beta in range(2):
             for row in range(2):
@@ -310,15 +339,10 @@ def verify_shield(report: VerificationReport, rng: random.Random, trials: int):
                 toggles = legal.get(key)
                 if toggles is None:
                     toggles = legal[key] = _legal_toggles(forest, *key)
-                swept += len(toggles)
-                for s, tau in toggles:
-                    moved = apply(tau, q)
-                    if moved is not q and moved != q:  # identity settles the common case cheaply
-                        report.record(
-                            f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
-                        )
-    report.enumerated = swept
-    report.notes = f"{swept} exhaustive instances on the 8-coordinate box, plus {trials} sampled trials"
+                report.sweep(swept(q, beta, row, toggles), len(toggles))
+    report.notes = (
+        f"{report.enumerated} exhaustive instances on the 8-coordinate box, plus {trials} sampled trials"
+    )
 
 
 def _all_conditions(coords):
@@ -328,9 +352,6 @@ def _all_conditions(coords):
 
 
 def _all_forests(size: int):
-    if size == 1:
-        yield PredecessorForest(1, (-1,))
-        return
     for parents in itertools.product(*(range(xi) for xi in range(1, size))):
         yield PredecessorForest(size, (-1,) + parents)
 
@@ -346,39 +367,36 @@ def _all_closed_subsets(forest: PredecessorForest):
 @_lemma("fresh", "fresh separation clauses hold exhaustively")
 def verify_fresh(report: VerificationReport):
     """Exhaustive four-clause check of fresh separation on universes up to 6 nodes."""
+    def check(forest, closed):
+        size = forest.size
+        blocked = set(closed) | {forest.parents[x] for x in closed if x >= 1}
+        free = [x for x in range(size) if x not in blocked]
+        try:
+            beta, gamma = fresh_separation(forest, Window(forest, closed))
+        except CapacityError:
+            if len(free) >= 2:
+                yield f"capacity error despite free nodes {free} (size {size})"
+            return
+        if len(free) < 2:
+            yield f"separation returned {beta},{gamma} with <2 free nodes"
+            return
+        children = {e for e in range(size) if e >= 1 and forest.parents[e] == beta}
+        clauses = (
+            beta not in closed, gamma not in closed, beta != gamma, gamma not in children, not (children & closed)
+        )
+        if not all(clauses):
+            yield f"clauses {clauses} failed for ({beta},{gamma}) on {sorted(closed)}"
+
     for size in range(1, 7):
         for forest in _all_forests(size):
             for closed in _all_closed_subsets(forest):
-                report.enumerated += 1
-                A = Window(forest, closed)
-                blocked = set(closed) | {forest.parents[x] for x in closed if x >= 1}
-                free = [x for x in range(size) if x not in blocked]
-                try:
-                    beta, gamma = fresh_separation(forest, A)
-                except CapacityError:
-                    if len(free) >= 2:
-                        report.record(f"capacity error despite free nodes {free} (size {size})")
-                    continue
-                if len(free) < 2:
-                    report.record(f"separation returned {beta},{gamma} with <2 free nodes")
-                    continue
-                succ_beta = {e for e in range(size) if e >= 1 and forest.parents[e] == beta}
-                clauses = (
-                    beta not in closed,
-                    gamma not in closed,
-                    beta != gamma,
-                    gamma not in succ_beta,
-                    not (succ_beta & closed),
-                )
-                if not all(clauses):
-                    report.record(
-                        f"clauses {clauses} failed for ({beta},{gamma}) on {sorted(closed)}"
-                    )
+                report.sweep(check(forest, closed))
 
 
-def _random_toggle(rng: random.Random) -> ToggleSet:
+def _random_generator(forest: PredecessorForest, rng: random.Random):
+    xi, row = rng.randrange(forest.size), rng.randrange(3)
     exceptions = frozenset(rng.sample(range(5), rng.randrange(1, 5)))
-    return ToggleSet(rng.random() < 0.4, exceptions)
+    return generator(forest, xi, row, ToggleSet(rng.random() < 0.4, exceptions))
 
 
 def _random_condition(forest, rng, max_len=6, rows=3, bits=5) -> Condition:
@@ -391,49 +409,46 @@ def _random_condition(forest, rng, max_len=6, rows=3, bits=5) -> Condition:
 @_lemma("abelian", "the cascade group is abelian of exponent 2", trials=300)
 def verify_abelian(report: VerificationReport, rng: random.Random, trials: int):
     """Generators commute, every element squares to the identity, fixing is closed."""
-    for trial in range(trials):
+    def check():
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
-        g1 = generator(forest, rng.randrange(forest.size), rng.randrange(3), _random_toggle(rng))
-        g2 = generator(forest, rng.randrange(forest.size), rng.randrange(3), _random_toggle(rng))
+        g1, g2 = _random_generator(forest, rng), _random_generator(forest, rng)
         if compose(g1, g2) != compose(g2, g1):
-            report.record(f"trial {trial}: generators do not commute")
+            yield "generators do not commute"
         q = _random_condition(forest, rng)
         if apply(compose(g1, g2), q) != apply(g1, apply(g2, q)):
-            report.record(f"trial {trial}: composition does not act as iterated action")
-        word = [
-            generator(forest, rng.randrange(forest.size), rng.randrange(3), _random_toggle(rng))
-            for _ in range(rng.randrange(1, 5))
-        ]
-        product = compose_all(forest, word)
+            yield "composition does not act as iterated action"
+        product = compose_all(forest, [_random_generator(forest, rng) for _ in range(rng.randrange(1, 5))])
         if not compose(product, product).is_identity():
-            report.record(f"trial {trial}: product is not self-inverse")
+            yield "product is not self-inverse"
         A = _random_closed_subset(forest, rng)
         fixers = [t for t in (g1, g2, product) if fixes_rows_over(t, A)]
         for t1, t2 in itertools.combinations(fixers, 2):
             if not fixes_rows_over(compose(t1, t2), A):
-                report.record(f"trial {trial}: fixing subgroup not closed under composition")
+                yield "fixing subgroup not closed under composition"
+
+    for trial in range(trials):
+        report.sample(check(), trial)
 
 
 @_lemma("transport", "transport carries p to q fixing the window", trials=500)
 def verify_transport(report: VerificationReport, rng: random.Random, trials: int):
     """Transport maps padded p to padded q and fixes all rows over the window."""
-    for trial in range(trials):
+    def check():
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
         A = _random_closed_subset(forest, rng)
         off = set(range(forest.size)) - A.nodes
         shared = _random_condition(forest, rng, max_len=4).restrict_to_nodes(A.nodes)
         p = shared.merge(_random_condition(forest, rng, max_len=4).restrict_to_nodes(off))
         q = shared.merge(_random_condition(forest, rng, max_len=4).restrict_to_nodes(off))
-        try:
-            pi = transport(p, q, A)
-        except CascadekitError as exc:
-            report.record(f"trial {trial}: transport raised {type(exc).__name__}: {exc}")
-            continue
+        pi = transport(p, q, A)
         p_pad, q_pad = pad_common_domain(p, q)
         if apply(pi, p_pad) != q_pad:
-            report.record(f"trial {trial}: transport missed the target condition")
+            yield "transport missed the target condition"
         if not fixes_rows_over(pi, A):
-            report.record(f"trial {trial}: transport toggles rows over the window")
+            yield "transport toggles rows over the window"
+
+    for trial in range(trials):
+        report.sample(check(), trial)
 
 
 _BOX_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 1, 4), (2, 1, 7), (4, 1, 3), (2, 3, 2))
@@ -492,18 +507,19 @@ def _member_table(box: CoordinateBox, name):
 def verify_decision(report: VerificationReport, rng: random.Random, trials: int):
     """Deciding conditions restricted to the support keep deciding the same way."""
     pair_probes = total_probes = drawn = kept = 0
-    for trial in range(trials):
+
+    def check():
+        nonlocal pair_probes, total_probes, drawn, kept
         box = _random_box(rng)
         name, A = _random_supported_name(rng, box)
         empty = Window(box.forest, frozenset())
         if not support_report(name, A, box).supported:
-            report.record(f"trial {trial}: scheme-built name failed its own support check")
-            continue
+            yield "scheme-built name failed its own support check"
+            return
         # a pair's condition decides its member true
         probes = [(cond, m) for m, cond in _name_pairs(name)]
         pair_probes += len(probes)
-        g = Assignment(box, rng.getrandbits(box.n_coords))
-        total = g.restrict_to_nodes(box.window.nodes)
+        total = Assignment(box, rng.getrandbits(box.n_coords)).restrict_to_nodes(box.window.nodes)
         probes += [(total, m) for m in range(4)]  # total conditions decide everything
         total_probes += 4
         coords = list(box.coords())
@@ -525,10 +541,13 @@ def verify_decision(report: VerificationReport, rng: random.Random, trials: int)
         overall = [summary(table, m, 0, 0) for m in range(4)]
         for p, m, verdict in probes:
             if not decision_invariant(name, A, p, m, box):
-                report.record(f"trial {trial}: restriction of a deciding condition flipped m={m}")
+                yield f"restriction of a deciding condition flipped m={m}"
             # the empty condition decides alike exactly when m's column is constant at p's verdict
             if decision_invariant(name, empty, p, m, box) != (overall[m] == verdict):
-                report.record(f"trial {trial}: the empty window's decision on m={m} disagrees with the table")
+                yield f"the empty window's decision on m={m} disagrees with the table"
+
+    for trial in range(trials):
+        report.sample(check(), trial)
     report.notes = (
         f"probes: {pair_probes} pair conditions, {total_probes} total-assignment conditions, "
         f"{kept} of {drawn} random conditions kept as deciding"
@@ -621,7 +640,8 @@ def _witness_flips(witness, table, A: Window, box: CoordinateBox) -> bool:
 def verify_normalize(report: VerificationReport, rng: random.Random, trials: int):
     """Normalized schemes evaluate exactly like the original name everywhere."""
     outcomes = [0, 0]  # unsupported, supported
-    for trial in range(trials):
+
+    def check():
         box = _random_box(rng)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
@@ -632,16 +652,19 @@ def verify_normalize(report: VerificationReport, rng: random.Random, trials: int
             outcomes[supported] += 1
             found = support_report(name, W, box)
             if found.supported != supported:
-                report.record(f"trial {trial}: support over {sorted(closed)} disagrees with the generator sweep")
+                yield f"support over {sorted(closed)} disagrees with the generator sweep"
             elif not supported and not _witness_flips(found.witness, table, W, box):
-                report.record(f"trial {trial}: the witness over {sorted(closed)} changes no member")
+                yield f"the witness over {sorted(closed)} changes no member"
         if table != _member_table(box, scheme):
-            report.record(f"trial {trial}: normalized scheme changed some evaluation")
+            yield "normalized scheme changed some evaluation"
         if not support_report(scheme, A, box).supported:
-            report.record(f"trial {trial}: normalized scheme fails support on its own window")
+            yield "normalized scheme fails support on its own window"
         fault = _family_fault(name, table, scheme, A, box)
         if fault:
-            report.record(f"trial {trial}: {fault}")
+            yield fault
+
+    for trial in range(trials):
+        report.sample(check(), trial)
     report.notes = (
         "evaluation equality checked on every assignment of each box; each family's minterms "
         "equal the whole-box projection, its packets are prime and it is closed under consensus; "
@@ -653,23 +676,22 @@ def verify_normalize(report: VerificationReport, rng: random.Random, trials: int
 @_lemma("code", "two-layer codes round-trip semantics", trials=100)
 def verify_code(report: VerificationReport, rng: random.Random, trials: int):
     """Two-layer encode/decode preserves evaluation on every assignment."""
-    for trial in range(trials):
+    def check(trial):
         box = _random_box(rng)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
         # a generator of its own, so the grown box leaves every other draw alone
         grown = _grown_box(random.Random(f"code/{report.seed}/{trial}"), box)
-        try:
-            code = two_layer_code(scheme, box)
-            decoded = decode_two_layer(code, box)
-            regrown = decode_two_layer(code, grown)
-        except CascadekitError as exc:
-            report.record(f"trial {trial}: coding raised {type(exc).__name__}: {exc}")
-            continue
+        code = two_layer_code(scheme, box)
+        decoded = decode_two_layer(code, box)
+        regrown = decode_two_layer(code, grown)
         if _member_table(box, scheme) != _member_table(box, decoded):
-            report.record(f"trial {trial}: decoded scheme changed some evaluation")
+            yield "decoded scheme changed some evaluation"
         if regrown.families != decoded.families:
-            report.record(f"trial {trial}: decoding over a grown box changed the families")
+            yield "decoding over a grown box changed the families"
+
+    for trial in range(trials):
+        report.sample(check(trial), trial)
     report.notes = (
         "evaluation equality checked on every assignment of each box; each code also decoded "
         "over its box grown by 0-2 nodes, 0-1 rows and 0-1 bits, to the same families"
@@ -701,10 +723,32 @@ def _cycle_lcm(p) -> int:
 @_lemma("odd-fixed", "odd sets under 2-groups have fixed points")
 def verify_odd_fixed(report: VerificationReport):
     """Every 2-group from at most two involutions fixes a point of any odd set up to 7 points."""
+    def check(sigma, mu, product_order):
+        # a 2-power product order makes the closure a 2-group, so a CertificateError is a failure
+        action = close_group([sigma, mu])
+        # two distinct involutions generate a dihedral group of order 2 ord(sigma mu)
+        elements = action.elements
+        ident = tuple(range(len(sigma)))
+        dihedral = sigma != mu and ident not in (sigma, mu)
+        order = 2 * product_order if dihedral else len({ident, sigma, mu})
+        if sigma not in elements or mu not in elements or len(elements) != order:
+            yield f"closure of {sigma},{mu} is not the group they generate"
+            return
+        orbits = orbit_partition(action)
+        for orbit in orbits:
+            if len(orbit) & (len(orbit) - 1):
+                yield f"non-dyadic orbit {orbit} for {sigma},{mu} on {len(sigma)} points"
+        fixed = odd_fixed_point(action)
+        if any(p[fixed] != fixed for p in action.elements):
+            yield f"reported fixed point {fixed} moves under {sigma},{mu}"
+        # orbits are listed by least element, so the first singleton is the least fixed point
+        least = next((orbit[0] for orbit in orbits if len(orbit) == 1), None)
+        if fixed != least:
+            yield f"fixed point {fixed} is not the least singleton orbit {least}"
+
     pairs = products = 0
     for n in range(1, 8, 2):
         invs = list(_involutions(n))
-        ident = tuple(range(n))
         # many pairs share a product (at n = 7 every permutation occurs), so order each once
         orders: dict[tuple[int, ...], int] = {}
         for a_idx in range(len(invs)):
@@ -715,32 +759,8 @@ def verify_odd_fixed(report: VerificationReport):
                 product_order = orders.get(product)
                 if product_order is None:
                     product_order = orders[product] = _cycle_lcm(product)
-                if product_order & (product_order - 1):
-                    continue  # the dihedral closure would contain an odd-order element
-                report.enumerated += 1
-                try:
-                    action = close_group([sigma, mu])
-                except CertificateError:
-                    report.record(f"2-power product order yet certificate failed: {sigma} {mu}")
-                    continue
-                # two distinct involutions generate a dihedral group of order 2 ord(sigma mu)
-                elements = action.elements
-                dihedral = sigma != mu and ident not in (sigma, mu)
-                order = 2 * product_order if dihedral else len({ident, sigma, mu})
-                if sigma not in elements or mu not in elements or len(elements) != order:
-                    report.record(f"closure of {sigma},{mu} is not the group they generate")
-                    continue
-                orbits = orbit_partition(action)
-                for orbit in orbits:
-                    if len(orbit) & (len(orbit) - 1):
-                        report.record(f"non-dyadic orbit {orbit} for {sigma},{mu} on {n} points")
-                fixed = odd_fixed_point(action)
-                if any(p[fixed] != fixed for p in action.elements):
-                    report.record(f"reported fixed point {fixed} moves under {sigma},{mu}")
-                # orbits are listed by least element, so the first singleton is the least fixed point
-                least = next((orbit[0] for orbit in orbits if len(orbit) == 1), None)
-                if fixed != least:
-                    report.record(f"fixed point {fixed} is not the least singleton orbit {least}")
+                if not product_order & (product_order - 1):  # else the closure has an odd-order element
+                    report.sweep(check(sigma, mu, product_order))
         products += len(orders)
     report.notes = (
         f"{pairs} involution pairs on 1, 3, 5 and 7 points, {report.enumerated} with a 2-power product "
@@ -774,63 +794,55 @@ def _echelon_bases(d: int):
 @_lemma("dyadic", "translation quotients have dyadic size")
 def verify_dyadic(report: VerificationReport):
     """Coset partitions pass with dyadic counts; 3-class labelings of F2^2 fail."""
-    count = 0
-    for d in range(DYADIC_DIM + 1):
-        for basis in _echelon_bases(d):
-            span = _subspace_span(basis)
-            labels = [-1] * (1 << d)
-            next_label = 0
-            for v in range(1 << d):
-                if labels[v] < 0:
-                    for w in span:
-                        labels[v ^ w] = next_label
-                    next_label += 1
-            count += 1
-            result = quotient_analysis(TranslationPartition(d, tuple(labels)))
-            if not result.invariant:
-                report.record(f"coset partition of span {sorted(span)} judged non-invariant")
-                continue
-            dim_w = len(result.subspace_basis)
-            if (1 << dim_w) != len(span) or result.class_count != 1 << (d - dim_w):
-                report.record(f"wrong quotient data for span {sorted(span)} in dim {d}")
-    three_class = 0
-    for labels in itertools.product(range(3), repeat=4):
-        if len(set(labels)) != 3:
-            continue
-        three_class += 1
+    def cosets(d, basis):
+        span = _subspace_span(basis)
+        # each vector labelled by the least member of its coset
+        labels = tuple(min(v ^ w for w in span) for v in range(1 << d))
+        result = quotient_analysis(TranslationPartition(d, labels))
+        if not result.invariant:
+            yield f"coset partition of span {sorted(span)} judged non-invariant"
+            return
+        dim_w = len(result.subspace_basis)
+        if (1 << dim_w) != len(span) or result.class_count != 1 << (d - dim_w):
+            yield f"wrong quotient data for span {sorted(span)} in dim {d}"
+
+    def three_classes(labels):
         result = quotient_analysis(TranslationPartition(2, labels))
         if result.invariant:
-            report.record(f"3-class labelling {labels} wrongly accepted")
-            continue
+            yield f"3-class labelling {labels} wrongly accepted"
+            return
         q, q2, v = result.witness
         if labels[q] != labels[q2] or labels[q ^ v] == labels[q2 ^ v]:
-            report.record(f"witness {result.witness} does not split {labels}")
-    report.enumerated = count + three_class
-    report.notes = f"{count} coset partitions, {three_class} three-class labelings"
+            yield f"witness {result.witness} does not split {labels}"
+
+    for d in range(DYADIC_DIM + 1):
+        for basis in _echelon_bases(d):
+            report.sweep(cosets(d, basis))
+    partitions = report.enumerated
+    for labels in itertools.product(range(3), repeat=4):
+        if len(set(labels)) == 3:
+            report.sweep(three_classes(labels))
+    report.notes = f"{partitions} coset partitions, {report.enumerated - partitions} three-class labelings"
 
 
 @_lemma("selector", "trace-separated triples select canonically", trials=200)
 def verify_selector(report: VerificationReport, rng: random.Random, trials: int):
     """Canonical selection is permutation invariant; duplicates are rejected."""
-    forest = PredecessorForest.from_pred(3, {1: 0, 2: 0})
-    W = Window.whole(forest)
-    subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(range(3), r)]
-    for triple in itertools.combinations(subsets, 3):
-        report.enumerated += 1
+    def enumerated(W, triple):
         profiles = [TraceProfile(W, s) for s in triple]
         chosen = profiles[canonical_selector(profiles)]
         for perm in itertools.permutations(profiles):
             perm = list(perm)
             if perm[canonical_selector(perm)] != chosen:
-                report.record(f"permutation changed the selected profile for {triple}")
+                yield f"permutation changed the selected profile for {triple}"
                 break
-        dup = [profiles[0], profiles[0], profiles[1]]
         try:
-            canonical_selector(dup)
-            report.record("duplicate profiles were not rejected")
+            canonical_selector([profiles[0], profiles[0], profiles[1]])
         except PreconditionError:
-            pass
-    for _ in range(trials):
+            return
+        yield f"duplicate profiles were not rejected for {triple}"
+
+    def sampled():
         f = random_forest(rng.randint(2, 9), rng.getrandbits(32))
         Wr = Window.whole(f)
         picks = set()
@@ -841,40 +853,48 @@ def verify_selector(report: VerificationReport, rng: random.Random, trials: int)
         shuffled = profiles[:]
         rng.shuffle(shuffled)
         if shuffled[canonical_selector(shuffled)] != chosen:
-            report.record("random window selection not permutation invariant")
+            yield "random window selection not permutation invariant"
+
+    W = Window.whole(PredecessorForest.from_pred(3, {1: 0, 2: 0}))
+    subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(range(3), r)]
+    for triple in itertools.combinations(subsets, 3):
+        report.sweep(enumerated(W, triple))
+    for trial in range(trials):
+        report.sample(sampled(), trial)
     report.notes = f"{report.enumerated} enumerated triples in every order, plus {trials} sampled triples"
 
 
 @_lemma("lift", "product choices project to choices")
 def verify_lift(report: VerificationReport):
     """Every product choice map projects to exactly its first coordinates; fully enumerated."""
-    count = families = 0
+    def choices(family, sizes, k, options):
+        # an odometer over one choice map: the last index turns innermost and the other
+        # entries are rewritten only when the prefix turns, so no map is built per choice
+        f: dict[int, tuple[int, int]] = {}
+        expected: dict[int, int] = {}
+        last = len(sizes) - 1
+        for prefix in itertools.product(*options[:last]):
+            for t, (pair, a) in enumerate(prefix):
+                f[t] = pair
+                expected[t] = a
+            for pair, a in options[last]:
+                f[last] = pair
+                expected[last] = a
+                got = lift_choice(family, k, f)
+                if got != expected:
+                    yield f"sizes {sizes}, k={k}: {f} projects to {got}, not {expected}"
+
+    families = 0
     arities = range(1, 4)
     for t_count in range(1, 5):
-        last = t_count - 1
         for sizes in itertools.product(range(1, 4), repeat=t_count):
             family = IndexedFamily.of({t: frozenset(range(s)) for t, s in enumerate(sizes)})
             families += 1
             for k in arities:
                 # each option of index t is a pair (a, j) with the projection a it must give
                 options = [[((a, j), a) for a in range(s) for j in range(k)] for s in sizes]
-                # an odometer over one choice map: the last index turns innermost and the
-                # other entries are rewritten only when the prefix turns, so no map is built
-                # per choice
-                f: dict[int, tuple[int, int]] = {}
-                expected: dict[int, int] = {}
-                for prefix in itertools.product(*options[:last]):
-                    for t, (pair, a) in enumerate(prefix):
-                        f[t] = pair
-                        expected[t] = a
-                    for pair, a in options[last]:
-                        f[last] = pair
-                        expected[last] = a
-                        count += 1
-                        got = lift_choice(family, k, f)
-                        if got != expected:
-                            report.record(f"sizes {sizes}, k={k}: {f} projects to {got}, not {expected}")
-    report.enumerated = count
+                # one check covers the family's choice maps at this arity
+                report.sweep(choices(family, sizes, k, options), math.prod(map(len, options)))
     report.notes = (
         f"{families} families (1 to 4 sets of sizes 1 to 3) x {len(arities)} arities (1 to 3); "
         "every choice map compared with its exact projection"
@@ -914,41 +934,42 @@ def _witness_faults(w: SwapWitness, q: Condition, A: Window, box: CoordinateBox)
 @_lemma("swap", "swap witnesses certify the complement flip", trials=60)
 def verify_swap(report: VerificationReport, rng: random.Random, trials: int):
     """Swap witnesses certify, and a replay of each witness's generator from the parent map agrees."""
+    def witnessed(q, A, row, box):
+        w = swap_witness(q, A, row, box)
+        if not w.certificate.all_pass():
+            yield f"certificate failed for condition {q.entries}"
+        for fault in _witness_faults(w, q, A, box):
+            yield f"replay refutes the {fault} certificate for {q.entries}"
+
+    def sampled():
+        n_nodes, rows, bits = rng.choice(((3, 2, 2), (4, 1, 3), (3, 1, 4)))
+        f = random_forest(n_nodes, rng.getrandbits(32))
+        b = CoordinateBox(Window.whole(f), rows, bits)
+        q = _random_condition(f, rng, max_len=4, rows=rows, bits=bits)
+        # the window {0} blocks node 0 alone, so nodes 1 and 2 are fresh and every sampled trial is checked
+        yield from witnessed(q, rho_closure(f, {0}), rng.randrange(rows), b)
+
+    def both_toggled(bits_count, exceptions):
+        word = [(0, 0, ToggleSet.cofinite_excluding(exceptions))]
+        b = CoordinateBox(Window.whole(forest), 1, bits_count)
+        row_flips = functools.partial(_replayed_flips, forest, word, row=0, B=bits_count)
+        if row_flips(1) ^ row_flips(2) or pattern_shift(generator(forest, *word[0]), 1, 2, 0, b):
+            yield f"both-toggled generator moved the pattern (B={bits_count})"
+
     # full condition enumeration on a 6-coordinate box over the fork 1 -> 0 <- 2
     forest = PredecessorForest.from_pred(3, {1: 0, 2: 0})
     box = CoordinateBox(Window.whole(forest), 1, 2)
     A = rho_closure(forest, {0})
     for q in _all_conditions(list(box.coords())):
-        report.enumerated += 1
-        w = swap_witness(q, A, 0, box)
-        if not w.certificate.all_pass():
-            report.record(f"certificate failed for exhaustive condition {q.entries}")
-        for fault in _witness_faults(w, q, A, box):
-            report.record(f"replay refutes the {fault} certificate for {q.entries}")
+        report.sweep(witnessed(q, A, 0, box))
     conditions = report.enumerated
     # sampled conditions on boxes of up to 12 coordinates
     for trial in range(trials):
-        n_nodes, rows, bits = rng.choice(((3, 2, 2), (4, 1, 3), (3, 1, 4)))
-        f = random_forest(n_nodes, rng.getrandbits(32))
-        b = CoordinateBox(Window.whole(f), rows, bits)
-        A_r = rho_closure(f, {0})
-        q = _random_condition(f, rng, max_len=4, rows=rows, bits=bits)
-        row = rng.randrange(rows)
-        # A_r = {0} blocks node 0 alone, so nodes 1 and 2 are fresh and every sampled trial is checked
-        w = swap_witness(q, A_r, row, b)
-        if not w.certificate.all_pass():
-            report.record(f"certificate failed on sampled condition trial {trial}")
-        for fault in _witness_faults(w, q, A_r, b):
-            report.record(f"replay refutes the {fault} certificate on trial {trial}")
+        report.sample(sampled(), trial)
     # both-toggled case: a generator at the shared predecessor fixes the pattern
     for bits_count in (2, 3):
-        b = CoordinateBox(Window.whole(forest), 1, bits_count)
         for exceptions in ({0}, set(), {1}):
-            word = [(0, 0, ToggleSet.cofinite_excluding(exceptions))]
-            report.enumerated += 1
-            row_flips = functools.partial(_replayed_flips, forest, word, row=0, B=bits_count)
-            if row_flips(1) ^ row_flips(2) or pattern_shift(generator(forest, *word[0]), 1, 2, 0, b):
-                report.record(f"both-toggled generator moved the pattern (B={bits_count})")
+            report.sweep(both_toggled(bits_count, exceptions))
     report.notes = (
         f"{conditions} enumerated conditions and {report.enumerated - conditions} both-toggled generators, "
         f"plus {trials} sampled conditions; each witness's three certificates replayed from the parent map"

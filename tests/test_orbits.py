@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from conftest import subspace_span
+from cascadekit import orbits
 from cascadekit.errors import CertificateError, DomainError, PreconditionError
 from cascadekit.orbits import (
     FiniteAction,
@@ -122,6 +123,16 @@ class TestFiniteActionValidation:
     def test_not_closed(self):
         with pytest.raises(DomainError):
             FiniteAction(3, (tuple(range(3)), (1, 2, 0)))
+
+    def test_not_closed_refused_without_generating_the_group(self, monkeypatch):
+        # a transposition and an 8-cycle generate all 40,320 elements of S_8; the refusal reads only the list
+        def no_closure(generators, ident):
+            raise AssertionError("the closure check generated the group")
+
+        monkeypatch.setattr(orbits, "_generate", no_closure)
+        elements = (tuple(range(8)), transposition(8, 0, 1), tuple(range(1, 8)) + (0,))
+        with pytest.raises(DomainError, match="not closed under composition"):
+            FiniteAction(8, elements)
 
     def test_non_dyadic_order_rejected(self):
         elements = tuple(sorted(itertools.permutations(range(3))))

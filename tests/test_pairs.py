@@ -165,3 +165,15 @@ def test_src_lines_counts_every_library_module_as_wc_does(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_a.py").write_text("outside\nthe\nlibrary\n")
     assert pairs.src_lines(tmp_path) == 2
+
+
+def test_src_code_lines_counts_the_non_blank_lines_of_every_library_module(tmp_path):
+    pkg = tmp_path / "src" / "cascadekit"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\n   \n\ty = 2\n\n")  # blank and whitespace-only lines are not code
+    (pkg / "sub" / "b.py").write_text("\nz = 3")  # a last line without its newline still counts
+    (pkg / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("outside\nthe\nlibrary\n")
+    assert pairs.src_code_lines(tmp_path) == 3
+    assert pairs.src_lines(tmp_path) == 6

@@ -54,7 +54,7 @@ def test_every_counted_shield_trial_applies_a_toggle(monkeypatch):
 
 
 def test_every_counted_swap_trial_builds_a_witness(monkeypatch):
-    # a sampled trial whose witness raised would be counted unchecked, so the error must surface
+    # a sampled trial whose witness raised would be counted unchecked, so each raise is its trial's failure
     real = verify.swap_witness
 
     def full_on_sampled_boxes(q, A, row, box):
@@ -63,8 +63,10 @@ def test_every_counted_swap_trial_builds_a_witness(monkeypatch):
         return real(q, A, row, box)
 
     monkeypatch.setattr(verify, "swap_witness", full_on_sampled_boxes)
-    with pytest.raises(CapacityError):
-        verify_swap(trials=2)
+    report = verify_swap()
+    assert (report.trials, report.failure_count()) == (795, 60)
+    assert report.failures[0] == "trial 0: raised CapacityError: no two fresh nodes"
+    assert all("raised CapacityError" in failure for failure in report.failures)
 
 
 # the order `verify --all` runs and prints the lemmas in
@@ -244,17 +246,41 @@ def test_sampling_body_receives_the_seeds_generator_and_counts_its_trials(monkey
     monkeypatch.setattr(verify, "REGISTRY", {})
     received = []
 
-    @verify._lemma("draw", "draws once", trials=3)
+    @verify._lemma("draw", "draws once, and checks all but one trial", trials=3)
     def verify_draw(report, rng, trials):
         received.append((rng.random(), trials))
+        for trial in range(trials - 1):
+            report.sample(iter(()), trial)
 
     report = verify_draw(seed=5)
     assert received == [(random.Random(5).random(), 3)]
-    assert (report.seed, report.enumerated, report.sampled) == (5, 0, 3)
-    assert verify_draw(2, 7).sampled == 2  # positional, in the signature's order
+    # the body counts only the checks it runs, not the trials it is given
+    assert (report.seed, report.enumerated, report.sampled) == (5, 0, 2)
+    assert verify_draw(2, 7).sampled == 1  # positional, in the signature's order
     with pytest.raises(DomainError, match="trials must be positive, got 0"):
         verify_draw(trials=0)
     assert len(received) == 2  # the rejected call reached no body
+    with pytest.raises(DomainError, match="draw checked no instance"):
+        verify_draw(trials=1)
+
+
+def test_report_counts_labels_and_records_each_checks_faults():
+    report = verify.VerificationReport("demo", 0)
+
+    def faults(*messages, error=None):
+        yield from messages
+        if error:
+            raise error
+
+    report.sample(faults("a", "b"), 4)
+    report.sweep(faults(), 3)
+    report.sweep(faults("c", error=DomainError("broken")), 2)
+    report.sample(faults(error=CapacityError("full")), 5)
+    assert (report.enumerated, report.sampled) == (5, 2)
+    # a raise after a fault is one more failure of the same check, and the next check still runs
+    assert report.failures == [
+        "trial 4: a", "trial 4: b", "c", "raised DomainError: broken", "trial 5: raised CapacityError: full"
+    ]
 
 
 # the nine sampling lemmas' default trial counts; the other four take the seed alone
@@ -297,10 +323,6 @@ def test_lemma_bodies_take_only_what_the_harness_passes():
         args = fn.args
         assert [a.arg for a in args.args] == (["report", "rng", "trials"] if samples else ["report"]), fn.name
         assert not (args.posonlyargs or args.kwonlyargs or args.defaults or args.vararg or args.kwarg), fn.name
-        stores = [
-            n for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == "sampled" and isinstance(n.ctx, ast.Store)
-        ]
-        assert not stores, f"{fn.name} counts its own sampled trials"
     assert bodies == len(REGISTRY)
 
     def builds_generator(fn):
@@ -310,6 +332,27 @@ def test_lemma_bodies_take_only_what_the_harness_passes():
 
     # the harness builds each seed's generator; verify_code also grows each trial's box from its own
     assert {fn.name for fn in functions if builds_generator(fn)} == {"_lemma", "verify_code"}
+
+    owners = {}  # each top-level function or class, by the nodes it holds
+    for top in tree.body:
+        for node in ast.walk(top):
+            owners[node] = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+    records = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "record"]
+    counts = [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in ("enumerated", "sampled") and isinstance(n.ctx, ast.Store)
+    ]
+    assert records and counts
+    # no lemma body or check records a failure or writes a count; the report does both
+    assert {owners[n] for n in records + counts} == {"VerificationReport"}
+    handlers = [(owners[n], ast.unparse(n.type)) for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
+    # one handler turns a library error into a failure; the other two are the checks of their lemmas
+    assert sorted(handlers) == [
+        ("VerificationReport", "CascadekitError"),
+        ("verify_fresh", "CapacityError"),
+        ("verify_selector", "PreconditionError"),
+    ]
 
 
 def test_swap_replay_reads_only_the_parent_map_and_toggle_fields():
@@ -417,7 +460,7 @@ def raising_decode(code, box):
         ("support_report", always_supported, "normalize", "disagrees with the generator sweep"),
         ("support_report", unmentioned_witness, "normalize", "changes no member"),
         ("decision_invariant", lambda name, A, p, m, box: True, "decision", "the empty window's decision"),
-        ("decode_two_layer", raising_decode, "code", "coding raised DomainError"),
+        ("decode_two_layer", raising_decode, "code", "raised DomainError: no packet has this code"),
     ],
     ids=["support-always", "witness-unmentioned", "decision-always", "decode-raises"],
 )
@@ -483,10 +526,40 @@ def test_transport_counts_a_certificate_error_as_a_trial_failure(monkeypatch, ca
     report = verify.run("transport", seed=0)
     assert report.trials == 500
     assert report.failure_count() > 0
-    assert all("transport raised CertificateError" in failure for failure in report.failures)
+    assert all("raised CertificateError" in failure for failure in report.failures)
     assert cli.main(["verify", "--all", "--seed", "0"]) == cli.EXIT_VERIFY_FAILED
     out = capsys.readouterr().out
     assert sum(line.startswith("lemma=") for line in out.splitlines()) == len(REGISTRY) == 13
+
+
+def injected_defect(*args, **kwargs):
+    raise DomainError("injected library defect")
+
+
+def test_a_library_error_fails_its_own_instances_and_every_lemma_reports(monkeypatch, capsys):
+    # normalize and code call verify.normalize in each trial; no other lemma does
+    monkeypatch.setattr(verify, "normalize", injected_defect)
+    assert cli.main(["verify", "--all", "--seed", "0"]) == cli.EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    failures = dict(re.findall(r"^lemma=(\S+) .* failures=(\d+) ", out, re.M))
+    assert list(failures) == list(REGISTRY)
+    assert {lemma: int(n) for lemma, n in failures.items() if n != "0"} == {"normalize": 100, "code": 100}
+    assert out.splitlines()[-1] == "verification failed: 200 failures"
+
+
+def test_a_closure_that_raises_fails_each_closed_pair(monkeypatch):
+    monkeypatch.setattr(verify, "close_group", injected_defect)
+    report = verify_odd_fixed()
+    assert (report.trials, report.failure_count()) == (7467, 7467)
+    assert report.failures[0] == "raised DomainError: injected library defect"
+
+
+def test_a_projection_that_raises_still_counts_every_choice_map(monkeypatch):
+    # one check covers a prefix's last-index choices, so each raising group is one failure
+    monkeypatch.setattr(verify, "lift_choice", injected_defect)
+    report = verify_lift()
+    assert report.trials == 135_324
+    assert 0 < report.failure_count() < report.trials
 
 
 def test_normalize_note_counts_both_support_outcomes():
