@@ -555,11 +555,11 @@ def test_a_closure_that_raises_fails_each_closed_pair(monkeypatch):
 
 
 def test_a_projection_that_raises_still_counts_every_choice_map(monkeypatch):
-    # one check covers a prefix's last-index choices, so each raising group is one failure
+    # one check covers a family's choice maps at one arity, so each of the 120 x 3 raising checks is one failure
     monkeypatch.setattr(verify, "lift_choice", injected_defect)
     report = verify_lift()
     assert report.trials == 135_324
-    assert 0 < report.failure_count() < report.trials
+    assert report.failure_count() == 360
 
 
 def test_normalize_note_counts_both_support_outcomes():
