@@ -57,8 +57,8 @@ class ToggleSet(_Value):
         return self.cofinite != (n in self.exceptions)
 
     def __xor__(self, other: "ToggleSet") -> "ToggleSet":
-        return ToggleSet(
-            self.cofinite != other.cofinite, self.exceptions ^ other.exceptions
+        return ToggleSet._checked(
+            cofinite=self.cofinite != other.cofinite, exceptions=self.exceptions ^ other.exceptions
         )
 
     def is_empty(self) -> bool:
@@ -237,7 +237,9 @@ def compose_all(
         for key, ts in tau.row_toggles:
             held = merged.get(key)
             merged[key] = ts if held is None else held ^ ts
-    return CascadeAutomorphism(forest, [(key, ts) for key, ts in merged.items() if not ts.is_empty()])
+    # every factor's keys are checked on this forest, so the product is stored as its constructor would
+    lookup = {key: ts for key, ts in merged.items() if not ts.is_empty()}
+    return CascadeAutomorphism._checked(forest=forest, row_toggles=tuple(sorted(lookup.items())), _lookup=lookup)
 
 
 def apply(tau: CascadeAutomorphism, q: Condition) -> Condition:

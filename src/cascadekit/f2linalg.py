@@ -122,7 +122,7 @@ def star_matrix(K: Window) -> F2Matrix:
         raise DomainError("window must be nonempty")
     order = matrix_order(K)
     masks = _star_masks(order, K.forest.parents)
-    return F2Matrix(order, tuple(masks[xi] for xi in order))
+    return F2Matrix._checked(order=order, cols=tuple(masks[xi] for xi in order))
 
 
 def _xor_table(a: int, b: int, c: int, d: int, *_) -> tuple[int, ...]:

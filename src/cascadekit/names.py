@@ -14,10 +14,12 @@ and the verdict of each single-coordinate flip once some support window
 needs it.  Support, normalization and decision questions over any box that
 holds the name read that index instead of the conditions.
 
-Conditions from outside the library are checked by ``Condition``; the
-conditions this module derives from checked ones (normalized and decoded
-packets, and an assignment's restriction) are built by ``_Value._checked``,
-the one build that skips the checks, and not checked again.
+Values from outside the library are checked by their constructors; the
+values this module derives from checked ones (a normalized scheme and its
+packets, a scheme's two-layer code, decoded packets, and an assignment's
+restriction) are built by ``_Value._checked``, the one build that skips the
+checks, and not checked again.  A decoded scheme is still built by
+``PacketScheme``: its node check certifies packets read from outside naturals.
 
 A name supported by a closed window A normalizes to a packet scheme: per
 member m, the prime implicants (the Blake canonical form) of m's
@@ -159,6 +161,8 @@ class PacketScheme(_Value):
         # frozen families keep the packets fixed, so the table the scheme holds stays its own
         pairs = map(self._ordered, self._unordered(self.families))
         families = tuple((m, frozenset(self._unordered(packets))) for m, packets in pairs)
+        if not isinstance(self.support, Window):  # two_layer_code stores it as a code's support
+            raise TypeError(f"support {self.support!r} must be a Window")
         seen = set()
         nodes = self.support.nodes
         for m, packets in families:
@@ -411,15 +415,17 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     for dmask, vmask, m in index.masks:
         cubes.setdefault(m, []).append((dmask & keep, vmask & keep))
     coords = index.coords
-    # a prime's bits ascend in box order, which is the coordinates' sorted order
-    families = {
-        m: {
-            Packet(Condition._checked(entries=tuple((coords[j], (v >> j) & 1) for j in kernels.set_bits(d))))
+    # a prime's bits ascend in box order, which is the coordinates' sorted order, and lie over A
+    families = tuple(
+        (m, frozenset(
+            Packet._checked(condition=Condition._checked(
+                entries=tuple((coords[j], (v >> j) & 1) for j in kernels.set_bits(d))
+            ))
             for d, v in _prime_cubes(member_cubes)
-        }
-        for m, member_cubes in cubes.items()
-    }
-    return PacketScheme.of(A, families)
+        ))
+        for m, member_cubes in sorted(cubes.items())
+    )
+    return PacketScheme._checked(support=A, families=families)
 
 
 @dataclass(frozen=True)
@@ -486,10 +492,12 @@ def packet_of_code(k: int) -> Condition:
 
 def two_layer_code(scheme: PacketScheme, box: CoordinateBox) -> TwoLayerCode:
     """Code a scheme by its packets' codes; a packet outside the box raises :class:`DomainError`."""
-    indices = [
-        (m, [packet_code(_in_box(p.condition, box)) for p in packets]) for m, packets in scheme.families
-    ]
-    return TwoLayerCode(scheme.support, indices)
+    # the scheme's families are sorted by member, so sorting each code list stores the code canonically
+    indices = tuple(
+        (m, tuple(sorted(packet_code(_in_box(p.condition, box)) for p in packets)))
+        for m, packets in scheme.families
+    )
+    return TwoLayerCode._checked(support=scheme.support, packet_indices=indices)
 
 
 def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
@@ -500,7 +508,7 @@ def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
     :class:`DomainError`.
     """
     families = {
-        m: {Packet(_in_box(packet_of_code(k), box)) for k in ks}
+        m: {Packet._checked(condition=_in_box(packet_of_code(k), box)) for k in ks}
         for m, ks in code.packet_indices
     }
     return PacketScheme.of(code.support, families)

@@ -319,27 +319,30 @@ def verify_shield(report: VerificationReport, rng: random.Random, trials: int):
         if apply(generator(forest, beta, row, s), q) != q:
             yield "shielded toggle moved the condition"
 
-    def swept(q, beta, row, toggles):
-        for s, tau in toggles:
-            moved = apply(tau, q)
-            if moved is not q and moved != q:  # identity settles the common case cheaply
-                yield f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
+    def swept(q, groups):
+        for beta, row, toggles in groups:
+            for s, tau in toggles:
+                moved = apply(tau, q)
+                if moved is not q and moved != q:  # identity settles the common case cheaply
+                    yield f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
 
     for trial in range(trials):
         report.sample(sampled(), trial)
     # exhaustive sweep: every condition on a 2x2x2 box, every row pair, every legal toggle; one
-    # check per condition and row pair covers its legal toggles
+    # check per condition covers the legal toggles of its four row pairs
     forest = PredecessorForest.from_pred(2, {1: 0})
     coords = [Coordinate(n, r, b) for n in range(2) for r in range(2) for b in range(2)]
     legal: dict[tuple[int, int, frozenset[int]], list] = {}
     for q in _all_conditions(coords):
+        groups = []
         for beta in range(2):
             for row in range(2):
                 key = (beta, row, shield_set(q, beta, row, forest))
                 toggles = legal.get(key)
                 if toggles is None:
                     toggles = legal[key] = _legal_toggles(forest, *key)
-                report.sweep(swept(q, beta, row, toggles), len(toggles))
+                groups.append((beta, row, toggles))
+        report.sweep(swept(q, groups), sum(len(toggles) for _, _, toggles in groups))
     report.notes = (
         f"{report.enumerated} exhaustive instances on the 8-coordinate box, plus {trials} sampled trials"
     )

@@ -1,9 +1,10 @@
+import dataclasses
 import functools
+import pickle
 import subprocess
 import sys
 import time
 
-from cascadekit.cascade import Condition
 from cascadekit.forest import PredecessorForest, Window, random_forest
 from cascadekit.names import Assignment, CoordinateBox
 from cascadekit.verify import _all_closed_subsets as all_closed_subsets  # noqa: F401
@@ -44,10 +45,19 @@ def forward_substitution(K, bits):
     return chosen
 
 
-def assert_canonical(cond):
-    """A derived condition is one ``Condition(...)`` accepts unchanged: sorted and checked."""
-    assert Condition(cond.entries) == cond
-    assert list(cond.entries) == sorted(cond.entries)
+def assert_canonical(value):
+    """A derived value is one its constructor accepts unchanged: checked and stored canonically.
+
+    Its rebuild from its constructor fields equals it field by field, derived fields included,
+    and hashes the same; so does its pickle round trip.  Tuples compare by order and a set is
+    unhashable, so a field stored unsorted or as a list or set fails here.
+    """
+    rebuilt = type(value)(*(getattr(value, f.name) for f in dataclasses.fields(value) if f.init))
+    for f in dataclasses.fields(value):
+        assert getattr(rebuilt, f.name) == getattr(value, f.name), f.name
+    assert rebuilt == value and hash(rebuilt) == hash(value)
+    loaded = pickle.loads(pickle.dumps(value))
+    assert loaded == value and hash(loaded) == hash(value)
 
 
 def random_box(rng, shape):

@@ -218,31 +218,87 @@ conditions = st.dictionaries(
 ).map(Condition.from_map)
 
 
+def checked_sites(paths):
+    """Each (module, owner) that names ``_checked``: the enclosing defs, dotted, or ``<module>``.
+
+    Every node of each module is visited, so a module-level statement, a class
+    body and a nested class or function are all seen.
+    """
+    sites = set()
+
+    def visit(node, stem, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, stem, child.name if owner == "<module>" else f"{owner}.{child.name}")
+            else:
+                if isinstance(child, ast.Attribute) and child.attr == "_checked":
+                    sites.add((stem, owner))
+                visit(child, stem, owner)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return sites
+
+
 class TestDerivedConditions:
     """Derived values skip the checks through ``_Value._checked``, so each must already pass them."""
 
     def test_checked_only_at_derivation_sites(self):
-        sites = set()
-        for path in Path(cascade.__file__).parent.glob("*.py"):
-            for top in ast.parse(path.read_text()).body:
-                members = top.body if isinstance(top, ast.ClassDef) else [top]
-                for fn in members:
-                    if not isinstance(fn, ast.FunctionDef):
-                        continue
-                    name = f"{top.name}.{fn.name}" if fn is not top else fn.name
-                    for node in ast.walk(fn):
-                        if isinstance(node, ast.Attribute) and node.attr == "_checked":
-                            sites.add((path.stem, name))
-        assert sites == {
+        assert checked_sites(Path(cascade.__file__).parent.glob("*.py")) == {
+            ("cascade", "ToggleSet.__xor__"),
             ("cascade", "Condition.restrict_to_nodes"),
             ("cascade", "Condition.merge"),
+            ("cascade", "compose_all"),
             ("cascade", "apply"),
             ("cascade", "pad_common_domain"),
+            ("f2linalg", "star_matrix"),
             ("names", "Assignment.restrict_to_nodes"),
             ("names", "normalize"),
             ("names", "packet_of_code"),
+            ("names", "two_layer_code"),
+            ("names", "decode_two_layer"),
             ("orbits", "close_group"),
         }
+
+    def test_site_walk_sees_module_statements_and_nested_defs(self, tmp_path):
+        path = tmp_path / "derived.py"
+        path.write_text(
+            "EMPTY = ToggleSet._checked(cofinite=False, exceptions=frozenset())\n"
+            "class Outer:\n"
+            "    DEFAULT = Condition._checked(entries=())\n"
+            "    class Inner:\n"
+            "        def build(self):\n"
+            "            return Condition._checked(entries=())\n"
+            "def outer():\n"
+            "    def inner():\n"
+            "        return Packet._checked\n"
+            "    return inner\n"
+        )
+        assert checked_sites([path]) == {
+            ("derived", "<module>"),
+            ("derived", "Outer"),
+            ("derived", "Outer.Inner.build"),
+            ("derived", "outer.inner"),
+        }
+
+    @given(toggle_sets, toggle_sets)
+    def test_toggle_xor(self, a, b):
+        got = a ^ b
+        assert_canonical(got)
+        assert all((n in got) == ((n in a) != (n in b)) for n in range(14))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_compose_all(self, seed, n_generators):
+        rng = random.Random(seed)
+        f = random_forest(rng.randrange(1, 7), seed)
+        word = [random_generator(f, rng) for _ in range(n_generators)]
+        # a repeated factor cancels, so the product also omits the rows the word empties
+        word += word[: rng.randrange(n_generators + 1)]
+        got = compose_all(f, word)
+        assert_canonical(got)
+        for node, row, bit in itertools.product(range(f.size), range(3), range(5)):
+            parity = sum(bit in tau.toggle_at(node, row) for tau in word) % 2
+            assert (bit in got.toggle_at(node, row)) == parity
 
     @given(conditions, st.integers(0, 2**32 - 1), st.integers(0, 6))
     def test_apply(self, q, seed, n_generators):
@@ -625,14 +681,15 @@ class TestTransport:
         assert apply(pi, p2) == q2
 
     def test_one_product_of_the_generators(self, monkeypatch):
-        # a row-bit slice of three nodes: each solved generator is built once, then one product
+        # a row-bit slice of three nodes: each solved generator is checked once, then one product
         builds = record_calls(monkeypatch, CascadeAutomorphism, "__post_init__")
         generators = record_calls(monkeypatch, cascade, "generator")
+        products = record_calls(monkeypatch, cascade, "compose_all")
         f = forest_of(4, {1: 0, 2: 1, 3: 1})
         p = Condition.from_map({(1, 0, 0): 0, (2, 0, 0): 0, (3, 1, 2): 0})
         q = Condition.from_map({(1, 0, 0): 1, (2, 0, 0): 1, (3, 1, 2): 1})
         pi = transport(p, q, Window(f, frozenset()))
-        assert len(generators) >= 2 and len(builds) == len(generators) + 1
+        assert len(generators) >= 2 and len(builds) == len(generators) and len(products) == 1
         assert apply(pi, p) == q
 
     def test_random_instances(self):

@@ -14,10 +14,13 @@ import weakref
 from collections.abc import Sequence
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     all_closed_subsets,
     all_forests,
+    assert_canonical,
     forest_of,
     forward_substitution,
     parent_star,
@@ -171,6 +174,12 @@ class TestStarMatrix:
                 if not closed:
                     continue
                 assert unit_upper_triangular(star_matrix(Window(f, closed)))
+
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sets(st.integers(0, 11)))
+    def test_trusted_build_is_canonical(self, size, seed, nodes):
+        f = random_forest(size, seed)
+        K = rho_closure(f, {xi for xi in nodes if xi < size} or {0})
+        assert_canonical(star_matrix(K))
 
     def test_off_diagonal_ones_strictly_above(self):
         for seed in range(10):

@@ -41,6 +41,7 @@ from cascadekit.names import (
     support_report,
     two_layer_code,
 )
+from cascadekit.selectors import TraceProfile
 from cascadekit.verify import (
     _BOX_SHAPES,
     _cube_minterms,
@@ -990,16 +991,24 @@ class TestPrimePackets:
 
 
 class TestDerivedConditions:
-    """Conditions this module derives skip the checks, so each must already pass them."""
+    """Values this module derives skip the checks, so each must already pass them."""
 
     @given(st.integers(0, 2**32 - 1))
-    def test_normalized_packets(self, seed):
+    def test_normalized_scheme_code_and_decoded_packets(self, seed):
         rng = random.Random(seed)
         box = random_box(rng, rng.choice(_BOX_SHAPES))
         name, A = _random_supported_name(rng, box)
-        for _, packets in normalize(name, A, box).families:
-            for pkt in packets:
-                assert_canonical(pkt.condition)
+        scheme = normalize(name, A, box)
+        assert_canonical(scheme)
+        code = two_layer_code(scheme, box)
+        assert_canonical(code)
+        decoded = decode_two_layer(code, box)
+        assert decoded == scheme
+        for derived in (scheme, decoded):
+            for _, packets in derived.families:
+                for pkt in packets:
+                    assert_canonical(pkt)
+                    assert_canonical(pkt.condition)
 
     @given(st.integers(0, 2**48))
     def test_decoded_packets(self, k):
@@ -1198,6 +1207,10 @@ ROOT = rho_closure(BOX.forest, {0})
         pytest.param(lambda: Assignment(BOX, 1.5), "malformed Assignment", id="assignment-float"),
         pytest.param(lambda: PacketScheme.of(ROOT, {0: {Packet(None)}}), "packet condition None must be a Condition", id="packet-none"),
         pytest.param(lambda: PacketScheme.of(None, {}), "malformed PacketScheme", id="scheme-support-none"),
+        # a profile has the window's ``nodes``, but a scheme's code may hold only a Window
+        pytest.param(
+            lambda: PacketScheme.of(TraceProfile(ROOT, ()), {}), "support .* must be a Window", id="scheme-support-profile"
+        ),
         pytest.param(lambda: TwoLayerCode(None, ()), "must be a Window", id="code-support-none"),
         pytest.param(lambda: two_layer_code(RawName.of([]), BOX), None, id="code-of-raw-name"),
         pytest.param(lambda: decode_two_layer(None, BOX), None, id="decode-none"),
