@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import pickle
@@ -58,6 +59,28 @@ def assert_canonical(value):
     assert rebuilt == value and hash(rebuilt) == hash(value)
     loaded = pickle.loads(pickle.dumps(value))
     assert loaded == value and hash(loaded) == hash(value)
+
+
+def checked_sites(paths):
+    """Each (module, owner) that names ``_checked``: the enclosing defs, dotted, or ``<module>``.
+
+    Every node of each module is visited, so a module-level statement, a class
+    body and a nested class or function are all seen.
+    """
+    sites = set()
+
+    def visit(node, stem, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, stem, child.name if owner == "<module>" else f"{owner}.{child.name}")
+            else:
+                if isinstance(child, ast.Attribute) and child.attr == "_checked":
+                    sites.add((stem, owner))
+                visit(child, stem, owner)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return sites
 
 
 def random_box(rng, shape):

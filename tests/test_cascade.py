@@ -1,6 +1,5 @@
 """Conditions, toggle sets, cascade automorphisms, shielding, transport."""
 
-import ast
 import itertools
 import pickle
 import random
@@ -10,7 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_closed_subsets, assert_canonical, forest_of, format_condition, record_calls
+from conftest import (
+    all_closed_subsets,
+    assert_canonical,
+    checked_sites,
+    forest_of,
+    format_condition,
+    record_calls,
+)
 from cascadekit import cascade
 from cascadekit.cascade import (
     CascadeAutomorphism,
@@ -216,28 +222,6 @@ conditions = st.dictionaries(
     st.integers(0, 1),
     max_size=7,
 ).map(Condition.from_map)
-
-
-def checked_sites(paths):
-    """Each (module, owner) that names ``_checked``: the enclosing defs, dotted, or ``<module>``.
-
-    Every node of each module is visited, so a module-level statement, a class
-    body and a nested class or function are all seen.
-    """
-    sites = set()
-
-    def visit(node, stem, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, stem, child.name if owner == "<module>" else f"{owner}.{child.name}")
-            else:
-                if isinstance(child, ast.Attribute) and child.attr == "_checked":
-                    sites.add((stem, owner))
-                visit(child, stem, owner)
-
-    for path in paths:
-        visit(ast.parse(path.read_text()), path.stem, "<module>")
-    return sites
 
 
 class TestDerivedConditions:

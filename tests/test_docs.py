@@ -4,6 +4,8 @@ import inspect
 import re
 from pathlib import Path
 
+from conftest import checked_sites
+
 from cascadekit import verify
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,3 +65,11 @@ def test_readme_layout_names_exactly_the_package_modules():
     listed = [line.split()[0] for line in block.splitlines()[1:] if line.strip()]
     modules = sorted(p.name for p in (ROOT / "src" / "cascadekit").glob("*.py") if p.name != "__init__.py")
     assert sorted(listed) == modules and len(listed) == len(set(listed))
+
+
+def test_readme_escape_hatch_names_exactly_the_checked_sites():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    sentence = text.split("**One escape hatch.**", 1)[1].split("A decoded scheme", 1)[0]
+    listed = re.findall(r"`(\w+)\.([\w.]+)`", sentence.split("names them all:", 1)[1])
+    assert len(listed) == len(set(listed))
+    assert set(listed) == checked_sites((ROOT / "src" / "cascadekit").glob("*.py"))

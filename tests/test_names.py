@@ -994,7 +994,17 @@ class TestDerivedConditions:
     """Values this module derives skip the checks, so each must already pass them."""
 
     @given(st.integers(0, 2**32 - 1))
-    def test_normalized_scheme_code_and_decoded_packets(self, seed):
+    def test_normalized_packets(self, seed):
+        rng = random.Random(seed)
+        box = random_box(rng, rng.choice(_BOX_SHAPES))
+        name, A = _random_supported_name(rng, box)
+        for _, packets in normalize(name, A, box).families:
+            for pkt in packets:
+                assert_canonical(pkt)
+                assert_canonical(pkt.condition)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_normalized_scheme_its_code_and_the_decoded_packets(self, seed):
         rng = random.Random(seed)
         box = random_box(rng, rng.choice(_BOX_SHAPES))
         name, A = _random_supported_name(rng, box)
@@ -1004,11 +1014,9 @@ class TestDerivedConditions:
         assert_canonical(code)
         decoded = decode_two_layer(code, box)
         assert decoded == scheme
-        for derived in (scheme, decoded):
-            for _, packets in derived.families:
-                for pkt in packets:
-                    assert_canonical(pkt)
-                    assert_canonical(pkt.condition)
+        for _, packets in decoded.families:
+            for pkt in packets:
+                assert_canonical(pkt)
 
     @given(st.integers(0, 2**48))
     def test_decoded_packets(self, k):
