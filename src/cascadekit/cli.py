@@ -170,7 +170,8 @@ def cmd_starspan(args) -> int:
     lines = [
         "window: " + K.serialize(),
         "coefficients:" + (" " + coeff_text if coeff_text else ""),
-        "reconstruction: " + "".join(str(reconstruction.entry(x)) for x in K.ordered),
+        # bit j is the entry at K.ordered[j], printed j-th
+        "reconstruction: " + f"{reconstruction.bits:0{len(K)}b}"[::-1],
         "verified: reconstruction equals target",
     ]
     _write_out("\n".join(lines) + "\n", args.out)

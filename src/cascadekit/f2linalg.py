@@ -16,7 +16,9 @@ node plus its descendants inside the window; the basis holds these unit
 solutions in four-Russians tables (Arlazarov, Dinic, Kronrod and Faradzev,
 1970), every XOR of each group of four, so a solve costs one lookup per four
 bits.  The basis is certified once, when it is built, and by linearity its
-certificate covers every target.
+certificate covers every target.  An empty window has no basis: its build
+raises ``DomainError("window must be nonempty")``, so both solvers and
+:func:`combine_stars` raise it, as :func:`star_matrix` does.
 """
 
 from __future__ import annotations
@@ -53,18 +55,11 @@ class F2Vector(_Value):
     def from_nodes(cls, window: Window, nodes) -> "F2Vector":
         bits = 0
         for xi in nodes:
-            bits |= 1 << _position(window, xi)
+            try:
+                bits |= 1 << window.ordered.index(xi)
+            except ValueError:
+                raise DomainError(f"node {xi} not in window") from None
         return cls(window, bits)
-
-    def entry(self, xi: NodeId) -> int:
-        return (self.bits >> _position(self.window, xi)) & 1
-
-
-def _position(window: Window, xi: NodeId) -> int:
-    try:
-        return window.ordered.index(xi)
-    except ValueError:
-        raise DomainError(f"node {xi} not in window") from None
 
 
 def matrix_order(K: Window) -> tuple[int, ...]:
@@ -229,6 +224,8 @@ def _star_basis(K: Window) -> StarBasis:
     tables growing as n**2 / 2 bytes, so 3 MB for a 2,000-node window.
     """
     if K._basis is None:
+        if not K.nodes:
+            raise DomainError("window must be nonempty")
         object.__setattr__(K, "_basis", StarBasis(K, _star_masks(K.ordered, K.forest.parents)))
     return K._basis
 
@@ -241,8 +238,6 @@ def solve_star_span(K: Window, target: F2Vector) -> set[NodeId]:
     """
     if target.window is not K and target.window != K:
         raise DomainError("target indexed by a different window")
-    if not K.nodes:
-        raise DomainError("window must be nonempty")
     return set(_star_basis(K).solution(target.bits))
 
 
@@ -265,6 +260,4 @@ def solve_all_targets(K: Window) -> StarBasis:
     one :func:`solve_star_span` reads, so no entry is stored or solved
     before it is read.
     """
-    if not K.nodes:
-        raise DomainError("window must be nonempty")
     return _star_basis(K)

@@ -15,11 +15,12 @@ needs it.  Support, normalization and decision questions over any box that
 holds the name read that index instead of the conditions.
 
 Values from outside the library are checked by their constructors; the
-values this module derives from checked ones (a normalized scheme and its
-packets, a scheme's two-layer code, decoded packets, and an assignment's
+values this module derives from checked ones (a normalized scheme, a
+scheme's two-layer code, a packet's condition and an assignment's
 restriction) are built by ``_Value._checked``, the one build that skips the
-checks, and not checked again.  A decoded scheme is still built by
-``PacketScheme``: its node check certifies packets read from outside naturals.
+checks.  A packet is built by ``Packet``, whose one type check costs less.
+A decoded scheme is still built by ``PacketScheme``: its node check
+certifies packets read from outside naturals.
 
 A name supported by a closed window A normalizes to a packet scheme: per
 member m, the prime implicants (the Blake canonical form) of m's
@@ -418,7 +419,7 @@ def normalize(name, A: Window, box: CoordinateBox) -> PacketScheme:
     # a prime's bits ascend in box order, which is the coordinates' sorted order, and lie over A
     families = tuple(
         (m, frozenset(
-            Packet._checked(condition=Condition._checked(
+            Packet(Condition._checked(
                 entries=tuple((coords[j], (v >> j) & 1) for j in kernels.set_bits(d))
             ))
             for d, v in _prime_cubes(member_cubes)
@@ -508,7 +509,7 @@ def decode_two_layer(code: TwoLayerCode, box: CoordinateBox) -> PacketScheme:
     :class:`DomainError`.
     """
     families = {
-        m: {Packet._checked(condition=_in_box(packet_of_code(k), box)) for k in ks}
+        m: {Packet(_in_box(packet_of_code(k), box)) for k in ks}
         for m, ks in code.packet_indices
     }
     return PacketScheme.of(code.support, families)

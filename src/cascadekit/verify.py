@@ -95,8 +95,8 @@ MAX_RECORDED_FAILURES = 25
 DYADIC_DIM = 3
 # starspan's closed windows have at most this many nodes
 MAX_STARSPAN_WINDOW = 12
-# starspan solves every target on its windows of at most this many nodes,
-# which fill the solver's first two 4-bit lookup tables
+# starspan solves every target on its windows of at most this many nodes: they fill the solver's
+# first two 4-bit lookup tables and reach entries 0-3 of the third (its 4-15 need 11-12 nodes)
 STARSPAN_SWEEP_WINDOW = 10
 
 

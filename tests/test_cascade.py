@@ -240,7 +240,6 @@ class TestDerivedConditions:
             ("names", "normalize"),
             ("names", "packet_of_code"),
             ("names", "two_layer_code"),
-            ("names", "decode_two_layer"),
             ("orbits", "close_group"),
         }
 

@@ -83,6 +83,16 @@ class TestStarspan:
         assert code == 0
         assert "coefficients: 0\n" in out
 
+    def test_whole_window_of_a_generated_forest(self, capsys, tmp_path):
+        path = tmp_path / "forest.txt"
+        assert main(["forest", "gen", "--size", "2000", "--seed", "3", "--out", str(path)]) == 0
+        target = "1" * 2000
+        code, out, _ = run_cli(
+            capsys, "starspan", "--in", str(path), "--window", ",".join(map(str, range(2000))), "--target", target
+        )
+        assert code == 0
+        assert out.splitlines()[2] == "reconstruction: " + target
+
     def test_non_closed_window_rejected(self, capsys, forest_file):
         code, _, err = run_cli(
             capsys, "starspan", "--in", forest_file, "--window", "3", "--target", "1"

@@ -86,9 +86,9 @@ class TestStarVector:
         for f in all_forests(5):
             for closed in all_closed_subsets(f):
                 K = Window(f, closed)
-                for xi in closed:
+                for j, xi in enumerate(K.ordered):
                     star = combine_stars(K, [xi])
-                    assert star.entry(xi) == 1
+                    assert (star.bits >> j) & 1 == 1
                     assert star.bits == parent_star(K.ordered, f.parents, xi)
 
 class TestF2Vector:
@@ -466,10 +466,11 @@ EMPTY = Window(forest_of(2, {1: 0}), frozenset())
     "call, message",
     [
         pytest.param(
-            lambda: F2Vector(rho_closure(forest_of(3, {1: 0, 2: 0}), {1}), 0).entry(2),
+            lambda: F2Vector.from_nodes(rho_closure(forest_of(3, {1: 0, 2: 0}), {1}), {2}),
             "node 2 not in window",
             id="entry-off-window",
         ),
+        pytest.param(lambda: combine_stars(EMPTY, []), "window must be nonempty", id="combine-empty"),
         pytest.param(lambda: solve_star_span(EMPTY, F2Vector(EMPTY, 0)), "window must be nonempty", id="solve-empty"),
         pytest.param(lambda: solve_all_targets(EMPTY), "window must be nonempty", id="solve-all-empty"),
     ],
