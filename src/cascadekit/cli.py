@@ -196,8 +196,10 @@ def cmd_verify(args) -> int:
     elif args.lemma is None:
         raise ParseError("verify needs a lemma id or --all")
     else:
-        if "trials" not in lemma_parameters(args.lemma) and args.trials is not None:
-            raise ParseError(f"verify {args.lemma} does not accept --trials")
+        accepted = lemma_parameters(args.lemma)
+        for flag, value in kwargs.items():
+            if value is not None and flag not in accepted:
+                raise ParseError(f"verify {args.lemma} does not accept --{flag}")
         lemmas = [args.lemma]
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):  # before the sweep
         raise ParseError(f"cannot write {args.out}: not a file path in an existing directory")
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("lemma", nargs="?", default=None)
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--out", default=None)
 
     p_demo = sub.add_parser("demo", help="demonstrations of the obstruction machinery")

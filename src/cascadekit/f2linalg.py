@@ -53,11 +53,12 @@ class F2Vector(_Value):
 
     @classmethod
     def from_nodes(cls, window: Window, nodes) -> "F2Vector":
+        position = {xi: j for j, xi in enumerate(window.ordered)}
         bits = 0
         for xi in nodes:
             try:
-                bits |= 1 << window.ordered.index(xi)
-            except ValueError:
+                bits |= 1 << position[xi]
+            except (KeyError, TypeError):  # TypeError: an unhashable node, which no window holds
                 raise DomainError(f"node {xi} not in window") from None
         return cls(window, bits)
 

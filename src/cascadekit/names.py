@@ -186,16 +186,14 @@ class PacketScheme(_Value):
     def of(cls, support: Window, families: Mapping[int, Iterable[Packet]]) -> "PacketScheme":
         return cls(support, tuple(families.items()))
 
-    def to_raw_name(self) -> RawName:
-        return RawName.of(
-            (m, pkt.condition) for m, packets in self.families for pkt in packets
-        )
-
 
 def _name_pairs(name) -> tuple[tuple[int, Condition], ...]:
+    """A raw name's pairs, or a scheme's ``(m, packet.condition)`` pairs, by member then entries."""
     if isinstance(name, PacketScheme):
-        name = name.to_raw_name()
-    return tuple(sorted(name.pairs, key=lambda p: (p[0], p[1].entries)))
+        pairs = [(m, pkt.condition) for m, packets in name.families for pkt in packets]
+    else:
+        pairs = name.pairs
+    return tuple(sorted(pairs, key=lambda p: (p[0], p[1].entries)))
 
 
 def evaluate(name, g: Assignment) -> set[int]:

@@ -3,14 +3,17 @@
 Each routine replays an invariant suite and returns a report, whose
 ``trials`` counts the instances checked (enumerated by a fixed sweep plus
 sampled from the seed) and which is ``exhaustive`` when it has an
-enumerated part; the CLI maps lemma ids onto these.  A routine's keywords
-are ``seed`` and, when it samples, ``trials``; every other scale is fixed
-here.  The harness checks them and builds the report; a sampling body
+enumerated part; the CLI maps lemma ids onto these.  A routine that
+samples takes ``trials`` and ``seed``; one that only enumerates takes
+nothing, and its report holds no seed.  Every other scale is fixed here.
+The harness checks the keywords and builds the report; a sampling body
 receives it with ``random.Random(seed)`` and the trial count, and any other
 body the report alone.  A body hands each instance's check to the report,
-which counts it and records its faults and any :class:`CascadekitError` it
-raises (:class:`VerificationReport`); an error raised outside every check
-ends the run.  What each oracle recomputes, apart from the code it checks:
+which counts it, numbers a sampled one, and records its faults and any
+:class:`CascadekitError` it raises (:class:`VerificationReport`); such an
+error raised outside every check is one more failure of the lemma, and the
+instances counted before it stand.  What each oracle recomputes, apart from
+the code it checks:
 
 - starspan: unit triangularity from the star matrix's columns, and each
   node's star rebuilt from the parent map, against both its matrix column
@@ -104,18 +107,19 @@ STARSPAN_SWEEP_WINDOW = 10
 class VerificationReport:
     """One lemma's run: its counts, recorded failures and notes.
 
-    ``enumerated`` and ``sampled`` count the instances checked, by a fixed sweep and from the seed.
-    A body passes each instance's check, a generator of fault strings that
-    has not started, to :meth:`sample` or :meth:`sweep`, which run it at
-    once and record each fault it yields.  A :class:`CascadekitError` raised
-    inside a check is recorded as one more failure, ``raised <type>:
-    <message>``, and the body goes on with its next instance.  A check that
-    covers a group of instances counts as the group's size, and if it
-    raises, that is one failure.
+    ``enumerated`` and ``sampled`` count the instances checked, by a fixed sweep and from the seed;
+    ``seed`` is None for a lemma that samples nothing.  A body passes each
+    instance's check, a generator of fault strings that has not started, to
+    :meth:`sample` or :meth:`sweep`, which run it at once and record each
+    fault it yields.  A :class:`CascadekitError` raised inside a check is
+    recorded as one more failure, ``raised <type>: <message>``, and the body
+    goes on with its next instance.  A check that covers a group of
+    instances counts as the group's size, and if it raises, that is one
+    failure.
     """
 
     lemma: str
-    seed: int
+    seed: int | None
     enumerated: int = 0
     sampled: int = 0
     failures: list[str] = field(default_factory=list)
@@ -137,15 +141,27 @@ class VerificationReport:
         else:
             self._dropped += 1
 
-    def sample(self, check, trial: int) -> None:
-        """Run sampled trial ``trial``'s check, recording each fault as ``trial N: <fault>``."""
+    def sample(self, check) -> None:
+        """Run the next sampled trial's check, recording each fault as ``trial N: <fault>``.
+
+        Trials are numbered from 0 in the order the body samples them.
+        """
+        label = f"trial {self.sampled}: "
         self.sampled += 1
-        self._run(check, f"trial {trial}: ")
+        self._run(check, label)
 
     def sweep(self, check, count: int = 1) -> None:
         """Run the check of ``count`` enumerated instances, recording each fault as it is yielded."""
         self.enumerated += count
         self._run(check, "")
+
+    def run_body(self, body, *args) -> None:
+        """Run a lemma body on this report; an error it raises outside its checks is one more failure."""
+        def whole():  # the body as one check that yields no fault, so _run's handler covers it
+            body(self, *args)
+            yield from ()
+
+        self._run(whole(), "")
 
     def _run(self, check, label: str) -> None:
         try:
@@ -159,9 +175,10 @@ class VerificationReport:
 
     def summary_line(self) -> str:
         flag = "true" if self.exhaustive else "false"
+        seed = "" if self.seed is None else f" seed={self.seed}"
         return (
             f"lemma={self.lemma} trials={self.trials} exhaustive={flag} "
-            f"failures={self.failure_count()} seed={self.seed} elapsed={self.elapsed:.2f}s"
+            f"failures={self.failure_count()}{seed} elapsed={self.elapsed:.2f}s"
         )
 
 
@@ -175,8 +192,9 @@ def _lemma(lemma: str, description: str, trials: int | None = None):
     A lemma that samples names its default ``trials``: its routine takes
     ``(trials, seed=0)``, rejects a ``trials`` that is not an int or is below 1 and calls
     ``body(report, rng, trials)`` with ``rng = random.Random(seed)``.  Any other routine takes
-    ``(seed=0)`` and calls ``body(report)``.  The body counts its instances through the report's
-    checks, and either routine rejects a report that counts no instance.
+    nothing, reads no seed and calls ``body(report)``.  The body counts its instances through
+    the report's checks; a :class:`CascadekitError` that escapes them is recorded by the report
+    as one more failure.  Either routine rejects a report that holds no instance and no failure.
     """
 
     def register(body):
@@ -184,21 +202,21 @@ def _lemma(lemma: str, description: str, trials: int | None = None):
             started = time.perf_counter()
             report = VerificationReport(lemma, seed)
             if count is None:
-                body(report)
+                report.run_body(body)
             elif not isinstance(count, int):  # a bool passes, and runs and is counted as its int
                 raise DomainError(f"trials {count!r} must be an int")
             elif count < 1:  # no trial would run, and a negative count would be printed as run
                 raise DomainError(f"trials must be positive, got {count:d}")
             else:
-                body(report, random.Random(seed), int(count))
-            if report.trials < 1:  # a report that holds no instance would pass vacuously
+                report.run_body(body, random.Random(seed), int(count))
+            if report.trials < 1 and not report.failure_count():  # it would pass vacuously
                 raise DomainError(f"{lemma} checked no instance (trials={report.trials})")
             report.elapsed = time.perf_counter() - started
             return report
 
         if trials is None:
-            def routine(seed: int = 0):
-                return check(seed, None)
+            def routine():
+                return check(None, None)
         else:
             def routine(trials: int = trials, seed: int = 0):
                 return check(seed, trials)
@@ -279,8 +297,8 @@ def verify_starspan(report: VerificationReport, rng: random.Random, trials: int)
                     yield f"solve failed for target {bits:b}"
                     return
 
-    for trial in range(trials):
-        report.sample(check(), trial)
+    for _ in range(trials):
+        report.sample(check())
     report.notes = f"all targets swept on windows up to {STARSPAN_SWEEP_WINDOW} nodes"
 
 
@@ -326,8 +344,8 @@ def verify_shield(report: VerificationReport, rng: random.Random, trials: int):
                 if moved is not q and moved != q:  # identity settles the common case cheaply
                     yield f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
 
-    for trial in range(trials):
-        report.sample(sampled(), trial)
+    for _ in range(trials):
+        report.sample(sampled())
     # exhaustive sweep: every condition on a 2x2x2 box, every row pair, every legal toggle; one
     # check per condition covers the legal toggles of its four row pairs
     forest = PredecessorForest.from_pred(2, {1: 0})
@@ -429,8 +447,8 @@ def verify_abelian(report: VerificationReport, rng: random.Random, trials: int):
             if not fixes_rows_over(compose(t1, t2), A):
                 yield "fixing subgroup not closed under composition"
 
-    for trial in range(trials):
-        report.sample(check(), trial)
+    for _ in range(trials):
+        report.sample(check())
 
 
 @_lemma("transport", "transport carries p to q fixing the window", trials=500)
@@ -450,8 +468,8 @@ def verify_transport(report: VerificationReport, rng: random.Random, trials: int
         if not fixes_rows_over(pi, A):
             yield "transport toggles rows over the window"
 
-    for trial in range(trials):
-        report.sample(check(), trial)
+    for _ in range(trials):
+        report.sample(check())
 
 
 _BOX_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 1, 4), (2, 1, 7), (4, 1, 3), (2, 3, 2))
@@ -549,8 +567,8 @@ def verify_decision(report: VerificationReport, rng: random.Random, trials: int)
             if decision_invariant(name, empty, p, m, box) != (overall[m] == verdict):
                 yield f"the empty window's decision on m={m} disagrees with the table"
 
-    for trial in range(trials):
-        report.sample(check(), trial)
+    for _ in range(trials):
+        report.sample(check())
     report.notes = (
         f"probes: {pair_probes} pair conditions, {total_probes} total-assignment conditions, "
         f"{kept} of {drawn} random conditions kept as deciding"
@@ -666,8 +684,8 @@ def verify_normalize(report: VerificationReport, rng: random.Random, trials: int
         if fault:
             yield fault
 
-    for trial in range(trials):
-        report.sample(check(), trial)
+    for _ in range(trials):
+        report.sample(check())
     report.notes = (
         "evaluation equality checked on every assignment of each box; each family's minterms "
         "equal the whole-box projection, its packets are prime and it is closed under consensus; "
@@ -694,7 +712,7 @@ def verify_code(report: VerificationReport, rng: random.Random, trials: int):
             yield "decoding over a grown box changed the families"
 
     for trial in range(trials):
-        report.sample(check(trial), trial)
+        report.sample(check(trial))
     report.notes = (
         "evaluation equality checked on every assignment of each box; each code also decoded "
         "over its box grown by 0-2 nodes, 0-1 rows and 0-1 bits, to the same families"
@@ -862,8 +880,8 @@ def verify_selector(report: VerificationReport, rng: random.Random, trials: int)
     subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(range(3), r)]
     for triple in itertools.combinations(subsets, 3):
         report.sweep(enumerated(W, triple))
-    for trial in range(trials):
-        report.sample(sampled(), trial)
+    for _ in range(trials):
+        report.sample(sampled())
     report.notes = f"{report.enumerated} enumerated triples in every order, plus {trials} sampled triples"
 
 
@@ -967,8 +985,8 @@ def verify_swap(report: VerificationReport, rng: random.Random, trials: int):
         report.sweep(witnessed(q, A, 0, box))
     conditions = report.enumerated
     # sampled conditions on boxes of up to 12 coordinates
-    for trial in range(trials):
-        report.sample(sampled(), trial)
+    for _ in range(trials):
+        report.sample(sampled())
     # both-toggled case: a generator at the shared predecessor fixes the pattern
     for bits_count in (2, 3):
         for exceptions in ({0}, set(), {1}):

@@ -109,13 +109,14 @@ class TestStarspan:
 
 class TestVerify:
     def test_single_lemma_summary_line(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "fresh", "--seed", "3"
-        )
+        code, out, _ = run_cli(capsys, "verify", "selector", "--trials", "5", "--seed", "3")
         assert code == 0
-        assert "lemma=fresh" in out
-        assert "failures=0" in out
-        assert "seed=3" in out
+        assert "lemma=selector trials=61 exhaustive=true failures=0 seed=3 elapsed=" in out
+        # an exhaustive lemma reads no seed, so its line states none
+        code, out, _ = run_cli(capsys, "verify", "fresh")
+        assert code == 0
+        assert "lemma=fresh trials=2261 exhaustive=true failures=0 elapsed=" in out
+        assert "seed=" not in out
 
     def test_starspan_scaled_down(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "starspan", "--trials", "20")
@@ -150,7 +151,14 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "argv, flag",
-        [(("fresh", "--trials", "5"), "--trials"), (("dyadic", "--trials", "5"), "--trials")],
+        [
+            (("fresh", "--trials", "5"), "--trials"),
+            (("dyadic", "--trials", "5"), "--trials"),
+            (("fresh", "--seed", "5"), "--seed"),
+            (("odd-fixed", "--seed", "5"), "--seed"),
+            (("dyadic", "--seed", "5"), "--seed"),
+            (("lift", "--seed", "0"), "--seed"),
+        ],
     )
     def test_inapplicable_flag_usage_error(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "verify", *argv)

@@ -112,6 +112,21 @@ class TestF2Vector:
         with pytest.raises(DomainError):
             dataclasses.replace(v, bits=16)
 
+    def test_from_nodes_reads_each_position_from_one_map(self):
+        # one scan of the window's order per node would make a vector of n nodes cost O(n^2)
+        K = Window.whole(random_forest(2000, 5))
+
+        class Unscannable(tuple):
+            def index(self, *args):
+                raise AssertionError("from_nodes scanned the window's order")
+
+        object.__setattr__(K, "ordered", Unscannable(K.ordered))
+        nodes = range(0, 2000, 3)
+        # the whole window's order is ascending, so node xi sits at position xi
+        assert F2Vector.from_nodes(K, nodes).bits == sum(1 << xi for xi in nodes)
+        with pytest.raises(DomainError, match="node 2000 not in window"):
+            F2Vector.from_nodes(K, [1, 2000])
+
     def test_pickle_round_trip(self):
         v = F2Vector(self.K, 9)
         restored = pickle.loads(pickle.dumps(v))

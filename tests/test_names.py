@@ -194,8 +194,7 @@ class TestCheckSupport:
         f = box.forest
         A = rho_closure(f, {0, 1})
         pkt = Packet(Condition.from_map({(1, 0, 1): 1, (0, 0, 0): 0}))
-        scheme = PacketScheme.of(A, {0: {pkt}})
-        name = scheme.to_raw_name()
+        name = RawName.of([(0, pkt.condition)])
         assert naive_supported(name, A, box)
         assert support_report(name, A, box).supported
 
@@ -238,7 +237,7 @@ class TestCheckSupport:
         box = CoordinateBox(Window.whole(f), rows, bits)  # 17, 18 and 22 coordinates
         A = rho_closure(f, {0})
         pkt = Packet(Condition.from_map({(0, rows - 1, bits - 1): 1}))
-        name = PacketScheme.of(A, {0: {pkt}}).to_raw_name()
+        name = RawName.of([(0, pkt.condition)])
         report = support_report(name, A, box)
         assert report.supported and report.exhaustive
         assert report.assignments_checked == 2**box.n_coords
@@ -294,7 +293,7 @@ class TestDecisionInvariant:
         f = box.forest
         A = rho_closure(f, {0, 1})
         pkt = Packet(Condition.from_map({(1, 0, 0): 1}))
-        name = PacketScheme.of(A, {2: {pkt}}).to_raw_name()
+        name = RawName.of([(2, pkt.condition)])
         p = Condition.from_map({(1, 0, 0): 1, (0, 0, 1): 0})
         assert decision_invariant(name, A, p, 2, box)
 
@@ -329,7 +328,7 @@ class TestDecisionInvariant:
         f = box.forest
         A = rho_closure(f, {0})
         pkt = Packet(Condition.from_map({(0, 0, 0): 1}))
-        name = PacketScheme.of(A, {0: {pkt}}).to_raw_name()
+        name = RawName.of([(0, pkt.condition)])
         with pytest.raises(PreconditionError):
             decision_invariant(name, A, Condition.empty(), 0, box)
 
@@ -377,8 +376,7 @@ class TestNormalize:
             Packet(Condition.from_map({(2, 0, 0): 1})),
             Packet(Condition.from_map({(0, 0, 1): 0, (2, 0, 1): 1})),
         }
-        scheme = PacketScheme.of(A, {0: pkts, 1: set()})
-        name = scheme.to_raw_name()
+        name = RawName.of((0, pkt.condition) for pkt in pkts)
         normalized = normalize(name, A, box)
         for g in all_assignments(box):
             assert evaluate(normalized, g) == evaluate(name, g)
@@ -474,7 +472,7 @@ class TestNormalize:
         f = box.forest
         A = rho_closure(f, {0, 1})
         pkt = Packet(Condition.from_map({(1, 0, 1): 1}))
-        name = PacketScheme.of(A, {0: {pkt}}).to_raw_name()
+        name = RawName.of([(0, pkt.condition)])
         tau = generator(f, 2, 0, ToggleSet.finite({0, 1}))
         for g in all_assignments(box):
             assert evaluate(name, apply_to_assignment(tau, g)) == evaluate(name, g)

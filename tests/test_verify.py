@@ -113,14 +113,18 @@ def test_registry_holds_each_routine_under_its_id_in_sweep_order():
 @pytest.mark.parametrize("seed", [0, 300])
 def test_counts_labels_and_notes_agree(seed):
     for lemma, (routine, _) in REGISTRY.items():
-        report = routine(seed=seed)
+        samples = lemma in SAMPLING_TRIALS
+        report = routine(seed=seed) if samples else routine()
         assert report.failure_count() == 0, lemma
         assert (report.enumerated, report.sampled) == DEFAULT_COUNTS[lemma]
         assert report.trials == report.enumerated + report.sampled
         assert report.exhaustive == (report.enumerated > 0)
         flag = "true" if report.exhaustive else "false"
+        # the line states a seed only where one was applied
+        applied = f"seed={seed} " if samples else ""
+        assert report.seed == (seed if samples else None)
         assert report.summary_line().startswith(
-            f"lemma={lemma} trials={report.trials} exhaustive={flag} failures=0 seed={seed} "
+            f"lemma={lemma} trials={report.trials} exhaustive={flag} failures=0 {applied}elapsed="
         )
         if lemma in NOTE_COUNTS:
             pattern, enumerated, sampled = NOTE_COUNTS[lemma]
@@ -178,8 +182,8 @@ def test_lemma_takes_only_the_seed_and_cli_flags(lemma):
 
 
 def test_lemma_parameters_are_seed_and_trials_alone():
-    # every lemma takes seed, and the nine that sample take trials too
-    assert sum(len(lemma_parameters(lemma)) for lemma in REGISTRY) == 22
+    # the nine lemmas that sample take trials and seed; the four that only enumerate take nothing
+    assert sum(len(lemma_parameters(lemma)) for lemma in REGISTRY) == 18
     assert set(REGISTRY) - set(SAMPLING_TRIALS) == {"fresh", "odd-fixed", "dyadic", "lift"}
 
 
@@ -241,6 +245,15 @@ def test_report_that_counts_no_instance_raises(monkeypatch):
     with pytest.raises(DomainError, match="empty checked no instance"):
         verify_empty()
 
+    @verify._lemma("broken", "raises before its first check")
+    def verify_broken(report):
+        raise DomainError("injected library defect")
+
+    # a failure makes the report no vacuous pass, so the harness returns it
+    report = verify_broken()
+    assert (report.trials, report.failures) == (0, ["raised DomainError: injected library defect"])
+    assert report.summary_line().startswith("lemma=broken trials=0 exhaustive=false failures=1 elapsed=")
+
 
 def test_sampling_body_receives_the_seeds_generator_and_counts_its_trials(monkeypatch):
     monkeypatch.setattr(verify, "REGISTRY", {})
@@ -249,8 +262,8 @@ def test_sampling_body_receives_the_seeds_generator_and_counts_its_trials(monkey
     @verify._lemma("draw", "draws once, and checks all but one trial", trials=3)
     def verify_draw(report, rng, trials):
         received.append((rng.random(), trials))
-        for trial in range(trials - 1):
-            report.sample(iter(()), trial)
+        for _ in range(trials - 1):
+            report.sample(iter(()))
 
     report = verify_draw(seed=5)
     assert received == [(random.Random(5).random(), 3)]
@@ -272,18 +285,19 @@ def test_report_counts_labels_and_records_each_checks_faults():
         if error:
             raise error
 
-    report.sample(faults("a", "b"), 4)
+    report.sample(faults("a", "b"))
     report.sweep(faults(), 3)
     report.sweep(faults("c", error=DomainError("broken")), 2)
-    report.sample(faults(error=CapacityError("full")), 5)
+    report.sample(faults(error=CapacityError("full")))
     assert (report.enumerated, report.sampled) == (5, 2)
-    # a raise after a fault is one more failure of the same check, and the next check still runs
+    # sampled trials are numbered from 0 by the report; a raise after a fault is one more
+    # failure of the same check, and the next check still runs
     assert report.failures == [
-        "trial 4: a", "trial 4: b", "c", "raised DomainError: broken", "trial 5: raised CapacityError: full"
+        "trial 0: a", "trial 0: b", "c", "raised DomainError: broken", "trial 1: raised CapacityError: full"
     ]
 
 
-# the nine sampling lemmas' default trial counts; the other four take the seed alone
+# the nine sampling lemmas' default trial counts; the other four take no keyword
 SAMPLING_TRIALS = {
     "starspan": 200,
     "shield": 1000,
@@ -300,7 +314,8 @@ SAMPLING_TRIALS = {
 @pytest.mark.parametrize("lemma", list(REGISTRY))
 def test_routine_signature_is_trials_and_seed_or_seed_alone(lemma):
     routine, _ = REGISTRY[lemma]
-    expected = {"trials": SAMPLING_TRIALS[lemma], "seed": 0} if lemma in SAMPLING_TRIALS else {"seed": 0}
+    # a lemma that only enumerates reads no seed, so its routine takes no keyword at all
+    expected = {"trials": SAMPLING_TRIALS[lemma], "seed": 0} if lemma in SAMPLING_TRIALS else {}
     params = inspect.signature(routine).parameters
     assert {name: p.default for name, p in params.items()} == expected
     assert list(params) == list(expected)
@@ -545,6 +560,22 @@ def test_a_library_error_fails_its_own_instances_and_every_lemma_reports(monkeyp
     assert list(failures) == list(REGISTRY)
     assert {lemma: int(n) for lemma, n in failures.items() if n != "0"} == {"normalize": 100, "code": 100}
     assert out.splitlines()[-1] == "verification failed: 200 failures"
+
+
+def test_an_error_outside_every_check_is_one_failure_of_its_lemma(monkeypatch, capsys):
+    # shield's sampled trials call shield_set inside their checks, and its exhaustive sweep
+    # calls it in the body to group the toggles: the body's raise is one more failure
+    monkeypatch.setattr(verify, "shield_set", injected_defect)
+    assert cli.main(["verify", "--all", "--seed", "0"]) == cli.EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    failures = dict(re.findall(r"^lemma=(\S+) .* failures=(\d+) ", out, re.M))
+    assert list(failures) == list(REGISTRY)
+    assert {lemma: int(n) for lemma, n in failures.items() if n != "0"} == {"shield": 1001}
+    assert "lemma=shield trials=1000 exhaustive=false failures=1001 seed=0 " in out
+    report = verify_shield(trials=2)
+    assert report.failures[-1] == "raised DomainError: injected library defect"
+    # the two sampled trials stand, each failed inside its own check
+    assert (report.sampled, report.enumerated, report.failure_count()) == (2, 0, 3)
 
 
 def test_a_closure_that_raises_fails_each_closed_pair(monkeypatch):
