@@ -196,10 +196,6 @@ def cmd_verify(args) -> int:
     elif args.lemma is None:
         raise ParseError("verify needs a lemma id or --all")
     else:
-        accepted = lemma_parameters(args.lemma)
-        for flag, value in kwargs.items():
-            if value is not None and flag not in accepted:
-                raise ParseError(f"verify {args.lemma} does not accept --{flag}")
         lemmas = [args.lemma]
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):  # before the sweep
         raise ParseError(f"cannot write {args.out}: not a file path in an existing directory")
@@ -207,7 +203,9 @@ def cmd_verify(args) -> int:
     out_lines = []
     # each report prints as its lemma returns, so a lemma that raises keeps the earlier reports
     for lemma in lemmas:
-        report = run(lemma, **kwargs)
+        # --all passes each lemma only the flags it takes; run refuses the others a named lemma is given
+        flags = {k: v for k, v in kwargs.items() if k in lemma_parameters(lemma)} if args.all else kwargs
+        report = run(lemma, **flags)
         _print_report(report, REGISTRY[lemma][1])
         out_lines.append(report.summary_line())
         failures += report.failure_count()

@@ -3,17 +3,18 @@
 Each routine replays an invariant suite and returns a report, whose
 ``trials`` counts the instances checked (enumerated by a fixed sweep plus
 sampled from the seed) and which is ``exhaustive`` when it has an
-enumerated part; the CLI maps lemma ids onto these.  A routine that
-samples takes ``trials`` and ``seed``; one that only enumerates takes
-nothing, and its report holds no seed.  Every other scale is fixed here.
-The harness checks the keywords and builds the report; a sampling body
-receives it with ``random.Random(seed)`` and the trial count, and any other
-body the report alone.  A body hands each instance's check to the report,
-which counts it, numbers a sampled one, and records its faults and any
-:class:`CascadekitError` it raises (:class:`VerificationReport`); such an
-error raised outside every check is one more failure of the lemma, and the
-instances counted before it stand.  What each oracle recomputes, apart from
-the code it checks:
+enumerated part; :func:`run` maps lemma ids onto these and refuses a flag
+the routine does not take.  A routine that samples takes ``trials`` and
+``seed``; one that only enumerates takes nothing, and its report holds no
+seed.  Every other scale is fixed here.  The harness checks the keywords
+and builds the report, which holds the trial count; a sampling body gets
+it with ``random.Random(seed)``, any other body alone.  A body hands the
+report each enumerated instance's check and one factory of its sampled
+checks, run once per trial; the report counts and numbers them and records
+their faults and any :class:`CascadekitError` they raise; such an error
+raised outside every check is one more failure of the lemma, and the
+instances counted before it stand.  What each oracle recomputes, apart
+from the code it checks:
 
 - starspan: unit triangularity from the star matrix's columns, and each
   node's star rebuilt from the parent map, against both its matrix column
@@ -108,14 +109,13 @@ class VerificationReport:
     """One lemma's run: its counts, recorded failures and notes.
 
     ``enumerated`` and ``sampled`` count the instances checked, by a fixed sweep and from the seed;
-    ``seed`` is None for a lemma that samples nothing.  A body passes each
-    instance's check, a generator of fault strings that has not started, to
-    :meth:`sample` or :meth:`sweep`, which run it at once and record each
-    fault it yields.  A :class:`CascadekitError` raised inside a check is
-    recorded as one more failure, ``raised <type>: <message>``, and the body
-    goes on with its next instance.  A check that covers a group of
-    instances counts as the group's size, and if it raises, that is one
-    failure.
+    ``seed`` is None for a lemma that samples nothing.  A check is a generator of fault strings
+    that has not started: a body passes each enumerated instance's check to :meth:`sweep`, and
+    one factory of its sampled checks to :meth:`sample`; each check runs at once and each fault
+    it yields is recorded.  A :class:`CascadekitError` raised inside a check is recorded as one
+    more failure, ``raised <type>: <message>``, and the body goes on with its next instance.
+    A check that covers a group of instances counts as the group's size, and if it raises,
+    that is one failure.
     """
 
     lemma: str
@@ -126,6 +126,7 @@ class VerificationReport:
     elapsed: float = 0.0
     notes: str = ""
     _dropped: int = field(default=0, repr=False)
+    _to_sample: int = field(default=0, repr=False)  # the routine's trial count, set by its harness
 
     @property
     def trials(self) -> int:
@@ -142,13 +143,14 @@ class VerificationReport:
             self._dropped += 1
 
     def sample(self, check) -> None:
-        """Run the next sampled trial's check, recording each fault as ``trial N: <fault>``.
+        """Run ``check()`` once per trial of the routine, recording each fault as ``trial N: <fault>``.
 
-        Trials are numbered from 0 in the order the body samples them.
+        Trials are numbered from 0; ``sampled`` counts trial N before its check runs.
         """
-        label = f"trial {self.sampled}: "
-        self.sampled += 1
-        self._run(check, label)
+        for _ in range(self._to_sample):
+            label = f"trial {self.sampled}: "
+            self.sampled += 1
+            self._run(check(), label)
 
     def sweep(self, check, count: int = 1) -> None:
         """Run the check of ``count`` enumerated instances, recording each fault as it is yielded."""
@@ -190,11 +192,12 @@ def _lemma(lemma: str, description: str, trials: int | None = None):
     """Register the decorated body, which fills the report passed first, as ``lemma``'s routine.
 
     A lemma that samples names its default ``trials``: its routine takes
-    ``(trials, seed=0)``, rejects a ``trials`` that is not an int or is below 1 and calls
-    ``body(report, rng, trials)`` with ``rng = random.Random(seed)``.  Any other routine takes
-    nothing, reads no seed and calls ``body(report)``.  The body counts its instances through
-    the report's checks; a :class:`CascadekitError` that escapes them is recorded by the report
-    as one more failure.  Either routine rejects a report that holds no instance and no failure.
+    ``(trials, seed=0)``, rejects a ``trials`` that is not an int or is below 1, stores it in the
+    report for :meth:`VerificationReport.sample` and calls ``body(report, rng)`` with ``rng =
+    random.Random(seed)``.  Any other routine takes nothing, reads no seed and calls ``body(report)``.
+    The body counts its instances through the report's checks; a :class:`CascadekitError` that escapes
+    them is recorded by the report as one more failure.  Either routine rejects a report that holds
+    neither an instance nor a failure.
     """
 
     def register(body):
@@ -208,7 +211,8 @@ def _lemma(lemma: str, description: str, trials: int | None = None):
             elif count < 1:  # no trial would run, and a negative count would be printed as run
                 raise DomainError(f"trials must be positive, got {count:d}")
             else:
-                report.run_body(body, random.Random(seed), int(count))
+                report._to_sample = int(count)
+                report.run_body(body, random.Random(seed))
             if report.trials < 1 and not report.failure_count():  # it would pass vacuously
                 raise DomainError(f"{lemma} checked no instance (trials={report.trials})")
             report.elapsed = time.perf_counter() - started
@@ -263,7 +267,7 @@ def _parent_star(order, parents, xi: int) -> int:
 
 
 @_lemma("starspan", "star basis spans every window target", trials=200)
-def verify_starspan(report: VerificationReport, rng: random.Random, trials: int):
+def verify_starspan(report: VerificationReport, rng: random.Random):
     """Star matrices are unit triangular and hold the forest's stars; the solver hits every target.
 
     Each trial draws a closed window of up to ``MAX_STARSPAN_WINDOW`` nodes
@@ -297,8 +301,7 @@ def verify_starspan(report: VerificationReport, rng: random.Random, trials: int)
                     yield f"solve failed for target {bits:b}"
                     return
 
-    for _ in range(trials):
-        report.sample(check())
+    report.sample(check)
     report.notes = f"all targets swept on windows up to {STARSPAN_SWEEP_WINDOW} nodes"
 
 
@@ -319,7 +322,7 @@ def _legal_toggles(forest: PredecessorForest, beta: int, row: int, shield: froze
 
 
 @_lemma("shield", "toggles off the shield fix conditions", trials=1000)
-def verify_shield(report: VerificationReport, rng: random.Random, trials: int):
+def verify_shield(report: VerificationReport, rng: random.Random):
     """Toggles avoiding the shield fix the condition; random plus a full tiny sweep."""
     def sampled():
         forest = random_forest(rng.randint(2, 9), rng.getrandbits(32))
@@ -344,8 +347,7 @@ def verify_shield(report: VerificationReport, rng: random.Random, trials: int):
                 if moved is not q and moved != q:  # identity settles the common case cheaply
                     yield f"exhaustive: toggle {s.serialize()} moved {q.entries} at ({beta},{row})"
 
-    for _ in range(trials):
-        report.sample(sampled())
+    report.sample(sampled)
     # exhaustive sweep: every condition on a 2x2x2 box, every row pair, every legal toggle; one
     # check per condition covers the legal toggles of its four row pairs
     forest = PredecessorForest.from_pred(2, {1: 0})
@@ -362,7 +364,7 @@ def verify_shield(report: VerificationReport, rng: random.Random, trials: int):
                 groups.append((beta, row, toggles))
         report.sweep(swept(q, groups), sum(len(toggles) for _, _, toggles in groups))
     report.notes = (
-        f"{report.enumerated} exhaustive instances on the 8-coordinate box, plus {trials} sampled trials"
+        f"{report.enumerated} exhaustive instances on the 8-coordinate box, plus {report.sampled} sampled trials"
     )
 
 
@@ -428,7 +430,7 @@ def _random_condition(forest, rng, max_len=6, rows=3, bits=5) -> Condition:
 
 
 @_lemma("abelian", "the cascade group is abelian of exponent 2", trials=300)
-def verify_abelian(report: VerificationReport, rng: random.Random, trials: int):
+def verify_abelian(report: VerificationReport, rng: random.Random):
     """Generators commute, every element squares to the identity, fixing is closed."""
     def check():
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
@@ -447,12 +449,11 @@ def verify_abelian(report: VerificationReport, rng: random.Random, trials: int):
             if not fixes_rows_over(compose(t1, t2), A):
                 yield "fixing subgroup not closed under composition"
 
-    for _ in range(trials):
-        report.sample(check())
+    report.sample(check)
 
 
 @_lemma("transport", "transport carries p to q fixing the window", trials=500)
-def verify_transport(report: VerificationReport, rng: random.Random, trials: int):
+def verify_transport(report: VerificationReport, rng: random.Random):
     """Transport maps padded p to padded q and fixes all rows over the window."""
     def check():
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
@@ -468,8 +469,7 @@ def verify_transport(report: VerificationReport, rng: random.Random, trials: int
         if not fixes_rows_over(pi, A):
             yield "transport toggles rows over the window"
 
-    for _ in range(trials):
-        report.sample(check())
+    report.sample(check)
 
 
 _BOX_SHAPES = ((2, 2, 2), (3, 2, 2), (3, 1, 4), (2, 1, 7), (4, 1, 3), (2, 3, 2))
@@ -525,7 +525,7 @@ def _member_table(box: CoordinateBox, name):
 
 
 @_lemma("decision", "restrictions of deciding conditions decide alike", trials=100)
-def verify_decision(report: VerificationReport, rng: random.Random, trials: int):
+def verify_decision(report: VerificationReport, rng: random.Random):
     """Deciding conditions restricted to the support keep deciding the same way."""
     pair_probes = total_probes = drawn = kept = 0
 
@@ -567,8 +567,7 @@ def verify_decision(report: VerificationReport, rng: random.Random, trials: int)
             if decision_invariant(name, empty, p, m, box) != (overall[m] == verdict):
                 yield f"the empty window's decision on m={m} disagrees with the table"
 
-    for _ in range(trials):
-        report.sample(check())
+    report.sample(check)
     report.notes = (
         f"probes: {pair_probes} pair conditions, {total_probes} total-assignment conditions, "
         f"{kept} of {drawn} random conditions kept as deciding"
@@ -658,7 +657,7 @@ def _witness_flips(witness, table, A: Window, box: CoordinateBox) -> bool:
 
 
 @_lemma("normalize", "packet schemes evaluate like their names", trials=100)
-def verify_normalize(report: VerificationReport, rng: random.Random, trials: int):
+def verify_normalize(report: VerificationReport, rng: random.Random):
     """Normalized schemes evaluate exactly like the original name everywhere."""
     outcomes = [0, 0]  # unsupported, supported
 
@@ -684,8 +683,7 @@ def verify_normalize(report: VerificationReport, rng: random.Random, trials: int
         if fault:
             yield fault
 
-    for _ in range(trials):
-        report.sample(check())
+    report.sample(check)
     report.notes = (
         "evaluation equality checked on every assignment of each box; each family's minterms "
         "equal the whole-box projection, its packets are prime and it is closed under consensus; "
@@ -695,14 +693,14 @@ def verify_normalize(report: VerificationReport, rng: random.Random, trials: int
 
 
 @_lemma("code", "two-layer codes round-trip semantics", trials=100)
-def verify_code(report: VerificationReport, rng: random.Random, trials: int):
+def verify_code(report: VerificationReport, rng: random.Random):
     """Two-layer encode/decode preserves evaluation on every assignment."""
-    def check(trial):
+    def check():
         box = _random_box(rng)
         name, A = _random_supported_name(rng, box)
         scheme = normalize(name, A, box)
-        # a generator of its own, so the grown box leaves every other draw alone
-        grown = _grown_box(random.Random(f"code/{report.seed}/{trial}"), box)
+        # its own generator, keyed on the number the report just gave this trial, leaves every other draw alone
+        grown = _grown_box(random.Random(f"code/{report.seed}/{report.sampled - 1}"), box)
         code = two_layer_code(scheme, box)
         decoded = decode_two_layer(code, box)
         regrown = decode_two_layer(code, grown)
@@ -711,8 +709,7 @@ def verify_code(report: VerificationReport, rng: random.Random, trials: int):
         if regrown.families != decoded.families:
             yield "decoding over a grown box changed the families"
 
-    for trial in range(trials):
-        report.sample(check(trial))
+    report.sample(check)
     report.notes = (
         "evaluation equality checked on every assignment of each box; each code also decoded "
         "over its box grown by 0-2 nodes, 0-1 rows and 0-1 bits, to the same families"
@@ -847,7 +844,7 @@ def verify_dyadic(report: VerificationReport):
 
 
 @_lemma("selector", "trace-separated triples select canonically", trials=200)
-def verify_selector(report: VerificationReport, rng: random.Random, trials: int):
+def verify_selector(report: VerificationReport, rng: random.Random):
     """Canonical selection is permutation invariant; duplicates are rejected."""
     def enumerated(W, triple):
         profiles = [TraceProfile(W, s) for s in triple]
@@ -880,9 +877,8 @@ def verify_selector(report: VerificationReport, rng: random.Random, trials: int)
     subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(range(3), r)]
     for triple in itertools.combinations(subsets, 3):
         report.sweep(enumerated(W, triple))
-    for _ in range(trials):
-        report.sample(sampled())
-    report.notes = f"{report.enumerated} enumerated triples in every order, plus {trials} sampled triples"
+    report.sample(sampled)
+    report.notes = f"{report.enumerated} enumerated triples in every order, plus {report.sampled} sampled triples"
 
 
 @_lemma("lift", "product choices project to choices")
@@ -953,7 +949,7 @@ def _witness_faults(w: SwapWitness, q: Condition, A: Window, box: CoordinateBox)
 
 
 @_lemma("swap", "swap witnesses certify the complement flip", trials=60)
-def verify_swap(report: VerificationReport, rng: random.Random, trials: int):
+def verify_swap(report: VerificationReport, rng: random.Random):
     """Swap witnesses certify, and a replay of each witness's generator from the parent map agrees."""
     def witnessed(q, A, row, box):
         w = swap_witness(q, A, row, box)
@@ -985,15 +981,14 @@ def verify_swap(report: VerificationReport, rng: random.Random, trials: int):
         report.sweep(witnessed(q, A, 0, box))
     conditions = report.enumerated
     # sampled conditions on boxes of up to 12 coordinates
-    for _ in range(trials):
-        report.sample(sampled())
+    report.sample(sampled)
     # both-toggled case: a generator at the shared predecessor fixes the pattern
     for bits_count in (2, 3):
         for exceptions in ({0}, set(), {1}):
             report.sweep(both_toggled(bits_count, exceptions))
     report.notes = (
         f"{conditions} enumerated conditions and {report.enumerated - conditions} both-toggled generators, "
-        f"plus {trials} sampled conditions; each witness's three certificates replayed from the parent map"
+        f"plus {report.sampled} sampled conditions; each witness's three certificates replayed from the parent map"
     )
 
 
@@ -1004,12 +999,17 @@ def lemma_parameters(lemma: str) -> set[str]:
     return set(inspect.signature(REGISTRY[lemma][0]).parameters)
 
 
-def run(lemma: str, **kwargs) -> VerificationReport:
-    """Run one lemma, passing only the non-``None`` keywords it accepts.
+def run(lemma: str, **flags) -> VerificationReport:
+    """Run one lemma with its flags, of which a ``None`` one counts as unset.
 
-    A ``trials`` that is not an int or is below 1 raises
-    :class:`DomainError` from the lemma's harness before any instance runs.
+    Any other flag the lemma's routine does not take raises
+    ``DomainError("verify <lemma> does not accept --<flag>")``, and a ``trials``
+    that is not an int or is below 1 raises :class:`DomainError` from the
+    lemma's harness, both before any instance runs.
     """
     accepted = lemma_parameters(lemma)
-    fn, _ = REGISTRY[lemma]
-    return fn(**{k: v for k, v in kwargs.items() if k in accepted and v is not None})
+    flags = {flag: value for flag, value in flags.items() if value is not None}
+    for flag in flags:
+        if flag not in accepted:
+            raise DomainError(f"verify {lemma} does not accept --{flag}")
+    return REGISTRY[lemma][0](**flags)

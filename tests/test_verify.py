@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import inspect
 import itertools
 import random
@@ -227,6 +228,24 @@ def test_run_rejects_trials_that_are_not_ints(trials):
         verify.run("abelian", trials=trials)
 
 
+@pytest.mark.parametrize("lemma, flag", [("abelian", "trails"), ("dyadic", "seed")])
+def test_run_refuses_a_flag_its_lemma_does_not_take(monkeypatch, lemma, flag):
+    # a misspelt flag and one the lemma does not read are refused alike, before the routine runs
+    routine, description = REGISTRY[lemma]
+    calls = []
+
+    @functools.wraps(routine)  # so lemma_parameters still reads the routine's own signature
+    def spy(**flags):
+        calls.append(flags)
+
+    monkeypatch.setitem(REGISTRY, lemma, (spy, description))
+    with pytest.raises(DomainError, match=f"^verify {lemma} does not accept --{flag}$"):
+        verify.run(lemma, **{flag: 5})
+    assert calls == []
+    verify.run(lemma, seed=None, trials=None)  # a None flag counts as unset
+    assert calls == [{}]
+
+
 def test_bool_trials_are_counted_as_their_int():
     report = verify_shield(trials=True)
     assert report.sampled == 1 and type(report.sampled) is int
@@ -257,43 +276,54 @@ def test_report_that_counts_no_instance_raises(monkeypatch):
 
 def test_sampling_body_receives_the_seeds_generator_and_counts_its_trials(monkeypatch):
     monkeypatch.setattr(verify, "REGISTRY", {})
-    received = []
+    received, numbers = [], []
 
-    @verify._lemma("draw", "draws once, and checks all but one trial", trials=3)
-    def verify_draw(report, rng, trials):
-        received.append((rng.random(), trials))
-        for _ in range(trials - 1):
-            report.sample(iter(()))
+    @verify._lemma("draw", "draws once, and hands the report one check per trial", trials=3)
+    def verify_draw(report, rng):
+        received.append(rng.random())
+
+        def check():
+            numbers.append(report.sampled - 1)  # the number the report has just given this trial
+            yield from ()
+
+        report.sample(check)
 
     report = verify_draw(seed=5)
-    assert received == [(random.Random(5).random(), 3)]
-    # the body counts only the checks it runs, not the trials it is given
-    assert (report.seed, report.enumerated, report.sampled) == (5, 0, 2)
-    assert verify_draw(2, 7).sampled == 1  # positional, in the signature's order
+    assert received == [random.Random(5).random()]
+    # the report runs the body's check factory once per trial of the routine
+    assert (report.seed, report.enumerated, report.sampled) == (5, 0, 3)
+    assert numbers == [0, 1, 2]
+    assert verify_draw(2, 7).sampled == 2  # positional, in the signature's order
     with pytest.raises(DomainError, match="trials must be positive, got 0"):
         verify_draw(trials=0)
     assert len(received) == 2  # the rejected call reached no body
-    with pytest.raises(DomainError, match="draw checked no instance"):
-        verify_draw(trials=1)
+
+    @verify._lemma("idle", "samples nothing", trials=3)
+    def verify_idle(report, rng):
+        pass
+
+    with pytest.raises(DomainError, match="idle checked no instance"):
+        verify_idle()
 
 
 def test_report_counts_labels_and_records_each_checks_faults():
-    report = verify.VerificationReport("demo", 0)
+    report = verify.VerificationReport("demo", 0, _to_sample=2)
 
     def faults(*messages, error=None):
         yield from messages
         if error:
             raise error
 
-    report.sample(faults("a", "b"))
+    checks = [faults("a", "b"), faults(error=CapacityError("full"))]
+    report.sample(lambda: checks.pop(0))
+    assert checks == []  # one call of the factory per trial
     report.sweep(faults(), 3)
     report.sweep(faults("c", error=DomainError("broken")), 2)
-    report.sample(faults(error=CapacityError("full")))
     assert (report.enumerated, report.sampled) == (5, 2)
     # sampled trials are numbered from 0 by the report; a raise after a fault is one more
     # failure of the same check, and the next check still runs
     assert report.failures == [
-        "trial 0: a", "trial 0: b", "c", "raised DomainError: broken", "trial 1: raised CapacityError: full"
+        "trial 0: a", "trial 0: b", "trial 1: raised CapacityError: full", "c", "raised DomainError: broken"
     ]
 
 
@@ -336,8 +366,11 @@ def test_lemma_bodies_take_only_what_the_harness_passes():
         bodies += 1
         samples = any(keyword.arg == "trials" for keyword in harness[0].keywords)
         args = fn.args
-        assert [a.arg for a in args.args] == (["report", "rng", "trials"] if samples else ["report"]), fn.name
+        assert [a.arg for a in args.args] == (["report", "rng"] if samples else ["report"]), fn.name
         assert not (args.posonlyargs or args.kwonlyargs or args.defaults or args.vararg or args.kwarg), fn.name
+        # the report runs the trials: a sampling body hands it its sampled family in one call
+        calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call) and ast.unparse(n.func) == "report.sample"]
+        assert len(calls) == samples, fn.name
     assert bodies == len(REGISTRY)
 
     def builds_generator(fn):
