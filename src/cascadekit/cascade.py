@@ -133,18 +133,6 @@ class Condition(_Value):
             rows.setdefault((node, row), []).append(bit)
         return {key: frozenset(bits) for key, bits in rows.items()}
 
-    def restrict_to_nodes(self, nodes) -> "Condition":
-        node_set = set(nodes)
-        return Condition._checked(entries=tuple((c, v) for c, v in self.entries if c.node in node_set))
-
-    def merge(self, other: "Condition") -> "Condition":
-        """Union of two compatible conditions; disagreement is a domain error."""
-        out = self.as_dict()
-        for c, v in other.entries:
-            if out.setdefault(c, v) != v:
-                raise DomainError(f"conditions disagree at {c}")
-        return Condition._checked(entries=tuple(sorted(out.items())))
-
 
 @dataclass(frozen=True)
 class Packet(_Value):

@@ -240,7 +240,7 @@ def cmd_demo(args) -> int:
         forest = PredecessorForest.from_pred(size, {x: 0 for x in range(1, size)})
     box = CoordinateBox(Window.whole(forest), rows, bits)
     support = rho_closure(forest, parse_node_set(args.support))
-    witness = swap_witness(condition, support, args.row, box)
+    witness = swap_witness(condition, support, 0, box)
     text = format_witness(witness)
     _write_out(text, args.out)
     if args.out:
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_nosel.add_argument("--in", dest="infile", default=None)
     p_nosel.add_argument("--forest", default=None)
     p_nosel.add_argument("--support", default="")
-    p_nosel.add_argument("--row", type=int, default=0)
     p_nosel.add_argument("--box", default=None, help="N,R,B when no condition file is given")
     p_nosel.add_argument("--out", default=None)
     return parser

@@ -10,7 +10,7 @@ triangular, so the star vectors form a basis.
 
 Each window keeps the :class:`StarBasis` built on its first solve for as
 long as it lives: :func:`solve_star_span` reads it per target, and
-:func:`solve_all_targets` returns it as the read-only sequence of every
+:func:`solve_all_targets` returns it, indexed by target, to read every
 target's solution.  The target that is 1 at a single node is solved by that
 node plus its descendants inside the window; the basis holds these unit
 solutions in four-Russians tables (Arlazarov, Dinic, Kronrod and Faradzev,
@@ -23,7 +23,6 @@ raises ``DomainError("window must be nonempty")``, so both solvers and
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import CertificateError, DomainError, _Value
@@ -71,7 +70,7 @@ def matrix_order(K: Window) -> tuple[int, ...]:
     return tuple(reversed(K.ordered))
 
 
-def _star_masks(order: Sequence[NodeId], parents: Sequence[int]) -> dict[NodeId, int]:
+def _star_masks(order: tuple[NodeId, ...], parents: tuple[int, ...]) -> dict[NodeId, int]:
     """Each node's star over the positions of ``order``, read from the parent map.
 
     ``order`` lists a closed window, which holds the root and the parent of
@@ -135,13 +134,12 @@ def _node_table(a, b, c, d, *_) -> tuple[tuple[NodeId, ...], ...]:
     )
 
 
-class StarBasis(Sequence):
+class StarBasis:
     """The star masks of a window with their certified inverse, as lookup tables.
 
-    As a read-only sequence, entry ``t`` is the solution for
+    ``basis[t]``, for ``0 <= t < size``, is the solution for
     ``F2Vector(window, t)``, solved when it is read and boxed as a
-    ``frozenset`` of nodes; negative indices and ``IndexError`` work as on
-    a list.
+    ``frozenset`` of nodes; any other index raises ``IndexError``.
 
     ``masks[xi]`` is the star of node ``xi`` over window positions.  Positions
     split into chunks of four: ``sums[c][i]`` is the solution mask (over
@@ -207,12 +205,7 @@ class StarBasis(Sequence):
             mask >>= 4
         return out
 
-    def __len__(self) -> int:
-        return self.size
-
     def __getitem__(self, t: int) -> frozenset:
-        if t < 0:
-            t += self.size
         if not 0 <= t < self.size:
             raise IndexError("target index out of range")
         return frozenset(self.solution(t))
@@ -257,8 +250,8 @@ def combine_stars(K: Window, nodes) -> F2Vector:
 def solve_all_targets(K: Window) -> StarBasis:
     """Coefficient sets for every target over the window: its :class:`StarBasis`.
 
-    Index ``t`` holds the solution for ``F2Vector(K, t)``.  The basis is the
-    one :func:`solve_star_span` reads, so no entry is stored or solved
-    before it is read.
+    Index ``t``, for ``0 <= t < 2**len(K)``, holds the solution for
+    ``F2Vector(K, t)``.  The basis is the one :func:`solve_star_span` reads,
+    so no entry is stored or solved before it is read.
     """
     return _star_basis(K)

@@ -16,11 +16,11 @@ holds the name read that index instead of the conditions.
 
 Values from outside the library are checked by their constructors; the
 values this module derives from checked ones (a normalized scheme, a
-scheme's two-layer code, a packet's condition and an assignment's
-restriction) are built by ``_Value._checked``, the one build that skips the
-checks.  A packet is built by ``Packet``, whose one type check costs less.
-A decoded scheme is still built by ``PacketScheme``: its node check
-certifies packets read from outside naturals.
+scheme's two-layer code and a decoded packet's condition) are built by
+``_Value._checked``, the one build that skips the checks.  A packet is
+built by ``Packet``, whose one type check costs less.  A decoded scheme is
+still built by ``PacketScheme``: its node check certifies packets read
+from outside naturals.
 
 A name supported by a closed window A normalizes to a packet scheme: per
 member m, the prime implicants (the Blake canonical form) of m's
@@ -76,9 +76,6 @@ class CoordinateBox(_Value):
     def n_coords(self) -> int:
         return len(self._coords)
 
-    def contains(self, coord: Coordinate) -> bool:
-        return coord in self._index
-
     def index(self, coord: Coordinate) -> int:
         try:
             return self._index[coord]
@@ -91,10 +88,6 @@ class CoordinateBox(_Value):
     def condition_masks(self, cond: Condition) -> tuple[int, int]:
         """Domain and value bitmasks of a condition inside this box."""
         return _slot_masks(_in_box(cond, self), self._index)
-
-    def node_coord_mask(self, nodes) -> int:
-        """Bitmask of every coordinate whose node lies in ``nodes``."""
-        return sum(1 << i for i, coord in enumerate(self._coords) if coord.node in nodes)
 
     def dims(self) -> tuple[int, int, int]:
         return len(self.window), self.rows, self.bits
@@ -114,12 +107,6 @@ class Assignment(_Value):
     def extends(self, cond: Condition) -> bool:
         dmask, vmask = self.box.condition_masks(cond)
         return self.value_bits & dmask == vmask
-
-    def restrict_to_nodes(self, nodes) -> Condition:
-        coords = enumerate(self.box.coords())
-        return Condition._checked(
-            entries=tuple((c, (self.value_bits >> i) & 1) for i, c in coords if c.node in nodes)
-        )
 
 
 @dataclass(frozen=True)

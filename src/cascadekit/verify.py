@@ -64,7 +64,6 @@ from .errors import CapacityError, CascadekitError, DomainError, PreconditionErr
 from .f2linalg import F2Vector, combine_stars, solve_star_span, star_matrix
 from .forest import PredecessorForest, Window, fresh_separation, random_forest, rho_closure
 from .names import (
-    Assignment,
     CoordinateBox,
     RawName,
     decision_invariant,
@@ -274,10 +273,12 @@ def verify_starspan(report: VerificationReport, rng: random.Random):
     and compares each column of its star matrix, and the star the library
     combines for each node, with the star rebuilt from the parent map.
     Every target is solved, one at a time, on windows of up to
-    ``STARSPAN_SWEEP_WINDOW`` nodes.  The round trip checks the basis's
-    units only against its own stars; the rebuilt stars check those
-    against the forest.
+    ``STARSPAN_SWEEP_WINDOW`` nodes, and the note counts those windows and
+    the targets solved.  The round trip checks the basis's units only
+    against its own stars; the rebuilt stars check those against the forest.
     """
+    swept = [0, 0]  # windows, targets solved
+
     def check():
         forest = random_forest(rng.randint(1, 2 * MAX_STARSPAN_WINDOW), rng.getrandbits(32))
         K = _random_window(forest, rng)
@@ -295,14 +296,19 @@ def verify_starspan(report: VerificationReport, rng: random.Random):
             yield f"star of node {wrong[0]} differs from its parent-map star"
             return
         if len(K) <= STARSPAN_SWEEP_WINDOW:
+            swept[0] += 1
             for bits in range(1 << len(K)):
+                swept[1] += 1
                 target = F2Vector(K, bits)
                 if combine_stars(K, solve_star_span(K, target)) != target:
                     yield f"solve failed for target {bits:b}"
                     return
 
     report.sample(check)
-    report.notes = f"all targets swept on windows up to {STARSPAN_SWEEP_WINDOW} nodes"
+    report.notes = (
+        f"{swept[1]} targets solved on {swept[0]} windows: "
+        f"all targets swept on windows up to {STARSPAN_SWEEP_WINDOW} nodes"
+    )
 
 
 def _legal_toggles(forest: PredecessorForest, beta: int, row: int, shield: frozenset[int]) -> list:
@@ -459,9 +465,12 @@ def verify_transport(report: VerificationReport, rng: random.Random):
         forest = random_forest(rng.randint(2, 8), rng.getrandbits(32))
         A = _random_closed_subset(forest, rng)
         off = set(range(forest.size)) - A.nodes
-        shared = _random_condition(forest, rng, max_len=4).restrict_to_nodes(A.nodes)
-        p = shared.merge(_random_condition(forest, rng, max_len=4).restrict_to_nodes(off))
-        q = shared.merge(_random_condition(forest, rng, max_len=4).restrict_to_nodes(off))
+
+        def part(nodes):  # a drawn condition's entries on nodes
+            return tuple((c, v) for c, v in _random_condition(forest, rng, max_len=4).entries if c.node in nodes)
+
+        shared = part(A.nodes)
+        p, q = Condition(shared + part(off)), Condition(shared + part(off))
         pi = transport(p, q, A)
         p_pad, q_pad = pad_common_domain(p, q)
         if apply(pi, p_pad) != q_pad:
@@ -540,7 +549,8 @@ def verify_decision(report: VerificationReport, rng: random.Random):
         # a pair's condition decides its member true
         probes = [(cond, m) for m, cond in _name_pairs(name)]
         pair_probes += len(probes)
-        total = Assignment(box, rng.getrandbits(box.n_coords)).restrict_to_nodes(box.window.nodes)
+        g = rng.getrandbits(box.n_coords)
+        total = Condition(tuple((c, g >> i & 1) for i, c in enumerate(box.coords())))
         probes += [(total, m) for m in range(4)]  # total conditions decide everything
         total_probes += 4
         coords = list(box.coords())
@@ -595,10 +605,11 @@ def _family_fault(name, table, scheme, A: Window, box: CoordinateBox) -> str | N
     every consensus of two packets must be absorbed by a packet, which by
     Blake's theorem makes the family every prime implicant.
     """
-    mentioned = 0
+    trim = 0  # the coordinates the name mentions over A
     for _, cond in _name_pairs(name):
-        mentioned |= box.condition_masks(cond)[0]
-    trim = mentioned & box.node_coord_mask(A.nodes)
+        for c in cond.domain():
+            if c.node in A.nodes:
+                trim |= 1 << box.index(c)
     for m, packets in scheme.families:
         cubes = [box.condition_masks(pkt.condition) for pkt in packets]
         if any(d & ~trim for d, _ in cubes):
@@ -650,7 +661,7 @@ def _witness_flips(witness, table, A: Window, box: CoordinateBox) -> bool:
         return False
     node, row, bit, g = witness
     coord = Coordinate(node, row, bit)
-    if node in A.nodes or not box.contains(coord) or not 0 <= g < 1 << box.n_coords:
+    if node in A.nodes or coord not in box.coords() or not 0 <= g < 1 << box.n_coords:
         return False
     flipped = g ^ 1 << box.index(coord)
     return any((col >> g ^ col >> flipped) & 1 for col in table.cols.values())

@@ -6,17 +6,38 @@ import subprocess
 import sys
 import time
 
+import pytest
+
+from cascadekit.cascade import Condition
 from cascadekit.forest import PredecessorForest, Window, random_forest
 from cascadekit.names import Assignment, CoordinateBox
+from cascadekit.verify import REGISTRY, lemma_parameters
 from cascadekit.verify import _all_closed_subsets as all_closed_subsets  # noqa: F401
 from cascadekit.verify import _all_conditions as all_conditions  # noqa: F401
 from cascadekit.verify import _all_forests as all_forests  # noqa: F401
+from cascadekit.verify import _involutions as involutions  # noqa: F401
 from cascadekit.verify import _parent_star as parent_star
 from cascadekit.verify import _subspace_span as subspace_span  # noqa: F401
 
 
 def forest_of(size: int, pred: dict[int, int]) -> PredecessorForest:
     return PredecessorForest.from_pred(size, pred)
+
+
+def small_box(rows=1, bits=2, size=3, pred=None):
+    """The box over a whole forest of ``size`` nodes; by default every other node hangs off the root."""
+    f = forest_of(size, pred if pred is not None else {i: 0 for i in range(1, size)})
+    return CoordinateBox(Window.whole(f), rows, bits)
+
+
+def on_nodes(entries, nodes) -> Condition:
+    """The condition of the ``(coordinate, value)`` entries whose node lies in ``nodes``."""
+    return Condition(tuple((c, v) for c, v in entries if c.node in nodes))
+
+
+def assignment_entries(g):
+    """Each coordinate of an assignment's box with its value there."""
+    return tuple((c, g.value_bits >> i & 1) for i, c in enumerate(g.box.coords()))
 
 
 def unit_upper_triangular(matrix) -> bool:
@@ -146,6 +167,16 @@ def record_calls(monkeypatch, module, attr):
 
     monkeypatch.setattr(module, attr, recorded)
     return calls
+
+
+@pytest.fixture(scope="session")
+def exhaustive_reports():
+    """The report of each lemma that only enumerates, run once per test session.
+
+    Those lemmas take no argument, so each has one report; a test may only
+    read it.  A test that patches the library runs the lemma itself.
+    """
+    return {lemma: routine() for lemma, (routine, _) in REGISTRY.items() if not lemma_parameters(lemma)}
 
 
 @functools.cache

@@ -15,11 +15,7 @@ from cascadekit.verify import (
     REGISTRY,
     verify_code,
     verify_decision,
-    verify_dyadic,
-    verify_fresh,
-    verify_lift,
     verify_normalize,
-    verify_odd_fixed,
     verify_selector,
     verify_shield,
     verify_starspan,
@@ -78,8 +74,8 @@ def test_criterion_3_shielding():
     )
 
 
-def test_criterion_4_fresh_separation():
-    report = verify_fresh()
+def test_criterion_4_fresh_separation(exhaustive_reports):
+    report = exhaustive_reports["fresh"]
     _criterion(
         4,
         "fresh separation clauses",
@@ -125,8 +121,8 @@ def test_criterion_7_two_layer_coding():
     )
 
 
-def test_criterion_8_odd_fixed_points():
-    report = verify_odd_fixed()
+def test_criterion_8_odd_fixed_points(exhaustive_reports):
+    report = exhaustive_reports["odd-fixed"]
     _criterion(
         8,
         "odd fixed points and dyadic orbits",
@@ -135,8 +131,8 @@ def test_criterion_8_odd_fixed_points():
     )
 
 
-def test_criterion_9_dyadic_quotients():
-    report = verify_dyadic()
+def test_criterion_9_dyadic_quotients(exhaustive_reports):
+    report = exhaustive_reports["dyadic"]
     _criterion(
         9,
         "dyadic quotients and 3-class rejection",
@@ -155,8 +151,8 @@ def test_criterion_10_swap_mechanism():
     )
 
 
-def test_criterion_11_divisibility_lift():
-    report = verify_lift()
+def test_criterion_11_divisibility_lift(exhaustive_reports):
+    report = exhaustive_reports["lift"]
     _criterion(
         11,
         "product choice projection",

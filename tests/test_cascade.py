@@ -15,6 +15,7 @@ from conftest import (
     checked_sites,
     forest_of,
     format_condition,
+    on_nodes,
     record_calls,
 )
 from cascadekit import cascade
@@ -141,12 +142,6 @@ class TestConditionValidation:
         with pytest.raises(DomainError):
             Condition(((Coordinate(0, 0, 0), 1), (Coordinate(0, 0, 0), 0)))
 
-    def test_merge_conflict(self):
-        a = Condition.from_map({(0, 0, 0): 1})
-        b = Condition.from_map({(0, 0, 0): 0})
-        with pytest.raises(DomainError):
-            a.merge(b)
-
 
 class TestGenerator:
     def test_fork_root_toggles_three_rows(self):
@@ -230,13 +225,10 @@ class TestDerivedConditions:
     def test_checked_only_at_derivation_sites(self):
         assert checked_sites(Path(cascade.__file__).parent.glob("*.py")) == {
             ("cascade", "ToggleSet.__xor__"),
-            ("cascade", "Condition.restrict_to_nodes"),
-            ("cascade", "Condition.merge"),
             ("cascade", "compose_all"),
             ("cascade", "apply"),
             ("cascade", "pad_common_domain"),
             ("f2linalg", "star_matrix"),
-            ("names", "Assignment.restrict_to_nodes"),
             ("names", "normalize"),
             ("names", "packet_of_code"),
             ("names", "two_layer_code"),
@@ -292,18 +284,17 @@ class TestDerivedConditions:
 
     @given(conditions, st.sets(st.integers(0, 5)))
     def test_restrict_to_nodes(self, q, nodes):
-        got = q.restrict_to_nodes(nodes)
+        got = on_nodes(q.entries, nodes)
         assert_canonical(got)
         assert got.as_dict() == {c: v for c, v in q.entries if c.node in nodes}
 
     @given(conditions, conditions)
     def test_merge_and_pad(self, p, q):
         p_map = p.as_dict()
-        # q without the coordinates where it disagrees with p, so the two merge
-        compatible = Condition.from_map({c: v for c, v in q.entries if p_map.get(c, v) == v})
-        merged = p.merge(compatible)
+        # p and the part of q off p's domain, one condition as transport's instances are built
+        merged = Condition(p.entries + tuple((c, v) for c, v in q.entries if c not in p_map))
         assert_canonical(merged)
-        assert merged.as_dict() == {**compatible.as_dict(), **p_map}
+        assert merged.as_dict() == {**q.as_dict(), **p_map}
         p_pad, q_pad = pad_common_domain(p, q)
         assert_canonical(p_pad)
         assert_canonical(q_pad)
@@ -680,10 +671,10 @@ class TestTransport:
         for trial in range(200):
             f = random_forest(rng.randrange(2, 8), 5000 + trial)
             A = rho_closure(f, set(rng.sample(range(f.size), rng.randrange(f.size))))
-            shared = random_condition(f, rng, max_len=3)
-            shared = shared.restrict_to_nodes(A.nodes)
-            p = shared.merge(random_condition(f, rng, max_len=3).restrict_to_nodes(set(range(f.size)) - A.nodes))
-            q = shared.merge(random_condition(f, rng, max_len=3).restrict_to_nodes(set(range(f.size)) - A.nodes))
+            off = set(range(f.size)) - A.nodes
+            shared = on_nodes(random_condition(f, rng, max_len=3).entries, A.nodes)
+            p = Condition(shared.entries + on_nodes(random_condition(f, rng, max_len=3).entries, off).entries)
+            q = Condition(shared.entries + on_nodes(random_condition(f, rng, max_len=3).entries, off).entries)
             pi = transport(p, q, A)
             p2, q2 = pad_common_domain(p, q)
             assert apply(pi, p2) == q2

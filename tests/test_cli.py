@@ -123,7 +123,7 @@ class TestVerify:
         assert code == 0
         # the windows are drawn at random, so the run is sampled even when every target is swept
         assert "lemma=starspan trials=20 exhaustive=false failures=0" in out
-        assert "note: all targets swept on windows up to 10 nodes" in out
+        assert re.search(r"note: \d+ targets solved on \d+ windows: all targets swept on windows up to 10 nodes\n", out)
 
     def test_unknown_lemma_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")
@@ -227,6 +227,16 @@ class TestDemoNoSelector:
         assert code == 0
         assert out.count("PASS") == 3
         assert "shield: {}" in out
+
+    def test_witness_row_is_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "demo", "no-selector", "--box", "5,2,3", "--support", "0")
+        assert code == 0 and "  row: 0\n" in out
+        # no option picks another row, even one the box holds
+        with pytest.raises(SystemExit) as excinfo:
+            main(["demo", "no-selector", "--box", "5,2,3", "--support", "0", "--row", "1"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert "swap witness" not in out and "--row" in err
 
     def test_shield_printed(self, capsys, tmp_path):
         cond = tmp_path / "cond.txt"

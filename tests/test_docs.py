@@ -73,3 +73,17 @@ def test_readme_escape_hatch_names_exactly_the_checked_sites():
     listed = re.findall(r"`(\w+)\.([\w.]+)`", sentence.split("names them all:", 1)[1])
     assert len(listed) == len(set(listed))
     assert set(listed) == checked_sites((ROOT / "src" / "cascadekit").glob("*.py"))
+
+
+def test_claim_ledger_rows_name_exactly_the_registered_lemmas():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Claim ledger\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ") and not line.startswith("| Claim |")]
+    cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+    assert cells and all(len(row) == 3 for row in cells)
+    named = [lemma for _, lemmas, _ in cells for lemma in re.findall(r"`([a-z-]+)`", lemmas)]
+    # every lemma a row names is registered, and every registered lemma is in some row
+    assert set(named) <= set(verify.REGISTRY)
+    assert set(verify.REGISTRY) <= set(named)
+    kinds = ("exhaustive", "sampled", "not checked", "metatheory only")
+    assert all(scope.startswith(kinds) for _, _, scope in cells)

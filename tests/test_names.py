@@ -16,9 +16,12 @@ from conftest import (
     all_conditions,
     apply_to_assignment,
     assert_canonical,
+    assignment_entries,
     forest_of,
+    on_nodes,
     random_box,
     record_calls,
+    small_box,
 )
 from cascadekit import _kernels as kernels
 from cascadekit import cascade
@@ -51,11 +54,6 @@ from cascadekit.verify import (
     _random_box,
     _random_supported_name,
 )
-
-
-def small_box(rows=1, bits=2, size=3, pred=None):
-    f = forest_of(size, pred if pred is not None else {i: 0 for i in range(1, size)})
-    return CoordinateBox(Window.whole(f), rows, bits)
 
 
 def naive_supported(name, A, box):
@@ -107,7 +105,6 @@ class TestBoxAndAssignment:
         for idx, coord in enumerate(packed):
             assert box.coords()[idx] == coord
             assert box.index(coord) == idx
-            assert box.contains(coord)
 
     @pytest.mark.parametrize("shape", _BOX_SHAPES)
     def test_off_table_lookups_rejected(self, shape):
@@ -120,7 +117,7 @@ class TestBoxAndAssignment:
             Coordinate(0, 0, bits),
         ]
         for coord in outside:
-            assert not box.contains(coord)
+            assert coord not in box.coords()
             with pytest.raises(DomainError):
                 box.index(coord)
 
@@ -153,9 +150,10 @@ class TestBoxAndAssignment:
     def test_restrict_to_nodes(self):
         box = small_box()
         g = Assignment(box, 0b110101)
-        cond = g.restrict_to_nodes({1})
+        cond = on_nodes(assignment_entries(g), {1})
         assert {c.node for c in cond.domain()} == {1}
         assert len(cond.entries) == box.rows * box.bits
+        assert g.extends(cond)
 
 
 class TestEvaluate:
@@ -311,7 +309,7 @@ class TestDecisionInvariant:
             name = RawName.of(pairs)
             assert support_report(name, A, box).supported
             for g in itertools.islice(all_assignments(box), 0, 1 << box.n_coords, 7):
-                p = g.restrict_to_nodes(box.window.nodes)  # total, so it decides
+                p = Condition(assignment_entries(g))  # total, so it decides
                 for m in range(3):
                     assert decision_invariant(name, A, p, m, box)
 
@@ -443,8 +441,8 @@ class TestNormalize:
         base = Condition.from_map({(1, 0, 0): 1})
         name = RawName.of(
             [
-                (0, base.merge(Condition.from_map({(2, 0, 1): 0}))),
-                (0, base.merge(Condition.from_map({(2, 0, 1): 1}))),
+                (0, Condition.from_map({(1, 0, 0): 1, (2, 0, 1): 0})),
+                (0, Condition.from_map({(1, 0, 0): 1, (2, 0, 1): 1})),
             ]
         )
         assert support_report(name, A, box).supported
@@ -460,7 +458,7 @@ class TestNormalize:
         f = box.forest
         A = rho_closure(f, {0})
         over = Condition.from_map({(0, 0, 1): 1})
-        bigger = over.merge(Condition.from_map({(2, 0, 0): 0}))
+        bigger = Condition.from_map({(0, 0, 1): 1, (2, 0, 0): 0})
         name = RawName.of([(1, over), (1, bigger)])
         assert support_report(name, A, box).supported
         scheme = normalize(name, A, box)
@@ -672,7 +670,8 @@ def full_box_minterms(name, A, box):
     mentioned = 0
     for _, cond in name.pairs:
         mentioned |= box.condition_masks(cond)[0]
-    trim_mask = mentioned & box.node_coord_mask(A.nodes)
+    over_A = sum(1 << box.index(c) for c in box.coords() if c.node in A.nodes)
+    trim_mask = mentioned & over_A
     return trim_mask, {m: set(kernels.project_member(table, m, trim_mask)) for m in {m for m, _ in name.pairs}}
 
 
@@ -705,7 +704,7 @@ def full_box_decision(name, A, p, m, box):
     verdict = kernels.subcube_member_summary(table, m, *box.condition_masks(p))
     if verdict == 2:
         return None
-    restriction = p.restrict_to_nodes(A.nodes)
+    restriction = on_nodes(p.entries, A.nodes)
     return kernels.subcube_member_summary(table, m, *box.condition_masks(restriction)) == verdict
 
 
@@ -1043,7 +1042,7 @@ class TestDerivedConditions:
         rng = random.Random(seed)
         box = random_box(rng, rng.choice(_BOX_SHAPES))
         g = Assignment(box, rng.getrandbits(box.n_coords))
-        got = g.restrict_to_nodes(nodes)
+        got = on_nodes(assignment_entries(g), nodes)
         assert_canonical(got)
         assert got.domain() == {c for c in box.coords() if c.node in nodes}
         assert g.extends(got)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import subspace_span
+from conftest import involutions, subspace_span
 from cascadekit import orbits
 from cascadekit.errors import CertificateError, DomainError, PreconditionError
 from cascadekit.orbits import (
@@ -228,10 +228,6 @@ class TestComposeAndClose:
         assert action.elements == ((0,),)
         assert orbit_partition(action) == [(0,)]
         assert odd_fixed_point(action) == 0
-
-
-def involutions(n):
-    return [p for p in itertools.permutations(range(n)) if compose(p, p) == tuple(range(n))]
 
 
 def bfs_orbits(generators, n):

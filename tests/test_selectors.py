@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from conftest import all_assignments, all_conditions, apply_to_assignment, forest_of, pattern_flip_loop
+from conftest import (
+    all_assignments,
+    all_conditions,
+    apply_to_assignment,
+    forest_of,
+    pattern_flip_loop,
+    small_box,
+)
 from cascadekit.cascade import Condition, ToggleSet, compose, compose_all, generator
 from cascadekit.errors import CapacityError, DomainError, PreconditionError
 from cascadekit.forest import Window, random_forest, rho_closure
@@ -26,11 +33,6 @@ from cascadekit.selectors import (
 from cascadekit.verify import _replayed_flips, _witness_faults
 
 
-def box_on(size, rows, bits, pred=None):
-    f = forest_of(size, pred if pred is not None else {i: 0 for i in range(1, size)})
-    return CoordinateBox(Window.whole(f), rows, bits)
-
-
 def assignment_with_rows(box, node_to_row_bits, row=0):
     bits = 0
     for node, row_bits in node_to_row_bits.items():
@@ -44,30 +46,30 @@ def assignment_with_rows(box, node_to_row_bits, row=0):
 
 class TestEqualityPattern:
     def test_pointwise_comparison(self):
-        box = box_on(2, 1, 4)
+        box = small_box(size=2, rows=1, bits=4)
         # rows 0101 and 0110 written low bit first
         g = assignment_with_rows(box, {0: 0b1010, 1: 0b0110})
         assert equality_pattern(g, 0, 1, 0) == 0b0011  # 1100 low bit first
 
     def test_identical_rows(self):
-        box = box_on(2, 1, 4)
+        box = small_box(size=2, rows=1, bits=4)
         g = assignment_with_rows(box, {0: 0b1010, 1: 0b1010})
         assert equality_pattern(g, 0, 1, 0) == 0b1111  # 1111 low bit first
 
     def test_complementary_rows(self):
-        box = box_on(2, 1, 4)
+        box = small_box(size=2, rows=1, bits=4)
         g = assignment_with_rows(box, {0: 0b1010, 1: 0b0101})
         assert equality_pattern(g, 0, 1, 0) == 0b0000  # 0000 low bit first
 
     def test_same_row_rejected(self):
-        box = box_on(2, 1, 4)
+        box = small_box(size=2, rows=1, bits=4)
         with pytest.raises(DomainError):
             equality_pattern(Assignment(box, 0), 1, 1, 0)
 
 
 class TestSwapWitness:
     def test_empty_condition_gives_empty_shield(self):
-        box = box_on(3, 1, 2)
+        box = small_box(size=3, rows=1, bits=2)
         A = rho_closure(box.forest, {0})
         w = swap_witness(Condition.empty(), A, 0, box)
         assert w.shield == frozenset()
@@ -75,7 +77,7 @@ class TestSwapWitness:
         assert w.certificate.all_pass()
 
     def test_single_entry_shield(self):
-        box = box_on(3, 1, 4)
+        box = small_box(size=3, rows=1, bits=4)
         A = rho_closure(box.forest, {0})
         beta_expected = 2  # fresh pair beside {0} in a flat forest is (2, 1)
         q = Condition.from_map({(beta_expected, 0, 2): 1})
@@ -86,7 +88,7 @@ class TestSwapWitness:
         assert w.certificate.all_pass()
 
     def test_condition_over_support_leaves_empty_shield(self):
-        box = box_on(4, 1, 3)
+        box = small_box(size=4, rows=1, bits=3)
         A = rho_closure(box.forest, {0, 1})
         q = Condition.from_map({(0, 0, 1): 1, (1, 0, 2): 0})
         w = swap_witness(q, A, 0, box)
@@ -94,13 +96,13 @@ class TestSwapWitness:
         assert w.certificate.all_pass()
 
     def test_saturated_window_raises_capacity(self):
-        box = box_on(3, 1, 2)
+        box = small_box(size=3, rows=1, bits=2)
         A = Window.whole(box.forest)
         with pytest.raises(CapacityError):
             swap_witness(Condition.empty(), A, 0, box)
 
     def test_certificates_reverify_independently(self):
-        box = box_on(3, 2, 2)
+        box = small_box(size=3, rows=2, bits=2)
         f = box.forest
         A = rho_closure(f, {0})
         q = Condition.from_map({(1, 0, 0): 1, (2, 1, 1): 0})
@@ -116,7 +118,7 @@ class TestSwapWitness:
             assert after == before ^ expected_flip
 
     def test_pair_is_preserved_while_members_swap(self):
-        box = box_on(3, 1, 3)
+        box = small_box(size=3, rows=1, bits=3)
         f = box.forest
         A = rho_closure(f, {0})
         w = swap_witness(Condition.empty(), A, 0, box)
@@ -130,13 +132,13 @@ class TestSwapWitness:
 
     def test_both_rows_toggled_fixes_pattern(self):
         # a generator at the common predecessor toggles both rows alike
-        box = box_on(3, 1, 3)
+        box = small_box(size=3, rows=1, bits=3)
         f = box.forest
         tau = generator(f, 0, 0, ToggleSet.cofinite_excluding({1}))
         assert pattern_shift(tau, 1, 2, 0, box) == 0
 
     def test_witness_text_block(self):
-        box = box_on(3, 1, 4)
+        box = small_box(size=3, rows=1, bits=4)
         A = rho_closure(box.forest, {0})
         q = Condition.from_map({(2, 0, 2): 1})
         text = format_witness(swap_witness(q, A, 0, box))
@@ -208,7 +210,7 @@ class TestClosedFormCertificate:
 
     def test_tampered_witness_hitting_gamma_fails(self):
         # gamma is replaced by a successor of beta, so beta's generator toggles it too
-        box = box_on(4, 1, 3, pred={1: 0, 2: 0, 3: 2})
+        box = small_box(size=4, rows=1, bits=3, pred={1: 0, 2: 0, 3: 2})
         A = rho_closure(box.forest, {0})
         w = swap_witness(Condition.empty(), A, 0, box)
         assert (w.beta, w.gamma) == (2, 1) and w.certificate.all_pass()
@@ -226,7 +228,7 @@ class TestClosedFormCertificate:
 
     def test_both_rows_toggled_matches_sweep(self):
         for bits in (1, 2, 3):
-            box = box_on(4, 1, bits, pred={1: 0, 2: 0, 3: 1})
+            box = small_box(size=4, rows=1, bits=bits, pred={1: 0, 2: 0, 3: 1})
             for exceptions in (set(), {0}, {1, 2}):
                 word = [(0, 0, ToggleSet.cofinite_excluding(exceptions))]
                 tau = generator(box.forest, *word[0])
@@ -237,7 +239,7 @@ class TestClosedFormCertificate:
 
     def test_sweep_rejects_one_row_toggled(self):
         # node 3's predecessor is 1, so a generator at 1 toggles rows 1 and 3 but not row 2
-        box = box_on(4, 1, 2, pred={1: 0, 2: 0, 3: 1})
+        box = small_box(size=4, rows=1, bits=2, pred={1: 0, 2: 0, 3: 1})
         for s in (ToggleSet.cofinite_excluding(set()), ToggleSet.finite({1})):
             word = [(1, 0, s)]
             tau = generator(box.forest, *word[0])
@@ -263,7 +265,7 @@ class TestReplayOracle:
 
     def test_every_enumerated_witness(self):
         # the 729 conditions of verify swap's 6-coordinate enumeration
-        box = box_on(3, 1, 2)
+        box = small_box(size=3, rows=1, bits=2)
         A = rho_closure(box.forest, {0})
         count = 0
         for q in all_conditions(list(box.coords())):
@@ -298,7 +300,7 @@ class TestReplayOracle:
 
     def test_replay_refutes_tampered_witnesses(self):
         # the fork 1 -> 0 <- 2 with 3 -> 2: the witness beside A = {0} is (beta, gamma) = (2, 1)
-        box = box_on(4, 1, 3, pred={1: 0, 2: 0, 3: 2})
+        box = small_box(size=4, rows=1, bits=3, pred={1: 0, 2: 0, 3: 2})
         A = rho_closure(box.forest, {0})
         q = Condition.from_map({(3, 0, 1): 1})
         w = swap_witness(q, A, 0, box)

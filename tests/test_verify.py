@@ -11,10 +11,12 @@ import re
 import pytest
 
 from conftest import record_calls
-from cascadekit import cascade, cli, f2linalg, orbits, verify
+import cascadekit
+from cascadekit import cascade, cli, f2linalg, orbits, selectors, verify
 from cascadekit.cascade import CascadeAutomorphism, Coordinate
 from cascadekit.errors import CapacityError, DomainError
 from cascadekit.f2linalg import StarBasis
+from cascadekit.forest import random_forest
 from cascadekit.names import _name_pairs
 from cascadekit.orbits import _perm_order
 from cascadekit.verify import (
@@ -112,10 +114,10 @@ def test_registry_holds_each_routine_under_its_id_in_sweep_order():
 
 
 @pytest.mark.parametrize("seed", [0, 300])
-def test_counts_labels_and_notes_agree(seed):
+def test_counts_labels_and_notes_agree(seed, exhaustive_reports):
     for lemma, (routine, _) in REGISTRY.items():
         samples = lemma in SAMPLING_TRIALS
-        report = routine(seed=seed) if samples else routine()
+        report = routine(seed=seed) if samples else exhaustive_reports[lemma]
         assert report.failure_count() == 0, lemma
         assert (report.enumerated, report.sampled) == DEFAULT_COUNTS[lemma]
         assert report.trials == report.enumerated + report.sampled
@@ -135,14 +137,14 @@ def test_counts_labels_and_notes_agree(seed):
             assert sum(int(match[g]) for g in sampled) == report.sampled, lemma
 
 
-def test_notes_split_enumerated_from_sampled_counts():
+def test_notes_split_enumerated_from_sampled_counts(exhaustive_reports):
     selector = verify_selector(trials=5, seed=0)
     assert selector.trials == 56 + 5
     assert selector.notes == "56 enumerated triples in every order, plus 5 sampled triples"
     swap = verify_swap(trials=3, seed=0)
     assert swap.trials == 729 + 6 + 3
     assert swap.notes.startswith("729 enumerated conditions and 6 both-toggled generators, plus 3 sampled conditions")
-    odd = verify_odd_fixed()
+    odd = exhaustive_reports["odd-fixed"]
     assert odd.trials == 7467
     # involutions on 1, 3, 5, 7 points: 1, 4, 26, 232, so 1 + 10 + 351 + 27028 unordered pairs;
     # the products cover S_1, S_3, S_5 and S_7: 1 + 6 + 120 + 5040
@@ -150,7 +152,7 @@ def test_notes_split_enumerated_from_sampled_counts():
         "27390 involution pairs on 1, 3, 5 and 7 points, 7467 with a 2-power product "
         "closed and checked, 5167 distinct products"
     )
-    lift = verify_lift()
+    lift = exhaustive_reports["lift"]
     assert lift.trials == 135_324
     assert lift.notes == (
         "120 families (1 to 4 sets of sizes 1 to 3) x 3 arities (1 to 3); "
@@ -193,7 +195,18 @@ def test_starspan_note_states_the_window_bound_applied():
     assert report.failure_count() == 0
     # the windows are drawn at random, so sweeping every target leaves the run sampled
     assert report.exhaustive is False
-    assert report.notes == f"all targets swept on windows up to {verify.STARSPAN_SWEEP_WINDOW} nodes"
+    # replay the trials' draws: each window of up to the bound is swept, every one of its targets solved
+    rng = random.Random(0)
+    sizes = []
+    for _ in range(20):
+        forest = random_forest(rng.randint(1, 2 * verify.MAX_STARSPAN_WINDOW), rng.getrandbits(32))
+        sizes.append(len(verify._random_window(forest, rng)))
+    swept = [n for n in sizes if n <= verify.STARSPAN_SWEEP_WINDOW]
+    assert 0 < len(swept) < len(sizes)
+    assert report.notes == (
+        f"{sum(1 << n for n in swept)} targets solved on {len(swept)} windows: "
+        f"all targets swept on windows up to {verify.STARSPAN_SWEEP_WINDOW} nodes"
+    )
 
 
 @pytest.mark.parametrize("lemma", [lemma for lemma in REGISTRY if "trials" in lemma_parameters(lemma)])
@@ -578,6 +591,21 @@ def test_transport_counts_a_certificate_error_as_a_trial_failure(monkeypatch, ca
     assert cli.main(["verify", "--all", "--seed", "0"]) == cli.EXIT_VERIFY_FAILED
     out = capsys.readouterr().out
     assert sum(line.startswith("lemma=") for line in out.splitlines()) == len(REGISTRY) == 13
+
+
+def test_apply_returning_its_condition_fails_transport_by_certificate_errors(monkeypatch):
+    # the hand mutant acts as the identity wherever apply is bound; transport's own result check raises
+    def acts_as_identity(tau, q):
+        return q
+
+    for module in (cascade, verify, selectors, cascadekit):
+        monkeypatch.setattr(module, "apply", acts_as_identity)
+    report = verify.run("transport", seed=0)
+    assert report.trials == 500
+    assert report.failure_count() == 185
+    assert report.failures and all(
+        re.fullmatch(r"trial \d+: raised CertificateError: .+", failure) for failure in report.failures
+    )
 
 
 def injected_defect(*args, **kwargs):
