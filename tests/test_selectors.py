@@ -12,11 +12,12 @@ from conftest import (
     apply_to_assignment,
     forest_of,
     pattern_flip_loop,
+    random_box,
     small_box,
 )
 from cascadekit.cascade import Condition, ToggleSet, compose, compose_all, generator
 from cascadekit.errors import CapacityError, DomainError, PreconditionError
-from cascadekit.forest import Window, random_forest, rho_closure
+from cascadekit.forest import Window, rho_closure
 from cascadekit.names import Assignment, CoordinateBox
 from cascadekit.selectors import (
     IndexedFamily,
@@ -168,7 +169,7 @@ class TestClosedFormCertificate:
 
     def random_instance(self, rng):
         n_nodes, rows, bits = rng.choice(self.SHAPES)
-        box = CoordinateBox(Window.whole(random_forest(n_nodes, rng.getrandbits(32))), rows, bits)
+        box = random_box(rng, (n_nodes, rows, bits))
         f = box.forest
         A = rho_closure(f, set(rng.sample(range(n_nodes), rng.randrange(n_nodes))))
         entries = {}
@@ -286,7 +287,7 @@ class TestReplayOracle:
         widths = set()
         for _ in range(60):
             n_nodes, rows, bits = rng.choice(shapes)
-            box = CoordinateBox(Window.whole(random_forest(n_nodes, rng.getrandbits(32))), rows, bits)
+            box = random_box(rng, (n_nodes, rows, bits))
             word = []
             for _ in range(rng.randrange(4)):
                 s = ToggleSet(rng.random() < 0.5, frozenset(rng.sample(range(bits + 1), rng.randint(1, bits))))
