@@ -1,5 +1,8 @@
 """Command-line front end: forest tools, the span solver, verification, demos, and the text formats they read.
 
+Every command prints what it makes to stdout. A bad combination of arguments
+exits 2 through argparse, which prints the usage.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 capacity error (the finite universe ran out of room).
 """
@@ -32,16 +35,6 @@ EXIT_CAPACITY = 3
 # the most nodes `forest gen` draws and the most coordinates N*R*B a `demo` box holds,
 # checked before anything of that size is allocated
 MAX_SIZE = 1 << 16
-
-
-def _write_out(text: str, out: str | None) -> None:
-    if not out:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(out).write_text(text)
-    except OSError as exc:
-        raise ParseError(f"cannot write {out}: {exc}") from exc
 
 
 def _read_file(path: str) -> str:
@@ -142,12 +135,12 @@ def cmd_forest(args) -> int:
         if args.size > MAX_SIZE:
             raise ParseError(f"--size must be at most {MAX_SIZE}, got {args.size}")
         forest = random_forest(args.size, args.seed)
-        _write_out(format_forest(forest), args.out)
+        sys.stdout.write(format_forest(forest))
         return EXIT_OK
     forest = parse_forest(_read_file(args.infile))
     nodes = parse_node_set(args.set)
     closure = rho_closure(forest, nodes)
-    _write_out(closure.serialize() + "\n" if closure.nodes else "\n", args.out)
+    print(closure.serialize() if closure.nodes else "")
     return EXIT_OK
 
 
@@ -174,7 +167,7 @@ def cmd_starspan(args) -> int:
         "reconstruction: " + f"{reconstruction.bits:0{len(K)}b}"[::-1],
         "verified: reconstruction equals target",
     ]
-    _write_out("\n".join(lines) + "\n", args.out)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -189,28 +182,15 @@ def _print_report(report, description: str) -> None:
 
 def cmd_verify(args) -> int:
     kwargs = {"seed": args.seed, "trials": args.trials}
-    if args.all:
-        if args.lemma is not None:
-            raise ParseError(f"verify takes a lemma id or --all, not both (got {args.lemma!r})")
-        lemmas = list(REGISTRY)
-    elif args.lemma is None:
-        raise ParseError("verify needs a lemma id or --all")
-    else:
-        lemmas = [args.lemma]
-    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):  # before the sweep
-        raise ParseError(f"cannot write {args.out}: not a file path in an existing directory")
+    lemmas = list(REGISTRY) if args.all else [args.lemma]
     failures = 0
-    out_lines = []
     # each report prints as its lemma returns, so a lemma that raises keeps the earlier reports
     for lemma in lemmas:
         # --all passes each lemma only the flags it takes; run refuses the others a named lemma is given
         flags = {k: v for k, v in kwargs.items() if k in lemma_parameters(lemma)} if args.all else kwargs
         report = run(lemma, **flags)
         _print_report(report, REGISTRY[lemma][1])
-        out_lines.append(report.summary_line())
         failures += report.failure_count()
-    if args.out:
-        _write_out("\n".join(out_lines) + "\n", args.out)
     if failures:
         print(f"verification failed: {failures} failures")
         return EXIT_VERIFY_FAILED
@@ -218,14 +198,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.infile:
+    if args.infile is not None:  # argparse lets exactly one of --in and --box through
         dims, condition = parse_condition(_read_file(args.infile))
-        if args.box and _parse_box_dims(args.box) != dims:
-            raise ParseError("--box disagrees with the condition file header")
-    elif args.box:
-        dims, condition = _parse_box_dims(args.box), Condition.empty()
     else:
-        raise ParseError("demo no-selector needs --in or --box")
+        dims, condition = _parse_box_dims(args.box), Condition.empty()
     size, rows, bits = dims
     # a zero or negative product would let one huge dimension past the bound
     if not 0 < size * rows * bits <= MAX_SIZE:
@@ -241,10 +217,7 @@ def cmd_demo(args) -> int:
     box = CoordinateBox(Window.whole(forest), rows, bits)
     support = rho_closure(forest, parse_node_set(args.support))
     witness = swap_witness(condition, support, 0, box)
-    text = format_witness(witness)
-    _write_out(text, args.out)
-    if args.out:
-        print(text, end="")
+    sys.stdout.write(format_witness(witness))
     return EXIT_OK if witness.certificate.all_pass() else EXIT_VERIFY_FAILED
 
 
@@ -261,11 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = forest_sub.add_parser("gen", help="sample a random forest")
     p_gen.add_argument("--size", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", default=None)
     p_clo = forest_sub.add_parser("closure", help="closure of a node set")
     p_clo.add_argument("--in", dest="infile", required=True)
     p_clo.add_argument("--set", default="")
-    p_clo.add_argument("--out", default=None)
 
     p_span = sub.add_parser("starspan", help="solve a target against the star basis")
     p_span.set_defaults(run=cmd_starspan)
@@ -274,15 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_span.add_argument(
         "--target", required=True, help="0/1 string over the window's ascending order"
     )
-    p_span.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run a lemma's verification suite")
     p_verify.set_defaults(run=cmd_verify)
-    p_verify.add_argument("lemma", nargs="?", default=None)
-    p_verify.add_argument("--all", action="store_true")
+    which = p_verify.add_mutually_exclusive_group(required=True)
+    which.add_argument("lemma", nargs="?", default=None)
+    which.add_argument("--all", action="store_true")
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--out", default=None)
 
     p_demo = sub.add_parser("demo", help="demonstrations of the obstruction machinery")
     p_demo.set_defaults(run=cmd_demo)
@@ -290,11 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_nosel = demo_sub.add_parser(
         "no-selector", help="certified swap witness beside a support window"
     )
-    p_nosel.add_argument("--in", dest="infile", default=None)
+    source = p_nosel.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", default=None)
+    source.add_argument("--box", default=None, help="N,R,B when no condition file is given")
     p_nosel.add_argument("--forest", default=None)
     p_nosel.add_argument("--support", default="")
-    p_nosel.add_argument("--box", default=None, help="N,R,B when no condition file is given")
-    p_nosel.add_argument("--out", default=None)
     return parser
 
 

@@ -210,6 +210,10 @@ class StarBasis:
             raise IndexError("target index out of range")
         return frozenset(self.solution(t))
 
+    # not iterable: Python's fallback over __getitem__ would make list(basis) solve
+    # every target and `x in basis` solve them one by one until one matched
+    __iter__ = None
+
 
 def _star_basis(K: Window) -> StarBasis:
     """The window's certified basis, built on its first solve and kept by the window.

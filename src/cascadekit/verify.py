@@ -551,8 +551,9 @@ def verify_decision(report: VerificationReport, rng: random.Random):
         pair_probes += len(probes)
         g = rng.getrandbits(box.n_coords)
         total = Condition(tuple((c, g >> i & 1) for i, c in enumerate(box.coords())))
-        probes += [(total, m) for m in range(4)]  # total conditions decide everything
-        total_probes += 4
+        totals = [(total, m) for m in range(4)]  # total conditions decide everything
+        probes += totals
+        total_probes += len(totals)
         coords = list(box.coords())
         table = _member_table(box, name)
         # each probe keeps m's verdict over the extensions of p: 0 none carry m, 1 all do, 2 mixed

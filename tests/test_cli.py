@@ -15,6 +15,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_refused(capsys, *argv):
+    """Run arguments that argparse refuses: it exits 2; returns what was printed."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
 @pytest.fixture
 def forest_file(tmp_path):
     path = tmp_path / "forest.txt"
@@ -23,20 +32,18 @@ def forest_file(tmp_path):
 
 
 class TestForestCommands:
-    def test_gen_deterministic(self, capsys, tmp_path):
-        out1 = tmp_path / "a.txt"
-        out2 = tmp_path / "b.txt"
-        assert main(["forest", "gen", "--size", "5", "--seed", "7", "--out", str(out1)]) == 0
-        assert main(["forest", "gen", "--size", "5", "--seed", "7", "--out", str(out2)]) == 0
-        assert out1.read_text() == out2.read_text()
-        assert out1.read_text().splitlines()[0] == "5"
+    def test_gen_deterministic(self, capsys):
+        code1, out1, _ = run_cli(capsys, "forest", "gen", "--size", "5", "--seed", "7")
+        code2, out2, _ = run_cli(capsys, "forest", "gen", "--size", "5", "--seed", "7")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert out1.splitlines()[0] == "5"
 
-    def test_size_above_bound_refused(self, capsys, tmp_path):
-        out = tmp_path / "forest.txt"
-        code, _, err = run_cli(capsys, "forest", "gen", "--size", str(MAX_SIZE + 1), "--out", str(out))
+    def test_size_above_bound_refused(self, capsys):
+        code, out, err = run_cli(capsys, "forest", "gen", "--size", str(MAX_SIZE + 1))
         assert code == 2
         assert err == f"error: --size must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n"
-        assert not out.exists()
+        assert not out
 
     def test_closure_output(self, capsys, forest_file):
         code, out, _ = run_cli(capsys, "forest", "closure", "--in", forest_file, "--set", "3")
@@ -84,8 +91,10 @@ class TestStarspan:
         assert "coefficients: 0\n" in out
 
     def test_whole_window_of_a_generated_forest(self, capsys, tmp_path):
+        code, text, _ = run_cli(capsys, "forest", "gen", "--size", "2000", "--seed", "3")
+        assert code == 0
         path = tmp_path / "forest.txt"
-        assert main(["forest", "gen", "--size", "2000", "--seed", "3", "--out", str(path)]) == 0
+        path.write_text(text)
         target = "1" * 2000
         code, out, _ = run_cli(
             capsys, "starspan", "--in", str(path), "--window", ",".join(map(str, range(2000))), "--target", target
@@ -132,14 +141,14 @@ class TestVerify:
         assert "swap" in err
 
     def test_missing_lemma(self, capsys):
-        code, _, err = run_cli(capsys, "verify")
-        assert code == 2
+        out, err = run_refused(capsys, "verify")
+        assert "one of the arguments lemma --all is required" in err
+        assert not out
 
     def test_lemma_id_beside_all_usage_error(self, capsys):
         # an id next to --all would otherwise be dropped without a word
-        code, out, err = run_cli(capsys, "verify", "bogus", "--all")
-        assert code == 2
-        assert err == "error: verify takes a lemma id or --all, not both (got 'bogus')\n"
+        out, err = run_refused(capsys, "verify", "bogus", "--all")
+        assert "argument --all: not allowed with argument lemma" in err
         assert "lemma=" not in out
 
     @pytest.mark.parametrize("argv", [("starspan", "--trials", "0"), ("--all", "--trials", "-3")])
@@ -188,7 +197,7 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
         out = capsys.readouterr().out
-        assert set(re.findall(r"--[a-z-]+", out)) == {"--help", "--all", "--trials", "--seed", "--out"}
+        assert set(re.findall(r"--[a-z-]+", out)) == {"--help", "--all", "--trials", "--seed"}
 
     def test_verify_deterministic_given_seed(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "transport", "--trials", "30", "--seed", "5")
@@ -197,26 +206,16 @@ class TestVerify:
             return [ln.split(" elapsed=")[0] for ln in text.splitlines()]
         assert strip_elapsed(out1) == strip_elapsed(out2)
 
-    def test_reports_print_as_each_lemma_returns(self, capsys, monkeypatch, tmp_path):
+    def test_reports_print_as_each_lemma_returns(self, capsys, monkeypatch):
         # a library error in the last lemma keeps the twelve reports printed before it
         def broken(trials: int = 1, seed: int = 0):
             raise DomainError("injected fault")
 
         monkeypatch.setitem(verify.REGISTRY, "swap", (broken, "swap witnesses certify the complement flip"))
-        out_path = tmp_path / "report.txt"
-        code, out, err = run_cli(capsys, "verify", "--all", "--trials", "1", "--out", str(out_path))
+        code, out, err = run_cli(capsys, "verify", "--all", "--trials", "1")
         assert code == 2
         assert "injected fault" in err
         assert re.findall(r"^lemma=(\S+) ", out, re.M) == [lemma for lemma in verify.REGISTRY if lemma != "swap"]
-        assert not out_path.exists()
-
-    def test_report_written_to_file(self, capsys, tmp_path):
-        out_path = tmp_path / "report.txt"
-        code, _, _ = run_cli(
-            capsys, "verify", "lift", "--out", str(out_path)
-        )
-        assert code == 0
-        assert out_path.read_text().startswith("lemma=lift")
 
 
 class TestDemoNoSelector:
@@ -269,13 +268,10 @@ class TestDemoNoSelector:
             cond = tmp_path / "cond.txt"
             cond.write_text(f"box {MAX_SIZE + 1} 1 1\n")
             given = ("--in", str(cond))
-        out = tmp_path / "witness.txt"
-        code, printed, err = run_cli(
-            capsys, "demo", "no-selector", *given, "--support", "0", "--out", str(out)
-        )
+        code, printed, err = run_cli(capsys, "demo", "no-selector", *given, "--support", "0")
         assert code == 2
         assert err == f"error: box {MAX_SIZE + 1},1,1 must hold 1 to {MAX_SIZE} coordinates\n"
-        assert not printed and not out.exists()
+        assert not printed
 
     def test_saturated_support_capacity_error(self, capsys):
         code, _, err = run_cli(
@@ -285,12 +281,13 @@ class TestDemoNoSelector:
         assert "capacity" in err.lower()
 
     def test_box_header_mismatch(self, capsys, tmp_path):
+        # a condition file's header is its box, so --box beside --in is refused whether or not they agree
         cond = tmp_path / "cond.txt"
         cond.write_text("box 4 1 4\n")
-        code, _, err = run_cli(
-            capsys, "demo", "no-selector", "--in", str(cond), "--box", "3,1,4", "--support", "0"
-        )
-        assert code == 2
+        for box in ("3,1,4", "4,1,4"):
+            out, err = run_refused(capsys, "demo", "no-selector", "--in", str(cond), "--box", box, "--support", "0")
+            assert "argument --box: not allowed with argument --in" in err
+            assert "swap witness" not in out
 
     def test_explicit_forest_file(self, capsys, tmp_path, forest_file):
         code, out, _ = run_cli(
@@ -307,37 +304,54 @@ class TestDemoNoSelector:
     [
         pytest.param(("forest", "closure", "--in", "{latin1}"), id="forest-closure-in"),
         pytest.param(("demo", "no-selector", "--in", "{latin1}"), id="demo-in"),
-        pytest.param(("forest", "gen", "--size", "4", "--out", "{missing}"), id="forest-gen-out"),
-        pytest.param(("verify", "dyadic", "--out", "{missing}"), id="verify-out"),
-        pytest.param(("verify", "--all", "--out", "{missing}"), id="verify-all-out"),
-        pytest.param(("verify", "--all", "--out", "{outdir}"), id="verify-all-out-dir"),
     ],
 )
 def test_file_errors_are_usage_errors(capsys, tmp_path, argv):
-    # exit 1 means a verification failure, so a non-UTF-8 or unwritable file must exit 2
+    # exit 1 means a verification failure, so a non-UTF-8 file must exit 2
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("4\n1 0\n2 0\n3 1 # \u00e9\n".encode("latin-1"))
-    missing = tmp_path / "missing" / "out.txt"
-    fields = {"latin1": latin1, "missing": missing, "outdir": tmp_path}
-    code, out, err = run_cli(capsys, *(arg.format(**fields) for arg in argv))
+    code, out, err = run_cli(capsys, *(arg.format(latin1=latin1) for arg in argv))
     assert code == 2
-    assert err.startswith("error: cannot ")
-    # an unwritable --out is refused before the first lemma runs
-    assert "lemma=" not in out
-    assert not missing.exists()
+    assert err.startswith("error: cannot read ")
+    assert not out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("forest", "gen", "--size", "4"), id="forest-gen"),
+        pytest.param(("forest", "closure", "--in", "{forest}", "--set", "3"), id="forest-closure"),
+        pytest.param(("starspan", "--in", "{forest}", "--window", "0,1", "--target", "10"), id="starspan"),
+        pytest.param(("verify", "lift"), id="verify"),
+        pytest.param(("verify", "--all"), id="verify-all"),
+        pytest.param(("demo", "no-selector", "--box", "4,1,2", "--support", "0"), id="demo"),
+    ],
+)
+def test_out_flag_refused(capsys, tmp_path, forest_file, argv):
+    # every command prints to stdout, so an --out names no file, is refused, and writes none
+    target = tmp_path / "out.txt"
+    out, err = run_refused(capsys, *(a.format(forest=forest_file) for a in argv), "--out", str(target))
+    assert "usage:" in err
+    assert not out
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(
     "given, message",
     [
-        pytest.param((), "demo no-selector needs --in or --box", id="no-box"),
+        pytest.param((), "one of the arguments --in --box is required", id="no-box"),
         pytest.param(("--box", "4,1,1", "--forest", "{forest3}"), "forest universe 3 disagrees with box size 4", id="forest-size"),
     ],
 )
 def test_demo_box_source_errors_are_usage_errors(capsys, tmp_path, given, message):
     forest3 = tmp_path / "forest3.txt"
     forest3.write_text("3\n1 0\n2 0\n")
-    code, out, err = run_cli(capsys, "demo", "no-selector", *(a.format(forest3=forest3) for a in given), "--support", "0")
-    assert code == 2
-    assert err == f"error: {message}\n"
+    argv = ["demo", "no-selector", *(a.format(forest3=forest3) for a in given), "--support", "0"]
+    if given:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+    else:  # argparse refuses it, with its usage
+        out, err = run_refused(capsys, *argv)
+        assert message in err
     assert not out

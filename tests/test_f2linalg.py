@@ -377,6 +377,15 @@ class TestTargetSolutions:
         assert batch is f2linalg._star_basis(K)
         assert isinstance(batch, StarBasis) and not isinstance(batch, Sequence)
 
+    def test_basis_is_indexed_not_iterated(self):
+        # iterating or searching would solve up to all 2**n targets, one per index
+        K = Window(forest_of(3, {1: 0, 2: 0}), frozenset(range(3)))
+        batch = solve_all_targets(K)
+        for walk in (list, iter, lambda basis: frozenset() in basis):
+            with pytest.raises(TypeError):
+                walk(batch)
+        assert [batch[t] for t in range(8)] == [frozenset(forward_substitution(K, t)) for t in range(8)]
+
     def test_window_keeps_its_basis_while_others_are_solved(self):
         K1 = Window(forest_of(3, {1: 0, 2: 0}), frozenset(range(3)))
         K2 = Window(forest_of(4, {1: 0, 2: 1, 3: 1}), frozenset(range(4)))
