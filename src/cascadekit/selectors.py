@@ -86,6 +86,10 @@ class SwapWitness(_Value):
         object.__setattr__(self, "shield", frozenset(self._unordered(self.shield)))
         if not (isinstance(self.beta, int) and isinstance(self.gamma, int) and isinstance(self.row, int)):
             raise DomainError("swap nodes and row must be ints")
+        if min(self.beta, self.gamma, self.row) < 0:
+            raise DomainError("swap nodes and row must be natural")
+        if self.beta == self.gamma:
+            raise DomainError(f"swap nodes must differ, both are {self.beta}")
         if not self.toggle.cofinite:
             raise DomainError("swap toggles must be cofinite")
         if not self.toggle.disjoint_from(self.shield):

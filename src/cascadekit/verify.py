@@ -981,6 +981,7 @@ def verify_swap(report: VerificationReport, rng: random.Random):
     def both_toggled(bits_count, exceptions):
         word = [(0, 0, ToggleSet.cofinite_excluding(exceptions))]
         b = CoordinateBox(Window.whole(forest), 1, bits_count)
+        toggled.add((b.bits, word[0][2]))
         row_flips = functools.partial(_replayed_flips, forest, word, row=0, B=bits_count)
         if row_flips(1) ^ row_flips(2) or pattern_shift(generator(forest, *word[0]), 1, 2, 0, b):
             yield f"both-toggled generator moved the pattern (B={bits_count})"
@@ -995,11 +996,14 @@ def verify_swap(report: VerificationReport, rng: random.Random):
     # sampled conditions on boxes of up to 12 coordinates
     report.sample(sampled)
     # both-toggled case: a generator at the shared predecessor fixes the pattern
+    toggled = set()  # each swept (row width, toggle set), as the check built it
     for bits_count in (2, 3):
         for exceptions in ({0}, set(), {1}):
             report.sweep(both_toggled(bits_count, exceptions))
+    widths = " and ".join(map(str, sorted({width for width, _ in toggled})))
     report.notes = (
-        f"{conditions} enumerated conditions and {report.enumerated - conditions} both-toggled generators, "
+        f"{conditions} enumerated conditions and {report.enumerated - conditions} both-toggled generators "
+        f"({len(toggled)} distinct row width and toggle set pairs, widths {widths}), "
         f"plus {report.sampled} sampled conditions; each witness's three certificates replayed from the parent map"
     )
 

@@ -177,6 +177,8 @@ class TestStarMatrix:
             F2Matrix((0,), (2,))
         with pytest.raises(DomainError, match="must be an int"):
             F2Matrix(("a", "b"), (1, 2))
+        with pytest.raises(DomainError, match="a node repeats in the ordering"):
+            F2Matrix((1, 1), (1, 3))
 
     def test_rejects_empty_window(self):
         f = forest_of(2, {1: 0})

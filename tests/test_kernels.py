@@ -133,11 +133,11 @@ class TestAgainstNaive:
                         acc ^= cols[j]
                 assert acc == target
 
-    def test_solve_unit_triangular_is_a_lazy_sequence(self):
+    def test_solve_unit_triangular_is_a_tuple_of_every_solution(self):
         n = 5
         cols = [(1 << j) | (j and 1) for j in range(n)]
         solved = _kernels.solve_unit_triangular_all(cols, n)
-        assert isinstance(solved, Sequence)
+        assert isinstance(solved, tuple) and isinstance(solved, Sequence)
         assert len(solved) == 2**n
         assert solved[-1] == solved[2**n - 1]
         assert solved[-(2**n)] == solved[0] == 0

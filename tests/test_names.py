@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_assignments,
+    all_closed_subsets,
     all_conditions,
     apply_to_assignment,
     assert_canonical,
@@ -587,6 +588,34 @@ class TestTwoLayerCode:
             for g in all_assignments(box):
                 assert evaluate(decoded, g) == evaluate(scheme, g)
 
+    def test_every_valid_code_codes_back_to_itself(self):
+        # over each closed window of a 2-coordinate box: member 0 lists up to three codes, repeats and
+        # orders included, alone or beside member 5 with one code; the codes are the box's 9 packets',
+        # a packet's on node 2, outside the box, and 0b111, which codes no packet
+        box = small_box(rows=1, bits=1, size=2)
+        pool = [packet_code(cond) for cond in all_conditions(list(box.coords()))]
+        pool += [packet_code(Condition.from_map({(2, 0, 0): 1})), 0b111]
+        lists = [ks for n in range(4) for ks in itertools.product(pool, repeat=n)]
+        candidates = [((0, ks),) for ks in lists]
+        candidates += [((0, ks), (5, (k,))) for ks in lists if len(ks) < 3 for k in pool]
+        outcomes = collections.Counter()
+        for closed in all_closed_subsets(box.forest):
+            A = Window(box.forest, frozenset(closed))
+            for indices in candidates:
+                try:
+                    code = TwoLayerCode(A, indices)
+                except DomainError:
+                    outcomes["refused"] += 1
+                    continue
+                try:
+                    scheme = decode_two_layer(code, box)
+                except DomainError:  # a packet outside the box or the support, or a code of no packet
+                    outcomes["undecodable"] += 1
+                    continue
+                assert two_layer_code(scheme, box) == code, indices
+                outcomes["round trip"] += 1
+        assert outcomes == {"refused": 1419, "undecodable": 5988, "round trip": 1374}
+
     def test_decode_over_grown_box_gives_same_scheme(self):
         rng = random.Random(29)
         for shape in _BOX_SHAPES:
@@ -947,6 +976,10 @@ class TestPrimePackets:
             TwoLayerCode(A, ((0, (1, 2.0)),))
         with pytest.raises(DomainError):
             TwoLayerCode(A, ((0, (1,)), ("1", (2,))))
+        with pytest.raises(DomainError, match="member 0 lists a packet code twice"):
+            TwoLayerCode(A, ((0, (43, 43)),))  # would decode as (43,), whose code it is not
+        with pytest.raises(DomainError, match="member 2 lists a packet code twice"):
+            TwoLayerCode(A, ((0, (1,)), (2, [5, 9, 5])))
 
     def test_huge_box_code_keeps_small_indices(self):
         # a packet's code grows with its literals, not with the box: 3**600 has 951 bits

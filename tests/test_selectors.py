@@ -436,6 +436,21 @@ SINGLETON = IndexedFamily.of({0: {0}})
             id="witness-toggle-meets-shield",
         ),
         pytest.param(
+            lambda: SwapWitness(1, 1, 0, frozenset(), ToggleSet.cofinite_excluding(()), None),
+            "swap nodes must differ, both are 1",
+            id="witness-equal-nodes",
+        ),
+        pytest.param(
+            lambda: SwapWitness(-1, 2, 0, frozenset(), ToggleSet.cofinite_excluding(()), None),
+            "swap nodes and row must be natural",
+            id="witness-negative-node",
+        ),
+        pytest.param(
+            lambda: SwapWitness(1, 2, -1, frozenset(), ToggleSet.cofinite_excluding(()), None),
+            "swap nodes and row must be natural",
+            id="witness-negative-row",
+        ),
+        pytest.param(
             lambda: swap_witness(Condition.empty(), rho_closure(FORK, {0}), 1, FORK_BOX),
             "row 1 outside the box",
             id="witness-row-off-box",

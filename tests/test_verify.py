@@ -100,7 +100,10 @@ NOTE_COUNTS = {
     "shield": (r"(\d+) exhaustive instances on the 8-coordinate box, plus (\d+) sampled trials", (1,), (2,)),
     "selector": (r"(\d+) enumerated triples in every order, plus (\d+) sampled triples", (1,), (2,)),
     "swap": (
-        r"(\d+) enumerated conditions and (\d+) both-toggled generators, plus (\d+) sampled conditions", (1, 2), (3,)
+        r"(\d+) enumerated conditions and (\d+) both-toggled generators "
+        r"\(6 distinct row width and toggle set pairs, widths 2 and 3\), plus (\d+) sampled conditions",
+        (1, 2),
+        (3,),
     ),
     "dyadic": (r"(\d+) coset partitions, (\d+) three-class labelings", (1, 2), ()),
     "odd-fixed": (r"\d+ involution pairs on 1, 3, 5 and 7 points, (\d+) with a 2-power product", (1,), ()),
@@ -143,7 +146,10 @@ def test_notes_split_enumerated_from_sampled_counts(exhaustive_reports):
     assert selector.notes == "56 enumerated triples in every order, plus 5 sampled triples"
     swap = verify_swap(trials=3, seed=0)
     assert swap.trials == 729 + 6 + 3
-    assert swap.notes.startswith("729 enumerated conditions and 6 both-toggled generators, plus 3 sampled conditions")
+    assert swap.notes.startswith(
+        "729 enumerated conditions and 6 both-toggled generators "
+        "(6 distinct row width and toggle set pairs, widths 2 and 3), plus 3 sampled conditions"
+    )
     odd = exhaustive_reports["odd-fixed"]
     assert odd.trials == 7467
     # involutions on 1, 3, 5, 7 points: 1, 4, 26, 232, so 1 + 10 + 351 + 27028 unordered pairs;
