@@ -14,9 +14,9 @@ long as it lives: :func:`solve_star_span` reads it per target, and
 target's solution.  The target that is 1 at a single node is solved by that
 node plus its descendants inside the window; the basis holds these unit
 solutions in four-Russians tables (Arlazarov, Dinic, Kronrod and Faradzev,
-1970), every XOR of each group of four, so a solve costs one lookup per four
-bits.  The basis is certified once, when it is built, and by linearity its
-certificate covers every target.  An empty window has no basis: its build
+1970), every XOR of each group of four, built by doubling, so a solve costs
+one lookup per four bits.  The basis is certified once, when it is built,
+and by linearity its certificate covers every target.  An empty window has no basis: its build
 raises ``DomainError("window must be nonempty")``, so both solvers and
 :func:`combine_stars` raise it, as :func:`star_matrix` does.
 """
@@ -122,20 +122,6 @@ def star_matrix(K: Window) -> F2Matrix:
     return F2Matrix._checked(order=order, cols=tuple(masks[xi] for xi in order))
 
 
-def _xor_table(a: int, b: int, c: int, d: int, *_) -> tuple[int, ...]:
-    """Every XOR of four masks: entry ``i`` XORs the masks at the set bits of ``i``."""
-    ab, cd = a ^ b, c ^ d
-    return (0, a, b, ab, c, a ^ c, b ^ c, ab ^ c, d, a ^ d, b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd)
-
-
-def _node_table(a, b, c, d, *_) -> tuple[tuple[NodeId, ...], ...]:
-    """Every sub-tuple of four nodes: entry ``i`` holds the nodes at the set bits of ``i``."""
-    return (
-        (), (a,), (b,), (a, b), (c,), (a, c), (b, c), (a, b, c),
-        (d,), (a, d), (b, d), (a, b, d), (c, d), (a, c, d), (b, c, d), (a, b, c, d),
-    )
-
-
 class StarBasis:
     """The star masks of a window with their certified inverse, as lookup tables.
 
@@ -148,7 +134,10 @@ class StarBasis:
     positions) of the target whose bits in chunk ``c`` are ``i`` and whose
     other bits are 0, and ``nodes[c][i]`` is the tuple of nodes at the bits
     ``i`` of chunk ``c``.  By linearity a target's solution mask is the XOR of
-    one ``sums`` entry per chunk.
+    one ``sums`` entry per chunk.  Each chunk's tables are built by doubling:
+    from ``[0]`` and ``[()]``, each unit and node of the chunk, in position
+    order, appends every entry so far XORed with the unit or extended by the
+    node, so a short last chunk of ``k`` positions gets ``2**k`` entries.
 
     The constructor solves the unit targets from ``masks`` alone, last
     position first: a star must hold its own bit and otherwise only later
@@ -186,10 +175,12 @@ class StarBasis:
         sums = []
         nodes = []
         for c in range(0, n, 4):
-            # a short last chunk is padded to four; its tables keep only the entries it has
-            size = 1 << min(4, n - c)
-            sums.append(_xor_table(*units[c : c + 4], 0, 0, 0)[:size])
-            nodes.append(_node_table(*order[c : c + 4], None, None, None)[:size])
+            span, subsets = [0], [()]
+            for unit, xi in zip(units[c : c + 4], order[c : c + 4]):
+                span += [s ^ unit for s in span]
+                subsets += [sub + (xi,) for sub in subsets]
+            sums.append(tuple(span))
+            nodes.append(tuple(subsets))
         self.size = 1 << n
         self.masks = masks
         self.sums = tuple(sums)

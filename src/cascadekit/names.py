@@ -174,13 +174,11 @@ class PacketScheme(_Value):
         return cls(support, tuple(families.items()))
 
 
-def _name_pairs(name) -> tuple[tuple[int, Condition], ...]:
-    """A raw name's pairs, or a scheme's ``(m, packet.condition)`` pairs, by member then entries."""
+def _name_pairs(name) -> Iterable[tuple[int, Condition]]:
+    """A raw name's pairs, or a scheme's ``(m, packet.condition)`` pairs, as stored."""
     if isinstance(name, PacketScheme):
-        pairs = [(m, pkt.condition) for m, packets in name.families for pkt in packets]
-    else:
-        pairs = name.pairs
-    return tuple(sorted(pairs, key=lambda p: (p[0], p[1].entries)))
+        return [(m, pkt.condition) for m, packets in name.families for pkt in packets]
+    return name.pairs
 
 
 def evaluate(name, g: Assignment) -> set[int]:
@@ -208,7 +206,7 @@ def _name_table(name, box: CoordinateBox) -> _NameIndex:
     """The name's index: its member table over only the coordinates it mentions.
 
     The table's bits are the mentioned coordinates in box order.  The index
-    also holds each of the name's sorted pairs as ``(dmask, vmask, m)`` over
+    also holds each of the name's pairs as ``(dmask, vmask, m)`` over
     those bits, the coordinate of each bit and its inverse ``slot``,
     each mentioned node's bits, and the ``kernels.flip_violation`` result
     of each bit flipped so far.  Evaluation reads no other coordinate, so a

@@ -55,7 +55,7 @@ def pattern_shift(
 
 
 @dataclass(frozen=True)
-class SwapCertificate:
+class SwapCertificate(_Value):
     """The three swap certificates.
 
     ``pattern_flip`` compares the toggle sets of the rows (beta, row) and
@@ -68,6 +68,13 @@ class SwapCertificate:
     support_fixed: bool
     pattern_flip: bool
     assignments_checked: int
+
+    def __post_init__(self):
+        for verdict in (self.condition_fixed, self.support_fixed, self.pattern_flip):
+            if not isinstance(verdict, bool):
+                raise DomainError(f"certificate verdict {verdict!r} must be a bool")
+        if not isinstance(self.assignments_checked, int) or self.assignments_checked < 0:
+            raise DomainError(f"assignments checked {self.assignments_checked!r} must be a natural int")
 
     def all_pass(self) -> bool:
         return self.condition_fixed and self.support_fixed and self.pattern_flip

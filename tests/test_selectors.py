@@ -451,6 +451,16 @@ SINGLETON = IndexedFamily.of({0: {0}})
             id="witness-negative-row",
         ),
         pytest.param(
+            lambda: SwapCertificate(True, True, True, -4),
+            "assignments checked -4 must be a natural int",
+            id="certificate-negative-count",
+        ),
+        pytest.param(
+            lambda: SwapCertificate(1, 1, 1, 4),
+            "certificate verdict 1 must be a bool",
+            id="certificate-int-verdicts",
+        ),
+        pytest.param(
             lambda: swap_witness(Condition.empty(), rho_closure(FORK, {0}), 1, FORK_BOX),
             "row 1 outside the box",
             id="witness-row-off-box",
