@@ -16,9 +16,9 @@ node plus its descendants inside the window; the basis holds these unit
 solutions in four-Russians tables (Arlazarov, Dinic, Kronrod and Faradzev,
 1970), every XOR of each group of four, built by doubling, so a solve costs
 one lookup per four bits.  The basis is certified once, when it is built,
-and by linearity its certificate covers every target.  An empty window has no basis: its build
-raises ``DomainError("window must be nonempty")``, so both solvers and
-:func:`combine_stars` raise it, as :func:`star_matrix` does.
+and by linearity its certificate covers every target.  An empty window has
+no basis: its build raises ``DomainError("window must be nonempty")``, so
+both solvers and :func:`combine_stars` raise it, as :func:`star_matrix` does.
 """
 
 from __future__ import annotations
